@@ -441,9 +441,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a polynomial or matrix literal.  Such a value may
+# start with "-" ("-2*X1", "-1,0;0,1"), which argparse would take for an
+# option, so each is passed on attached to its option as "--poly=-2*X1".
+_LITERAL_OPTIONS = ("--poly", "--target")
+
+
+def _attach_literals(argv: list[str]) -> list[str]:
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg in _LITERAL_OPTIONS:
+            value = next(args, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -8,7 +8,13 @@ freely in arithmetic and comparisons.
 A SpanBasis holds a subspace of M_d flattened row-major to length-d^2
 vectors, maintained in reduced row echelon form.  Echelon canonicality makes
 subspace equality a plain row-list comparison and membership a single
-reduction pass.
+reduction pass.  The four canonical subspaces have their reduced bases
+written down in closed form.
+
+EchelonModP tracks only the rank of a stream of integer vectors, modulo the
+fixed prime 2^61 - 1.  That rank is a lower bound on the rank over Q, so a
+growth it reports is exact; the span classifier uses it to count growths
+cheaply and builds the exact basis once at the end.
 """
 
 from __future__ import annotations
@@ -204,22 +210,6 @@ class MatrixQ:
         return MatrixQ([row[d:] for row in aug])
 
 
-def mat_add(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    return a + b
-
-
-def mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    return a * b
-
-
-def mat_scale(a: MatrixQ, c: Num) -> MatrixQ:
-    return a.scale(c)
-
-
-def trace(a: MatrixQ) -> Num:
-    return a.trace()
-
-
 def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     """[a, b] = ab - ba."""
     return a * b - b * a
@@ -333,40 +323,80 @@ class SpanBasis:
     def __repr__(self) -> str:
         return f"SpanBasis(dim={self.dim}, rank={self.rank})"
 
-    def _row_traces_vanish(self) -> bool:
-        d = self.dim
-        return all(
-            not sum(row[i * d + i] for i in range(d)) for row in self.rows
-        )
+    @staticmethod
+    def canonical(dim: int, which: Classification) -> SpanBasis:
+        """The reduced basis of one of the four canonical subspaces of M_d.
+
+        Built in closed form with integer entries.  The trace-zero space has
+        a pivot at every coordinate but the last diagonal one: unit rows off
+        the diagonal, and E_ii - E_(d-1)(d-1) on it.
+        """
+        n = dim * dim
+        if which is Classification.ZERO:
+            return SpanBasis(dim)
+        if which is Classification.SCALARS:
+            return SpanBasis(dim, (MatrixQ.identity(dim).flatten(),), (0,))
+        if which is Classification.FULL:
+            pivots = tuple(range(n))
+        elif which is Classification.TRACE_ZERO:
+            pivots = tuple(range(n - 1))
+        else:
+            raise ValueError(f"no canonical subspace for {which}")
+        rows = []
+        for p in pivots:
+            row = [0] * n
+            row[p] = 1
+            if which is Classification.TRACE_ZERO and p % (dim + 1) == 0:
+                row[n - 1] = -1
+            rows.append(tuple(row))
+        return SpanBasis(dim, tuple(rows), pivots)
 
     def equals_canonical(self, which: Classification) -> bool:
         """Compare against one of the four canonical subspaces of M_d."""
-        d = self.dim
-        if which is Classification.ZERO:
-            return self.rank == 0
-        if which is Classification.SCALARS:
-            return self.rank == 1 and self.rows[0] == MatrixQ.identity(d).flatten()
-        if which is Classification.TRACE_ZERO:
-            return self.rank == d * d - 1 and self._row_traces_vanish()
-        if which is Classification.FULL:
-            return self.rank == d * d
-        raise ValueError(f"no canonical subspace for {which}")
-
-    def canonical_match(self) -> Classification | None:
-        """The canonical space this basis equals, if any."""
-        for which in (
-            Classification.ZERO,
-            Classification.SCALARS,
-            Classification.TRACE_ZERO,
-            Classification.FULL,
-        ):
-            if self.equals_canonical(which):
-                return which
-        return None
+        return self == SpanBasis.canonical(self.dim, which)
 
 
-def subspace_of(b1: SpanBasis, b2: SpanBasis) -> bool:
-    return b1.is_subspace_of(b2)
+PRIME = 2**61 - 1
+
+
+class EchelonModP:
+    """Echelon form over GF(p), p = 2^61 - 1, of integer vectors added one at a time.
+
+    Integer vectors that are dependent over Q have an integer relation with
+    coprime coefficients, which stays a nontrivial relation mod p.  So the
+    rank here never exceeds the rank over Q of the same vectors, and every
+    growth mod p certifies a growth over Q.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        # Row k is stored from its pivot on, scaled so its pivot entry is -1
+        # (that is, p - 1), and is zero mod p at the pivots of rows 0..k-1.
+        # Reducing in insertion order therefore never refills an earlier
+        # pivot, and entries need reducing mod p only when read.
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: Sequence[int]) -> bool:
+        """Adjoin an integer vector; True iff the rank mod p increased."""
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p] % PRIME
+            if c:
+                v[p:] = [a + c * b for a, b in zip(v[p:], row)]
+        v = [x % PRIME for x in v]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        scale = PRIME - pow(v[p], -1, PRIME)
+        self.rows.append([x * scale % PRIME for x in v[p:]])
+        self.pivots.append(p)
+        return True
 
 
 def express_in_terms(

@@ -3,10 +3,19 @@
 The linear span of the values of a polynomial on a full matrix algebra is
 always one of four canonical subspaces: zero, the scalars, the trace-zero
 matrices, or everything.  This module samples random integer matrix tuples,
-accumulates the exact span of the resulting values, and stops once the
-basis has been stable for a while and matches a canonical space.  Sampling
-is a lower bound on the true span, so a budget that runs out without a
-match is reported honestly as UNDETERMINED rather than coerced.
+evaluates L * f on them in plain integers (L clears f's denominators), and
+stops once the span has been stable for a while and matches a canonical
+space.  Exactness comes from three places:
+
+- growth is tracked by rank modulo a prime, a lower bound on the rank over
+  Q, so every recorded growth is real and no class is overclaimed;
+- whether every sampled value is zero, scalar or trace zero is tested
+  exactly on the integer values;
+- the exact basis is built once at the end, in closed form for a canonical
+  class and by reducing the witness values otherwise.
+
+Sampling is a lower bound on the true span, so a budget that runs out
+without a match is reported honestly as UNDETERMINED rather than coerced.
 
 Identity and centrality tests are exact for multilinear polynomials (it
 suffices to evaluate on tuples of matrix units) and randomized otherwise,
@@ -16,21 +25,25 @@ with the usual polynomial-vanishing error bound.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .linalg import (
     Classification,
     DimensionMismatch,
+    EchelonModP,
     MatrixQ,
     NotInSpan,
+    Num,
     SpanBasis,
     commutator,
     express_in_terms,
 )
-from .poly import NcPoly
+from .poly import NcPoly, Word
 
 
 class ArityMismatch(Exception):
@@ -83,6 +96,40 @@ class SpanReport:
     config: SampleConfig
 
 
+def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
+    """(L, terms of L * f) for L the lcm of f's coefficient denominators."""
+    scale = math.lcm(*(coeff.denominator for coeff in f.terms.values()))
+    return scale, [(word, int(coeff * scale)) for word, coeff in f.terms.items()]
+
+
+def _evaluate_rows(
+    terms: list[tuple[Word, int]], args: Sequence[Sequence[Sequence[Num]]], d: int
+) -> list[list[Num]]:
+    """Rows of sum c * w(args) over (w, c) in terms; args[i-1] are the rows of X_i.
+
+    Integer coefficients keep integer arguments in plain ints throughout.
+    """
+    cols = [tuple(zip(*a)) for a in args]
+    acc: list[list[Num]] = [[0] * d for _ in range(d)]
+    for word, coeff in terms:
+        if not word:
+            for i in range(d):
+                acc[i][i] += coeff
+            continue
+        prod = args[word[0] - 1]
+        for letter in word[1:]:
+            prod = [[sum(map(mul, row, col)) for col in cols[letter - 1]] for row in prod]
+        acc = [[a + coeff * x for a, x in zip(ra, rp)] for ra, rp in zip(acc, prod)]
+    return acc
+
+
+def _unscaled(rows: list[list[Num]], scale: int) -> MatrixQ:
+    """The matrix with the given rows divided by scale, exactly."""
+    if scale != 1:
+        rows = [[Fraction(x, scale) for x in row] for row in rows]
+    return MatrixQ(rows)
+
+
 def evaluate(
     f: NcPoly, args: Sequence[MatrixQ], dim: int | None = None
 ) -> MatrixQ:
@@ -90,7 +137,8 @@ def evaluate(
 
     The constant term contributes a scalar multiple of the identity.  For a
     polynomial without variables the target dimension must be passed
-    explicitly since it cannot be inferred.
+    explicitly since it cannot be inferred.  L * f is evaluated for L the
+    lcm of the coefficient denominators, then scaled back by 1/L.
     """
     args = tuple(args)
     if len(args) < f.nvars:
@@ -108,16 +156,8 @@ def evaluate(
         d = dim
     else:
         raise ArityMismatch("cannot infer dimension: no arguments and no dim given")
-    acc = MatrixQ.zero(d)
-    for word, coeff in f.terms.items():
-        if word:
-            prod = args[word[0] - 1]
-            for letter in word[1:]:
-                prod = prod * args[letter - 1]
-            acc = acc + prod.scale(coeff)
-        else:
-            acc = acc + MatrixQ.identity(d).scale(coeff)
-    return acc
+    scale, terms = _integer_terms(f)
+    return _unscaled(_evaluate_rows(terms, [a.rows for a in args], d), scale)
 
 
 def random_matrix(rng: random.Random, d: int, bound: int) -> MatrixQ:
@@ -205,23 +245,53 @@ def nontriviality_oracle(
     return oracle
 
 
+def _match_class(
+    rank: int, d: int, all_zero: bool, all_scalar: bool, all_trace_zero: bool
+) -> Classification | None:
+    """The canonical space spanned by the sampled values, if their facts pin it.
+
+    rank is the rank mod p, a lower bound on the rank over Q; the three
+    flags are exact facts about every sampled value.  A span of scalars
+    with rank 1, of trace-zero matrices with rank d^2 - 1, or of rank d^2
+    equals its canonical space, so no verdict is ever overclaimed.
+    """
+    if all_zero:
+        return Classification.ZERO
+    if rank == 1 and all_scalar:
+        return Classification.SCALARS
+    if rank == d * d - 1 and all_trace_zero:
+        return Classification.TRACE_ZERO
+    if rank == d * d:
+        return Classification.FULL
+    return None
+
+
 def classify_span(
     f: NcPoly, d: int, cfg: SampleConfig | None = None
 ) -> SpanReport:
     """Sample values of f on M_d and classify their linear span.
 
-    Stops as soon as the basis has seen stability_window consecutive
+    Stops as soon as the values have seen stability_window consecutive
     non-growing samples while matching a canonical space, or immediately at
-    full rank (no further sample can change a full basis), or when the
+    full rank (no further sample can change a full span), or when the
     budget runs out.  Witness tuples are recorded exactly for the samples
-    that grew the basis, so the basis is the span of the witness values.
+    that grew the rank, so the basis is the span of the witness values.
+
+    Values are computed as integer matrices L * f(t).  Growth is tracked by
+    rank mod a prime, which never overclaims (see EchelonModP), and the
+    class comes from that rank plus exact tests of every sampled value.
+    The exact basis is built once: in closed form for a canonical class,
+    else by reducing the witness values.
     """
     cfg = cfg or SampleConfig()
     rng = random.Random(cfg.seed)
-    basis = SpanBasis(d)
+    scale, terms = _integer_terms(f)
+    echelon = EchelonModP()
     witnesses: list[Witness] = []
     budget = cfg.samples_for(d)
     full_rank = d * d
+    identity = MatrixQ.identity(d).flatten()
+    all_zero = all_scalar = all_trace_zero = True
     stall = 0
     samples_used = 0
     classification: Classification | None = None
@@ -229,24 +299,37 @@ def classify_span(
         args = tuple(
             random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
         )
-        value = evaluate(f, args, dim=d)
+        rows = _evaluate_rows(terms, [a.rows for a in args], d)
+        vec = [x for row in rows for x in row]
         samples_used += 1
-        basis, grew = basis.insert(value)
-        if grew:
-            witnesses.append((args, value))
+        all_zero = all_zero and not any(vec)
+        all_scalar = all_scalar and vec == [vec[0] * x for x in identity]
+        all_trace_zero = all_trace_zero and not sum(vec[:: d + 1])
+        # A value that keeps the span canonical lies in it: no elimination.
+        match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
+        if match is None and echelon.insert(vec):
+            witnesses.append((args, _unscaled(rows, scale)))
             stall = 0
         else:
             stall += 1
-        if basis.rank == full_rank:
+        if echelon.rank == full_rank:
             classification = Classification.FULL
             break
         if stall >= cfg.stability_window:
-            match = basis.canonical_match()
-            if match is not None:
-                classification = match
+            classification = _match_class(
+                echelon.rank, d, all_zero, all_scalar, all_trace_zero
+            )
+            if classification is not None:
                 break
     if classification is None:
-        classification = basis.canonical_match() or Classification.UNDETERMINED
+        classification = (
+            _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
+            or Classification.UNDETERMINED
+        )
+    if classification is Classification.UNDETERMINED:
+        basis = SpanBasis.from_matrices(d, (value for _, value in witnesses))
+    else:
+        basis = SpanBasis.canonical(d, classification)
     return SpanReport(
         poly=f,
         dim=d,

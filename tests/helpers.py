@@ -5,7 +5,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from ncspan import MatrixQ, NcPoly
+from ncspan import (
+    Classification,
+    MatrixQ,
+    NcPoly,
+    SampleConfig,
+    SpanBasis,
+    SpanReport,
+)
+from ncspan.span import random_matrix
 
 
 def random_word(rng: random.Random, nvars: int, max_len: int, min_len: int = 0):
@@ -106,3 +114,71 @@ def random_noncentral(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:
         m = random_matrix_int(rng, d, bound)
         if not m.is_scalar():
             return m
+
+
+def reference_evaluate(f: NcPoly, args, d: int) -> MatrixQ:
+    """f at args by MatrixQ arithmetic with the Fraction coefficients as given."""
+    acc = MatrixQ.zero(d)
+    for word, coeff in f.terms.items():
+        prod = MatrixQ.identity(d)
+        for letter in word:
+            prod = prod * args[letter - 1]
+        acc = acc + prod.scale(coeff)
+    return acc
+
+
+def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
+    """The exact span classifier: every value folded into a Fraction RREF.
+
+    Same sampling, stopping rule and witnesses as classify_span, which
+    must agree with it field for field.
+    """
+    n = d * d
+
+    def match(basis):
+        if basis.rank == 0:
+            return Classification.ZERO
+        if basis.rank == 1 and basis.rows[0] == MatrixQ.identity(d).flatten():
+            return Classification.SCALARS
+        if basis.rank == n - 1 and all(not sum(row[:: d + 1]) for row in basis.rows):
+            return Classification.TRACE_ZERO
+        if basis.rank == n:
+            return Classification.FULL
+        return None
+
+    rng = random.Random(cfg.seed)
+    basis = SpanBasis(d)
+    witnesses = []
+    stall = 0
+    samples_used = 0
+    classification = None
+    for _ in range(cfg.samples_for(d)):
+        args = tuple(
+            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
+        )
+        value = reference_evaluate(f, args, d)
+        samples_used += 1
+        basis, grew = basis.insert(value)
+        if grew:
+            witnesses.append((args, value))
+            stall = 0
+        else:
+            stall += 1
+        if basis.rank == n:
+            classification = Classification.FULL
+            break
+        if stall >= cfg.stability_window:
+            classification = match(basis)
+            if classification is not None:
+                break
+    if classification is None:
+        classification = match(basis) or Classification.UNDETERMINED
+    return SpanReport(
+        poly=f,
+        dim=d,
+        classification=classification,
+        basis=basis,
+        witnesses=tuple(witnesses),
+        samples_used=samples_used,
+        config=cfg,
+    )

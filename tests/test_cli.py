@@ -63,6 +63,12 @@ class TestClassify:
         assert code == 64
         assert doc["classification"] == "UNDETERMINED"
 
+    def test_literal_starting_with_minus(self, capsys):
+        code, doc = run_json(capsys, "classify", "--poly", "-2*X1", "--dim", "2")
+        assert code == 0
+        assert doc["polynomial"] == "-2*X1"
+        assert doc["classification"] == "FULL"
+
     def test_text_format(self, capsys):
         code, out = run_cli(
             capsys,
@@ -162,6 +168,15 @@ class TestDecompose:
             "decompose", "--poly", "[X1,X2]", "--dim", "2", "--target", "0,1;0,0",
         )
         assert code == 0
+        assert doc["verified"] is True
+
+    def test_target_starting_with_minus(self, capsys):
+        code, doc = run_json(
+            capsys,
+            "decompose", "--poly", "[X1,X2]", "--dim", "2", "--target", "-1,0;0,1",
+        )
+        assert code == 0
+        assert doc["target"] == "-1,0;0,1"
         assert doc["verified"] is True
 
     def test_not_in_span(self, capsys):
