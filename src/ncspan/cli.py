@@ -13,12 +13,13 @@ import json
 import os
 import sys
 
-from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan, SpanBasis
+from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan
 from .linearize import (
     NotReducible,
     OracleFailed,
     reduce_to_multilinear,
 )
+from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
@@ -29,7 +30,7 @@ from .span import (
     is_identity,
     lie_ideal_check,
     nontriviality_oracle,
-    vanishing_bound,
+    vanishing_rate,
 )
 from .text import (
     ParseError,
@@ -40,7 +41,7 @@ from .text import (
     poly_to_text,
 )
 
-SCHEMA = "ncspan/1"
+SCHEMA = "ncspan/2"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -70,12 +71,8 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _ser_matrix(m: MatrixQ) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in m.rows]
-
-
-def _ser_basis(basis: SpanBasis) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in basis.rows]
+def _ser_rows(rows) -> list[list[str]]:
+    return [[format_scalar(x) for x in row] for row in rows]
 
 
 def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None, bool]:
@@ -102,11 +99,11 @@ def _report_doc(report: SpanReport) -> dict:
         "seed": report.config.seed,
         "classification": report.classification.value,
         "rank": report.basis.rank,
-        "basis": _ser_basis(report.basis),
+        "basis": _ser_rows(report.basis.rows),
         "witnesses": [
             {
-                "inputs": [_ser_matrix(a) for a in args],
-                "value": _ser_matrix(value),
+                "inputs": [_ser_rows(a.rows) for a in args],
+                "value": _ser_rows(value.rows),
             }
             for args, value in report.witnesses
         ],
@@ -147,12 +144,14 @@ def _cmd_witness(args) -> int:
     for d in range(1, args.dmax + 1):
         ident = is_identity(f, d, cfg)
         central = is_central(f, d, cfg) if not ident else False
+        # The bound per_sample ** samples stays factored: it can have thousands of digits.
+        per_sample, samples = vanishing_rate(f, d, cfg)
         per_dim.append(
             {
                 "dim": d,
                 "identity": ident,
                 "central": central,
-                "vanishing_bound": float(vanishing_bound(f, d, cfg)),
+                "vanishing_bound": {"per_sample": format_scalar(per_sample), "samples": samples},
             }
         )
         if not ident and not central:
@@ -271,7 +270,7 @@ def _cmd_decompose(args) -> int:
             "terms": [
                 {
                     "coefficient": format_scalar(lam),
-                    "inputs": [_ser_matrix(a) for a in tup],
+                    "inputs": [_ser_rows(a.rows) for a in tup],
                 }
                 for lam, tup in terms
             ],
@@ -285,14 +284,14 @@ def _read_corpus(path: str) -> list[tuple[int, str]]:
     entries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                entries.append((lineno, stripped))
+            # Leading blanks stay, so parse columns are columns of the file.
+            text = line.split("#", 1)[0].rstrip()
+            if text.strip():
+                entries.append((lineno, text))
     return entries
 
 
-def _suite_entry(lineno: int, text: str, d: int, cfg: SampleConfig) -> dict:
-    f = parse_poly(text)
+def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> dict:
     report = classify_span(f, d, cfg)
     applicable, consistent, comm = _exclusion_flags(report)
     if report.classification is Classification.UNDETERMINED:
@@ -341,7 +340,14 @@ def _cmd_suite(args) -> int:
     except OSError as exc:
         print(f"ncspan: cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    entries = [_suite_entry(lineno, text, args.dim, cfg) for lineno, text in corpus]
+    entries = []
+    for lineno, text in corpus:
+        try:
+            f = parse_poly(text)
+        except ParseError as exc:
+            print(f"ncspan: {args.corpus}:{lineno}: {exc.message} (column {exc.col})", file=sys.stderr)
+            return EXIT_USAGE
+        entries.append(_suite_entry(lineno, f, args.dim, cfg))
     violations = sum(
         1
         for e in entries

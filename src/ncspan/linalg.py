@@ -11,6 +11,11 @@ subspace equality a plain row-list comparison and membership a single
 reduction pass.  The four canonical subspaces have their reduced bases
 written down in closed form.
 
+Whole systems are eliminated by one routine, fraction_free_rref (Bareiss's
+fraction-free Gauss-Jordan over integer rows): bases built from a list of
+matrices, inverses and solves all use it.  SpanBasis.insert adjoins a single
+matrix by a rank-one update of the reduced rows instead.
+
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed prime 2^61 - 1.  That rank is a lower bound on the rank over Q, so a
 growth it reports is exact; the span classifier uses it to count growths
@@ -19,6 +24,8 @@ cheaply and builds the exact basis once at the end.
 
 from __future__ import annotations
 
+import bisect
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -190,24 +197,14 @@ class MatrixQ:
         return NotImplemented
 
     def inverse(self) -> MatrixQ:
-        """Exact inverse via Gauss-Jordan; raises ValueError if singular."""
+        """Exact inverse: [self | I] reduces to [I | inverse]; ValueError if singular."""
         d = self.dim
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(d):
-            sel = next((r for r in range(col, d) if aug[r][col]), None)
-            if sel is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[sel] = aug[sel], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-        return MatrixQ([row[d:] for row in aug])
+        rows = (row + tuple(int(i == j) for j in range(d)) for i, row in enumerate(self.rows))
+        _, aug = _cleared(rows)
+        pivots, det = fraction_free_rref(aug)
+        if pivots != list(range(d)):
+            raise ValueError("matrix is singular")
+        return MatrixQ([[Fraction(x, det) for x in row[d:]] for row in aug])
 
 
 def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
@@ -218,40 +215,6 @@ def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
 # ---------------------------------------------------------------------------
 # Reduced-echelon span bases
 # ---------------------------------------------------------------------------
-
-def _reduce_vector(
-    rows: Sequence[Vector], pivots: Sequence[int], vec: Sequence[Num]
-) -> list[Num]:
-    """Reduce vec against RREF rows (each row has leading 1 at its pivot)."""
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
-
-
-def _rref_insert(
-    rows: tuple[Vector, ...], pivots: tuple[int, ...], vec: Sequence[Num]
-) -> tuple[tuple[Vector, ...], tuple[int, ...], bool]:
-    """Insert vec into an RREF row set; returns (rows, pivots, grew)."""
-    v = _reduce_vector(rows, pivots, vec)
-    p = next((i for i, x in enumerate(v) if x), None)
-    if p is None:
-        return rows, pivots, False
-    pv = Fraction(v[p])
-    new_row = tuple(x / pv for x in v)
-    adjusted = []
-    for row in rows:
-        c = row[p]
-        if c:
-            row = tuple(a - c * b for a, b in zip(row, new_row))
-        adjusted.append(row)
-    pos = next((k for k, q in enumerate(pivots) if q > p), len(pivots))
-    out_rows = tuple(adjusted[:pos]) + (new_row,) + tuple(adjusted[pos:])
-    out_pivots = pivots[:pos] + (p,) + pivots[pos:]
-    return out_rows, out_pivots, True
-
 
 class SpanBasis:
     """Row-reduced basis of a subspace of M_d, flattened row-major.
@@ -279,30 +242,50 @@ class SpanBasis:
 
     @staticmethod
     def from_matrices(dim: int, mats: Iterable[MatrixQ]) -> SpanBasis:
-        basis = SpanBasis(dim)
-        for m in mats:
-            basis, _ = basis.insert(m)
-        return basis
+        """The reduced basis of the span of mats, by one fraction-free pass."""
+        mats = list(mats)
+        if any(m.dim != dim for m in mats):
+            raise DimensionMismatch(f"matrices must be {dim}x{dim}")
+        _, rows = _cleared(m.flatten() for m in mats)
+        pivots, det = fraction_free_rref(rows)
+        rows = tuple(tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])
+        return SpanBasis(dim, rows, tuple(pivots))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, m: MatrixQ) -> tuple[SpanBasis, bool]:
-        """Adjoin a matrix; grew is True iff the rank increased."""
+    def _residual(self, m: MatrixQ) -> list[Num]:
+        """m reduced by each row (leading 1 at its pivot); zero iff m is inside."""
         if m.dim != self.dim:
             raise DimensionMismatch(f"dimensions {m.dim} and {self.dim} differ")
-        rows, pivots, grew = _rref_insert(self.rows, self.pivots, m.flatten())
-        if not grew:
+        v = m.flatten()
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def insert(self, m: MatrixQ) -> tuple[SpanBasis, bool]:
+        """Adjoin a matrix by a rank-one update; grew is True iff the rank increased."""
+        v = self._residual(m)
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
             return self, False
-        return SpanBasis(self.dim, rows, pivots), True
+        pv = Fraction(v[p])
+        new_row = tuple(x / pv for x in v)
+        rows = [
+            tuple(a - row[p] * b for a, b in zip(row, new_row)) if row[p] else row
+            for row in self.rows
+        ]
+        pos = bisect.bisect(self.pivots, p)
+        rows.insert(pos, new_row)
+        pivots = self.pivots[:pos] + (p,) + self.pivots[pos:]
+        return SpanBasis(self.dim, tuple(rows), pivots), True
 
     def contains(self, m: MatrixQ) -> bool:
         """Exact membership test by reduction against the basis rows."""
-        if m.dim != self.dim:
-            raise DimensionMismatch(f"dimensions {m.dim} and {self.dim} differ")
-        residual = _reduce_vector(self.rows, self.pivots, m.flatten())
-        return not any(residual)
+        return not any(self._residual(m))
 
     def is_subspace_of(self, other: SpanBasis) -> bool:
         if self.dim != other.dim:
@@ -399,6 +382,48 @@ class EchelonModP:
         return True
 
 
+# ---------------------------------------------------------------------------
+# Fraction-free elimination
+# ---------------------------------------------------------------------------
+
+def _cleared(rows: Iterable[Sequence[Num]]) -> tuple[int, list[list[int]]]:
+    """(L, L * rows) for L the lcm of the entries' denominators."""
+    rows = [list(row) for row in rows]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Reduce integer rows in place by fraction-free Gauss-Jordan (Bareiss).
+
+    Returns (pivots, det) such that rows / det is the reduced row echelon
+    form of the input, zero rows last; det is the determinant of a square
+    input of full rank.  Every entry stays a minor of the input (Sylvester's
+    identity), so every division is exact.
+    """
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[c]
+                rows[i] = [(pv * x - a * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+    if sign < 0:
+        rows[:] = [[-x for x in row] for row in rows]
+    return pivots, sign * prev
+
+
 def express_in_terms(
     vectors: Sequence[Sequence[Num]], target: Sequence[Num]
 ) -> list[Fraction] | None:
@@ -408,34 +433,13 @@ def express_in_terms(
     target is outside the span of the vectors.
     """
     k = len(vectors)
-    n = len(target)
-    aug = [
-        [Fraction(vectors[j][r]) for j in range(k)] + [Fraction(target[r])]
-        for r in range(n)
-    ]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(k):
-        sel = next((r for r in range(row, n) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if aug[r][k]:
-            return None
+    _, aug = _cleared([*(v[r] for v in vectors), target[r]] for r in range(len(target)))
+    pivots, det = fraction_free_rref(aug)
+    if k in pivots:
+        return None
     sol = [Fraction(0)] * k
-    for r, col in enumerate(pivot_cols):
-        sol[col] = aug[r][k]
+    for row, col in zip(aug, pivots):
+        sol[col] = Fraction(row[k], det)
     return sol
 
 
@@ -449,7 +453,8 @@ def vandermonde_extract(
     """Recover matrices c_0..c_m from values[j] = sum_i lambdas[j]^i * c_i.
 
     The nodes must be pairwise distinct; the system is solved exactly by
-    inverting the Vandermonde matrix, entrywise over the value matrices.
+    one fraction-free reduction of the Vandermonde matrix augmented with
+    the value matrices.
     """
     k = len(lambdas)
     if len(values) != k:
@@ -459,20 +464,15 @@ def vandermonde_extract(
     if len(set(Fraction(lam) for lam in lambdas)) != k:
         raise DuplicateNodes("interpolation nodes must be pairwise distinct")
     d = values[0].dim
-    for v in values:
-        if v.dim != d:
-            raise DimensionMismatch("value matrices have differing dimensions")
-    vand = MatrixQ([[Fraction(lam) ** i for i in range(k)] for lam in lambdas])
-    inv = vand.inverse()
-    out = []
-    for i in range(k):
-        acc = MatrixQ.zero(d)
-        for j in range(k):
-            c = inv[i, j]
-            if c:
-                acc = acc + values[j].scale(c)
-        out.append(acc)
-    return out
+    if any(v.dim != d for v in values):
+        raise DimensionMismatch("value matrices have differing dimensions")
+    # Row j is [1, lam_j, ..., lam_j^(k-1) | values[j]]; it reduces to [e_j | c_j].
+    _, rows = _cleared(
+        [Fraction(lam) ** i for i in range(k)] + list(v.flatten())
+        for lam, v in zip(lambdas, values)
+    )
+    _, det = fraction_free_rref(rows)
+    return [MatrixQ.unflatten([Fraction(x, det) for x in row[k:]], d) for row in rows]
 
 
 def default_nodes(m: int) -> list[int]:
@@ -509,21 +509,12 @@ def _apply(m: MatrixQ, v: Sequence[Num]) -> list[Num]:
 
 
 def _complete_basis(cols: list[list[Num]], d: int) -> MatrixQ:
-    """Extend independent columns to a basis with standard basis vectors."""
-    rows: tuple[Vector, ...] = ()
-    pivots: tuple[int, ...] = ()
-    for c in cols:
-        rows, pivots, grew = _rref_insert(rows, pivots, c)
-        assert grew, "seed columns must be independent"
-    full = list(cols)
-    for i in range(d):
-        if len(full) == d:
-            break
-        e = [int(r == i) for r in range(d)]
-        rows, pivots, grew = _rref_insert(rows, pivots, e)
-        if grew:
-            full.append(e)
-    return MatrixQ([[full[j][i] for j in range(d)] for i in range(d)])
+    """Extend independent columns to a basis: the pivot columns of [cols | I]."""
+    cands = cols + [[int(r == i) for r in range(d)] for i in range(d)]
+    _, rows = _cleared(zip(*cands))
+    pivots, _ = fraction_free_rref(rows)
+    assert pivots[: len(cols)] == list(range(len(cols))), "seed columns must be independent"
+    return MatrixQ(zip(*(cands[j] for j in pivots)))
 
 
 def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:

@@ -200,22 +200,34 @@ def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
     return True
 
 
-def vanishing_bound(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> Fraction:
-    """Error probability bound for a randomized all-zero identity verdict.
+def vanishing_rate(
+    f: NcPoly, d: int, cfg: SampleConfig | None = None
+) -> tuple[Fraction, int]:
+    """(p, n): a randomized all-zero identity verdict errs with probability <= p ** n.
 
     Standard polynomial-vanishing estimate: a nonzero polynomial of total
     degree k vanishes at a uniform integer point of [-B, B] with
-    probability at most k / (2B + 1), independently per sample.  Exact
-    (multilinear) tests have bound 0.
+    probability at most p = k / (2B + 1), independently in each of the n
+    samples; p is capped at 1.  Exact (multilinear) tests have p = 0.
     """
     cfg = cfg or SampleConfig()
+    n = cfg.samples_for(d)
     deg = f.degree()
     if f.is_zero() or f.is_multilinear() or deg == 0:
-        return Fraction(0)
-    per_sample = Fraction(deg, 2 * cfg.coeff_bound + 1)
-    if per_sample >= 1:
-        return Fraction(1)
-    return per_sample ** cfg.samples_for(d)
+        return Fraction(0), n
+    return min(Fraction(deg, 2 * cfg.coeff_bound + 1), Fraction(1)), n
+
+
+def vanishing_bound(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> Fraction:
+    """The bound p ** n of vanishing_rate; it has about n * log10(1/p) digits."""
+    p, n = vanishing_rate(f, d, cfg)
+    return p ** n
+
+
+def _fresh_bracket(f: NcPoly) -> NcPoly:
+    """[f, X_{n+1}] for a variable X_{n+1} that f does not use."""
+    fresh = NcPoly.variable(f.nvars + 1)
+    return f * fresh - fresh * f
 
 
 def is_central(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
@@ -225,8 +237,7 @@ def is_central(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
     [f, X_{n+1}] is an identity while f itself is not.
     """
     cfg = cfg or SampleConfig()
-    bracket = f * NcPoly.variable(f.nvars + 1) - NcPoly.variable(f.nvars + 1) * f
-    return is_identity(bracket, d, cfg) and not is_identity(f, d, cfg)
+    return is_identity(_fresh_bracket(f), d, cfg) and not is_identity(f, d, cfg)
 
 
 def nontriviality_oracle(
@@ -234,15 +245,7 @@ def nontriviality_oracle(
 ) -> Callable[[NcPoly], bool]:
     """Oracle for the reduction pipeline: neither identity nor central on M_d."""
     cfg = cfg or SampleConfig()
-
-    def oracle(f: NcPoly) -> bool:
-        if is_identity(f, d, cfg):
-            return False
-        fresh = NcPoly.variable(f.nvars + 1)
-        bracket = f * fresh - fresh * f
-        return not is_identity(bracket, d, cfg)
-
-    return oracle
+    return lambda f: not is_identity(f, d, cfg) and not is_identity(_fresh_bracket(f), d, cfg)
 
 
 def _match_class(
@@ -384,19 +387,13 @@ def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     if seed.dim != d:
         raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
     units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
-    basis, _ = SpanBasis(d).insert(seed)
-    changed = True
+    basis, changed = SpanBasis(d).insert(seed)
     while changed:
         changed = False
         mats = basis.row_matrices()
-        for r in mats:
-            for u in units:
-                basis, grew = basis.insert(commutator(r, u))
-                changed = changed or grew
-        for a in mats:
-            for b in mats:
-                basis, grew = basis.insert(a * b)
-                changed = changed or grew
+        for m in [commutator(r, u) for r in mats for u in units] + [a * b for a in mats for b in mats]:
+            basis, grew = basis.insert(m)
+            changed |= grew
     return basis
 
 
@@ -409,7 +406,8 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     The t_j are witness tuples from the report (whose values span the
     report's basis), except in the directly invertible case f = c * X_i,
     where the preimage tuple is written down outright.  Raises NotInSpan
-    when the target lies outside the recorded span.
+    when the target lies outside the recorded span.  Each call is one
+    fraction-free solve (express_in_terms).
     """
     d = report.dim
     if target.dim != d:

@@ -31,6 +31,7 @@ class ParseError(Exception):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from ncspan import (
     Classification,
@@ -130,6 +131,9 @@ def reference_evaluate(f: NcPoly, args, d: int) -> MatrixQ:
 def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
     """The exact span classifier: every value folded into a Fraction RREF.
 
+    The RREF is kept by reference_rref_insert, one rank-one update per
+    value, independently of SpanBasis.
+
     Same sampling, stopping rule and witnesses as classify_span, which
     must agree with it field for field.
     """
@@ -147,7 +151,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
         return None
 
     rng = random.Random(cfg.seed)
-    basis = SpanBasis(d)
+    rows, pivots = (), ()
     witnesses = []
     stall = 0
     samples_used = 0
@@ -158,7 +162,8 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
         )
         value = reference_evaluate(f, args, d)
         samples_used += 1
-        basis, grew = basis.insert(value)
+        rows, pivots, grew = reference_rref_insert(rows, pivots, value.flatten())
+        basis = SpanBasis(d, rows, pivots)
         if grew:
             witnesses.append((args, value))
             stall = 0
@@ -182,3 +187,86 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
         samples_used=samples_used,
         config=cfg,
     )
+
+
+def reference_inverse(m: MatrixQ) -> MatrixQ:
+    """Exact inverse by Fraction Gauss-Jordan; raises ValueError if singular."""
+    d = m.dim
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+        for i, row in enumerate(m.rows)
+    ]
+    for col in range(d):
+        sel = next((r for r in range(col, d) if aug[r][col]), None)
+        if sel is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[sel] = aug[sel], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return MatrixQ([row[d:] for row in aug])
+
+
+def reference_express_in_terms(vectors, target):
+    """Solve sum_j lam_j * vectors[j] = target by Fraction Gauss-Jordan.
+
+    One solution with free coordinates set to zero, or None when the target
+    is outside the span of the vectors.
+    """
+    k = len(vectors)
+    n = len(target)
+    aug = [
+        [Fraction(vectors[j][r]) for j in range(k)] + [Fraction(target[r])]
+        for r in range(n)
+    ]
+    pivot_cols = []
+    row = 0
+    for col in range(k):
+        sel = next((r for r in range(row, n) if aug[r][col]), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == n:
+            break
+    for r in range(row, n):
+        if aug[r][k]:
+            return None
+    sol = [Fraction(0)] * k
+    for r, col in enumerate(pivot_cols):
+        sol[col] = aug[r][k]
+    return sol
+
+
+def reference_rref_insert(rows, pivots, vec):
+    """Insert vec into Fraction RREF rows; returns (rows, pivots, grew)."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    p = next((i for i, x in enumerate(v) if x), None)
+    if p is None:
+        return rows, pivots, False
+    pv = Fraction(v[p])
+    new_row = tuple(x / pv for x in v)
+    adjusted = []
+    for row in rows:
+        c = row[p]
+        if c:
+            row = tuple(a - c * b for a, b in zip(row, new_row))
+        adjusted.append(row)
+    pos = next((k for k, q in enumerate(pivots) if q > p), len(pivots))
+    out_rows = tuple(adjusted[:pos]) + (new_row,) + tuple(adjusted[pos:])
+    out_pivots = pivots[:pos] + (p,) + pivots[pos:]
+    return out_rows, out_pivots, True

@@ -22,7 +22,7 @@ class TestClassify:
             capsys, "classify", "--poly", "X1*X2 - X2*X1", "--dim", "2"
         )
         assert code == 0
-        assert doc["schema"] == "ncspan/1"
+        assert doc["schema"] == "ncspan/2"
         assert doc["classification"] == "TRACE_ZERO"
         assert doc["rank"] == 3
         assert doc["polynomial"] == "X1*X2 - X2*X1"
@@ -111,6 +111,29 @@ class TestWitness:
         code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]", "--dmax", "1")
         assert code == 1
         assert doc["witness_dimension"] is None
+
+    def test_vanishing_bound_is_exact(self, capsys):
+        code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]^2", "--dmax", "3")
+        assert code == 0
+        # The bound is per_sample ** samples; (4/21)^576 at d=3 was 0.0 as a float.
+        bounds = [entry["vanishing_bound"] for entry in doc["tested"]]
+        assert bounds == [
+            {"per_sample": "4/21", "samples": 64},
+            {"per_sample": "4/21", "samples": 256},
+            {"per_sample": "4/21", "samples": 576},
+        ]
+        code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]", "--dmax", "2")
+        assert [e["vanishing_bound"]["per_sample"] for e in doc["tested"]] == ["0", "0"]
+
+    def test_huge_sample_budget(self, capsys):
+        # 21^4000 has more digits than int-to-str conversion allows.
+        code, doc = run_json(
+            capsys, "witness", "--poly", "X1*X1", "--dmax", "2", "--max-samples", "4000"
+        )
+        assert code == 0
+        assert doc["witness_dimension"] == 2
+        bounds = [entry["vanishing_bound"] for entry in doc["tested"]]
+        assert bounds == [{"per_sample": "2/21", "samples": 4000}] * 2
 
 
 class TestLinearize:
@@ -236,6 +259,20 @@ class TestSuite:
         corpus.write_text("X1 +\n")
         code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
         assert code == 2
+        # The error names the corpus path and line.
+        assert capsys.readouterr().err.startswith(f"ncspan: {corpus}:1: ")
+        corpus.write_text("X1\nX1*(X2\n  X1 +  # indented\n")
+        code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"ncspan: {corpus}:2: expected ')', found end of input (column 7)\n"
+        corpus.write_text("X1\n  X1 +  # indented\n")
+        assert main(["suite", "--corpus", str(corpus), "--dim", "2"]) == 2
+        # Columns count from the start of the corpus line, indentation included.
+        err = capsys.readouterr().err
+        assert err.startswith(f"ncspan: {corpus}:2: expected a number, variable")
+        assert err.endswith("found end of input (column 7)\n")
 
 
 def test_usage_error_exit_code():

@@ -1,0 +1,307 @@
+"""Decomposition through the fraction-free elimination kernel.
+
+decompose_target solves each target with the fraction-free
+express_in_terms; these tests require the same lambda lists, element by
+element, as the Fraction Gauss-Jordan solve kept in helpers, and the same
+NotInSpan verdicts.  The kernel units pin fraction_free_rref,
+MatrixQ.inverse and express_in_terms against their Fraction references.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from helpers import (
+    battery_poly,
+    random_matrix_int,
+    reference_express_in_terms,
+    reference_inverse,
+    reference_rref_insert,
+)
+from ncspan import (
+    Classification,
+    MatrixQ,
+    NotInSpan,
+    SampleConfig,
+    SpanBasis,
+    SpanReport,
+    classify_span,
+    decompose_target,
+    evaluate,
+    parse_poly,
+)
+from ncspan.linalg import (
+    express_in_terms,
+    fraction_free_rref,
+)
+
+HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]", "[X1,X2]^2")
+
+
+def reference_decompose(report, target):
+    """decompose_target with every target solved afresh by Fraction Gauss-Jordan."""
+    if not report.basis.contains(target):
+        raise NotInSpan("target is outside the sampled span")
+    sol = reference_express_in_terms(
+        [value.flatten() for _, value in report.witnesses], target.flatten()
+    )
+    if sol is None:
+        raise NotInSpan("target is outside the span of the witness values")
+    return [(lam, args) for lam, (args, _) in zip(sol, report.witnesses) if lam]
+
+
+def outcome(decompose, report, target):
+    try:
+        return decompose(report, target)
+    except NotInSpan as exc:
+        return ("NotInSpan", str(exc))
+
+
+def targets(rng, report, count):
+    """Rational combinations of the basis rows, a random integer matrix, and 0."""
+    d = report.dim
+    out = [MatrixQ.zero(d), random_matrix_int(rng, d)]
+    rows = report.basis.row_matrices()
+    for _ in range(count):
+        acc = MatrixQ.zero(d)
+        for row in rows:
+            acc = acc + row.scale(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+        out.append(acc)
+    return out
+
+
+def assert_same_decompositions(report, rng, count=3):
+    f = report.poly
+    if len(f.terms) == 1 and len(next(iter(f.terms))) == 1:
+        return  # c * X_i: decompose_target writes the preimage down outright
+    for target in targets(rng, report, count):
+        got = outcome(decompose_target, report, target)
+        want = outcome(reference_decompose, report, target)
+        assert got == want, (report.poly, report.dim, target)
+        if isinstance(got, list):
+            assert all(type(lam) is Fraction for lam, _ in got)
+            total = MatrixQ.zero(report.dim)
+            for lam, args in got:
+                total = total + evaluate(f, args, dim=report.dim).scale(lam)
+            assert total == target
+
+
+class TestAgainstReference:
+    def test_battery_d3(self):
+        rng = random.Random(3030)
+        for _ in range(200):
+            report = classify_span(battery_poly(rng), 3, SampleConfig(seed=0))
+            assert_same_decompositions(report, rng, count=2)
+
+    @pytest.mark.parametrize("text", HEADLINE)
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_headline(self, text, d):
+        rng = random.Random(d * 101 + len(text))
+        for seed in (0, 7919):
+            report = classify_span(parse_poly(text), d, SampleConfig(seed=seed))
+            assert_same_decompositions(report, rng, count=3 if d < 5 else 1)
+
+    @pytest.mark.parametrize("max_samples", (3, 20))
+    def test_undetermined_reports(self, max_samples):
+        rng = random.Random(max_samples)
+        undetermined = 0
+        for text in HEADLINE:
+            for d in (2, 3, 5):
+                for seed in (0, 7919):
+                    cfg = SampleConfig(seed=seed, max_samples=max_samples)
+                    report = classify_span(parse_poly(text), d, cfg)
+                    undetermined += report.classification is Classification.UNDETERMINED
+                    assert_same_decompositions(report, rng)
+        assert undetermined > 0
+
+
+class TestVerdicts:
+    def test_trace_obstruction(self):
+        report = classify_span(parse_poly("[X1,X2]"), 3, SampleConfig(seed=7919))
+        target = MatrixQ.identity(3)
+        with pytest.raises(NotInSpan, match="outside the sampled span"):
+            decompose_target(report, target)
+        assert outcome(reference_decompose, report, target)[0] == "NotInSpan"
+
+    def test_zero_class(self):
+        report = classify_span(parse_poly("[X1,X2]"), 1)
+        assert report.classification is Classification.ZERO
+        assert decompose_target(report, MatrixQ.zero(1)) == []
+        with pytest.raises(NotInSpan):
+            decompose_target(report, MatrixQ.identity(1))
+
+    def test_scalar_class(self):
+        f = parse_poly("[X1,X2]^2")
+        report = classify_span(f, 2)
+        assert report.classification is Classification.SCALARS
+        ((lam, args),) = decompose_target(report, MatrixQ.identity(2).scale(Fraction(5, 3)))
+        ((_, value),) = report.witnesses
+        assert args is report.witnesses[0][0]
+        assert value.scale(lam) == MatrixQ.identity(2).scale(Fraction(5, 3))
+        with pytest.raises(NotInSpan):
+            decompose_target(report, MatrixQ.unit(2, 0, 1))
+
+
+class TestHandBuiltReports:
+    def test_witness_values_that_are_not_a_basis(self):
+        cfg = SampleConfig()
+        e11, e12 = MatrixQ.unit(2, 0, 0), MatrixQ.unit(2, 0, 1)
+        f = parse_poly("X1*X2")
+        args = (MatrixQ.identity(2), MatrixQ.identity(2))
+        basis = SpanBasis.from_matrices(2, [e11])
+        for witnesses, want in (
+            (((args, e11 + e12),), "NotInSpan"),  # a value outside the basis
+            (((args, e11), (args, e11.scale(2))), [(1, args)]),  # dependent values
+            ((), "NotInSpan"),  # too few values
+        ):
+            report = SpanReport(f, 2, Classification.UNDETERMINED, basis, witnesses, 2, cfg)
+            for target in (e11, e12):
+                got = outcome(decompose_target, report, target)
+                assert got == outcome(reference_decompose, report, target)
+            got = outcome(decompose_target, report, e11)
+            assert got == want or got[0] == want
+
+
+def bareiss_inverse(rows):
+    """(pivots, det, adj) from fraction_free_rref on the integer matrix [rows | I]."""
+    d = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    pivots, det = fraction_free_rref(aug)
+    return pivots, det, [row[d:] for row in aug]
+
+
+def fraction_rref(rows):
+    """Reduced row echelon rows and pivots by the incremental Fraction routine."""
+    out, pivots = (), ()
+    for row in rows:
+        out, pivots, _ = reference_rref_insert(out, pivots, row)
+    return out, pivots
+
+
+class TestKernel:
+    def test_rref_matches_fraction_rref(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            n, m, rank = rng.randint(1, 6), rng.randint(1, 7), rng.randint(0, 4)
+            base = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(rank)]
+            rows = [
+                [sum(rng.randint(-3, 3) * b[j] for b in base) for j in range(m)]
+                for _ in range(n)
+            ]
+            want_rows, want_pivots = fraction_rref(rows)
+            work = [list(r) for r in rows]
+            pivots, det = fraction_free_rref(work)
+            assert tuple(pivots) == want_pivots
+            assert det != 0
+            got = [tuple(Fraction(x, det) for x in row) for row in work]
+            assert tuple(got[: len(pivots)]) == want_rows
+            assert not any(any(row) for row in work[len(pivots):])
+
+    def test_insert_one_at_a_time_matches_one_pass(self):
+        rng = random.Random(81)
+        for d in range(1, 4):
+            for _ in range(20):
+                base = [
+                    MatrixQ([[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(d)]
+                             for _ in range(d)])
+                    for _ in range(rng.randint(0, d * d))
+                ]
+                mats = base + [b + c for b, c in zip(base, base[1:])]
+                rng.shuffle(mats)
+                basis = SpanBasis(d)
+                for m in mats:
+                    basis, _ = basis.insert(m)
+                assert basis == SpanBasis.from_matrices(d, mats)
+                assert (basis.rows, basis.pivots) == fraction_rref(m.flatten() for m in mats)
+
+    def test_adjugate_against_fraction_inverse(self):
+        rng = random.Random(78)
+        for d in range(1, 7):
+            for k in range(16):
+                m = random_matrix_int(rng, d)
+                if k % 2:  # sparse, so pivots need row swaps
+                    m = MatrixQ([[x if rng.random() < 0.3 else 0 for x in row] for row in m.rows])
+                try:
+                    inv = reference_inverse(m)
+                except ValueError:
+                    continue
+                pivots, det, adj = bareiss_inverse(m.rows)
+                assert pivots == list(range(d))
+                assert MatrixQ(adj) == inv.scale(det)
+                # det is the determinant: the product of Fraction pivots.
+                assert det == fraction_determinant(m)
+
+    def test_rational_inverse(self):
+        rng = random.Random(79)
+        for d in range(1, 6):
+            for _ in range(8):
+                m = MatrixQ(
+                    [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+                     for _ in range(d)]
+                )
+                try:
+                    want = reference_inverse(m)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        m.inverse()
+                    continue
+                got = m.inverse()
+                assert got == want
+                assert all(type(x) is Fraction for row in got.rows for x in row)
+
+    def test_swapped_rows_keep_the_determinant_sign(self):
+        assert bareiss_inverse([[0, 1], [1, 0]]) == ([0, 1], -1, [[0, -1], [-1, 0]])
+        assert bareiss_inverse([[0, 0, 2], [0, 1, 0], [1, 0, 0]])[1] == -2
+        assert MatrixQ([[0, 1], [1, 0]]).inverse() == MatrixQ([[0, 1], [1, 0]])
+
+    def test_singular_raises(self):
+        singular = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
+        assert bareiss_inverse(singular)[0] == [0, 1, 3]
+        with pytest.raises(ValueError):
+            MatrixQ(singular).inverse()
+        with pytest.raises(ValueError):
+            MatrixQ([[0]]).inverse()
+
+    def test_empty_input(self):
+        assert fraction_free_rref([]) == ([], 1)
+
+    def test_express_in_terms_sets_free_coordinates_to_zero(self):
+        v1, v3 = (1, 2, 0, 1), (0, 1, 1, Fraction(1, 2))
+        v2 = tuple(2 * x for x in v1)
+        target = [a + b for a, b in zip(v1, v3)]
+        vecs = [v1, v2, v3]
+        assert express_in_terms(vecs, target) == [1, 0, 1]
+        assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target)
+        assert express_in_terms(vecs, (0, 0, 0, 1)) is None
+
+    def test_express_in_terms_against_reference(self):
+        rng = random.Random(80)
+        for _ in range(300):
+            k, n = rng.randint(0, 5), rng.randint(0, 7)
+            vecs = [
+                [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) * rng.randint(0, 1)
+                 for _ in range(n)]
+                for _ in range(k)
+            ]
+            if vecs and rng.random() < 0.7:
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in vecs]
+                target = [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)]
+            else:
+                target = [rng.randint(-2, 2) for _ in range(n)]
+            assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target)
+
+
+def fraction_determinant(m: MatrixQ) -> Fraction:
+    rows = [[Fraction(x) for x in row] for row in m.rows]
+    det = Fraction(1)
+    for c in range(m.dim):
+        sel = next(r for r in range(c, m.dim) if rows[r][c])
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, m.dim):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return det

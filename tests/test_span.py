@@ -30,7 +30,9 @@ from ncspan import (
     is_central,
     is_identity,
     lie_ideal_check,
+    nontriviality_oracle,
     vanishing_bound,
+    vanishing_rate,
 )
 
 X1 = NcPoly.variable(1)
@@ -347,6 +349,24 @@ class TestSampleConfig:
             SampleConfig(max_samples=0)
 
 
+class TestNontrivialityOracle:
+    def test_two_identity_tests_per_call(self, monkeypatch):
+        import ncspan.span
+
+        calls = []
+        real = ncspan.span.is_identity
+        monkeypatch.setattr(
+            ncspan.span, "is_identity", lambda f, d, cfg=None: calls.append(f) or real(f, d, cfg)
+        )
+        oracle = nontriviality_oracle(2)
+        for f, want in ((HALL, False), (X1 * X2, True)):
+            calls.clear()
+            assert oracle(f) is want
+            # f itself, then its bracket with a fresh variable: never a third test.
+            assert len(calls) == 2 and calls[0] == f
+        assert oracle(COMM * X1 - X1 * COMM) is True
+
+
 class TestVanishingBound:
     def test_zero_for_multilinear(self):
         assert vanishing_bound(COMM, 2) == 0
@@ -355,3 +375,10 @@ class TestVanishingBound:
         bound = vanishing_bound(HALL, 2, SampleConfig(max_samples=8))
         assert 0 < bound < Fraction(1, 10 ** 5)
         assert bound == Fraction(4, 21) ** 8
+
+    def test_rate_factors_the_bound(self):
+        assert vanishing_rate(HALL, 3) == (Fraction(4, 21), 576)
+        assert vanishing_rate(COMM, 3) == (0, 576)
+        # A per-sample rate of 1 or more is capped at 1.
+        assert vanishing_rate(HALL, 2, SampleConfig(coeff_bound=1)) == (1, 256)
+        assert vanishing_bound(HALL, 2, SampleConfig(coeff_bound=1)) == 1
