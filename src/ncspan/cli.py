@@ -23,10 +23,10 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
+    _fresh_bracket,
     classify_span,
     decompose_target,
     evaluate,
-    is_central,
     is_identity,
     lie_ideal_check,
     nontriviality_oracle,
@@ -143,7 +143,8 @@ def _cmd_witness(args) -> int:
     found = None
     for d in range(1, args.dmax + 1):
         ident = is_identity(f, d, cfg)
-        central = is_central(f, d, cfg) if not ident else False
+        # Central: not an identity, but its bracket with a fresh variable is.
+        central = not ident and is_identity(_fresh_bracket(f), d, cfg)
         # The bound per_sample ** samples stays factored: it can have thousands of digits.
         per_sample, samples = vanishing_rate(f, d, cfg)
         per_dim.append(
@@ -317,11 +318,12 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> dict:
         except OracleFailed as exc:
             entry["reduction"] = {"error": "OracleFailed", "message": str(exc)}
             return entry
+        # The steps chain from f, so each polynomial is classified once.
+        bases = [report.basis] + [
+            classify_span(step.after, d, cfg).basis for step in reduction.steps
+        ]
         containments = all(
-            classify_span(step.after, d, cfg).basis.is_subspace_of(
-                classify_span(step.before, d, cfg).basis
-            )
-            for step in reduction.steps
+            after.is_subspace_of(before) for before, after in zip(bases, bases[1:])
         )
         entry["reduction"] = {
             "steps": len(reduction.steps),

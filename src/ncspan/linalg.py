@@ -334,10 +334,6 @@ class SpanBasis:
             rows.append(tuple(row))
         return SpanBasis(dim, tuple(rows), pivots)
 
-    def equals_canonical(self, which: Classification) -> bool:
-        """Compare against one of the four canonical subspaces of M_d."""
-        return self == SpanBasis.canonical(self.dim, which)
-
 
 PRIME = 2**61 - 1
 
@@ -473,11 +469,6 @@ def vandermonde_extract(
     )
     _, det = fraction_free_rref(rows)
     return [MatrixQ.unflatten([Fraction(x, det) for x in row[k:]], d) for row in rows]
-
-
-def default_nodes(m: int) -> list[int]:
-    """Interpolation nodes 0, 1, ..., m (small and guaranteed distinct)."""
-    return list(range(m + 1))
 
 
 # ---------------------------------------------------------------------------

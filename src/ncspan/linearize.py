@@ -68,6 +68,9 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class MultilinearReduction:
+    """The steps chain: steps[0].before is input, each step's before is
+    the previous step's after, and the last after is output."""
+
     input: NcPoly
     output: NcPoly
     steps: tuple[ReductionStep, ...]

@@ -17,9 +17,12 @@ space.  Exactness comes from three places:
 Sampling is a lower bound on the true span, so a budget that runs out
 without a match is reported honestly as UNDETERMINED rather than coerced.
 
-Identity and centrality tests are exact for multilinear polynomials (it
-suffices to evaluate on tuples of matrix units) and randomized otherwise,
-with the usual polynomial-vanishing error bound.
+Every sampled verdict reads one seeded stream of integer values: the
+classifier folds it into the span, and the identity test stops at its first
+nonzero value.  Identity and centrality tests are exact for multilinear
+polynomials (it suffices to evaluate on tuples of matrix units) and
+randomized otherwise, with the usual polynomial-vanishing error bound,
+which vanishing_rate gives in factored form.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .linalg import (
     Classification,
@@ -167,11 +170,26 @@ def random_matrix(rng: random.Random, d: int, bound: int) -> MatrixQ:
     )
 
 
-def _matrix_unit_tuples(d: int, n: int):
-    units = [
-        MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)
-    ]
-    return itertools.product(units, repeat=n)
+def _matrix_units(d: int) -> list[MatrixQ]:
+    """The d^2 matrix units E_jk, row-major."""
+    return [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+
+
+def _samples(
+    f: NcPoly, d: int, cfg: SampleConfig
+) -> Iterator[tuple[tuple[MatrixQ, ...], list[list[int]]]]:
+    """The seeded sample stream that every sampled verdict reads.
+
+    Yields (args, rows of L * f(args)) for samples_for(d) tuples of random
+    integer matrices, L clearing f's denominators, so the rows are ints.
+    """
+    rng = random.Random(cfg.seed)
+    _, terms = _integer_terms(f)
+    for _ in range(cfg.samples_for(d)):
+        args = tuple(
+            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
+        )
+        yield args, _evaluate_rows(terms, [a.rows for a in args], d)
 
 
 def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
@@ -180,24 +198,20 @@ def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
     Exact for multilinear f: by linearity in each variable it is enough to
     check all tuples of matrix units.  Otherwise randomized over integer
     matrices: any nonzero value certifies False, while an all-zero run
-    returns True with error probability at most vanishing_bound().
+    returns True with error probability at most p ** n for (p, n) =
+    vanishing_rate().  Both evaluate L * f, which vanishes where f does.
     """
     cfg = cfg or SampleConfig()
     if f.is_zero():
         return True
     if f.is_multilinear():
-        return all(
-            evaluate(f, tup, dim=d).is_zero()
-            for tup in _matrix_unit_tuples(d, f.nvars)
-        )
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.samples_for(d)):
-        args = tuple(
-            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
-        )
-        if not evaluate(f, args, dim=d).is_zero():
-            return False
-    return True
+        _, terms = _integer_terms(f)
+        units = [u.rows for u in _matrix_units(d)]
+        tuples = itertools.product(units, repeat=f.nvars)
+        values = (_evaluate_rows(terms, tup, d) for tup in tuples)
+    else:
+        values = (rows for _, rows in _samples(f, d, cfg))
+    return not any(any(map(any, rows)) for rows in values)
 
 
 def vanishing_rate(
@@ -208,7 +222,8 @@ def vanishing_rate(
     Standard polynomial-vanishing estimate: a nonzero polynomial of total
     degree k vanishes at a uniform integer point of [-B, B] with
     probability at most p = k / (2B + 1), independently in each of the n
-    samples; p is capped at 1.  Exact (multilinear) tests have p = 0.
+    samples; p is capped at 1.  Exact (multilinear) tests have p = 0.  The
+    bound stays factored because p ** n can have thousands of digits.
     """
     cfg = cfg or SampleConfig()
     n = cfg.samples_for(d)
@@ -216,12 +231,6 @@ def vanishing_rate(
     if f.is_zero() or f.is_multilinear() or deg == 0:
         return Fraction(0), n
     return min(Fraction(deg, 2 * cfg.coeff_bound + 1), Fraction(1)), n
-
-
-def vanishing_bound(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> Fraction:
-    """The bound p ** n of vanishing_rate; it has about n * log10(1/p) digits."""
-    p, n = vanishing_rate(f, d, cfg)
-    return p ** n
 
 
 def _fresh_bracket(f: NcPoly) -> NcPoly:
@@ -287,22 +296,16 @@ def classify_span(
     else by reducing the witness values.
     """
     cfg = cfg or SampleConfig()
-    rng = random.Random(cfg.seed)
-    scale, terms = _integer_terms(f)
+    scale, _ = _integer_terms(f)
     echelon = EchelonModP()
     witnesses: list[Witness] = []
-    budget = cfg.samples_for(d)
     full_rank = d * d
     identity = MatrixQ.identity(d).flatten()
     all_zero = all_scalar = all_trace_zero = True
     stall = 0
     samples_used = 0
     classification: Classification | None = None
-    for _ in range(budget):
-        args = tuple(
-            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
-        )
-        rows = _evaluate_rows(terms, [a.rows for a in args], d)
+    for args, rows in _samples(f, d, cfg):
         vec = [x for row in rows for x in row]
         samples_used += 1
         all_zero = all_zero and not any(vec)
@@ -355,9 +358,8 @@ def find_witness_dimension(
     """
     if f.is_constant():
         raise ConstantInput("witness dimensions are defined for nonconstant input")
-    cfg = cfg or SampleConfig()
     for d in range(1, d_max + 1):
-        if not is_identity(f, d, cfg) and not is_central(f, d, cfg):
+        if nontriviality_oracle(d, cfg)(f):
             return d
     return None
 
@@ -368,8 +370,7 @@ def lie_ideal_check(basis: SpanBasis) -> bool:
     By bilinearity of the bracket this certifies the span is a Lie ideal of
     the full matrix algebra.
     """
-    d = basis.dim
-    units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+    units = _matrix_units(basis.dim)
     return all(
         basis.contains(commutator(row, unit))
         for row in basis.row_matrices()
@@ -386,7 +387,7 @@ def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     """
     if seed.dim != d:
         raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
-    units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+    units = _matrix_units(d)
     basis, changed = SpanBasis(d).insert(seed)
     while changed:
         changed = False

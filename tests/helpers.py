@@ -128,6 +128,30 @@ def reference_evaluate(f: NcPoly, args, d: int) -> MatrixQ:
     return acc
 
 
+def reference_is_identity(f: NcPoly, d: int, cfg: SampleConfig) -> bool:
+    """Whether f vanishes on M_d, by MatrixQ arithmetic on each tuple.
+
+    Matrix-unit tuples for multilinear f, else the seeded samples of
+    is_identity, drawn the same way but evaluated independently of it.
+    """
+    if f.is_zero():
+        return True
+    if f.is_multilinear():
+        units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+        return all(
+            reference_evaluate(f, tup, d).is_zero()
+            for tup in itertools.product(units, repeat=f.nvars)
+        )
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.samples_for(d)):
+        args = tuple(
+            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
+        )
+        if not reference_evaluate(f, args, d).is_zero():
+            return False
+    return True
+
+
 def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
     """The exact span classifier: every value folded into a Fraction RREF.
 

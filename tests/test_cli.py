@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ncspan.cli import main
+from ncspan.text import parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +125,26 @@ class TestWitness:
         ]
         code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]", "--dmax", "2")
         assert [e["vanishing_bound"]["per_sample"] for e in doc["tested"]] == ["0", "0"]
+
+    def test_each_identity_test_runs_once(self, capsys, monkeypatch):
+        import ncspan.cli
+        import ncspan.span
+
+        calls = []
+        real = ncspan.span.is_identity
+
+        def counted(f, d, cfg=None):
+            calls.append((f, d))
+            return real(f, d, cfg)
+
+        monkeypatch.setattr(ncspan.cli, "is_identity", counted)
+        monkeypatch.setattr(ncspan.span, "is_identity", counted)
+        code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]^2", "--dmax", "3")
+        assert code == 0
+        assert [e["central"] for e in doc["tested"]] == [False, True, False]
+        # Central on M_2: f is tested there once, then only its bracket.
+        assert calls.count((parse_poly("[X1,X2]^2"), 2)) == 1
+        assert len(calls) == len(set(calls))
 
     def test_huge_sample_budget(self, capsys):
         # 21^4000 has more digits than int-to-str conversion allows.
@@ -249,6 +270,29 @@ class TestSuite:
         assert hall["classification"] == "SCALARS"
         assert hall["exclusion"] == "inapplicable"
         assert hall["reduction"] is None  # central on M_2: oracle rejects it
+
+    def test_classifies_each_chain_polynomial_once(self, capsys, tmp_path, monkeypatch):
+        import ncspan.cli
+
+        calls = []
+        real = ncspan.cli.classify_span
+        monkeypatch.setattr(
+            ncspan.cli, "classify_span", lambda f, d, cfg=None: calls.append(f) or real(f, d, cfg)
+        )
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("X1*X1*X2 + X2\n")
+        code, doc = run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
+        assert code == 0
+        reduction = doc["entries"][0]["reduction"]
+        assert reduction["steps"] == 1 and reduction["containments_ok"] is True
+        # f, then the after of each step.
+        assert len(calls) == 1 + reduction["steps"]
+        calls.clear()
+        corpus.write_text("(X1+X2)^3*X3\n[X1,X2]^2\n")
+        code, doc = run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
+        steps = [(e["reduction"] or {"steps": 0})["steps"] for e in doc["entries"]]
+        assert steps == [4, 0]
+        assert len(calls) == len(set(calls)) == len(doc["entries"]) + sum(steps)
 
     def test_missing_corpus(self, capsys):
         code = main(["suite", "--corpus", "/nonexistent/corpus.txt", "--dim", "2"])

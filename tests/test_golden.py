@@ -1,0 +1,62 @@
+"""CLI stdout compared byte for byte with the outputs recorded in tests/golden/.
+
+The same seed and flags must keep giving the same stdout.  After an
+intended output change (which also bumps the schema), regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from helpers import standard_polynomial
+from ncspan.cli import main
+from ncspan.text import poly_to_text
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Output file name -> CLI arguments, run from inside GOLDEN.
+CASES = {
+    f"suite-d{d}-seed{seed}.json": (
+        "suite", "--corpus", "corpus.txt", "--dim", str(d), "--seed", str(seed)
+    )
+    for d in (2, 3)
+    for seed in (0, 7919)
+}
+CASES.update(
+    {
+        f"witness-{name}-seed{seed}.json": (
+            "witness", "--poly", text, "--dmax", "3", "--seed", str(seed)
+        )
+        for name, text in (
+            ("X1", "X1"),
+            ("hall", "[X1,X2]^2"),
+            ("s4", poly_to_text(standard_polynomial(4))),
+        )
+        for seed in (0, 7919)
+    }
+)
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert _stdout(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.chdir(GOLDEN)
+    for name, argv in sorted(CASES.items()):
+        Path(name).write_text(_stdout(argv), encoding="utf-8")
+        print(name)

@@ -16,7 +16,7 @@ from ncspan import (
     vandermonde_extract,
     zero_diagonal_conjugate,
 )
-from ncspan.linalg import default_nodes, express_in_terms
+from ncspan.linalg import express_in_terms
 
 
 def E(j, k, d=2):
@@ -91,13 +91,13 @@ class TestSpanBasis:
             2, [E(0, 0), E(0, 1), E(1, 0), E(1, 1)]
         )
         assert basis.rank == 4
-        assert basis.equals_canonical(Classification.FULL)
+        assert basis == SpanBasis.canonical(2, Classification.FULL)
 
     def test_scalar_multiple_does_not_grow(self):
         basis, _ = SpanBasis(2).insert(MatrixQ.identity(2))
         _, grew = basis.insert(MatrixQ.identity(2).scale(Fraction(-7, 3)))
         assert not grew
-        assert basis.equals_canonical(Classification.SCALARS)
+        assert basis == SpanBasis.canonical(2, Classification.SCALARS)
 
     def test_membership_iff_no_growth(self):
         rng = random.Random(4)
@@ -128,7 +128,7 @@ class TestSpanBasis:
 
     def test_zero_subspace_of_anything(self):
         zero = SpanBasis(2)
-        assert zero.equals_canonical(Classification.ZERO)
+        assert zero == SpanBasis.canonical(2, Classification.ZERO)
         rng = random.Random(7)
         other = SpanBasis.from_matrices(
             2, [random_matrix_int(rng, 2) for _ in range(3)]
@@ -140,18 +140,14 @@ class TestSpanBasis:
             2, [E(0, 1), E(1, 0), E(0, 0) - E(1, 1)]
         )
         assert basis.rank == 3
-        assert basis.equals_canonical(Classification.TRACE_ZERO)
+        assert basis == SpanBasis.canonical(2, Classification.TRACE_ZERO)
         for row in basis.row_matrices():
             assert row.trace() == 0
-        assert not basis.equals_canonical(Classification.FULL)
+        assert basis != SpanBasis.canonical(2, Classification.FULL)
 
     def test_membership_of_identity_in_scalars(self):
         basis, _ = SpanBasis(2).insert(MatrixQ.identity(2).scale(3))
         assert basis.contains(MatrixQ.identity(2))
-
-    def test_undetermined_is_not_canonical(self):
-        with pytest.raises(ValueError):
-            SpanBasis(2).equals_canonical(Classification.UNDETERMINED)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -212,9 +208,6 @@ class TestVandermonde:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             vandermonde_extract([0, 1], [MatrixQ.zero(2)])
-
-    def test_default_nodes(self):
-        assert default_nodes(3) == [0, 1, 2, 3]
 
 
 class TestZeroDiagonalConjugate:
