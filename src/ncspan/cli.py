@@ -9,6 +9,7 @@ ever rounded; identical seeds and flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -311,7 +312,9 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> dict:
         "exclusion": exclusion,
         "reduction": None,
     }
-    oracle = nontriviality_oracle(d, cfg)
+    # One verdict per polynomial: the reduction asks again about f, and about
+    # its output, which is f itself when there are no steps.
+    oracle = functools.cache(nontriviality_oracle(d, cfg))
     if not f.is_constant() and oracle(f):
         try:
             reduction = reduce_to_multilinear(f, oracle)

@@ -212,6 +212,17 @@ def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     return a * b - b * a
 
 
+def unit_commutator(a: MatrixQ, j: int, k: int) -> MatrixQ:
+    """[a, E_jk] without a product: a E_jk has column j of a as its column k,
+    and E_jk a has row k of a as its row j."""
+    d = a.dim
+    rows = [[0] * d for _ in range(d)]
+    for r in range(d):
+        rows[r][k] = a.rows[r][j]
+    rows[j] = [x - y for x, y in zip(rows[j], a.rows[k])]
+    return MatrixQ(rows)
+
+
 # ---------------------------------------------------------------------------
 # Reduced-echelon span bases
 # ---------------------------------------------------------------------------

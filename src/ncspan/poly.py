@@ -112,9 +112,6 @@ class NcPoly:
     def is_constant(self) -> bool:
         return all(not w for w in self._terms)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
-
     def coefficient(self, word: Iterable[int]) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
 

@@ -43,8 +43,8 @@ from .linalg import (
     NotInSpan,
     Num,
     SpanBasis,
-    commutator,
     express_in_terms,
+    unit_commutator,
 )
 from .poly import NcPoly, Word
 
@@ -170,11 +170,6 @@ def random_matrix(rng: random.Random, d: int, bound: int) -> MatrixQ:
     )
 
 
-def _matrix_units(d: int) -> list[MatrixQ]:
-    """The d^2 matrix units E_jk, row-major."""
-    return [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
-
-
 def _samples(
     f: NcPoly, d: int, cfg: SampleConfig
 ) -> Iterator[tuple[tuple[MatrixQ, ...], list[list[int]]]]:
@@ -206,7 +201,7 @@ def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
         return True
     if f.is_multilinear():
         _, terms = _integer_terms(f)
-        units = [u.rows for u in _matrix_units(d)]
+        units = [MatrixQ.unit(d, j, k).rows for j in range(d) for k in range(d)]
         tuples = itertools.product(units, repeat=f.nvars)
         values = (_evaluate_rows(terms, tup, d) for tup in tuples)
     else:
@@ -364,35 +359,53 @@ def find_witness_dimension(
     return None
 
 
-def lie_ideal_check(basis: SpanBasis) -> bool:
-    """Check [r, E_jk] stays in the span for every basis row and matrix unit.
+def _chevalley_units(d: int) -> list[tuple[int, int]]:
+    """Indices (j, k) of E_{i,i+1} and E_{i+1,i} for i < d - 1.
 
-    By bilinearity of the bracket this certifies the span is a Lie ideal of
-    the full matrix algebra.
+    These 2(d - 1) matrix units generate sl_d as a Lie algebra.  A subspace
+    V closed under ad(s) and ad(t) is closed under ad([s, t]), by the
+    Jacobi identity [v, [s, t]] = [[v, s], t] - [[v, t], s]; scalars bracket
+    to 0.  So V is closed under brackets with all of M_d iff it is closed
+    under brackets with these units.  At d = 1 there are none: M_1 is
+    abelian.
     """
-    units = _matrix_units(basis.dim)
+    return [(i, i + 1) for i in range(d - 1)] + [(i + 1, i) for i in range(d - 1)]
+
+
+def lie_ideal_check(basis: SpanBasis) -> bool:
+    """Check [r, E] stays in the span for every basis row r and Chevalley unit E.
+
+    The units generate sl_d as a Lie algebra, so by bilinearity of the
+    bracket and the Jacobi identity (see _chevalley_units) this certifies
+    exactly that the span is a Lie ideal of the full matrix algebra, with
+    rank * 2(d - 1) membership tests.
+    """
+    units = _chevalley_units(basis.dim)
     return all(
-        basis.contains(commutator(row, unit))
+        basis.contains(unit_commutator(row, j, k))
         for row in basis.row_matrices()
-        for unit in units
+        for j, k in units
     )
 
 
 def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     """Smallest subspace containing seed that is a Lie ideal and a subalgebra.
 
-    Fixpoint iteration: repeatedly adjoin brackets of basis rows with matrix
-    units and pairwise products of basis rows until the rank stops growing.
-    For a noncentral seed of a full matrix algebra the closure is everything.
+    Fixpoint iteration: repeatedly adjoin brackets of basis rows with the
+    Chevalley units and pairwise products of basis rows until the rank stops
+    growing.  Closure under brackets with those units is closure under
+    brackets with all of M_d (see _chevalley_units).  For a noncentral seed
+    of a full matrix algebra the closure is everything.
     """
     if seed.dim != d:
         raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
-    units = _matrix_units(d)
+    units = _chevalley_units(d)
     basis, changed = SpanBasis(d).insert(seed)
     while changed:
         changed = False
         mats = basis.row_matrices()
-        for m in [commutator(r, u) for r in mats for u in units] + [a * b for a in mats for b in mats]:
+        brackets = [unit_commutator(r, j, k) for r in mats for j, k in units]
+        for m in brackets + [a * b for a in mats for b in mats]:
             basis, grew = basis.insert(m)
             changed |= grew
     return basis

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 from ncspan import (
     Classification,
+    DimensionMismatch,
     MatrixQ,
     NcPoly,
     SampleConfig,
     SpanBasis,
     SpanReport,
+    commutator,
 )
 from ncspan.span import random_matrix
 
@@ -294,3 +296,32 @@ def reference_rref_insert(rows, pivots, vec):
     out_rows = tuple(adjusted[:pos]) + (new_row,) + tuple(adjusted[pos:])
     out_pivots = pivots[:pos] + (p,) + pivots[pos:]
     return out_rows, out_pivots, True
+
+
+def _all_units(d: int):
+    return [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+
+
+def reference_lie_ideal_check(basis: SpanBasis) -> bool:
+    """Whether [r, E_jk] stays in the span for every basis row and all d^2 units."""
+    units = _all_units(basis.dim)
+    return all(
+        basis.contains(commutator(row, unit))
+        for row in basis.row_matrices()
+        for unit in units
+    )
+
+
+def reference_herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
+    """Smallest Lie ideal and subalgebra containing seed, bracketing with all d^2 units."""
+    if seed.dim != d:
+        raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
+    units = _all_units(d)
+    basis, changed = SpanBasis(d).insert(seed)
+    while changed:
+        changed = False
+        mats = basis.row_matrices()
+        for m in [commutator(r, u) for r in mats for u in units] + [a * b for a in mats for b in mats]:
+            basis, grew = basis.insert(m)
+            changed |= grew
+    return basis

@@ -294,6 +294,28 @@ class TestSuite:
         assert steps == [4, 0]
         assert len(calls) == len(set(calls)) == len(doc["entries"]) + sum(steps)
 
+    def test_tests_each_polynomial_nontriviality_once(self, capsys, tmp_path, monkeypatch):
+        import ncspan.span
+
+        calls = []
+        real = ncspan.span.is_identity
+        monkeypatch.setattr(
+            ncspan.span, "is_identity", lambda f, d, cfg=None: calls.append(f) or real(f, d, cfg)
+        )
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("X1*X2\n")
+        code, doc = run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
+        assert code == 0
+        reduction = doc["entries"][0]["reduction"]
+        assert reduction["steps"] == 0 and reduction["oracle_true"] is True
+        # f, then its bracket with a fresh variable.
+        assert calls == [parse_poly("X1*X2"), parse_poly("X1*X2*X3 - X3*X1*X2")]
+        for text in ("X1*X1*X2 + X2", "(X1+X2)^3*X3", "[X1,X2]^2"):
+            calls.clear()
+            corpus.write_text(text + "\n")
+            run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
+            assert calls and len(calls) == len(set(calls)), text
+
     def test_missing_corpus(self, capsys):
         code = main(["suite", "--corpus", "/nonexistent/corpus.txt", "--dim", "2"])
         assert code == 2
