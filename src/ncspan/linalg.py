@@ -17,15 +17,17 @@ matrices, inverses and solves all use it.  SpanBasis.insert adjoins a single
 matrix by a rank-one update of the reduced rows instead.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
-fixed prime 2^61 - 1.  That rank is a lower bound on the rank over Q, so a
-growth it reports is exact; the span classifier uses it to count growths
-cheaply and builds the exact basis once at the end.
+fixed prime 2^61 - 1, with each row packed into one int.  That rank is a
+lower bound on the rank over Q, so a growth it reports is exact; the span
+classifier uses it to count growths cheaply and builds the exact basis once
+at the end.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import struct
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -355,36 +357,67 @@ class EchelonModP:
     Integer vectors that are dependent over Q have an integer relation with
     coprime coefficients, which stays a nontrivial relation mod p.  So the
     rank here never exceeds the rank over Q of the same vectors, and every
-    growth mod p certifies a growth over Q.
+    growth mod p certifies a growth over Q.  The rank mod p of a set of
+    vectors does not depend on how they are eliminated.
+
+    Vectors and rows are packed: entry k is the k-th fixed-width slot of one
+    int.  Reducing by a row reads one slot and does one big-int
+    multiply-add.  Slots stay nonnegative, so they never borrow: an entry
+    starts in [0, p) and gains less than p^2 per row, so with at most n
+    rows for length-n vectors the slots are sized for p + n * p^2 when the
+    first vector arrives.  Every slot is taken mod p at once by folding,
+    since 2^61 = 1 mod p (see _fold).
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("rows", "pivots", "_bits", "_packer", "_ones")
 
     def __init__(self):
-        # Row k is stored from its pivot on, scaled so its pivot entry is -1
-        # (that is, p - 1), and is zero mod p at the pivots of rows 0..k-1.
-        # Reducing in insertion order therefore never refills an earlier
-        # pivot, and entries need reducing mod p only when read.
-        self.rows: list[list[int]] = []
+        # Row k has its pivot entry scaled to -1 (that is, p - 1) and is
+        # zero at the pivots of rows 0..k-1.  Reducing in insertion order
+        # therefore never refills an earlier pivot, and slots need reducing
+        # mod p only when read.
+        self.rows: list[int] = []
         self.pivots: list[int] = []
+        self._bits = 0
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def _fold(self, v: int) -> int:
+        """v with every slot reduced into [0, p).
+
+        A slot x = 2^61 * h + l is congruent to h + l, which is smaller
+        unless x < 2^61 already; then only x = p needs mapping to 0, and x
+        is p exactly when bit 61 of x + 1 is set.
+        """
+        ones = self._ones
+        low, top = PRIME * ones, ((1 << (self._bits - 61)) - 1) * ones
+        while high := v >> 61 & top:
+            v = (v & low) + high
+        return (v + ((v + ones) >> 61 & ones)) & low
+
     def insert(self, vec: Sequence[int]) -> bool:
         """Adjoin an integer vector; True iff the rank mod p increased."""
-        v = list(vec)
+        if not self._bits:
+            n = len(vec)
+            width = (((PRIME - 1) * (1 + n * (PRIME - 1))).bit_length() + 7) // 8
+            self._bits = 8 * width
+            self._packer = struct.Struct("<" + f"Q{width - 8}x" * n)
+            self._ones = sum(1 << (self._bits * k) for k in range(n))
+        bits = self._bits
+        mask = (1 << bits) - 1
+        v = int.from_bytes(self._packer.pack(*map(PRIME.__rmod__, vec)), "little")
         for row, p in zip(self.rows, self.pivots):
-            c = v[p] % PRIME
+            c = (v >> (bits * p) & mask) % PRIME
             if c:
-                v[p:] = [a + c * b for a, b in zip(v[p:], row)]
-        v = [x % PRIME for x in v]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
+                v += c * row
+        v = self._fold(v)
+        if not v:
             return False
-        scale = PRIME - pow(v[p], -1, PRIME)
-        self.rows.append([x * scale % PRIME for x in v[p:]])
+        p = ((v & -v).bit_length() - 1) // bits
+        scale = PRIME - pow(v >> (bits * p) & PRIME, -1, PRIME)
+        self.rows.append(self._fold(v * scale))
         self.pivots.append(p)
         return True
 

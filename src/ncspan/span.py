@@ -23,6 +23,16 @@ nonzero value.  Identity and centrality tests are exact for multilinear
 polynomials (it suffices to evaluate on tuples of matrix units) and
 randomized otherwise, with the usual polynomial-vanishing error bound,
 which vanishing_rate gives in factored form.
+
+The sampling kernel does a whole row's work per Python-level step:
+
+- the entries come from one getrandbits call per batch, read through a
+  byte table; they are exactly the values randint(-B, B) would give one by
+  one (see _entry_stream), with randint itself for B > 127;
+- each row of a running product is one int with the row's entries in
+  fixed-width slots, sized from a proved bound on every entry (see
+  _packed_evaluator), so no value is ever wrong, only wider;
+- EchelonModP keeps its rows packed the same way.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -41,7 +52,6 @@ from .linalg import (
     EchelonModP,
     MatrixQ,
     NotInSpan,
-    Num,
     SpanBasis,
     express_in_terms,
     unit_commutator,
@@ -105,32 +115,71 @@ def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
     return scale, [(word, int(coeff * scale)) for word, coeff in f.terms.items()]
 
 
-def _evaluate_rows(
-    terms: list[tuple[Word, int]], args: Sequence[Sequence[Sequence[Num]]], d: int
-) -> list[list[Num]]:
-    """Rows of sum c * w(args) over (w, c) in terms; args[i-1] are the rows of X_i.
+# memoryview formats of the signed slot widths that have one; memoryview
+# reads native byte order, so only a little-endian host uses them.
+_SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
-    Integer coefficients keep integer arguments in plain ints throughout.
+
+def _packed_evaluator(
+    terms: list[tuple[Word, int]], d: int, bound: int
+) -> Callable[[Sequence[int]], list[int]]:
+    """ev(entries) = sum c * w(args) over (w, c) in terms, row-major.
+
+    entries are the integer entries of args, row-major, X1 first; none may
+    exceed bound in absolute value.  Words are evaluated right to left on
+    packed rows: a row of the running product is one int holding its d
+    entries in fixed-width slots, so a product A * P is d C-level sums of
+    A's entries times P's rows.  Packing is a ring map Z[t] -> Z, t -> 2^s,
+    so the arithmetic is exact whatever the slots hold in between, and
+    decoding needs each final entry to fit its slot.  Every entry, final or
+    intermediate, is at most sum |c| * d^(|w| - 1) * bound^|w|, and the
+    slots are sized from that bound.  The result is decoded once.
     """
-    cols = [tuple(zip(*a)) for a in args]
-    acc: list[list[Num]] = [[0] * d for _ in range(d)]
-    for word, coeff in terms:
-        if not word:
-            for i in range(d):
-                acc[i][i] += coeff
-            continue
-        prod = args[word[0] - 1]
-        for letter in word[1:]:
-            prod = [[sum(map(mul, row, col)) for col in cols[letter - 1]] for row in prod]
-        acc = [[a + coeff * x for a, x in zip(ra, rp)] for ra, rp in zip(acc, prod)]
-    return acc
+    n = d * d
+    top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
+    # Bytes per slot: a power of two with room for the sign.
+    width = 1 << ((top.bit_length() + 8) // 8 - 1).bit_length()
+    bits = 8 * width
+    cols = [1 << (bits * c) for c in range(d)]
+    rows_at = [1 << (bits * d * i) for i in range(d)]
+    # Adding offset makes every slot nonnegative without borrows; xor-ing it
+    # back flips each slot's top bit, leaving its two's-complement value.
+    offset = sum(1 << (bits * k + bits - 1) for k in range(n))
+    const = sum(c for w, c in terms if not w) * sum(1 << (bits * (d + 1) * i) for i in range(d))
+    words = [([(x - 1) * d for x in reversed(w)], c) for w, c in terms if w]
+    fmt = _SIGNED_SLOTS.get(width)
+
+    def ev(entries: Sequence[int]) -> list[int]:
+        rows = [entries[k : k + d] for k in range(0, len(entries), d)]
+        packed = [sum(map(mul, row, cols)) for row in rows]
+        total = const
+        for (last, *rest), c in words:
+            prod = packed[last : last + d]
+            for k in rest:
+                prod = [sum(map(mul, row, prod)) for row in rows[k : k + d]]
+            total += c * sum(map(mul, prod, rows_at))
+        data = ((total + offset) ^ offset).to_bytes(n * width, "little")
+        if fmt:
+            return memoryview(data).cast(fmt).tolist()
+        return [
+            int.from_bytes(data[k : k + width], "little", signed=True)
+            for k in range(0, n * width, width)
+        ]
+
+    return ev
 
 
-def _unscaled(rows: list[list[Num]], scale: int) -> MatrixQ:
-    """The matrix with the given rows divided by scale, exactly."""
+def _unscaled(vec: list[int], d: int, scale: int) -> MatrixQ:
+    """The matrix with row-major entries vec divided by scale, exactly."""
     if scale != 1:
-        rows = [[Fraction(x, scale) for x in row] for row in rows]
-    return MatrixQ(rows)
+        vec = [Fraction(x, scale) for x in vec]
+    return MatrixQ.unflatten(vec, d)
+
+
+def _matrices(entries: list[int], d: int) -> tuple[MatrixQ, ...]:
+    """The d x d matrices whose row-major entries follow each other in entries."""
+    n = d * d
+    return tuple(MatrixQ.unflatten(entries[k : k + n], d) for k in range(0, len(entries), n))
 
 
 def evaluate(
@@ -140,8 +189,10 @@ def evaluate(
 
     The constant term contributes a scalar multiple of the identity.  For a
     polynomial without variables the target dimension must be passed
-    explicitly since it cannot be inferred.  L * f is evaluated for L the
-    lcm of the coefficient denominators, then scaled back by 1/L.
+    explicitly since it cannot be inferred.  With L the lcm of f's
+    coefficient denominators and D that of the arguments' entries, args =
+    A / D for integer A, and f(args) is sum L * c * D^(m - |w|) * w(A)
+    divided by L * D^m, m the degree of f: one integer evaluation.
     """
     args = tuple(args)
     if len(args) < f.nvars:
@@ -160,31 +211,64 @@ def evaluate(
     else:
         raise ArityMismatch("cannot infer dimension: no arguments and no dim given")
     scale, terms = _integer_terms(f)
-    return _unscaled(_evaluate_rows(terms, [a.rows for a in args], d), scale)
+    used = [x for a in args[: f.nvars] for row in a.rows for x in row]
+    den = math.lcm(*(x.denominator for x in used))
+    entries = [x.numerator * (den // x.denominator) for x in used]
+    deg = max((len(w) for w, _ in terms), default=0)
+    terms = [(w, c * den ** (deg - len(w))) for w, c in terms]
+    ev = _packed_evaluator(terms, d, max(map(abs, entries), default=0))
+    return _unscaled(ev(entries), d, scale * den**deg)
 
 
-def random_matrix(rng: random.Random, d: int, bound: int) -> MatrixQ:
-    """d x d matrix with integer entries uniform in [-bound, bound]."""
-    return MatrixQ(
-        [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
-    )
+def _entry_stream(rng: random.Random, bound: int) -> Callable[[int], list[int]]:
+    """draw(m): the next m values that m calls of rng.randint(-bound, bound) give.
+
+    randint(-B, B) returns r - B for the top k bits r of one 32-bit
+    Mersenne Twister word, k the bit length of n = 2B + 1, drawing again
+    while r >= n.  getrandbits(32 * m) returns m such words, the first one
+    least significant, so byte 3 of every 4 of its little-endian bytes is a
+    word's top byte.  When k <= 8 a 256-entry translation maps that byte to
+    r - B (as a signed byte) and deletes the rejected ones: the same values
+    in the same order.  Unused values wait in a buffer for the next draw,
+    which is exact as long as nothing else reads rng.  For n > 256 every
+    value is drawn with randint.
+    """
+    n = 2 * bound + 1
+    k = n.bit_length()
+    if k > 8:
+        return lambda m: [rng.randint(-bound, bound) for _ in range(m)]
+    table = bytes(((b >> (8 - k)) - bound) & 0xFF for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> (8 - k) >= n)
+    buf = b""
+
+    def draw(m: int) -> list[int]:
+        nonlocal buf
+        while len(buf) < m:
+            # A word is kept with probability n / 2^k > 1/2.
+            words = ((m - len(buf)) << k) // n + 8
+            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            buf += raw[3::4].translate(table, rejected)
+        out, buf = buf[:m], buf[m:]
+        return memoryview(out).cast("b").tolist()
+
+    return draw
 
 
-def _samples(
-    f: NcPoly, d: int, cfg: SampleConfig
-) -> Iterator[tuple[tuple[MatrixQ, ...], list[list[int]]]]:
+def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[tuple[list[int], list[int]]]:
     """The seeded sample stream that every sampled verdict reads.
 
-    Yields (args, rows of L * f(args)) for samples_for(d) tuples of random
-    integer matrices, L clearing f's denominators, so the rows are ints.
+    Yields (entries, L * f(args)), both row-major, for samples_for(d)
+    tuples args of random integer matrices (entries lists X1's entries,
+    then X2's, ...), L clearing f's denominators, so the values are ints.
+    The entries are those that randint(-B, B) would give one by one.
     """
-    rng = random.Random(cfg.seed)
+    draw = _entry_stream(random.Random(cfg.seed), cfg.coeff_bound)
     _, terms = _integer_terms(f)
+    ev = _packed_evaluator(terms, d, cfg.coeff_bound)
+    size = f.nvars * d * d
     for _ in range(cfg.samples_for(d)):
-        args = tuple(
-            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
-        )
-        yield args, _evaluate_rows(terms, [a.rows for a in args], d)
+        entries = draw(size)
+        yield entries, ev(entries)
 
 
 def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
@@ -195,18 +279,25 @@ def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
     matrices: any nonzero value certifies False, while an all-zero run
     returns True with error probability at most p ** n for (p, n) =
     vanishing_rate().  Both evaluate L * f, which vanishes where f does.
+    Any nonzero value proves False, so a multilinear f is first evaluated
+    on the first sample, and only a zero there leads to the unit walk.
     """
     cfg = cfg or SampleConfig()
     if f.is_zero():
         return True
+    samples = _samples(f, d, cfg)
     if f.is_multilinear():
+        _, first = next(samples)
+        if any(first):
+            return False
         _, terms = _integer_terms(f)
-        units = [MatrixQ.unit(d, j, k).rows for j in range(d) for k in range(d)]
+        ev = _packed_evaluator(terms, d, 1)
+        units = [[int(i == k) for k in range(d * d)] for i in range(d * d)]
         tuples = itertools.product(units, repeat=f.nvars)
-        values = (_evaluate_rows(terms, tup, d) for tup in tuples)
+        values = (ev(list(itertools.chain.from_iterable(tup))) for tup in tuples)
     else:
-        values = (rows for _, rows in _samples(f, d, cfg))
-    return not any(any(map(any, rows)) for rows in values)
+        values = (vec for _, vec in samples)
+    return not any(map(any, values))
 
 
 def vanishing_rate(
@@ -300,8 +391,7 @@ def classify_span(
     stall = 0
     samples_used = 0
     classification: Classification | None = None
-    for args, rows in _samples(f, d, cfg):
-        vec = [x for row in rows for x in row]
+    for entries, vec in _samples(f, d, cfg):
         samples_used += 1
         all_zero = all_zero and not any(vec)
         all_scalar = all_scalar and vec == [vec[0] * x for x in identity]
@@ -309,7 +399,7 @@ def classify_span(
         # A value that keeps the span canonical lies in it: no elimination.
         match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         if match is None and echelon.insert(vec):
-            witnesses.append((args, _unscaled(rows, scale)))
+            witnesses.append((_matrices(entries, d), _unscaled(vec, d, scale)))
             stall = 0
         else:
             stall += 1
@@ -391,23 +481,32 @@ def lie_ideal_check(basis: SpanBasis) -> bool:
 def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     """Smallest subspace containing seed that is a Lie ideal and a subalgebra.
 
-    Fixpoint iteration: repeatedly adjoin brackets of basis rows with the
-    Chevalley units and pairwise products of basis rows until the rank stops
-    growing.  Closure under brackets with those units is closure under
-    brackets with all of M_d (see _chevalley_units).  For a noncentral seed
-    of a full matrix algebra the closure is everything.
+    Fixpoint iteration over generators, the matrices that grew the basis.
+    Each round adjoins the brackets of last round's new generators with the
+    Chevalley units and the products of every pair of generators with at
+    least one new member; it stops when a round adds nothing.  Then every
+    generator's brackets and every pairwise product lie in the span, so by
+    bilinearity it is closed, and it is the same subspace (and, being
+    reduced, the same basis) as closing over all pairs every round.
+    Closure under brackets with those units is closure under brackets with
+    all of M_d (see _chevalley_units).  For a noncentral seed of a full
+    matrix algebra the closure is everything.
     """
     if seed.dim != d:
         raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
     units = _chevalley_units(d)
-    basis, changed = SpanBasis(d).insert(seed)
-    while changed:
-        changed = False
-        mats = basis.row_matrices()
-        brackets = [unit_commutator(r, j, k) for r in mats for j, k in units]
-        for m in brackets + [a * b for a in mats for b in mats]:
+    basis, grew = SpanBasis(d).insert(seed)
+    old: list[MatrixQ] = []
+    new = [seed] if grew else []
+    while new:
+        gens = old + new
+        candidates = [unit_commutator(m, j, k) for m in new for j, k in units]
+        candidates += [a * b for a in gens for b in new] + [b * a for a in old for b in new]
+        old, new = gens, []
+        for m in candidates:
             basis, grew = basis.insert(m)
-            changed |= grew
+            if grew:
+                new.append(m)
     return basis
 
 

@@ -206,6 +206,13 @@ def parse_poly(text: str) -> NcPoly:
 
 
 def format_scalar(x) -> str:
+    """Canonical text of an exact scalar: "n" or "n/m" in lowest terms.
+
+    An int or a Fraction already prints that way; anything else (a bool
+    prints as "1" or "0") goes through Fraction.
+    """
+    if type(x) is int or isinstance(x, Fraction):
+        return str(x)
     return str(Fraction(x))
 
 

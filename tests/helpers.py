@@ -16,7 +16,6 @@ from ncspan import (
     SpanReport,
     commutator,
 )
-from ncspan.span import random_matrix
 
 
 def random_word(rng: random.Random, nvars: int, max_len: int, min_len: int = 0):
@@ -97,6 +96,17 @@ def standard_polynomial(n: int) -> NcPoly:
         )
         out = out + NcPoly.monomial(perm, (-1) ** inversions)
     return out
+
+
+def random_matrix(rng: random.Random, d: int, bound: int) -> MatrixQ:
+    """d x d matrix with integer entries uniform in [-bound, bound], by randint.
+
+    Draws entry by entry, as the sample stream of ncspan.span is specified
+    to, so the references sample independently of the bulk draw.
+    """
+    return MatrixQ(
+        [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
+    )
 
 
 def random_matrix_int(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:

@@ -3,15 +3,26 @@
 classify_span tracks rank growth modulo a prime and builds the exact basis
 once; these tests require it to agree field for field with the incremental
 Fraction loop kept in helpers, and pin the closed-form bases and d = 1.
+The packed stages of the kernel (bulk draw, packed evaluation, packed
+mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import battery_poly, random_poly, reference_classify_span
+from helpers import (
+    battery_poly,
+    random_matrix,
+    random_poly,
+    reference_classify_span,
+    reference_evaluate,
+    reference_rref_insert,
+    standard_polynomial,
+)
 from ncspan import (
     Classification,
     MatrixQ,
@@ -19,8 +30,11 @@ from ncspan import (
     SampleConfig,
     SpanBasis,
     classify_span,
+    evaluate,
+    is_identity,
     parse_poly,
     poly_to_text,
+    span,
 )
 from ncspan.cli import _report_doc
 from ncspan.linalg import PRIME, EchelonModP
@@ -149,3 +163,124 @@ class TestEchelonModP:
         assert not echelon.insert([1 + PRIME, 2])
         assert echelon.insert([0, 5 * PRIME**3 + 1])
         assert echelon.rank == 2
+
+    def test_rank_agrees_with_fraction_rank_on_huge_entries(self):
+        rng = random.Random(130)
+        for n in (4, 9, 16, 25):
+            # Dependent vectors: integer combinations of a few huge ones.
+            pool = [[rng.randint(-(2**140), 2**140) for _ in range(n)] for _ in range(3)]
+            pool.append([x * (2**131 + 1) for x in pool[0]])
+            echelon = EchelonModP()
+            rows, pivots = (), ()
+            for _ in range(8):
+                coeffs = [rng.randint(-9, 9) for _ in pool]
+                vec = [sum(c * v[k] for c, v in zip(coeffs, pool)) for k in range(n)]
+                assert any(abs(x) > 2**130 for x in vec)
+                rows, pivots, grew_q = reference_rref_insert(rows, pivots, vec)
+                assert echelon.insert(vec) == grew_q
+            assert echelon.rank == len(rows) <= 3
+
+
+class TestBulkDraw:
+    @pytest.mark.parametrize("bound", (1, 10, 127, 128, 1000))
+    def test_matches_randint_stream(self, bound):
+        for seed in (0, 7919):
+            draw = span._entry_stream(random.Random(seed), bound)
+            ref = random.Random(seed)
+            for m in (0, 1, 7, 3, 64, 2, 129, 0, 5, 300, 11, 1000, 1):
+                assert draw(m) == [ref.randint(-bound, bound) for _ in range(m)], (seed, m)
+
+    @pytest.mark.parametrize("bound", (1, 3, 127, 128))
+    def test_samples_match_random_matrices(self, bound):
+        f = parse_poly("X1*X2*X3 - 2*X3")
+        cfg = SampleConfig(seed=bound, coeff_bound=bound, max_samples=40)
+        for d in (1, 3):
+            ref = random.Random(cfg.seed)
+            for entries, _ in span._samples(f, d, cfg):
+                want = tuple(random_matrix(ref, d, bound) for _ in range(3))
+                assert span._matrices(entries, d) == want
+
+
+class TestPackedEvaluation:
+    def test_dimension_one(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            f = random_poly(rng, nvars=3, max_degree=5).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            args = [MatrixQ([[Fraction(rng.randint(-20, 20), rng.randint(1, 5))]]) for _ in range(3)]
+            assert evaluate(f, args, 1) == reference_evaluate(f, args, 1)
+
+    def test_slots_wider_than_64_bits(self):
+        rng = random.Random(12)
+        f = parse_poly("123456789012345678901234567890*X1*X2 - 98765432109876543210*X2*X1*X1 + 7")
+        for d in (1, 2, 4):
+            args = [random_matrix(rng, d, 10**6) for _ in range(2)]
+            got = evaluate(f, args)
+            assert got == reference_evaluate(f, args, d)
+            assert max(abs(x) for x in got.flatten()) > 2**64
+
+    def test_power_at_coeff_bound_1000(self):
+        f = parse_poly("(X1+X2)^8")
+        cfg = SampleConfig(seed=3, coeff_bound=1000, max_samples=6)
+        for d in (1, 2, 3):
+            for entries, vec in span._samples(f, d, cfg):
+                args = span._matrices(entries, d)
+                assert vec == list(reference_evaluate(f, args, d).flatten())
+        assert max(map(abs, vec)) > 2**64
+
+    def test_every_slot_width(self):
+        # Bounds that need 1, 2, 4, 8 and 16 bytes per slot.
+        rng = random.Random(13)
+        f = parse_poly("X1*X2 - 3*X2*X1*X2 + X1 - 2")
+        for bound in (1, 10, 1000, 10**6, 10**12):
+            for d in (1, 2, 3):
+                args = [random_matrix(rng, d, bound) for _ in range(2)]
+                assert evaluate(f, args) == reference_evaluate(f, args, d)
+
+    def test_fraction_arguments(self):
+        rng = random.Random(14)
+        for d in (1, 2, 3):
+            for _ in range(20):
+                f = random_poly(rng, nvars=3, max_degree=4)
+                f = f.scale(Fraction(rng.choice((1, -2, 5)), rng.choice((1, 3, 4))))
+                args = [
+                    MatrixQ([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)] for _ in range(d)])
+                    for _ in range(3)
+                ]
+                assert evaluate(f, args, d) == reference_evaluate(f, args, d)
+
+
+class TestIdentitySamplesFirst:
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        real = span._packed_evaluator
+
+        def counting(*spec):
+            ev = real(*spec)
+            return lambda entries: calls.append(entries) or ev(entries)
+
+        monkeypatch.setattr(span, "_packed_evaluator", counting)
+        return calls
+
+    def test_one_evaluation_disproves(self, evaluations):
+        assert not is_identity(parse_poly("[X1,X2]*X3"), 3)
+        assert len(evaluations) == 1
+
+    def test_identity_still_walks_every_unit_tuple(self, evaluations):
+        assert is_identity(standard_polynomial(4), 2)
+        assert len(evaluations) == 1 + 4**4
+
+    def test_verdicts_match_the_unit_walk(self):
+        rng = random.Random(15)
+        cfg = SampleConfig(seed=2)
+        for d in (1, 2, 3):
+            for n in (1, 2, 3):
+                f = NcPoly({w: rng.randint(-3, 3) for w in itertools.permutations(range(1, n + 1))})
+                if f.is_zero():
+                    continue
+                units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+                walk = all(
+                    reference_evaluate(f, tup, d).is_zero()
+                    for tup in itertools.product(units, repeat=n)
+                )
+                assert is_identity(f, d, cfg) == walk

@@ -16,6 +16,7 @@ from ncspan import (
     parse_poly,
     poly_to_text,
 )
+from ncspan.text import format_scalar
 
 X1 = NcPoly.variable(1)
 X2 = NcPoly.variable(2)
@@ -153,6 +154,20 @@ class TestPrint:
         for text in samples:
             once = poly_to_text(parse_poly(text))
             assert poly_to_text(parse_poly(once)) == once
+
+
+class TestFormatScalar:
+    def test_ints_print_as_their_fraction(self):
+        for x in (0, 1, -1, 7, -12345, 2**64 + 3, -(2**64) - 3, 10**40):
+            assert format_scalar(x) == str(Fraction(x)), x
+
+    def test_bools_print_as_digits(self):
+        assert format_scalar(True) == str(Fraction(True)) == "1"
+        assert format_scalar(False) == str(Fraction(False)) == "0"
+
+    def test_fractions_in_lowest_terms(self):
+        for x in (Fraction(0), Fraction(6, 4), Fraction(-3, 9), Fraction(5), Fraction(2**70, 3)):
+            assert format_scalar(x) == str(Fraction(x)), x
 
 
 class TestMatrixLiterals:
