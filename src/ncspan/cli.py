@@ -42,7 +42,7 @@ from .text import (
     poly_to_text,
 )
 
-SCHEMA = "ncspan/2"
+SCHEMA = "ncspan/3"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -114,7 +114,7 @@ def _report_doc(report: SpanReport) -> dict:
             "sum_of_commutators": comm,
             "degree_exclusion_applicable": applicable,
             "degree_exclusion_consistent": consistent,
-            "saturation": "stability-window heuristic",
+            "stop_reason": report.stop_reason.value,
         },
     }
 

@@ -83,6 +83,15 @@ class MatrixQ:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixQ is immutable")
 
+    @staticmethod
+    def _of(rows: tuple[tuple[Num, ...], ...]) -> MatrixQ:
+        """The matrix with these rows, unchecked: for callers that built them
+        as a nonempty tuple of d tuples of d entries each."""
+        m = object.__new__(MatrixQ)
+        object.__setattr__(m, "dim", len(rows))
+        object.__setattr__(m, "rows", rows)
+        return m
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod

@@ -4,8 +4,8 @@ The linear span of the values of a polynomial on a full matrix algebra is
 always one of four canonical subspaces: zero, the scalars, the trace-zero
 matrices, or everything.  This module samples random integer matrix tuples,
 evaluates L * f on them in plain integers (L clears f's denominators), and
-stops once the span has been stable for a while and matches a canonical
-space.  Exactness comes from three places:
+stops once the span provably equals a canonical space, or has been stable
+for a while and matches one.  Exactness comes from three places:
 
 - growth is tracked by rank modulo a prime, a lower bound on the rank over
   Q, so every recorded growth is real and no class is overclaimed;
@@ -37,11 +37,13 @@ The sampling kernel does a whole row's work per Python-level step:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -96,6 +98,20 @@ class SampleConfig:
 Witness = tuple[tuple[MatrixQ, ...], MatrixQ]
 
 
+class StopReason(Enum):
+    """Why classify_span stopped sampling.
+
+    FULL_RANK and COMMUTATOR_SUM stop on a proof that the sampled span is
+    the whole canonical space; STABILITY_WINDOW and BUDGET_EXHAUSTED stop
+    on a sampled verdict, a lower bound on the span.
+    """
+
+    FULL_RANK = "FULL_RANK"
+    COMMUTATOR_SUM = "COMMUTATOR_SUM"
+    STABILITY_WINDOW = "STABILITY_WINDOW"
+    BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
+
+
 @dataclass(frozen=True)
 class SpanReport:
     """Outcome of sampling the span of a polynomial's values on M_d."""
@@ -106,6 +122,7 @@ class SpanReport:
     basis: SpanBasis
     witnesses: tuple[Witness, ...]
     samples_used: int
+    stop_reason: StopReason
     config: SampleConfig
 
 
@@ -173,13 +190,18 @@ def _unscaled(vec: list[int], d: int, scale: int) -> MatrixQ:
     """The matrix with row-major entries vec divided by scale, exactly."""
     if scale != 1:
         vec = [Fraction(x, scale) for x in vec]
-    return MatrixQ.unflatten(vec, d)
+    return _matrices(vec, d)[0]
 
 
-def _matrices(entries: list[int], d: int) -> tuple[MatrixQ, ...]:
-    """The d x d matrices whose row-major entries follow each other in entries."""
-    n = d * d
-    return tuple(MatrixQ.unflatten(entries[k : k + n], d) for k in range(0, len(entries), n))
+def _matrices(entries: Sequence[int], d: int) -> tuple[MatrixQ, ...]:
+    """The d x d matrices whose row-major entries follow each other in entries.
+
+    Rows are consecutive d-tuples of entries and matrices consecutive
+    d-tuples of rows (zip over d references to one iterator), so each is
+    well formed and goes to MatrixQ._of unchecked.
+    """
+    rows = zip(*[iter(entries)] * d)
+    return tuple(map(MatrixQ._of, zip(*[rows] * d)))
 
 
 def evaluate(
@@ -220,6 +242,20 @@ def evaluate(
     return _unscaled(ev(entries), d, scale * den**deg)
 
 
+@functools.cache
+def _byte_tables(bound: int) -> tuple[bytes, bytes]:
+    """(table, rejected) for _entry_stream at a bound of at most 127.
+
+    table maps a word's top byte to r - B as a signed byte, where r is its
+    top k bits; rejected lists the bytes with r >= 2B + 1.
+    """
+    n = 2 * bound + 1
+    k = n.bit_length()
+    table = bytes(((b >> (8 - k)) - bound) & 0xFF for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> (8 - k) >= n)
+    return table, rejected
+
+
 def _entry_stream(rng: random.Random, bound: int) -> Callable[[int], list[int]]:
     """draw(m): the next m values that m calls of rng.randint(-bound, bound) give.
 
@@ -237,8 +273,7 @@ def _entry_stream(rng: random.Random, bound: int) -> Callable[[int], list[int]]:
     k = n.bit_length()
     if k > 8:
         return lambda m: [rng.randint(-bound, bound) for _ in range(m)]
-    table = bytes(((b >> (8 - k)) - bound) & 0xFF for b in range(256))
-    rejected = bytes(b for b in range(256) if b >> (8 - k) >= n)
+    table, rejected = _byte_tables(bound)
     buf = b""
 
     def draw(m: int) -> list[int]:
@@ -369,11 +404,14 @@ def classify_span(
 ) -> SpanReport:
     """Sample values of f on M_d and classify their linear span.
 
-    Stops as soon as the values have seen stability_window consecutive
-    non-growing samples while matching a canonical space, or immediately at
-    full rank (no further sample can change a full span), or when the
-    budget runs out.  Witness tuples are recorded exactly for the samples
-    that grew the rank, so the basis is the span of the witness values.
+    Stops as soon as the span is proved canonical, or once the values have
+    seen stability_window consecutive non-growing samples while matching a
+    canonical space, or when the budget runs out (see StopReason).  Two
+    ranks prove the class: full rank d^2, and rank d^2 - 1 when f is a sum
+    of commutators, whose values all lie in the trace-zero space sl_d since
+    tr[a, b] = 0 (at d = 1, sl_1 = 0 and the span is ZERO).  Witness tuples
+    are recorded exactly for the samples that grew the rank, so the basis
+    is the span of the witness values.
 
     Values are computed as integer matrices L * f(t).  Growth is tracked by
     rank mod a prime, which never overclaims (see EchelonModP), and the
@@ -386,11 +424,13 @@ def classify_span(
     echelon = EchelonModP()
     witnesses: list[Witness] = []
     full_rank = d * d
+    commutator_sum = f.is_sum_of_commutators()
     identity = MatrixQ.identity(d).flatten()
     all_zero = all_scalar = all_trace_zero = True
     stall = 0
     samples_used = 0
     classification: Classification | None = None
+    stop_reason = StopReason.BUDGET_EXHAUSTED
     for entries, vec in _samples(f, d, cfg):
         samples_used += 1
         all_zero = all_zero and not any(vec)
@@ -404,13 +444,20 @@ def classify_span(
         else:
             stall += 1
         if echelon.rank == full_rank:
-            classification = Classification.FULL
+            classification, stop_reason = Classification.FULL, StopReason.FULL_RANK
+            break
+        if commutator_sum and echelon.rank == full_rank - 1:
+            classification = _match_class(
+                echelon.rank, d, all_zero, all_scalar, all_trace_zero
+            )
+            stop_reason = StopReason.COMMUTATOR_SUM
             break
         if stall >= cfg.stability_window:
             classification = _match_class(
                 echelon.rank, d, all_zero, all_scalar, all_trace_zero
             )
             if classification is not None:
+                stop_reason = StopReason.STABILITY_WINDOW
                 break
     if classification is None:
         classification = (
@@ -428,6 +475,7 @@ def classify_span(
         basis=basis,
         witnesses=tuple(witnesses),
         samples_used=samples_used,
+        stop_reason=stop_reason,
         config=cfg,
     )
 

@@ -14,6 +14,7 @@ from ncspan import (
     SampleConfig,
     SpanBasis,
     SpanReport,
+    StopReason,
     commutator,
 )
 
@@ -186,12 +187,14 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
             return Classification.FULL
         return None
 
+    commutator_sum = f.is_sum_of_commutators()
     rng = random.Random(cfg.seed)
     rows, pivots = (), ()
     witnesses = []
     stall = 0
     samples_used = 0
     classification = None
+    stop_reason = StopReason.BUDGET_EXHAUSTED
     for _ in range(cfg.samples_for(d)):
         args = tuple(
             random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
@@ -207,10 +210,16 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
             stall += 1
         if basis.rank == n:
             classification = Classification.FULL
+            stop_reason = StopReason.FULL_RANK
+            break
+        if commutator_sum and basis.rank == n - 1:
+            classification = match(basis)
+            stop_reason = StopReason.COMMUTATOR_SUM
             break
         if stall >= cfg.stability_window:
             classification = match(basis)
             if classification is not None:
+                stop_reason = StopReason.STABILITY_WINDOW
                 break
     if classification is None:
         classification = match(basis) or Classification.UNDETERMINED
@@ -221,6 +230,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
         basis=basis,
         witnesses=tuple(witnesses),
         samples_used=samples_used,
+        stop_reason=stop_reason,
         config=cfg,
     )
 

@@ -23,7 +23,7 @@ class TestClassify:
             capsys, "classify", "--poly", "X1*X2 - X2*X1", "--dim", "2"
         )
         assert code == 0
-        assert doc["schema"] == "ncspan/2"
+        assert doc["schema"] == "ncspan/3"
         assert doc["classification"] == "TRACE_ZERO"
         assert doc["rank"] == 3
         assert doc["polynomial"] == "X1*X2 - X2*X1"
@@ -31,6 +31,8 @@ class TestClassify:
         assert doc["consistency_flags"]["sum_of_commutators"] is True
         assert doc["consistency_flags"]["degree_exclusion_applicable"] is True
         assert doc["consistency_flags"]["degree_exclusion_consistent"] is True
+        assert doc["consistency_flags"]["stop_reason"] == "COMMUTATOR_SUM"
+        assert doc["samples_used"] == 3
         assert set(doc) == {
             "schema",
             "polynomial",

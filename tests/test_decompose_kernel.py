@@ -26,6 +26,7 @@ from ncspan import (
     SampleConfig,
     SpanBasis,
     SpanReport,
+    StopReason,
     classify_span,
     decompose_target,
     evaluate,
@@ -155,7 +156,9 @@ class TestHandBuiltReports:
             (((args, e11), (args, e11.scale(2))), [(1, args)]),  # dependent values
             ((), "NotInSpan"),  # too few values
         ):
-            report = SpanReport(f, 2, Classification.UNDETERMINED, basis, witnesses, 2, cfg)
+            report = SpanReport(
+                f, 2, Classification.UNDETERMINED, basis, witnesses, 2, StopReason.BUDGET_EXHAUSTED, cfg
+            )
             for target in (e11, e12):
                 got = outcome(decompose_target, report, target)
                 assert got == outcome(reference_decompose, report, target)

@@ -41,6 +41,22 @@ CASES.update(
     }
 )
 
+# One classify case per stop reason; the budget case exits 64 (UNDETERMINED).
+CASES.update(
+    {
+        f"classify-{name}-seed{seed}.json": (
+            "classify", "--poly", text, "--dim", str(d), "--seed", str(seed), *extra
+        )
+        for name, text, d, extra in (
+            ("commutator-d3", "[X1,X2]", 3, ()),  # COMMUTATOR_SUM
+            ("product-d3", "X1*X2", 3, ()),  # FULL_RANK
+            ("hall-d2", "[X1,X2]^2", 2, ()),  # SCALARS by STABILITY_WINDOW
+            ("budget3-d3", "[X1,X2]", 3, ("--max-samples", "3")),  # BUDGET_EXHAUSTED
+        )
+        for seed in (0, 7919)
+    }
+)
+
 
 def _stdout(argv) -> str:
     out = io.StringIO()

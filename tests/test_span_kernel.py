@@ -2,11 +2,13 @@
 
 classify_span tracks rank growth modulo a prime and builds the exact basis
 once; these tests require it to agree field for field with the incremental
-Fraction loop kept in helpers, and pin the closed-form bases and d = 1.
+Fraction loop kept in helpers, hold its commutator-sum stop to the
+window-only rule, and pin the closed-form bases and d = 1.
 The packed stages of the kernel (bulk draw, packed evaluation, packed
 mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -29,6 +31,7 @@ from ncspan import (
     NcPoly,
     SampleConfig,
     SpanBasis,
+    StopReason,
     classify_span,
     evaluate,
     is_identity,
@@ -51,41 +54,75 @@ def assert_same_report(f, d, cfg):
     assert got.basis.pivots == want.basis.pivots, where
     assert got.witnesses == want.witnesses, where
     assert got.samples_used == want.samples_used, where
+    assert got.stop_reason is want.stop_reason, where
     return got, want
+
+
+# The seeded batteries: lists of (f, d, cfg).
+
+
+def battery_d3():
+    rng = random.Random(2026)
+    return [(battery_poly(rng), 3, SampleConfig(seed=0)) for _ in range(200)]
+
+
+def battery_d3_rational():
+    rng = random.Random(2027)
+    return [
+        (battery_poly(rng).scale(Fraction(rng.choice((1, -2, 5)), rng.choice((3, 4, 7)))), 3, SampleConfig(seed=k))
+        for k in range(40)
+    ]
+
+
+def battery_headline(text, d):
+    return [(parse_poly(text), d, SampleConfig(seed=seed)) for seed in (0, 7919)]
+
+
+def battery_budget_limited(max_samples):
+    rng = random.Random(max_samples)
+    polys = [parse_poly(text) for text in HEADLINE]
+    polys += [
+        random_poly(rng, nvars=2, max_degree=3).scale(Fraction(1, rng.randint(2, 9)))
+        for _ in range(6)
+    ]
+    return [
+        (f, d, SampleConfig(seed=d, max_samples=max_samples)) for f in polys for d in (2, 3, 4, 5)
+    ]
+
+
+BATTERIES = {
+    "d3": battery_d3,
+    "d3-rational": battery_d3_rational,
+    **{
+        f"headline-{text}-d{d}": functools.partial(battery_headline, text, d)
+        for text in HEADLINE
+        for d in range(2, 7)
+    },
+    **{f"budget-{m}": functools.partial(battery_budget_limited, m) for m in (3, 20)},
+}
 
 
 class TestDifferential:
     def test_battery_d3(self):
-        rng = random.Random(2026)
-        for _ in range(200):
-            assert_same_report(battery_poly(rng), 3, SampleConfig(seed=0))
+        for case in battery_d3():
+            assert_same_report(*case)
 
     def test_battery_d3_rational_coefficients(self):
-        rng = random.Random(2027)
-        for k in range(40):
-            f = battery_poly(rng).scale(Fraction(rng.choice((1, -2, 5)), rng.choice((3, 4, 7))))
-            assert_same_report(f, 3, SampleConfig(seed=k))
+        for case in battery_d3_rational():
+            assert_same_report(*case)
 
     @pytest.mark.parametrize("text", HEADLINE)
     @pytest.mark.parametrize("d", range(2, 7))
     def test_headline(self, text, d):
-        for seed in (0, 7919):
-            assert_same_report(parse_poly(text), d, SampleConfig(seed=seed))
+        for case in battery_headline(text, d):
+            assert_same_report(*case)
 
     @pytest.mark.parametrize("max_samples", (3, 20))
     def test_budget_limited(self, max_samples):
-        rng = random.Random(max_samples)
-        polys = [parse_poly(text) for text in HEADLINE]
-        polys += [
-            random_poly(rng, nvars=2, max_degree=3).scale(Fraction(1, rng.randint(2, 9)))
-            for _ in range(6)
-        ]
         undetermined = 0
-        for f in polys:
-            for d in (2, 3, 4, 5):
-                cfg = SampleConfig(seed=d, max_samples=max_samples)
-                got, _ = assert_same_report(f, d, cfg)
-                undetermined += got.classification is Classification.UNDETERMINED
+        for case in battery_budget_limited(max_samples):
+            got, _ = assert_same_report(*case)
+            undetermined += got.classification is Classification.UNDETERMINED
         assert undetermined
 
     @pytest.mark.parametrize("text", HEADLINE)
@@ -95,17 +132,52 @@ class TestDifferential:
             assert json.dumps(_report_doc(got)) == json.dumps(_report_doc(want))
 
 
+class TestProofStop:
+    """The commutator-sum stop against the window-only rule on the batteries.
+
+    A sum of commutators at rank d^2 - 1 is proved TRACE_ZERO; the window
+    only samples it.  Treating no polynomial as a commutator sum gives the
+    window-only rule, which must reach the same class, basis and witnesses,
+    50 samples later or at the budget.  Every other report is unchanged.
+    """
+
+    @pytest.mark.parametrize("battery", sorted(BATTERIES))
+    def test_same_verdict_as_window_only(self, battery, monkeypatch):
+        cases = BATTERIES[battery]()
+        proved = [classify_span(*case) for case in cases]
+        monkeypatch.setattr(NcPoly, "is_sum_of_commutators", lambda self: False)
+        for (f, d, cfg), got in zip(cases, proved):
+            want = classify_span(f, d, cfg)
+            where = f"{poly_to_text(f)} at d={d}, {cfg}"
+            if got.stop_reason is not StopReason.COMMUTATOR_SUM:
+                assert got == want, where
+                continue
+            assert got.classification is Classification.TRACE_ZERO, where
+            assert got.classification is want.classification, where
+            assert got.basis == want.basis, where
+            assert got.witnesses == want.witnesses, where
+            # The stop comes right after the last growth, so every sample grew.
+            assert got.samples_used == len(got.witnesses) == d * d - 1, where
+            window = min(got.samples_used + cfg.stability_window, cfg.samples_for(d))
+            assert want.samples_used == window, where
+            assert want.stop_reason is not StopReason.COMMUTATOR_SUM, where
+
+
 class TestDimensionOne:
     def test_variable_full(self):
         report = classify_span(NcPoly.variable(1), 1)
         assert report.classification is Classification.FULL
         assert report.basis.rank == 1
+        assert report.stop_reason is StopReason.FULL_RANK
 
     def test_commutator_zero(self):
+        # sl_1 = 0: a sum of commutators is proved ZERO by its first sample.
         report = classify_span(parse_poly("[X1,X2]"), 1)
         assert report.classification is Classification.ZERO
         assert report.basis.rank == 0
         assert report.witnesses == ()
+        assert report.samples_used == 1
+        assert report.stop_reason is StopReason.COMMUTATOR_SUM
 
     def test_nonzero_constant_full(self):
         # Scalars and everything coincide on M_1; the full-rank check runs first.
