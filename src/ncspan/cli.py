@@ -342,7 +342,7 @@ def _cmd_suite(args) -> int:
     cfg = _config(args)
     try:
         corpus = _read_corpus(args.corpus)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"ncspan: cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_USAGE
     entries = []

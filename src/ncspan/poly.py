@@ -15,6 +15,7 @@ so they can be shared freely.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -30,8 +31,12 @@ class MissingAssignment(Exception):
         self.variable = variable
 
 
-def _clean_terms(items: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
-    terms: dict[Word, Fraction] = {}
+def _clean_terms(
+    items: Iterable[tuple[Word, Fraction]], start: Mapping[Word, Fraction] = {}
+) -> dict[Word, Fraction]:
+    """Canonical start plus a stream of (word, coefficient) pairs, zero sums
+    dropped: the one place like terms combine."""
+    terms = dict(start)
     for word, coeff in items:
         acc = terms.get(word)
         acc = coeff if acc is None else acc + coeff
@@ -145,15 +150,7 @@ class NcPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged = dict(self._terms)
-        for word, coeff in other._terms.items():
-            acc = merged.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                merged[word] = acc
-            else:
-                del merged[word]
-        return _raw(merged)
+        return _raw(_clean_terms(other._terms.items(), self._terms))
 
     __radd__ = __add__
 
@@ -175,17 +172,11 @@ class NcPoly:
             return self.scale(other)
         if not isinstance(other, NcPoly):
             return NotImplemented
-        out: dict[Word, Fraction] = {}
-        for wa, ca in self._terms.items():
-            for wb, cb in other._terms.items():
-                word = wa + wb
-                acc = out.get(word)
-                acc = ca * cb if acc is None else acc + ca * cb
-                if acc:
-                    out[word] = acc
-                elif word in out:
-                    del out[word]
-        return _raw(out)
+        return _raw(_clean_terms(
+            (wa + wb, ca * cb)
+            for wa, ca in self._terms.items()
+            for wb, cb in other._terms.items()
+        ))
 
     def __rmul__(self, other: Scalar) -> NcPoly:
         if isinstance(other, (int, Fraction)):
@@ -263,18 +254,26 @@ class NcPoly:
 
         Every variable occurring in self must have an image; otherwise
         MissingAssignment is raised.  Words map to ordered products of the
-        images, so the result is the homomorphic image of self.
+        images, so the result is the homomorphic image of self.  Each word
+        is expanded once, and like terms combine in one pass over them all.
         """
-        for i in self.variables():
+        variables = self.variables()
+        for i in variables:
             if i not in assignment:
                 raise MissingAssignment(i)
-        out = NcPoly.zero()
-        for word, coeff in self._terms.items():
-            term = NcPoly.constant(coeff)
+        images = {i: _coerce(assignment[i]) for i in variables}
+        if any(image is NotImplemented for image in images.values()):
+            raise TypeError("images must be polynomials or scalars")
+
+        def expand(word: Word, coeff: Fraction) -> list[tuple[Word, Fraction]]:
+            out = [((), coeff)]
             for letter in word:
-                term = term * assignment[letter]
-            out = out + term
-        return out
+                out = [(w + v, c * e) for w, c in out for v, e in images[letter]._terms.items()]
+            return out
+
+        return _raw(_clean_terms(itertools.chain.from_iterable(
+            itertools.starmap(expand, self._terms.items())
+        )))
 
     def substitute_one(self, i: int, image: NcPoly) -> NcPoly:
         """Substitute X_i -> image, leaving all other variables fixed."""
@@ -294,11 +293,9 @@ class NcPoly:
         graded-lex smallest among them, for determinism), or None if the
         polynomial passes.
         """
-        sums: dict[Word, Fraction] = {}
-        for word, coeff in self._terms.items():
-            rep = cyclic_representative(word)
-            sums[rep] = sums.get(rep, Fraction(0)) + coeff
-        offending = [rep for rep, total in sums.items() if total]
+        offending = _clean_terms(
+            (cyclic_representative(word), coeff) for word, coeff in self._terms.items()
+        )
         if not offending:
             return None
         return min(offending, key=lambda w: (len(w), w))

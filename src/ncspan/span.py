@@ -31,7 +31,9 @@ The sampling kernel does a whole row's work per Python-level step:
   one (see _entry_stream), with randint itself for B > 127;
 - each row of a running product is one int with the row's entries in
   fixed-width slots, sized from a proved bound on every entry (see
-  _packed_evaluator), so no value is ever wrong, only wider;
+  _packed_evaluator), so no value is ever wrong, only wider, and the
+  result is decoded by one little-endian struct whatever the host's byte
+  order (int.from_bytes only for slots wider than 8 bytes);
 - EchelonModP keeps its rows packed the same way.
 """
 
@@ -39,9 +41,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
-import sys
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,6 +56,7 @@ from .linalg import (
     MatrixQ,
     NotInSpan,
     SpanBasis,
+    _cleared,
     express_in_terms,
     unit_commutator,
 )
@@ -128,13 +130,12 @@ class SpanReport:
 
 def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
     """(L, terms of L * f) for L the lcm of f's coefficient denominators."""
-    scale = math.lcm(*(coeff.denominator for coeff in f.terms.values()))
-    return scale, [(word, int(coeff * scale)) for word, coeff in f.terms.items()]
+    scale, (coeffs,) = _cleared([f.terms.values()])
+    return scale, list(zip(f.terms, coeffs))
 
 
-# memoryview formats of the signed slot widths that have one; memoryview
-# reads native byte order, so only a little-endian host uses them.
-_SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+# struct codes of the signed slot widths that have one.
+_SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _packed_evaluator(
@@ -150,7 +151,8 @@ def _packed_evaluator(
     so the arithmetic is exact whatever the slots hold in between, and
     decoding needs each final entry to fit its slot.  Every entry, final or
     intermediate, is at most sum |c| * d^(|w| - 1) * bound^|w|, and the
-    slots are sized from that bound.  The result is decoded once.
+    slots are sized from that bound.  The result is decoded once, by one
+    little-endian struct for 1-, 2-, 4- and 8-byte slots, else slot by slot.
     """
     n = d * d
     top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
@@ -164,7 +166,8 @@ def _packed_evaluator(
     offset = sum(1 << (bits * k + bits - 1) for k in range(n))
     const = sum(c for w, c in terms if not w) * sum(1 << (bits * (d + 1) * i) for i in range(d))
     words = [([(x - 1) * d for x in reversed(w)], c) for w, c in terms if w]
-    fmt = _SIGNED_SLOTS.get(width)
+    code = _SIGNED_SLOTS.get(width)
+    unpack = struct.Struct(f"<{n}{code}").unpack if code else None
 
     def ev(entries: Sequence[int]) -> list[int]:
         rows = [entries[k : k + d] for k in range(0, len(entries), d)]
@@ -176,8 +179,8 @@ def _packed_evaluator(
                 prod = [sum(map(mul, row, prod)) for row in rows[k : k + d]]
             total += c * sum(map(mul, prod, rows_at))
         data = ((total + offset) ^ offset).to_bytes(n * width, "little")
-        if fmt:
-            return memoryview(data).cast(fmt).tolist()
+        if unpack:
+            return list(unpack(data))
         return [
             int.from_bytes(data[k : k + width], "little", signed=True)
             for k in range(0, n * width, width)
@@ -234,8 +237,7 @@ def evaluate(
         raise ArityMismatch("cannot infer dimension: no arguments and no dim given")
     scale, terms = _integer_terms(f)
     used = [x for a in args[: f.nvars] for row in a.rows for x in row]
-    den = math.lcm(*(x.denominator for x in used))
-    entries = [x.numerator * (den // x.denominator) for x in used]
+    den, (entries,) = _cleared([used])
     deg = max((len(w) for w, _ in terms), default=0)
     terms = [(w, c * den ** (deg - len(w))) for w, c in terms]
     ev = _packed_evaluator(terms, d, max(map(abs, entries), default=0))
@@ -384,18 +386,20 @@ def _match_class(
     """The canonical space spanned by the sampled values, if their facts pin it.
 
     rank is the rank mod p, a lower bound on the rank over Q; the three
-    flags are exact facts about every sampled value.  A span of scalars
-    with rank 1, of trace-zero matrices with rank d^2 - 1, or of rank d^2
-    equals its canonical space, so no verdict is ever overclaimed.
+    flags are exact facts about every sampled value.  A span of rank d^2,
+    of scalars with rank 1, or of trace-zero matrices with rank d^2 - 1
+    equals its canonical space, so no verdict is ever overclaimed.  Rank
+    d^2 is tested first: at d = 1 every value is scalar, and the span of
+    rank 1 is reported as FULL.
     """
     if all_zero:
         return Classification.ZERO
+    if rank == d * d:
+        return Classification.FULL
     if rank == 1 and all_scalar:
         return Classification.SCALARS
     if rank == d * d - 1 and all_trace_zero:
         return Classification.TRACE_ZERO
-    if rank == d * d:
-        return Classification.FULL
     return None
 
 
@@ -429,7 +433,7 @@ def classify_span(
     all_zero = all_scalar = all_trace_zero = True
     stall = 0
     samples_used = 0
-    classification: Classification | None = None
+    match: Classification | None = None
     stop_reason = StopReason.BUDGET_EXHAUSTED
     for entries, vec in _samples(f, d, cfg):
         samples_used += 1
@@ -441,29 +445,19 @@ def classify_span(
         if match is None and echelon.insert(vec):
             witnesses.append((_matrices(entries, d), _unscaled(vec, d, scale)))
             stall = 0
+            match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         else:
             stall += 1
         if echelon.rank == full_rank:
-            classification, stop_reason = Classification.FULL, StopReason.FULL_RANK
-            break
-        if commutator_sum and echelon.rank == full_rank - 1:
-            classification = _match_class(
-                echelon.rank, d, all_zero, all_scalar, all_trace_zero
-            )
+            stop_reason = StopReason.FULL_RANK
+        elif commutator_sum and echelon.rank == full_rank - 1:
             stop_reason = StopReason.COMMUTATOR_SUM
-            break
-        if stall >= cfg.stability_window:
-            classification = _match_class(
-                echelon.rank, d, all_zero, all_scalar, all_trace_zero
-            )
-            if classification is not None:
-                stop_reason = StopReason.STABILITY_WINDOW
-                break
-    if classification is None:
-        classification = (
-            _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
-            or Classification.UNDETERMINED
-        )
+        elif stall >= cfg.stability_window and match is not None:
+            stop_reason = StopReason.STABILITY_WINDOW
+        else:
+            continue
+        break
+    classification = match or Classification.UNDETERMINED
     if classification is Classification.UNDETERMINED:
         basis = SpanBasis.from_matrices(d, (value for _, value in witnesses))
     else:

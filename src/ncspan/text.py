@@ -19,6 +19,7 @@ by ',', e.g. "1,0;0,-1".
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -117,12 +118,13 @@ class _Parser:
         return poly
 
     def expr(self) -> NcPoly:
-        acc = self.term()
+        # One combine for all summands: a long sum costs linear time.
+        parts = [self.term()]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            acc = acc + rhs if op.kind == "+" else acc - rhs
-        return acc
+            parts.append(rhs if op.kind == "+" else -rhs)
+        return parts[0] if len(parts) == 1 else NcPoly(itertools.chain.from_iterable(parts))
 
     def term(self) -> NcPoly:
         acc = self.factor()

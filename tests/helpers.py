@@ -10,6 +10,7 @@ from ncspan import (
     Classification,
     DimensionMismatch,
     MatrixQ,
+    MissingAssignment,
     NcPoly,
     SampleConfig,
     SpanBasis,
@@ -128,6 +129,21 @@ def random_noncentral(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:
         m = random_matrix_int(rng, d, bound)
         if not m.is_scalar():
             return m
+
+
+def reference_substitute(f: NcPoly, assignment) -> NcPoly:
+    """X_i -> assignment[i] term by term: each word's product of images is
+    built with NcPoly arithmetic and added to a running sum."""
+    for i in f.variables():
+        if i not in assignment:
+            raise MissingAssignment(i)
+    out = NcPoly.zero()
+    for word, coeff in f.terms.items():
+        term = NcPoly.constant(coeff)
+        for letter in word:
+            term = term * assignment[letter]
+        out = out + term
+    return out
 
 
 def reference_evaluate(f: NcPoly, args, d: int) -> MatrixQ:

@@ -322,6 +322,15 @@ class TestSuite:
         code = main(["suite", "--corpus", "/nonexistent/corpus.txt", "--dim", "2"])
         assert code == 2
 
+    def test_corpus_not_utf8(self, capsys, tmp_path):
+        corpus = tmp_path / "bad.txt"
+        corpus.write_bytes(b"X1\n\xff\n")
+        code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ncspan: cannot read corpus: ")
+
     def test_corpus_parse_error(self, capsys, tmp_path):
         corpus = tmp_path / "bad.txt"
         corpus.write_text("X1 +\n")

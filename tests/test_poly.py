@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_poly, random_word
+import ncspan.poly
+from helpers import random_poly, random_word, reference_substitute
 from ncspan import MissingAssignment, NcPoly, commutator, cyclic_representative
 
 X1 = NcPoly.variable(1)
@@ -14,6 +15,14 @@ X3 = NcPoly.variable(3)
 
 words = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 polys = st.dictionaries(words, st.integers(-4, 4), max_size=4).map(NcPoly)
+# Images for substitution: polynomials (zero and constants among them),
+# plain ints and Fractions.
+images = st.one_of(
+    polys,
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+assignments = st.fixed_dictionaries({1: images, 2: images, 3: images})
 
 
 class TestArithmetic:
@@ -193,6 +202,34 @@ class TestSubstitute:
         assert (f + g).substitute(assignment) == f.substitute(
             assignment
         ) + g.substitute(assignment)
+
+    @settings(max_examples=150)
+    @given(polys, assignments)
+    # Terms of different words cancel.
+    @example(X1 * X2 - X2 * X1, {1: X3, 2: X3, 3: X3})
+    # Terms of one word's expansion cancel.
+    @example(X1 * X2, {1: X2 + X2 * X2, 2: X2 - X2 * X2, 3: 0})
+    # Zero, int and Fraction images.
+    @example(X1 * X2 * X3 + X2 + 3, {1: NcPoly.zero(), 2: 2, 3: Fraction(-1, 3)})
+    def test_matches_term_by_term(self, f, assignment):
+        got = f.substitute(assignment)
+        assert got == reference_substitute(f, assignment)
+        assert all(got.terms.values())
+        assert got.nvars == max((max(w) for w in got.terms if w), default=0)
+
+    def test_one_accumulation(self, monkeypatch):
+        # All the words expand into one stream that is combined once.
+        f = (X1 + X2) ** 3 - X3
+        assignment = {1: X1 + X3, 2: X2 * X1, 3: Fraction(1, 2)}
+        raw = ncspan.poly._raw
+        calls = []
+        monkeypatch.setattr(ncspan.poly, "_raw", lambda terms: calls.append(1) or raw(terms))
+        f.substitute(assignment)
+        assert len(calls) == 1
+
+    def test_image_must_be_polynomial_or_scalar(self):
+        with pytest.raises(TypeError):
+            (X1 * X2).substitute({1: X1, 2: 1.5})
 
 
 class TestCommutatorSums:

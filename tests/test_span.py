@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     battery_poly,
@@ -418,3 +420,57 @@ class TestVanishingBound:
         assert vanishing_rate(COMM, 3) == (0, 576)
         # A per-sample rate of 1 or more is capped at 1.
         assert vanishing_rate(HALL, 2, SampleConfig(coeff_bound=1)) == (1, 256)
+
+
+# Small polynomials on X1..X3, constants among them, and their brackets,
+# so that every class but UNDETERMINED turns up.
+small_polys = st.dictionaries(
+    st.lists(st.integers(1, 3), max_size=3).map(tuple),
+    st.integers(-3, 3),
+    min_size=1,
+    max_size=3,
+).map(NcPoly)
+class_polys = small_polys | st.builds(commutator, small_polys, small_polys)
+# Classes are sampled verdicts: a fixed example sequence keeps a run
+# reproducible.
+invariance = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+def span_class(f, d, seed=0):
+    return classify_span(f, d, SampleConfig(seed=seed)).classification
+
+
+@pytest.mark.parametrize("d", [2, 3])
+class TestClassInvariance:
+    @invariance
+    @given(class_polys, st.permutations([1, 2, 3]))
+    @example(HALL, [2, 1, 3])
+    def test_relabelling(self, d, f, perm):
+        relabelled = f.substitute({i: NcPoly.variable(j) for i, j in zip((1, 2, 3), perm)})
+        assert span_class(relabelled, d) is span_class(f, d)
+
+    @invariance
+    @given(
+        class_polys,
+        st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+    )
+    @example(HALL, Fraction(-2, 3))
+    def test_scaling(self, d, f, c):
+        assert span_class(f.scale(c), d) is span_class(f, d)
+
+    @invariance
+    @given(class_polys)
+    @example(HALL)
+    def test_seed(self, d, f):
+        assert span_class(f, d, seed=7919) is span_class(f, d, seed=0)
+
+
+@invariance
+@given(class_polys)
+@example(HALL)
+@example(standard_polynomial(4))
+def test_class_invariant_under_adding_s4(f):
+    # S_4 vanishes on M_2 (Amitsur-Levitzki), so adding it on fresh
+    # variables leaves every value, hence the span, unchanged.
+    fresh = {k: NcPoly.variable(f.nvars + k) for k in range(1, 5)}
+    assert span_class(f + standard_polynomial(4).substitute(fresh), 2) is span_class(f, 2)

@@ -63,6 +63,25 @@ class TestParse:
         assert parse_poly("0").is_zero()
         assert parse_poly("X1 - X1").is_zero()
 
+    def test_sum_matches_running_sum(self):
+        # A sum's summands are combined in one pass; the running sum of the
+        # parsed summands is the reference.  Few words, so terms overlap
+        # and cancel.
+        rng = random.Random(43)
+        for _ in range(60):
+            parts = [
+                random_poly(rng, nvars=2, max_degree=2, max_terms=3)
+                for _ in range(rng.randint(2, 8))
+            ]
+            signs = [rng.choice("+-") for _ in parts[1:]]
+            text = f"({poly_to_text(parts[0])})" + "".join(
+                f" {s} ({poly_to_text(p)})" for s, p in zip(signs, parts[1:])
+            )
+            expected = parts[0]
+            for s, p in zip(signs, parts[1:]):
+                expected = expected + p if s == "+" else expected - p
+            assert parse_poly(text) == expected, text
+
 
 class TestParseErrors:
     def test_reports_position(self):
