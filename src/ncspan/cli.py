@@ -283,9 +283,22 @@ def _cmd_decompose(args) -> int:
 
 
 def _read_corpus(path: str) -> list[tuple[int, str]]:
+    """(line number, text) of each line with a polynomial, comments cut.
+
+    Undecodable bytes are read as lone surrogates (surrogateescape), which
+    valid UTF-8 never yields, so the first one raises ValueError naming its
+    line and column.
+    """
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ValueError(
+                    f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})"
+                ) from None
             # Leading blanks stay, so parse columns are columns of the file.
             text = line.split("#", 1)[0].rstrip()
             if text.strip():
@@ -342,8 +355,11 @@ def _cmd_suite(args) -> int:
     cfg = _config(args)
     try:
         corpus = _read_corpus(args.corpus)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"ncspan: cannot read corpus: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"ncspan: {exc}", file=sys.stderr)
         return EXIT_USAGE
     entries = []
     for lineno, text in corpus:

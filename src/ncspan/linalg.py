@@ -11,10 +11,13 @@ subspace equality a plain row-list comparison and membership a single
 reduction pass.  The four canonical subspaces have their reduced bases
 written down in closed form.
 
-Whole systems are eliminated by one routine, fraction_free_rref (Bareiss's
-fraction-free Gauss-Jordan over integer rows): bases built from a list of
-matrices, inverses and solves all use it.  SpanBasis.insert adjoins a single
-matrix by a rank-one update of the reduced rows instead.
+Whole systems are eliminated by one routine, fraction_free_rref, over
+integer rows: bases built from a list of matrices, inverses and solves all
+use it.  It runs forward Bareiss elimination below each pivot, then builds
+det * RREF by exact back substitution from the last pivot row up; every
+quotient is a minor of the input, so no division leaves a remainder and no
+Fraction is formed.  SpanBasis.insert adjoins a single matrix by a rank-one
+update of the reduced rows instead.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed prime 2^61 - 1, with each row packed into one int.  That rank is a
@@ -443,34 +446,61 @@ def _cleared(rows: Iterable[Sequence[Num]]) -> tuple[int, list[list[int]]]:
 
 
 def fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Reduce integer rows in place by fraction-free Gauss-Jordan (Bareiss).
+    """Reduce integer rows in place to det * RREF by fraction-free elimination.
 
     Returns (pivots, det) such that rows / det is the reduced row echelon
     form of the input, zero rows last; det is the determinant of a square
-    input of full rank.  Every entry stays a minor of the input (Sylvester's
-    identity), so every division is exact.
+    input of full rank.  Two phases:
+
+    - Forward (Bareiss): at each pivot only the rows below it change, and
+      only right of its column.  Row r ends as U[r], whose entries are
+      minors of the input (Sylvester's identity), so every division by the
+      previous pivot is exact; U[r][p_r] is the leading minor on the first
+      r + 1 pivot rows and columns, and det is the last one, signed by the
+      row swaps.
+    - Back: from the last pivot row up, X[r] = det * RREF[r] is
+      (det * U[r] - sum_{t>r} U[r][p_t] * X[t]) / U[r][p_r], since U[r]
+      less its parts along the later RREF rows is U[r][p_r] * RREF[r].  The
+      division is exact because by Cramer's rule every entry of X is a
+      minor of the input.  At pivot columns X is det or 0, so only the
+      free columns right of p_r are computed.
     """
     pivots: list[int] = []
     prev = sign = 1
-    for c in range(len(rows[0]) if rows else 0):
+    n, m = len(rows), len(rows[0]) if rows else 0
+    for c in range(m):
         r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if r == n:
+            break
+        sel = next((i for i in range(r, n) if rows[i][c]), None)
         if sel is None:
             continue
         if sel != r:
             rows[r], rows[sel] = rows[sel], rows[r]
             sign = -sign
-        top = rows[r]
-        pv = top[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                a = row[c]
-                rows[i] = [(pv * x - a * y) // prev for x, y in zip(row, top)]
+        pv = rows[r][c]
+        tail = rows[r][c + 1 :]
+        zeros = [0] * (c + 1)
+        for i in range(r + 1, n):
+            row = rows[i]
+            a = row[c]
+            rows[i] = zeros + [(pv * x - a * y) // prev for x, y in zip(row[c + 1 :], tail)]
         prev = pv
         pivots.append(c)
-    if sign < 0:
-        rows[:] = [[-x for x in row] for row in rows]
-    return pivots, sign * prev
+    det = sign * prev
+    pivot_set = set(pivots)
+    free = [j for j in range(m) if j not in pivot_set]
+    for r in reversed(range(len(pivots))):
+        row, p = rows[r], pivots[r]
+        # The finished rows X[t] below, with their coefficients U[r][p_t].
+        below = [(row[q], rows[t]) for t, q in enumerate(pivots[r + 1 :], r + 1) if row[q]]
+        out = [0] * m
+        out[p] = det
+        for j in free:
+            if j > p:
+                out[j] = (det * row[j] - sum(c * x[j] for c, x in below)) // row[p]
+        rows[r] = out
+    return pivots, det
 
 
 def express_in_terms(

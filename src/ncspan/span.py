@@ -562,7 +562,12 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     report's basis), except in the directly invertible case f = c * X_i,
     where the preimage tuple is written down outright.  Raises NotInSpan
     when the target lies outside the recorded span.  Each call is one
-    fraction-free solve (express_in_terms).
+    fraction-free solve (express_in_terms) of the d^2 x (k + 1) system
+    [witness values | target]: forward Bareiss elimination below each
+    pivot, then exact back substitution from the last pivot row up, which
+    only touches the free columns (here the target column and the columns
+    of dependent witnesses).  Every quotient in both phases is a minor of
+    the system, so the solve stays in integers until the lambdas.
     """
     d = report.dim
     if target.dim != d:

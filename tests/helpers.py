@@ -272,6 +272,37 @@ def reference_inverse(m: MatrixQ) -> MatrixQ:
     return MatrixQ([row[d:] for row in aug])
 
 
+def reference_fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) in one sweep: the reference for
+    the two-phase linalg.fraction_free_rref, with the same contract.
+
+    At every pivot every other row is rewritten in every column.  Returns
+    (pivots, det) with rows / det the reduced row echelon form, zero rows
+    last, rows reduced in place.
+    """
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[c]
+                rows[i] = [(pv * x - a * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+    if sign < 0:
+        rows[:] = [[-x for x in row] for row in rows]
+    return pivots, sign * prev
+
+
 def reference_express_in_terms(vectors, target):
     """Solve sum_j lam_j * vectors[j] = target by Fraction Gauss-Jordan.
 

@@ -329,7 +329,18 @@ class TestSuite:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("ncspan: cannot read corpus: ")
+        assert captured.err == f"ncspan: {corpus}:2: not valid UTF-8 (byte 0xff at column 1)\n"
+        # The column counts characters of the line, not bytes of the file.
+        corpus.write_bytes("X1\nX2  # \u03b1\u03b2\nX1 # \u00e9\u00e9".encode() + b"\xff\n")
+        code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ncspan: {corpus}:3: not valid UTF-8 (byte 0xff at column 8)\n"
+        # A multi-byte sequence cut short is reported at its first byte.
+        corpus.write_bytes(b"X1\nX2 # \xce\n")
+        assert main(["suite", "--corpus", str(corpus), "--dim", "2"]) == 2
+        assert capsys.readouterr().err == f"ncspan: {corpus}:2: not valid UTF-8 (byte 0xce at column 6)\n"
 
     def test_corpus_parse_error(self, capsys, tmp_path):
         corpus = tmp_path / "bad.txt"

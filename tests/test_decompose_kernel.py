@@ -4,7 +4,9 @@ decompose_target solves each target with the fraction-free
 express_in_terms; these tests require the same lambda lists, element by
 element, as the Fraction Gauss-Jordan solve kept in helpers, and the same
 NotInSpan verdicts.  The kernel units pin fraction_free_rref,
-MatrixQ.inverse and express_in_terms against their Fraction references.
+MatrixQ.inverse and express_in_terms against their Fraction references, and
+the two-phase fraction_free_rref against the one-sweep Gauss-Jordan it
+replaced (identical pivots, det and rows).
 """
 
 import random
@@ -16,6 +18,7 @@ from helpers import (
     battery_poly,
     random_matrix_int,
     reference_express_in_terms,
+    reference_fraction_free_rref,
     reference_inverse,
     reference_rref_insert,
 )
@@ -32,6 +35,7 @@ from ncspan import (
     evaluate,
     parse_poly,
 )
+import ncspan.linalg
 from ncspan.linalg import (
     express_in_terms,
     fraction_free_rref,
@@ -308,3 +312,100 @@ def fraction_determinant(m: MatrixQ) -> Fraction:
             factor = rows[r][c] / rows[c][c]
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
     return det
+
+
+def same_as_gauss_jordan(rows):
+    """Run both kernels on copies of rows; assert identical (pivots, det, rows)."""
+    want_rows = [list(r) for r in rows]
+    want = reference_fraction_free_rref(want_rows)
+    got_rows = [list(r) for r in rows]
+    got = fraction_free_rref(got_rows)
+    assert (got, got_rows) == (want, want_rows), rows
+    return got
+
+
+def low_rank_rows(rng, n, m, rank, bound=5):
+    """n x m integer rows of rank <= rank; some columns are zero or a multiple
+    of an earlier column, so free columns come before later pivots."""
+    cols = []
+    for j in range(m):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append([0] * rank)
+        elif kind < 0.35 and cols:
+            c = rng.choice((-2, -1, 1, 3))
+            cols.append([c * x for x in rng.choice(cols)])
+        else:
+            cols.append([rng.randint(-bound, bound) for _ in range(rank)])
+    mix = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+    return [[sum(a * b for a, b in zip(w, col)) for col in cols] for w in mix]
+
+
+class TestTwoPhaseAgainstGaussJordan:
+    def test_random_shapes_and_ranks(self):
+        rng = random.Random(9001)
+        ranks = set()
+        for _ in range(600):
+            n, m = rng.randint(1, 8), rng.randint(1, 9)
+            rank = rng.randint(0, min(6, n, m))
+            pivots, _ = same_as_gauss_jordan(low_rank_rows(rng, n, m, rank))
+            ranks.add(len(pivots))
+        assert ranks == set(range(7))
+
+    def test_free_columns_before_later_pivots(self):
+        rng = random.Random(9002)
+        gaps = 0
+        for _ in range(300):
+            n, m = rng.randint(2, 8), rng.randint(3, 9)
+            pivots, _ = same_as_gauss_jordan(low_rank_rows(rng, n, m, rng.randint(2, min(6, n, m))))
+            gaps += pivots != list(range(len(pivots)))
+        assert same_as_gauss_jordan([[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 1, 1]]) == ([0, 2], 1)
+        assert gaps > 100
+
+    def test_sparse_rows_force_swaps(self):
+        rng = random.Random(9003)
+        swapped, negative = 0, 0
+        for _ in range(400):
+            n, m = rng.randint(1, 8), rng.randint(1, 9)
+            rows = [[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
+            pivots, det = same_as_gauss_jordan(rows)
+            # A zero at the first pivot of row 0 means row 0 was swapped away.
+            swapped += bool(pivots) and not rows[0][pivots[0]]
+            negative += det < 0
+        assert same_as_gauss_jordan([[0, 1], [1, 0]]) == ([0, 1], -1)
+        assert same_as_gauss_jordan([[0, 0, 2], [0, 1, 0], [1, 0, 0]]) == ([0, 1, 2], -2)
+        assert swapped > 100 and negative > 100
+
+    def test_empty_and_zero_inputs(self):
+        assert same_as_gauss_jordan([]) == ([], 1)
+        assert same_as_gauss_jordan([[]]) == ([], 1)
+        assert same_as_gauss_jordan([[], []]) == ([], 1)
+        for n, m in ((1, 1), (3, 1), (1, 4), (4, 5)):
+            assert same_as_gauss_jordan([[0] * m for _ in range(n)]) == ([], 1)
+
+    @pytest.mark.parametrize("d", (4, 5))
+    def test_decompose_systems(self, d, monkeypatch):
+        # Each system decompose_target hands to the kernel is also reduced
+        # by the Gauss-Jordan reference; in-span targets go through
+        # decompose_target, nonzero-trace ones straight to express_in_terms.
+        solves = []
+
+        def checked(rows):
+            solves.append(len(rows))
+            same_as_gauss_jordan(rows)
+            return fraction_free_rref(rows)
+
+        monkeypatch.setattr(ncspan.linalg, "fraction_free_rref", checked)
+        rng = random.Random(9004 + d)
+        for text in ("[X1,X2]", "X1*X2", "[X1,X2]^2"):
+            report = classify_span(parse_poly(text), d, SampleConfig(seed=7919))
+            vectors = [value.flatten() for _, value in report.witnesses]
+            trace_zero = report.classification is Classification.TRACE_ZERO
+            for k in range(3):
+                target = MatrixQ.zero(d)
+                for _, value in report.witnesses:
+                    target = target + value.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                assert decompose_target(report, target)
+                off = MatrixQ.diagonal([k + 1] + [0] * (d - 1))
+                assert (express_in_terms(vectors, (target + off).flatten()) is None) == trace_zero
+        assert solves == [d * d] * 18

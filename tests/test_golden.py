@@ -57,18 +57,51 @@ CASES.update(
     }
 )
 
+# decompose cases: file name -> (CLI arguments, exit code).  The budget case
+# solves for a witness value of the --max-samples 3 report of that seed (the
+# last witness in classify-budget3-d3-seed<seed>.json), so the solve has a
+# free column; the trace case exits 1 (NotInSpan).
+DECOMPOSE = {
+    f"decompose-{name}-seed{seed}.json": (
+        ("decompose", "--poly", text, "--dim", "3", "--seed", str(seed), "--target", target, *extra),
+        code,
+    )
+    for seed, witness in (
+        (0, "90,-156,1;-120,-80,-43;-196,-20,-10"),
+        (7919, "-1,87,8;-158,52,-24;124,52,-51"),
+    )
+    for name, text, target, extra, code in (
+        ("commutator-d3", "[X1,X2]", "1,2,0;0,0,1;3,0,-1", (), 0),
+        ("product-d3", "X1*X2", "1,2,3;4,5,6;7,8,10", (), 0),
+        ("trace-d3", "[X1,X2]", "1,0,0;0,0,0;0,0,0", (), 1),
+        ("budget3-d3", "[X1,X2]", witness, ("--max-samples", "3"), 0),
+    )
+}
+CASES.update({name: argv for name, (argv, _) in DECOMPOSE.items()})
 
-def _stdout(argv) -> str:
+
+def _run(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(list(argv))
-    return out.getvalue()
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _stdout(argv) -> str:
+    return _run(argv)[1]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert _stdout(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE))
+def test_decompose_exit_code(name, monkeypatch):
+    argv, code = DECOMPOSE[name]
+    monkeypatch.chdir(GOLDEN)
+    assert _run(argv)[0] == code
 
 
 if __name__ == "__main__":
