@@ -558,65 +558,46 @@ def vandermonde_extract(
 # Commutator decompositions
 # ---------------------------------------------------------------------------
 
-def _first_non_eigenvector(m: MatrixQ) -> list[Num]:
-    """A coordinate-ish vector v with v, m*v linearly independent.
-
-    Exists whenever m is not scalar: either some standard basis vector
-    works, or m is diagonal with two distinct eigenvalues and e_i + e_j
-    works for those positions.
-    """
-    d = m.dim
-    for i in range(d):
-        if any(m.rows[r][i] for r in range(d) if r != i):
-            return [int(r == i) for r in range(d)]
-    # m is diagonal here; find two distinct diagonal entries
-    diag = [m.rows[i][i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if diag[i] != diag[j]:
-                return [int(r == i or r == j) for r in range(d)]
-    raise ValueError("matrix is scalar; no cyclic-ish vector exists")
-
-
-def _apply(m: MatrixQ, v: Sequence[Num]) -> list[Num]:
-    return [sum(a * b for a, b in zip(row, v)) for row in m.rows]
-
-
-def _complete_basis(cols: list[list[Num]], d: int) -> MatrixQ:
-    """Extend independent columns to a basis: the pivot columns of [cols | I]."""
-    cands = cols + [[int(r == i) for r in range(d)] for i in range(d)]
-    _, rows = _cleared(zip(*cands))
-    pivots, _ = fraction_free_rref(rows)
-    assert pivots[: len(cols)] == list(range(len(cols))), "seed columns must be independent"
-    return MatrixQ(zip(*(cands[j] for j in pivots)))
-
-
 def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
     """Find invertible P with N = P^-1 m P having an all-zero diagonal.
 
-    Classical similarity argument: a trace-zero matrix that is not scalar
-    admits a vector v with (v, m v) independent, which zeroes one diagonal
-    entry; recursing on the trailing block (still trace zero) clears the
-    rest.  A trace-zero scalar matrix is already zero in characteristic 0.
+    P is a product of shears T = I + t * E_ij, whose inverse is I - t * E_ij,
+    so conjugating N by T adds t * (column i) to column j of N and P, then
+    subtracts t * (row j) from row i of N.  On the diagonal this moves
+    t * n_ji from n_ii to n_jj and leaves the rest of it alone.
+
+    For i = 0, ..., d - 2 in turn, a nonzero n_ii is pushed onto a later
+    n_jj through a nonzero n_ji below it, with t = n_ii / n_ji.  When
+    column i is zero below the diagonal, one shear by E_ji with s in {1, 2}
+    first sets n_ji = s * (n_jj - n_ii) - s^2 * n_ij.  Some j > i makes this
+    nonzero: otherwise n_ij = 0 and n_jj = n_ii for every j > i, so the
+    trailing diagonal, which sums to the trace 0 since the leading one is
+    already zero, would be (d - i) * n_ii != 0.  For the same reason the
+    last diagonal entry ends at 0.  A zero diagonal gives P = I.
     """
     if m.trace():
         raise NonzeroTrace(f"trace is {m.trace()}, expected 0")
     d = m.dim
-    if all(not m.rows[i][i] for i in range(d)):
-        return MatrixQ.identity(d), m
-    v = _first_non_eigenvector(m)
-    p = _complete_basis([v, _apply(m, v)], d)
-    conj = p.inverse() * m * p
-    # conj has first column (0, 1, 0, ..., 0); recurse on the trailing block
-    block = MatrixQ([row[1:] for row in conj.rows[1:]])
-    q, _ = zero_diagonal_conjugate(block)
-    embed = [[1 if (i, j) == (0, 0) else 0 for j in range(d)] for i in range(d)]
+    n = [list(row) for row in m.rows]
+    p = [[int(r == c) for c in range(d)] for r in range(d)]
+
+    def shear(i: int, j: int, t: Num) -> None:
+        for row in n + p:
+            row[j] += t * row[i]
+        n[i] = [x - t * y for x, y in zip(n[i], n[j])]
+
     for i in range(d - 1):
-        for j in range(d - 1):
-            embed[i + 1][j + 1] = q.rows[i][j]
-    p_total = p * MatrixQ(embed)
-    n = p_total.inverse() * m * p_total
-    return p_total, n
+        if not n[i][i]:
+            continue
+        j = next((j for j in range(i + 1, d) if n[j][i]), None)
+        if j is None:
+            j, s = next(
+                (j, s) for j in range(i + 1, d) for s in (1, 2)
+                if s * (n[j][j] - n[i][i]) - s * s * n[i][j]
+            )
+            shear(j, i, s)
+        shear(i, j, Fraction(n[i][i]) / n[j][i])
+    return MatrixQ(p), MatrixQ(n)
 
 
 def commutator_decomposition(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:

@@ -114,11 +114,9 @@ def resubstitute_check(f: NcPoly, fprime: NcPoly, i: int, m: int) -> bool:
 
 
 def _compact_above(f: NcPoly, i: int) -> NcPoly:
-    """Renumber every variable index above i down by one (X_i must be absent)."""
-    mapping = {
-        j: NcPoly.variable(j if j < i else j - 1) for j in f.variables()
-    }
-    return f.substitute(mapping)
+    """Renumber every variable index above i down by one.  X_i must be
+    absent, so the relabelling is injective on words."""
+    return NcPoly({tuple(j - (j > i) for j in w): c for w, c in f.terms.items()})
 
 
 def _tiebreak_key(p: NcPoly) -> tuple:
@@ -155,6 +153,15 @@ def reduce_to_multilinear(f: NcPoly, oracle: Oracle) -> MultilinearReduction:
     def record(kind: StepKind, variable: int, detail, before: NcPoly, after: NcPoly):
         steps.append(ReductionStep(kind, variable, detail, before, after))
 
+    def homogenize(current: NcPoly, i: int) -> NcPoly:
+        """current, or its oracle-true homogeneous component in X_i."""
+        if current.is_homogeneous_in(i):
+            return current
+        components = [p for _, p in current.homogeneous_components_in(i)]
+        chosen = _select(components, oracle, f"homogeneous selection in X{i}")
+        record(StepKind.HOMOGENEOUS_SELECT, i, chosen.degree_in(i), current, chosen)
+        return chosen
+
     # Stage 1: ensure every occurring variable occurs in every monomial.
     i = 1
     while i <= current.nvars:
@@ -181,12 +188,7 @@ def reduce_to_multilinear(f: NcPoly, oracle: Oracle) -> MultilinearReduction:
 
     # Stage 2: one homogeneous component per variable.
     for i in range(1, current.nvars + 1):
-        if current.is_homogeneous_in(i):
-            continue
-        components = [p for _, p in current.homogeneous_components_in(i)]
-        chosen = _select(components, oracle, f"homogeneous selection in X{i}")
-        record(StepKind.HOMOGENEOUS_SELECT, i, chosen.degree_in(i), current, chosen)
-        current = chosen
+        current = homogenize(current, i)
 
     # Stage 3: polarize each variable down to degree one.  Fresh variables
     # appended by delta are handled when the loop reaches their index.
@@ -200,20 +202,7 @@ def reduce_to_multilinear(f: NcPoly, oracle: Oracle) -> MultilinearReduction:
                 raise OracleFailed(
                     f"polarization of X{i} produced an oracle-false polynomial"
                 )
-            current = polarized
-            if not current.is_homogeneous_in(i):
-                components = [p for _, p in current.homogeneous_components_in(i)]
-                chosen = _select(
-                    components, oracle, f"homogeneous selection in X{i}"
-                )
-                record(
-                    StepKind.HOMOGENEOUS_SELECT,
-                    i,
-                    chosen.degree_in(i),
-                    current,
-                    chosen,
-                )
-                current = chosen
+            current = homogenize(polarized, i)
         i += 1
 
     assert current.is_multilinear(), "pipeline must end multilinear"

@@ -79,6 +79,25 @@ DECOMPOSE = {
 }
 CASES.update({name: argv for name, (argv, _) in DECOMPOSE.items()})
 
+# linearize cases: file name -> (CLI arguments, exit code).  Between them
+# they record every step kind; [X1,X2]^2 is central at d=2 and a constant
+# cannot be reduced, so both exit 1.
+LINEARIZE = {
+    f"linearize-{name}-seed{seed}.json": (
+        ("linearize", "--poly", text, "--dim", str(d), "--seed", str(seed)),
+        code,
+    )
+    for seed in (0, 7919)
+    for name, text, d, code in (
+        ("cube-d2", "X1^3", 2, 0),  # DELTA, HOMOGENEOUS_SELECT, DELTA
+        ("strip-kept-d2", "X1*X2 + X1^4", 2, 0),  # STRIP keeps X2
+        ("strip-dropped-d3", "X1*X3 + X3*X1*X3 + X1^2*X3", 3, 0),  # STRIP, 2 selects
+        ("hall-d2", "[X1,X2]^2", 2, 1),  # OracleFailed
+        ("constant-d2", "1", 2, 1),  # NotReducible
+    )
+}
+CASES.update({name: argv for name, (argv, _) in LINEARIZE.items()})
+
 
 def _run(argv) -> tuple[int, str]:
     out = io.StringIO()
@@ -100,6 +119,13 @@ def test_stdout_matches_golden(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(DECOMPOSE))
 def test_decompose_exit_code(name, monkeypatch):
     argv, code = DECOMPOSE[name]
+    monkeypatch.chdir(GOLDEN)
+    assert _run(argv)[0] == code
+
+
+@pytest.mark.parametrize("name", sorted(LINEARIZE))
+def test_linearize_exit_code(name, monkeypatch):
+    argv, code = LINEARIZE[name]
     monkeypatch.chdir(GOLDEN)
     assert _run(argv)[0] == code
 

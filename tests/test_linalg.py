@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_matrix_int, random_trace_zero
+from ncspan import linalg
 from ncspan import (
     Classification,
     DimensionMismatch,
@@ -240,6 +241,60 @@ class TestZeroDiagonalConjugate:
                 p, n = zero_diagonal_conjugate(m)
                 assert p.inverse() * m * p == n
                 assert all(n.rows[i][i] == 0 for i in range(d))
+
+    @staticmethod
+    def _conjugate(rows):
+        m = MatrixQ(rows)
+        p, n = zero_diagonal_conjugate(m)
+        assert p.inverse() * m * p == n
+        assert all(n.rows[i][i] == 0 for i in range(m.dim))
+        return p
+
+    def test_shear_through_entry_below(self):
+        # n_10 = 1 carries n_00 onto n_11 directly: P = I + E_01.
+        assert self._conjugate([[1, 0], [1, -1]]) == MatrixQ([[1, 1], [0, 1]])
+
+    def test_preparatory_shear_needs_s2(self):
+        # Column 0 is zero below the diagonal, and s = 1 gives
+        # n_10 = (2 - 1) - 1 = 0, so the shear by E_10 takes s = 2.
+        p = self._conjugate([[1, 1, 0], [0, 2, 0], [0, 0, -3]])
+        assert p.rows[1][0] == 2
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0], [0, 0, -2]], [[0]]])
+    def test_repeated_diagonal_and_dimension_one(self, rows):
+        self._conjugate(rows)
+
+    def test_upper_triangular_battery(self):
+        # Columns start zero below the diagonal, so preparatory shears run
+        # wherever no earlier shear has filled the column in.
+        rng = random.Random(1010)
+        for d in (2, 3, 4, 5):
+            for _ in range(25):
+                rows = [
+                    [rng.randint(-5, 5) if c >= r else 0 for c in range(d)]
+                    for r in range(d)
+                ]
+                rows[d - 1][d - 1] = -sum(rows[i][i] for i in range(d - 1))
+                m = MatrixQ(rows)
+                self._conjugate(rows)
+                a, b = commutator_decomposition(m)
+                assert commutator(a, b) == m
+
+    def test_no_solve(self, monkeypatch):
+        calls = []
+        kernel = linalg.fraction_free_rref
+
+        def counted(rows):
+            calls.append(len(rows))
+            return kernel(rows)
+
+        monkeypatch.setattr(linalg, "fraction_free_rref", counted)
+        m = random_trace_zero(random.Random(7), 5)
+        zero_diagonal_conjugate(m)
+        assert calls == []
+        # commutator_decomposition inverts P once.
+        commutator_decomposition(m)
+        assert len(calls) == 1
 
 
 class TestCommutatorDecomposition:
