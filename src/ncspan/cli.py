@@ -24,11 +24,10 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
-    _fresh_bracket,
+    _verdicts,
     classify_span,
     decompose_target,
     evaluate,
-    is_identity,
     lie_ideal_check,
     nontriviality_oracle,
     vanishing_rate,
@@ -78,9 +77,8 @@ def _ser_rows(rows) -> list[list[str]]:
 
 def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None, bool]:
     """(applicable, consistent-or-None, sum_of_commutators)."""
-    f = report.poly
-    comm = f.is_sum_of_commutators()
-    deg = f.degree()
+    comm = report.sum_of_commutators
+    deg = report.poly.degree()
     applicable = deg is not None and deg >= 1 and 2 * report.dim > deg
     if not applicable or report.classification is Classification.UNDETERMINED:
         return applicable, None, comm
@@ -143,9 +141,7 @@ def _cmd_witness(args) -> int:
     per_dim = []
     found = None
     for d in range(1, args.dmax + 1):
-        ident = is_identity(f, d, cfg)
-        # Central: not an identity, but its bracket with a fresh variable is.
-        central = not ident and is_identity(_fresh_bracket(f), d, cfg)
+        ident, central = _verdicts(f, d, cfg)
         # The bound per_sample ** samples stays factored: it can have thousands of digits.
         per_sample, samples = vanishing_rate(f, d, cfg)
         per_dim.append(

@@ -12,8 +12,8 @@ reduction pass.  The four canonical subspaces have their reduced bases
 written down in closed form.
 
 Whole systems are eliminated by one routine, fraction_free_rref, over
-integer rows: bases built from a list of matrices, inverses and solves all
-use it.  It runs forward Bareiss elimination below each pivot, then builds
+integer rows: bases built from a list of matrices and solves both use it.
+It runs forward Bareiss elimination below each pivot, then builds
 det * RREF by exact back substitution from the last pivot row up; every
 quotient is a minor of the input, so no division leaves a remainder and no
 Fraction is formed.  SpanBasis.insert adjoins a single matrix by a rank-one
@@ -193,7 +193,6 @@ class MatrixQ:
 
     def __mul__(self, other: MatrixQ) -> MatrixQ:
         self._check_dim(other)
-        d = self.dim
         cols = tuple(zip(*other.rows))
         return MatrixQ(
             [
@@ -209,16 +208,6 @@ class MatrixQ:
         if isinstance(c, (int, Fraction)):
             return self.scale(c)
         return NotImplemented
-
-    def inverse(self) -> MatrixQ:
-        """Exact inverse: [self | I] reduces to [I | inverse]; ValueError if singular."""
-        d = self.dim
-        rows = (row + tuple(int(i == j) for j in range(d)) for i, row in enumerate(self.rows))
-        _, aug = _cleared(rows)
-        pivots, det = fraction_free_rref(aug)
-        if pivots != list(range(d)):
-            raise ValueError("matrix is singular")
-        return MatrixQ([[Fraction(x, det) for x in row[d:]] for row in aug])
 
 
 def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
@@ -558,13 +547,20 @@ def vandermonde_extract(
 # Commutator decompositions
 # ---------------------------------------------------------------------------
 
-def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
-    """Find invertible P with N = P^-1 m P having an all-zero diagonal.
+def _conjugate(rows: list[list[Num]], i: int, j: int, t: Num) -> None:
+    """rows <- T^-1 rows T in place for the shear T = I + t * E_ij, whose
+    inverse is I - t * E_ij: add t * (column i) to column j, then subtract
+    t * (row j) from row i.  Conjugating by -t undoes it."""
+    for row in rows:
+        row[j] += t * row[i]
+    rows[i] = [x - t * y for x, y in zip(rows[i], rows[j])]
 
-    P is a product of shears T = I + t * E_ij, whose inverse is I - t * E_ij,
-    so conjugating N by T adds t * (column i) to column j of N and P, then
-    subtracts t * (row j) from row i of N.  On the diagonal this moves
-    t * n_ji from n_ii to n_jj and leaves the rest of it alone.
+
+def _zero_diagonal_shears(m: MatrixQ) -> tuple[list[tuple[int, int, Num]], list[list[Num]]]:
+    """(shears, rows of N): N = P^-1 m P has an all-zero diagonal, for P the
+    product in order of the shears I + t * E_ij, listed as (i, j, t).
+    Conjugating by one (see _conjugate) moves t * n_ji from n_ii to n_jj
+    and leaves the rest of the diagonal alone.
 
     For i = 0, ..., d - 2 in turn, a nonzero n_ii is pushed onto a later
     n_jj through a nonzero n_ji below it, with t = n_ii / n_ji.  When
@@ -573,19 +569,13 @@ def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
     nonzero: otherwise n_ij = 0 and n_jj = n_ii for every j > i, so the
     trailing diagonal, which sums to the trace 0 since the leading one is
     already zero, would be (d - i) * n_ii != 0.  For the same reason the
-    last diagonal entry ends at 0.  A zero diagonal gives P = I.
+    last diagonal entry ends at 0.  A zero diagonal needs no shear.
     """
     if m.trace():
         raise NonzeroTrace(f"trace is {m.trace()}, expected 0")
     d = m.dim
     n = [list(row) for row in m.rows]
-    p = [[int(r == c) for c in range(d)] for r in range(d)]
-
-    def shear(i: int, j: int, t: Num) -> None:
-        for row in n + p:
-            row[j] += t * row[i]
-        n[i] = [x - t * y for x, y in zip(n[i], n[j])]
-
+    shears: list[tuple[int, int, Num]] = []
     for i in range(d - 1):
         if not n[i][i]:
             continue
@@ -595,29 +585,39 @@ def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
                 (j, s) for j in range(i + 1, d) for s in (1, 2)
                 if s * (n[j][j] - n[i][i]) - s * s * n[i][j]
             )
-            shear(j, i, s)
-        shear(i, j, Fraction(n[i][i]) / n[j][i])
+            shears.append((j, i, s))
+            _conjugate(n, j, i, s)
+        t = Fraction(n[i][i]) / n[j][i]
+        shears.append((i, j, t))
+        _conjugate(n, i, j, t)
+    return shears, n
+
+
+def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
+    """Find invertible P with N = P^-1 m P having an all-zero diagonal: the
+    shears' column operations applied to I, which leave P = I for a zero one."""
+    shears, n = _zero_diagonal_shears(m)
+    p = [[int(r == c) for c in range(m.dim)] for r in range(m.dim)]
+    for i, j, t in shears:
+        for row in p:
+            row[j] += t * row[i]
     return MatrixQ(p), MatrixQ(n)
 
 
 def commutator_decomposition(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
     """Write a trace-zero matrix as a single commutator [a, b] = m, exactly.
 
-    Conjugate m to zero diagonal, where [diag(1..d), b'] = n is solved by
-    b'_jk = n_jk / (j - k), then conjugate the pair back.
+    Conjugate m to zero diagonal N, where [diag(1..d), b'] = N is solved by
+    b'_jk = n_jk / (j - k), then conjugate the pair back through the shears
+    in reverse, each by -t: O(d) work per shear, no product and no solve.
     """
-    if m.trace():
-        raise NonzeroTrace(f"trace is {m.trace()}, expected 0")
     d = m.dim
     if m.is_zero():
         return MatrixQ.zero(d), MatrixQ.zero(d)
-    p, n = zero_diagonal_conjugate(m)
-    a0 = MatrixQ.diagonal(list(range(1, d + 1)))
-    b0 = MatrixQ(
-        [
-            [n.rows[j][k] / Fraction(j - k) if j != k else 0 for k in range(d)]
-            for j in range(d)
-        ]
-    )
-    p_inv = p.inverse()
-    return p * a0 * p_inv, p * b0 * p_inv
+    shears, n = _zero_diagonal_shears(m)
+    a = [[j + 1 if j == k else 0 for k in range(d)] for j in range(d)]
+    b = [[n[j][k] / Fraction(j - k) if j != k else 0 for k in range(d)] for j in range(d)]
+    for i, j, t in reversed(shears):
+        _conjugate(a, i, j, -t)
+        _conjugate(b, i, j, -t)
+    return MatrixQ(a), MatrixQ(b)

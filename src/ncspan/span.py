@@ -126,6 +126,7 @@ class SpanReport:
     samples_used: int
     stop_reason: StopReason
     config: SampleConfig
+    sum_of_commutators: bool
 
 
 def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
@@ -356,20 +357,18 @@ def vanishing_rate(
     return min(Fraction(deg, 2 * cfg.coeff_bound + 1), Fraction(1)), n
 
 
-def _fresh_bracket(f: NcPoly) -> NcPoly:
-    """[f, X_{n+1}] for a variable X_{n+1} that f does not use."""
+def _verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool]:
+    """(identity, central) for f on M_d: f is central iff it is not an
+    identity and [f, X_{n+1}] is, for a variable X_{n+1} that f does not use."""
+    if is_identity(f, d, cfg):
+        return True, False
     fresh = NcPoly.variable(f.nvars + 1)
-    return f * fresh - fresh * f
+    return False, is_identity(f * fresh - fresh * f, d, cfg)
 
 
 def is_central(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
-    """Decide whether f's values lie in the center of M_d without all vanishing.
-
-    Tested through the bracket with a fresh variable: f is central iff
-    [f, X_{n+1}] is an identity while f itself is not.
-    """
-    cfg = cfg or SampleConfig()
-    return is_identity(_fresh_bracket(f), d, cfg) and not is_identity(f, d, cfg)
+    """Decide whether f's values lie in the center of M_d without all vanishing."""
+    return _verdicts(f, d, cfg or SampleConfig())[1]
 
 
 def nontriviality_oracle(
@@ -377,7 +376,7 @@ def nontriviality_oracle(
 ) -> Callable[[NcPoly], bool]:
     """Oracle for the reduction pipeline: neither identity nor central on M_d."""
     cfg = cfg or SampleConfig()
-    return lambda f: not is_identity(f, d, cfg) and not is_identity(_fresh_bracket(f), d, cfg)
+    return lambda f: not any(_verdicts(f, d, cfg))
 
 
 def _match_class(
@@ -471,6 +470,7 @@ def classify_span(
         samples_used=samples_used,
         stop_reason=stop_reason,
         config=cfg,
+        sum_of_commutators=commutator_sum,
     )
 
 

@@ -13,15 +13,22 @@ Polynomial grammar (whitespace insignificant, no implicit multiplication):
 always lands on a canonical NcPoly.  poly_to_text emits terms in graded
 lexicographic word order and round-trips: parse(print(f)) == f.
 
+Nothing is expanded until the whole input has parsed: each product, power
+and bracket first bounds the number of terms and the degree of its result
+from those of its operands, and refuses past a fixed limit.
+
 Matrix literals are shell-friendly: rows separated by ';', rational entries
 by ',', e.g. "1,0;0,-1".
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .linalg import DimensionMismatch, MatrixQ
 from .poly import NcPoly, Word
@@ -39,6 +46,27 @@ class ParseError(Exception):
 
 class ExponentNegative(ParseError):
     """Exponents must be literal nonnegative integers."""
+
+
+# Expansion limits: the largest exponent, and the most terms (those of
+# (X1+X2)^16) and highest degree that a product, power or bracket may reach.
+_MAX_EXPONENT = 256
+_MAX_TERMS = 65536
+_MAX_DEGREE = 256
+
+
+class _Expansion(NamedTuple):
+    """A parsed expression, not yet expanded: at most terms terms, of degree
+    at most degree, and build() expands it."""
+
+    terms: int
+    degree: int
+    build: Callable[[], NcPoly]
+
+
+def _built(poly: NcPoly) -> _Expansion:
+    """An atom, built at once: its terms and degree are exact."""
+    return _Expansion(len(poly), poly.degree() or 0, lambda: poly)
 
 
 _TOKEN_RE = re.compile(r"X(\d+)|(\d+)|([+\-*/^()\[\],])|(\s+)|(.)")
@@ -108,32 +136,57 @@ class _Parser:
             return f"'X{tok.value}'"
         return repr(str(tok.value))
 
+    @staticmethod
+    def _checked(op: _Token, terms: int, degree: int) -> tuple[int, int]:
+        """(terms, degree) of the expansion op makes, if within the limits."""
+        if not degree:
+            terms = min(terms, 1)  # a constant is one term
+        if terms > _MAX_TERMS:
+            raise ParseError(f"expansion has more than {_MAX_TERMS} terms", op.line, op.col)
+        if degree > _MAX_DEGREE:
+            raise ParseError(f"expansion has degree above {_MAX_DEGREE}", op.line, op.col)
+        return terms, degree
+
     def parse(self) -> NcPoly:
-        poly = self.expr()
+        expansion = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(
                 f"unexpected trailing {self._describe(tok)}", tok.line, tok.col
             )
-        return poly
+        return expansion.build()
 
-    def expr(self) -> NcPoly:
-        # One combine for all summands: a long sum costs linear time.
+    def expr(self) -> _Expansion:
         parts = [self.term()]
+        negated = [False]
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            parts.append(rhs if op.kind == "+" else -rhs)
-        return parts[0] if len(parts) == 1 else NcPoly(itertools.chain.from_iterable(parts))
+            negated.append(self.advance().kind == "-")
+            parts.append(self.term())
+        if len(parts) == 1:
+            return parts[0]
 
-    def term(self) -> NcPoly:
-        acc = self.factor()
+        def build() -> NcPoly:
+            # One combine for all summands: a long sum costs linear time.
+            built = (-p.build() if neg else p.build() for p, neg in zip(parts, negated))
+            return NcPoly(itertools.chain.from_iterable(built))
+
+        return _Expansion(sum(p.terms for p in parts), max(p.degree for p in parts), build)
+
+    def term(self) -> _Expansion:
+        factors = [self.factor()]
+        terms, degree = factors[0].terms, factors[0].degree
         while self.peek().kind == "*":
-            self.advance()
-            acc = acc * self.factor()
-        return acc
+            op = self.advance()
+            rhs = self.factor()
+            factors.append(rhs)
+            terms, degree = self._checked(op, terms * rhs.terms, degree + rhs.degree)
+        if len(factors) == 1:
+            return factors[0]
+        return _Expansion(
+            terms, degree, lambda: functools.reduce(operator.mul, (f.build() for f in factors))
+        )
 
-    def factor(self) -> NcPoly:
+    def factor(self) -> _Expansion:
         base = self.atom()
         if self.peek().kind == "^":
             caret = self.advance()
@@ -149,18 +202,22 @@ class _Parser:
                     caret.col,
                 )
             self.advance()
-            return base ** tok.value
+            k = tok.value
+            if k > _MAX_EXPONENT:
+                raise ParseError(f"exponent above {_MAX_EXPONENT}", caret.line, caret.col)
+            terms, degree = self._checked(caret, base.terms**k, base.degree * k)
+            return _Expansion(terms, degree, lambda: base.build() ** k)
         return base
 
-    def atom(self) -> NcPoly:
+    def atom(self) -> _Expansion:
         tok = self.peek()
         if tok.kind == "-" or tok.kind == "int":
-            return NcPoly.constant(self.rational())
+            return _built(NcPoly.constant(self.rational()))
         if tok.kind == "var":
             self.advance()
             if tok.value < 1:
                 raise ParseError("variable index must be >= 1", tok.line, tok.col)
-            return NcPoly.variable(tok.value)
+            return _built(NcPoly.variable(tok.value))
         if tok.kind == "(":
             self.advance()
             inner = self.expr()
@@ -172,7 +229,14 @@ class _Parser:
             self.expect(",")
             right = self.expr()
             self.expect("]")
-            return left * right - right * left
+            # Each of the products left * right and right * left.
+            terms, degree = self._checked(tok, left.terms * right.terms, left.degree + right.degree)
+
+            def build() -> NcPoly:
+                a, b = left.build(), right.build()
+                return a * b - b * a
+
+            return _Expansion(2 * terms, degree, build)
         raise ParseError(
             f"expected a number, variable, '(' or '[', found {self._describe(tok)}",
             tok.line,

@@ -17,6 +17,7 @@ from ncspan import (
     SpanReport,
     StopReason,
     commutator,
+    zero_diagonal_conjugate,
 )
 
 
@@ -248,6 +249,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
         samples_used=samples_used,
         stop_reason=stop_reason,
         config=cfg,
+        sum_of_commutators=commutator_sum,
     )
 
 
@@ -270,6 +272,22 @@ def reference_inverse(m: MatrixQ) -> MatrixQ:
                 c = aug[r][col]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return MatrixQ([row[d:] for row in aug])
+
+
+def reference_commutator_decomposition(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
+    """commutator_decomposition by dense products: conjugate m to zero
+    diagonal N = P^-1 m P, solve [diag(1..d), b'] = N there, and return
+    (P a' P^-1, P b' P^-1) with P inverted by Fraction Gauss-Jordan."""
+    d = m.dim
+    if m.is_zero():
+        return MatrixQ.zero(d), MatrixQ.zero(d)
+    p, n = zero_diagonal_conjugate(m)
+    a0 = MatrixQ.diagonal(list(range(1, d + 1)))
+    b0 = MatrixQ(
+        [[n.rows[j][k] / Fraction(j - k) if j != k else 0 for k in range(d)] for j in range(d)]
+    )
+    p_inv = reference_inverse(p)
+    return p * a0 * p_inv, p * b0 * p_inv
 
 
 def reference_fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]:

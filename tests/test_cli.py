@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,24 @@ class TestClassify:
             "samples_used",
             "consistency_flags",
         }
+
+    @pytest.mark.parametrize("text", ["[X1,X2]", "X1*X2"])
+    def test_commutator_sum_decided_once(self, capsys, monkeypatch, text):
+        # The report carries classify_span's commutator-sum fact to the flags.
+        from ncspan.poly import NcPoly
+
+        calls = []
+        real = NcPoly.commutator_obstruction
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(NcPoly, "commutator_obstruction", counted)
+        code, doc = run_json(capsys, "classify", "--poly", text, "--dim", "3")
+        assert code == 0
+        assert doc["consistency_flags"]["sum_of_commutators"] is (text == "[X1,X2]")
+        assert calls == [parse_poly(text)]
 
     def test_byte_identical_given_seed(self, capsys):
         args = ("classify", "--poly", "[X1,X2]", "--dim", "2", "--seed", "9")
@@ -129,7 +148,6 @@ class TestWitness:
         assert [e["vanishing_bound"]["per_sample"] for e in doc["tested"]] == ["0", "0"]
 
     def test_each_identity_test_runs_once(self, capsys, monkeypatch):
-        import ncspan.cli
         import ncspan.span
 
         calls = []
@@ -139,7 +157,7 @@ class TestWitness:
             calls.append((f, d))
             return real(f, d, cfg)
 
-        monkeypatch.setattr(ncspan.cli, "is_identity", counted)
+        # The cli asks span for both verdicts, so every test goes through here.
         monkeypatch.setattr(ncspan.span, "is_identity", counted)
         code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]^2", "--dmax", "3")
         assert code == 0
@@ -195,6 +213,20 @@ class TestCommtest:
         code, doc = run_json(capsys, "commtest", "--poly", "7")
         assert code == 1
         assert doc["witness_class"] == "1"
+
+
+class TestRunawayExpansion:
+    @pytest.mark.parametrize(
+        "text",
+        ["1^99999999", "X1^99999999", "(X1+X2)^40", "((X1^1000)^1000)", "(X1+X2)^16*(X1+X2)^16"],
+    )
+    @pytest.mark.parametrize("command", [("commtest",), ("classify", "--dim", "2")])
+    def test_exit_2_at_once(self, capsys, text, command):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *command, "--poly", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
 
 
 class TestDecompose:

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_matrix_int, random_trace_zero
+from helpers import (
+    random_matrix_int,
+    random_trace_zero,
+    reference_commutator_decomposition,
+    reference_inverse,
+)
 from ncspan import linalg
 from ncspan import (
     Classification,
@@ -49,23 +54,6 @@ class TestMatrixOps:
     def test_scale_and_trace(self):
         m = MatrixQ([[1, 2], [3, 4]])
         assert m.scale(Fraction(1, 2)).trace() == Fraction(5, 2)
-
-    def test_inverse(self):
-        rng = random.Random(3)
-        for d in (2, 3, 4):
-            while True:
-                m = random_matrix_int(rng, d)
-                try:
-                    inv = m.inverse()
-                except ValueError:
-                    continue
-                break
-            assert m * inv == MatrixQ.identity(d)
-            assert inv * m == MatrixQ.identity(d)
-
-    def test_singular_inverse(self):
-        with pytest.raises(ValueError):
-            MatrixQ.zero(2).inverse()
 
     def test_is_scalar(self):
         assert MatrixQ.identity(3).scale(7).is_scalar()
@@ -215,7 +203,7 @@ class TestZeroDiagonalConjugate:
     def test_diag_plus_minus_one(self):
         m = MatrixQ.diagonal([1, -1])
         p, n = zero_diagonal_conjugate(m)
-        assert p.inverse() * m * p == n
+        assert reference_inverse(p) * m * p == n
         assert all(n.rows[i][i] == 0 for i in range(2))
 
     def test_already_zero_diagonal(self):
@@ -239,14 +227,14 @@ class TestZeroDiagonalConjugate:
             for _ in range(10):
                 m = random_trace_zero(rng, d)
                 p, n = zero_diagonal_conjugate(m)
-                assert p.inverse() * m * p == n
+                assert reference_inverse(p) * m * p == n
                 assert all(n.rows[i][i] == 0 for i in range(d))
 
     @staticmethod
     def _conjugate(rows):
         m = MatrixQ(rows)
         p, n = zero_diagonal_conjugate(m)
-        assert p.inverse() * m * p == n
+        assert reference_inverse(p) * m * p == n
         assert all(n.rows[i][i] == 0 for i in range(m.dim))
         return p
 
@@ -282,19 +270,26 @@ class TestZeroDiagonalConjugate:
 
     def test_no_solve(self, monkeypatch):
         calls = []
-        kernel = linalg.fraction_free_rref
+        kernel, product = linalg.fraction_free_rref, MatrixQ.__mul__
 
         def counted(rows):
-            calls.append(len(rows))
+            calls.append("solve")
             return kernel(rows)
 
+        def counted_product(a, b):
+            calls.append("product")
+            return product(a, b)
+
         monkeypatch.setattr(linalg, "fraction_free_rref", counted)
+        monkeypatch.setattr(MatrixQ, "__mul__", counted_product)
         m = random_trace_zero(random.Random(7), 5)
         zero_diagonal_conjugate(m)
         assert calls == []
-        # commutator_decomposition inverts P once.
-        commutator_decomposition(m)
-        assert len(calls) == 1
+        # commutator_decomposition conjugates back through the shears.
+        a, b = commutator_decomposition(m)
+        assert calls == []
+        monkeypatch.undo()
+        assert commutator(a, b) == m
 
 
 class TestCommutatorDecomposition:
@@ -321,6 +316,31 @@ class TestCommutatorDecomposition:
     def test_nonzero_trace_rejected(self):
         with pytest.raises(NonzeroTrace):
             commutator_decomposition(MatrixQ.identity(4))
+
+    @staticmethod
+    def _same_as_reference(m):
+        a, b = commutator_decomposition(m)
+        want = reference_commutator_decomposition(m)
+        assert (a, b) == want
+        assert commutator(a, b) == m
+
+    def test_reference_on_acceptance_battery(self):
+        # The 500 matrices of acceptance criterion 11.
+        rng = random.Random(1111)
+        for d in range(2, 7):
+            for _ in range(100):
+                self._same_as_reference(random_trace_zero(rng, d))
+
+    @pytest.mark.parametrize("d", (7, 8, 9, 10))
+    def test_reference_at_high_dim(self, d):
+        rng = random.Random(1100 + d)
+        for k in range(6):
+            m = random_trace_zero(rng, d)
+            if k % 2:  # upper triangular, so preparatory shears run too
+                rows = [[x if c >= r else 0 for c, x in enumerate(row)] for r, row in enumerate(m.rows)]
+                rows[d - 1][d - 1] = -sum(rows[i][i] for i in range(d - 1))
+                m = MatrixQ(rows)
+            self._same_as_reference(m)
 
 
 class TestExpressInTerms:

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -150,7 +151,8 @@ class TestProofStop:
             want = classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
             if got.stop_reason is not StopReason.COMMUTATOR_SUM:
-                assert got == want, where
+                # Only the commutator-sum fact, which the patch denies, differs.
+                assert replace(got, sum_of_commutators=False) == want, where
                 continue
             assert got.classification is Classification.TRACE_ZERO, where
             assert got.classification is want.classification, where

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,41 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_poly("")
+
+
+# Inputs whose expansion is refused, with the column of the refusing operator.
+RUNAWAY = [
+    ("1^99999999", 2),
+    ("X1^99999999", 3),
+    ("(X1+X2)^40", 8),
+    ("((X1^1000)^1000)", 5),
+    ("(X1+X2)^16*(X1+X2)^16", 11),
+    ("[(X1+X2)^8,(X1+X2)^9]", 1),
+    ("(X1^16)^16*X1", 11),
+]
+
+
+class TestExpansionLimits:
+    @pytest.mark.parametrize("text, col", RUNAWAY)
+    def test_refused_before_expanding(self, text, col):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+    def test_limits_admit_their_edge(self):
+        assert len(parse_poly("(X1+X2)^16").terms) == 65536
+        assert parse_poly("(X1^16)^16") == NcPoly.monomial((1,) * 256)
+        assert parse_poly("X1^256") == NcPoly.monomial((1,) * 256)
+        # A constant is one term, whatever the sum it came from.
+        assert parse_poly("(1+2)^256") == NcPoly.constant(3**256)
+
+    def test_other_errors_unchanged(self):
+        # Syntax errors after a runaway operand still win: nothing expands first.
+        with pytest.raises(ParseError) as exc:
+            parse_poly("(X1+X2)^16 )")
+        assert exc.value.message == "unexpected trailing ')'"
 
 
 class TestPrint:
