@@ -49,16 +49,18 @@ EXIT_USAGE = 2
 EXIT_UNDETERMINED = 64
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("NCSPAN_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"ncspan: NCSPAN_SEED must be an integer, got {raw!r}")
+class _UsageError(Exception):
+    """Bad input outside the polynomial grammar: main prints it and exits 2."""
 
 
 def _config(args) -> SampleConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("NCSPAN_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise _UsageError(f"NCSPAN_SEED must be an integer, got {raw!r}") from None
     return SampleConfig(
         seed=seed,
         coeff_bound=args.coeff_bound,
@@ -71,50 +73,50 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _doc(f: NcPoly, **fields) -> dict:
+    """A per-polynomial document: the schema and f's text, then fields in order."""
+    return {"schema": SCHEMA, "polynomial": poly_to_text(f), **fields}
+
+
 def _ser_rows(rows) -> list[list[str]]:
     return [[format_scalar(x) for x in row] for row in rows]
 
 
-def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None, bool]:
-    """(applicable, consistent-or-None, sum_of_commutators)."""
-    comm = report.sum_of_commutators
+def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
+    """(applicable, consistent-or-None)."""
     deg = report.poly.degree()
     applicable = deg is not None and deg >= 1 and 2 * report.dim > deg
     if not applicable or report.classification is Classification.UNDETERMINED:
-        return applicable, None, comm
+        return applicable, None
     cls = report.classification
     consistent = cls in (Classification.TRACE_ZERO, Classification.FULL) and (
-        (cls is Classification.TRACE_ZERO) == comm
+        (cls is Classification.TRACE_ZERO) == report.sum_of_commutators
     )
-    return applicable, consistent, comm
+    return applicable, consistent
 
 
 def _report_doc(report: SpanReport) -> dict:
-    applicable, consistent, comm = _exclusion_flags(report)
-    return {
-        "schema": SCHEMA,
-        "polynomial": poly_to_text(report.poly),
-        "dim": report.dim,
-        "seed": report.config.seed,
-        "classification": report.classification.value,
-        "rank": report.basis.rank,
-        "basis": _ser_rows(report.basis.rows),
-        "witnesses": [
-            {
-                "inputs": [_ser_rows(a.rows) for a in args],
-                "value": _ser_rows(value.rows),
-            }
+    applicable, consistent = _exclusion_flags(report)
+    return _doc(
+        report.poly,
+        dim=report.dim,
+        seed=report.config.seed,
+        classification=report.classification.value,
+        rank=report.basis.rank,
+        basis=_ser_rows(report.basis.rows),
+        witnesses=[
+            {"inputs": [_ser_rows(a.rows) for a in args], "value": _ser_rows(value.rows)}
             for args, value in report.witnesses
         ],
-        "samples_used": report.samples_used,
-        "consistency_flags": {
+        samples_used=report.samples_used,
+        consistency_flags={
             "lie_ideal": lie_ideal_check(report.basis),
-            "sum_of_commutators": comm,
+            "sum_of_commutators": report.sum_of_commutators,
             "degree_exclusion_applicable": applicable,
             "degree_exclusion_consistent": consistent,
             "stop_reason": report.stop_reason.value,
         },
-    }
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -144,26 +146,12 @@ def _cmd_witness(args) -> int:
         ident, central = _verdicts(f, d, cfg)
         # The bound per_sample ** samples stays factored: it can have thousands of digits.
         per_sample, samples = vanishing_rate(f, d, cfg)
-        per_dim.append(
-            {
-                "dim": d,
-                "identity": ident,
-                "central": central,
-                "vanishing_bound": {"per_sample": format_scalar(per_sample), "samples": samples},
-            }
-        )
+        bound = {"per_sample": format_scalar(per_sample), "samples": samples}
+        per_dim.append({"dim": d, "identity": ident, "central": central, "vanishing_bound": bound})
         if not ident and not central:
             found = d
             break
-    _emit(
-        {
-            "schema": SCHEMA,
-            "polynomial": poly_to_text(f),
-            "dmax": args.dmax,
-            "witness_dimension": found,
-            "tested": per_dim,
-        }
-    )
+    _emit(_doc(f, dmax=args.dmax, witness_dimension=found, tested=per_dim))
     return EXIT_OK if found is not None else EXIT_NEGATIVE
 
 
@@ -174,24 +162,15 @@ def _cmd_linearize(args) -> int:
     try:
         reduction = reduce_to_multilinear(f, oracle)
     except (OracleFailed, NotReducible) as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "polynomial": poly_to_text(f),
-                "dim": args.dim,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        )
+        _emit(_doc(f, dim=args.dim, error=type(exc).__name__, message=str(exc)))
         return EXIT_NEGATIVE
     _emit(
-        {
-            "schema": SCHEMA,
-            "polynomial": poly_to_text(f),
-            "dim": args.dim,
-            "seed": cfg.seed,
-            "output": poly_to_text(reduction.output),
-            "steps": [
+        _doc(
+            f,
+            dim=args.dim,
+            seed=cfg.seed,
+            output=poly_to_text(reduction.output),
+            steps=[
                 {
                     "kind": step.kind.value,
                     "variable": step.variable,
@@ -201,7 +180,7 @@ def _cmd_linearize(args) -> int:
                 }
                 for step in reduction.steps
             ],
-        }
+        )
     )
     return EXIT_OK
 
@@ -209,18 +188,8 @@ def _cmd_linearize(args) -> int:
 def _cmd_commtest(args) -> int:
     f = parse_poly(args.poly)
     obstruction = f.commutator_obstruction()
-    _emit(
-        {
-            "schema": SCHEMA,
-            "polynomial": poly_to_text(f),
-            "sum_of_commutators": obstruction is None,
-            "witness_class": (
-                None
-                if obstruction is None
-                else "*".join(f"X{i}" for i in obstruction) or "1"
-            ),
-        }
-    )
+    witness = None if obstruction is None else "*".join(f"X{i}" for i in obstruction) or "1"
+    _emit(_doc(f, sum_of_commutators=obstruction is None, witness_class=witness))
     return EXIT_OK if obstruction is None else EXIT_NEGATIVE
 
 
@@ -229,98 +198,102 @@ def _cmd_decompose(args) -> int:
     try:
         target = parse_matrix(args.target)
     except (ValueError, DimensionMismatch) as exc:
-        print(f"ncspan: bad --target literal: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"bad --target literal: {exc}") from None
     if target.dim != args.dim:
-        print(
-            f"ncspan: target is {target.dim}x{target.dim}, --dim is {args.dim}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise _UsageError(f"target is {target.dim}x{target.dim}, --dim is {args.dim}")
     cfg = _config(args)
     report = classify_span(f, args.dim, cfg)
     try:
         terms = decompose_target(report, target)
     except NotInSpan as exc:
         _emit(
-            {
-                "schema": SCHEMA,
-                "polynomial": poly_to_text(f),
-                "dim": args.dim,
-                "target": matrix_to_text(target),
-                "classification": report.classification.value,
-                "error": "NotInSpan",
-                "message": str(exc),
-            }
+            _doc(
+                f,
+                dim=args.dim,
+                target=matrix_to_text(target),
+                classification=report.classification.value,
+                error="NotInSpan",
+                message=str(exc),
+            )
         )
         return EXIT_NEGATIVE
     total = MatrixQ.zero(args.dim)
     for lam, tup in terms:
         total = total + evaluate(f, tup, dim=args.dim).scale(lam)
     _emit(
-        {
-            "schema": SCHEMA,
-            "polynomial": poly_to_text(f),
-            "dim": args.dim,
-            "seed": cfg.seed,
-            "target": matrix_to_text(target),
-            "classification": report.classification.value,
-            "terms": [
-                {
-                    "coefficient": format_scalar(lam),
-                    "inputs": [_ser_rows(a.rows) for a in tup],
-                }
+        _doc(
+            f,
+            dim=args.dim,
+            seed=cfg.seed,
+            target=matrix_to_text(target),
+            classification=report.classification.value,
+            terms=[
+                {"coefficient": format_scalar(lam), "inputs": [_ser_rows(a.rows) for a in tup]}
                 for lam, tup in terms
             ],
-            "verified": total == target,
-        }
+            verified=total == target,
+        )
     )
     return EXIT_OK
 
 
-def _read_corpus(path: str) -> list[tuple[int, str]]:
-    """(line number, text) of each line with a polynomial, comments cut.
+def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
+    """(line number, polynomial) of each line with one, comments cut.
 
     Undecodable bytes are read as lone surrogates (surrogateescape), which
-    valid UTF-8 never yields, so the first one raises ValueError naming its
-    line and column.
+    valid UTF-8 never yields, so the first one is refused, naming its line
+    and column, before any line is parsed.
     """
+    texts = []
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise _UsageError(
+                        f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})"
+                    ) from None
+                # Leading blanks stay, so parse columns are columns of the file.
+                text = line.split("#", 1)[0].rstrip()
+                if text.strip():
+                    texts.append((lineno, text))
+    except OSError as exc:
+        raise _UsageError(f"cannot read corpus: {exc}") from None
+    except ValueError as exc:  # a path open() refuses, such as one with a NUL byte
+        raise _UsageError(str(exc)) from None
     entries = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise ValueError(
-                    f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x} at column {exc.start + 1})"
-                ) from None
-            # Leading blanks stay, so parse columns are columns of the file.
-            text = line.split("#", 1)[0].rstrip()
-            if text.strip():
-                entries.append((lineno, text))
+    for lineno, text in texts:
+        try:
+            entries.append((lineno, parse_poly(text)))
+        except ParseError as exc:
+            raise _UsageError(f"{path}:{lineno}: {exc.message} (column {exc.col})") from None
     return entries
 
 
-def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> dict:
+def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
+    """f's suite entry, and whether it shows a violation."""
     report = classify_span(f, d, cfg)
-    applicable, consistent, comm = _exclusion_flags(report)
+    applicable, consistent = _exclusion_flags(report)
     if report.classification is Classification.UNDETERMINED:
         exclusion = "undetermined"
     elif not applicable:
         exclusion = "inapplicable"
     else:
         exclusion = "consistent" if consistent else "violated"
+    lie_ideal = lie_ideal_check(report.basis)
     entry = {
         "line": lineno,
         "polynomial": poly_to_text(f),
         "classification": report.classification.value,
         "rank": report.basis.rank,
-        "lie_ideal": lie_ideal_check(report.basis),
-        "sum_of_commutators": comm,
+        "lie_ideal": lie_ideal,
+        "sum_of_commutators": report.sum_of_commutators,
         "exclusion": exclusion,
         "reduction": None,
     }
+    violated = not lie_ideal or exclusion == "violated"
     # One verdict per polynomial: the reduction asks again about f, and about
     # its output, which is f itself when there are no steps.
     oracle = functools.cache(nontriviality_oracle(d, cfg))
@@ -329,7 +302,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> dict:
             reduction = reduce_to_multilinear(f, oracle)
         except OracleFailed as exc:
             entry["reduction"] = {"error": "OracleFailed", "message": str(exc)}
-            return entry
+            return entry, True
         # The steps chain from f, so each polynomial is classified once.
         bases = [report.basis] + [
             classify_span(step.after, d, cfg).basis for step in reduction.steps
@@ -337,52 +310,28 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> dict:
         containments = all(
             after.is_subspace_of(before) for before, after in zip(bases, bases[1:])
         )
+        multilinear = reduction.output.is_multilinear()
+        oracle_true = oracle(reduction.output)
         entry["reduction"] = {
             "steps": len(reduction.steps),
             "output": poly_to_text(reduction.output),
-            "multilinear": reduction.output.is_multilinear(),
-            "oracle_true": oracle(reduction.output),
+            "multilinear": multilinear,
+            "oracle_true": oracle_true,
             "containments_ok": containments,
         }
-    return entry
+        violated = violated or not (multilinear and oracle_true and containments)
+    return entry, violated
 
 
 def _cmd_suite(args) -> int:
     cfg = _config(args)
-    try:
-        corpus = _read_corpus(args.corpus)
-    except OSError as exc:
-        print(f"ncspan: cannot read corpus: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"ncspan: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     entries = []
-    for lineno, text in corpus:
-        try:
-            f = parse_poly(text)
-        except ParseError as exc:
-            print(f"ncspan: {args.corpus}:{lineno}: {exc.message} (column {exc.col})", file=sys.stderr)
-            return EXIT_USAGE
-        entries.append(_suite_entry(lineno, f, args.dim, cfg))
-    violations = sum(
-        1
-        for e in entries
-        if not e["lie_ideal"]
-        or e["exclusion"] == "violated"
-        or (
-            e["reduction"] is not None
-            and not (
-                "error" not in e["reduction"]
-                and e["reduction"]["multilinear"]
-                and e["reduction"]["oracle_true"]
-                and e["reduction"]["containments_ok"]
-            )
-        )
-    )
-    undetermined = sum(
-        1 for e in entries if e["classification"] == Classification.UNDETERMINED.value
-    )
+    violations = undetermined = 0
+    for lineno, f in _read_corpus(args.corpus):
+        entry, violated = _suite_entry(lineno, f, args.dim, cfg)
+        entries.append(entry)
+        violations += violated
+        undetermined += entry["classification"] == Classification.UNDETERMINED.value
     _emit(
         {
             "schema": SCHEMA,
@@ -487,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, _UsageError) as exc:
         print(f"ncspan: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -169,13 +169,8 @@ def reduce_to_multilinear(f: NcPoly, oracle: Oracle) -> MultilinearReduction:
         if h.is_zero():
             i += 1
             continue
-        if g.is_zero():
-            # X_i does not occur at all (an index gap): renumber it away.
-            after = _compact_above(current, i)
-            record(StepKind.STRIP, i, "dropped", current, after)
-            current = after
-            continue
-        chosen = _select([g, h], oracle, f"strip of X{i}")
+        # If X_i does not occur at all (an index gap), h is current: drop X_i.
+        chosen = h if g.is_zero() else _select([g, h], oracle, f"strip of X{i}")
         if chosen == g:
             record(StepKind.STRIP, i, "kept", current, g)
             current = g

@@ -53,6 +53,8 @@ class ExponentNegative(ParseError):
 _MAX_EXPONENT = 256
 _MAX_TERMS = 65536
 _MAX_DEGREE = 256
+# The largest variable index: every sample draws nvars random d x d matrices.
+_MAX_VARIABLE = 256
 
 
 class _Expansion(NamedTuple):
@@ -90,12 +92,15 @@ def _tokenize(text: str) -> list[_Token]:
         if bad is not None:
             raise ParseError(f"unexpected character {bad!r}", line, col)
         if ws is None:
-            if var is not None:
-                tokens.append(_Token("var", int(var), line, col))
-            elif num is not None:
-                tokens.append(_Token("int", int(num), line, col))
-            else:
+            digits = var if var is not None else num
+            if digits is None:
                 tokens.append(_Token(op, op, line, col))
+            else:
+                try:
+                    value = int(digits)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"number too long ({len(digits)} digits)", line, col) from None
+                tokens.append(_Token("var" if var is not None else "int", value, line, col))
         chunk = m.group(0)
         newlines = chunk.count("\n")
         if newlines:
@@ -217,6 +222,8 @@ class _Parser:
             self.advance()
             if tok.value < 1:
                 raise ParseError("variable index must be >= 1", tok.line, tok.col)
+            if tok.value > _MAX_VARIABLE:
+                raise ParseError(f"variable index above {_MAX_VARIABLE}", tok.line, tok.col)
             return _built(NcPoly.variable(tok.value))
         if tok.kind == "(":
             self.advance()
@@ -290,25 +297,19 @@ def poly_to_text(f: NcPoly) -> str:
     """Canonical text: graded-lex term order, explicit '*', no '^'."""
     if f.is_zero():
         return "0"
-    ordered = sorted(f.terms.items(), key=lambda t: (len(t[0]), t[0]))
     pieces = []
-    for k, (word, coeff) in enumerate(ordered):
-        if k == 0:
-            if not word:
-                pieces.append(format_scalar(coeff))
-            elif coeff == 1:
-                pieces.append(_word_text(word))
-            else:
-                pieces.append(f"{format_scalar(coeff)}*{_word_text(word)}")
+    for word, coeff in sorted(f.terms.items(), key=lambda t: (len(t[0]), t[0])):
+        # The first term's sign stays in its coefficient ("-1*X1"); later
+        # terms print theirs as the operator.
+        if pieces:
+            pieces.append(" + " if coeff > 0 else " - ")
+            coeff = abs(coeff)
+        if not word:
+            pieces.append(format_scalar(coeff))
+        elif coeff == 1:
+            pieces.append(_word_text(word))
         else:
-            sign = " + " if coeff > 0 else " - "
-            mag = abs(coeff)
-            if not word:
-                pieces.append(sign + format_scalar(mag))
-            elif mag == 1:
-                pieces.append(sign + _word_text(word))
-            else:
-                pieces.append(f"{sign}{format_scalar(mag)}*{_word_text(word)}")
+            pieces.append(f"{format_scalar(coeff)}*{_word_text(word)}")
     return "".join(pieces)
 
 

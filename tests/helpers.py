@@ -410,3 +410,22 @@ def reference_herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
             basis, grew = basis.insert(m)
             changed |= grew
     return basis
+
+
+def reference_suite_violations(entries) -> int:
+    """How many `ncspan suite` entries show a violation, read off their printed fields."""
+    return sum(
+        1
+        for e in entries
+        if not e["lie_ideal"]
+        or e["exclusion"] == "violated"
+        or (
+            e["reduction"] is not None
+            and not (
+                "error" not in e["reduction"]
+                and e["reduction"]["multilinear"]
+                and e["reduction"]["oracle_true"]
+                and e["reduction"]["containments_ok"]
+            )
+        )
+    )

@@ -1,10 +1,18 @@
+import dataclasses
 import json
 import time
+from pathlib import Path
 
 import pytest
 
+import ncspan.cli
+from helpers import reference_suite_violations
 from ncspan.cli import main
+from ncspan.linalg import SpanBasis
+from ncspan.linearize import OracleFailed
 from ncspan.text import parse_poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +115,15 @@ class TestClassify:
             capsys, "classify", "--poly", "[X1,X2]", "--dim", "2", "--seed", "9"
         )
         assert via_env == via_flag
+
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NCSPAN_SEED", "abc")
+        # main returns the code; it does not raise SystemExit.
+        code = main(["classify", "--poly", "X1", "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "ncspan: NCSPAN_SEED must be an integer, got 'abc'\n"
 
     def test_parse_error_exit(self, capsys):
         code = main(["classify", "--poly", "X1 +", "--dim", "2"])
@@ -218,7 +235,15 @@ class TestCommtest:
 class TestRunawayExpansion:
     @pytest.mark.parametrize(
         "text",
-        ["1^99999999", "X1^99999999", "(X1+X2)^40", "((X1^1000)^1000)", "(X1+X2)^16*(X1+X2)^16"],
+        [
+            "1^99999999",
+            "X1^99999999",
+            "(X1+X2)^40",
+            "((X1^1000)^1000)",
+            "(X1+X2)^16*(X1+X2)^16",
+            "X257",
+            "X9999999",
+        ],
     )
     @pytest.mark.parametrize("command", [("commtest",), ("classify", "--dim", "2")])
     def test_exit_2_at_once(self, capsys, text, command):
@@ -227,6 +252,23 @@ class TestRunawayExpansion:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "command, template, col",
+        [
+            (("commtest",), "X1^{}", 4),
+            (("commtest",), "{}*X1", 1),
+            (("classify", "--dim", "2"), "X{}", 1),
+        ],
+        ids=["exponent", "coefficient", "index"],
+    )
+    def test_digit_run_too_long(self, capsys, command, template, col):
+        # More digits than int() converts: a parse error, not a ValueError.
+        code = main([*command, "--poly", template.format("1" * 5000)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"ncspan: number too long (5000 digits) (line 1, column {col})\n"
 
 
 class TestDecompose:
@@ -350,6 +392,18 @@ class TestSuite:
             run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
             assert calls and len(calls) == len(set(calls)), text
 
+    def test_parses_whole_corpus_first(self, capsys, tmp_path, monkeypatch):
+        import ncspan.cli
+
+        calls = []
+        monkeypatch.setattr(ncspan.cli, "classify_span", lambda *a: calls.append(a))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("X1\n[X1,X2]\nX1 +\n")
+        code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert calls == []
+
     def test_missing_corpus(self, capsys):
         code = main(["suite", "--corpus", "/nonexistent/corpus.txt", "--dim", "2"])
         assert code == 2
@@ -393,6 +447,88 @@ class TestSuite:
         err = capsys.readouterr().err
         assert err.startswith(f"ncspan: {corpus}:2: expected a number, variable")
         assert err.endswith("found end of input (column 7)\n")
+
+
+def _flip_sum_of_commutators(monkeypatch):
+    real = ncspan.cli.classify_span
+
+    def flipped(f, d, cfg=None):
+        report = real(f, d, cfg)
+        return dataclasses.replace(report, sum_of_commutators=not report.sum_of_commutators)
+
+    monkeypatch.setattr(ncspan.cli, "classify_span", flipped)
+
+
+def _fail_reduction(monkeypatch):
+    def fail(f, oracle):
+        raise OracleFailed("forced")
+
+    monkeypatch.setattr(ncspan.cli, "reduce_to_multilinear", fail)
+
+
+def _replace_output(text):
+    def force(monkeypatch):
+        real = ncspan.cli.reduce_to_multilinear
+        monkeypatch.setattr(
+            ncspan.cli,
+            "reduce_to_multilinear",
+            lambda f, oracle: dataclasses.replace(real(f, oracle), output=parse_poly(text)),
+        )
+
+    return force
+
+
+def _reduction_with(**fields):
+    """The change to an entry: fields replaced in its reduction, if it has one."""
+    return lambda e: {} if e["reduction"] is None else {"reduction": {**e["reduction"], **fields}}
+
+
+# Reason -> (force it by monkeypatch, the change it makes to a golden entry).
+FORCED_VIOLATIONS = {
+    "lie_ideal": (
+        lambda mp: mp.setattr(ncspan.cli, "lie_ideal_check", lambda basis: False),
+        lambda e: {"lie_ideal": False},
+    ),
+    "exclusion": (
+        _flip_sum_of_commutators,
+        lambda e: {
+            "sum_of_commutators": not e["sum_of_commutators"],
+            "exclusion": "violated" if e["exclusion"] == "consistent" else e["exclusion"],
+        },
+    ),
+    "oracle_failed": (
+        _fail_reduction,
+        lambda e: {} if e["reduction"] is None else {
+            "reduction": {"error": "OracleFailed", "message": "forced"}
+        },
+    ),
+    "containment": (
+        lambda mp: mp.setattr(SpanBasis, "is_subspace_of", lambda self, other: False),
+        # With no steps there is no containment to check.
+        lambda e: _reduction_with(containments_ok=False)(e)
+        if e["reduction"] and e["reduction"]["steps"]
+        else {},
+    ),
+    "not_multilinear": (_replace_output("X1*X1"), _reduction_with(output="X1*X1", multilinear=False)),
+    "oracle_false": (_replace_output("0"), _reduction_with(output="0", oracle_true=False)),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("reason", sorted(FORCED_VIOLATIONS))
+def test_forced_suite_violation(capsys, monkeypatch, reason, d):
+    force, change = FORCED_VIOLATIONS[reason]
+    golden = json.loads((GOLDEN / f"suite-d{d}-seed0.json").read_text(encoding="utf-8"))
+    want = [{**e, **change(e)} for e in golden["entries"]]
+    force(monkeypatch)
+    monkeypatch.chdir(GOLDEN)
+    code, doc = run_json(capsys, "suite", "--corpus", "corpus.txt", "--dim", str(d), "--seed", "0")
+    # Only the forced fields change, and the count agrees with the printed fields.
+    assert doc["entries"] == want
+    violations = reference_suite_violations(want)
+    assert violations > 0
+    assert doc["summary"] == {"total": 11, "violations": violations, "undetermined": 0}
+    assert code == 1
 
 
 def test_usage_error_exit_code():

@@ -115,6 +115,29 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_poly("X0")
 
+    def test_variable_index_limit(self):
+        # Every sample draws one random matrix per variable index.
+        assert parse_poly("X256") == NcPoly.variable(256)
+        for text, col in (("X257", 1), ("X1 + X9999999", 6)):
+            with pytest.raises(ParseError) as exc:
+                parse_poly(text)
+            assert (exc.value.message, exc.value.line, exc.value.col) == (
+                "variable index above 256",
+                1,
+                col,
+            )
+
+    @pytest.mark.parametrize(
+        "template, line, col",
+        [("X1^{}", 1, 4), ("{}*X1", 1, 1), ("X1 +\n  X{}", 2, 3), ("1/{}", 1, 3)],
+        ids=["exponent", "coefficient", "index", "denominator"],
+    )
+    def test_digit_run_too_long(self, template, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(template.format("1" * 5000))
+        assert exc.value.message == "number too long (5000 digits)"
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     def test_unary_minus_on_variable_rejected(self):
         # the grammar only allows a sign on numeric literals
         with pytest.raises(ParseError):
