@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -70,10 +71,13 @@ class Classification(Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class MatrixQ:
     """Immutable d x d matrix over the rationals."""
 
     __slots__ = ("dim", "rows")
+    dim: int
+    rows: tuple[tuple[Num, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[Num]]):
         rows = tuple(tuple(r) for r in rows)
@@ -82,9 +86,6 @@ class MatrixQ:
             raise DimensionMismatch("matrix must be square and nonempty")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixQ is immutable")
 
     @staticmethod
     def _of(rows: tuple[tuple[Num, ...], ...]) -> MatrixQ:
@@ -149,14 +150,6 @@ class MatrixQ:
             for i in range(d)
             for j in range(d)
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixQ):
-            return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(x) for x in row) for row in self.rows)
@@ -230,6 +223,7 @@ def unit_commutator(a: MatrixQ, j: int, k: int) -> MatrixQ:
 # Reduced-echelon span bases
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, init=False, repr=False)
 class SpanBasis:
     """Row-reduced basis of a subspace of M_d, flattened row-major.
 
@@ -238,6 +232,9 @@ class SpanBasis:
     """
 
     __slots__ = ("dim", "rows", "pivots")
+    dim: int
+    rows: tuple[Vector, ...]
+    pivots: tuple[int, ...]
 
     def __init__(
         self,
@@ -250,9 +247,6 @@ class SpanBasis:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpanBasis is immutable")
 
     @staticmethod
     def from_matrices(dim: int, mats: Iterable[MatrixQ]) -> SpanBasis:
@@ -308,14 +302,6 @@ class SpanBasis:
 
     def row_matrices(self) -> list[MatrixQ]:
         return [MatrixQ.unflatten(row, self.dim) for row in self.rows]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpanBasis):
-            return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.rows))
 
     def __repr__(self) -> str:
         return f"SpanBasis(dim={self.dim}, rank={self.rank})"

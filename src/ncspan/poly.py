@@ -321,11 +321,6 @@ def _coerce(value: NcPoly | Scalar) -> NcPoly:
     return NotImplemented
 
 
-def commutator(f: NcPoly, g: NcPoly) -> NcPoly:
-    """The ring commutator f*g - g*f."""
-    return f * g - g * f
-
-
 def cyclic_representative(word: Word) -> Word:
     """Lexicographically least rotation of a word (canonical class label)."""
     if len(word) <= 1:

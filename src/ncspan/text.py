@@ -14,8 +14,9 @@ always lands on a canonical NcPoly.  poly_to_text emits terms in graded
 lexicographic word order and round-trips: parse(print(f)) == f.
 
 Nothing is expanded until the whole input has parsed: each product, power
-and bracket first bounds the number of terms and the degree of its result
-from those of its operands, and refuses past a fixed limit.
+and bracket first bounds the number of terms, the degree and the letters of
+its result from those of its operands, and refuses past a fixed limit.  A
+'(' or '[' past a fixed nesting depth is refused as it opens.
 
 Matrix literals are shell-friendly: rows separated by ';', rational entries
 by ',', e.g. "1,0;0,-1".
@@ -49,10 +50,14 @@ class ExponentNegative(ParseError):
 
 
 # Expansion limits: the largest exponent, and the most terms (those of
-# (X1+X2)^16) and highest degree that a product, power or bracket may reach.
+# (X1+X2)^16), highest degree and most letters (terms times degree, four
+# times those of (X1+X2)^16) that a product, power or bracket may reach.
 _MAX_EXPONENT = 256
 _MAX_TERMS = 65536
 _MAX_DEGREE = 256
+_MAX_LETTERS = 2**22
+# The deepest nesting of '(' and '[': the parser recurses once per level.
+_MAX_NESTING = 100
 # The largest variable index: every sample draws nvars random d x d matrices.
 _MAX_VARIABLE = 256
 
@@ -74,14 +79,11 @@ def _built(poly: NcPoly) -> _Expansion:
 _TOKEN_RE = re.compile(r"X(\d+)|(\d+)|([+\-*/^()\[\],])|(\s+)|(.)")
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value, line: int, col: int):
-        self.kind = kind  # 'var' | 'int' | single-char operator | 'end'
-        self.value = value
-        self.line = line
-        self.col = col
+class _Token(NamedTuple):
+    kind: str  # 'var' | 'int' | single-char operator | 'end'
+    value: object
+    line: int
+    col: int
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -116,6 +118,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -150,6 +153,8 @@ class _Parser:
             raise ParseError(f"expansion has more than {_MAX_TERMS} terms", op.line, op.col)
         if degree > _MAX_DEGREE:
             raise ParseError(f"expansion has degree above {_MAX_DEGREE}", op.line, op.col)
+        if terms * degree > _MAX_LETTERS:
+            raise ParseError(f"expansion has more than {_MAX_LETTERS} letters", op.line, op.col)
         return terms, degree
 
     def parse(self) -> NcPoly:
@@ -225,17 +230,20 @@ class _Parser:
             if tok.value > _MAX_VARIABLE:
                 raise ParseError(f"variable index above {_MAX_VARIABLE}", tok.line, tok.col)
             return _built(NcPoly.variable(tok.value))
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if tok.kind == "[":
+        if tok.kind in ("(", "["):
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"nesting deeper than {_MAX_NESTING}", tok.line, tok.col)
+            self.depth += 1
             self.advance()
             left = self.expr()
+            if tok.kind == "(":
+                self.expect(")")
+                self.depth -= 1
+                return left
             self.expect(",")
             right = self.expr()
             self.expect("]")
+            self.depth -= 1
             # Each of the products left * right and right * left.
             terms, degree = self._checked(tok, left.terms * right.terms, left.degree + right.degree)
 

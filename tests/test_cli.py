@@ -270,6 +270,24 @@ class TestRunawayExpansion:
         assert captured.out == ""
         assert captured.err == f"ncspan: number too long (5000 digits) (line 1, column {col})\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # Deeper than the parser could recurse without the nesting limit.
+            ("(" * 300 + "X1" + ")" * 300, "nesting deeper than 100 (line 1, column 101)"),
+            ("(X1^16+X2^16)^16", "expansion has more than 4194304 letters (line 1, column 14)"),
+        ],
+        ids=["nesting", "letters"],
+    )
+    def test_one_line_refusal(self, capsys, text, message):
+        start = time.perf_counter()
+        code = main(["commtest", "--poly", text])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"ncspan: {message}\n"
+
 
 class TestDecompose:
     def test_identity_polynomial(self, capsys):
@@ -403,6 +421,23 @@ class TestSuite:
         assert code == 2
         assert capsys.readouterr().out == ""
         assert calls == []
+
+    def test_undetermined_entries(self, capsys):
+        # A budget of 3 samples at d=3 leaves all but the scalar entry
+        # UNDETERMINED.  Their partial bases are not Lie ideals, so they also
+        # count as violations and the exit code is 1, not 64.
+        corpus = str(GOLDEN / "corpus.txt")
+        code, doc = run_json(
+            capsys, "suite", "--corpus", corpus, "--dim", "3", "--seed", "0", "--max-samples", "3"
+        )
+        undetermined = [e for e in doc["entries"] if e["classification"] == "UNDETERMINED"]
+        assert len(undetermined) == 10
+        assert all(e["exclusion"] == "undetermined" for e in undetermined)
+        assert doc["summary"] == {
+            "total": 11,
+            "violations": reference_suite_violations(doc["entries"]),
+            "undetermined": len(undetermined),
+        }
 
     def test_missing_corpus(self, capsys):
         code = main(["suite", "--corpus", "/nonexistent/corpus.txt", "--dim", "2"])

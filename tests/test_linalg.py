@@ -143,6 +143,31 @@ class TestSpanBasis:
             SpanBasis(2).insert(MatrixQ.identity(3))
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: MatrixQ([[1, 2], [3, 4]]), "rows"),
+        (lambda: SpanBasis.canonical(2, Classification.TRACE_ZERO), "pivots"),
+    ],
+    ids=["MatrixQ", "SpanBasis"],
+)
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda v, field: setattr(v, field, ()),
+        lambda v, field: setattr(v, "extra", 1),
+        lambda v, field: delattr(v, field),
+    ],
+    ids=["set", "new", "del"],
+)
+def test_immutable(make, field, change):
+    value = make()
+    with pytest.raises(AttributeError):
+        change(value, field)
+    assert value == make()
+    assert hash(value) == hash(make())
+
+
 class TestVandermonde:
     def test_two_nodes(self):
         rng = random.Random(8)

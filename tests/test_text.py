@@ -167,6 +167,9 @@ RUNAWAY = [
     ("(X1+X2)^16*(X1+X2)^16", 11),
     ("[(X1+X2)^8,(X1+X2)^9]", 1),
     ("(X1^16)^16*X1", 11),
+    ("(" * 101 + "X1" + ")" * 101, 101),
+    ("[" * 101 + "X1" + ",X2]" * 101, 101),
+    ("(X1^16+X2^16)^16", 14),
 ]
 
 
@@ -185,6 +188,9 @@ class TestExpansionLimits:
         assert parse_poly("X1^256") == NcPoly.monomial((1,) * 256)
         # A constant is one term, whatever the sum it came from.
         assert parse_poly("(1+2)^256") == NcPoly.constant(3**256)
+        assert parse_poly("(" * 100 + "X1" + ")" * 100) == X1
+        # 65,536 words of degree 64: exactly the letter limit.
+        assert len(parse_poly("(X1^4+X2^4)^16").terms) == 65536
 
     def test_other_errors_unchanged(self):
         # Syntax errors after a runaway operand still win: nothing expands first.
