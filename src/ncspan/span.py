@@ -18,11 +18,11 @@ Sampling is a lower bound on the true span, so a budget that runs out
 without a match is reported honestly as UNDETERMINED rather than coerced.
 
 Every sampled verdict reads one seeded stream of integer values: the
-classifier folds it into the span, and the identity test stops at its first
-nonzero value.  Identity and centrality tests are exact for multilinear
-polynomials (it suffices to evaluate on tuples of matrix units) and
-randomized otherwise, with the usual polynomial-vanishing error bound,
-which vanishing_rate gives in factored form.
+classifier folds it into the span, and one pass decides identity and
+centrality, stopping at the first non-scalar value.  Both verdicts are
+exact for multilinear polynomials (tuples of matrix units suffice) and
+randomized otherwise, under one polynomial-vanishing error bound
+(vanishing_rate, in factored form).
 
 The sampling kernel does a whole row's work per Python-level step:
 
@@ -309,45 +309,50 @@ def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[tuple[list[int], 
         yield entries, ev(entries)
 
 
+def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
+    """The values L * f(t), row-major, that decide identity and centrality.
+
+    Any f: the seeded samples.  Multilinear f: the first sample (one value
+    can settle both verdicts), then every tuple t of matrix units, whose
+    values span f's values by linearity; the unit evaluator is built only
+    if a caller reads on.
+    """
+    samples = (vec for _, vec in _samples(f, d, cfg))
+    if not f.is_multilinear():
+        yield from samples
+        return
+    yield next(samples)
+    _, terms = _integer_terms(f)
+    ev = _packed_evaluator(terms, d, 1)
+    units = [[int(i == k) for k in range(d * d)] for i in range(d * d)]
+    for tup in itertools.product(units, repeat=f.nvars):
+        yield ev(list(itertools.chain.from_iterable(tup)))
+
+
 def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
     """Decide whether every value of f on M_d is zero.
 
-    Exact for multilinear f: by linearity in each variable it is enough to
-    check all tuples of matrix units.  Otherwise randomized over integer
-    matrices: any nonzero value certifies False, while an all-zero run
-    returns True with error probability at most p ** n for (p, n) =
+    Exact for multilinear f (see _values).  Otherwise randomized over
+    integer matrices: any nonzero value certifies False, while an all-zero
+    run returns True with error probability at most p ** n for (p, n) =
     vanishing_rate().  Both evaluate L * f, which vanishes where f does.
-    Any nonzero value proves False, so a multilinear f is first evaluated
-    on the first sample, and only a zero there leads to the unit walk.
     """
-    cfg = cfg or SampleConfig()
-    if f.is_zero():
-        return True
-    samples = _samples(f, d, cfg)
-    if f.is_multilinear():
-        _, first = next(samples)
-        if any(first):
-            return False
-        _, terms = _integer_terms(f)
-        ev = _packed_evaluator(terms, d, 1)
-        units = [[int(i == k) for k in range(d * d)] for i in range(d * d)]
-        tuples = itertools.product(units, repeat=f.nvars)
-        values = (ev(list(itertools.chain.from_iterable(tup))) for tup in tuples)
-    else:
-        values = (vec for _, vec in samples)
-    return not any(map(any, values))
+    return f.is_zero() or not any(map(any, _values(f, d, cfg or SampleConfig())))
 
 
 def vanishing_rate(
     f: NcPoly, d: int, cfg: SampleConfig | None = None
 ) -> tuple[Fraction, int]:
-    """(p, n): a randomized all-zero identity verdict errs with probability <= p ** n.
+    """(p, n): a randomized identity or central verdict errs with probability <= p ** n.
 
     Standard polynomial-vanishing estimate: a nonzero polynomial of total
     degree k vanishes at a uniform integer point of [-B, B] with
     probability at most p = k / (2B + 1), independently in each of the n
-    samples; p is capped at 1.  Exact (multilinear) tests have p = 0.  The
-    bound stays factored because p ** n can have thousands of digits.
+    samples; p is capped at 1.  It bounds both verdicts, which read f's
+    own samples: a wrong one misses a nonzero entry, off-diagonal entry or
+    diagonal difference of f, each of degree at most deg f.  Exact
+    (multilinear) tests have p = 0.  The bound stays factored because
+    p ** n can have thousands of digits.
     """
     cfg = cfg or SampleConfig()
     n = cfg.samples_for(d)
@@ -358,12 +363,15 @@ def vanishing_rate(
 
 
 def _verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool]:
-    """(identity, central) for f on M_d: f is central iff it is not an
-    identity and [f, X_{n+1}] is, for a variable X_{n+1} that f does not use."""
-    if is_identity(f, d, cfg):
-        return True, False
-    fresh = NcPoly.variable(f.nvars + 1)
-    return False, is_identity(f * fresh - fresh * f, d, cfg)
+    """(identity, central) for f on M_d in one pass over _values: neither at
+    a non-scalar value, else identity if all are zero and central if not."""
+    identity = MatrixQ.identity(d).flatten()
+    zero = True
+    for vec in _values(f, d, cfg):
+        if vec != [vec[0] * x for x in identity]:
+            return False, False
+        zero = zero and not any(vec)
+    return zero, not zero
 
 
 def is_central(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:

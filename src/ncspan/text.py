@@ -333,6 +333,8 @@ def parse_matrix(text: str) -> MatrixQ:
             entry = entry.strip()
             if not _ENTRY_RE.match(entry):
                 raise ValueError(f"bad matrix entry {entry!r}")
+            if re.search(r"/0+$", entry):
+                raise ValueError(f"zero denominator in matrix entry {entry!r}")
             row.append(Fraction(entry))
         rows.append(row)
     if any(len(r) != len(rows) for r in rows):

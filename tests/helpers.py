@@ -17,6 +17,7 @@ from ncspan import (
     SpanReport,
     StopReason,
     commutator,
+    is_identity,
     zero_diagonal_conjugate,
 )
 
@@ -180,6 +181,16 @@ def reference_is_identity(f: NcPoly, d: int, cfg: SampleConfig) -> bool:
         if not reference_evaluate(f, args, d).is_zero():
             return False
     return True
+
+
+def reference_verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool]:
+    """(identity, central) for f on M_d by two identity tests: f is central
+    iff it is not an identity and [f, X_{n+1}] is, for a variable X_{n+1}
+    that f does not use."""
+    if is_identity(f, d, cfg):
+        return True, False
+    fresh = NcPoly.variable(f.nvars + 1)
+    return False, is_identity(f * fresh - fresh * f, d, cfg)
 
 
 def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:

@@ -168,20 +168,20 @@ class TestWitness:
         import ncspan.span
 
         calls = []
-        real = ncspan.span.is_identity
+        real = ncspan.span._values
 
-        def counted(f, d, cfg=None):
+        def counted(f, d, cfg):
             calls.append((f, d))
             return real(f, d, cfg)
 
-        # The cli asks span for both verdicts, so every test goes through here.
-        monkeypatch.setattr(ncspan.span, "is_identity", counted)
+        # The cli asks span for both verdicts, so every value read goes through here.
+        monkeypatch.setattr(ncspan.span, "_values", counted)
         code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]^2", "--dmax", "3")
         assert code == 0
         assert [e["central"] for e in doc["tested"]] == [False, True, False]
-        # Central on M_2: f is tested there once, then only its bracket.
-        assert calls.count((parse_poly("[X1,X2]^2"), 2)) == 1
-        assert len(calls) == len(set(calls))
+        # One pass over f's own values per dimension: no bracket with a fresh variable.
+        f = parse_poly("[X1,X2]^2")
+        assert calls == [(f, 1), (f, 2), (f, 3)]
 
     def test_huge_sample_budget(self, capsys):
         # 21^4000 has more digits than int-to-str conversion allows.
@@ -332,6 +332,18 @@ class TestDecompose:
         assert code == 2
         assert "target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ("1/0", "0/0"))
+    def test_zero_denominator_target(self, capsys, entry):
+        code = main(
+            ["decompose", "--poly", "[X1,X2]", "--dim", "2", "--target", f"{entry},0;0,0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"ncspan: bad --target literal: zero denominator in matrix entry '{entry}'\n"
+        )
+
     def test_target_dim_mismatch(self, capsys):
         code = main(
             ["decompose", "--poly", "X1", "--dim", "3", "--target", "1,0;0,1"]
@@ -389,12 +401,20 @@ class TestSuite:
         assert len(calls) == len(set(calls)) == len(doc["entries"]) + sum(steps)
 
     def test_tests_each_polynomial_nontriviality_once(self, capsys, tmp_path, monkeypatch):
+        import ncspan.cli
         import ncspan.span
 
-        calls = []
-        real = ncspan.span.is_identity
+        asked, read = [], []
+        real_oracle = ncspan.cli.nontriviality_oracle
+        real_values = ncspan.span._values
+
+        def recorded(d, cfg):
+            oracle = real_oracle(d, cfg)
+            return lambda f: asked.append(f) or oracle(f)
+
+        monkeypatch.setattr(ncspan.cli, "nontriviality_oracle", recorded)
         monkeypatch.setattr(
-            ncspan.span, "is_identity", lambda f, d, cfg=None: calls.append(f) or real(f, d, cfg)
+            ncspan.span, "_values", lambda f, d, cfg: read.append(f) or real_values(f, d, cfg)
         )
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("X1*X2\n")
@@ -402,13 +422,15 @@ class TestSuite:
         assert code == 0
         reduction = doc["entries"][0]["reduction"]
         assert reduction["steps"] == 0 and reduction["oracle_true"] is True
-        # f, then its bracket with a fresh variable.
-        assert calls == [parse_poly("X1*X2"), parse_poly("X1*X2*X3 - X3*X1*X2")]
+        # f's own values, read once: no bracket with a fresh variable.
+        assert read == asked == [parse_poly("X1*X2")]
         for text in ("X1*X1*X2 + X2", "(X1+X2)^3*X3", "[X1,X2]^2"):
-            calls.clear()
+            asked.clear()
+            read.clear()
             corpus.write_text(text + "\n")
             run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
-            assert calls and len(calls) == len(set(calls)), text
+            # One pass per polynomial the oracle is asked about, and no other.
+            assert read and read == asked and len(read) == len(set(read)), text
 
     def test_parses_whole_corpus_first(self, capsys, tmp_path, monkeypatch):
         import ncspan.cli

@@ -13,6 +13,7 @@ from helpers import (
     random_noncentral,
     random_poly,
     reference_is_identity,
+    reference_verdicts,
     standard_polynomial,
 )
 from ncspan import (
@@ -39,11 +40,14 @@ from ncspan import (
     poly_to_text,
     vanishing_rate,
 )
+from ncspan.span import _verdicts
 
 X1 = NcPoly.variable(1)
 X2 = NcPoly.variable(2)
 COMM = commutator(X1, X2)
 HALL = COMM * COMM  # central on M_2, not on M_3
+COMM34 = commutator(NcPoly.variable(3), NcPoly.variable(4))
+SYM = COMM * COMM34 + COMM34 * COMM  # multilinear, central on M_2
 
 
 def E(j, k, d=2):
@@ -189,6 +193,26 @@ class TestIsCentral:
         assert not is_central(standard_polynomial(4), 2)
 
 
+class TestVerdicts:
+    @pytest.mark.parametrize("seed", (0, 7919))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_agrees_with_reference(self, d, seed):
+        cfg = SampleConfig(seed=seed)
+        rng = random.Random(2027)
+        corpus = [battery_poly(rng) for _ in range(150)]
+        corpus += [random_multilinear(rng, n) for n in (1, 2, 3, 4) for _ in range(10)]
+        corpus += [standard_polynomial(n) for n in (2, 3, 4)]
+        corpus += [HALL, SYM, NcPoly.constant(5), NcPoly.zero(), X1]
+        pairs = set()
+        for f in corpus:
+            got = _verdicts(f, d, cfg)
+            assert got == reference_verdicts(f, d, cfg), poly_to_text(f)
+            pairs.add(got)
+        # Every value on M_1 is scalar, so a polynomial there is an identity
+        # or central; above, all three verdict pairs occur.
+        assert pairs == {(True, False), (False, True)} | ({(False, False)} if d > 1 else set())
+
+
 class TestClassifySpan:
     def test_commutator_trace_zero(self):
         report = classify_span(COMM, 2)
@@ -270,14 +294,14 @@ class TestWitnessDimension:
         import ncspan.span
 
         calls = []
-        real = ncspan.span.is_identity
+        real = ncspan.span._values
         monkeypatch.setattr(
-            ncspan.span, "is_identity", lambda f, d, cfg=None: calls.append((f, d)) or real(f, d, cfg)
+            ncspan.span, "_values", lambda f, d, cfg: calls.append((f, d)) or real(f, d, cfg)
         )
         assert find_witness_dimension(HALL, 3) == 3
-        # HALL is central on M_2: it is tested there once, then its bracket.
-        assert calls.count((HALL, 2)) == 1
-        assert len(calls) == len(set(calls))
+        # An identity on M_1, central on M_2: one pass over HALL's own values
+        # per dimension, and no bracket with a fresh variable.
+        assert calls == [(HALL, 1), (HALL, 2), (HALL, 3)]
 
 
 class TestLieIdeal:
@@ -389,20 +413,20 @@ class TestSampleConfig:
 
 
 class TestNontrivialityOracle:
-    def test_two_identity_tests_per_call(self, monkeypatch):
+    def test_one_pass_per_call(self, monkeypatch):
         import ncspan.span
 
         calls = []
-        real = ncspan.span.is_identity
+        real = ncspan.span._values
         monkeypatch.setattr(
-            ncspan.span, "is_identity", lambda f, d, cfg=None: calls.append(f) or real(f, d, cfg)
+            ncspan.span, "_values", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
         )
         oracle = nontriviality_oracle(2)
-        for f, want in ((HALL, False), (X1 * X2, True)):
+        for f, want in ((HALL, False), (X1 * X2, True), (SYM, False)):
             calls.clear()
             assert oracle(f) is want
-            # f itself, then its bracket with a fresh variable: never a third test.
-            assert len(calls) == 2 and calls[0] == f
+            # f's own values, read once: no bracket with a fresh variable.
+            assert calls == [f]
         assert oracle(COMM * X1 - X1 * COMM) is True
 
 

@@ -35,6 +35,7 @@ from ncspan import (
     StopReason,
     classify_span,
     evaluate,
+    is_central,
     is_identity,
     parse_poly,
     poly_to_text,
@@ -323,19 +324,21 @@ class TestPackedEvaluation:
                 assert evaluate(f, args, d) == reference_evaluate(f, args, d)
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every entry list that a packed evaluator is called on, in order."""
+    calls = []
+    real = span._packed_evaluator
+
+    def counting(*spec):
+        ev = real(*spec)
+        return lambda entries: calls.append(entries) or ev(entries)
+
+    monkeypatch.setattr(span, "_packed_evaluator", counting)
+    return calls
+
+
 class TestIdentitySamplesFirst:
-    @pytest.fixture
-    def evaluations(self, monkeypatch):
-        calls = []
-        real = span._packed_evaluator
-
-        def counting(*spec):
-            ev = real(*spec)
-            return lambda entries: calls.append(entries) or ev(entries)
-
-        monkeypatch.setattr(span, "_packed_evaluator", counting)
-        return calls
-
     def test_one_evaluation_disproves(self, evaluations):
         assert not is_identity(parse_poly("[X1,X2]*X3"), 3)
         assert len(evaluations) == 1
@@ -358,3 +361,14 @@ class TestIdentitySamplesFirst:
                     for tup in itertools.product(units, repeat=n)
                 )
                 assert is_identity(f, d, cfg) == walk
+
+
+class TestVerdictsOnePass:
+    def test_central_multilinear_walks_its_own_unit_tuples(self, evaluations):
+        # The first sample, then the 4^4 unit tuples of f itself.
+        assert is_central(parse_poly("[X1,X2]*[X3,X4] + [X3,X4]*[X1,X2]"), 2)
+        assert len(evaluations) == 1 + 4**4
+
+    def test_central_sampled_reads_its_own_stream(self, evaluations):
+        assert is_central(parse_poly("[X1,X2]^2"), 2)
+        assert len(evaluations) == SampleConfig().samples_for(2)

@@ -284,3 +284,8 @@ class TestMatrixLiterals:
             parse_matrix("1,x;0,1")
         with pytest.raises(ValueError):
             parse_matrix("1.5,0;0,1")
+
+    @pytest.mark.parametrize("entry", ("1/0", "0/0", "-3/00"))
+    def test_zero_denominator(self, entry):
+        with pytest.raises(ValueError, match=f"zero denominator in matrix entry '{entry}'"):
+            parse_matrix(f"1,{entry};0,1")
