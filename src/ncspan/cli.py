@@ -69,8 +69,28 @@ def _config(args) -> SampleConfig:
     )
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for dicts with str keys, lists, str, int,
+    bool and None, with each list of strings encoded by the C string encoder
+    (json runs its pure-Python encoder whenever indent is set).  indent is
+    the line break and indentation before obj."""
+    if not isinstance(obj, (dict, list)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        body, ends = (f"{_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()), "{}"
+    elif all(type(x) is str for x in obj):
+        body, ends = map(_ascii, obj), "[]"
+    else:
+        body, ends = (_dumps(x, inner) for x in obj), "[]"
+    return ends[0] + inner + ("," + inner).join(body) + indent + ends[1]
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
 
 
 def _doc(f: NcPoly, **fields) -> dict:
@@ -431,9 +451,14 @@ def _attach_literals(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ParseError, _UsageError) as exc:

@@ -8,8 +8,8 @@ freely in arithmetic and comparisons.
 A SpanBasis holds a subspace of M_d flattened row-major to length-d^2
 vectors, maintained in reduced row echelon form.  Echelon canonicality makes
 subspace equality a plain row-list comparison and membership a single
-reduction pass.  The four canonical subspaces have their reduced bases
-written down in closed form.
+reduction pass that reads only the pivots in a vector's support.  The four
+canonical subspaces have their reduced bases written down in closed form.
 
 Whole systems are eliminated by one routine, fraction_free_rref, over
 integer rows: bases built from a list of matrices and solves both use it.
@@ -231,7 +231,8 @@ class SpanBasis:
     different orders from the same matrices end up identical.
     """
 
-    __slots__ = ("dim", "rows", "pivots")
+    # _pairs, derived from rows and so no field: pivot -> the row's nonzero (index, value) pairs.
+    __slots__ = ("dim", "rows", "pivots", "_pairs")
     dim: int
     rows: tuple[Vector, ...]
     pivots: tuple[int, ...]
@@ -247,6 +248,8 @@ class SpanBasis:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
+        pairs = {p: tuple((j, x) for j, x in enumerate(row) if x) for row, p in zip(rows, pivots)}
+        object.__setattr__(self, "_pairs", pairs)
 
     @staticmethod
     def from_matrices(dim: int, mats: Iterable[MatrixQ]) -> SpanBasis:
@@ -263,25 +266,33 @@ class SpanBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _residual(self, m: MatrixQ) -> list[Num]:
-        """m reduced by each row (leading 1 at its pivot); zero iff m is inside."""
+    def _sparse(self, m: MatrixQ) -> dict[int, Num]:
+        """The nonzero entries of m, flattened row-major, by index."""
         if m.dim != self.dim:
             raise DimensionMismatch(f"dimensions {m.dim} and {self.dim} differ")
-        v = m.flatten()
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+        return {i: x for i, x in enumerate(m.flatten()) if x}
+
+    def _residual(self, v: dict[int, Num]) -> dict[int, Num]:
+        """The nonzero entries (index -> entry) of v less its parts along the
+        rows; empty iff v is inside.  Row p is 1 at its pivot and 0 at every
+        other pivot, so its coefficient is v[p] itself: only the pivots in v's
+        support are read, and only those rows' nonzero pairs subtracted."""
+        out = dict(v)
+        pairs = self._pairs
+        for p, c in v.items():
+            if p in pairs:
+                for j, x in pairs[p]:
+                    out[j] = out.get(j, 0) - c * x
+        return {j: x for j, x in out.items() if x}
 
     def insert(self, m: MatrixQ) -> tuple[SpanBasis, bool]:
         """Adjoin a matrix by a rank-one update; grew is True iff the rank increased."""
-        v = self._residual(m)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
+        v = self._residual(self._sparse(m))
+        if not v:
             return self, False
+        p = min(v)
         pv = Fraction(v[p])
-        new_row = tuple(x / pv for x in v)
+        new_row = tuple(v.get(j, 0) / pv for j in range(self.dim**2))
         rows = [
             tuple(a - row[p] * b for a, b in zip(row, new_row)) if row[p] else row
             for row in self.rows
@@ -293,12 +304,12 @@ class SpanBasis:
 
     def contains(self, m: MatrixQ) -> bool:
         """Exact membership test by reduction against the basis rows."""
-        return not any(self._residual(m))
+        return not self._residual(self._sparse(m))
 
     def is_subspace_of(self, other: SpanBasis) -> bool:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
-        return all(other.contains(m) for m in self.row_matrices())
+        return not any(other._residual(dict(pairs)) for pairs in self._pairs.values())
 
     def row_matrices(self) -> list[MatrixQ]:
         return [MatrixQ.unflatten(row, self.dim) for row in self.rows]

@@ -394,6 +394,34 @@ def reference_rref_insert(rows, pivots, vec):
     return out_rows, out_pivots, True
 
 
+def reference_residual(basis: SpanBasis, m: MatrixQ) -> list:
+    """m reduced densely by each basis row (leading 1 at its pivot); zero iff m is inside."""
+    if m.dim != basis.dim:
+        raise DimensionMismatch(f"dimensions {m.dim} and {basis.dim} differ")
+    v = m.flatten()
+    for row, p in zip(basis.rows, basis.pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def reference_contains(basis: SpanBasis, m: MatrixQ) -> bool:
+    return not any(reference_residual(basis, m))
+
+
+def reference_insert(basis: SpanBasis, m: MatrixQ) -> tuple[SpanBasis, bool]:
+    """The rank-one update on the dense residual: (new basis, grew).  The
+    reduction inside reference_rref_insert leaves a residual as it is."""
+    v = reference_residual(basis, m)
+    rows, pivots, grew = reference_rref_insert(basis.rows, basis.pivots, v)
+    return SpanBasis(basis.dim, tuple(rows), tuple(pivots)), grew
+
+
+def reference_is_subspace_of(basis: SpanBasis, other: SpanBasis) -> bool:
+    return all(reference_contains(other, m) for m in basis.row_matrices())
+
+
 def _all_units(d: int):
     return [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import random
+import sys
 import time
 from pathlib import Path
 
@@ -601,3 +603,77 @@ def test_nonpositive_dim_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--poly", "X1", "--dmax", "-1"])
     assert exc.value.code == 2
+
+
+# Leaves for the emitter battery: quotes, backslashes, control characters,
+# non-ASCII text, and lone surrogates as in a corpus path read with
+# surrogateescape.
+_STRINGS = [
+    "",
+    "X1*X2 - X2*X1",
+    '-3/2 "quoted" \\ back\\slash',
+    "tab\tnewline\ncr\r nul\x00 unit\x1f del\x7f",
+    "caf\u00e9 \u6f22\u5b57 \U0001f600 \u2028",
+    b"corpus-\xff\x80.txt".decode("utf-8", "surrogateescape"),
+    "\ud800 lone high, \udfff lone low",
+]
+_BIG = 10**5000 - 1  # 5,000 digits
+
+
+def _leaf(rng):
+    return rng.choice(
+        [None, True, False, 0, -7, 2**70, -_BIG, _BIG, [], {}, *_STRINGS]
+    )
+
+
+def _document(rng, depth):
+    """A nested document of the shapes ncspan emits: str-keyed dicts, lists
+    of str (the encoder's fast path), lists mixing str, int and dict."""
+    if depth == 0:
+        return _leaf(rng)
+    kind = rng.randrange(5)
+    size = rng.randrange(4)
+    if kind == 0:
+        return {rng.choice(_STRINGS) + str(i): _document(rng, depth - 1) for i in range(size)}
+    if kind == 1:
+        return [rng.choice(_STRINGS) for _ in range(size)]
+    if kind == 2:
+        return [[rng.choice(_STRINGS) for _ in range(size)] for _ in range(size)]
+    if kind == 3:
+        return [rng.choice([rng.choice(_STRINGS), rng.randint(-9, 9), {"k": _leaf(rng)}]) for _ in range(size + 1)]
+    return _leaf(rng)
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift the int-to-str digit limit (Python 3.10.7 on) for the 5,000-digit ints."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestDumps:
+    """cli._dumps against json.dumps(indent=2), byte for byte."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+    def test_golden(self, path):
+        doc = json.loads(path.read_text())
+        assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_battery(self, seed, unlimited_int_digits):
+        rng = random.Random(seed)
+        docs = [_document(rng, rng.randrange(5)) for _ in range(300)]
+        docs += [[], {}, None, True, False, -_BIG, _BIG, _STRINGS, {"": [[], {}, [[]]]}]
+        for doc in docs:
+            assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2), doc
+        text = "".join(map(ncspan.cli._dumps, docs))
+        assert all(s in text for s in ("[]", "{}", "null", "true", "false", "\\udcff", "\\u00e9"))
+        assert str(_BIG) in text and "-" + str(_BIG) in text

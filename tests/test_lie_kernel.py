@@ -4,7 +4,9 @@ lie_ideal_check and herstein_closure bracket only with the 2(d - 1) units
 E_{i,i+1} and E_{i+1,i}, through the product-free unit_commutator.  These
 tests require the same verdicts and closures as the bodies kept in helpers,
 which bracket with all d^2 matrix units through commutator, and pin the
-bracket helper and the number of membership tests.
+bracket helper and the number of membership tests.  The sparse membership
+path, SpanBasis._residual, is checked against the dense reduction kept in
+helpers.
 """
 
 import random
@@ -17,7 +19,10 @@ from helpers import (
     random_matrix_int,
     random_poly,
     random_trace_zero,
+    reference_contains,
     reference_herstein_closure,
+    reference_insert,
+    reference_is_subspace_of,
     reference_lie_ideal_check,
 )
 from ncspan import (
@@ -122,14 +127,71 @@ class TestLieIdealDifferential:
 class TestLieIdealCount:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_membership_tests_per_row(self, d, monkeypatch):
+        # _residual is the one membership path: contains, insert, is_subspace_of
+        # and lie_ideal_check all reduce through it.
         calls = []
-        real = SpanBasis.contains
-        monkeypatch.setattr(SpanBasis, "contains", lambda self, m: calls.append(m) or real(self, m))
+        real = SpanBasis._residual
+        monkeypatch.setattr(SpanBasis, "_residual", lambda self, v: calls.append(v) or real(self, v))
         for cls in CANONICAL:
             basis = SpanBasis.canonical(d, cls)
             calls.clear()
             assert lie_ideal_check(basis)
             assert len(calls) == basis.rank * 2 * (d - 1)
+
+
+def _bases(rng, d):
+    """random_basis draws (Fraction rows), bases grown by insert from dense
+    integer matrices (dense rows), and the partial spans of UNDETERMINED reports."""
+    bases = [random_basis(rng, d) for _ in range(8)]
+    for _ in range(3):
+        basis = SpanBasis(d)
+        for _ in range(rng.randint(1, d * d)):
+            basis, _ = basis.insert(random_matrix_int(rng, d))
+        bases.append(basis)
+    reports = [
+        classify_span(parse_poly(text), d, SampleConfig(seed=d, max_samples=3))
+        for text in ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
+    ]
+    assert d == 1 or any(r.classification is Classification.UNDETERMINED for r in reports)
+    return bases + [r.basis for r in reports]
+
+
+def _targets(rng, basis):
+    """Dense, sparse and [r, E_jk] targets for a basis."""
+    d = basis.dim
+    units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+    targets = [random_matrix_int(rng, d), random_rational_matrix(rng, d), MatrixQ.zero(d)]
+    targets += [MatrixQ.identity(d), *rng.sample(units, min(3, d * d))]
+    targets += [rng.choice(units) - rng.choice(units).scale(Fraction(2, 3))]
+    for row in basis.row_matrices()[:3]:
+        targets += [row, unit_commutator(row, rng.randrange(d), rng.randrange(d))]
+    return targets
+
+
+class TestResidualDifferential:
+    """contains, insert and is_subspace_of against the dense reduction."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_agrees_with_reference(self, d):
+        rng = random.Random(900 + d)
+        bases = _bases(rng, d)
+        verdicts = set()
+        for basis in bases:
+            for m in _targets(rng, basis):
+                inside = basis.contains(m)
+                assert inside == reference_contains(basis, m), (basis.rows, m)
+                verdicts.add(inside)
+                got, want = basis.insert(m), reference_insert(basis, m)
+                assert got == want, (basis.rows, m)
+                assert [type(x) for row in got[0].rows for x in row] == [
+                    type(x) for row in want[0].rows for x in row
+                ]
+            for other in rng.sample(bases, 4) + [basis.insert(random_matrix_int(rng, d))[0]]:
+                for a, b in ((basis, other), (other, basis)):
+                    inside = a.is_subspace_of(b)
+                    assert inside == reference_is_subspace_of(a, b), (a.rows, b.rows)
+                    verdicts.add(("subspace", inside))
+        assert verdicts == {True, False, ("subspace", True), ("subspace", False)}
 
 
 class TestHersteinDifferential:

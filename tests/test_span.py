@@ -150,7 +150,9 @@ class TestIsIdentity:
         corpus += [HALL, parse_poly("3/2*X1*X1*X2 + [X2,X1]")]
         cases = [standard_polynomial(4)]
         for f in corpus:
-            # f and its bracket with a fresh variable: the oracle's two tests.
+            # f, and its bracket with a fresh variable: an identity of M_d
+            # exactly when f is central (Hall's at d=2), of one degree and
+            # one variable more than f.
             x = NcPoly.variable(f.nvars + 1)
             cases += [f, f * x - x * f]
         verdicts = set()
