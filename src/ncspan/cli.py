@@ -451,14 +451,9 @@ def _attach_literals(argv: list[str]) -> list[str]:
     return out
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once per process: parse_args leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
+    parser = build_parser()
+    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ParseError, _UsageError) as exc:

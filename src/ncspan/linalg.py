@@ -306,6 +306,21 @@ class SpanBasis:
         """Exact membership test by reduction against the basis rows."""
         return not self._residual(self._sparse(m))
 
+    def closed_under_units(self, units: Sequence[tuple[int, int]]) -> bool:
+        """True iff [r, E_jk] is in the span for every row r and (j, k) in units,
+        one _residual each; as in unit_commutator, r's nonzero x at (a, j) goes
+        to (a, k), and one at (k, c) is subtracted at (j, c)."""
+        d = self.dim
+        for pairs in self._pairs.values():
+            for j, k in units:
+                v = {i + k - j: x for i, x in pairs if i % d == j}
+                for i, x in pairs:
+                    if i // d == k:
+                        v[i + (j - k) * d] = v.get(i + (j - k) * d, 0) - x
+                if self._residual(v):
+                    return False
+        return True
+
     def is_subspace_of(self, other: SpanBasis) -> bool:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")

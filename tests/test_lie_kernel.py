@@ -1,12 +1,14 @@
 """The Chevalley-generator Lie checks against the all-units references.
 
 lie_ideal_check and herstein_closure bracket only with the 2(d - 1) units
-E_{i,i+1} and E_{i+1,i}, through the product-free unit_commutator.  These
+E_{i,i+1} and E_{i+1,i}, product-free: herstein_closure through
+unit_commutator, lie_ideal_check through SpanBasis.closed_under_units.  These
 tests require the same verdicts and closures as the bodies kept in helpers,
 which bracket with all d^2 matrix units through commutator, and pin the
 bracket helper and the number of membership tests.  The sparse membership
-path, SpanBasis._residual, is checked against the dense reduction kept in
-helpers.
+path, SpanBasis._residual, and the sparse bracket of
+SpanBasis.closed_under_units are checked against the dense reduction kept in
+helpers and unit_commutator.
 """
 
 import random
@@ -192,6 +194,25 @@ class TestResidualDifferential:
                     assert inside == reference_is_subspace_of(a, b), (a.rows, b.rows)
                     verdicts.add(("subspace", inside))
         assert verdicts == {True, False, ("subspace", True), ("subspace", False)}
+
+
+class TestClosedUnderUnits:
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_agrees_with_unit_commutator(self, d):
+        # Any list of units, diagonal ones included, not only the Chevalley units.
+        rng = random.Random(950 + d)
+        pairs = [(j, k) for j in range(d) for k in range(d)]
+        verdicts = set()
+        for basis in _bases(rng, d):
+            for units in ([], pairs, rng.sample(pairs, rng.randint(1, d * d))):
+                want = all(
+                    reference_contains(basis, unit_commutator(row, j, k))
+                    for row in basis.row_matrices()
+                    for j, k in units
+                )
+                assert basis.closed_under_units(units) is want, (basis.rows, units)
+                verdicts.add(want)
+        assert verdicts == ({True} if d == 1 else {True, False})
 
 
 class TestHersteinDifferential:
