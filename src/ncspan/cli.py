@@ -73,19 +73,25 @@ _ascii = json.encoder.encode_basestring_ascii
 
 
 def _dumps(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for dicts with str keys, lists, str, int,
-    bool and None, with each list of strings encoded by the C string encoder
-    (json runs its pure-Python encoder whenever indent is set).  indent is
-    the line break and indentation before obj."""
+    """json.dumps(obj, indent=2) for dicts with str keys, lists, str, int, bool
+    and None.  A list of strings, or of nonempty lists of strings, is joined
+    over the C string encoder with no Python step per entry (json runs its
+    Python encoder whenever indent is set).  indent: the break before obj."""
     if not isinstance(obj, (dict, list)) or not obj:
         return json.dumps(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
         body, ends = (f"{_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()), "{}"
-    elif all(type(x) is str for x in obj):
-        body, ends = map(_ascii, obj), "[]"
     else:
-        body, ends = (_dumps(x, inner) for x in obj), "[]"
+        ends = "[]"
+        try:  # _ascii raises TypeError on the first item that is no string
+            if all(type(row) is list and row for row in obj):
+                sep = f",{inner}  "
+                body = [f"[{inner}  {sep.join(map(_ascii, row))}{inner}]" for row in obj]
+            else:
+                body = list(map(_ascii, obj))
+        except TypeError:
+            body = (_dumps(x, inner) for x in obj)
     return ends[0] + inner + ("," + inner).join(body) + indent + ends[1]
 
 
@@ -99,11 +105,21 @@ def _doc(f: NcPoly, **fields) -> dict:
 
 
 def _ser_rows(rows) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in rows]
+    # Every row entry is an int or a Fraction, whose str is its format_scalar.
+    return [list(map(str, row)) for row in rows]
 
 
 def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
-    """(applicable, consistent-or-None)."""
+    """(applicable, consistent-or-None) for the degree exclusion: for d >= 2
+    and 1 <= deg f < 2d, f is neither an identity of M_d nor central on it,
+    so its span, a Lie ideal of M_d, is TRACE_ZERO or FULL.  Proof: over Q
+    the full linearization g of a component of f of degree k >= 1 takes
+    values in the span of f's (Rowen, 1980), and g sends matrix units in
+    staircase order E_11, E_12, E_22, E_23, ... along a word with coefficient
+    c != 0 to c*E_1j, j = k//2 + 1 <= d, every other order of them giving 0:
+    the easy half of Amitsur-Levitzki (1950).  On the commutative M_1 every f
+    is central; the flag holds there (deg f = 1) only because SCALARS = FULL
+    and the report names FULL."""
     deg = report.poly.degree()
     applicable = deg is not None and deg >= 1 and 2 * report.dim > deg
     if not applicable or report.classification is Classification.UNDETERMINED:
@@ -374,62 +390,57 @@ def _cmd_suite(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
-def _add_sampling_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (default: $NCSPAN_SEED or 0)")
-    sub.add_argument("--max-samples", type=_positive_int, default=None, help="sampling budget (default: 64*d^2)")
-    sub.add_argument("--coeff-bound", type=_positive_int, default=10, help="entry bound B for random matrices")
-    sub.add_argument("--stability-window", type=_positive_int, default=50, help="stall length before classifying")
+# Each subcommand's name, help, handler and options, as (flag, add_argument keywords).
+_POLY = ("--poly", {"required": True})
+_DIM = ("--dim", {"type": _positive_int, "required": True})
+_SAMPLING = (
+    ("--seed", {"type": int, "default": None, "help": "RNG seed (default: $NCSPAN_SEED or 0)"}),
+    ("--max-samples", {"type": _positive_int, "default": None, "help": "sampling budget (default: 64*d^2)"}),
+    ("--coeff-bound", {"type": _positive_int, "default": 10, "help": "entry bound B for random matrices"}),
+    ("--stability-window", {"type": _positive_int, "default": 50, "help": "stall length before classifying"}),
+)
+_COMMANDS = (
+    ("classify", "classify the span of values on M_d", _cmd_classify,
+     (("--poly", {"required": True, "help": "polynomial, e.g. 'X1*X2 - X2*X1'"}), _DIM,
+      ("--format", {"choices": ("json", "text"), "default": "json"}), *_SAMPLING)),
+    ("witness", "smallest d where the polynomial is neither identity nor central", _cmd_witness,
+     (_POLY, ("--dmax", {"type": _positive_int, "required": True}), *_SAMPLING)),
+    ("linearize", "reduce to a multilinear polynomial with a step transcript", _cmd_linearize,
+     (_POLY, _DIM, *_SAMPLING)),
+    ("commtest", "test membership in the span of commutators", _cmd_commtest, (_POLY,)),
+    ("decompose", "write a target matrix as a combination of values", _cmd_decompose,
+     (_POLY, _DIM, ("--target", {"required": True, "help": "matrix literal, e.g. '1,0;0,-1'"}), *_SAMPLING)),
+    ("suite", "batch consistency report over a corpus file", _cmd_suite,
+     (("--corpus", {"required": True, "help": "file with one polynomial per line, '#' comments"}), _DIM, *_SAMPLING)),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ncspan parser.  Every subcommand is registered, so the top-level
+    help, usage line and errors never change; if command names one, only
+    that one gets its options and handler (main passes its first argument,
+    the only subcommand argparse can run)."""
     parser = argparse.ArgumentParser(
         prog="ncspan",
         description="Classify linear spans of noncommutative polynomial values on M_d(Q).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify the span of values on M_d")
-    p.add_argument("--poly", required=True, help="polynomial, e.g. 'X1*X2 - X2*X1'")
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    _add_sampling_flags(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("witness", help="smallest d where the polynomial is neither identity nor central")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--dmax", type=_positive_int, required=True)
-    _add_sampling_flags(p)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("linearize", help="reduce to a multilinear polynomial with a step transcript")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    _add_sampling_flags(p)
-    p.set_defaults(func=_cmd_linearize)
-
-    p = sub.add_parser("commtest", help="test membership in the span of commutators")
-    p.add_argument("--poly", required=True)
-    p.set_defaults(func=_cmd_commtest)
-
-    p = sub.add_parser("decompose", help="write a target matrix as a combination of values")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--target", required=True, help="matrix literal, e.g. '1,0;0,-1'")
-    _add_sampling_flags(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("suite", help="batch consistency report over a corpus file")
-    p.add_argument("--corpus", required=True, help="file with one polynomial per line, '#' comments")
-    p.add_argument("--dim", type=_positive_int, required=True)
-    _add_sampling_flags(p)
-    p.set_defaults(func=_cmd_suite)
-
+    every = all(command != name for name, *_ in _COMMANDS)
+    for name, help_text, func, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if every or name == command:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -452,8 +463,8 @@ def _attach_literals(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
+    argv = _attach_literals(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, _UsageError) as exc:

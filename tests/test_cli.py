@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import json
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,9 +12,10 @@ import pytest
 import ncspan.cli
 from helpers import reference_suite_violations
 from ncspan.cli import main
-from ncspan.linalg import SpanBasis
+from ncspan.linalg import Classification, SpanBasis
 from ncspan.linearize import OracleFailed
-from ncspan.text import parse_poly
+from ncspan.span import SampleConfig, classify_span
+from ncspan.text import format_scalar, parse_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -605,6 +608,133 @@ def test_nonpositive_dim_is_usage_error():
     assert exc.value.code == 2
 
 
+# Every option whose type is _positive_int, with the options its subcommand requires.
+POSITIVE_INT_OPTIONS = [
+    ("classify", "--dim", ("--poly", "X1")),
+    ("witness", "--dmax", ("--poly", "X1")),
+    ("classify", "--max-samples", ("--poly", "X1", "--dim", "2")),
+    ("classify", "--coeff-bound", ("--poly", "X1", "--dim", "2")),
+    ("classify", "--stability-window", ("--poly", "X1", "--dim", "2")),
+]
+
+
+@pytest.mark.parametrize("text", ["x", "1.5", ""])
+@pytest.mark.parametrize("command,option,rest", POSITIVE_INT_OPTIONS, ids=lambda v: v if isinstance(v, str) else None)
+def test_non_integer_is_usage_error(capsys, command, option, rest, text):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *rest, option, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"ncspan {command}: error: argument {option}: must be a positive integer, got {text!r}\n")
+    assert "_positive_int" not in err
+
+
+SUBCOMMANDS = ("classify", "witness", "linearize", "commtest", "decompose", "suite")
+TOP_USAGE = "usage: ncspan [-h] {" + ",".join(SUBCOMMANDS) + "} ..."
+# Options that parse for each subcommand, so only the extra option is wrong.
+VALID_OPTIONS = {
+    "classify": ("--poly", "X1", "--dim", "2"),
+    "witness": ("--poly", "X1", "--dmax", "2"),
+    "linearize": ("--poly", "X1", "--dim", "2"),
+    "commtest": ("--poly", "X1"),
+    "decompose": ("--poly", "X1", "--dim", "2", "--target", "1,0;0,1"),
+    "suite": ("--corpus", "corpus.txt", "--dim", "2"),
+}
+
+
+def _outcome(capsys, run, argv):
+    """(exit code, stdout, stderr) of run(argv), which may exit."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _with_every_subcommand(argv):
+    """main on a parser built with every subcommand's options and handler."""
+    args = ncspan.cli.build_parser().parse_args(ncspan.cli._attach_literals(argv))
+    return args.func(args)
+
+
+class TestParserPerCommand:
+    """main builds options for the invoked subcommand only; what it prints
+    and returns must not depend on that."""
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("case", ["help", "missing_required", "unrecognized"])
+    def test_same_as_every_subcommand(self, capsys, command, case):
+        argv = {
+            "help": [command, "--help"],
+            "missing_required": [command],
+            "unrecognized": [command, *VALID_OPTIONS[command], "--bogus", "1"],
+        }[case]
+        got = _outcome(capsys, main, argv)
+        assert got == _outcome(capsys, _with_every_subcommand, argv)
+        code, out, err = got
+        if case == "help":
+            assert (code, err) == (0, "") and out.startswith(f"usage: ncspan {command} [-h]")
+        else:
+            assert code == 2 and out == ""
+        if case == "missing_required":
+            assert "the following arguments are required" in err
+        if case == "unrecognized":
+            assert err.startswith(TOP_USAGE) and "unrecognized arguments: --bogus 1" in err
+
+    @pytest.mark.parametrize(
+        "argv,code,usage",
+        [
+            ([], 2, TOP_USAGE),
+            (["bogus"], 2, TOP_USAGE),
+            (["Classify", "--poly", "X1"], 2, TOP_USAGE),
+            (["--help"], 0, TOP_USAGE),
+            (["-h", "classify"], 0, TOP_USAGE),
+            # argparse runs the subcommand that follows a stray option.
+            (["--poly", "X1", "classify"], 2, "usage: ncspan classify [-h]"),
+        ],
+        ids=repr,
+    )
+    def test_no_subcommand_first(self, capsys, argv, code, usage):
+        got = _outcome(capsys, main, argv)
+        assert got == _outcome(capsys, _with_every_subcommand, argv)
+        _, out, err = got
+        assert got[0] == code and (out if code == 0 else err).startswith(usage)
+        if code == 0:
+            assert err == "" and all(f"    {c} " in out for c in SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", [*SUBCOMMANDS, None, "bogus", "-h"])
+    def test_options_built(self, command):
+        parser = ncspan.cli.build_parser(command)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(SUBCOMMANDS)
+        built = [name for name, p in sub.choices.items() if len(p._actions) > 1]
+        assert built == ([command] if command in SUBCOMMANDS else list(SUBCOMMANDS))
+        assert all(("func" in p._defaults) == (name in built) for name, p in sub.choices.items())
+
+
+class TestSerRows:
+    """cli._ser_rows against format_scalar, entry by entry."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_battery(self, d):
+        seen = set()
+        for text in ("3/2*X1*X1*X2 + [X2,X1]", "[X1,X2]", "X1*X2 - 1/3*X2*X1"):
+            for seed in (0, 7919):
+                # max_samples=3 leaves partial, UNDETERMINED bases.
+                for max_samples in (None, 3):
+                    cfg = SampleConfig(seed=seed, max_samples=max_samples)
+                    report = classify_span(parse_poly(text), d, cfg)
+                    seen.add(report.classification)
+                    values = [v.rows for _, v in report.witnesses]
+                    for rows in [report.basis.rows, *values, *(a.rows for args, _ in report.witnesses for a in args)]:
+                        assert {type(x) for row in rows for x in row} <= {int, Fraction}
+                        assert ncspan.cli._ser_rows(rows) == [[format_scalar(x) for x in row] for row in rows]
+                    if text.startswith("3/2"):
+                        assert any(type(x) is Fraction and x.denominator > 1 for m in values for r in m for x in r)
+        assert Classification.UNDETERMINED in seen and seen - {Classification.UNDETERMINED}
+
+
 # Leaves for the emitter battery: quotes, backslashes, control characters,
 # non-ASCII text, and lone surrogates as in a corpus path read with
 # surrogateescape.
@@ -666,6 +796,39 @@ class TestDumps:
     def test_golden(self, path):
         doc = json.loads(path.read_text())
         assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[]],
+            [["1"]],
+            [["-3/2"]],
+            {"value": [["0"]], "inputs": [[["7"]], [["-1/2"]]]},
+            [[s] for s in _STRINGS],
+            [_STRINGS, _STRINGS[::-1]],
+            {"basis": [_STRINGS[1:4], _STRINGS[4:]]},
+            # Not all rows nonempty lists of strings: the general path.
+            [["1", "2"], ["3", 4]],
+            [["a"], [1, "b"]],
+            [["a"], ["b", {"k": "v"}]],
+            [["a"], ["b", None]],
+            [["a"], []],
+            [["a"], "bc"],
+            [[["1"]], [["2"]]],
+        ],
+        ids=repr,
+    )
+    def test_matrices(self, doc):
+        assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_matrix_in_one_call(self, monkeypatch):
+        real, calls = ncspan.cli._dumps, []
+        monkeypatch.setattr(ncspan.cli, "_dumps", lambda obj, indent="\n": calls.append(obj) or real(obj, indent))
+        matrix = [[f"{i}/{j + 1}" for j in range(6)] for i in range(6)]
+        doc = {"basis": matrix, "inputs": [matrix, matrix]}
+        assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2)
+        # The document, its two values, and each matrix of inputs: no call per row.
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("seed", [0, 7919])
     def test_battery(self, seed, unlimited_int_digits):

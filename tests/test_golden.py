@@ -9,13 +9,15 @@ intended output change (which also bumps the schema), regenerate with
 import contextlib
 import io
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import standard_polynomial
+import ncspan.cli
 from ncspan.cli import main
-from ncspan.text import poly_to_text
+from ncspan.text import format_scalar, poly_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,6 +116,25 @@ def _stdout(argv) -> str:
 def test_stdout_matches_golden(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert _stdout(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ser_rows_agrees_with_format_scalar(name, monkeypatch):
+    """Every matrix a golden run prints is serialised as format_scalar would."""
+    real, seen = ncspan.cli._ser_rows, []
+
+    def checked(rows):
+        assert {type(x) for row in rows for x in row} <= {int, Fraction}
+        got = real(rows)
+        assert got == [[format_scalar(x) for x in row] for row in rows]
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(ncspan.cli, "_ser_rows", checked)
+    monkeypatch.chdir(GOLDEN)
+    assert _stdout(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+    # classify and decompose print matrices, except a decompose outside the span.
+    assert bool(seen) == (name.startswith(("classify", "decompose")) and "trace" not in name)
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE))
