@@ -54,19 +54,15 @@ class _UsageError(Exception):
 
 
 def _config(args) -> SampleConfig:
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("NCSPAN_SEED", "0")
+    # An unset option is None and left to SampleConfig; --seed falls back on $NCSPAN_SEED.
+    given = {"seed": args.seed, "coeff_bound": args.coeff_bound, "max_samples": args.max_samples}
+    raw = os.environ.get("NCSPAN_SEED")
+    if args.seed is None and raw is not None:
         try:
-            seed = int(raw)
+            given["seed"] = int(raw)
         except ValueError:
             raise _UsageError(f"NCSPAN_SEED must be an integer, got {raw!r}") from None
-    return SampleConfig(
-        seed=seed,
-        coeff_bound=args.coeff_bound,
-        max_samples=args.max_samples,
-        stability_window=args.stability_window,
-    )
+    return SampleConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 _ascii = json.encoder.encode_basestring_ascii
@@ -403,10 +399,9 @@ def _positive_int(text: str) -> int:
 _POLY = ("--poly", {"required": True})
 _DIM = ("--dim", {"type": _positive_int, "required": True})
 _SAMPLING = (
-    ("--seed", {"type": int, "default": None, "help": "RNG seed (default: $NCSPAN_SEED or 0)"}),
-    ("--max-samples", {"type": _positive_int, "default": None, "help": "sampling budget (default: 64*d^2)"}),
-    ("--coeff-bound", {"type": _positive_int, "default": 10, "help": "entry bound B for random matrices"}),
-    ("--stability-window", {"type": _positive_int, "default": 50, "help": "stall length before classifying"}),
+    ("--seed", {"type": int, "help": "RNG seed (default: $NCSPAN_SEED or 0)"}),
+    ("--max-samples", {"type": _positive_int, "help": "sampling budget (default: 64*d^2)"}),
+    ("--coeff-bound", {"type": _positive_int, "help": "entry bound B for random matrices"}),
 )
 _COMMANDS = (
     ("classify", "classify the span of values on M_d", _cmd_classify,
@@ -464,7 +459,12 @@ def _attach_literals(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = _attach_literals(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    parser = build_parser(argv[0] if argv else None)
+    flag = argv[0].split("=")[0] if argv else ""
+    # argparse would run the subcommand without it; --help and its prefixes stay argparse's.
+    if flag.startswith("--") and not "--help".startswith(flag):
+        parser.error(f"argument {flag}: options go after the subcommand")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, _UsageError) as exc:

@@ -73,23 +73,22 @@ class ConstantInput(Exception):
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Deterministic sampling policy; every random draw flows from seed.
+    """Deterministic sampling policy, and the one owner of its defaults.
 
-    Entries are integers uniform in [-coeff_bound, coeff_bound].  When
-    max_samples is None the budget defaults to 64 * d^2 for dimension d
-    (the rank can grow at most d^2 times, with generous slack).
+    Every random draw flows from seed.  Entries are integers uniform in
+    [-coeff_bound, coeff_bound].  When max_samples is None the budget
+    defaults to 64 * d^2 for dimension d (the rank can grow at most d^2
+    times, with generous slack).  No field sets the STABILITY_WINDOW stop:
+    a matched basis that 50 samples in a row did not grow.
     """
 
     seed: int = 0
     coeff_bound: int = 10
     max_samples: int | None = None
-    stability_window: int = 50
 
     def __post_init__(self):
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
-        if self.stability_window < 1:
-            raise ValueError("stability_window must be >= 1")
         if self.max_samples is not None and self.max_samples < 1:
             raise ValueError("max_samples must be >= 1")
 
@@ -98,14 +97,17 @@ class SampleConfig:
 
 
 Witness = tuple[tuple[MatrixQ, ...], MatrixQ]
+# The STABILITY_WINDOW stall, fixed: proofs by full linearization are to replace it.
+_STABILITY_WINDOW = 50
 
 
 class StopReason(Enum):
     """Why classify_span stopped sampling.
 
     FULL_RANK and COMMUTATOR_SUM stop on a proof that the sampled span is
-    the whole canonical space; STABILITY_WINDOW and BUDGET_EXHAUSTED stop
-    on a sampled verdict, a lower bound on the span.
+    the whole canonical space; STABILITY_WINDOW (a matched basis that 50
+    samples in a row did not grow) and BUDGET_EXHAUSTED stop on a sampled
+    verdict, a lower bound on the span.
     """
 
     FULL_RANK = "FULL_RANK"
@@ -329,7 +331,7 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
         yield ev(list(itertools.chain.from_iterable(tup)))
 
 
-def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
+def is_identity(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> bool:
     """Decide whether every value of f on M_d is zero.
 
     Exact for multilinear f (see _values).  Otherwise randomized over
@@ -337,11 +339,11 @@ def is_identity(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
     run returns True with error probability at most p ** n for (p, n) =
     vanishing_rate().  Both evaluate L * f, which vanishes where f does.
     """
-    return f.is_zero() or not any(map(any, _values(f, d, cfg or SampleConfig())))
+    return f.is_zero() or not any(map(any, _values(f, d, cfg)))
 
 
 def vanishing_rate(
-    f: NcPoly, d: int, cfg: SampleConfig | None = None
+    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
 ) -> tuple[Fraction, int]:
     """(p, n): a randomized identity or central verdict errs with probability <= p ** n.
 
@@ -354,7 +356,6 @@ def vanishing_rate(
     (multilinear) tests have p = 0.  The bound stays factored because
     p ** n can have thousands of digits.
     """
-    cfg = cfg or SampleConfig()
     n = cfg.samples_for(d)
     deg = f.degree()
     if f.is_zero() or f.is_multilinear() or deg == 0:
@@ -374,16 +375,15 @@ def _verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool]:
     return zero, not zero
 
 
-def is_central(f: NcPoly, d: int, cfg: SampleConfig | None = None) -> bool:
+def is_central(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> bool:
     """Decide whether f's values lie in the center of M_d without all vanishing."""
-    return _verdicts(f, d, cfg or SampleConfig())[1]
+    return _verdicts(f, d, cfg)[1]
 
 
 def nontriviality_oracle(
-    d: int, cfg: SampleConfig | None = None
+    d: int, cfg: SampleConfig = SampleConfig()
 ) -> Callable[[NcPoly], bool]:
     """Oracle for the reduction pipeline: neither identity nor central on M_d."""
-    cfg = cfg or SampleConfig()
     return lambda f: not any(_verdicts(f, d, cfg))
 
 
@@ -411,18 +411,17 @@ def _match_class(
 
 
 def classify_span(
-    f: NcPoly, d: int, cfg: SampleConfig | None = None
+    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
 ) -> SpanReport:
     """Sample values of f on M_d and classify their linear span.
 
-    Stops as soon as the span is proved canonical, or once the values have
-    seen stability_window consecutive non-growing samples while matching a
-    canonical space, or when the budget runs out (see StopReason).  Two
-    ranks prove the class: full rank d^2, and rank d^2 - 1 when f is a sum
-    of commutators, whose values all lie in the trace-zero space sl_d since
-    tr[a, b] = 0 (at d = 1, sl_1 = 0 and the span is ZERO).  Witness tuples
-    are recorded exactly for the samples that grew the rank, so the basis
-    is the span of the witness values.
+    Stops as soon as the span is proved canonical, or at a matched basis
+    that 50 samples in a row did not grow, or when the budget runs out (see
+    StopReason).  Two ranks prove the class: full rank d^2, and rank
+    d^2 - 1 when f is a sum of commutators, whose values all lie in the
+    trace-zero space sl_d since tr[a, b] = 0 (at d = 1, sl_1 = 0 and the
+    span is ZERO).  Witness tuples are recorded exactly for the samples
+    that grew the rank, so the basis is the span of the witness values.
 
     Values are computed as integer matrices L * f(t).  Growth is tracked by
     rank mod a prime, which never overclaims (see EchelonModP), and the
@@ -430,7 +429,6 @@ def classify_span(
     The exact basis is built once: in closed form for a canonical class,
     else by reducing the witness values.
     """
-    cfg = cfg or SampleConfig()
     scale, _ = _integer_terms(f)
     echelon = EchelonModP()
     witnesses: list[Witness] = []
@@ -459,7 +457,7 @@ def classify_span(
             stop_reason = StopReason.FULL_RANK
         elif commutator_sum and echelon.rank == full_rank - 1:
             stop_reason = StopReason.COMMUTATOR_SUM
-        elif stall >= cfg.stability_window and match is not None:
+        elif stall >= _STABILITY_WINDOW and match is not None:
             stop_reason = StopReason.STABILITY_WINDOW
         else:
             continue
@@ -483,7 +481,7 @@ def classify_span(
 
 
 def find_witness_dimension(
-    f: NcPoly, d_max: int, cfg: SampleConfig | None = None
+    f: NcPoly, d_max: int, cfg: SampleConfig = SampleConfig()
 ) -> int | None:
     """Smallest d <= d_max where f is neither an identity nor central.
 

@@ -200,7 +200,8 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
     value, independently of SpanBasis.
 
     Same sampling, stopping rule and witnesses as classify_span, which
-    must agree with it field for field.
+    must agree with it field for field.  The stall length, 50, is written
+    out here rather than read from span, so the reference stays independent.
     """
     n = d * d
 
@@ -244,7 +245,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
             classification = match(basis)
             stop_reason = StopReason.COMMUTATOR_SUM
             break
-        if stall >= cfg.stability_window:
+        if stall >= 50:
             classification = match(basis)
             if classification is not None:
                 stop_reason = StopReason.STABILITY_WINDOW

@@ -614,7 +614,6 @@ POSITIVE_INT_OPTIONS = [
     ("witness", "--dmax", ("--poly", "X1")),
     ("classify", "--max-samples", ("--poly", "X1", "--dim", "2")),
     ("classify", "--coeff-bound", ("--poly", "X1", "--dim", "2")),
-    ("classify", "--stability-window", ("--poly", "X1", "--dim", "2")),
 ]
 
 
@@ -690,18 +689,30 @@ class TestParserPerCommand:
             (["Classify", "--poly", "X1"], 2, TOP_USAGE),
             (["--help"], 0, TOP_USAGE),
             (["-h", "classify"], 0, TOP_USAGE),
-            # argparse runs the subcommand that follows a stray option.
-            (["--poly", "X1", "classify"], 2, "usage: ncspan classify [-h]"),
+            (["--he"], 0, TOP_USAGE),
+            # An option before the subcommand is named, not reported missing.
+            (["--poly", "X1", "classify"], 2, TOP_USAGE),
         ],
         ids=repr,
     )
     def test_no_subcommand_first(self, capsys, argv, code, usage):
         got = _outcome(capsys, main, argv)
-        assert got == _outcome(capsys, _with_every_subcommand, argv)
         _, out, err = got
         assert got[0] == code and (out if code == 0 else err).startswith(usage)
         if code == 0:
             assert err == "" and all(f"    {c} " in out for c in SUBCOMMANDS)
+        if argv[:1] == ["--poly"]:
+            # argparse alone runs classify without it: "required: --poly".
+            assert out == "" and "error: argument --poly: options go after the subcommand" in err
+            assert "required" not in err
+        else:
+            assert got == _outcome(capsys, _with_every_subcommand, argv)
+
+    @pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if c != "commtest"])
+    def test_no_stability_window_option(self, capsys, command):
+        code, out, err = _outcome(capsys, main, [command, *VALID_OPTIONS[command], "--stability-window", "5"])
+        assert (code, out) == (2, "")
+        assert err.startswith(TOP_USAGE) and "unrecognized arguments: --stability-window 5" in err
 
     @pytest.mark.parametrize("command", [*SUBCOMMANDS, None, "bogus", "-h"])
     def test_options_built(self, command):

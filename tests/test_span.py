@@ -409,8 +409,6 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             SampleConfig(coeff_bound=0)
         with pytest.raises(ValueError):
-            SampleConfig(stability_window=0)
-        with pytest.raises(ValueError):
             SampleConfig(max_samples=0)
 
 

@@ -161,7 +161,7 @@ class TestProofStop:
             assert got.witnesses == want.witnesses, where
             # The stop comes right after the last growth, so every sample grew.
             assert got.samples_used == len(got.witnesses) == d * d - 1, where
-            window = min(got.samples_used + cfg.stability_window, cfg.samples_for(d))
+            window = min(got.samples_used + span._STABILITY_WINDOW, cfg.samples_for(d))
             assert want.samples_used == window, where
             assert want.stop_reason is not StopReason.COMMUTATOR_SUM, where
 
