@@ -29,8 +29,13 @@ The sampling kernel does a whole row's work per Python-level step:
 - the entries come from one getrandbits call per batch, read through a
   byte table; they are exactly the values randint(-B, B) would give one by
   one (see _entry_stream), with randint itself for B > 127;
-- each row of a running product is one int with the row's entries in
-  fixed-width slots, sized from a proved bound on every entry (see
+- the polynomial is compiled once per evaluator through the minimal DAG
+  of its words (see _compile): a subterm that many words share is
+  computed once per sample, and the arguments of letters that lead to
+  the same subterm are summed before one product, so (X1+X2)^5 costs 4
+  matrix products, not 128;
+- each matrix row is one int with the row's entries in fixed-width
+  slots, sized from a proved bound on every entry of the value (see
   _packed_evaluator), so no value is ever wrong, only wider, and the
   result is decoded by one little-endian struct whatever the host's byte
   order (int.from_bytes only for slots wider than 8 bytes);
@@ -41,12 +46,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from .linalg import (
@@ -141,46 +147,184 @@ def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
 _SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
+@functools.lru_cache(maxsize=16)
+def _slots(d: int, width: int) -> tuple:
+    """(cols, rows_at, eye, offset, unpack) for d x d matrices in width-byte slots.
+
+    cols[c] is 1 in slot c of a packed row, and rows_at[i] puts a packed
+    row at row i of a packed matrix; eye is the packed identity.  Adding
+    offset makes every slot nonnegative without borrows, and xor-ing it
+    back flips each slot's top bit, leaving its two's-complement value.
+    unpack is one little-endian struct for the widths that have a code.
+    """
+    bits = 8 * width
+    cols = tuple(1 << (bits * c) for c in range(d))
+    rows_at = tuple(1 << (bits * d * i) for i in range(d))
+    eye = sum(1 << (bits * (d + 1) * i) for i in range(d))
+    offset = sum(1 << (bits * k + bits - 1) for k in range(d * d))
+    code = _SIGNED_SLOTS.get(width)
+    return cols, rows_at, eye, offset, struct.Struct(f"<{d * d}{code}").unpack if code else None
+
+
+def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
+    """(const, root, steps, sums, nvars): sum c * w over terms as a program
+    on packed rows, compiled through the minimal DAG of its words.
+
+    Per sample, rows holds the d rows of each of X1..X_nvars (X_x's first
+    is row (x - 1) * d), then those of each sum of letters in sums, given
+    by the offsets of the letters' entries.  vals[0] is I, and steps[i]
+    appends vals[i + 1]: a step (k, v, None) is rows k..k+d-1 times
+    vals[v], and a step (c, None, parts) is c * I plus g * (rows k..) *
+    vals[v] for each (g, k, v) in parts.  The sum is const * I plus
+    g * vals[v] for each (g, v) in root.
+
+    A node of the DAG stands for the polynomial c + sum x * child over its
+    (letter x, child) edges: a path from the root spells a word, and c at
+    its end is that word's coefficient.  Nodes that stand for the same
+    polynomial are one node, which makes it the minimal acyclic automaton
+    of the weighted words (Daciuk, Mihov, Watson and Watson, Computational
+    Linguistics 26(1), 2000).  It is built incrementally from the sorted
+    words: only the nodes on the last word's path are open, and once a
+    later word leaves a node, the node is closed into the step that
+    computes it, or found among the steps already made.  So memory is the
+    program plus one word.
+
+    A closed node's value is g * vals[v]: the letters that lead to one
+    child value are summed before the one product, a leaf child is c * I,
+    so its product only packs rows, and each step is divided by the gcd of
+    its scalars, so that values equal up to an integer factor share it,
+    and a chain of single letters carries its coefficient to the root, as
+    when each word was multiplied out.
+    """
+    n = d * d
+    nvars = max((max(w) for w, _ in terms if w), default=0)
+    steps: list[tuple] = []
+    index: dict[tuple, int] = {}
+    sums: list[list[int]] = []
+    first_row: dict[tuple[int, ...], int] = {}
+
+    def step(key: tuple) -> int:
+        v = index.get(key)
+        if v is None:
+            steps.append(key)
+            v = index[key] = len(steps)
+        return v
+
+    def parts(edges: list) -> list[tuple[int, int, int]]:
+        """The sum of x * g * vals[v] over edges (x, (g, v)), as (g, k, v):
+        g times rows k..k+d-1 times vals[v], the letters of one (g, v) summed."""
+        letters: dict[tuple[int, int], list[int]] = {}
+        for x, value in edges:
+            letters.setdefault(value, []).append(x)
+        out = []
+        for (g, v), xs in letters.items():
+            if len(xs) == 1:
+                k = (xs[0] - 1) * d
+            else:
+                if tuple(xs) not in first_row:
+                    first_row[tuple(xs)] = (nvars + len(sums)) * d
+                    sums.append([(x - 1) * n for x in xs])
+                k = first_row[tuple(xs)]
+            out.append((g, k, v))
+        return out
+
+    def close(depth: int) -> None:
+        """Close the open nodes below depth into (letter, (g, v)) edges of their parents."""
+        for i in range(len(path) - 1, depth, -1):
+            c, edges = path.pop()
+            if not edges:
+                value = (c, 0)
+            elif len(edges) == 1 and not c:
+                (x, (g, v)), = edges
+                value = (g, step(((x - 1) * d, v, None)))
+            else:
+                ps = parts(edges)
+                g = math.gcd(c, *(h for h, _, _ in ps))
+                g = -g if (c or ps[0][0]) < 0 else g
+                if len(ps) == 1 and not c:
+                    _, k, v = ps[0]
+                    value = (g, step((k, v, None)))
+                else:
+                    if g != 1:
+                        c, ps = c // g, [(h // g, k, v) for h, k, v in ps]
+                    value = (g, step((c, None, tuple(ps))))
+            path[-1][1].append((prev[i - 1], value))
+
+    # The open nodes as [c, edges], root first: the node at depth i has an
+    # edge prev[i] to the next one, added when that one is closed.
+    path: list[list] = [[0, []]]
+    prev: Word = ()
+    for word, c in sorted(terms):
+        common = 0
+        for x, y in zip(prev, word):
+            if x != y:
+                break
+            common += 1
+        close(common)
+        path += [[0, []] for _ in word[common:]]
+        path[-1][0] = c
+        prev = word
+    close(0)
+    const, edges = path[0]
+    root = [(g, step((k, v, None))) for g, k, v in parts(edges)]
+    return const, root, steps, sums, nvars
+
+
 def _packed_evaluator(
     terms: list[tuple[Word, int]], d: int, bound: int
 ) -> Callable[[Sequence[int]], list[int]]:
     """ev(entries) = sum c * w(args) over (w, c) in terms, row-major.
 
     entries are the integer entries of args, row-major, X1 first; none may
-    exceed bound in absolute value.  Words are evaluated right to left on
-    packed rows: a row of the running product is one int holding its d
-    entries in fixed-width slots, so a product A * P is d C-level sums of
-    A's entries times P's rows.  Packing is a ring map Z[t] -> Z, t -> 2^s,
-    so the arithmetic is exact whatever the slots hold in between, and
-    decoding needs each final entry to fit its slot.  Every entry, final or
-    intermediate, is at most sum |c| * d^(|w| - 1) * bound^|w|, and the
-    slots are sized from that bound.  The result is decoded once, by one
-    little-endian struct for 1-, 2-, 4- and 8-byte slots, else slot by slot.
+    exceed bound in absolute value.  The terms are compiled once (see
+    _compile) into a program that computes, children first, each DAG
+    node's V = c * I + sum over its children of (sum of A_x) * V(child),
+    the letters x that lead to one child summed before the product.  It
+    runs on packed rows: a row is one int holding its d entries in
+    fixed-width slots, so a product A * P is d C-level sums of A's entries
+    times P's rows.  The root's products are packed into one int of d^2
+    slots and decoded once, by one little-endian struct for 1-, 2-, 4- and
+    8-byte slots, else slot by slot.
+
+    Why merged nodes and summed letters stay exact: packing is a ring map
+    Z[t] -> Z, t -> 2^s, and both are the distributive law, so every step
+    is exact integer arithmetic whatever its slots hold in between, and
+    the root is the packing of f(args).  Decoding needs only each final
+    entry to fit its slot.  A final entry does not depend on how f was
+    evaluated, and it is at most sum |c| * d^(|w| - 1) * bound^|w|, so the
+    slots are sized from that bound, as when each word was multiplied out
+    on its own.
     """
     n = d * d
     top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
     # Bytes per slot: a power of two with room for the sign.
     width = 1 << ((top.bit_length() + 8) // 8 - 1).bit_length()
-    bits = 8 * width
-    cols = [1 << (bits * c) for c in range(d)]
-    rows_at = [1 << (bits * d * i) for i in range(d)]
-    # Adding offset makes every slot nonnegative without borrows; xor-ing it
-    # back flips each slot's top bit, leaving its two's-complement value.
-    offset = sum(1 << (bits * k + bits - 1) for k in range(n))
-    const = sum(c for w, c in terms if not w) * sum(1 << (bits * (d + 1) * i) for i in range(d))
-    words = [([(x - 1) * d for x in reversed(w)], c) for w, c in terms if w]
-    code = _SIGNED_SLOTS.get(width)
-    unpack = struct.Struct(f"<{n}{code}").unpack if code else None
+    cols, rows_at, eye, offset, unpack = _slots(d, width)
+    const, root, steps, sums, nvars = _compile(terms, d)
+    const *= eye
+    size = nvars * n
 
     def ev(entries: Sequence[int]) -> list[int]:
-        rows = [entries[k : k + d] for k in range(0, len(entries), d)]
-        packed = [sum(map(mul, row, cols)) for row in rows]
+        rows = list(zip(*[iter(entries[:size])] * d))
+        for combo in sums:
+            flat = [0] * n
+            for a in combo:
+                flat = list(map(add, flat, entries[a : a + n]))
+            rows += [flat[k : k + d] for k in range(0, n, d)]
+        vals = [cols]
+        for k, v, parts in steps:
+            if parts is None:
+                p = vals[v]
+                vals.append([sum(map(mul, r, p)) for r in rows[k : k + d]])
+                continue
+            acc = [k * x for x in cols]  # k is the step's c here
+            for g, j, u in parts:
+                p = vals[u]
+                acc = [a + g * sum(map(mul, r, p)) for a, r in zip(acc, rows[j : j + d])]
+            vals.append(acc)
         total = const
-        for (last, *rest), c in words:
-            prod = packed[last : last + d]
-            for k in rest:
-                prod = [sum(map(mul, row, prod)) for row in rows[k : k + d]]
-            total += c * sum(map(mul, prod, rows_at))
+        for g, v in root:
+            total += g * sum(map(mul, vals[v], rows_at))
         data = ((total + offset) ^ offset).to_bytes(n * width, "little")
         if unpack:
             return list(unpack(data))
@@ -294,20 +438,26 @@ def _entry_stream(rng: random.Random, bound: int) -> Callable[[int], list[int]]:
     return draw
 
 
-def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[tuple[list[int], list[int]]]:
-    """The seeded sample stream that every sampled verdict reads.
+def _draws(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
+    """The entries of the seeded argument tuples that every sampled verdict reads.
 
-    Yields (entries, L * f(args)), both row-major, for samples_for(d)
-    tuples args of random integer matrices (entries lists X1's entries,
-    then X2's, ...), L clearing f's denominators, so the values are ints.
-    The entries are those that randint(-B, B) would give one by one.
+    Yields samples_for(d) lists of row-major entries of random integer
+    matrices, X1's entries, then X2's, ...: those that randint(-B, B)
+    would give one by one.
     """
     draw = _entry_stream(random.Random(cfg.seed), cfg.coeff_bound)
-    _, terms = _integer_terms(f)
-    ev = _packed_evaluator(terms, d, cfg.coeff_bound)
     size = f.nvars * d * d
     for _ in range(cfg.samples_for(d)):
-        entries = draw(size)
+        yield draw(size)
+
+
+def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[tuple[list[int], list[int]]]:
+    """The seeded sample stream: (entries, L * f(args)) for the tuples of
+    _draws, both row-major, L clearing f's denominators, so the values are
+    ints."""
+    _, terms = _integer_terms(f)
+    ev = _packed_evaluator(terms, d, cfg.coeff_bound)
+    for entries in _draws(f, d, cfg):
         yield entries, ev(entries)
 
 
@@ -316,16 +466,16 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
 
     Any f: the seeded samples.  Multilinear f: the first sample (one value
     can settle both verdicts), then every tuple t of matrix units, whose
-    values span f's values by linearity; the unit evaluator is built only
-    if a caller reads on.
+    values span f's values by linearity.  Unit entries are 0 and 1, within
+    coeff_bound, so one evaluator, compiled once, serves both.
     """
-    samples = (vec for _, vec in _samples(f, d, cfg))
-    if not f.is_multilinear():
-        yield from samples
-        return
-    yield next(samples)
     _, terms = _integer_terms(f)
-    ev = _packed_evaluator(terms, d, 1)
+    ev = _packed_evaluator(terms, d, cfg.coeff_bound)
+    values = map(ev, _draws(f, d, cfg))
+    if not f.is_multilinear():
+        yield from values
+        return
+    yield next(values)
     units = [[int(i == k) for k in range(d * d)] for i in range(d * d)]
     for tup in itertools.product(units, repeat=f.nvars):
         yield ev(list(itertools.chain.from_iterable(tup)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 from ncspan import (
     Classification,
@@ -157,6 +158,41 @@ def reference_evaluate(f: NcPoly, args, d: int) -> MatrixQ:
             prod = prod * args[letter - 1]
         acc = acc + prod.scale(coeff)
     return acc
+
+
+def reference_packed_evaluator(terms, d: int, bound: int):
+    """The word-by-word packed evaluator that span._packed_evaluator replaced.
+
+    ev(entries) = sum c * w(args) over (w, c) in terms, row-major, with
+    each word multiplied out on its own, right to left, on rows packed into
+    fixed-width slots sized from sum |c| * d^(|w| - 1) * bound^|w|.
+    """
+    n = d * d
+    top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
+    width = 1 << ((top.bit_length() + 8) // 8 - 1).bit_length()
+    bits = 8 * width
+    cols = [1 << (bits * c) for c in range(d)]
+    rows_at = [1 << (bits * d * i) for i in range(d)]
+    offset = sum(1 << (bits * k + bits - 1) for k in range(n))
+    const = sum(c for w, c in terms if not w) * sum(1 << (bits * (d + 1) * i) for i in range(d))
+    words = [([(x - 1) * d for x in reversed(w)], c) for w, c in terms if w]
+
+    def ev(entries):
+        rows = [entries[k : k + d] for k in range(0, len(entries), d)]
+        packed = [sum(map(mul, row, cols)) for row in rows]
+        total = const
+        for (last, *rest), c in words:
+            prod = packed[last : last + d]
+            for k in rest:
+                prod = [sum(map(mul, row, prod)) for row in rows[k : k + d]]
+            total += c * sum(map(mul, prod, rows_at))
+        data = ((total + offset) ^ offset).to_bytes(n * width, "little")
+        return [
+            int.from_bytes(data[k : k + width], "little", signed=True)
+            for k in range(0, n * width, width)
+        ]
+
+    return ev
 
 
 def reference_is_identity(f: NcPoly, d: int, cfg: SampleConfig) -> bool:

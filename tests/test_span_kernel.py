@@ -5,7 +5,8 @@ once; these tests require it to agree field for field with the incremental
 Fraction loop kept in helpers, hold its commutator-sum stop to the
 window-only rule, and pin the closed-form bases and d = 1.
 The packed stages of the kernel (bulk draw, packed evaluation, packed
-mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks.
+mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
+and the word-DAG evaluator to the word-by-word loop kept in helpers.
 """
 
 import functools
@@ -23,6 +24,7 @@ from helpers import (
     random_poly,
     reference_classify_span,
     reference_evaluate,
+    reference_packed_evaluator,
     reference_rref_insert,
     standard_polynomial,
 )
@@ -34,6 +36,7 @@ from ncspan import (
     SpanBasis,
     StopReason,
     classify_span,
+    delta,
     evaluate,
     is_central,
     is_identity,
@@ -322,6 +325,89 @@ class TestPackedEvaluation:
                     for _ in range(3)
                 ]
                 assert evaluate(f, args, d) == reference_evaluate(f, args, d)
+
+    # The compiled word DAG against the word-by-word loop in helpers.
+
+    @staticmethod
+    def assert_matches_reference(f, d, bound, rng, draws=3):
+        """Both evaluators agree on random entries and on entries at +-bound."""
+        _, terms = span._integer_terms(f)
+        got = span._packed_evaluator(terms, d, bound)
+        want = reference_packed_evaluator(terms, d, bound)
+        size = f.nvars * d * d
+        tuples = [[bound] * size, [bound * (-1) ** k for k in range(size)]]
+        tuples += [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(draws)]
+        for entries in tuples:
+            assert got(entries) == want(entries), (poly_to_text(f), d, bound, entries)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_dag_matches_reference_random(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(12 if d < 5 else 4):
+            f = random_poly(rng, nvars=3, max_degree=5, max_terms=8)
+            f = f.scale(Fraction(rng.choice((1, -2, 5)), rng.choice((1, 3, 4, 7))))
+            self.assert_matches_reference(f, d, rng.choice((1, 3, 10)), rng)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_dag_matches_reference_structured(self, d):
+        rng = random.Random(200 + d)
+        texts = [f"(X1+X2)^{k}" for k in range(1, 7)] + ["(X1+X2+X3)^3", "((X1+X2)^2)^2"]
+        # Sub-tries equal in shape, not in coefficients, so a wrong merge shows;
+        # and sub-tries equal up to a factor, which share one step.
+        texts += [
+            "X1*X2 + 2*X3*X2",
+            "X1*X2 - X2*X2",
+            "X1*X2*X1 + 2*X2*X2*X1 - X3*X2*X1",
+            "X1*X2 + 2*X1*X3 + 2*X2*X2 + 4*X2*X3",
+            "X1*(X2 + 3) + X2*(2*X2 + 6) - 5",
+            "X1*X2*X3 + X2*X2*X3 + X1*X3 + X2*X3",
+            "[X1,X2]*[X1,X3] - [X1,X3]*[X1,X2]",
+        ]
+        # Zero, constants and terms that cancel.
+        texts += ["0", "7", "-3/2", "X1*X2 - X1*X2 + X2 - X2", "X1 + 1 - X1", "(X1+X2)^2 - X1^2 - X2^2 - X1*X2"]
+        if d <= 4:
+            texts += ["(X1+X2)^8", "(X1^2+X2^2)^3 - (X1+X2)^2"]
+        polys = [parse_poly(text) for text in texts]
+        polys += [standard_polynomial(k) for k in range(2, 6)]
+        # Linearization outputs, which share most of their structure.
+        for g in (parse_poly("X1^3"), parse_poly("X1^2*X2 + 2*X2*X1^2"), parse_poly("[X1,X2]^2")):
+            polys.append(delta(g, 1, g.nvars + 1))
+            polys.append(delta(delta(g, 1, g.nvars + 1), 1, g.nvars + 2))
+        for f in polys:
+            self.assert_matches_reference(f, d, rng.choice((1, 2, 10)), rng, draws=2)
+
+    def test_dag_matches_reference_every_slot_width(self):
+        # Bounds that need 1, 2, 4, 8 and 16 bytes per slot, as above.
+        rng = random.Random(300)
+        polys = [parse_poly(text) for text in ("X1*X2 - 3*X2*X1*X2 + X1 - 2", "X1*X2 + 2*X3*X2", "(X1+X2)^3 - 1")]
+        widths = set()
+        for bound in (1, 10, 1000, 10**6, 10**12):
+            for d in (1, 2, 3):
+                for f in polys:
+                    self.assert_matches_reference(f, d, bound, rng, draws=2)
+                    _, terms = span._integer_terms(f)
+                    top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
+                    widths.add(1 << ((top.bit_length() + 8) // 8 - 1).bit_length())
+        assert widths == {1, 2, 4, 8, 16}
+
+    def test_shared_structure_is_computed_once(self):
+        def steps(f, d):
+            _, terms = span._integer_terms(parse_poly(f) if isinstance(f, str) else f)
+            _, _, steps, _, _ = span._compile(terms, d)
+            return len(steps)
+
+        # (X1+X2)^k: one pack and k - 1 products, not 2^k (k - 1) products.
+        for k in range(1, 9):
+            assert steps(f"(X1+X2)^{k}", 3) == k
+        # X1*X2 + 2*X3*X2: X2 is packed once for both words.
+        assert steps("X1*X2 + 2*X3*X2", 3) == 3
+        # 2^8 words of length 24, and 5 steps a factor: two products down
+        # each of X1^3 and X2^3 below it, then one step for the sum.
+        assert steps("(X1^3+X2^3)^8", 2) == 5 * 8 + 1
+        # S_4: the nodes after two prefixes of the same letters differ at
+        # most in sign and share a step: one for each nonempty proper subset
+        # of the letters left (14), then one product for each first letter.
+        assert steps(standard_polynomial(4), 2) == 14 + 4
 
 
 @pytest.fixture
