@@ -322,7 +322,24 @@ def _coerce(value: NcPoly | Scalar) -> NcPoly:
 
 
 def cyclic_representative(word: Word) -> Word:
-    """Lexicographically least rotation of a word (canonical class label)."""
-    if len(word) <= 1:
-        return word
-    return min(word[k:] + word[:k] for k in range(len(word)))
+    """Lexicographically least rotation of a word (canonical class label).
+
+    Duval's Lyndon factorisation of word + word (J. Algorithms 4, 1983), in
+    O(|w|) letter comparisons.  Each pass reads the longest stretch from i
+    that is a power of a Lyndon word of period j - k, plus a prefix of it;
+    the whole periods are equal factors, and the next pass starts after
+    them.  The least rotation begins at the last pass that starts inside
+    the first copy.
+    """
+    n = len(word)
+    s = word + word
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start : start + n]

@@ -29,11 +29,11 @@ The sampling kernel does a whole row's work per Python-level step:
 - the entries come from one getrandbits call per batch, read through a
   byte table; they are exactly the values randint(-B, B) would give one by
   one (see _entry_stream), with randint itself for B > 127;
-- the polynomial is compiled once per evaluator through the minimal DAG
-  of its words (see _compile): a subterm that many words share is
-  computed once per sample, and the arguments of letters that lead to
-  the same subterm are summed before one product, so (X1+X2)^5 costs 4
-  matrix products, not 128;
+- the polynomial is compiled once per verdict, or per suite entry (see
+  _evaluator), through the minimal DAG of its words (see _compile): a
+  subterm that many words share is computed once per sample, and the
+  arguments of letters that lead to the same subterm are summed before
+  one product, so (X1+X2)^5 costs 4 matrix products, not 128;
 - each matrix row is one int with the row's entries in fixed-width
   slots, sized from a proved bound on every entry of the value (see
   _packed_evaluator), so no value is ever wrong, only wider, and the
@@ -44,6 +44,7 @@ The sampling kernel does a whole row's work per Python-level step:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -336,6 +337,33 @@ def _packed_evaluator(
     return ev
 
 
+# The (L, ev) of each (f, d, bound) met in a _shared_evaluators block, None outside one.
+_shared: dict | None = None
+
+
+@contextlib.contextmanager
+def _shared_evaluators() -> Iterator[None]:
+    """Inside the block, _evaluator compiles each (f, d, bound) once."""
+    global _shared
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def _evaluator(f: NcPoly, d: int, bound: int) -> tuple[int, Callable[[Sequence[int]], list[int]]]:
+    """(L, ev) for ev(entries) = L * f(args), entries within bound (see
+    _packed_evaluator), L clearing f's denominators."""
+    made = None if _shared is None else _shared.get((f, d, bound))
+    if made is None:
+        scale, terms = _integer_terms(f)
+        made = scale, _packed_evaluator(terms, d, bound)
+        if _shared is not None:
+            _shared[f, d, bound] = made
+    return made
+
+
 def _unscaled(vec: list[int], d: int, scale: int) -> MatrixQ:
     """The matrix with row-major entries vec divided by scale, exactly."""
     if scale != 1:
@@ -438,27 +466,15 @@ def _entry_stream(rng: random.Random, bound: int) -> Callable[[int], list[int]]:
     return draw
 
 
-def _draws(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
-    """The entries of the seeded argument tuples that every sampled verdict reads.
-
-    Yields samples_for(d) lists of row-major entries of random integer
-    matrices, X1's entries, then X2's, ...: those that randint(-B, B)
-    would give one by one.
-    """
+def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
+    """The seeded argument tuples that every sampled verdict reads and
+    evaluates with f's _evaluator: samples_for(d) lists of the row-major
+    entries of random integer matrices, X1's, then X2's, ...: those that
+    randint(-B, B) would give one by one."""
     draw = _entry_stream(random.Random(cfg.seed), cfg.coeff_bound)
     size = f.nvars * d * d
     for _ in range(cfg.samples_for(d)):
         yield draw(size)
-
-
-def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[tuple[list[int], list[int]]]:
-    """The seeded sample stream: (entries, L * f(args)) for the tuples of
-    _draws, both row-major, L clearing f's denominators, so the values are
-    ints."""
-    _, terms = _integer_terms(f)
-    ev = _packed_evaluator(terms, d, cfg.coeff_bound)
-    for entries in _draws(f, d, cfg):
-        yield entries, ev(entries)
 
 
 def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
@@ -467,11 +483,10 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
     Any f: the seeded samples.  Multilinear f: the first sample (one value
     can settle both verdicts), then every tuple t of matrix units, whose
     values span f's values by linearity.  Unit entries are 0 and 1, within
-    coeff_bound, so one evaluator, compiled once, serves both.
+    coeff_bound, so the samples' evaluator serves both.
     """
-    _, terms = _integer_terms(f)
-    ev = _packed_evaluator(terms, d, cfg.coeff_bound)
-    values = map(ev, _draws(f, d, cfg))
+    _, ev = _evaluator(f, d, cfg.coeff_bound)
+    values = map(ev, _samples(f, d, cfg))
     if not f.is_multilinear():
         yield from values
         return
@@ -579,7 +594,7 @@ def classify_span(
     The exact basis is built once: in closed form for a canonical class,
     else by reducing the witness values.
     """
-    scale, _ = _integer_terms(f)
+    scale, ev = _evaluator(f, d, cfg.coeff_bound)
     echelon = EchelonModP()
     witnesses: list[Witness] = []
     full_rank = d * d
@@ -590,7 +605,8 @@ def classify_span(
     samples_used = 0
     match: Classification | None = None
     stop_reason = StopReason.BUDGET_EXHAUSTED
-    for entries, vec in _samples(f, d, cfg):
+    for entries in _samples(f, d, cfg):
+        vec = ev(entries)
         samples_used += 1
         all_zero = all_zero and not any(vec)
         all_scalar = all_scalar and vec == [vec[0] * x for x in identity]

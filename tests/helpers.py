@@ -160,6 +160,26 @@ def reference_evaluate(f: NcPoly, args, d: int) -> MatrixQ:
     return acc
 
 
+def reference_cyclic_representative(word):
+    """The least of all |w| rotations, by comparing each: the O(|w|^2)
+    label that poly.cyclic_representative replaced."""
+    if len(word) <= 1:
+        return word
+    return min(word[k:] + word[:k] for k in range(len(word)))
+
+
+def reference_commutator_obstruction(f: NcPoly):
+    """NcPoly.commutator_obstruction with classes labelled by
+    reference_cyclic_representative: the graded-lex least label of a class
+    whose coefficients do not sum to zero, or None."""
+    sums = {}
+    for word, coeff in f.terms.items():
+        label = reference_cyclic_representative(word)
+        sums[label] = sums.get(label, 0) + coeff
+    offending = [w for w, c in sums.items() if c]
+    return min(offending, key=lambda w: (len(w), w)) if offending else None
+
+
 def reference_packed_evaluator(terms, d: int, bound: int):
     """The word-by-word packed evaluator that span._packed_evaluator replaced.
 

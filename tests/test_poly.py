@@ -1,13 +1,22 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncspan.poly
-from helpers import random_poly, random_word, reference_substitute
-from ncspan import MissingAssignment, NcPoly, commutator, cyclic_representative
+from helpers import (
+    battery_poly,
+    random_poly,
+    random_word,
+    reference_commutator_obstruction,
+    reference_cyclic_representative,
+    reference_substitute,
+)
+from ncspan import MissingAssignment, NcPoly, commutator, cyclic_representative, parse_poly
+from ncspan.cli import _read_corpus
 
 X1 = NcPoly.variable(1)
 X2 = NcPoly.variable(2)
@@ -285,12 +294,38 @@ class TestCommutatorSums:
 
 def test_cyclic_representative_is_minimal_rotation():
     rng = random.Random(5)
-    for _ in range(50):
-        w = random_word(rng, 3, 5, min_len=1)
-        rep = cyclic_representative(w)
-        rotations = {w[k:] + w[:k] for k in range(len(w))}
-        assert rep in rotations
-        assert rep == min(rotations)
+    for length in range(81):
+        for letters in (1, 2, 3):
+            for _ in range(12):
+                w = random_word(rng, letters, length, min_len=length)
+                assert cyclic_representative(w) == reference_cyclic_representative(w), w
+
+
+class TestLeastRotation:
+    """Duval's linear-time least rotation against the least of all rotations
+    on the words where a periodic or block structure could trip it."""
+
+    def test_periodic_words(self):
+        words = [(1,) * n for n in range(10)] + [(2,) * 7]
+        for k in range(1, 12):
+            words += [(1, 2) * k, (2, 1) * k, (1, 1, 2) * k, (2, 1, 1) * k, (1, 2, 1, 3) * k]
+            words += [(1, 2) * k + (1,), (2, 1) * k + (2, 2), (3, 2, 1) * k + (3, 2)]
+        for w in words:
+            assert cyclic_representative(w) == reference_cyclic_representative(w), w
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_words_of_block_powers(self, k):
+        for w in parse_poly(f"(X1^4+X2^4)^{k}").terms:
+            assert cyclic_representative(w) == reference_cyclic_representative(w), w
+
+    def test_obstruction_unchanged_on_corpus_and_battery(self):
+        corpus = Path(__file__).parent / "golden" / "corpus.txt"
+        polys = [f for _, f in _read_corpus(str(corpus))]
+        rng = random.Random(2026)
+        polys += [battery_poly(rng) for _ in range(200)]
+        polys += [parse_poly(text) for text in ("(X1^4+X2^4)^6", "[X1^3*X2,X2*X1^2]", "(X1*X2)^3 - (X2*X1)^3")]
+        for f in polys:
+            assert f.commutator_obstruction() == reference_commutator_obstruction(f), f
 
 
 def test_equality_is_canonical():

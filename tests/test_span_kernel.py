@@ -9,12 +9,14 @@ mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
 and the word-DAG evaluator to the word-by-word loop kept in helpers.
 """
 
+import contextlib
 import functools
 import itertools
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -44,10 +46,12 @@ from ncspan import (
     poly_to_text,
     span,
 )
-from ncspan.cli import _report_doc
+import ncspan.cli
+from ncspan.cli import _report_doc, main
 from ncspan.linalg import PRIME, EchelonModP
 
 HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
+CORPUS = str(Path(__file__).parent / "golden" / "corpus.txt")
 
 
 def assert_same_report(f, d, cfg):
@@ -274,7 +278,7 @@ class TestBulkDraw:
         cfg = SampleConfig(seed=bound, coeff_bound=bound, max_samples=40)
         for d in (1, 3):
             ref = random.Random(cfg.seed)
-            for entries, _ in span._samples(f, d, cfg):
+            for entries in span._samples(f, d, cfg):
                 want = tuple(random_matrix(ref, d, bound) for _ in range(3))
                 assert span._matrices(entries, d) == want
 
@@ -300,7 +304,9 @@ class TestPackedEvaluation:
         f = parse_poly("(X1+X2)^8")
         cfg = SampleConfig(seed=3, coeff_bound=1000, max_samples=6)
         for d in (1, 2, 3):
-            for entries, vec in span._samples(f, d, cfg):
+            _, ev = span._evaluator(f, d, cfg.coeff_bound)
+            for entries in span._samples(f, d, cfg):
+                vec = ev(entries)
                 args = span._matrices(entries, d)
                 assert vec == list(reference_evaluate(f, args, d).flatten())
         assert max(map(abs, vec)) > 2**64
@@ -458,3 +464,90 @@ class TestVerdictsOnePass:
     def test_central_sampled_reads_its_own_stream(self, evaluations):
         assert is_central(parse_poly("[X1,X2]^2"), 2)
         assert len(evaluations) == SampleConfig().samples_for(2)
+
+
+class TestSharedEvaluators:
+    """span._evaluator: one compile per (polynomial, dimension, bound) inside
+    a _shared_evaluators block, and nothing kept outside one."""
+
+    def test_keyed_by_dimension_and_bound(self):
+        rng = random.Random(19)
+        f = parse_poly("X1*X2 - 3*X2*X1*X2 + 1/2*X1 - 2")
+        scale, terms = span._integer_terms(f)
+        evaluators = {}
+        with span._shared_evaluators():
+            for d in (2, 3):
+                for bound in (10, 10**12):
+                    L, ev = span._evaluator(f, d, bound)
+                    assert L == scale == 2
+                    assert all(ev is not other for other in evaluators.values())
+                    evaluators[d, bound] = ev
+            assert all(span._evaluator(f, *key)[1] is ev for key, ev in evaluators.items())
+            assert len(span._shared) == 4
+        # Entries at the bound overflow the slots of a smaller bound, so a
+        # d = 2 or bound-10 evaluator served in the wrong place would show.
+        for (d, bound), ev in evaluators.items():
+            want = reference_packed_evaluator(terms, d, bound)
+            size = 2 * d * d
+            for entries in ([bound] * size, [rng.randint(-bound, bound) for _ in range(size)]):
+                assert ev(entries) == want(entries), (d, bound)
+
+    def test_equal_polynomials_share_one_entry(self):
+        parsed = parse_poly("X1*X2 - 1/2*X2*X1 + 3")
+        built = NcPoly({(2, 1): Fraction(-1, 2), (): 3, (1, 2): 1})
+        assert parsed is not built and parsed == built
+        with span._shared_evaluators():
+            assert span._evaluator(parsed, 3, 10) is span._evaluator(built, 3, 10)
+            assert len(span._shared) == 1
+
+    def test_nothing_outlives_the_block(self):
+        f = parse_poly("[X1,X2]")
+        assert span._evaluator(f, 2, 10) is not span._evaluator(f, 2, 10)
+        with pytest.raises(ZeroDivisionError), span._shared_evaluators():
+            assert span._evaluator(f, 2, 10) is span._evaluator(f, 2, 10)
+            1 / 0
+        assert span._shared is None
+
+    def test_suite_compiles_each_polynomial_once_per_entry(self, monkeypatch, capsys):
+        """Every evaluator build of `ncspan suite` on the golden corpus, keyed
+        by its entry's line and the polynomial whose denominators were
+        cleared just before it."""
+        builds = []
+        cleared = []
+        line = []
+        real_terms, real_build = span._integer_terms, span._packed_evaluator
+        real_entry = ncspan.cli._suite_entry
+
+        def build(terms, d, bound):
+            builds.append((line[-1], cleared[-1], d, bound))
+            return real_build(terms, d, bound)
+
+        def entry(lineno, *rest):
+            line.append(lineno)
+            return real_entry(lineno, *rest)
+
+        monkeypatch.setattr(span, "_integer_terms", lambda f: cleared.append(f) or real_terms(f))
+        monkeypatch.setattr(span, "_packed_evaluator", build)
+        monkeypatch.setattr(ncspan.cli, "_suite_entry", entry)
+        assert main(["suite", "--corpus", CORPUS, "--dim", "3", "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert len(builds) == len(set(builds)) > 11
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["suite", "--corpus", CORPUS, "--dim", "2", "--seed", "7919"],
+            ["classify", "--poly", "3/2*X1*X1*X2 + [X2,X1]", "--dim", "3", "--seed", "0"],
+            ["witness", "--poly", "[X1,X2]^2", "--dmax", "3", "--seed", "0"],
+            ["linearize", "--poly", "[X1,X2]^2", "--dim", "2", "--seed", "7919"],
+        ),
+        ids=lambda argv: argv[0],
+    )
+    def test_shared_and_own_evaluators_print_the_same(self, argv, monkeypatch, capsys):
+        outputs = []
+        for shared in (True, True, False):
+            if not shared:
+                monkeypatch.setattr(ncspan.cli, "_shared_evaluators", contextlib.nullcontext)
+            outputs.append((main(argv), capsys.readouterr().out))
+            assert span._shared is None
+        assert outputs[0] == outputs[1] == outputs[2]
