@@ -24,6 +24,8 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
+    _SampledSpan,
+    _sampled_span,
     _shared_evaluators,
     _verdicts,
     classify_span,
@@ -106,7 +108,7 @@ def _ser_rows(rows) -> list[list[str]]:
     return [list(map(str, row)) for row in rows]
 
 
-def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
+def _exclusion_flags(report: SpanReport | _SampledSpan) -> tuple[bool, bool | None]:
     """(applicable, consistent-or-None) for the degree exclusion: for d >= 2
     and 1 <= deg f < 2d, f is neither an identity of M_d nor central on it,
     so its span, a Lie ideal of M_d, is TRACE_ZERO or FULL.  Proof: over Q
@@ -306,8 +308,9 @@ def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
 
 
 def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
-    """f's suite entry, and whether it shows a violation."""
-    report = classify_span(f, d, cfg)
+    """f's suite entry, and whether it shows a violation.  It prints no
+    witness, so f and each step are read from _sampled_span, which builds none."""
+    report = _sampled_span(f, d, cfg)
     applicable, consistent = _exclusion_flags(report)
     if report.classification is Classification.UNDETERMINED:
         exclusion = "undetermined"
@@ -338,7 +341,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
             return entry, True
         # The steps chain from f, so each polynomial is classified once.
         bases = [report.basis] + [
-            classify_span(step.after, d, cfg).basis for step in reduction.steps
+            _sampled_span(step.after, d, cfg).basis for step in reduction.steps
         ]
         containments = all(
             after.is_subspace_of(before) for before, after in zip(bases, bases[1:])

@@ -257,7 +257,12 @@ class SpanBasis:
         mats = list(mats)
         if any(m.dim != dim for m in mats):
             raise DimensionMismatch(f"matrices must be {dim}x{dim}")
-        _, rows = _cleared(m.flatten() for m in mats)
+        return SpanBasis._of_integer_rows(dim, _cleared(m.flatten() for m in mats)[1])
+
+    @staticmethod
+    def _of_integer_rows(dim: int, rows: list[list[int]]) -> SpanBasis:
+        """The reduced basis of the span of integer rows of length dim^2,
+        by one fraction-free pass that reduces rows in place."""
         pivots, det = fraction_free_rref(rows)
         rows = tuple(tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])
         return SpanBasis(dim, rows, tuple(pivots))

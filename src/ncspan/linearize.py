@@ -21,11 +21,12 @@ variable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .poly import NcPoly
+from .poly import NcPoly, _raw
 
 
 class VariableCollision(Exception):
@@ -85,17 +86,25 @@ def delta(f: NcPoly, i: int, m: int) -> NcPoly:
     Returns f(.., X_i + X_m, ..) - f(.., X_i, ..) - f(.., X_m, ..).  Every
     word of f must contain X_i (then every surviving word contains both X_i
     and X_m, and the degree in X_i strictly drops), and X_m must be fresh.
+
+    Written on words: a word with X_i at k positions expands into the 2^k
+    words with some subset of those positions renamed X_m, and the two
+    subtracted terms are the empty and the full subset.  So it gives the
+    2^k - 2 words of the nonempty proper subsets, each with the word's
+    coefficient.  Renaming X_m back to X_i recovers the word, since X_m is
+    fresh, so no two of the new words coincide and no like terms combine.
     """
     if any(m in w for w in f.terms):
         raise VariableCollision(f"X{m} already occurs in the polynomial")
     if f.is_zero() or f.min_degree_in(i) < 1:
         raise ValueError(f"X{i} must occur in every monomial")
-    xi_plus_xm = NcPoly.variable(i) + NcPoly.variable(m)
-    return (
-        f.substitute_one(i, xi_plus_xm)
-        - f
-        - f.substitute_one(i, NcPoly.variable(m))
-    )
+    terms = {}
+    for word, coeff in f.terms.items():
+        # product runs from the word itself to the word with every X_i renamed.
+        renamed = itertools.product(*[(x, m) if x == i else (x,) for x in word])
+        for w in itertools.islice(renamed, 1, (1 << word.count(i)) - 1):
+            terms[w] = coeff
+    return _raw(terms)
 
 
 def resubstitute_check(f: NcPoly, fprime: NcPoly, i: int, m: int) -> bool:

@@ -10,7 +10,7 @@ coefficients:
 
 The zero polynomial has an empty term map.  All arithmetic is exact; no
 floating point is ever involved.  NcPoly values are immutable and hashable,
-so they can be shared freely.
+so they can be shared freely; each one computes its hash once.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class NcPoly:
     equal exactly when their term maps are equal.
     """
 
-    __slots__ = ("_terms", "_nvars")
+    # _hash: None until the first hash, then kept (the terms never change).
+    __slots__ = ("_terms", "_nvars", "_hash")
 
     def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -66,6 +67,7 @@ class NcPoly:
                 raise ValueError(f"variable indices must be >= 1, got word {word}")
         self._terms = cleaned
         self._nvars = max((max(w) for w in cleaned if w), default=0)
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -137,7 +139,9 @@ class NcPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         from .text import poly_to_text
@@ -310,6 +314,7 @@ def _raw(terms: dict[Word, Fraction]) -> NcPoly:
     p = object.__new__(NcPoly)
     p._terms = terms
     p._nvars = max((max(w) for w in terms if w), default=0)
+    p._hash = None
     return p
 
 

@@ -12,7 +12,10 @@ for a while and matches one.  Exactness comes from three places:
 - whether every sampled value is zero, scalar or trace zero is tested
   exactly on the integer values;
 - the exact basis is built once at the end, in closed form for a canonical
-  class and by reducing the witness values otherwise.
+  class and by reducing the integer values that grew the rank otherwise.
+
+suite reads the sampling loop (_sampled_span) without classify_span's
+witness matrices, which it never prints.
 
 Sampling is a lower bound on the true span, so a budget that runs out
 without a match is reported honestly as UNDETERMINED rather than coerced.
@@ -575,28 +578,37 @@ def _match_class(
     return None
 
 
-def classify_span(
-    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
-) -> SpanReport:
-    """Sample values of f on M_d and classify their linear span.
+@dataclass(frozen=True)
+class _SampledSpan:
+    """classify_span's findings, witnesses left unbuilt.
 
-    Stops as soon as the span is proved canonical, or at a matched basis
-    that 50 samples in a row did not grow, or when the budget runs out (see
-    StopReason).  Two ranks prove the class: full rank d^2, and rank
-    d^2 - 1 when f is a sum of commutators, whose values all lie in the
-    trace-zero space sl_d since tr[a, b] = 0 (at d = 1, sl_1 = 0 and the
-    span is ZERO).  Witness tuples are recorded exactly for the samples
-    that grew the rank, so the basis is the span of the witness values.
+    The fields SpanReport shares with it mean the same; grown holds the
+    (entries, L * f(t)) rows, in plain integers, of the samples that grew
+    the rank, and scale is L, so witness k is t_k and grown[k][1] / L.
+    """
 
-    Values are computed as integer matrices L * f(t).  Growth is tracked by
-    rank mod a prime, which never overclaims (see EchelonModP), and the
-    class comes from that rank plus exact tests of every sampled value.
-    The exact basis is built once: in closed form for a canonical class,
-    else by reducing the witness values.
+    poly: NcPoly
+    dim: int
+    classification: Classification
+    basis: SpanBasis
+    samples_used: int
+    stop_reason: StopReason
+    sum_of_commutators: bool
+    scale: int
+    grown: tuple[tuple[list[int], list[int]], ...]
+
+
+def _sampled_span(f: NcPoly, d: int, cfg: SampleConfig) -> _SampledSpan:
+    """The sampling loop of classify_span (see there), which suite reads
+    directly: it builds no MatrixQ and no Fraction but the basis.
+
+    An UNDETERMINED basis is reduced from the grown rows L * f(t_k): they
+    span the same space as the witness values f(t_k), so the reduced rows,
+    being canonical, are the same.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
     echelon = EchelonModP()
-    witnesses: list[Witness] = []
+    grown: list[tuple[list[int], list[int]]] = []
     full_rank = d * d
     commutator_sum = f.is_sum_of_commutators()
     identity = MatrixQ.identity(d).flatten()
@@ -614,7 +626,7 @@ def classify_span(
         # A value that keeps the span canonical lies in it: no elimination.
         match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         if match is None and echelon.insert(vec):
-            witnesses.append((_matrices(entries, d), _unscaled(vec, d, scale)))
+            grown.append((entries, vec))
             stall = 0
             match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         else:
@@ -630,19 +642,55 @@ def classify_span(
         break
     classification = match or Classification.UNDETERMINED
     if classification is Classification.UNDETERMINED:
-        basis = SpanBasis.from_matrices(d, (value for _, value in witnesses))
+        basis = SpanBasis._of_integer_rows(d, [vec for _, vec in grown])
     else:
         basis = SpanBasis.canonical(d, classification)
-    return SpanReport(
+    return _SampledSpan(
         poly=f,
         dim=d,
         classification=classification,
         basis=basis,
-        witnesses=tuple(witnesses),
         samples_used=samples_used,
         stop_reason=stop_reason,
-        config=cfg,
         sum_of_commutators=commutator_sum,
+        scale=scale,
+        grown=tuple(grown),
+    )
+
+
+def classify_span(
+    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
+) -> SpanReport:
+    """Sample values of f on M_d and classify their linear span.
+
+    Stops as soon as the span is proved canonical, or at a matched basis
+    that 50 samples in a row did not grow, or when the budget runs out (see
+    StopReason).  Two ranks prove the class: full rank d^2, and rank
+    d^2 - 1 when f is a sum of commutators, whose values all lie in the
+    trace-zero space sl_d since tr[a, b] = 0 (at d = 1, sl_1 = 0 and the
+    span is ZERO).  Witness tuples are recorded exactly for the samples
+    that grew the rank, so the basis is the span of the witness values.
+
+    Values are computed as integer matrices L * f(t).  Growth is tracked by
+    rank mod a prime, which never overclaims (see EchelonModP), and the
+    class comes from that rank plus exact tests of every sampled value.
+    The exact basis is built once: in closed form for a canonical class,
+    else by reducing the values that grew the rank.  The loop is
+    _sampled_span; the witnesses are built here, from its integer rows.
+    """
+    s = _sampled_span(f, d, cfg)
+    return SpanReport(
+        poly=f,
+        dim=d,
+        classification=s.classification,
+        basis=s.basis,
+        witnesses=tuple(
+            (_matrices(entries, d), _unscaled(vec, d, s.scale)) for entries, vec in s.grown
+        ),
+        samples_used=s.samples_used,
+        stop_reason=s.stop_reason,
+        config=cfg,
+        sum_of_commutators=s.sum_of_commutators,
     )
 
 

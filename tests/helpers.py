@@ -17,6 +17,7 @@ from ncspan import (
     SpanBasis,
     SpanReport,
     StopReason,
+    VariableCollision,
     commutator,
     is_identity,
     zero_diagonal_conjugate,
@@ -147,6 +148,22 @@ def reference_substitute(f: NcPoly, assignment) -> NcPoly:
             term = term * assignment[letter]
         out = out + term
     return out
+
+
+def reference_delta(f: NcPoly, i: int, m: int) -> NcPoly:
+    """linearize.delta by substitution and subtraction, the body that word
+    surgery replaced: f(.., X_i + X_m, ..) - f - f(.., X_m, ..), with the
+    same VariableCollision and ValueError refusals."""
+    if any(m in w for w in f.terms):
+        raise VariableCollision(f"X{m} already occurs in the polynomial")
+    if f.is_zero() or f.min_degree_in(i) < 1:
+        raise ValueError(f"X{i} must occur in every monomial")
+    xi_plus_xm = NcPoly.variable(i) + NcPoly.variable(m)
+    return (
+        f.substitute_one(i, xi_plus_xm)
+        - f
+        - f.substitute_one(i, NcPoly.variable(m))
+    )
 
 
 def reference_evaluate(f: NcPoly, args, d: int) -> MatrixQ:

@@ -29,6 +29,17 @@ CASES = {
     for d in (2, 3)
     for seed in (0, 7919)
 }
+# A budget of 3 samples leaves most entries UNDETERMINED, with bases reduced
+# from the values that grew the rank; the run exits 1 (their violations).
+CASES.update(
+    {
+        f"suite-budget3-d3-seed{seed}.json": (
+            "suite", "--corpus", "corpus.txt", "--dim", "3", "--seed", str(seed),
+            "--max-samples", "3",
+        )
+        for seed in (0, 7919)
+    }
+)
 CASES.update(
     {
         f"witness-{name}-seed{seed}.json": (
@@ -92,6 +103,7 @@ LINEARIZE = {
     for seed in (0, 7919)
     for name, text, d, code in (
         ("cube-d2", "X1^3", 2, 0),  # DELTA, HOMOGENEOUS_SELECT, DELTA
+        ("wide-d2", "(X1+X2)^4", 2, 0),  # three DELTAs, on words with X_i up to 4 times
         ("strip-kept-d2", "X1*X2 + X1^4", 2, 0),  # STRIP keeps X2
         ("strip-dropped-d3", "X1*X3 + X3*X1*X3 + X1^2*X3", 3, 0),  # STRIP, 2 selects
         ("hall-d2", "[X1,X2]^2", 2, 1),  # OracleFailed

@@ -1,8 +1,12 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_poly
+from helpers import random_poly, reference_delta
 from ncspan import (
     NcPoly,
     NotReducible,
@@ -93,6 +97,49 @@ class TestDelta:
             f = random_homogeneous(rng, k=k)
             out = delta(f, 1, f.nvars + 1)
             assert out.degree_in(1) <= k - 1
+
+
+@st.composite
+def polarizations(draw):
+    """(f, i, m): f on 1-4 variables with X_i 0-5 times per word and rational
+    coefficients; m is mostly fresh, sometimes an index that may occur."""
+    n = draw(st.integers(1, 4))
+    i = draw(st.integers(1, n))
+    others = st.lists(st.integers(1, n).filter(lambda x: x != i), max_size=3)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        letters = draw(others) + [i] * draw(st.integers(0, 5))
+        word = tuple(draw(st.permutations(letters)))
+        terms[word] = draw(st.fractions(-3, 3, max_denominator=6))
+    f = NcPoly(terms)
+    m = draw(st.one_of(st.just(max(f.nvars, i) + 1), st.integers(1, n + 1)))
+    return f, i, m
+
+
+class TestDeltaMatchesSubstitution:
+    """delta by word surgery against the substitution kept in helpers."""
+
+    @settings(max_examples=400, derandomize=True)
+    @given(polarizations())
+    def test_same_polynomial_or_same_refusal(self, case):
+        f, i, m = case
+        try:
+            want = reference_delta(f, i, m)
+        except (VariableCollision, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                delta(f, i, m)
+            return
+        got = delta(f, i, m)
+        assert got == want
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        assert got.nvars == want.nvars
+
+    def test_wide_power(self):
+        f = (X1 + X2) ** 6
+        g, _ = f.strip_variable(2)  # every word with X2, X1 up to 5 times
+        assert delta(g, 2, 3) == reference_delta(g, 2, 3)
+        assert delta(X1 ** 7, 1, 2) == reference_delta(X1 ** 7, 1, 2)
+        assert len(delta(X1 ** 7, 1, 2)) == 2 ** 7 - 2
 
 
 class TestResubstitute:

@@ -15,7 +15,7 @@ from helpers import (
     reference_cyclic_representative,
     reference_substitute,
 )
-from ncspan import MissingAssignment, NcPoly, commutator, cyclic_representative, parse_poly
+from ncspan import MissingAssignment, NcPoly, commutator, cyclic_representative, delta, parse_poly
 from ncspan.cli import _read_corpus
 
 X1 = NcPoly.variable(1)
@@ -103,6 +103,45 @@ def test_ring_axioms_random_triples():
         f, g, h = (random_poly(rng, max_terms=3) for _ in range(3))
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+class TestHash:
+    """The hash is kept in a slot after the first call; equal polynomials,
+    however they were built, still hash equal, hashed or not."""
+
+    @staticmethod
+    def builds():
+        """X1*X2 + X2*X1, built eight ways."""
+        target = NcPoly({(1, 2): 1, (2, 1): 1})
+        return [
+            target,
+            NcPoly([((2, 1), Fraction(3, 3)), ((1, 2), 1), ((1,), 0)]),
+            X1 * X2 + X2 * X1,
+            (X1 + X2) * (X1 + X2) - X1 * X1 - X2 * X2,
+            (X1 * X1).substitute({1: X1 + X2}) - X1 * X1 - X2 * X2,
+            (target + X3 * X1).strip_variable(3)[1],
+            dict((target + X1 * X1 * X2).homogeneous_components_in(1))[1],
+            delta(X1 * X1, 1, 2),
+        ]
+
+    def test_equal_builds_hash_equal(self):
+        first = self.builds()
+        want = hash(frozenset(first[0].terms.items()))
+        assert all(p == first[0] for p in first)
+        # The first hash of each, then again from the kept value.
+        assert [hash(p) for p in first] == [want] * len(first)
+        assert [hash(p) for p in first] == [want] * len(first)
+        # Fresh builds against hashed ones, as a memo's dict lookups see them.
+        table = {p: k for k, p in enumerate(first)}
+        assert len(table) == 1
+        assert all(table[p] == len(first) - 1 for p in self.builds())
+
+    @given(polys, polys)
+    def test_sum_and_product_orders(self, p, q):
+        assert hash(p + q) == hash(q + p)
+        assert hash(p * q - q * p) == hash(-(q * p - p * q))
+        before = hash(p)
+        assert hash(p) == before == hash(NcPoly(dict(reversed(list(p.terms.items())))))
 
 
 class TestDegrees:

@@ -551,3 +551,59 @@ class TestSharedEvaluators:
             outputs.append((main(argv), capsys.readouterr().out))
             assert span._shared is None
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def battery_small_dims():
+    """(f, d, cfg) at d = 1..4, each with the default budget and with 3 samples."""
+    rng = random.Random(2028)
+    polys = [parse_poly(text) for text in HEADLINE] + [battery_poly(rng) for _ in range(25)]
+    return [
+        (f, d, SampleConfig(seed=k, max_samples=budget))
+        for d in (1, 2, 3, 4)
+        for budget in (None, 3)
+        for k, f in enumerate(polys)
+    ]
+
+
+class TestSampledSpan:
+    """span._sampled_span, the loop that suite reads without witnesses."""
+
+    @pytest.mark.parametrize("battery", ["small-dims", "d3", "d3-rational", "budget-3"])
+    def test_agrees_with_classify_span(self, battery):
+        cases = battery_small_dims() if battery == "small-dims" else BATTERIES[battery]()
+        undetermined = 0
+        for f, d, cfg in cases:
+            got = span._sampled_span(f, d, cfg)
+            want = classify_span(f, d, cfg)
+            where = f"{poly_to_text(f)} at d={d}, {cfg}"
+            assert got.classification is want.classification, where
+            assert got.basis == want.basis, where
+            assert got.samples_used == want.samples_used, where
+            assert got.stop_reason is want.stop_reason, where
+            assert got.sum_of_commutators == want.sum_of_commutators, where
+            # The grown rows are L times the witness values, at the witness inputs.
+            assert len(got.grown) == len(want.witnesses), where
+            for (entries, vec), (args, value) in zip(got.grown, want.witnesses):
+                assert entries == [x for a in args for x in a.flatten()], where
+                assert vec == [got.scale * x for x in value.flatten()], where
+            if got.classification is Classification.UNDETERMINED:
+                # Reduced from integer rows, as classify_span once did from the values.
+                undetermined += 1
+                values = [value for _, value in want.witnesses]
+                assert got.basis == SpanBasis.from_matrices(d, values), where
+        assert undetermined or battery in ("d3", "d3-rational")
+
+    def test_suite_builds_no_witness(self, monkeypatch, capsys):
+        built = []
+        for name in ("_matrices", "_unscaled"):
+            real = getattr(span, name)
+            monkeypatch.setattr(span, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+        for d in (2, 3):
+            for extra in ((), ("--max-samples", "3")):
+                argv = ["suite", "--corpus", CORPUS, "--dim", str(d), "--seed", "7919", *extra]
+                assert main(argv) in (0, 1)
+                assert built == [], argv
+        # classify prints its witnesses, so the counters do see them.
+        main(["classify", "--poly", "[X1,X2]", "--dim", "2", "--seed", "0"])
+        capsys.readouterr()
+        assert set(built) == {"_matrices", "_unscaled"}
