@@ -4,13 +4,19 @@ Exit codes: 0 success, 1 negative analysis outcome (e.g. target not in
 span, no witness dimension), 2 usage or parse error, 64 an UNDETERMINED
 classification.  All rationals in JSON are "p/q" strings so nothing is
 ever rounded; identical seeds and flags give byte-identical output.
+
+classify and suite read the sampling loop (span._sampled_span), which
+builds no witness matrices: classify prints its witnesses straight from
+the loop's integer rows, one format call per witness.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -71,11 +77,19 @@ def _config(args) -> SampleConfig:
 _ascii = json.encoder.encode_basestring_ascii
 
 
+class _Json(str):
+    """JSON text already laid out as json.dumps(indent=2) lays it out at its
+    place in the document; _dumps splices it in unchanged."""
+
+
 def _dumps(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2) for dicts with str keys, lists, str, int, bool
-    and None.  A list of strings, or of nonempty lists of strings, is joined
-    over the C string encoder with no Python step per entry (json runs its
-    Python encoder whenever indent is set).  indent: the break before obj."""
+    and None, with a _Json value copied as it is.  A list of strings, or of
+    nonempty lists of strings, is joined over the C string encoder with no
+    Python step per entry (json runs its Python encoder whenever indent is
+    set).  indent: the break before obj."""
+    if type(obj) is _Json:
+        return obj
     if not isinstance(obj, (dict, list)) or not obj:
         return json.dumps(obj)
     inner = indent + "  "
@@ -130,44 +144,65 @@ def _exclusion_flags(report: SpanReport | _SampledSpan) -> tuple[bool, bool | No
     return applicable, consistent
 
 
-def _report_doc(report: SpanReport) -> dict:
-    applicable, consistent = _exclusion_flags(report)
-    return _doc(
-        report.poly,
-        dim=report.dim,
-        seed=report.config.seed,
-        classification=report.classification.value,
-        rank=report.basis.rank,
-        basis=_ser_rows(report.basis.rows),
-        witnesses=[
-            {"inputs": [_ser_rows(a.rows) for a in args], "value": _ser_rows(value.rows)}
-            for args, value in report.witnesses
-        ],
-        samples_used=report.samples_used,
-        consistency_flags={
-            "lie_ideal": lie_ideal_check(report.basis),
-            "sum_of_commutators": report.sum_of_commutators,
-            "degree_exclusion_applicable": applicable,
-            "degree_exclusion_consistent": consistent,
-            "stop_reason": report.stop_reason.value,
-        },
-    )
+# The break before the value of a top-level field of a document.
+_FIELD = "\n  "
+
+
+def _witnesses(s: _SampledSpan) -> _Json:
+    """The witnesses field of classify's document, written from the grown
+    rows (t_k, L * f(t_k)).  _dumps lays out one witness of "%s" slots,
+    which each witness fills in one format call: an input entry is an int,
+    a value entry x/L in lowest terms, as format_scalar(Fraction(x, L))
+    prints it."""
+    item = _FIELD + "  "  # the break before each witness
+    grid = [["%s"] * s.dim] * s.dim
+    template = _dumps({"inputs": [grid] * s.poly.nvars, "value": grid}, item)
+    scale, gcd = s.scale, math.gcd
+    body = [
+        template % (*entries, *(vec if scale == 1 else [
+            x // g if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in vec
+        ]))
+        for entries, vec in s.grown
+    ]
+    return _Json("[" + item + ("," + item).join(body) + _FIELD + "]" if body else "[]")
 
 
 def _cmd_classify(args) -> int:
     f = parse_poly(args.poly)
     cfg = _config(args)
-    report = classify_span(f, args.dim, cfg)
+    s = _sampled_span(f, args.dim, cfg)
     if args.format == "text":
-        print(f"polynomial:     {poly_to_text(report.poly)}")
-        print(f"dimension:      {report.dim}")
-        print(f"classification: {report.classification.value}")
-        print(f"rank:           {report.basis.rank}")
-        print(f"samples used:   {report.samples_used}")
-        print(f"seed:           {report.config.seed}")
+        print(f"polynomial:     {poly_to_text(f)}")
+        print(f"dimension:      {s.dim}")
+        print(f"classification: {s.classification.value}")
+        print(f"rank:           {s.basis.rank}")
+        print(f"samples used:   {s.samples_used}")
+        print(f"seed:           {cfg.seed}")
     else:
-        _emit(_report_doc(report))
-    if report.classification is Classification.UNDETERMINED:
+        # Basis entries are ints and Fractions, whose str is their format_scalar.
+        rows = s.basis.rows
+        basis = _dumps([["%s"] * s.dim**2] * len(rows), _FIELD) % tuple(itertools.chain(*rows))
+        applicable, consistent = _exclusion_flags(s)
+        _emit(
+            _doc(
+                f,
+                dim=s.dim,
+                seed=cfg.seed,
+                classification=s.classification.value,
+                rank=s.basis.rank,
+                basis=_Json(basis),
+                witnesses=_witnesses(s),
+                samples_used=s.samples_used,
+                consistency_flags={
+                    "lie_ideal": lie_ideal_check(s.basis),
+                    "sum_of_commutators": s.sum_of_commutators,
+                    "degree_exclusion_applicable": applicable,
+                    "degree_exclusion_consistent": consistent,
+                    "stop_reason": s.stop_reason.value,
+                },
+            )
+        )
+    if s.classification is Classification.UNDETERMINED:
         return EXIT_UNDETERMINED
     return EXIT_OK
 

@@ -14,8 +14,9 @@ for a while and matches one.  Exactness comes from three places:
 - the exact basis is built once at the end, in closed form for a canonical
   class and by reducing the integer values that grew the rank otherwise.
 
-suite reads the sampling loop (_sampled_span) without classify_span's
-witness matrices, which it never prints.
+The classify and suite commands read the sampling loop (_sampled_span)
+without classify_span's witness matrices: suite prints no witness, and
+classify writes each one as text straight from the loop's integer rows.
 
 Sampling is a lower bound on the true span, so a budget that runs out
 without a match is reported honestly as UNDETERMINED rather than coerced.
@@ -599,8 +600,9 @@ class _SampledSpan:
 
 
 def _sampled_span(f: NcPoly, d: int, cfg: SampleConfig) -> _SampledSpan:
-    """The sampling loop of classify_span (see there), which suite reads
-    directly: it builds no MatrixQ and no Fraction but the basis.
+    """The sampling loop of classify_span (see there), which the classify
+    and suite commands read directly: it builds no MatrixQ and no Fraction
+    but the basis.
 
     An UNDETERMINED basis is reduced from the grown rows L * f(t_k): they
     span the same space as the witness values f(t_k), so the reduced rows,

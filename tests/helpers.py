@@ -20,8 +20,11 @@ from ncspan import (
     VariableCollision,
     commutator,
     is_identity,
+    lie_ideal_check,
     zero_diagonal_conjugate,
 )
+from ncspan.cli import _doc, _exclusion_flags
+from ncspan.text import format_scalar
 
 
 def random_word(rng: random.Random, nvars: int, max_len: int, min_len: int = 0):
@@ -335,6 +338,37 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
         stop_reason=stop_reason,
         config=cfg,
         sum_of_commutators=commutator_sum,
+    )
+
+
+def reference_report_doc(report: SpanReport) -> dict:
+    """classify's JSON document, built from a classify_span report field by
+    field, every matrix entry through format_scalar: the document classify
+    printed before it read the sampling loop's integer rows directly."""
+
+    def text(rows):
+        return [[format_scalar(x) for x in row] for row in rows]
+
+    applicable, consistent = _exclusion_flags(report)
+    return _doc(
+        report.poly,
+        dim=report.dim,
+        seed=report.config.seed,
+        classification=report.classification.value,
+        rank=report.basis.rank,
+        basis=text(report.basis.rows),
+        witnesses=[
+            {"inputs": [text(a.rows) for a in args], "value": text(value.rows)}
+            for args, value in report.witnesses
+        ],
+        samples_used=report.samples_used,
+        consistency_flags={
+            "lie_ideal": lie_ideal_check(report.basis),
+            "sum_of_commutators": report.sum_of_commutators,
+            "degree_exclusion_applicable": applicable,
+            "degree_exclusion_consistent": consistent,
+            "stop_reason": report.stop_reason.value,
+        },
     )
 
 

@@ -8,6 +8,7 @@ intended output change (which also bumps the schema), regenerate with
 
 import contextlib
 import io
+import json
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -16,8 +17,9 @@ import pytest
 
 from helpers import standard_polynomial
 import ncspan.cli
-from ncspan.cli import main
-from ncspan.text import format_scalar, poly_to_text
+from ncspan.cli import _config, build_parser, main
+from ncspan.span import classify_span
+from ncspan.text import format_scalar, parse_poly, poly_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,7 +134,10 @@ def test_stdout_matches_golden(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ser_rows_agrees_with_format_scalar(name, monkeypatch):
-    """Every matrix a golden run prints is serialised as format_scalar would."""
+    """Every matrix a golden run prints is serialised as format_scalar would:
+    decompose's through _ser_rows, and classify's, written from the sampling
+    loop's integer rows, entry for entry as format_scalar prints the exact
+    basis and witnesses of classify_span's report."""
     real, seen = ncspan.cli._ser_rows, []
 
     def checked(rows):
@@ -144,9 +149,26 @@ def test_ser_rows_agrees_with_format_scalar(name, monkeypatch):
 
     monkeypatch.setattr(ncspan.cli, "_ser_rows", checked)
     monkeypatch.chdir(GOLDEN)
-    assert _stdout(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
-    # classify and decompose print matrices, except a decompose outside the span.
-    assert bool(seen) == (name.startswith(("classify", "decompose")) and "trace" not in name)
+    out = _stdout(CASES[name])
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+    # decompose prints matrices through _ser_rows, except outside the span.
+    assert bool(seen) == (name.startswith("decompose") and "trace" not in name)
+    if not name.startswith("classify"):
+        return
+    args = build_parser("classify").parse_args(list(CASES[name]))
+    report = classify_span(parse_poly(args.poly), args.dim, _config(args))
+    matrices = [report.basis.rows] + [m.rows for tup, v in report.witnesses for m in (*tup, v)]
+    assert {type(x) for rows in matrices for row in rows for x in row} <= {int, Fraction}
+
+    def text(rows):
+        return [[format_scalar(x) for x in row] for row in rows]
+
+    doc = json.loads(out)
+    assert doc["basis"] == text(report.basis.rows)
+    assert doc["witnesses"] == [
+        {"inputs": [text(a.rows) for a in tup], "value": text(v.rows)} for tup, v in report.witnesses
+    ]
+    assert doc["witnesses"]
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE))

@@ -27,6 +27,7 @@ from helpers import (
     reference_classify_span,
     reference_evaluate,
     reference_packed_evaluator,
+    reference_report_doc,
     reference_rref_insert,
     standard_polynomial,
 )
@@ -47,7 +48,7 @@ from ncspan import (
     span,
 )
 import ncspan.cli
-from ncspan.cli import _report_doc, main
+from ncspan.cli import main
 from ncspan.linalg import PRIME, EchelonModP
 
 HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
@@ -138,7 +139,7 @@ class TestDifferential:
     def test_classify_json(self, text):
         for d in (2, 3, 4):
             got, want = assert_same_report(parse_poly(text), d, SampleConfig(seed=5))
-            assert json.dumps(_report_doc(got)) == json.dumps(_report_doc(want))
+            assert json.dumps(reference_report_doc(got)) == json.dumps(reference_report_doc(want))
 
 
 class TestProofStop:
@@ -565,8 +566,19 @@ def battery_small_dims():
     ]
 
 
+@pytest.fixture
+def witness_builds(monkeypatch):
+    """The names of span._matrices and span._unscaled, one per call: the
+    two builders of witness matrices."""
+    built = []
+    for name in ("_matrices", "_unscaled"):
+        real = getattr(span, name)
+        monkeypatch.setattr(span, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+    return built
+
+
 class TestSampledSpan:
-    """span._sampled_span, the loop that suite reads without witnesses."""
+    """span._sampled_span, the loop that classify and suite read without witnesses."""
 
     @pytest.mark.parametrize("battery", ["small-dims", "d3", "d3-rational", "budget-3"])
     def test_agrees_with_classify_span(self, battery):
@@ -593,17 +605,65 @@ class TestSampledSpan:
                 assert got.basis == SpanBasis.from_matrices(d, values), where
         assert undetermined or battery in ("d3", "d3-rational")
 
-    def test_suite_builds_no_witness(self, monkeypatch, capsys):
-        built = []
-        for name in ("_matrices", "_unscaled"):
-            real = getattr(span, name)
-            monkeypatch.setattr(span, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+    def test_suite_builds_no_witness(self, witness_builds, capsys):
+        built = witness_builds
         for d in (2, 3):
             for extra in ((), ("--max-samples", "3")):
                 argv = ["suite", "--corpus", CORPUS, "--dim", str(d), "--seed", "7919", *extra]
                 assert main(argv) in (0, 1)
                 assert built == [], argv
-        # classify prints its witnesses, so the counters do see them.
-        main(["classify", "--poly", "[X1,X2]", "--dim", "2", "--seed", "0"])
+        # decompose solves through classify_span's witnesses, so the counters do see them.
+        main(["decompose", "--poly", "[X1,X2]", "--dim", "2", "--seed", "0", "--target", "0,1;0,0"])
         capsys.readouterr()
         assert set(built) == {"_matrices", "_unscaled"}
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_classify_builds_no_witness(self, fmt, witness_builds, capsys):
+        built = witness_builds
+        for text in (*HEADLINE, "5"):
+            for extra in ((), ("--max-samples", "3")):
+                argv = ["classify", "--poly", text, "--dim", "3", "--seed", "0", "--format", fmt, *extra]
+                assert main(argv) in (0, 64)
+                assert capsys.readouterr().out
+                assert built == [], argv
+
+
+def battery_constants():
+    return [
+        (parse_poly(text), d, SampleConfig(seed=seed))
+        for text in ("5", "-2/3", "0")
+        for d in range(1, 7)
+        for seed in (0, 7919)
+    ]
+
+
+DOCUMENT_BATTERIES = {"small-dims": battery_small_dims, "constants": battery_constants, **BATTERIES}
+
+
+class TestClassifyDocument:
+    """classify's stdout, rendered from the sampling loop's integer rows,
+    against the document built field by field from classify_span's report."""
+
+    @pytest.mark.parametrize("battery", sorted(DOCUMENT_BATTERIES))
+    def test_same_stdout_as_reference(self, battery, capsys):
+        classes, denominators = set(), False
+        for f, d, cfg in DOCUMENT_BATTERIES[battery]():
+            argv = ["classify", "--poly", poly_to_text(f), "--dim", str(d), "--seed", str(cfg.seed)]
+            if cfg.max_samples is not None:
+                argv += ["--max-samples", str(cfg.max_samples)]
+            code = main(argv)
+            out = capsys.readouterr().out
+            report = classify_span(f, d, cfg)
+            assert out == json.dumps(reference_report_doc(report), indent=2) + "\n", argv
+            assert code == (64 if report.classification is Classification.UNDETERMINED else 0), argv
+            classes.add(report.classification)
+            denominators = denominators or any(
+                "/" in x for w in json.loads(out)["witnesses"] for row in w["value"] for x in row
+            )
+        if battery in ("small-dims", "budget-3", "budget-20"):
+            assert Classification.UNDETERMINED in classes
+        if battery == "constants":
+            # A nonzero constant spans the scalars, which are all of M_1.
+            assert classes == {Classification.ZERO, Classification.SCALARS, Classification.FULL}
+        if battery in ("d3-rational", "budget-3"):
+            assert denominators
