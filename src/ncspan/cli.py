@@ -5,9 +5,10 @@ span, no witness dimension), 2 usage or parse error, 64 an UNDETERMINED
 classification.  All rationals in JSON are "p/q" strings so nothing is
 ever rounded; identical seeds and flags give byte-identical output.
 
-classify and suite read the sampling loop (span._sampled_span), which
-builds no witness matrices: classify prints its witnesses straight from
-the loop's integer rows, one format call per witness.
+Every command that classifies reads span.classify_span, whose report
+builds its witness matrices only when they are read: decompose reads them,
+suite prints no witness, and classify prints its witnesses straight from
+the report's integer rows, one format call per witness.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
-    _SampledSpan,
-    _sampled_span,
     _shared_evaluators,
     _verdicts,
     classify_span,
@@ -122,7 +121,7 @@ def _ser_rows(rows) -> list[list[str]]:
     return [list(map(str, row)) for row in rows]
 
 
-def _exclusion_flags(report: SpanReport | _SampledSpan) -> tuple[bool, bool | None]:
+def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
     """(applicable, consistent-or-None) for the degree exclusion: for d >= 2
     and 1 <= deg f < 2d, f is neither an identity of M_d nor central on it,
     so its span, a Lie ideal of M_d, is TRACE_ZERO or FULL.  Proof: over Q
@@ -148,7 +147,7 @@ def _exclusion_flags(report: SpanReport | _SampledSpan) -> tuple[bool, bool | No
 _FIELD = "\n  "
 
 
-def _witnesses(s: _SampledSpan) -> _Json:
+def _witnesses(s: SpanReport) -> _Json:
     """The witnesses field of classify's document, written from the grown
     rows (t_k, L * f(t_k)).  _dumps lays out one witness of "%s" slots,
     which each witness fills in one format call: an input entry is an int,
@@ -170,7 +169,7 @@ def _witnesses(s: _SampledSpan) -> _Json:
 def _cmd_classify(args) -> int:
     f = parse_poly(args.poly)
     cfg = _config(args)
-    s = _sampled_span(f, args.dim, cfg)
+    s = classify_span(f, args.dim, cfg)
     if args.format == "text":
         print(f"polynomial:     {poly_to_text(f)}")
         print(f"dimension:      {s.dim}")
@@ -344,8 +343,8 @@ def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
 
 def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
     """f's suite entry, and whether it shows a violation.  It prints no
-    witness, so f and each step are read from _sampled_span, which builds none."""
-    report = _sampled_span(f, d, cfg)
+    witness, so no report of f or of a step builds one."""
+    report = classify_span(f, d, cfg)
     applicable, consistent = _exclusion_flags(report)
     if report.classification is Classification.UNDETERMINED:
         exclusion = "undetermined"
@@ -376,7 +375,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
             return entry, True
         # The steps chain from f, so each polynomial is classified once.
         bases = [report.basis] + [
-            _sampled_span(step.after, d, cfg).basis for step in reduction.steps
+            classify_span(step.after, d, cfg).basis for step in reduction.steps
         ]
         containments = all(
             after.is_subspace_of(before) for before, after in zip(bases, bases[1:])

@@ -14,9 +14,10 @@ for a while and matches one.  Exactness comes from three places:
 - the exact basis is built once at the end, in closed form for a canonical
   class and by reducing the integer values that grew the rank otherwise.
 
-The classify and suite commands read the sampling loop (_sampled_span)
-without classify_span's witness matrices: suite prints no witness, and
-classify writes each one as text straight from the loop's integer rows.
+A report keeps the samples that grew the rank as integer rows, and builds
+its witness matrices from them only when they are read: suite prints no
+witness, classify writes each one as text straight from the integer rows,
+and decompose solves through the matrices.
 
 Sampling is a lower bound on the true span, so a budget that runs out
 without a match is reported honestly as UNDETERMINED rather than coerced.
@@ -69,7 +70,6 @@ from .linalg import (
     SpanBasis,
     _cleared,
     express_in_terms,
-    unit_commutator,
 )
 from .poly import NcPoly, Word
 
@@ -108,7 +108,8 @@ class SampleConfig:
 
 
 Witness = tuple[tuple[MatrixQ, ...], MatrixQ]
-# The STABILITY_WINDOW stall, fixed: proofs by full linearization are to replace it.
+# The STABILITY_WINDOW stall, fixed: the Lie-ideal stop and exact verdicts on
+# generic matrices (ROADMAP items 3 and 4) are to replace it.
 _STABILITY_WINDOW = 50
 
 
@@ -129,17 +130,29 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class SpanReport:
-    """Outcome of sampling the span of a polynomial's values on M_d."""
+    """Outcome of sampling the span of a polynomial's values on M_d.
+
+    grown holds the (entries, L * f(t)) rows, in plain integers, of the
+    samples that grew the rank, and scale is L, which clears f's
+    denominators: witness k is t_k and grown[k][1] / L.
+    """
 
     poly: NcPoly
     dim: int
     classification: Classification
     basis: SpanBasis
-    witnesses: tuple[Witness, ...]
     samples_used: int
     stop_reason: StopReason
     config: SampleConfig
     sum_of_commutators: bool
+    scale: int
+    grown: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @functools.cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        """(t_k, f(t_k)) for each grown row, built once, when first read."""
+        d, scale = self.dim, self.scale
+        return tuple((_matrices(entries, d), _unscaled(vec, d, scale)) for entries, vec in self.grown)
 
 
 def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
@@ -579,38 +592,31 @@ def _match_class(
     return None
 
 
-@dataclass(frozen=True)
-class _SampledSpan:
-    """classify_span's findings, witnesses left unbuilt.
+def classify_span(
+    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
+) -> SpanReport:
+    """Sample values of f on M_d and classify their linear span.
 
-    The fields SpanReport shares with it mean the same; grown holds the
-    (entries, L * f(t)) rows, in plain integers, of the samples that grew
-    the rank, and scale is L, so witness k is t_k and grown[k][1] / L.
-    """
+    Stops as soon as the span is proved canonical, or at a matched basis
+    that 50 samples in a row did not grow, or when the budget runs out (see
+    StopReason).  Two ranks prove the class: full rank d^2, and rank
+    d^2 - 1 when f is a sum of commutators, whose values all lie in the
+    trace-zero space sl_d since tr[a, b] = 0 (at d = 1, sl_1 = 0 and the
+    span is ZERO).  The samples that grew the rank are recorded as integer
+    rows, so the basis is the span of the witness values.
 
-    poly: NcPoly
-    dim: int
-    classification: Classification
-    basis: SpanBasis
-    samples_used: int
-    stop_reason: StopReason
-    sum_of_commutators: bool
-    scale: int
-    grown: tuple[tuple[list[int], list[int]], ...]
-
-
-def _sampled_span(f: NcPoly, d: int, cfg: SampleConfig) -> _SampledSpan:
-    """The sampling loop of classify_span (see there), which the classify
-    and suite commands read directly: it builds no MatrixQ and no Fraction
-    but the basis.
-
-    An UNDETERMINED basis is reduced from the grown rows L * f(t_k): they
-    span the same space as the witness values f(t_k), so the reduced rows,
-    being canonical, are the same.
+    Values are computed as integer matrices L * f(t).  Growth is tracked by
+    rank mod a prime, which never overclaims (see EchelonModP), and the
+    class comes from that rank plus exact tests of every sampled value.
+    The exact basis is built once: in closed form for a canonical class,
+    else by reducing the grown rows L * f(t_k), which span the same space
+    as the witness values f(t_k), so the reduced rows, being canonical, are
+    the same.  No MatrixQ and no Fraction is built but the basis; the
+    witnesses are built from the grown rows when first read.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
     echelon = EchelonModP()
-    grown: list[tuple[list[int], list[int]]] = []
+    grown: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     full_rank = d * d
     commutator_sum = f.is_sum_of_commutators()
     identity = MatrixQ.identity(d).flatten()
@@ -628,7 +634,7 @@ def _sampled_span(f: NcPoly, d: int, cfg: SampleConfig) -> _SampledSpan:
         # A value that keeps the span canonical lies in it: no elimination.
         match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         if match is None and echelon.insert(vec):
-            grown.append((entries, vec))
+            grown.append((tuple(entries), tuple(vec)))
             stall = 0
             match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         else:
@@ -644,55 +650,20 @@ def _sampled_span(f: NcPoly, d: int, cfg: SampleConfig) -> _SampledSpan:
         break
     classification = match or Classification.UNDETERMINED
     if classification is Classification.UNDETERMINED:
-        basis = SpanBasis._of_integer_rows(d, [vec for _, vec in grown])
+        basis = SpanBasis._of_integer_rows(d, [list(vec) for _, vec in grown])
     else:
         basis = SpanBasis.canonical(d, classification)
-    return _SampledSpan(
+    return SpanReport(
         poly=f,
         dim=d,
         classification=classification,
         basis=basis,
         samples_used=samples_used,
         stop_reason=stop_reason,
+        config=cfg,
         sum_of_commutators=commutator_sum,
         scale=scale,
         grown=tuple(grown),
-    )
-
-
-def classify_span(
-    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
-) -> SpanReport:
-    """Sample values of f on M_d and classify their linear span.
-
-    Stops as soon as the span is proved canonical, or at a matched basis
-    that 50 samples in a row did not grow, or when the budget runs out (see
-    StopReason).  Two ranks prove the class: full rank d^2, and rank
-    d^2 - 1 when f is a sum of commutators, whose values all lie in the
-    trace-zero space sl_d since tr[a, b] = 0 (at d = 1, sl_1 = 0 and the
-    span is ZERO).  Witness tuples are recorded exactly for the samples
-    that grew the rank, so the basis is the span of the witness values.
-
-    Values are computed as integer matrices L * f(t).  Growth is tracked by
-    rank mod a prime, which never overclaims (see EchelonModP), and the
-    class comes from that rank plus exact tests of every sampled value.
-    The exact basis is built once: in closed form for a canonical class,
-    else by reducing the values that grew the rank.  The loop is
-    _sampled_span; the witnesses are built here, from its integer rows.
-    """
-    s = _sampled_span(f, d, cfg)
-    return SpanReport(
-        poly=f,
-        dim=d,
-        classification=s.classification,
-        basis=s.basis,
-        witnesses=tuple(
-            (_matrices(entries, d), _unscaled(vec, d, s.scale)) for entries, vec in s.grown
-        ),
-        samples_used=s.samples_used,
-        stop_reason=s.stop_reason,
-        config=cfg,
-        sum_of_commutators=s.sum_of_commutators,
     )
 
 
@@ -740,33 +711,20 @@ def lie_ideal_check(basis: SpanBasis) -> bool:
 def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     """Smallest subspace containing seed that is a Lie ideal and a subalgebra.
 
-    Fixpoint iteration over generators, the matrices that grew the basis.
-    Each round adjoins the brackets of last round's new generators with the
-    Chevalley units and the products of every pair of generators with at
-    least one new member; it stops when a round adds nothing.  Then every
-    generator's brackets and every pairwise product lie in the span, so by
-    bilinearity it is closed, and it is the same subspace (and, being
-    reduced, the same basis) as closing over all pairs every round.
-    Closure under brackets with those units is closure under brackets with
-    all of M_d (see _chevalley_units).  For a noncentral seed of a full
-    matrix algebra the closure is everything.
+    In closed form: ZERO for a zero seed, SCALARS for a scalar one, FULL
+    otherwise.  The closure contains the Lie ideal of M_d generated by the
+    seed, which is 0, the scalars, sl_d or M_d (Herstein, 1969): a
+    noncentral seed's contains sl_d.  For d >= 2 a subalgebra that contains
+    sl_d contains E_11 = E_12 * E_21, so it is M_d; the scalars are already
+    a subalgebra.
     """
     if seed.dim != d:
         raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
-    units = _chevalley_units(d)
-    basis, grew = SpanBasis(d).insert(seed)
-    old: list[MatrixQ] = []
-    new = [seed] if grew else []
-    while new:
-        gens = old + new
-        candidates = [unit_commutator(m, j, k) for m in new for j, k in units]
-        candidates += [a * b for a in gens for b in new] + [b * a for a in old for b in new]
-        old, new = gens, []
-        for m in candidates:
-            basis, grew = basis.insert(m)
-            if grew:
-                new.append(m)
-    return basis
+    if seed.is_zero():
+        return SpanBasis.canonical(d, Classification.ZERO)
+    if seed.is_scalar():
+        return SpanBasis.canonical(d, Classification.SCALARS)
+    return SpanBasis.canonical(d, Classification.FULL)
 
 
 Decomposition = list[tuple[Fraction, tuple[MatrixQ, ...]]]

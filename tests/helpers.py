@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 from operator import mul
+from types import SimpleNamespace
 
 from ncspan import (
     Classification,
@@ -15,7 +16,6 @@ from ncspan import (
     NcPoly,
     SampleConfig,
     SpanBasis,
-    SpanReport,
     StopReason,
     VariableCollision,
     commutator,
@@ -269,7 +269,7 @@ def reference_verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool
     return False, is_identity(f * fresh - fresh * f, d, cfg)
 
 
-def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
+def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SimpleNamespace:
     """The exact span classifier: every value folded into a Fraction RREF.
 
     The RREF is kept by reference_rref_insert, one rank-one update per
@@ -278,6 +278,9 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
     Same sampling, stopping rule and witnesses as classify_span, which
     must agree with it field for field.  The stall length, 50, is written
     out here rather than read from span, so the reference stays independent.
+    The record has SpanReport's field names, but its witnesses are its own
+    Fraction matrices, built by reference_evaluate, so none passes through
+    the report's witness builder.
     """
     n = d * d
 
@@ -328,7 +331,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
                 break
     if classification is None:
         classification = match(basis) or Classification.UNDETERMINED
-    return SpanReport(
+    return SimpleNamespace(
         poly=f,
         dim=d,
         classification=classification,
@@ -341,10 +344,10 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport:
     )
 
 
-def reference_report_doc(report: SpanReport) -> dict:
+def reference_report_doc(report) -> dict:
     """classify's JSON document, built from a classify_span report field by
     field, every matrix entry through format_scalar: the document classify
-    printed before it read the sampling loop's integer rows directly."""
+    printed before it wrote its witnesses from the report's integer rows."""
 
     def text(rows):
         return [[format_scalar(x) for x in row] for row in rows]

@@ -386,9 +386,9 @@ class TestSuite:
         import ncspan.cli
 
         calls = []
-        real = ncspan.cli._sampled_span
+        real = ncspan.cli.classify_span
         monkeypatch.setattr(
-            ncspan.cli, "_sampled_span", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
+            ncspan.cli, "classify_span", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
         )
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("X1*X1*X2 + X2\n")
@@ -441,7 +441,7 @@ class TestSuite:
         import ncspan.cli
 
         calls = []
-        monkeypatch.setattr(ncspan.cli, "_sampled_span", lambda *a: calls.append(a))
+        monkeypatch.setattr(ncspan.cli, "classify_span", lambda *a: calls.append(a))
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("X1\n[X1,X2]\nX1 +\n")
         code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
@@ -512,13 +512,13 @@ class TestSuite:
 
 
 def _flip_sum_of_commutators(monkeypatch):
-    real = ncspan.cli._sampled_span
+    real = ncspan.cli.classify_span
 
     def flipped(f, d, cfg):
         report = real(f, d, cfg)
         return dataclasses.replace(report, sum_of_commutators=not report.sum_of_commutators)
 
-    monkeypatch.setattr(ncspan.cli, "_sampled_span", flipped)
+    monkeypatch.setattr(ncspan.cli, "classify_span", flipped)
 
 
 def _fail_reduction(monkeypatch):

@@ -156,15 +156,20 @@ class TestHandBuiltReports:
         e11, e12 = MatrixQ.unit(2, 0, 0), MatrixQ.unit(2, 0, 1)
         f = parse_poly("X1*X2")
         args = (MatrixQ.identity(2), MatrixQ.identity(2))
+        entries = tuple(x for a in args for x in a.flatten())
         basis = SpanBasis.from_matrices(2, [e11])
-        for witnesses, want in (
-            (((args, e11 + e12),), "NotInSpan"),  # a value outside the basis
-            (((args, e11), (args, e11.scale(2))), [(1, args)]),  # dependent values
+        # Integer rows (entries, value) with scale 1: each value is its own witness value.
+        for grown, want in (
+            (((entries, (1, 1, 0, 0)),), "NotInSpan"),  # a value outside the basis
+            (((entries, (1, 0, 0, 0)), (entries, (2, 0, 0, 0))), [(1, args)]),  # dependent values
             ((), "NotInSpan"),  # too few values
         ):
             report = SpanReport(
-                f, 2, Classification.UNDETERMINED, basis, witnesses, 2, StopReason.BUDGET_EXHAUSTED, cfg,
-                False,
+                f, 2, Classification.UNDETERMINED, basis, 2, StopReason.BUDGET_EXHAUSTED, cfg,
+                False, 1, grown,
+            )
+            assert report.witnesses == tuple(
+                (args, MatrixQ([vec[:2], vec[2:]])) for _, vec in grown
             )
             for target in (e11, e12):
                 got = outcome(decompose_target, report, target)

@@ -1,11 +1,12 @@
 """The Chevalley-generator Lie checks against the all-units references.
 
-lie_ideal_check and herstein_closure bracket only with the 2(d - 1) units
-E_{i,i+1} and E_{i+1,i}, product-free: herstein_closure through
-unit_commutator, lie_ideal_check through SpanBasis.closed_under_units.  These
-tests require the same verdicts and closures as the bodies kept in helpers,
-which bracket with all d^2 matrix units through commutator, and pin the
-bracket helper and the number of membership tests.  The sparse membership
+lie_ideal_check brackets only with the 2(d - 1) units E_{i,i+1} and
+E_{i+1,i}, product-free, through SpanBasis.closed_under_units, and
+herstein_closure brackets with none: it returns its canonical space in
+closed form.  These tests require the same verdicts and closures as the
+bodies kept in helpers, which bracket with all d^2 matrix units through
+commutator and close under products by a fixpoint, and pin the bracket
+helper and the number of membership tests.  The sparse membership
 path, SpanBasis._residual, and the sparse bracket of
 SpanBasis.closed_under_units are checked against the dense reduction kept in
 helpers and unit_commutator.

@@ -13,6 +13,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -578,32 +579,67 @@ def witness_builds(monkeypatch):
 
 
 class TestSampledSpan:
-    """span._sampled_span, the loop that classify and suite read without witnesses."""
+    """classify_span's integer rows: what grew the rank, witnesses unbuilt."""
 
     @pytest.mark.parametrize("battery", ["small-dims", "d3", "d3-rational", "budget-3"])
     def test_agrees_with_classify_span(self, battery):
         cases = battery_small_dims() if battery == "small-dims" else BATTERIES[battery]()
         undetermined = 0
         for f, d, cfg in cases:
-            got = span._sampled_span(f, d, cfg)
-            want = classify_span(f, d, cfg)
+            got = classify_span(f, d, cfg)
+            want = reference_classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
             assert got.classification is want.classification, where
             assert got.basis == want.basis, where
             assert got.samples_used == want.samples_used, where
             assert got.stop_reason is want.stop_reason, where
             assert got.sum_of_commutators == want.sum_of_commutators, where
-            # The grown rows are L times the witness values, at the witness inputs.
+            # scale is L, the lcm of f's denominators, and the grown rows are
+            # L times the reference's witness values, at its witness inputs.
+            assert got.scale == math.lcm(*(Fraction(c).denominator for c in f.terms.values())), where
             assert len(got.grown) == len(want.witnesses), where
             for (entries, vec), (args, value) in zip(got.grown, want.witnesses):
-                assert entries == [x for a in args for x in a.flatten()], where
-                assert vec == [got.scale * x for x in value.flatten()], where
+                assert entries == tuple(x for a in args for x in a.flatten()), where
+                assert vec == tuple(got.scale * x for x in value.flatten()), where
+                assert all(type(x) is int for x in entries + vec), where
             if got.classification is Classification.UNDETERMINED:
                 # Reduced from integer rows, as classify_span once did from the values.
                 undetermined += 1
                 values = [value for _, value in want.witnesses]
                 assert got.basis == SpanBasis.from_matrices(d, values), where
         assert undetermined or battery in ("d3", "d3-rational")
+
+    @pytest.mark.parametrize("text", [*HEADLINE, "1/3*X1*X2 - 2/5*X2*X1", "[X1,X2]^2"])
+    def test_witnesses_built_once_when_read(self, text, witness_builds):
+        built = witness_builds
+        f = parse_poly(text)
+        for d in (1, 2, 3):
+            for cfg in (SampleConfig(seed=7), SampleConfig(seed=7, max_samples=3)):
+                report = classify_span(f, d, cfg)
+                assert built == [], (text, d, cfg)
+                witnesses = report.witnesses
+                assert report.witnesses is witnesses
+                assert built.count("_matrices") == len(report.grown) + built.count("_unscaled")
+                assert built.count("_unscaled") == len(report.grown)
+                assert witnesses == reference_classify_span(f, d, cfg).witnesses
+                built.clear()
+
+    def test_equal_seeds_give_equal_reports(self):
+        for text in (*HEADLINE, "5", "1/3*X1*X2 - 2/5*X2*X1"):
+            f = parse_poly(text)
+            for d, cfg in ((1, SampleConfig()), (3, SampleConfig(seed=7919)), (3, SampleConfig(max_samples=3))):
+                a, b = classify_span(f, d, cfg), classify_span(f, d, cfg)
+                assert a is not b and a == b and hash(a) == hash(b), (text, d)
+                # Reading one report's witnesses changes neither its value nor its hash.
+                assert len(a.witnesses) == len(a.grown)
+                assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (text, d)
+                other = replace(a, sum_of_commutators=not a.sum_of_commutators)
+                assert other != a and other.grown is a.grown
+                assert other.witnesses == a.witnesses
+                assert replace(a) == a
+        assert classify_span(parse_poly("[X1,X2]"), 3, SampleConfig(seed=1)) != classify_span(
+            parse_poly("[X1,X2]"), 3, SampleConfig(seed=2)
+        )
 
     def test_suite_builds_no_witness(self, witness_builds, capsys):
         built = witness_builds
@@ -641,8 +677,8 @@ DOCUMENT_BATTERIES = {"small-dims": battery_small_dims, "constants": battery_con
 
 
 class TestClassifyDocument:
-    """classify's stdout, rendered from the sampling loop's integer rows,
-    against the document built field by field from classify_span's report."""
+    """classify's stdout, rendered from the report's integer rows, against
+    the document built field by field from the report's witness matrices."""
 
     @pytest.mark.parametrize("battery", sorted(DOCUMENT_BATTERIES))
     def test_same_stdout_as_reference(self, battery, capsys):

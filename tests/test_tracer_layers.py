@@ -1,0 +1,60 @@
+"""The benchmark tracer's layers stay live on the commands it measures.
+
+perfbench/tracer.py wraps ncspan's entry points by name, so a rename or a
+second path beside an entry point silences its layer without failing.  The
+tracer is loaded from its file, unchanged, and every layer it names must
+resolve; classify, suite and decompose must each be seen classifying.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import ncspan.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = str(ROOT / "tests" / "golden" / "corpus.txt")
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_resolves(tracer_module):
+    for name, module, path in tracer_module.LAYERS:
+        owner = importlib.import_module(module)
+        for attr in path.split("."):
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+        assert callable(owner), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["classify", "--poly", "[X1,X2]", "--dim", "3", "--seed", "0"],
+        ["classify", "--poly", "X1*X2", "--dim", "2", "--seed", "0", "--format", "text"],
+        ["suite", "--corpus", CORPUS, "--dim", "2", "--seed", "0"],
+        ["decompose", "--poly", "[X1,X2]", "--dim", "2", "--seed", "0", "--target", "0,1;0,0"],
+    ),
+    ids=("classify-json", "classify-text", "suite", "decompose"),
+)
+def test_commands_show_classify_span(argv, tracer_module, capsys):
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        code = ncspan.cli.main(argv)
+    assert code in (0, 1)
+    assert capsys.readouterr().out
+    assert tracer.calls["cli.main"] == 1
+    assert tracer.calls["span.classify_span"] > 0
+    assert tracer.counters["span.classify_span.samples"] > 0
+    assert tracer.counters["span.classify_span.growths"] > 0
+    # The wrapping is undone on exit.
+    assert not hasattr(ncspan.cli.main, "__wrapped__")
+    assert not hasattr(ncspan.cli.classify_span, "__wrapped__")
