@@ -11,13 +11,12 @@ subspace equality a plain row-list comparison and membership a single
 reduction pass that reads only the pivots in a vector's support.  The four
 canonical subspaces have their reduced bases written down in closed form.
 
-Whole systems are eliminated by one routine, fraction_free_rref, over
-integer rows: bases built from a list of matrices and solves both use it.
-It runs forward Bareiss elimination below each pivot, then builds
-det * RREF by exact back substitution from the last pivot row up; every
-quotient is a minor of the input, so no division leaves a remainder and no
-Fraction is formed.  SpanBasis.insert adjoins a single matrix by a rank-one
-update of the reduced rows instead.
+Every exact elimination is one routine, fraction_free_rref, over integer
+rows: bases built from a list of matrices, a matrix inserted into a basis,
+and solves all use it.  It runs forward Bareiss elimination below each
+pivot, then builds det * RREF by exact back substitution from the last
+pivot row up; every quotient is a minor of the input, so no division leaves
+a remainder and no Fraction is formed.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed prime 2^61 - 1, with each row packed into one int.  That rank is a
@@ -28,7 +27,6 @@ at the end.
 
 from __future__ import annotations
 
-import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -257,12 +255,7 @@ class SpanBasis:
         mats = list(mats)
         if any(m.dim != dim for m in mats):
             raise DimensionMismatch(f"matrices must be {dim}x{dim}")
-        return SpanBasis._of_integer_rows(dim, _cleared(m.flatten() for m in mats)[1])
-
-    @staticmethod
-    def _of_integer_rows(dim: int, rows: list[list[int]]) -> SpanBasis:
-        """The reduced basis of the span of integer rows of length dim^2,
-        by one fraction-free pass that reduces rows in place."""
+        rows = _cleared(m.flatten() for m in mats)[1]
         pivots, det = fraction_free_rref(rows)
         rows = tuple(tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])
         return SpanBasis(dim, rows, tuple(pivots))
@@ -291,21 +284,11 @@ class SpanBasis:
         return {j: x for j, x in out.items() if x}
 
     def insert(self, m: MatrixQ) -> tuple[SpanBasis, bool]:
-        """Adjoin a matrix by a rank-one update; grew is True iff the rank increased."""
-        v = self._residual(self._sparse(m))
-        if not v:
+        """(basis, grew): self if m is inside, else the span of the rows and m
+        rebuilt by from_matrices; grew is True iff the rank increased."""
+        if self.contains(m):
             return self, False
-        p = min(v)
-        pv = Fraction(v[p])
-        new_row = tuple(v.get(j, 0) / pv for j in range(self.dim**2))
-        rows = [
-            tuple(a - row[p] * b for a, b in zip(row, new_row)) if row[p] else row
-            for row in self.rows
-        ]
-        pos = bisect.bisect(self.pivots, p)
-        rows.insert(pos, new_row)
-        pivots = self.pivots[:pos] + (p,) + self.pivots[pos:]
-        return SpanBasis(self.dim, tuple(rows), pivots), True
+        return SpanBasis.from_matrices(self.dim, [*self.row_matrices(), m]), True
 
     def contains(self, m: MatrixQ) -> bool:
         """Exact membership test by reduction against the basis rows."""

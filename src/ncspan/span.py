@@ -17,7 +17,7 @@ for a while and matches one.  Exactness comes from three places:
 A report keeps the samples that grew the rank as integer rows, and builds
 its witness matrices from them only when they are read: suite prints no
 witness, classify writes each one as text straight from the integer rows,
-and decompose solves through the matrices.
+and decompose solves on the integer rows and returns the witness tuples.
 
 Sampling is a lower bound on the true span, so a budget that runs out
 without a match is reported honestly as UNDETERMINED rather than coerced.
@@ -500,7 +500,8 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
     Any f: the seeded samples.  Multilinear f: the first sample (one value
     can settle both verdicts), then every tuple t of matrix units, whose
     values span f's values by linearity.  Unit entries are 0 and 1, within
-    coeff_bound, so the samples' evaluator serves both.
+    coeff_bound, so the samples' evaluator serves both.  The tuples are
+    walked lazily, by the index of each unit's 1: no d^4-entry table.
     """
     _, ev = _evaluator(f, d, cfg.coeff_bound)
     values = map(ev, _samples(f, d, cfg))
@@ -508,9 +509,12 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
         yield from values
         return
     yield next(values)
-    units = [[int(i == k) for k in range(d * d)] for i in range(d * d)]
-    for tup in itertools.product(units, repeat=f.nvars):
-        yield ev(list(itertools.chain.from_iterable(tup)))
+    n = d * d
+    for ones in itertools.product(range(n), repeat=f.nvars):
+        entries = [0] * (n * f.nvars)
+        for v, i in enumerate(ones):
+            entries[v * n + i] = 1
+        yield ev(entries)
 
 
 def is_identity(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> bool:
@@ -611,7 +615,7 @@ def classify_span(
     The exact basis is built once: in closed form for a canonical class,
     else by reducing the grown rows L * f(t_k), which span the same space
     as the witness values f(t_k), so the reduced rows, being canonical, are
-    the same.  No MatrixQ and no Fraction is built but the basis; the
+    the same.  No witness and no Fraction is built but the basis's; the
     witnesses are built from the grown rows when first read.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
@@ -650,7 +654,7 @@ def classify_span(
         break
     classification = match or Classification.UNDETERMINED
     if classification is Classification.UNDETERMINED:
-        basis = SpanBasis._of_integer_rows(d, [list(vec) for _, vec in grown])
+        basis = SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in grown])
     else:
         basis = SpanBasis.canonical(d, classification)
     return SpanReport(
@@ -738,11 +742,10 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     where the preimage tuple is written down outright.  Raises NotInSpan
     when the target lies outside the recorded span.  Each call is one
     fraction-free solve (express_in_terms) of the d^2 x (k + 1) system
-    [witness values | target]: forward Bareiss elimination below each
-    pivot, then exact back substitution from the last pivot row up, which
-    only touches the free columns (here the target column and the columns
-    of dependent witnesses).  Every quotient in both phases is a minor of
-    the system, so the solve stays in integers until the lambdas.
+    [grown rows L * f(t_j) | target], in integers until the solution mu:
+    forward Bareiss elimination, then back substitution on the free columns
+    only (the target's and those of dependent witnesses).  Scaling every
+    column by L moves no pivot, so lam_j = L * mu_j.
     """
     d = report.dim
     if target.dim != d:
@@ -760,12 +763,11 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
             return [(Fraction(1), args)]
     if not report.basis.contains(target):
         raise NotInSpan("target is outside the sampled span")
-    vectors = [value.flatten() for _, value in report.witnesses]
-    sol = express_in_terms(vectors, target.flatten())
+    sol = express_in_terms([vec for _, vec in report.grown], target.flatten())
     if sol is None:
         raise NotInSpan("target is outside the span of the witness values")
     return [
-        (lam, args)
+        (lam * report.scale, args)
         for lam, (args, _) in zip(sol, report.witnesses)
         if lam
     ]

@@ -13,10 +13,11 @@ Polynomial grammar (whitespace insignificant, no implicit multiplication):
 always lands on a canonical NcPoly.  poly_to_text emits terms in graded
 lexicographic word order and round-trips: parse(print(f)) == f.
 
-Nothing is expanded until the whole input has parsed: each product, power
-and bracket first bounds the number of terms, the degree and the letters of
-its result from those of its operands, and refuses past a fixed limit.  A
-'(' or '[' past a fixed nesting depth is refused as it opens.
+Nothing is expanded until the whole input has parsed: each sum, product,
+power and bracket first bounds the number of terms, the degree and the
+letters of its result from those of its operands, and refuses past a fixed
+limit at its operator.  A '(' or '[' past a fixed nesting depth is refused
+as it opens.
 
 Matrix literals are shell-friendly: rows separated by ';', rational entries
 by ',', e.g. "1,0;0,-1".
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .linalg import DimensionMismatch, MatrixQ
-from .poly import NcPoly, Word
+from .poly import NcPoly, Word, _clean_terms, _raw
 
 
 class ParseError(Exception):
@@ -51,7 +52,7 @@ class ExponentNegative(ParseError):
 
 # Expansion limits: the largest exponent, and the most terms (those of
 # (X1+X2)^16), highest degree and most letters (terms times degree, four
-# times those of (X1+X2)^16) that a product, power or bracket may reach.
+# times those of (X1+X2)^16) that a sum, product, power or bracket may reach.
 _MAX_EXPONENT = 256
 _MAX_TERMS = 65536
 _MAX_DEGREE = 256
@@ -169,18 +170,22 @@ class _Parser:
     def expr(self) -> _Expansion:
         parts = [self.term()]
         negated = [False]
+        terms, degree = parts[0].terms, parts[0].degree
         while self.peek().kind in ("+", "-"):
-            negated.append(self.advance().kind == "-")
-            parts.append(self.term())
+            op = self.advance()
+            negated.append(op.kind == "-")
+            rhs = self.term()
+            parts.append(rhs)
+            terms, degree = self._checked(op, terms + rhs.terms, max(degree, rhs.degree))
         if len(parts) == 1:
             return parts[0]
 
         def build() -> NcPoly:
             # One combine for all summands: a long sum costs linear time.
             built = (-p.build() if neg else p.build() for p, neg in zip(parts, negated))
-            return NcPoly(itertools.chain.from_iterable(built))
+            return _raw(_clean_terms(itertools.chain.from_iterable(built)))
 
-        return _Expansion(sum(p.terms for p in parts), max(p.degree for p in parts), build)
+        return _Expansion(terms, degree, build)
 
     def term(self) -> _Expansion:
         factors = [self.factor()]

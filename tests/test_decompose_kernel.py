@@ -100,6 +100,20 @@ class TestAgainstReference:
         for _ in range(200):
             report = classify_span(battery_poly(rng), 3, SampleConfig(seed=0))
             assert_same_decompositions(report, rng, count=2)
+        # The rational battery: lambda = L * mu on the grown rows, for L over
+        # many denominators, and L = 12 at d = 2..4.
+        rng = random.Random(3031)
+        scales = set()
+        cases = [(parse_poly("1/4*X1*X2 - 5/6*X2*X1"), d) for d in (2, 3, 4)]
+        cases += [
+            (battery_poly(rng).scale(Fraction(rng.choice((1, -2, 5)), rng.choice((3, 4, 7)))), 3)
+            for _ in range(100)
+        ]
+        for f, d in cases:
+            report = classify_span(f, d, SampleConfig(seed=0))
+            scales.add(report.scale)
+            assert_same_decompositions(report, rng, count=2)
+        assert {3, 4, 7, 12} <= scales
 
     @pytest.mark.parametrize("text", HEADLINE)
     @pytest.mark.parametrize("d", range(1, 6))

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -466,6 +467,18 @@ class TestVerdictsOnePass:
     def test_central_sampled_reads_its_own_stream(self, evaluations):
         assert is_central(parse_poly("[X1,X2]^2"), 2)
         assert len(evaluations) == SampleConfig().samples_for(2)
+
+    def test_unit_walk_builds_no_table(self):
+        # A constant counts as multilinear with no variables: its walk is one
+        # empty tuple.  A table of the d^2 unit vectors (d^4 entries) peaks
+        # near 22 MiB at d = 40; the lazy walk stays near 0.1 MiB.
+        tracemalloc.start()
+        try:
+            assert span._verdicts(NcPoly.constant(5), 40, SampleConfig()) == (False, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestSharedEvaluators:

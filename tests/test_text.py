@@ -170,6 +170,7 @@ RUNAWAY = [
     ("(" * 101 + "X1" + ")" * 101, 101),
     ("[" * 101 + "X1" + ",X2]" * 101, 101),
     ("(X1^16+X2^16)^16", 14),
+    ("(X1+X2)^16 + (X1+X2)^16", 12),
 ]
 
 
