@@ -8,7 +8,9 @@ ever rounded; identical seeds and flags give byte-identical output.
 Every command that classifies reads span.classify_span, whose report
 builds its witness matrices only when they are read: decompose reads them,
 suite prints no witness, and classify prints its witnesses straight from
-the report's integer rows, one format call per witness.
+the report's integer rows, in one format call.  Every document is
+json.dumps(doc, indent=2); only classify's matrices of "%s" slots are laid
+out by hand (_grid), and _emit splices them in.
 """
 
 from __future__ import annotations
@@ -73,42 +75,31 @@ def _config(args) -> SampleConfig:
     return SampleConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-_ascii = json.encoder.encode_basestring_ascii
-
-
 class _Json(str):
-    """JSON text already laid out as json.dumps(indent=2) lays it out at its
-    place in the document; _dumps splices it in unchanged."""
+    """JSON text already laid out as json.dumps(indent=2) lays it out at a
+    top-level field of the document; _emit splices it in unchanged."""
 
 
-def _dumps(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for dicts with str keys, lists, str, int, bool
-    and None, with a _Json value copied as it is.  A list of strings, or of
-    nonempty lists of strings, is joined over the C string encoder with no
-    Python step per entry (json runs its Python encoder whenever indent is
-    set).  indent: the break before obj."""
-    if type(obj) is _Json:
-        return obj
-    if not isinstance(obj, (dict, list)) or not obj:
-        return json.dumps(obj)
+def _grid(rows: int, cols: int, indent: str) -> str:
+    """json.dumps([["%s"] * cols] * rows, indent=2), cols >= 1, with each
+    line break written as indent: one format call fills a matrix into it."""
     inner = indent + "  "
-    if isinstance(obj, dict):
-        body, ends = (f"{_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()), "{}"
-    else:
-        ends = "[]"
-        try:  # _ascii raises TypeError on the first item that is no string
-            if all(type(row) is list and row for row in obj):
-                sep = f",{inner}  "
-                body = [f"[{inner}  {sep.join(map(_ascii, row))}{inner}]" for row in obj]
-            else:
-                body = list(map(_ascii, obj))
-        except TypeError:
-            body = (_dumps(x, inner) for x in obj)
-    return ends[0] + inner + ("," + inner).join(body) + indent + ends[1]
+    row = f"[{inner}  " + f",{inner}  ".join(['"%s"'] * cols) + f"{inner}]"
+    return "[" + inner + f",{inner}".join([row] * rows) + indent + "]" if rows else "[]"
 
 
 def _emit(doc: dict) -> None:
-    print(_dumps(doc))
+    """Print json.dumps(doc, indent=2) with each _Json field's text as its
+    value.  json lays the field out as a string, a NUL and its key, which
+    must then occur exactly once."""
+    laid = {key: value for key, value in doc.items() if type(value) is _Json}
+    text = json.dumps({**doc, **{key: "\0" + key for key in laid}}, indent=2)
+    for key, value in laid.items():
+        parts = text.split(json.dumps("\0" + key))
+        if len(parts) != 2:
+            raise ValueError(f"the placeholder of {key!r} occurs {len(parts) - 1} times")
+        text = value.join(parts)
+    print(text)
 
 
 def _doc(f: NcPoly, **fields) -> dict:
@@ -149,21 +140,20 @@ _FIELD = "\n  "
 
 def _witnesses(s: SpanReport) -> _Json:
     """The witnesses field of classify's document, written from the grown
-    rows (t_k, L * f(t_k)).  _dumps lays out one witness of "%s" slots,
-    which each witness fills in one format call: an input entry is an int,
-    a value entry x/L in lowest terms, as format_scalar(Fraction(x, L))
-    prints it."""
-    item = _FIELD + "  "  # the break before each witness
-    grid = [["%s"] * s.dim] * s.dim
-    template = _dumps({"inputs": [grid] * s.poly.nvars, "value": grid}, item)
+    rows (t_k, L * f(t_k)) in one format call.  json.dumps lays out the
+    list and one witness's frame, and _grid each of its d x d matrices,
+    as "%s" slots for the entries: an input entry is an int, a value entry
+    x/L in lowest terms, as format_scalar(Fraction(x, L)) prints it."""
+    item, d = _FIELD + "  ", s.dim  # the break before each witness
+    frame = json.dumps({"inputs": ["\0"] * s.poly.nvars, "value": "\1"}, indent=2).replace("\n", item)
+    inputs, value = _grid(d, d, item + "    "), _grid(d, d, item + "  ")
+    frame = frame.replace('"\\u0000"', inputs).replace('"\\u0001"', value)
+    template = json.dumps(["\0"] * len(s.grown), indent=2).replace("\n", _FIELD).replace('"\\u0000"', frame)
     scale, gcd = s.scale, math.gcd
-    body = [
-        template % (*entries, *(vec if scale == 1 else [
-            x // g if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in vec
-        ]))
-        for entries, vec in s.grown
-    ]
-    return _Json("[" + item + ("," + item).join(body) + _FIELD + "]" if body else "[]")
+    cells = [(*entries, *(vec if scale == 1 else [
+        x // g if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in vec
+    ])) for entries, vec in s.grown]
+    return _Json(template % tuple(itertools.chain.from_iterable(cells)))
 
 
 def _cmd_classify(args) -> int:
@@ -180,7 +170,7 @@ def _cmd_classify(args) -> int:
     else:
         # Basis entries are ints and Fractions, whose str is their format_scalar.
         rows = s.basis.rows
-        basis = _dumps([["%s"] * s.dim**2] * len(rows), _FIELD) % tuple(itertools.chain(*rows))
+        basis = _grid(len(rows), s.dim**2, _FIELD) % tuple(itertools.chain(*rows))
         applicable, consistent = _exclusion_flags(s)
         _emit(
             _doc(

@@ -149,10 +149,15 @@ class SpanReport:
     grown: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     @functools.cached_property
+    def _inputs(self) -> tuple[tuple[MatrixQ, ...], ...]:
+        """t_k for each grown row, built once, when first read."""
+        return tuple(_matrices(entries, self.dim) for entries, _ in self.grown)
+
+    @functools.cached_property
     def witnesses(self) -> tuple[Witness, ...]:
         """(t_k, f(t_k)) for each grown row, built once, when first read."""
         d, scale = self.dim, self.scale
-        return tuple((_matrices(entries, d), _unscaled(vec, d, scale)) for entries, vec in self.grown)
+        return tuple((args, _unscaled(vec, d, scale)) for args, (_, vec) in zip(self._inputs, self.grown))
 
 
 def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
@@ -737,15 +742,16 @@ Decomposition = list[tuple[Fraction, tuple[MatrixQ, ...]]]
 def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     """Express target as an exact combination sum lam_j * f(t_j).
 
-    The t_j are witness tuples from the report (whose values span the
-    report's basis), except in the directly invertible case f = c * X_i,
-    where the preimage tuple is written down outright.  Raises NotInSpan
-    when the target lies outside the recorded span.  Each call is one
-    fraction-free solve (express_in_terms) of the d^2 x (k + 1) system
-    [grown rows L * f(t_j) | target], in integers until the solution mu:
-    forward Bareiss elimination, then back substitution on the free columns
-    only (the target's and those of dependent witnesses).  Scaling every
-    column by L moves no pivot, so lam_j = L * mu_j.
+    The t_j are the report's witness inputs (whose values span the
+    report's basis; no value is built as a matrix), except in the directly
+    invertible case f = c * X_i, where the preimage tuple is written down
+    outright.  Raises NotInSpan when the target lies outside the recorded
+    span.  Each call is one fraction-free solve (express_in_terms) of the
+    d^2 x (k + 1) system [grown rows L * f(t_j) | target], in integers
+    until the solution mu: forward Bareiss elimination, then back
+    substitution on the free columns only (the target's and those of
+    dependent witnesses).  Scaling every column by L moves no pivot, so
+    lam_j = L * mu_j.
     """
     d = report.dim
     if target.dim != d:
@@ -766,8 +772,4 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     sol = express_in_terms([vec for _, vec in report.grown], target.flatten())
     if sol is None:
         raise NotInSpan("target is outside the span of the witness values")
-    return [
-        (lam * report.scale, args)
-        for lam, (args, _) in zip(sol, report.witnesses)
-        if lam
-    ]
+    return [(lam * report.scale, args) for lam, args in zip(sol, report._inputs) if lam]

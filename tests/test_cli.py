@@ -800,13 +800,27 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
+def _emitted(capsys, doc, laid=()):
+    """What cli._emit prints for doc, the fields named in laid given as
+    _Json text, laid out as json.dumps(indent=2) lays out a top-level field."""
+    cli = ncspan.cli
+    as_text = lambda v: cli._Json(json.dumps(v, indent=2).replace("\n", cli._FIELD))
+    cli._emit({key: as_text(value) if key in laid else value for key, value in doc.items()})
+    return capsys.readouterr().out
+
+
 class TestDumps:
-    """cli._dumps against json.dumps(indent=2), byte for byte."""
+    """cli._emit against json.dumps(indent=2), byte for byte, with fields
+    spliced in as _Json text and without."""
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
-    def test_golden(self, path):
-        doc = json.loads(path.read_text())
-        assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2)
+    def test_golden(self, path, capsys):
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        keys = list(doc)
+        for laid in ((), keys, keys[:1], keys[2:3], keys[-1:]):
+            assert _emitted(capsys, doc, laid) == text, laid
 
     @pytest.mark.parametrize(
         "doc",
@@ -818,7 +832,6 @@ class TestDumps:
             [[s] for s in _STRINGS],
             [_STRINGS, _STRINGS[::-1]],
             {"basis": [_STRINGS[1:4], _STRINGS[4:]]},
-            # Not all rows nonempty lists of strings: the general path.
             [["1", "2"], ["3", 4]],
             [["a"], [1, "b"]],
             [["a"], ["b", {"k": "v"}]],
@@ -829,25 +842,52 @@ class TestDumps:
         ],
         ids=repr,
     )
-    def test_matrices(self, doc):
-        assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2)
-
-    def test_matrix_in_one_call(self, monkeypatch):
-        real, calls = ncspan.cli._dumps, []
-        monkeypatch.setattr(ncspan.cli, "_dumps", lambda obj, indent="\n": calls.append(obj) or real(obj, indent))
-        matrix = [[f"{i}/{j + 1}" for j in range(6)] for i in range(6)]
-        doc = {"basis": matrix, "inputs": [matrix, matrix]}
-        assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2)
-        # The document, its two values, and each matrix of inputs: no call per row.
-        assert len(calls) == 5
+    def test_matrices(self, doc, capsys):
+        # A list is a field, printed as it is and spliced in, next to the strings of _STRINGS.
+        outer = doc if isinstance(doc, dict) else {"plain": doc, "laid": doc, "strings": _STRINGS}
+        for laid in ((), tuple(outer)[:1], tuple(outer)[1:2], tuple(outer)):
+            assert _emitted(capsys, outer, laid) == json.dumps(outer, indent=2) + "\n", laid
 
     @pytest.mark.parametrize("seed", [0, 7919])
-    def test_battery(self, seed, unlimited_int_digits):
+    def test_battery(self, seed, unlimited_int_digits, capsys):
         rng = random.Random(seed)
         docs = [_document(rng, rng.randrange(5)) for _ in range(300)]
         docs += [[], {}, None, True, False, -_BIG, _BIG, _STRINGS, {"": [[], {}, [[]]]}]
+        outs = []
         for doc in docs:
-            assert ncspan.cli._dumps(doc) == json.dumps(doc, indent=2), doc
-        text = "".join(map(ncspan.cli._dumps, docs))
-        assert all(s in text for s in ("[]", "{}", "null", "true", "false", "\\udcff", "\\u00e9"))
+            outer = doc if isinstance(doc, dict) else {"doc": doc}
+            laid = [key for key in outer if rng.randrange(2)]
+            outs.append(_emitted(capsys, outer, laid))
+            assert outs[-1] == json.dumps(outer, indent=2) + "\n", (doc, laid)
+        text = "".join(outs)
+        assert all(s in text for s in ("[]", "{}", "null", "true", "false", "\\udcff", "\\u00e9", "\\u0000"))
         assert str(_BIG) in text and "-" + str(_BIG) in text
+
+
+class TestEmit:
+    """The one hand-laid JSON, _grid, and _emit's splice of _Json fields."""
+
+    @pytest.mark.parametrize("indent", ["\n  ", "\n      ", "\n        "], ids=len)
+    def test_grid(self, indent):
+        # classify's basis at a top-level field, witness values and witness inputs.
+        for rows in range(6):
+            for cols in range(1, 7):
+                want = json.dumps([["%s"] * cols] * rows, indent=2).replace("\n", indent)
+                assert ncspan.cli._grid(rows, cols, indent) == want, (rows, cols)
+
+    def test_laid_field_between_ordinary_fields(self, capsys):
+        doc = {"schema": "s", "basis": [["1", "-1/2"], ["0", "3"]], "rank": 2, "rows": [["x"]], "seed": None}
+        for laid in (("basis",), ("basis", "rows")):
+            assert _emitted(capsys, doc, laid) == json.dumps(doc, indent=2) + "\n"
+
+    def test_no_laid_field(self, capsys):
+        doc = {"schema": "s", "entries": [{"line": 1, "polynomial": "X1"}], "summary": {}}
+        assert _emitted(capsys, doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_nul_in_another_string(self, capsys):
+        doc = {"a": "\0", "b": "x\0basis", "c": ["\0basi", "\0basis\0"], "d": {"\0": 0}, "basis": [["1"]]}
+        assert _emitted(capsys, doc, ("basis",)) == json.dumps(doc, indent=2) + "\n"
+        # Another string whose JSON text holds the placeholder's is refused, not spliced into.
+        for twin in ({"a": "\0basis"}, {"a": ['"\0basis']}, {"a": {"\0basis": 0}}):
+            with pytest.raises(ValueError, match="occurs 2 times"):
+                _emitted(capsys, {**twin, "basis": [["1"]]}, ("basis",))

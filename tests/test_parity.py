@@ -24,7 +24,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import shlex
 import sys
 from pathlib import Path
@@ -42,24 +41,23 @@ def commands() -> list[str]:
     return [line for line in lines if line.strip() and not line.startswith("#")]
 
 
-def replay(command: str) -> str:
-    """The sha256 of the command's exit code, stdout and stderr."""
+def run(command: str) -> tuple[int, str, str]:
+    """The command's exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(shlex.split(command))
         except SystemExit as exc:  # argparse's refusals
             code = exc.code
-    record = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(record.encode("ascii")).hexdigest()
+    return code, out.getvalue(), err.getvalue()
 
 
-def digest_lines() -> list[str]:
-    return [f"{replay(command)}  {command}" for command in commands()]
+def digest(record: tuple[int, str, str]) -> str:
+    """The sha256 of a run's exit code, stdout and stderr."""
+    return hashlib.sha256(json.dumps(list(record)).encode("ascii")).hexdigest()
 
 
-@pytest.fixture
-def at_root(monkeypatch):
+def at_root(monkeypatch) -> None:
     """Run as from the repository root, with no seed from the environment
     and argparse's usage lines wrapped at 80 columns."""
     monkeypatch.chdir(ROOT)
@@ -67,9 +65,17 @@ def at_root(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
 
 
-def test_every_digest_matches(at_root):
+@pytest.fixture(scope="module")
+def runs() -> list[tuple[str, tuple[int, str, str]]]:
+    """Each command with its run, once for every test of this module."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        at_root(monkeypatch)
+        return [(command, run(command)) for command in commands()]
+
+
+def test_every_digest_matches(runs):
     recorded = (PARITY / "digests.txt").read_text(encoding="utf-8").splitlines()
-    got = digest_lines()
+    got = [f"{digest(record)}  {command}" for command, record in runs]
     assert [line.split("  ", 1)[1] for line in recorded] == commands(), "regenerate digests.txt"
     changed = [(old, new) for old, new in zip(recorded, got) if old != new]
     assert not changed, (
@@ -79,10 +85,19 @@ def test_every_digest_matches(at_root):
     )
 
 
+def test_json_is_laid_out_by_json_dumps(runs):
+    """Every document a command prints is json.dumps(doc, indent=2), the
+    fields classify lays out by hand included.  This holds whatever the
+    digests record, so it outlives a schema bump."""
+    checked = [(command, out) for command, (_, out, _) in runs if out and "--format text" not in command]
+    assert len(checked) > 250
+    relaid = [command for command, out in checked if out != json.dumps(json.loads(out), indent=2) + "\n"]
+    assert not relaid, f"{len(relaid)} of {len(checked)} documents differ from json.dumps: {relaid[:5]}"
+
+
 if __name__ == "__main__":
-    os.chdir(ROOT)
-    os.environ.pop("NCSPAN_SEED", None)
-    os.environ["COLUMNS"] = "80"
-    lines = digest_lines()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        at_root(monkeypatch)
+        lines = [f"{digest(run(command))}  {command}" for command in commands()]
     (PARITY / "digests.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(lines)} digests", file=sys.stderr)

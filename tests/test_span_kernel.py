@@ -41,6 +41,7 @@ from ncspan import (
     SpanBasis,
     StopReason,
     classify_span,
+    decompose_target,
     delta,
     evaluate,
     is_central,
@@ -637,6 +638,23 @@ class TestSampledSpan:
                 assert witnesses == reference_classify_span(f, d, cfg).witnesses
                 built.clear()
 
+    @pytest.mark.parametrize("text", [*HEADLINE, "1/3*X1*X2 - 2/5*X2*X1", "[X1,X2]^2"])
+    def test_decompose_builds_inputs_only(self, text, witness_builds):
+        built = witness_builds
+        f = parse_poly(text)
+        for d in (1, 2, 3):
+            report = classify_span(f, d, SampleConfig(seed=7))
+            members = report.basis.row_matrices()
+            target = sum(members[1:], members[0]) if members else MatrixQ.zero(d)
+            terms = decompose_target(report, target)
+            assert built == ["_matrices"] * len(report.grown), (text, d)
+            assert decompose_target(report, target) == terms and len(built) == len(report.grown)
+            # The witnesses pair the same input tuples with their values.
+            witnesses = report.witnesses
+            assert built.count("_unscaled") == len(report.grown)
+            assert all(args is inputs for (args, _), inputs in zip(witnesses, report._inputs, strict=True))
+            built.clear()
+
     def test_equal_seeds_give_equal_reports(self):
         for text in (*HEADLINE, "5", "1/3*X1*X2 - 2/5*X2*X1"):
             f = parse_poly(text)
@@ -661,7 +679,8 @@ class TestSampledSpan:
                 argv = ["suite", "--corpus", CORPUS, "--dim", str(d), "--seed", "7919", *extra]
                 assert main(argv) in (0, 1)
                 assert built == [], argv
-        # decompose solves through classify_span's witnesses, so the counters do see them.
+        # decompose solves on the report's witness inputs and verifies through
+        # evaluate, which builds each value by _unscaled: the counters see both.
         main(["decompose", "--poly", "[X1,X2]", "--dim", "2", "--seed", "0", "--target", "0,1;0,0"])
         capsys.readouterr()
         assert set(built) == {"_matrices", "_unscaled"}
