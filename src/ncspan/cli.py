@@ -23,7 +23,7 @@ import math
 import os
 import sys
 
-from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan
+from .linalg import Classification, DimensionMismatch, NotInSpan, _cleared
 from .linearize import (
     NotReducible,
     OracleFailed,
@@ -276,9 +276,16 @@ def _cmd_decompose(args) -> int:
             )
         )
         return EXIT_NEGATIVE
-    total = MatrixQ.zero(args.dim)
-    for lam, tup in terms:
-        total = total + evaluate(f, tup, dim=args.dim).scale(lam)
+    # The check re-evaluates f at every tuple and sums in integers: rows are
+    # L * f(t_k) and L * target for one L, coefficients den * lam_k.
+    values = [evaluate(f, tup, dim=args.dim).flatten() for _, tup in terms]
+    _, rows = _cleared([*values, target.flatten()])
+    want = rows.pop()
+    den = math.lcm(*(lam.denominator for lam, _ in terms))
+    coeffs = [lam.numerator * (den // lam.denominator) for lam, _ in terms]
+    verified = all(
+        sum(c * row[j] for c, row in zip(coeffs, rows)) == den * x for j, x in enumerate(want)
+    )
     _emit(
         _doc(
             f,
@@ -290,7 +297,7 @@ def _cmd_decompose(args) -> int:
                 {"coefficient": format_scalar(lam), "inputs": [_ser_rows(a.rows) for a in tup]}
                 for lam, tup in terms
             ],
-            verified=total == target,
+            verified=verified,
         )
     )
     return EXIT_OK

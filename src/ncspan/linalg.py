@@ -19,10 +19,14 @@ pivot row up; every quotient is a minor of the input, so no division leaves
 a remainder and no Fraction is formed.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
-fixed prime 2^61 - 1, with each row packed into one int.  That rank is a
-lower bound on the rank over Q, so a growth it reports is exact; the span
-classifier uses it to count growths cheaply and builds the exact basis once
-at the end.
+fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
+rank is a lower bound on the rank over Q, so a growth it reports is exact;
+the span classifier uses it to count growths cheaply and builds the exact
+basis once at the end.  A vector independent over Q looks dependent mod p
+only when p divides the minors it forms with the earlier growths.  For the
+last growth of a classification those are multiples of one determinant, so
+a miss happens about once in 2^31 classifications; it costs one more
+sample and never changes a class.
 """
 
 from __future__ import annotations
@@ -349,25 +353,32 @@ class SpanBasis:
         return SpanBasis(dim, tuple(rows), pivots)
 
 
-PRIME = 2**61 - 1
+_EXPONENT = 31
+PRIME = 2**_EXPONENT - 1
+# The struct code of one residue: every x in [0, p) fits its unsigned width.
+_RESIDUE = "I" if _EXPONENT < 32 else "Q"
 
 
 class EchelonModP:
-    """Echelon form over GF(p), p = 2^61 - 1, of integer vectors added one at a time.
+    """Echelon form over GF(p), p = 2^31 - 1, of integer vectors added one at a time.
 
     Integer vectors that are dependent over Q have an integer relation with
     coprime coefficients, which stays a nontrivial relation mod p.  So the
     rank here never exceeds the rank over Q of the same vectors, and every
     growth mod p certifies a growth over Q.  The rank mod p of a set of
-    vectors does not depend on how they are eliminated.
+    vectors does not depend on how they are eliminated.  The converse fails
+    only when p divides the minors a new vector forms with the rows: for the
+    vector that completes a class that is one determinant, about once in
+    2^31, and the classifier then needs one more sample.
 
     Vectors and rows are packed: entry k is the k-th fixed-width slot of one
     int.  Reducing by a row reads one slot and does one big-int
-    multiply-add.  Slots stay nonnegative, so they never borrow: an entry
-    starts in [0, p) and gains less than p^2 per row, so with at most n
-    rows for length-n vectors the slots are sized for p + n * p^2 when the
-    first vector arrives.  Every slot is taken mod p at once by folding,
-    since 2^61 = 1 mod p (see _fold).
+    multiply-add by a residue below 2^31, two CPython digits.  Slots stay
+    nonnegative, so they never borrow: an entry starts in [0, p) and gains
+    less than p^2 per row, so with at most n rows for length-n vectors the
+    slots are sized for p + n * p^2 when the first vector arrives, 72 bits
+    for n <= 256.  Every slot is taken mod p at once by folding, since
+    2^31 = 1 mod p (see _fold).
     """
 
     __slots__ = ("rows", "pivots", "_bits", "_packer", "_ones")
@@ -388,15 +399,15 @@ class EchelonModP:
     def _fold(self, v: int) -> int:
         """v with every slot reduced into [0, p).
 
-        A slot x = 2^61 * h + l is congruent to h + l, which is smaller
-        unless x < 2^61 already; then only x = p needs mapping to 0, and x
-        is p exactly when bit 61 of x + 1 is set.
+        A slot x = 2^31 * h + l is congruent to h + l, which is smaller
+        unless x < 2^31 already; then only x = p needs mapping to 0, and x
+        is p exactly when bit 31 of x + 1 is set.
         """
         ones = self._ones
-        low, top = PRIME * ones, ((1 << (self._bits - 61)) - 1) * ones
-        while high := v >> 61 & top:
+        low, top = PRIME * ones, ((1 << (self._bits - _EXPONENT)) - 1) * ones
+        while high := v >> _EXPONENT & top:
             v = (v & low) + high
-        return (v + ((v + ones) >> 61 & ones)) & low
+        return (v + ((v + ones) >> _EXPONENT & ones)) & low
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Adjoin an integer vector; True iff the rank mod p increased."""
@@ -404,7 +415,8 @@ class EchelonModP:
             n = len(vec)
             width = (((PRIME - 1) * (1 + n * (PRIME - 1))).bit_length() + 7) // 8
             self._bits = 8 * width
-            self._packer = struct.Struct("<" + f"Q{width - 8}x" * n)
+            pad = width - struct.calcsize("<" + _RESIDUE)
+            self._packer = struct.Struct("<" + f"{_RESIDUE}{pad}x" * n)
             self._ones = sum(1 << (self._bits * k) for k in range(n))
         bits = self._bits
         mask = (1 << bits) - 1

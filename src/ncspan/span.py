@@ -7,8 +7,11 @@ evaluates L * f on them in plain integers (L clears f's denominators), and
 stops once the span provably equals a canonical space, or has been stable
 for a while and matches one.  Exactness comes from three places:
 
-- growth is tracked by rank modulo a prime, a lower bound on the rank over
-  Q, so every recorded growth is real and no class is overclaimed;
+- growth is tracked by rank modulo the prime 2^31 - 1, a lower bound on the
+  rank over Q, so every recorded growth is real and no class is overclaimed;
+  an independent value looks dependent mod p only when p divides its minors
+  with the earlier growths, about once in 2^31 classifications, and then
+  costs one more sample, never a class;
 - whether every sampled value is zero, scalar or trace zero is tested
   exactly on the integer values;
 - the exact basis is built once at the end, in closed form for a canonical
@@ -44,7 +47,8 @@ The sampling kernel does a whole row's work per Python-level step:
   _packed_evaluator), so no value is ever wrong, only wider, and the
   result is decoded by one little-endian struct whatever the host's byte
   order (int.from_bytes only for slots wider than 8 bytes);
-- EchelonModP keeps its rows packed the same way.
+- EchelonModP keeps its rows packed the same way, in 72-bit slots up to
+  d = 16: with residues below 2^31 every multiplier is two CPython digits.
 """
 
 from __future__ import annotations

@@ -487,7 +487,7 @@ def reference_rref_insert(rows, pivots, vec):
     for row, p in zip(rows, pivots):
         c = v[p]
         if c:
-            v = [a - c * b for a, b in zip(v, row)]
+            v = [a - c * b if b else a for a, b in zip(v, row)]
     p = next((i for i, x in enumerate(v) if x), None)
     if p is None:
         return rows, pivots, False
@@ -497,7 +497,7 @@ def reference_rref_insert(rows, pivots, vec):
     for row in rows:
         c = row[p]
         if c:
-            row = tuple(a - c * b for a, b in zip(row, new_row))
+            row = tuple(a - c * b if b else a for a, b in zip(row, new_row))
         adjusted.append(row)
     pos = next((k for k, q in enumerate(pivots) if q > p), len(pivots))
     out_rows = tuple(adjusted[:pos]) + (new_row,) + tuple(adjusted[pos:])

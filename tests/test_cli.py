@@ -322,6 +322,25 @@ class TestDecompose:
         assert doc["target"] == "-1,0;0,1"
         assert doc["verified"] is True
 
+    @pytest.mark.parametrize("target", ("1,2,0;0,0,1;3,0,-1", "1/2,0,-1/3;0,0,0;2/7,0,-1/2", "0,0,0;0,0,0;0,0,0"))
+    def test_verified_reevaluates_each_term(self, capsys, monkeypatch, target):
+        # verified sums f(t_k) over the returned tuples, with rational
+        # coefficients and a rational f: the terms as returned check, and
+        # one coefficient off by 1/3 does not (the zero target has no terms).
+        argv = ("decompose", "--poly", "3/2*X1*X1*X2 + [X2,X1]", "--dim", "3", "--seed", "0", "--target", target)
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["verified"] is True
+        real = ncspan.cli.decompose_target
+
+        def off_by_a_third(report, target):
+            return [(lam + Fraction(k == 0, 3), tup) for k, (lam, tup) in enumerate(real(report, target))]
+
+        monkeypatch.setattr(ncspan.cli, "decompose_target", off_by_a_third)
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["verified"] is (not doc["terms"])
+
     def test_not_in_span(self, capsys):
         code, doc = run_json(
             capsys,

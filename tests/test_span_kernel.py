@@ -266,6 +266,88 @@ class TestEchelonModP:
                 assert echelon.insert(vec) == grew_q
             assert echelon.rank == len(rows) <= 3
 
+    @pytest.mark.parametrize("n", (64, 256))
+    def test_slots_reach_the_width_bound(self, n, monkeypatch):
+        # v_k is -1 mod p at 0..k and -(k + 1) at n - 1, zero between, so
+        # row k is -(e_k + e_(n-1)) mod p: each later vector is reduced by
+        # every row with multiplier p - 1, and the last slot gains (p - 1)^2
+        # from each, up to the p + n * p^2 the slots are sized for.
+        # Multiples of p, and now and then an integer combination of two
+        # vectors, go in between; neither may grow the rank.
+        rng = random.Random(n)
+        peak = []
+        real_fold = EchelonModP._fold
+
+        def fold(self, v):
+            peak.append(v >> (self._bits * (n - 1)))
+            return real_fold(self, v)
+
+        monkeypatch.setattr(EchelonModP, "_fold", fold)
+        echelon = EchelonModP()
+        rows, pivots, grown = (), (), []
+        for k in range(n - 1):
+            vec = [rng.choice((-1, PRIME - 1, 2 * PRIME - 1, -PRIME - 1)) for _ in range(k)]
+            vec += [-1] + [0] * (n - k - 2) + [-(k + 1) + PRIME * rng.randint(-9, 9)]
+            candidates = [vec, [PRIME * rng.randint(-(2**40), 2**40) for _ in range(n)]]
+            if grown and k % 4 == 0:
+                a, b = rng.randint(-9, 9), PRIME * rng.randint(1, 9) - 1
+                candidates.append([a * x + b * y for x, y in zip(rng.choice(grown), vec)])
+            for w in candidates:
+                grew = echelon.insert(w)
+                if all(x % PRIME == 0 for x in w):
+                    assert not grew
+                    continue
+                rows, pivots, grew_q = reference_rref_insert(rows, pivots, w)
+                assert grew == grew_q, k
+            grown.append(vec)
+        assert echelon.rank == len(rows) == n - 1
+        bound = (PRIME - 1) * (1 + n * (PRIME - 1))
+        assert (n - 2) * (PRIME - 1) ** 2 <= max(peak) <= bound < 1 << echelon._bits
+
+
+class TestGrowthDecisions:
+    """Every growth flag classify_span acts on, replayed over Q.
+
+    The classifier's EchelonModP is swapped for one that repeats each
+    insert on exact Fraction RREF (reference_rref_insert); the flags must
+    agree sample for sample.
+    """
+
+    @pytest.fixture
+    def flags(self, monkeypatch):
+        log = []
+
+        class Replayed(EchelonModP):
+            def __init__(self):
+                super().__init__()
+                self.exact = (), ()
+
+            def insert(self, vec):
+                grew = super().insert(vec)
+                rows, pivots, grew_q = reference_rref_insert(*self.exact, vec)
+                self.exact = rows, pivots
+                log.append((grew, grew_q))
+                return grew
+
+        monkeypatch.setattr(span, "EchelonModP", Replayed)
+        return log
+
+    @pytest.mark.parametrize("battery", sorted(BATTERIES))
+    def test_batteries(self, battery, flags):
+        for f, d, cfg in BATTERIES[battery]():
+            start = len(flags)
+            report = classify_span(f, d, cfg)
+            where = f"{poly_to_text(f)} at d={d}, {cfg}"
+            assert all(grew == grew_q for grew, grew_q in flags[start:]), where
+            assert sum(grew for grew, _ in flags[start:]) == len(report.grown), where
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("text, d", (("[X1,X2]", 7), ("X1*X2", 8), ("[X1,X2]^2", 8)))
+    def test_highdim_panel(self, text, d, seed, flags):
+        report = classify_span(parse_poly(text), d, SampleConfig(seed=seed))
+        assert flags == [(True, True)] * len(report.grown)
+        assert len(report.grown) == report.basis.rank
+
 
 class TestBulkDraw:
     @pytest.mark.parametrize("bound", (1, 10, 127, 128, 1000))
