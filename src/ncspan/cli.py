@@ -51,7 +51,7 @@ from .text import (
     poly_to_text,
 )
 
-SCHEMA = "ncspan/3"
+SCHEMA = "ncspan/4"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -134,6 +134,15 @@ def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
     return applicable, consistent
 
 
+def _lie_ideal_flag(report: SpanReport) -> bool:
+    """The lie_ideal flag: true in closed form for a decided class, and
+    lie_ideal_check of the basis for an UNDETERMINED one.  Each canonical
+    space V is a Lie ideal of M_d, [V, M_d] inside V: [0, b] = 0, [c*I, b]
+    = 0, and every [a, b] has trace tr(ab) - tr(ba) = 0, so it lies in
+    sl_d, which TRACE_ZERO and FULL both contain."""
+    return report.classification is not Classification.UNDETERMINED or lie_ideal_check(report.basis)
+
+
 # The break before the value of a top-level field of a document.
 _FIELD = "\n  "
 
@@ -166,6 +175,7 @@ def _cmd_classify(args) -> int:
         print(f"classification: {s.classification.value}")
         print(f"rank:           {s.basis.rank}")
         print(f"samples used:   {s.samples_used}")
+        print(f"stop reason:    {s.stop_reason.value}")
         print(f"seed:           {cfg.seed}")
     else:
         # Basis entries are ints and Fractions, whose str is their format_scalar.
@@ -183,7 +193,7 @@ def _cmd_classify(args) -> int:
                 witnesses=_witnesses(s),
                 samples_used=s.samples_used,
                 consistency_flags={
-                    "lie_ideal": lie_ideal_check(s.basis),
+                    "lie_ideal": _lie_ideal_flag(s),
                     "sum_of_commutators": s.sum_of_commutators,
                     "degree_exclusion_applicable": applicable,
                     "degree_exclusion_consistent": consistent,
@@ -349,7 +359,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
         exclusion = "inapplicable"
     else:
         exclusion = "consistent" if consistent else "violated"
-    lie_ideal = lie_ideal_check(report.basis)
+    lie_ideal = _lie_ideal_flag(report)
     entry = {
         "line": lineno,
         "polynomial": poly_to_text(f),
@@ -360,7 +370,9 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
         "exclusion": exclusion,
         "reduction": None,
     }
-    violated = not lie_ideal or exclusion == "violated"
+    # A partial basis need not be a Lie ideal: only a decided entry's flag counts.
+    decided = report.classification is not Classification.UNDETERMINED
+    violated = (decided and not lie_ideal) or exclusion == "violated"
     # One verdict per polynomial: the reduction asks again about f, and about
     # its output, which is f itself when there are no steps.
     oracle = functools.cache(nontriviality_oracle(d, cfg))
@@ -370,12 +382,14 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
         except OracleFailed as exc:
             entry["reduction"] = {"error": "OracleFailed", "message": str(exc)}
             return entry, True
-        # The steps chain from f, so each polynomial is classified once.
-        bases = [report.basis] + [
-            classify_span(step.after, d, cfg).basis for step in reduction.steps
-        ]
+        # The steps chain from f, so each polynomial is classified once.  A
+        # partial basis need not hold the span of the next step: only a
+        # decided one is checked.
+        reports = [report] + [classify_span(step.after, d, cfg) for step in reduction.steps]
         containments = all(
-            after.is_subspace_of(before) for before, after in zip(bases, bases[1:])
+            after.basis.is_subspace_of(before.basis)
+            for before, after in zip(reports, reports[1:])
+            if before.classification is not Classification.UNDETERMINED
         )
         multilinear = reduction.output.is_multilinear()
         oracle_true = oracle(reduction.output)

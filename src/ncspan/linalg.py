@@ -21,12 +21,14 @@ a remainder and no Fraction is formed.
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
 rank is a lower bound on the rank over Q, so a growth it reports is exact;
-the span classifier uses it to count growths cheaply and builds the exact
-basis once at the end.  A vector independent over Q looks dependent mod p
-only when p divides the minors it forms with the earlier growths.  For the
-last growth of a classification those are multiples of one determinant, so
-a miss happens about once in 2^31 classifications; it costs one more
-sample and never changes a class.
+the span classifier uses it to count growths cheaply where no sample proves
+the class, and to keep independent shear conjugates as the witnesses of a
+proved one; it builds the exact basis once at the end.  A vector
+independent over Q looks dependent mod p only when p divides the minors it
+forms with the earlier growths.  For the last growth of a classification
+those are multiples of one determinant, so a miss happens about once in
+2^31 classifications; it costs one more sample and never changes a class.
+EchelonQ is its exact counterpart over Q, in primitive integer rows.
 """
 
 from __future__ import annotations
@@ -432,6 +434,40 @@ class EchelonModP:
         scale = PRIME - pow(v >> (bits * p) & PRIME, -1, PRIME)
         self.rows.append(self._fold(v * scale))
         self.pivots.append(p)
+        return True
+
+
+class EchelonQ:
+    """Forward echelon over Q of integer vectors added one at a time: the
+    exact counterpart of EchelonModP, for the rare walk that a miss mod p
+    ends short (see span._shear_closure).
+
+    Row k is a primitive integer vector that is 0 at the pivots of rows
+    0..k-1, so reducing a vector by the rows in insertion order, v <-
+    r[p] * v - v[p] * r, zeroes every pivot for good.  Dividing out the
+    content after each step keeps every entry a divisor of a minor of the
+    input, so no row is ever rebuilt.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def insert(self, vec: Sequence[int]) -> bool:
+        """Adjoin an integer vector; True iff the rank over Q increased."""
+        v = list(vec)
+        for p, row in self.rows:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+                g = math.gcd(*v) or 1
+                v = [x // g for x in v]
+        g = math.gcd(*v)
+        if not g:
+            return False
+        self.rows.append((next(k for k, x in enumerate(v) if x), [x // g for x in v]))
         return True
 
 

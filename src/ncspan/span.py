@@ -4,29 +4,37 @@ The linear span of the values of a polynomial on a full matrix algebra is
 always one of four canonical subspaces: zero, the scalars, the trace-zero
 matrices, or everything.  This module samples random integer matrix tuples,
 evaluates L * f on them in plain integers (L clears f's denominators), and
-stops once the span provably equals a canonical space, or has been stable
-for a while and matches one.  Exactness comes from three places:
+stops at the first proof of the class, or once the span has been stable
+for a while and matches one.  The proof is the paper's argument: the span
+is closed under conjugation, so it is a Lie ideal of M_d, and one
+non-scalar value, with one value of nonzero trace or with f a sum of
+commutators, pins it (see classify_span).  Exactness comes from three
+places:
 
-- growth is tracked by rank modulo the prime 2^31 - 1, a lower bound on the
-  rank over Q, so every recorded growth is real and no class is overclaimed;
-  an independent value looks dependent mod p only when p divides its minors
-  with the earlier growths, about once in 2^31 classifications, and then
-  costs one more sample, never a class;
-- whether every sampled value is zero, scalar or trace zero is tested
-  exactly on the integer values;
+- whether a sampled value is zero, scalar or trace zero is tested exactly
+  on the integer values, and a proof rests on these tests alone;
+- without a proof, growth is tracked by rank modulo the prime 2^31 - 1, a
+  lower bound on the rank over Q, so every recorded growth is real and no
+  class is overclaimed; an independent value looks dependent mod p only
+  when p divides its minors with the earlier growths, about once in 2^31
+  classifications, and then costs one more sample, never a class;
 - the exact basis is built once at the end, in closed form for a canonical
   class and by reducing the integer values that grew the rank otherwise.
 
-A report keeps the samples that grew the rank as integer rows, and builds
-its witness matrices from them only when they are read: suite prints no
-witness, classify writes each one as text straight from the integer rows,
-and decompose solves on the integer rows and returns the witness tuples.
+A report keeps integer rows: the one or two samples that prove its class,
+or the samples that grew the rank.  Its rank-many witness rows (grown) and
+witness matrices are built only when read; for a proof they are shear
+conjugates of the proving rows, with no evaluation of f (see
+_shear_closure).  suite prints no witness, classify writes each one as text
+straight from the integer rows, and decompose solves on the integer rows
+and returns the witness tuples.
 
 Sampling is a lower bound on the true span, so a budget that runs out
 without a match is reported honestly as UNDETERMINED rather than coerced.
 
 Every sampled verdict reads one seeded stream of integer values: the
-classifier folds it into the span, and one pass decides identity and
+classifier tests each value for a proof and, without one, folds it into
+the span, and one pass decides identity and
 centrality, stopping at the first non-scalar value.  Both verdicts are
 exact for multilinear polynomials (tuples of matrix units suffice) and
 randomized otherwise, under one polynomial-vanishing error bound
@@ -69,10 +77,12 @@ from .linalg import (
     Classification,
     DimensionMismatch,
     EchelonModP,
+    EchelonQ,
     MatrixQ,
     NotInSpan,
     SpanBasis,
     _cleared,
+    _conjugate,
     express_in_terms,
 )
 from .poly import NcPoly, Word
@@ -92,8 +102,10 @@ class SampleConfig:
 
     Every random draw flows from seed.  Entries are integers uniform in
     [-coeff_bound, coeff_bound].  When max_samples is None the budget
-    defaults to 64 * d^2 for dimension d (the rank can grow at most d^2
-    times, with generous slack).  No field sets the STABILITY_WINDOW stop:
+    defaults to 64 * d^2 for dimension d.  A proof of the class usually
+    takes one sample and rarely more than two; the budget binds only the
+    rank loop that runs without one, whose rank can grow at most d^2
+    times, with generous slack.  No field sets the STABILITY_WINDOW stop:
     a matched basis that 50 samples in a row did not grow.
     """
 
@@ -112,33 +124,37 @@ class SampleConfig:
 
 
 Witness = tuple[tuple[MatrixQ, ...], MatrixQ]
-# The STABILITY_WINDOW stall, fixed: the Lie-ideal stop and exact verdicts on
-# generic matrices (ROADMAP items 3 and 4) are to replace it.
+# The STABILITY_WINDOW stall, fixed: exact verdicts on generic matrices are
+# to replace it where the Lie-ideal stop finds no proof.
 _STABILITY_WINDOW = 50
 
 
 class StopReason(Enum):
     """Why classify_span stopped sampling.
 
-    FULL_RANK and COMMUTATOR_SUM stop on a proof that the sampled span is
-    the whole canonical space; STABILITY_WINDOW (a matched basis that 50
-    samples in a row did not grow) and BUDGET_EXHAUSTED stop on a sampled
-    verdict, a lower bound on the span.
+    LIE_IDEAL stops on a proof that the span of f's values is the whole
+    canonical space (see classify_span); STABILITY_WINDOW (a matched basis
+    that 50 samples in a row did not grow) and BUDGET_EXHAUSTED stop on a
+    sampled verdict, a lower bound on the span.
     """
 
-    FULL_RANK = "FULL_RANK"
-    COMMUTATOR_SUM = "COMMUTATOR_SUM"
+    LIE_IDEAL = "LIE_IDEAL"
     STABILITY_WINDOW = "STABILITY_WINDOW"
     BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
+
+
+Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class SpanReport:
     """Outcome of sampling the span of a polynomial's values on M_d.
 
-    grown holds the (entries, L * f(t)) rows, in plain integers, of the
-    samples that grew the rank, and scale is L, which clears f's
-    denominators: witness k is t_k and grown[k][1] / L.
+    rows holds (entries, L * f(t)) rows in plain integers, and scale is L,
+    which clears f's denominators.  After a LIE_IDEAL stop they are the
+    one or two samples that prove the class; otherwise they are the
+    samples that grew the rank.  grown holds rank-many rows whose values
+    span the basis, and witness k is t_k and grown[k][1] / L.
     """
 
     poly: NcPoly
@@ -150,7 +166,15 @@ class SpanReport:
     config: SampleConfig
     sum_of_commutators: bool
     scale: int
-    grown: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    rows: tuple[Row, ...]
+
+    @functools.cached_property
+    def grown(self) -> tuple[Row, ...]:
+        """The rows of a sampled verdict, or the shear closure of a proof
+        (see _shear_closure), built once, when first read."""
+        if self.stop_reason is not StopReason.LIE_IDEAL:
+            return self.rows
+        return _shear_closure(self.rows, self.dim, self.basis.rank)
 
     @functools.cached_property
     def _inputs(self) -> tuple[tuple[MatrixQ, ...], ...]:
@@ -588,20 +612,31 @@ def _match_class(
     """The canonical space spanned by the sampled values, if their facts pin it.
 
     rank is the rank mod p, a lower bound on the rank over Q; the three
-    flags are exact facts about every sampled value.  A span of rank d^2,
-    of scalars with rank 1, or of trace-zero matrices with rank d^2 - 1
-    equals its canonical space, so no verdict is ever overclaimed.  Rank
-    d^2 is tested first: at d = 1 every value is scalar, and the span of
-    rank 1 is reported as FULL.
+    flags are exact facts about every sampled value.  A span of scalars
+    with rank 1, or of trace-zero matrices with rank d^2 - 1, equals its
+    canonical space, so no verdict is ever overclaimed.  No FULL: the
+    Lie-ideal stop proves it before the rank can reach d^2 (see
+    classify_span).
     """
     if all_zero:
         return Classification.ZERO
-    if rank == d * d:
-        return Classification.FULL
     if rank == 1 and all_scalar:
         return Classification.SCALARS
     if rank == d * d - 1 and all_trace_zero:
         return Classification.TRACE_ZERO
+    return None
+
+
+def _proved_class(
+    d: int, all_zero: bool, all_scalar: bool, all_trace_zero: bool, commutator_sum: bool
+) -> Classification | None:
+    """The class the sampled values prove by the Lie-ideal theorem, if any
+    (see classify_span); the flags are exact facts about every value."""
+    if d == 1:
+        if commutator_sum or not all_zero:
+            return Classification.ZERO if all_zero else Classification.FULL
+    elif not all_scalar and (commutator_sum or not all_trace_zero):
+        return Classification.TRACE_ZERO if all_trace_zero else Classification.FULL
     return None
 
 
@@ -610,27 +645,38 @@ def classify_span(
 ) -> SpanReport:
     """Sample values of f on M_d and classify their linear span.
 
-    Stops as soon as the span is proved canonical, or at a matched basis
-    that 50 samples in a row did not grow, or when the budget runs out (see
-    StopReason).  Two ranks prove the class: full rank d^2, and rank
-    d^2 - 1 when f is a sum of commutators, whose values all lie in the
-    trace-zero space sl_d since tr[a, b] = 0 (at d = 1, sl_1 = 0 and the
-    span is ZERO).  The samples that grew the rank are recorded as integer
-    rows, so the basis is the span of the witness values.
+    Stops at the first proof of the class (LIE_IDEAL), or at a matched
+    basis that 50 samples in a row did not grow, or when the budget runs
+    out (see StopReason).  The proof is the paper's argument.  f(P^-1 t P)
+    = P^-1 f(t) P for every invertible P, so the span V of f's values is
+    closed under conjugation, and so it is a Lie ideal of M_d (see
+    _shear_closure).  A Lie ideal that holds one non-scalar matrix contains
+    the trace-zero matrices sl_d (Herstein, Topics in Ring Theory, 1969).
+    So, at d >= 2, one non-scalar value proves V = M_d together with one
+    value of nonzero trace, and V = sl_d when f is a sum of commutators,
+    whose values all have trace 0 since tr[a, b] = 0.  At d = 1, one
+    nonzero value proves FULL, and a sum of commutators is ZERO (sl_1 = 0).
+    Each sample is tested for the proof before any elimination, so a
+    proof never waits for the rank.
 
-    Values are computed as integer matrices L * f(t).  Growth is tracked by
-    rank mod a prime, which never overclaims (see EchelonModP), and the
-    class comes from that rank plus exact tests of every sampled value.
-    The exact basis is built once: in closed form for a canonical class,
-    else by reducing the grown rows L * f(t_k), which span the same space
-    as the witness values f(t_k), so the reduced rows, being canonical, are
-    the same.  No witness and no Fraction is built but the basis's; the
-    witnesses are built from the grown rows when first read.
+    Two cases find no proof and stay on the rank loop: every value is
+    scalar, or every value has trace 0 and f is not a sum of commutators.
+    There growth is tracked by rank mod a prime, which never overclaims
+    (see EchelonModP), and the class comes from that rank plus exact tests
+    of every sampled value.  No FULL or proved TRACE_ZERO is left to it.
+
+    Values are computed as integer matrices L * f(t), and the report keeps
+    them as integer rows: the one or two proving samples, or the samples
+    that grew the rank.  The exact basis is built once: in closed form for
+    a canonical class, else by reducing the grown rows L * f(t_k), which
+    span the same space as the witness values f(t_k), so the reduced rows,
+    being canonical, are the same.  No witness and no Fraction is built
+    but the basis's; grown and the witnesses are built when first read.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
     echelon = EchelonModP()
-    grown: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    full_rank = d * d
+    grown: list[Row] = []
+    proof: list[Row] = []
     commutator_sum = f.is_sum_of_commutators()
     identity = MatrixQ.identity(d).flatten()
     all_zero = all_scalar = all_trace_zero = True
@@ -641,9 +687,18 @@ def classify_span(
     for entries in _samples(f, d, cfg):
         vec = ev(entries)
         samples_used += 1
+        scalar = vec == [vec[0] * x for x in identity]
+        traced = sum(vec[:: d + 1]) != 0
+        # A proving sample is the first non-scalar one or the first one of nonzero trace.
+        if (all_scalar and not scalar) or (all_trace_zero and traced):
+            proof.append((tuple(entries), tuple(vec)))
         all_zero = all_zero and not any(vec)
-        all_scalar = all_scalar and vec == [vec[0] * x for x in identity]
-        all_trace_zero = all_trace_zero and not sum(vec[:: d + 1])
+        all_scalar = all_scalar and scalar
+        all_trace_zero = all_trace_zero and not traced
+        match = _proved_class(d, all_zero, all_scalar, all_trace_zero, commutator_sum)
+        if match is not None:
+            stop_reason, grown = StopReason.LIE_IDEAL, proof
+            break
         # A value that keeps the span canonical lies in it: no elimination.
         match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         if match is None and echelon.insert(vec):
@@ -652,15 +707,9 @@ def classify_span(
             match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
         else:
             stall += 1
-        if echelon.rank == full_rank:
-            stop_reason = StopReason.FULL_RANK
-        elif commutator_sum and echelon.rank == full_rank - 1:
-            stop_reason = StopReason.COMMUTATOR_SUM
-        elif stall >= _STABILITY_WINDOW and match is not None:
+        if stall >= _STABILITY_WINDOW and match is not None:
             stop_reason = StopReason.STABILITY_WINDOW
-        else:
-            continue
-        break
+            break
     classification = match or Classification.UNDETERMINED
     if classification is Classification.UNDETERMINED:
         basis = SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in grown])
@@ -676,8 +725,72 @@ def classify_span(
         config=cfg,
         sum_of_commutators=commutator_sum,
         scale=scale,
-        grown=tuple(grown),
+        rows=tuple(grown),
     )
+
+
+def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, ...]], bool]) -> list[Row]:
+    """Rows kept breadth-first: each seed, then each shear conjugate of each
+    kept row in turn, kept when grows(its value) says so, until rank are.
+
+    The conjugate of (entries, L * f(t)) by T = I + s * E_ij, s = +-1, is
+    the tuple T^-1 t T, whose value is T^-1 L f(t) T: _conjugate on each
+    matrix, and conjugating by -s undoes it.  The value is conjugated
+    first, and the tuple only when the value is kept.
+    """
+    n = d * d
+    shears = [(i, j, s) for i in range(d) for j in range(d) if i != j for s in (1, -1)]
+    kept = []
+    for row in seeds:
+        if len(kept) < rank and grows(row[1]):
+            kept.append(row)
+    for entries, vec in kept:  # kept grows as it is walked: breadth first
+        if len(kept) == rank:
+            break
+        value = [list(vec[k : k + d]) for k in range(0, n, d)]
+        tup = [[list(entries[k : k + d]) for k in range(m, m + n, d)] for m in range(0, len(entries), n)]
+        for i, j, s in shears:
+            _conjugate(value, i, j, s)
+            new = tuple(itertools.chain.from_iterable(value))
+            _conjugate(value, i, j, -s)
+            if grows(new):
+                for m in tup:
+                    _conjugate(m, i, j, s)
+                kept.append((tuple(itertools.chain(*itertools.chain(*tup))), new))
+                for m in tup:
+                    _conjugate(m, i, j, -s)
+                if len(kept) == rank:
+                    break
+    return kept
+
+
+def _shear_closure(proof: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
+    """rank rows (entries, L * f(t)) whose values span the proved class of
+    rank rank, grown from the proving rows by shear conjugation: no
+    evaluation of f, an O(d^2) integer update per candidate.
+
+    Why it ends at the rank: let W be the span of the kept values once
+    every kept row's conjugates lie in it.  For T = I + s * E_ij the
+    conjugate of v is v + s[v, E_ij] - s^2 E_ij v E_ij, and W holds it at
+    s = 0, 1 and -1, so it holds the s^1 coefficient [v, E_ij] for i != j.
+    Those E_ij generate sl_d as a Lie algebra, and scalars bracket to 0,
+    so W is a Lie ideal of M_d (Jacobi identity, see _chevalley_units).
+    W holds the proof's non-scalar value, so by Herstein W contains sl_d,
+    and with the proof's value of nonzero trace W is M_d.  Every kept value
+    is a value of f, so W lies in its span: sl_d for a sum of commutators.
+    So W is the class, and the walk reaches its rank.
+
+    Growth is tested mod p (see EchelonModP): a growth mod p certifies
+    independence over Q.  Only a mod-p miss can end the walk short, say a
+    non-scalar value that is scalar mod p, which every conjugate then is
+    too.  The walk is then done again with exact tests over Q (EchelonQ),
+    which the argument above carries to the rank: a cost met about once
+    in 2^31 proofs, about 6 s at d = 16 against 0.2 s mod p.
+    """
+    kept = _walk(proof, d, rank, EchelonModP().insert)
+    if len(kept) < rank:
+        kept = _walk(proof, d, rank, EchelonQ().insert)
+    return tuple(kept)
 
 
 def find_witness_dimension(

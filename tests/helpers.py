@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from enum import Enum
 from fractions import Fraction
 from operator import mul
-from types import SimpleNamespace
 
 from ncspan import (
     Classification,
@@ -16,14 +17,16 @@ from ncspan import (
     NcPoly,
     SampleConfig,
     SpanBasis,
-    StopReason,
+    SpanReport,
     VariableCollision,
     commutator,
     is_identity,
     lie_ideal_check,
+    span,
     zero_diagonal_conjugate,
 )
 from ncspan.cli import _doc, _exclusion_flags
+from ncspan.linalg import EchelonModP
 from ncspan.text import format_scalar
 
 
@@ -269,78 +272,81 @@ def reference_verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool
     return False, is_identity(f * fresh - fresh * f, d, cfg)
 
 
-def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig) -> SimpleNamespace:
-    """The exact span classifier: every value folded into a Fraction RREF.
+class ReferenceStop(Enum):
+    """The stop reasons of reference_classify_span: FULL_RANK and
+    COMMUTATOR_SUM stop on a proof that the sampled span is the whole
+    canonical space, the other two on a sampled verdict."""
 
-    The RREF is kept by reference_rref_insert, one rank-one update per
-    value, independently of SpanBasis.
+    FULL_RANK = "FULL_RANK"
+    COMMUTATOR_SUM = "COMMUTATOR_SUM"
+    STABILITY_WINDOW = "STABILITY_WINDOW"
+    BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
-    Same sampling, stopping rule and witnesses as classify_span, which
-    must agree with it field for field.  The stall length, 50, is written
-    out here rather than read from span, so the reference stays independent.
-    The record has SpanReport's field names, but its witnesses are its own
-    Fraction matrices, built by reference_evaluate, so none passes through
-    the report's witness builder.
+
+def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> SpanReport:
+    """The rank loop that the Lie-ideal stop replaced: every sample is
+    folded into EchelonModP until the rank proves the class.
+
+    Two ranks prove it: full rank d^2 (FULL_RANK), and rank d^2 - 1 when
+    f is a sum of commutators (COMMUTATOR_SUM; at d = 1 the span is ZERO);
+    otherwise a matched basis that 50 samples in a row did not grow
+    (STABILITY_WINDOW), or the budget (BUDGET_EXHAUSTED).  The report's
+    rows are the samples that grew the rank, and its stop_reason a
+    ReferenceStop.  classify_span runs the same loop, with the same stall
+    of 50, when it finds no proof.
     """
-    n = d * d
-
-    def match(basis):
-        if basis.rank == 0:
-            return Classification.ZERO
-        if basis.rank == 1 and basis.rows[0] == MatrixQ.identity(d).flatten():
-            return Classification.SCALARS
-        if basis.rank == n - 1 and all(not sum(row[:: d + 1]) for row in basis.rows):
-            return Classification.TRACE_ZERO
-        if basis.rank == n:
-            return Classification.FULL
-        return None
-
+    scale, ev = span._evaluator(f, d, cfg.coeff_bound)
+    echelon = EchelonModP()
+    grown = []
+    full_rank = d * d
     commutator_sum = f.is_sum_of_commutators()
-    rng = random.Random(cfg.seed)
-    rows, pivots = (), ()
-    witnesses = []
+    identity = MatrixQ.identity(d).flatten()
+    all_zero = all_scalar = all_trace_zero = True
     stall = 0
     samples_used = 0
-    classification = None
-    stop_reason = StopReason.BUDGET_EXHAUSTED
-    for _ in range(cfg.samples_for(d)):
-        args = tuple(
-            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
-        )
-        value = reference_evaluate(f, args, d)
+    match = None
+    stop_reason = ReferenceStop.BUDGET_EXHAUSTED
+
+    def matched():
+        if all_zero:
+            return Classification.ZERO
+        if echelon.rank == full_rank:
+            return Classification.FULL
+        if echelon.rank == 1 and all_scalar:
+            return Classification.SCALARS
+        if echelon.rank == full_rank - 1 and all_trace_zero:
+            return Classification.TRACE_ZERO
+        return None
+
+    for entries in span._samples(f, d, cfg):
+        vec = ev(entries)
         samples_used += 1
-        rows, pivots, grew = reference_rref_insert(rows, pivots, value.flatten())
-        basis = SpanBasis(d, rows, pivots)
-        if grew:
-            witnesses.append((args, value))
+        all_zero = all_zero and not any(vec)
+        all_scalar = all_scalar and vec == [vec[0] * x for x in identity]
+        all_trace_zero = all_trace_zero and not sum(vec[:: d + 1])
+        match = matched()
+        if match is None and echelon.insert(vec):
+            grown.append((tuple(entries), tuple(vec)))
             stall = 0
+            match = matched()
         else:
             stall += 1
-        if basis.rank == n:
-            classification = Classification.FULL
-            stop_reason = StopReason.FULL_RANK
-            break
-        if commutator_sum and basis.rank == n - 1:
-            classification = match(basis)
-            stop_reason = StopReason.COMMUTATOR_SUM
-            break
-        if stall >= 50:
-            classification = match(basis)
-            if classification is not None:
-                stop_reason = StopReason.STABILITY_WINDOW
-                break
-    if classification is None:
-        classification = match(basis) or Classification.UNDETERMINED
-    return SimpleNamespace(
-        poly=f,
-        dim=d,
-        classification=classification,
-        basis=basis,
-        witnesses=tuple(witnesses),
-        samples_used=samples_used,
-        stop_reason=stop_reason,
-        config=cfg,
-        sum_of_commutators=commutator_sum,
+        if echelon.rank == full_rank:
+            stop_reason = ReferenceStop.FULL_RANK
+        elif commutator_sum and echelon.rank == full_rank - 1:
+            stop_reason = ReferenceStop.COMMUTATOR_SUM
+        elif stall >= 50 and match is not None:
+            stop_reason = ReferenceStop.STABILITY_WINDOW
+        else:
+            continue
+        break
+    classification = match or Classification.UNDETERMINED
+    if classification is Classification.UNDETERMINED:
+        basis = SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in grown])
+    else:
+        basis = SpanBasis.canonical(d, classification)
+    return SpanReport(
+        f, d, classification, basis, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(grown)
     )
 
 
@@ -505,6 +511,32 @@ def reference_rref_insert(rows, pivots, vec):
     return out_rows, out_pivots, True
 
 
+def reference_forward_insert(rows, vec):
+    """Insert vec into exact rows kept in forward echelon form: (rows, grew).
+
+    rows is a tuple of (pivot, row) in insertion order, each row a
+    primitive integer vector that is 0 at the pivots of the rows before
+    it, as in EchelonModP.  vec, cleared of denominators, is reduced by
+    the rows in that order, v <- row[p] * v - v[p] * row with the content
+    divided out, which zeroes every pivot for good; vec grows the rank iff
+    something is left.  No earlier row is touched, unlike
+    reference_rref_insert.
+    """
+    den = math.lcm(*(Fraction(x).denominator for x in vec))
+    v = [int(x * den) for x in vec]
+    for p, row in rows:
+        c = v[p]
+        if c:
+            a = row[p]
+            v = [a * x - c * y for x, y in zip(v, row)]
+            g = math.gcd(*v) or 1
+            v = [x // g for x in v]
+    p = next((i for i, x in enumerate(v) if x), None)
+    if p is None:
+        return rows, False
+    return rows + ((p, tuple(v)),), True
+
+
 def reference_residual(basis: SpanBasis, m: MatrixQ) -> list:
     """m reduced densely by each basis row (leading 1 at its pivot); zero iff m is inside."""
     if m.dim != basis.dim:
@@ -567,7 +599,7 @@ def reference_suite_violations(entries) -> int:
     return sum(
         1
         for e in entries
-        if not e["lie_ideal"]
+        if (not e["lie_ideal"] and e["classification"] != "UNDETERMINED")
         or e["exclusion"] == "violated"
         or (
             e["reduction"] is not None

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -10,14 +11,16 @@ from pathlib import Path
 import pytest
 
 import ncspan.cli
-from helpers import reference_suite_violations
+from helpers import reference_classify_span, reference_suite_violations, standard_polynomial
 from ncspan.cli import main
 from ncspan.linalg import Classification, SpanBasis
 from ncspan.linearize import OracleFailed
 from ncspan.span import SampleConfig, classify_span
-from ncspan.text import format_scalar, parse_poly
+from ncspan.text import format_scalar, parse_poly, poly_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
+# Trace zero on M_2, where S_4 vanishes, but not a sum of commutators.
+TRACE_ZERO_NON_SUM = poly_to_text(parse_poly("[X1,X2]") + standard_polynomial(4) * parse_poly("X5"))
 
 
 def run_cli(capsys, *argv):
@@ -37,7 +40,7 @@ class TestClassify:
             capsys, "classify", "--poly", "X1*X2 - X2*X1", "--dim", "2"
         )
         assert code == 0
-        assert doc["schema"] == "ncspan/3"
+        assert doc["schema"] == "ncspan/4"
         assert doc["classification"] == "TRACE_ZERO"
         assert doc["rank"] == 3
         assert doc["polynomial"] == "X1*X2 - X2*X1"
@@ -45,8 +48,9 @@ class TestClassify:
         assert doc["consistency_flags"]["sum_of_commutators"] is True
         assert doc["consistency_flags"]["degree_exclusion_applicable"] is True
         assert doc["consistency_flags"]["degree_exclusion_consistent"] is True
-        assert doc["consistency_flags"]["stop_reason"] == "COMMUTATOR_SUM"
-        assert doc["samples_used"] == 3
+        assert doc["consistency_flags"]["stop_reason"] == "LIE_IDEAL"
+        assert doc["samples_used"] == 1
+        assert len(doc["witnesses"]) == 3
         assert set(doc) == {
             "schema",
             "polynomial",
@@ -91,12 +95,22 @@ class TestClassify:
         assert a != b
 
     def test_undetermined_exit_code(self, capsys):
+        # Trace zero on M_2 but no sum of commutators: no proof, and two
+        # samples leave the rank short.
+        code, doc = run_json(
+            capsys,
+            "classify", "--poly", TRACE_ZERO_NON_SUM, "--dim", "2", "--max-samples", "2",
+        )
+        assert code == 64
+        assert doc["classification"] == "UNDETERMINED"
+        assert doc["consistency_flags"]["stop_reason"] == "BUDGET_EXHAUSTED"
+        # [X1,X2] is proved by its first sample, within any budget.
         code, doc = run_json(
             capsys,
             "classify", "--poly", "[X1,X2]", "--dim", "2", "--max-samples", "2",
         )
-        assert code == 64
-        assert doc["classification"] == "UNDETERMINED"
+        assert code == 0
+        assert (doc["classification"], doc["samples_used"]) == ("TRACE_ZERO", 1)
 
     def test_literal_starting_with_minus(self, capsys):
         code, doc = run_json(capsys, "classify", "--poly", "-2*X1", "--dim", "2")
@@ -111,6 +125,14 @@ class TestClassify:
         )
         assert code == 0
         assert "classification: TRACE_ZERO" in out
+        assert out.endswith("stop reason:    LIE_IDEAL\nseed:           0\n")
+        # A sampled verdict says so too.
+        code, out = run_cli(
+            capsys,
+            "classify", "--poly", "[X1,X2]^2", "--dim", "2", "--format", "text",
+        )
+        assert code == 0
+        assert "classification: SCALARS\n" in out and "stop reason:    STABILITY_WINDOW\n" in out
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("NCSPAN_SEED", "9")
@@ -468,22 +490,37 @@ class TestSuite:
         assert capsys.readouterr().out == ""
         assert calls == []
 
-    def test_undetermined_entries(self, capsys):
-        # A budget of 3 samples at d=3 leaves all but the scalar entry
-        # UNDETERMINED.  Their partial bases are not Lie ideals, so they also
-        # count as violations and the exit code is 1, not 64.
+    def test_undetermined_entries(self, capsys, tmp_path):
+        # A budget of 3 samples at d=3 still proves every entry: one sample
+        # does it for all but the scalar one, which the rank loop matches.
         corpus = str(GOLDEN / "corpus.txt")
         code, doc = run_json(
             capsys, "suite", "--corpus", corpus, "--dim", "3", "--seed", "0", "--max-samples", "3"
         )
-        undetermined = [e for e in doc["entries"] if e["classification"] == "UNDETERMINED"]
-        assert len(undetermined) == 10
-        assert all(e["exclusion"] == "undetermined" for e in undetermined)
+        assert code == 0
+        assert doc["summary"] == {"total": 11, "violations": 0, "undetermined": 0}
+        # No sample proves a trace-zero polynomial that is not a sum of
+        # commutators, and two leave the rank short.  The partial basis is no
+        # Lie ideal, nor does it hold its step's basis; neither is a violation
+        # of an UNDETERMINED entry, so the run exits 64.
+        path = tmp_path / "undetermined.txt"
+        path.write_text(TRACE_ZERO_NON_SUM + "\n[X1,X2]\n")
+        code, doc = run_json(
+            capsys, "suite", "--corpus", str(path), "--dim", "2", "--seed", "0", "--max-samples", "2"
+        )
+        entry = doc["entries"][0]
+        assert (entry["classification"], entry["lie_ideal"], entry["exclusion"]) == (
+            "UNDETERMINED", False, "undetermined"
+        )
+        assert entry["reduction"]["steps"] and entry["reduction"]["containments_ok"]
+        assert doc["entries"][1]["classification"] == "TRACE_ZERO"
         assert doc["summary"] == {
-            "total": 11,
+            "total": 2,
             "violations": reference_suite_violations(doc["entries"]),
-            "undetermined": len(undetermined),
+            "undetermined": 1,
         }
+        assert doc["summary"]["violations"] == 0
+        assert code == 64
 
     def test_missing_corpus(self, capsys):
         code = main(["suite", "--corpus", "/nonexistent/corpus.txt", "--dim", "2"])
@@ -567,7 +604,7 @@ def _reduction_with(**fields):
 # Reason -> (force it by monkeypatch, the change it makes to a golden entry).
 FORCED_VIOLATIONS = {
     "lie_ideal": (
-        lambda mp: mp.setattr(ncspan.cli, "lie_ideal_check", lambda basis: False),
+        lambda mp: mp.setattr(ncspan.cli, "_lie_ideal_flag", lambda report: False),
         lambda e: {"lie_ideal": False},
     ),
     "exclusion": (
@@ -751,10 +788,10 @@ class TestSerRows:
         seen = set()
         for text in ("3/2*X1*X1*X2 + [X2,X1]", "[X1,X2]", "X1*X2 - 1/3*X2*X1"):
             for seed in (0, 7919):
-                # max_samples=3 leaves partial, UNDETERMINED bases.
-                for max_samples in (None, 3):
+                # max_samples=3 leaves the rank loop's partial, UNDETERMINED bases.
+                for max_samples, classify in itertools.product((None, 3), (classify_span, reference_classify_span)):
                     cfg = SampleConfig(seed=seed, max_samples=max_samples)
-                    report = classify_span(parse_poly(text), d, cfg)
+                    report = classify(parse_poly(text), d, cfg)
                     seen.add(report.classification)
                     values = [v.rows for _, v in report.witnesses]
                     for rows in [report.basis.rows, *values, *(a.rows for args, _ in report.witnesses for a in args)]:

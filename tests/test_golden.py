@@ -31,8 +31,8 @@ CASES = {
     for d in (2, 3)
     for seed in (0, 7919)
 }
-# A budget of 3 samples leaves most entries UNDETERMINED, with bases reduced
-# from the values that grew the rank; the run exits 1 (their violations).
+# A budget of 3 samples: one sample proves every entry but the scalar one,
+# which the rank loop matches.
 CASES.update(
     {
         f"suite-budget3-d3-seed{seed}.json": (
@@ -56,26 +56,30 @@ CASES.update(
     }
 )
 
-# One classify case per stop reason; the budget case exits 64 (UNDETERMINED).
+# Trace zero on M_2, where S_4 vanishes, but not a sum of commutators.
+TRACE_ZERO_NON_SUM = poly_to_text(parse_poly("[X1,X2]") + standard_polynomial(4) * parse_poly("X5"))
+
+# Each classify stop reason; the undetermined case exits 64 (UNDETERMINED).
 CASES.update(
     {
         f"classify-{name}-seed{seed}.json": (
             "classify", "--poly", text, "--dim", str(d), "--seed", str(seed), *extra
         )
         for name, text, d, extra in (
-            ("commutator-d3", "[X1,X2]", 3, ()),  # COMMUTATOR_SUM
-            ("product-d3", "X1*X2", 3, ()),  # FULL_RANK
+            ("commutator-d3", "[X1,X2]", 3, ()),  # TRACE_ZERO by LIE_IDEAL
+            ("product-d3", "X1*X2", 3, ()),  # FULL by LIE_IDEAL
             ("hall-d2", "[X1,X2]^2", 2, ()),  # SCALARS by STABILITY_WINDOW
-            ("budget3-d3", "[X1,X2]", 3, ("--max-samples", "3")),  # BUDGET_EXHAUSTED
+            ("budget3-d3", "[X1,X2]", 3, ("--max-samples", "3")),  # LIE_IDEAL within the budget
+            ("undetermined-d2", TRACE_ZERO_NON_SUM, 2, ("--max-samples", "2")),  # BUDGET_EXHAUSTED
         )
         for seed in (0, 7919)
     }
 )
 
 # decompose cases: file name -> (CLI arguments, exit code).  The budget case
-# solves for a witness value of the --max-samples 3 report of that seed (the
-# last witness in classify-budget3-d3-seed<seed>.json), so the solve has a
-# free column; the trace case exits 1 (NotInSpan).
+# solves for a value of [X1,X2] under --max-samples 3 (the last witness of the
+# rank loop's partial report of that seed, which ncspan/3 printed); the trace
+# case exits 1 (NotInSpan).
 DECOMPOSE = {
     f"decompose-{name}-seed{seed}.json": (
         ("decompose", "--poly", text, "--dim", "3", "--seed", str(seed), "--target", target, *extra),

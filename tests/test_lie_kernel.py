@@ -26,6 +26,7 @@ from helpers import (
     reference_herstein_closure,
     reference_insert,
     reference_is_subspace_of,
+    reference_classify_span,
     reference_lie_ideal_check,
 )
 from ncspan import (
@@ -121,7 +122,7 @@ class TestLieIdealDifferential:
         undetermined = 0
         for f in polys:
             for d in (2, 3, 4, 5):
-                report = classify_span(f, d, SampleConfig(seed=d, max_samples=3))
+                report = reference_classify_span(f, d, SampleConfig(seed=d, max_samples=3))
                 undetermined += report.classification is Classification.UNDETERMINED
                 assert lie_ideal_check(report.basis) == reference_lie_ideal_check(report.basis)
         assert undetermined
@@ -144,7 +145,8 @@ class TestLieIdealCount:
 
 def _bases(rng, d):
     """random_basis draws (Fraction rows), bases grown by insert from dense
-    integer matrices (dense rows), and the partial spans of UNDETERMINED reports."""
+    integer matrices (dense rows), and the partial spans of UNDETERMINED
+    reports of the rank loop, which classify_span runs only without a proof."""
     bases = [random_basis(rng, d) for _ in range(8)]
     for _ in range(3):
         basis = SpanBasis(d)
@@ -152,7 +154,7 @@ def _bases(rng, d):
             basis, _ = basis.insert(random_matrix_int(rng, d))
         bases.append(basis)
     reports = [
-        classify_span(parse_poly(text), d, SampleConfig(seed=d, max_samples=3))
+        reference_classify_span(parse_poly(text), d, SampleConfig(seed=d, max_samples=3))
         for text in ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
     ]
     assert d == 1 or any(r.classification is Classification.UNDETERMINED for r in reports)

@@ -250,9 +250,17 @@ class TestClassifySpan:
         assert report.classification is Classification.ZERO
 
     def test_undetermined_when_budget_too_small(self):
-        report = classify_span(COMM, 2, SampleConfig(max_samples=2))
+        # Only trace-zero values on M_2 (S_4 vanishes there), yet no sum of
+        # commutators: nothing proves the class, and the rank loop needs
+        # three samples to reach rank 3.
+        f = COMM + standard_polynomial(4) * NcPoly.variable(5)
+        report = classify_span(f, 2, SampleConfig(max_samples=2))
         assert report.classification is Classification.UNDETERMINED
         assert report.samples_used == 2
+        # One non-scalar value proves [X1,X2] TRACE_ZERO within any budget.
+        report = classify_span(COMM, 2, SampleConfig(max_samples=1))
+        assert report.classification is Classification.TRACE_ZERO
+        assert report.samples_used == 1
 
     def test_deterministic_given_seed(self):
         cfg = SampleConfig(seed=42)

@@ -1,9 +1,14 @@
-"""The modular span kernel against the exact Fraction-RREF reference.
+"""The Lie-ideal stop and the modular span kernel against their references.
 
-classify_span tracks rank growth modulo a prime and builds the exact basis
-once; these tests require it to agree field for field with the incremental
-Fraction loop kept in helpers, hold its commutator-sum stop to the
-window-only rule, and pin the closed-form bases and d = 1.
+classify_span stops at the first proof of its class (the Lie-ideal stop)
+and otherwise runs the rank loop it replaced, which helpers keeps as
+reference_classify_span.  These tests require the same class wherever the
+loop decides one, the same report field for field wherever no proof is
+found, and, for every proof, at most two samples and witnesses, built by
+shear conjugation, whose values are f at their inputs and span the
+canonical basis.  They hold the commutator-sum half of the stop to the
+window-only rule, pin the closed-form bases and d = 1, and replay every
+growth decision of the loop and of the shear closure over Q.
 The packed stages of the kernel (bulk draw, packed evaluation, packed
 mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
 and the word-DAG evaluator to the word-by-word loop kept in helpers.
@@ -22,12 +27,14 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from helpers import (
     battery_poly,
     random_matrix,
     random_poly,
     reference_classify_span,
     reference_evaluate,
+    reference_forward_insert,
     reference_packed_evaluator,
     reference_report_doc,
     reference_rref_insert,
@@ -52,22 +59,50 @@ from ncspan import (
 )
 import ncspan.cli
 from ncspan.cli import main
-from ncspan.linalg import PRIME, EchelonModP
+from ncspan.linalg import PRIME, EchelonModP, EchelonQ
 
 HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
+# Trace zero on M_2, where S_4 vanishes, but not a sum of commutators: no
+# value of nonzero trace ever proves FULL, so at d = 2 it stays on the rank loop.
+TRACE_ZERO_NON_SUM = parse_poly("[X1,X2]") + standard_polynomial(4) * NcPoly.variable(5)
 CORPUS = str(Path(__file__).parent / "golden" / "corpus.txt")
 
 
+def as_report(want):
+    """A reference report with its stop reason named as classify_span names it."""
+    return replace(want, stop_reason=StopReason(want.stop_reason.value))
+
+
+def assert_proved(report):
+    """A Lie-ideal stop: at most two samples, the canonical basis, and
+    rank-many witnesses whose values are f at their inputs and span it."""
+    f, d = report.poly, report.dim
+    where = f"{poly_to_text(f)} at d={d}, {report.config}"
+    assert report.stop_reason is StopReason.LIE_IDEAL, where
+    assert report.samples_used <= 2, where
+    canonical = SpanBasis.canonical(d, report.classification)
+    assert report.basis == canonical, where
+    assert len(report.rows) <= 2 and report.grown[: len(report.rows)] == report.rows, where
+    assert len(report.witnesses) == canonical.rank, where
+    for args, value in report.witnesses:
+        assert reference_evaluate(f, args, d) == value, where
+    assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == canonical, where
+
+
 def assert_same_report(f, d, cfg):
+    """classify_span against the rank loop: the same class wherever the loop
+    decides one, and the same report wherever classify_span finds no proof."""
     got = classify_span(f, d, cfg)
     want = reference_classify_span(f, d, cfg)
     where = f"{poly_to_text(f)} at d={d}, {cfg}"
-    assert got.classification is want.classification, where
-    assert got.basis.rows == want.basis.rows, where
-    assert got.basis.pivots == want.basis.pivots, where
-    assert got.witnesses == want.witnesses, where
-    assert got.samples_used == want.samples_used, where
-    assert got.stop_reason is want.stop_reason, where
+    if got.stop_reason is StopReason.LIE_IDEAL:
+        if want.classification is not Classification.UNDETERMINED:
+            assert got.classification is want.classification, where
+        assert got.samples_used <= want.samples_used, where
+        assert_proved(got)
+    else:
+        assert got == as_report(want), where
+        assert got.witnesses == want.witnesses, where
     return got, want
 
 
@@ -98,9 +133,10 @@ def battery_budget_limited(max_samples):
         random_poly(rng, nvars=2, max_degree=3).scale(Fraction(1, rng.randint(2, 9)))
         for _ in range(6)
     ]
-    return [
+    cases = [
         (f, d, SampleConfig(seed=d, max_samples=max_samples)) for f in polys for d in (2, 3, 4, 5)
     ]
+    return cases + [(TRACE_ZERO_NON_SUM, 2, SampleConfig(seed=seed, max_samples=max_samples)) for seed in (0, 7919)]
 
 
 BATTERIES = {
@@ -111,7 +147,7 @@ BATTERIES = {
         for text in HEADLINE
         for d in range(2, 7)
     },
-    **{f"budget-{m}": functools.partial(battery_budget_limited, m) for m in (3, 20)},
+    **{f"budget-{m}": functools.partial(battery_budget_limited, m) for m in (2, 3, 20)},
 }
 
 
@@ -132,26 +168,104 @@ class TestDifferential:
 
     @pytest.mark.parametrize("max_samples", (3, 20))
     def test_budget_limited(self, max_samples):
-        undetermined = 0
+        # The loop leaves reports UNDETERMINED that the Lie-ideal stop proves.
+        undetermined = proved = 0
         for case in battery_budget_limited(max_samples):
-            got, _ = assert_same_report(*case)
-            undetermined += got.classification is Classification.UNDETERMINED
-        assert undetermined
+            got, want = assert_same_report(*case)
+            undetermined += want.classification is Classification.UNDETERMINED
+            proved += want.classification is Classification.UNDETERMINED and got.stop_reason is StopReason.LIE_IDEAL
+        assert proved and undetermined
 
     @pytest.mark.parametrize("text", HEADLINE)
     def test_classify_json(self, text):
+        # The same document but for how the class was reached: the samples,
+        # the stop reason and the witnesses.
+        def doc(report):
+            out = reference_report_doc(report)
+            del out["samples_used"], out["witnesses"], out["consistency_flags"]["stop_reason"]
+            return json.dumps(out)
+
         for d in (2, 3, 4):
             got, want = assert_same_report(parse_poly(text), d, SampleConfig(seed=5))
-            assert json.dumps(reference_report_doc(got)) == json.dumps(reference_report_doc(want))
+            assert doc(got) == doc(want)
+
+
+class TestLieIdealStop:
+    """The stop and its witnesses on the batteries at d = 2..6, seeds 0, 1
+    and 7919, and at d = 16."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_battery(self, d):
+        rng = random.Random(4000 + d)
+        polys = [parse_poly(text) for text in (*HEADLINE, "[X1,X2]^2", "5")]
+        polys += [battery_poly(rng) for _ in range(12 if d < 5 else 4)]
+        classes = set()
+        for f in polys:
+            for seed in (0, 1, 7919):
+                got, _ = assert_same_report(f, d, SampleConfig(seed=seed))
+                classes.add((got.classification, got.stop_reason))
+        assert {
+            (Classification.FULL, StopReason.LIE_IDEAL),
+            (Classification.TRACE_ZERO, StopReason.LIE_IDEAL),
+            (Classification.SCALARS, StopReason.STABILITY_WINDOW),
+        } <= classes
+
+    @pytest.mark.parametrize("text", ("[X1,X2]", "X1*X2"))
+    def test_d16(self, text):
+        f, d = parse_poly(text), 16
+        got = classify_span(f, d, SampleConfig(seed=7919))
+        want = reference_classify_span(f, d, SampleConfig(seed=7919))
+        assert got.classification is want.classification
+        assert got.samples_used == 1 and len(got.rows) == 1
+        canonical = SpanBasis.canonical(d, got.classification)
+        assert got.basis == canonical
+        # Rank-many values of f at their inputs, independent mod p and so
+        # over Q, inside the class: they span it.
+        echelon = EchelonModP()
+        assert len(got.grown) == canonical.rank
+        for entries, vec in got.grown:
+            args = span._matrices(entries, d)
+            assert evaluate(f, args) == MatrixQ.unflatten(vec, d)
+            assert echelon.insert(vec)
+            assert canonical.contains(MatrixQ.unflatten(vec, d))
+        # One witness against the MatrixQ reference too.
+        args, value = got.witnesses[-1]
+        assert reference_evaluate(f, args, d) == value
+
+    @pytest.mark.parametrize("miss", (0, 1, 2))
+    @pytest.mark.parametrize("text, d", (("[X1,X2]", 2), ("X1*X2", 3), ("3/2*X1*X1*X2 + [X2,X1]", 3), ("[X1,X2]", 4)))
+    def test_closure_never_returns_short(self, text, d, miss, monkeypatch):
+        # The miss-th insert of the walk looks dependent mod p and is not
+        # kept.  A miss on the proving row ends the mod-p walk short, and
+        # the exact walk must then carry it to the rank.
+        f = parse_poly(text)
+        report = classify_span(f, d, SampleConfig(seed=3))
+        assert report.stop_reason is StopReason.LIE_IDEAL and len(report.rows) == 1
+        calls, exact = [], []
+        real, real_exact = EchelonModP.insert, EchelonQ.insert
+
+        def insert(self, vec):
+            calls.append(vec)
+            return False if len(calls) == miss + 1 else real(self, vec)
+
+        monkeypatch.setattr(EchelonModP, "insert", insert)
+        monkeypatch.setattr(EchelonQ, "insert", lambda self, vec: exact.append(vec) or real_exact(self, vec))
+        grown = report.grown
+        assert len(calls) > miss and bool(exact) == (miss == 0)
+        assert len(grown) == report.basis.rank
+        for args, value in report.witnesses:
+            assert reference_evaluate(f, args, d) == value
+        assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == report.basis
 
 
 class TestProofStop:
-    """The commutator-sum stop against the window-only rule on the batteries.
+    """The commutator-sum half of the Lie-ideal stop against the
+    window-only rule on the batteries.
 
-    A sum of commutators at rank d^2 - 1 is proved TRACE_ZERO; the window
-    only samples it.  Treating no polynomial as a commutator sum gives the
-    window-only rule, which must reach the same class, basis and witnesses,
-    50 samples later or at the budget.  Every other report is unchanged.
+    A sum of commutators with one non-scalar value is proved TRACE_ZERO.
+    Treating no polynomial as a commutator sum leaves it to the rank loop,
+    which must reach the same class and basis by the window, later, or
+    run out of budget.  Every other report is unchanged.
     """
 
     @pytest.mark.parametrize("battery", sorted(BATTERIES))
@@ -162,19 +276,16 @@ class TestProofStop:
         for (f, d, cfg), got in zip(cases, proved):
             want = classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
-            if got.stop_reason is not StopReason.COMMUTATOR_SUM:
+            if got.stop_reason is not StopReason.LIE_IDEAL or got.classification is Classification.FULL:
                 # Only the commutator-sum fact, which the patch denies, differs.
                 assert replace(got, sum_of_commutators=False) == want, where
                 continue
             assert got.classification is Classification.TRACE_ZERO, where
-            assert got.classification is want.classification, where
-            assert got.basis == want.basis, where
-            assert got.witnesses == want.witnesses, where
-            # The stop comes right after the last growth, so every sample grew.
-            assert got.samples_used == len(got.witnesses) == d * d - 1, where
-            window = min(got.samples_used + span._STABILITY_WINDOW, cfg.samples_for(d))
-            assert want.samples_used == window, where
-            assert want.stop_reason is not StopReason.COMMUTATOR_SUM, where
+            assert want.stop_reason is not StopReason.LIE_IDEAL, where
+            assert want.samples_used > got.samples_used, where
+            if want.classification is not Classification.UNDETERMINED:
+                assert want.classification is got.classification, where
+                assert want.basis == got.basis, where
 
 
 class TestDimensionOne:
@@ -182,7 +293,8 @@ class TestDimensionOne:
         report = classify_span(NcPoly.variable(1), 1)
         assert report.classification is Classification.FULL
         assert report.basis.rank == 1
-        assert report.stop_reason is StopReason.FULL_RANK
+        assert report.stop_reason is StopReason.LIE_IDEAL
+        assert report.samples_used == len(report.grown) == 1
 
     def test_commutator_zero(self):
         # sl_1 = 0: a sum of commutators is proved ZERO by its first sample.
@@ -191,13 +303,14 @@ class TestDimensionOne:
         assert report.basis.rank == 0
         assert report.witnesses == ()
         assert report.samples_used == 1
-        assert report.stop_reason is StopReason.COMMUTATOR_SUM
+        assert report.stop_reason is StopReason.LIE_IDEAL
 
     def test_nonzero_constant_full(self):
-        # Scalars and everything coincide on M_1; the full-rank check runs first.
+        # Scalars and everything coincide on M_1; one nonzero value proves FULL.
         report = classify_span(NcPoly.constant(Fraction(-3, 2)), 1)
         assert report.classification is Classification.FULL
         assert report.samples_used == 1
+        assert report.stop_reason is StopReason.LIE_IDEAL
 
 
 class TestCanonicalBasis:
@@ -306,11 +419,11 @@ class TestEchelonModP:
 
 
 class TestGrowthDecisions:
-    """Every growth flag classify_span acts on, replayed over Q.
+    """Every growth flag of the rank loop and of the shear closure, replayed over Q.
 
-    The classifier's EchelonModP is swapped for one that repeats each
-    insert on exact Fraction RREF (reference_rref_insert); the flags must
-    agree sample for sample.
+    EchelonModP is swapped, in reference_classify_span and in span, for one
+    that repeats each insert on an exact forward echelon
+    (reference_forward_insert); the flags must agree insert for insert.
     """
 
     @pytest.fixture
@@ -320,15 +433,15 @@ class TestGrowthDecisions:
         class Replayed(EchelonModP):
             def __init__(self):
                 super().__init__()
-                self.exact = (), ()
+                self.exact = ()
 
             def insert(self, vec):
                 grew = super().insert(vec)
-                rows, pivots, grew_q = reference_rref_insert(*self.exact, vec)
-                self.exact = rows, pivots
+                self.exact, grew_q = reference_forward_insert(self.exact, vec)
                 log.append((grew, grew_q))
                 return grew
 
+        monkeypatch.setattr(helpers, "EchelonModP", Replayed)
         monkeypatch.setattr(span, "EchelonModP", Replayed)
         return log
 
@@ -336,7 +449,7 @@ class TestGrowthDecisions:
     def test_batteries(self, battery, flags):
         for f, d, cfg in BATTERIES[battery]():
             start = len(flags)
-            report = classify_span(f, d, cfg)
+            report = reference_classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
             assert all(grew == grew_q for grew, grew_q in flags[start:]), where
             assert sum(grew for grew, _ in flags[start:]) == len(report.grown), where
@@ -344,9 +457,36 @@ class TestGrowthDecisions:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("text, d", (("[X1,X2]", 7), ("X1*X2", 8), ("[X1,X2]^2", 8)))
     def test_highdim_panel(self, text, d, seed, flags):
-        report = classify_span(parse_poly(text), d, SampleConfig(seed=seed))
+        report = reference_classify_span(parse_poly(text), d, SampleConfig(seed=seed))
         assert flags == [(True, True)] * len(report.grown)
         assert len(report.grown) == report.basis.rank
+        # The closure keeps only the candidates that grow.
+        flags.clear()
+        grown = classify_span(parse_poly(text), d, SampleConfig(seed=seed)).grown
+        assert all(grew == grew_q for grew, grew_q in flags)
+        assert sum(grew for grew, _ in flags) == len(grown) == report.basis.rank
+
+    def test_forward_reference_agrees_with_rref(self):
+        # The forward echelon against the full RREF it replaced in the
+        # replay, and EchelonQ, the exact walk's echelon, against both:
+        # the same flags on streams with many dependencies.
+        rng = random.Random(62)
+        flags = set()
+        for _ in range(60):
+            n = rng.randint(1, 16)
+            pool = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            forward, rows, pivots = (), (), ()
+            exact = EchelonQ()
+            for _ in range(rng.randint(1, 2 * n)):
+                coeffs = [rng.choice((0, 0, 1, -2, 3)) for _ in pool]
+                vec = [sum(c * v[k] for c, v in zip(coeffs, pool)) for k in range(n)]
+                vec = [Fraction(x, 3) for x in vec] if rng.random() < 0.5 else vec
+                forward, grew = reference_forward_insert(forward, vec)
+                rows, pivots, grew_q = reference_rref_insert(rows, pivots, vec)
+                assert grew == grew_q == exact.insert([int(3 * x) for x in vec])
+                flags.add(grew)
+            assert len(forward) == len(rows) == len(exact.rows)
+        assert flags == {True, False}
 
 
 class TestBulkDraw:
@@ -652,15 +792,19 @@ class TestSharedEvaluators:
 
 
 def battery_small_dims():
-    """(f, d, cfg) at d = 1..4, each with the default budget and with 3 samples."""
+    """(f, d, cfg) at d = 1..4, each with the default budget and with 3
+    samples, and the trace-zero non-sum at d = 2 with 2 samples."""
     rng = random.Random(2028)
     polys = [parse_poly(text) for text in HEADLINE] + [battery_poly(rng) for _ in range(25)]
-    return [
+    polys.append(TRACE_ZERO_NON_SUM)
+    cases = [
         (f, d, SampleConfig(seed=k, max_samples=budget))
         for d in (1, 2, 3, 4)
         for budget in (None, 3)
         for k, f in enumerate(polys)
     ]
+    # Two samples cannot reach its rank 3 on the rank loop: UNDETERMINED.
+    return cases + [(TRACE_ZERO_NON_SUM, 2, SampleConfig(seed=k, max_samples=2)) for k in (0, 1)]
 
 
 @pytest.fixture
@@ -675,7 +819,8 @@ def witness_builds(monkeypatch):
 
 
 class TestSampledSpan:
-    """classify_span's integer rows: what grew the rank, witnesses unbuilt."""
+    """classify_span's integer rows: the proving samples or what grew the
+    rank, with grown and the witnesses unbuilt until read."""
 
     @pytest.mark.parametrize("battery", ["small-dims", "d3", "d3-rational", "budget-3"])
     def test_agrees_with_classify_span(self, battery):
@@ -683,27 +828,24 @@ class TestSampledSpan:
         undetermined = 0
         for f, d, cfg in cases:
             got = classify_span(f, d, cfg)
-            want = reference_classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
-            assert got.classification is want.classification, where
-            assert got.basis == want.basis, where
-            assert got.samples_used == want.samples_used, where
-            assert got.stop_reason is want.stop_reason, where
-            assert got.sum_of_commutators == want.sum_of_commutators, where
-            # scale is L, the lcm of f's denominators, and the grown rows are
-            # L times the reference's witness values, at its witness inputs.
+            if got.stop_reason is not StopReason.LIE_IDEAL:
+                assert got == as_report(reference_classify_span(f, d, cfg)), where
+            # scale is L, the lcm of f's denominators, and each kept and
+            # grown row is (entries of t, L * f(t)) in plain integers.
             assert got.scale == math.lcm(*(Fraction(c).denominator for c in f.terms.values())), where
-            assert len(got.grown) == len(want.witnesses), where
-            for (entries, vec), (args, value) in zip(got.grown, want.witnesses):
-                assert entries == tuple(x for a in args for x in a.flatten()), where
-                assert vec == tuple(got.scale * x for x in value.flatten()), where
+            assert len(got.grown) == got.basis.rank, where
+            for entries, vec in {*got.rows, *got.grown}:
                 assert all(type(x) is int for x in entries + vec), where
+                value = reference_evaluate(f, span._matrices(entries, d), d)
+                assert vec == tuple(got.scale * x for x in value.flatten()), where
             if got.classification is Classification.UNDETERMINED:
                 # Reduced from integer rows, as classify_span once did from the values.
                 undetermined += 1
-                values = [value for _, value in want.witnesses]
+                values = [value for _, value in got.witnesses]
                 assert got.basis == SpanBasis.from_matrices(d, values), where
-        assert undetermined or battery in ("d3", "d3-rational")
+        # Budgets of 3 now end in proofs; the rank loop's partial spans remain.
+        assert undetermined or battery != "small-dims"
 
     @pytest.mark.parametrize("text", [*HEADLINE, "1/3*X1*X2 - 2/5*X2*X1", "[X1,X2]^2"])
     def test_witnesses_built_once_when_read(self, text, witness_builds):
@@ -717,7 +859,7 @@ class TestSampledSpan:
                 assert report.witnesses is witnesses
                 assert built.count("_matrices") == len(report.grown) + built.count("_unscaled")
                 assert built.count("_unscaled") == len(report.grown)
-                assert witnesses == reference_classify_span(f, d, cfg).witnesses
+                assert all(reference_evaluate(f, args, d) == value for args, value in witnesses)
                 built.clear()
 
     @pytest.mark.parametrize("text", [*HEADLINE, "1/3*X1*X2 - 2/5*X2*X1", "[X1,X2]^2"])
@@ -747,7 +889,7 @@ class TestSampledSpan:
                 assert len(a.witnesses) == len(a.grown)
                 assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (text, d)
                 other = replace(a, sum_of_commutators=not a.sum_of_commutators)
-                assert other != a and other.grown is a.grown
+                assert other != a and other.rows is a.rows and other.grown == a.grown
                 assert other.witnesses == a.witnesses
                 assert replace(a) == a
         assert classify_span(parse_poly("[X1,X2]"), 3, SampleConfig(seed=1)) != classify_span(
@@ -810,7 +952,7 @@ class TestClassifyDocument:
             denominators = denominators or any(
                 "/" in x for w in json.loads(out)["witnesses"] for row in w["value"] for x in row
             )
-        if battery in ("small-dims", "budget-3", "budget-20"):
+        if battery in ("small-dims", "budget-2"):
             assert Classification.UNDETERMINED in classes
         if battery == "constants":
             # A nonzero constant spans the scalars, which are all of M_1.
