@@ -6,9 +6,10 @@ classification.  All rationals in JSON are "p/q" strings so nothing is
 ever rounded; identical seeds and flags give byte-identical output.
 
 Every command that classifies reads span.classify_span, whose report
-builds its witness matrices only when they are read: decompose reads them,
-suite prints no witness, and classify prints its witnesses straight from
-the report's integer rows, in one format call.  Every document is
+builds its basis and witness matrices only when they are read: classify's
+JSON prints the basis, decompose reads the witnesses, suite prints no
+witness, and classify prints its witnesses straight from the report's
+integer rows, in one format call.  Every document is
 json.dumps(doc, indent=2); only classify's matrices of "%s" slots are laid
 out by hand (_grid), and _emit splices them in.
 """
@@ -173,7 +174,7 @@ def _cmd_classify(args) -> int:
         print(f"polynomial:     {poly_to_text(f)}")
         print(f"dimension:      {s.dim}")
         print(f"classification: {s.classification.value}")
-        print(f"rank:           {s.basis.rank}")
+        print(f"rank:           {s.rank}")
         print(f"samples used:   {s.samples_used}")
         print(f"stop reason:    {s.stop_reason.value}")
         print(f"seed:           {cfg.seed}")
@@ -188,7 +189,7 @@ def _cmd_classify(args) -> int:
                 dim=s.dim,
                 seed=cfg.seed,
                 classification=s.classification.value,
-                rank=s.basis.rank,
+                rank=s.rank,
                 basis=_Json(basis),
                 witnesses=_witnesses(s),
                 samples_used=s.samples_used,
@@ -348,6 +349,16 @@ def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
     return entries
 
 
+def _contained(report: SpanReport, cls: Classification) -> bool:
+    """Whether report's span lies in the decided class cls, with no basis
+    built: by the order of the classes for a decided report, else by the
+    membership of each of its rows, whose values span its basis."""
+    d = report.dim
+    if report.classification is not Classification.UNDETERMINED:
+        return report.classification.lies_in(cls, d)
+    return all(cls.contains(vec, d) for _, vec in report.rows)
+
+
 def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
     """f's suite entry, and whether it shows a violation.  It prints no
     witness, so no report of f or of a step builds one."""
@@ -364,7 +375,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
         "line": lineno,
         "polynomial": poly_to_text(f),
         "classification": report.classification.value,
-        "rank": report.basis.rank,
+        "rank": report.rank,
         "lie_ideal": lie_ideal,
         "sum_of_commutators": report.sum_of_commutators,
         "exclusion": exclusion,
@@ -387,7 +398,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
         # decided one is checked.
         reports = [report] + [classify_span(step.after, d, cfg) for step in reduction.steps]
         containments = all(
-            after.basis.is_subspace_of(before.basis)
+            _contained(after, before.classification)
             for before, after in zip(reports, reports[1:])
             if before.classification is not Classification.UNDETERMINED
         )

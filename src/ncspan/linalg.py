@@ -23,7 +23,7 @@ fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
 rank is a lower bound on the rank over Q, so a growth it reports is exact;
 the span classifier uses it to count growths cheaply where no sample proves
 the class, and to keep independent shear conjugates as the witnesses of a
-proved one; it builds the exact basis once at the end.  A vector
+proved one; a report builds its exact basis only when it is read.  A vector
 independent over Q looks dependent mod p only when p divides the minors it
 forms with the earlier growths.  For the last growth of a classification
 those are multiples of one determinant, so a miss happens about once in
@@ -66,6 +66,19 @@ class Classification(Enum):
     A span of values is {0}, the scalar matrices, the trace-zero matrices,
     or all of M_d; UNDETERMINED records a sampling budget that ran out
     before the basis matched one of the four.
+
+    rank, lies_in and contains answer in closed form, for a decided class,
+    what SpanBasis.canonical's rank, is_subspace_of and contains would:
+    - rank: {0}, the scalars Q * I, sl_d (cut out of M_d by one nonzero
+      functional, the trace) and M_d have dimension 0, 1, d^2 - 1 and d^2.
+    - contains: a vector lies in {0} iff it is zero, in Q * I iff it is its
+      first entry times I, in sl_d iff its diagonal sums to 0, and always
+      in M_d.  At d = 1 these give Q * I = M_1 and sl_1 = {0}.
+    - lies_in: {0} lies in every space and every space in M_d, which by
+      rank are the spaces of dimension 0 and d^2.  Every other pair of
+      distinct classes is incomparable: for d >= 2, I has trace d != 0, so
+      Q * I is not in sl_d, and E_12 is in sl_d but not scalar.  At d = 1
+      every class is {0} or M_1, so the rule reads rank(A) <= rank(B).
     """
 
     ZERO = "ZERO"
@@ -73,6 +86,28 @@ class Classification(Enum):
     TRACE_ZERO = "TRACE_ZERO"
     FULL = "FULL"
     UNDETERMINED = "UNDETERMINED"
+
+    def rank(self, d: int) -> int:
+        """The dimension of this class's space in M_d."""
+        if self is Classification.UNDETERMINED:
+            raise ValueError("an UNDETERMINED class names no canonical space")
+        return {"ZERO": 0, "SCALARS": 1, "TRACE_ZERO": d * d - 1, "FULL": d * d}[self.value]
+
+    def lies_in(self, other: Classification, d: int) -> bool:
+        """Whether this class's space in M_d lies in other's."""
+        low, high = self.rank(d), other.rank(d)
+        return self is other or low == 0 or high == d * d
+
+    def contains(self, vec: Sequence[Num], d: int) -> bool:
+        """Whether the d x d matrix with row-major entries vec lies in this class's space."""
+        if self is Classification.ZERO:
+            return not any(vec)
+        if self is Classification.SCALARS:
+            # c * I row-major: c, then d zeros and c, d - 1 times.
+            return list(vec) == [vec[0], *([0] * d + [vec[0]]) * (d - 1)]
+        if self is Classification.TRACE_ZERO:
+            return sum(vec[:: d + 1]) == 0
+        return self.rank(d) == d * d
 
 
 @dataclass(frozen=True, init=False, repr=False)

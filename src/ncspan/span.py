@@ -18,8 +18,10 @@ places:
   class is overclaimed; an independent value looks dependent mod p only
   when p divides its minors with the earlier growths, about once in 2^31
   classifications, and then costs one more sample, never a class;
-- the exact basis is built once at the end, in closed form for a canonical
-  class and by reducing the integer values that grew the rank otherwise.
+- a decided report names one of the four canonical spaces, whose rank,
+  order and membership tests are closed forms (see Classification); its
+  exact basis is built only when read, in closed form, and that of an
+  UNDETERMINED report by reducing the integer values that grew the rank.
 
 A report keeps integer rows: the one or two samples that prove its class,
 or the samples that grew the rank.  Its rank-many witness rows (grown) and
@@ -154,13 +156,14 @@ class SpanReport:
     which clears f's denominators.  After a LIE_IDEAL stop they are the
     one or two samples that prove the class; otherwise they are the
     samples that grew the rank.  grown holds rank-many rows whose values
-    span the basis, and witness k is t_k and grown[k][1] / L.
+    span the basis, and witness k is t_k and grown[k][1] / L.  The report
+    holds no basis: a decided class answers rank and membership in closed
+    form, and basis, grown and the witnesses are built when first read.
     """
 
     poly: NcPoly
     dim: int
     classification: Classification
-    basis: SpanBasis
     samples_used: int
     stop_reason: StopReason
     config: SampleConfig
@@ -169,12 +172,28 @@ class SpanReport:
     rows: tuple[Row, ...]
 
     @functools.cached_property
+    def basis(self) -> SpanBasis:
+        """The reduced basis of the span, built once, when first read: in
+        closed form for a decided class, else by reducing the rows' values."""
+        if self.classification is Classification.UNDETERMINED:
+            d = self.dim
+            return SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in self.rows])
+        return SpanBasis.canonical(self.dim, self.classification)
+
+    @property
+    def rank(self) -> int:
+        """The rank of the span: the class's in closed form, else the basis's."""
+        if self.classification is Classification.UNDETERMINED:
+            return self.basis.rank
+        return self.classification.rank(self.dim)
+
+    @functools.cached_property
     def grown(self) -> tuple[Row, ...]:
         """The rows of a sampled verdict, or the shear closure of a proof
         (see _shear_closure), built once, when first read."""
         if self.stop_reason is not StopReason.LIE_IDEAL:
             return self.rows
-        return _shear_closure(self.rows, self.dim, self.basis.rank)
+        return _shear_closure(self.rows, self.dim, self.rank)
 
     @functools.cached_property
     def _inputs(self) -> tuple[tuple[MatrixQ, ...], ...]:
@@ -585,10 +604,9 @@ def vanishing_rate(
 def _verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool]:
     """(identity, central) for f on M_d in one pass over _values: neither at
     a non-scalar value, else identity if all are zero and central if not."""
-    identity = MatrixQ.identity(d).flatten()
     zero = True
     for vec in _values(f, d, cfg):
-        if vec != [vec[0] * x for x in identity]:
+        if not Classification.SCALARS.contains(vec, d):
             return False, False
         zero = zero and not any(vec)
     return zero, not zero
@@ -667,18 +685,17 @@ def classify_span(
 
     Values are computed as integer matrices L * f(t), and the report keeps
     them as integer rows: the one or two proving samples, or the samples
-    that grew the rank.  The exact basis is built once: in closed form for
-    a canonical class, else by reducing the grown rows L * f(t_k), which
-    span the same space as the witness values f(t_k), so the reduced rows,
-    being canonical, are the same.  No witness and no Fraction is built
-    but the basis's; grown and the witnesses are built when first read.
+    that grew the rank.  No basis, no witness and no Fraction is built
+    here: the report's basis, grown and witnesses are built when first
+    read.  The basis of an UNDETERMINED report reduces the grown rows L *
+    f(t_k), which span the same space as the witness values f(t_k), so
+    the reduced rows, being canonical, are the same.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
     echelon = EchelonModP()
     grown: list[Row] = []
     proof: list[Row] = []
     commutator_sum = f.is_sum_of_commutators()
-    identity = MatrixQ.identity(d).flatten()
     all_zero = all_scalar = all_trace_zero = True
     stall = 0
     samples_used = 0
@@ -687,8 +704,8 @@ def classify_span(
     for entries in _samples(f, d, cfg):
         vec = ev(entries)
         samples_used += 1
-        scalar = vec == [vec[0] * x for x in identity]
-        traced = sum(vec[:: d + 1]) != 0
+        scalar = Classification.SCALARS.contains(vec, d)
+        traced = not Classification.TRACE_ZERO.contains(vec, d)
         # A proving sample is the first non-scalar one or the first one of nonzero trace.
         if (all_scalar and not scalar) or (all_trace_zero and traced):
             proof.append((tuple(entries), tuple(vec)))
@@ -710,16 +727,10 @@ def classify_span(
         if stall >= _STABILITY_WINDOW and match is not None:
             stop_reason = StopReason.STABILITY_WINDOW
             break
-    classification = match or Classification.UNDETERMINED
-    if classification is Classification.UNDETERMINED:
-        basis = SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in grown])
-    else:
-        basis = SpanBasis.canonical(d, classification)
     return SpanReport(
         poly=f,
         dim=d,
-        classification=classification,
-        basis=basis,
+        classification=match or Classification.UNDETERMINED,
         samples_used=samples_used,
         stop_reason=stop_reason,
         config=cfg,
@@ -863,12 +874,20 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     report's basis; no value is built as a matrix), except in the directly
     invertible case f = c * X_i, where the preimage tuple is written down
     outright.  Raises NotInSpan when the target lies outside the recorded
-    span.  Each call is one fraction-free solve (express_in_terms) of the
-    d^2 x (k + 1) system [grown rows L * f(t_j) | target], in integers
+    span: for a decided class that is the closed-form membership test
+    (see Classification), before any solve and with no basis built.
+    Otherwise each call is one fraction-free solve (express_in_terms) of
+    the d^2 x (k + 1) system [grown rows L * f(t_j) | target], in integers
     until the solution mu: forward Bareiss elimination, then back
     substitution on the free columns only (the target's and those of
     dependent witnesses).  Scaling every column by L moves no pivot, so
     lam_j = L * mu_j.
+
+    The solve fails exactly when the target is outside the span, so one
+    message serves both tests: the grown values span the class of a
+    decided report (the shear closure reaches its rank, and the rank loop
+    decides a class only at its rank, on values inside it), and they span
+    an UNDETERMINED report's basis, which is built from them.
     """
     d = report.dim
     if target.dim != d:
@@ -884,9 +903,10 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
                 for v in range(1, f.nvars + 1)
             )
             return [(Fraction(1), args)]
-    if not report.basis.contains(target):
-        raise NotInSpan("target is outside the sampled span")
-    sol = express_in_terms([vec for _, vec in report.grown], target.flatten())
+    vec, cls = target.flatten(), report.classification
+    sol = None
+    if cls is Classification.UNDETERMINED or cls.contains(vec, d):
+        sol = express_in_terms([row for _, row in report.grown], vec)
     if sol is None:
-        raise NotInSpan("target is outside the span of the witness values")
+        raise NotInSpan("target is outside the sampled span")
     return [(lam * report.scale, args) for lam, args in zip(sol, report._inputs) if lam]

@@ -340,13 +340,9 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
         else:
             continue
         break
-    classification = match or Classification.UNDETERMINED
-    if classification is Classification.UNDETERMINED:
-        basis = SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in grown])
-    else:
-        basis = SpanBasis.canonical(d, classification)
     return SpanReport(
-        f, d, classification, basis, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(grown)
+        f, d, match or Classification.UNDETERMINED, samples_used, stop_reason, cfg, commutator_sum, scale,
+        tuple(grown),
     )
 
 
@@ -455,10 +451,19 @@ def reference_express_in_terms(vectors, target):
     One solution with free coordinates set to zero, or None when the target
     is outside the span of the vectors.
     """
+    return reference_express_all(vectors, [target])[0]
+
+
+def reference_express_all(vectors, targets):
+    """reference_express_in_terms(vectors, t) for each t in targets, by one
+    Fraction Gauss-Jordan on [vectors | targets].  Pivots are chosen and
+    rows scaled on the vectors' columns alone, so each target's column ends
+    as it would in a solve of its own.
+    """
     k = len(vectors)
-    n = len(target)
+    n = len(targets[0]) if targets else 0
     aug = [
-        [Fraction(vectors[j][r]) for j in range(k)] + [Fraction(target[r])]
+        [Fraction(vectors[j][r]) for j in range(k)] + [Fraction(t[r]) for t in targets]
         for r in range(n)
     ]
     pivot_cols = []
@@ -478,13 +483,16 @@ def reference_express_in_terms(vectors, target):
         row += 1
         if row == n:
             break
-    for r in range(row, n):
-        if aug[r][k]:
-            return None
-    sol = [Fraction(0)] * k
-    for r, col in enumerate(pivot_cols):
-        sol[col] = aug[r][k]
-    return sol
+    sols = []
+    for i in range(k, k + len(targets)):
+        if any(aug[r][i] for r in range(row, n)):
+            sols.append(None)
+            continue
+        sol = [Fraction(0)] * k
+        for r, col in enumerate(pivot_cols):
+            sol[col] = aug[r][i]
+        sols.append(sol)
+    return sols
 
 
 def reference_rref_insert(rows, pivots, vec):

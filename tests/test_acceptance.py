@@ -7,6 +7,7 @@ stated for the criterion.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -306,11 +307,14 @@ def test_criterion_13_decompose_targets(headline_reports, battery):
         ]
         assert full_reports
         for rep in full_reports:
+            # f at each witness tuple, evaluated afresh once per report: the
+            # tuples recur across its targets.
+            value_at = functools.cache(lambda args: evaluate(rep.poly, args, dim=rep.dim))
             for _ in range(20):
                 target = random_matrix_int(rng, rep.dim)
                 total = MatrixQ.zero(rep.dim)
                 for lam, args in decompose_target(rep, target):
-                    total = total + evaluate(rep.poly, args, dim=rep.dim).scale(lam)
+                    total = total + value_at(args).scale(lam)
                 assert total == target  # residual exactly zero
 
 

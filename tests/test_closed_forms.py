@@ -1,0 +1,154 @@
+"""The closed forms of a decided class against its built canonical basis.
+
+Classification.rank, lies_in and contains answer for the four canonical
+spaces what SpanBasis.canonical's rank, is_subspace_of and contains
+answer by elimination: for every class and pair of classes at d = 1..5,
+on random and in-class matrices, and on the decided reports of the seeded
+batteries.  A report of classify_span builds no basis until it is read.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from helpers import (
+    battery_poly,
+    random_matrix,
+    random_matrix_int,
+    random_noncentral,
+    random_trace_zero,
+    standard_polynomial,
+)
+from ncspan import (
+    Classification,
+    MatrixQ,
+    NotInSpan,
+    SampleConfig,
+    SpanBasis,
+    classify_span,
+    decompose_target,
+    parse_poly,
+)
+from ncspan.span import lie_ideal_check
+
+DECIDED = [c for c in Classification if c is not Classification.UNDETERMINED]
+ZERO, SCALARS, TRACE_ZERO, FULL = (
+    Classification.ZERO,
+    Classification.SCALARS,
+    Classification.TRACE_ZERO,
+    Classification.FULL,
+)
+
+
+def members(rng, d):
+    """Random integer and rational matrices, and matrices inside each class."""
+    out = [MatrixQ.zero(d), MatrixQ.identity(d), MatrixQ.identity(d).scale(Fraction(-7, 3))]
+    out += [random_matrix_int(rng, d) for _ in range(6)]
+    out += [random_matrix(rng, d, 5) for _ in range(3)]
+    out += [random_trace_zero(rng, d) for _ in range(4)]
+    out += [random_noncentral(rng, d) for _ in range(2 if d > 1 else 0)]  # M_1 has none
+    out += [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+class TestAgainstCanonicalBases:
+    def test_rank(self, d):
+        for cls in DECIDED:
+            assert cls.rank(d) == SpanBasis.canonical(d, cls).rank
+
+    def test_order(self, d):
+        for a in DECIDED:
+            below = SpanBasis.canonical(d, a)
+            for b in DECIDED:
+                assert a.lies_in(b, d) == below.is_subspace_of(SpanBasis.canonical(d, b)), (a, b)
+
+    def test_membership(self, d):
+        rng = random.Random(2700 + d)
+        for cls in DECIDED:
+            basis = SpanBasis.canonical(d, cls)
+            seen = set()
+            for m in members(rng, d):
+                inside = basis.contains(m)
+                assert cls.contains(m.flatten(), d) == inside, (cls, m)
+                seen.add(inside)
+            # Every space but M_d misses some matrix; at d = 1 the scalars are M_1.
+            assert seen == ({True} if cls.rank(d) == d * d else {True, False})
+
+
+def test_degenerate_d1():
+    # At d = 1 the scalars are all of M_1, and sl_1 is {0}.
+    assert [cls.rank(1) for cls in DECIDED] == [0, 1, 0, 1]
+    assert SCALARS.lies_in(FULL, 1) and FULL.lies_in(SCALARS, 1)
+    assert TRACE_ZERO.lies_in(ZERO, 1) and ZERO.lies_in(TRACE_ZERO, 1)
+    assert not FULL.lies_in(TRACE_ZERO, 1) and not SCALARS.lies_in(ZERO, 1)
+    for vec, inside in (((0,), (True, True, True, True)), ((Fraction(5, 2),), (False, True, False, True))):
+        assert tuple(cls.contains(vec, 1) for cls in DECIDED) == inside
+
+
+def test_undetermined_names_no_space():
+    und = Classification.UNDETERMINED
+    for ask in (lambda: und.rank(2), lambda: und.contains((0,) * 4, 2), lambda: und.lies_in(FULL, 2),
+                lambda: FULL.lies_in(und, 2)):
+        with pytest.raises(ValueError, match="UNDETERMINED"):
+            ask()
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_battery_reports(d):
+    """On decided battery reports: rank, order between consecutive reports,
+    and membership of each witness value and of random matrices."""
+    rng = random.Random(2727 + d)
+    reports = [classify_span(battery_poly(rng), d, SampleConfig(seed=s)) for s in (0, 7919) for _ in range(30)]
+    decided = [r for r in reports if r.classification is not Classification.UNDETERMINED]
+    assert {r.classification for r in decided} >= {TRACE_ZERO, FULL}
+    for before, after in zip(decided, decided[1:]):
+        assert after.rank == after.basis.rank
+        assert lie_ideal_check(after.basis)
+        assert after.classification.lies_in(before.classification, d) == after.basis.is_subspace_of(before.basis)
+        for m in [value for _, value in after.witnesses[:3]] + [random_matrix_int(rng, d) for _ in range(3)]:
+            assert after.classification.contains(m.flatten(), d) == after.basis.contains(m)
+
+
+class TestLazyBasis:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Calls of SpanBasis.canonical and SpanBasis.from_matrices so far."""
+        calls = {"canonical": 0, "from_matrices": 0}
+        for name in calls:
+            real = getattr(SpanBasis, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(SpanBasis, name, staticmethod(spy))
+        return calls
+
+    @pytest.mark.parametrize("text, d", [("[X1,X2]", 3), ("X1*X2", 3), ("[X1,X2]^2", 2), ("[X1,X2]", 1)])
+    def test_decided_report_builds_no_basis(self, builds, text, d):
+        report = classify_span(parse_poly(text), d)
+        cls = report.classification
+        assert cls is not Classification.UNDETERMINED
+        assert report.rank == cls.rank(d)
+        assert decompose_target(report, MatrixQ.zero(d)) == []
+        for outside in (MatrixQ.identity(d), MatrixQ.unit(d, 0, d - 1)):
+            if not cls.contains(outside.flatten(), d):
+                with pytest.raises(NotInSpan):
+                    decompose_target(report, outside)
+        assert builds == {"canonical": 0, "from_matrices": 0}
+        assert report.basis.rank == report.rank
+        assert builds == {"canonical": 1, "from_matrices": 0}
+        assert report.basis is report.basis
+        assert builds == {"canonical": 1, "from_matrices": 0}
+
+    def test_undetermined_report_builds_its_basis_when_read(self, builds):
+        f = parse_poly("[X1,X2]") + standard_polynomial(4) * parse_poly("X5")
+        report = classify_span(f, 2, SampleConfig(max_samples=2))
+        assert report.classification is Classification.UNDETERMINED
+        assert builds == {"canonical": 0, "from_matrices": 0}
+        assert report.rank == len(report.rows)
+        assert builds == {"canonical": 0, "from_matrices": 1}
+        assert report.basis is report.basis
+        assert builds == {"canonical": 0, "from_matrices": 1}

@@ -10,6 +10,7 @@ the two-phase fraction_free_rref against the one-sweep Gauss-Jordan it
 replaced (identical pivots, det and rows).
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ import pytest
 from helpers import (
     battery_poly,
     random_matrix_int,
+    reference_express_all,
     reference_express_in_terms,
     reference_fraction_free_rref,
     reference_classify_span,
@@ -47,16 +49,24 @@ from ncspan.linalg import (
 HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]", "[X1,X2]^2")
 
 
-def reference_decompose(report, target):
-    """decompose_target with every target solved afresh by Fraction Gauss-Jordan."""
-    if not report.basis.contains(target):
-        raise NotInSpan("target is outside the sampled span")
-    sol = reference_express_in_terms(
-        [value.flatten() for _, value in report.witnesses], target.flatten()
+def reference_outcomes(report, targets):
+    """outcome(decompose_target, report, t) for each target, with every solve
+    by Fraction Gauss-Jordan: one on the witness values and the targets
+    inside the basis (see reference_express_all)."""
+    inside = [t for t in targets if report.basis.contains(t)]
+    sols = reference_express_all(
+        [value.flatten() for _, value in report.witnesses], [t.flatten() for t in inside]
     )
-    if sol is None:
-        raise NotInSpan("target is outside the span of the witness values")
-    return [(lam, args) for lam, (args, _) in zip(sol, report.witnesses) if lam]
+    solved = dict(zip(map(id, inside), sols))
+    out = []
+    for t in targets:
+        if id(t) not in solved:
+            out.append(("NotInSpan", "target is outside the sampled span"))
+            continue
+        sol = solved[id(t)]
+        assert sol is not None, "the witness values do not span the basis"
+        out.append([(lam, args) for lam, (args, _) in zip(sol, report.witnesses) if lam])
+    return out
 
 
 def outcome(decompose, report, target):
@@ -83,15 +93,18 @@ def assert_same_decompositions(report, rng, count=3):
     f = report.poly
     if len(f.terms) == 1 and len(next(iter(f.terms))) == 1:
         return  # c * X_i: decompose_target writes the preimage down outright
-    for target in targets(rng, report, count):
+    # f at each witness tuple, evaluated afresh once per report: the tuples
+    # recur across its targets.
+    value_at = functools.cache(lambda args: evaluate(f, args, dim=report.dim))
+    chosen = targets(rng, report, count)
+    for target, want in zip(chosen, reference_outcomes(report, chosen)):
         got = outcome(decompose_target, report, target)
-        want = outcome(reference_decompose, report, target)
         assert got == want, (report.poly, report.dim, target)
         if isinstance(got, list):
             assert all(type(lam) is Fraction for lam, _ in got)
             total = MatrixQ.zero(report.dim)
             for lam, args in got:
-                total = total + evaluate(f, args, dim=report.dim).scale(lam)
+                total = total + value_at(args).scale(lam)
             assert total == target
 
 
@@ -146,7 +159,7 @@ class TestVerdicts:
         target = MatrixQ.identity(3)
         with pytest.raises(NotInSpan, match="outside the sampled span"):
             decompose_target(report, target)
-        assert outcome(reference_decompose, report, target)[0] == "NotInSpan"
+        assert reference_outcomes(report, [target])[0][0] == "NotInSpan"
 
     def test_zero_class(self):
         report = classify_span(parse_poly("[X1,X2]"), 1)
@@ -174,23 +187,22 @@ class TestHandBuiltReports:
         f = parse_poly("X1*X2")
         args = (MatrixQ.identity(2), MatrixQ.identity(2))
         entries = tuple(x for a in args for x in a.flatten())
-        basis = SpanBasis.from_matrices(2, [e11])
-        # Integer rows (entries, value) with scale 1: each value is its own witness value.
+        # Integer rows (entries, value) with scale 1: each value is its own
+        # witness value, and the values span the report's basis.
         for grown, want in (
-            (((entries, (1, 1, 0, 0)),), "NotInSpan"),  # a value outside the basis
+            (((entries, (1, 1, 0, 0)),), "NotInSpan"),  # values whose span misses e11
             (((entries, (1, 0, 0, 0)), (entries, (2, 0, 0, 0))), [(1, args)]),  # dependent values
             ((), "NotInSpan"),  # too few values
         ):
             report = SpanReport(
-                f, 2, Classification.UNDETERMINED, basis, 2, StopReason.BUDGET_EXHAUSTED, cfg,
-                False, 1, grown,
+                f, 2, Classification.UNDETERMINED, 2, StopReason.BUDGET_EXHAUSTED, cfg, False, 1, grown,
             )
-            assert report.witnesses == tuple(
-                (args, MatrixQ([vec[:2], vec[2:]])) for _, vec in grown
-            )
+            values = [MatrixQ([vec[:2], vec[2:]]) for _, vec in grown]
+            assert report.witnesses == tuple((args, value) for value in values)
+            assert report.basis == SpanBasis.from_matrices(2, values)
             for target in (e11, e12):
                 got = outcome(decompose_target, report, target)
-                assert got == outcome(reference_decompose, report, target)
+                assert got == reference_outcomes(report, [target])[0]
             got = outcome(decompose_target, report, e11)
             assert got == want or got[0] == want
 
@@ -322,6 +334,47 @@ class TestKernel:
             else:
                 target = [rng.randint(-2, 2) for _ in range(n)]
             assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target)
+
+    def test_reference_solves_all_targets_as_one_at_a_time(self):
+        # The old one-target Gauss-Jordan, kept here: the shared solve
+        # must give each target exactly its answer.
+        def alone(vectors, target):
+            k, n = len(vectors), len(target)
+            aug = [[Fraction(v[r]) for v in vectors] + [Fraction(target[r])] for r in range(n)]
+            pivot_cols, row = [], 0
+            for col in range(k):
+                sel = next((r for r in range(row, n) if aug[r][col]), None)
+                if sel is None:
+                    continue
+                aug[row], aug[sel] = aug[sel], aug[row]
+                aug[row] = [x / aug[row][col] for x in aug[row]]
+                for r in range(n):
+                    if r != row and aug[r][col]:
+                        c = aug[r][col]
+                        aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
+                pivot_cols.append(col)
+                row += 1
+            if any(aug[r][k] for r in range(row, n)):
+                return None
+            sol = [Fraction(0)] * k
+            for r, col in enumerate(pivot_cols):
+                sol[col] = aug[r][k]
+            return sol
+
+        rng = random.Random(82)
+        seen = set()
+        for _ in range(200):
+            k, n = rng.randint(0, 5), rng.randint(1, 7)
+            vecs = [[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(n)] for _ in range(k)]
+            targets = [
+                [sum(c * v[i] for c, v in zip(coeffs, vecs)) + rng.randint(-1, 1) * rng.randint(0, 1)
+                 for i in range(n)]
+                for coeffs in ([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in vecs] for _ in range(4))
+            ]
+            want = [alone(vecs, t) for t in targets]
+            assert reference_express_all(vecs, targets) == want
+            seen.update(sol is None for sol in want)
+        assert seen == {True, False}
 
 
 def fraction_determinant(m: MatrixQ) -> Fraction:
