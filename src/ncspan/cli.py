@@ -1,15 +1,16 @@
 """Command-line driver: parse polynomials, run analyses, emit JSON reports.
 
 Exit codes: 0 success, 1 negative analysis outcome (e.g. target not in
-span, no witness dimension), 2 usage or parse error, 64 an UNDETERMINED
-classification.  All rationals in JSON are "p/q" strings so nothing is
-ever rounded; identical seeds and flags give byte-identical output.
+span, no witness dimension, a suite violation), 2 usage or parse error.
+All rationals in JSON are "p/q" strings so nothing is ever rounded;
+identical seeds and flags give byte-identical output.
 
 Every command that classifies reads span.classify_span, whose report
-builds its basis and witness matrices only when they are read: classify's
-JSON prints the basis, decompose reads the witnesses, suite prints no
-witness, and classify prints its witnesses straight from the report's
-integer rows, in one format call.  Every document is
+names one of the four canonical spaces and builds its basis and witness
+matrices only when they are read: classify's JSON prints the basis,
+decompose reads the witnesses, suite prints no witness and compares
+classes in closed form, and classify prints its witnesses straight from
+the report's integer rows, in one format call.  Every document is
 json.dumps(doc, indent=2); only classify's matrices of "%s" slots are laid
 out by hand (_grid), and _emit splices them in.
 """
@@ -39,7 +40,6 @@ from .span import (
     classify_span,
     decompose_target,
     evaluate,
-    lie_ideal_check,
     nontriviality_oracle,
     vanishing_rate,
 )
@@ -52,12 +52,11 @@ from .text import (
     poly_to_text,
 )
 
-SCHEMA = "ncspan/4"
+SCHEMA = "ncspan/5"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-EXIT_UNDETERMINED = 64
 
 
 class _UsageError(Exception):
@@ -126,7 +125,7 @@ def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
     and the report names FULL."""
     deg = report.poly.degree()
     applicable = deg is not None and deg >= 1 and 2 * report.dim > deg
-    if not applicable or report.classification is Classification.UNDETERMINED:
+    if not applicable:
         return applicable, None
     cls = report.classification
     consistent = cls in (Classification.TRACE_ZERO, Classification.FULL) and (
@@ -135,13 +134,11 @@ def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
     return applicable, consistent
 
 
-def _lie_ideal_flag(report: SpanReport) -> bool:
-    """The lie_ideal flag: true in closed form for a decided class, and
-    lie_ideal_check of the basis for an UNDETERMINED one.  Each canonical
-    space V is a Lie ideal of M_d, [V, M_d] inside V: [0, b] = 0, [c*I, b]
-    = 0, and every [a, b] has trace tr(ab) - tr(ba) = 0, so it lies in
-    sl_d, which TRACE_ZERO and FULL both contain."""
-    return report.classification is not Classification.UNDETERMINED or lie_ideal_check(report.basis)
+# The lie_ideal flag is true in closed form: each canonical space V is a
+# Lie ideal of M_d, [V, M_d] inside V.  [0, b] = 0, [c*I, b] = 0, and every
+# [a, b] has trace tr(ab) - tr(ba) = 0, so it lies in sl_d, which
+# TRACE_ZERO and FULL both contain.
+_LIE_IDEAL = True
 
 
 # The break before the value of a top-level field of a document.
@@ -194,7 +191,7 @@ def _cmd_classify(args) -> int:
                 witnesses=_witnesses(s),
                 samples_used=s.samples_used,
                 consistency_flags={
-                    "lie_ideal": _lie_ideal_flag(s),
+                    "lie_ideal": _LIE_IDEAL,
                     "sum_of_commutators": s.sum_of_commutators,
                     "degree_exclusion_applicable": applicable,
                     "degree_exclusion_consistent": consistent,
@@ -202,8 +199,6 @@ def _cmd_classify(args) -> int:
                 },
             )
         )
-    if s.classification is Classification.UNDETERMINED:
-        return EXIT_UNDETERMINED
     return EXIT_OK
 
 
@@ -349,41 +344,26 @@ def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
     return entries
 
 
-def _contained(report: SpanReport, cls: Classification) -> bool:
-    """Whether report's span lies in the decided class cls, with no basis
-    built: by the order of the classes for a decided report, else by the
-    membership of each of its rows, whose values span its basis."""
-    d = report.dim
-    if report.classification is not Classification.UNDETERMINED:
-        return report.classification.lies_in(cls, d)
-    return all(cls.contains(vec, d) for _, vec in report.rows)
-
-
 def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
     """f's suite entry, and whether it shows a violation.  It prints no
     witness, so no report of f or of a step builds one."""
     report = classify_span(f, d, cfg)
     applicable, consistent = _exclusion_flags(report)
-    if report.classification is Classification.UNDETERMINED:
-        exclusion = "undetermined"
-    elif not applicable:
+    if not applicable:
         exclusion = "inapplicable"
     else:
         exclusion = "consistent" if consistent else "violated"
-    lie_ideal = _lie_ideal_flag(report)
     entry = {
         "line": lineno,
         "polynomial": poly_to_text(f),
         "classification": report.classification.value,
         "rank": report.rank,
-        "lie_ideal": lie_ideal,
+        "lie_ideal": _LIE_IDEAL,
         "sum_of_commutators": report.sum_of_commutators,
         "exclusion": exclusion,
         "reduction": None,
     }
-    # A partial basis need not be a Lie ideal: only a decided entry's flag counts.
-    decided = report.classification is not Classification.UNDETERMINED
-    violated = (decided and not lie_ideal) or exclusion == "violated"
+    violated = exclusion == "violated"
     # One verdict per polynomial: the reduction asks again about f, and about
     # its output, which is f itself when there are no steps.
     oracle = functools.cache(nontriviality_oracle(d, cfg))
@@ -393,15 +373,11 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
         except OracleFailed as exc:
             entry["reduction"] = {"error": "OracleFailed", "message": str(exc)}
             return entry, True
-        # The steps chain from f, so each polynomial is classified once.  A
-        # partial basis need not hold the span of the next step: only a
-        # decided one is checked.
-        reports = [report] + [classify_span(step.after, d, cfg) for step in reduction.steps]
-        containments = all(
-            _contained(after, before.classification)
-            for before, after in zip(reports, reports[1:])
-            if before.classification is not Classification.UNDETERMINED
-        )
+        # The steps chain from f, so each polynomial is classified once, and
+        # each step's class must lie in the one before, in closed form.
+        classes = [report.classification]
+        classes += [classify_span(step.after, d, cfg).classification for step in reduction.steps]
+        containments = all(after.lies_in(before, d) for before, after in zip(classes, classes[1:]))
         multilinear = reduction.output.is_multilinear()
         oracle_true = oracle(reduction.output)
         entry["reduction"] = {
@@ -418,7 +394,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
 def _cmd_suite(args) -> int:
     cfg = _config(args)
     entries = []
-    violations = undetermined = 0
+    violations = 0
     for lineno, f in _read_corpus(args.corpus):
         # The entry classifies f and its reduction steps and asks the oracle
         # about each: one evaluator serves both, and none outlives the entry.
@@ -426,7 +402,6 @@ def _cmd_suite(args) -> int:
             entry, violated = _suite_entry(lineno, f, args.dim, cfg)
         entries.append(entry)
         violations += violated
-        undetermined += entry["classification"] == Classification.UNDETERMINED.value
     _emit(
         {
             "schema": SCHEMA,
@@ -437,15 +412,12 @@ def _cmd_suite(args) -> int:
             "summary": {
                 "total": len(entries),
                 "violations": violations,
-                "undetermined": undetermined,
+                # Kept for readers of the summary: every entry names a class.
+                "undetermined": 0,
             },
         }
     )
-    if violations:
-        return EXIT_NEGATIVE
-    if undetermined:
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+    return EXIT_NEGATIVE if violations else EXIT_OK
 
 
 def _positive_int(text: str) -> int:

@@ -21,14 +21,11 @@ a remainder and no Fraction is formed.
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
 rank is a lower bound on the rank over Q, so a growth it reports is exact;
-the span classifier uses it to count growths cheaply where no sample proves
-the class, and to keep independent shear conjugates as the witnesses of a
-proved one; a report builds its exact basis only when it is read.  A vector
-independent over Q looks dependent mod p only when p divides the minors it
-forms with the earlier growths.  For the last growth of a classification
-those are multiples of one determinant, so a miss happens about once in
-2^31 classifications; it costs one more sample and never changes a class.
-EchelonQ is its exact counterpart over Q, in primitive integer rows.
+the span classifier uses it only to keep independent shear conjugates as
+the witnesses of a class (see span._shear_closure).  A vector independent
+over Q looks dependent mod p only when p divides the minors it forms with
+the earlier growths, about once in 2^31 walks; the walk is then done again
+with EchelonQ, its exact counterpart over Q, in primitive integer rows.
 """
 
 from __future__ import annotations
@@ -64,11 +61,10 @@ class Classification(Enum):
     """The possible linear spans of polynomial values on M_d.
 
     A span of values is {0}, the scalar matrices, the trace-zero matrices,
-    or all of M_d; UNDETERMINED records a sampling budget that ran out
-    before the basis matched one of the four.
+    or all of M_d.
 
-    rank, lies_in and contains answer in closed form, for a decided class,
-    what SpanBasis.canonical's rank, is_subspace_of and contains would:
+    rank, lies_in and contains answer in closed form what
+    SpanBasis.canonical's rank, is_subspace_of and contains would:
     - rank: {0}, the scalars Q * I, sl_d (cut out of M_d by one nonzero
       functional, the trace) and M_d have dimension 0, 1, d^2 - 1 and d^2.
     - contains: a vector lies in {0} iff it is zero, in Q * I iff it is its
@@ -85,12 +81,9 @@ class Classification(Enum):
     SCALARS = "SCALARS"
     TRACE_ZERO = "TRACE_ZERO"
     FULL = "FULL"
-    UNDETERMINED = "UNDETERMINED"
 
     def rank(self, d: int) -> int:
         """The dimension of this class's space in M_d."""
-        if self is Classification.UNDETERMINED:
-            raise ValueError("an UNDETERMINED class names no canonical space")
         return {"ZERO": 0, "SCALARS": 1, "TRACE_ZERO": d * d - 1, "FULL": d * d}[self.value]
 
     def lies_in(self, other: Classification, d: int) -> bool:
@@ -374,12 +367,7 @@ class SpanBasis:
             return SpanBasis(dim)
         if which is Classification.SCALARS:
             return SpanBasis(dim, (MatrixQ.identity(dim).flatten(),), (0,))
-        if which is Classification.FULL:
-            pivots = tuple(range(n))
-        elif which is Classification.TRACE_ZERO:
-            pivots = tuple(range(n - 1))
-        else:
-            raise ValueError(f"no canonical subspace for {which}")
+        pivots = tuple(range(which.rank(dim)))
         rows = []
         for p in pivots:
             row = [0] * n
@@ -406,7 +394,7 @@ class EchelonModP:
     vectors does not depend on how they are eliminated.  The converse fails
     only when p divides the minors a new vector forms with the rows: for the
     vector that completes a class that is one determinant, about once in
-    2^31, and the classifier then needs one more sample.
+    2^31.
 
     Vectors and rows are packed: entry k is the k-th fixed-width slot of one
     int.  Reducing by a row reads one slot and does one big-int

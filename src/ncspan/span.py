@@ -4,43 +4,33 @@ The linear span of the values of a polynomial on a full matrix algebra is
 always one of four canonical subspaces: zero, the scalars, the trace-zero
 matrices, or everything.  This module samples random integer matrix tuples,
 evaluates L * f on them in plain integers (L clears f's denominators), and
-stops at the first proof of the class, or once the span has been stable
-for a while and matches one.  The proof is the paper's argument: the span
-is closed under conjugation, so it is a Lie ideal of M_d, and one
-non-scalar value, with one value of nonzero trace or with f a sum of
-commutators, pins it (see classify_span).  Exactness comes from three
-places:
+names the least canonical space that holds every sampled value.  That space
+is a proved lower bound on the span: the span is closed under conjugation,
+so it is a Lie ideal of M_d, and one non-scalar value puts the trace-zero
+matrices inside it (see classify_span).  It is the span itself once it is
+M_d, or the trace-zero matrices for a sum of commutators; otherwise the
+upper bound is sampled, and the report says so by its stop reason.
+Exactness comes from two places:
 
 - whether a sampled value is zero, scalar or trace zero is tested exactly
-  on the integer values, and a proof rests on these tests alone;
-- without a proof, growth is tracked by rank modulo the prime 2^31 - 1, a
-  lower bound on the rank over Q, so every recorded growth is real and no
-  class is overclaimed; an independent value looks dependent mod p only
-  when p divides its minors with the earlier growths, about once in 2^31
-  classifications, and then costs one more sample, never a class;
-- a decided report names one of the four canonical spaces, whose rank,
-  order and membership tests are closed forms (see Classification); its
-  exact basis is built only when read, in closed form, and that of an
-  UNDETERMINED report by reducing the integer values that grew the rank.
+  on the integer values, and the class rests on these tests alone;
+- a report names one of the four canonical spaces, whose rank, order and
+  membership tests are closed forms (see Classification); its exact basis
+  is built only when read, in closed form.
 
-A report keeps integer rows: the one or two samples that prove its class,
-or the samples that grew the rank.  Its rank-many witness rows (grown) and
-witness matrices are built only when read; for a proof they are shear
-conjugates of the proving rows, with no evaluation of f (see
+A report keeps integer rows: the one or two samples that raised its class.
+Its rank-many witness rows (grown) and witness matrices are built only
+when read, as shear conjugates of those rows, with no evaluation of f (see
 _shear_closure).  suite prints no witness, classify writes each one as text
 straight from the integer rows, and decompose solves on the integer rows
 and returns the witness tuples.
 
-Sampling is a lower bound on the true span, so a budget that runs out
-without a match is reported honestly as UNDETERMINED rather than coerced.
-
 Every sampled verdict reads one seeded stream of integer values: the
-classifier tests each value for a proof and, without one, folds it into
-the span, and one pass decides identity and
-centrality, stopping at the first non-scalar value.  Both verdicts are
-exact for multilinear polynomials (tuples of matrix units suffice) and
-randomized otherwise, under one polynomial-vanishing error bound
-(vanishing_rate, in factored form).
+classifier tests each value against its class so far, and one pass
+decides identity and centrality, stopping at the first non-scalar value.
+Both verdicts are exact for multilinear polynomials (tuples of matrix
+units suffice) and randomized otherwise, under one polynomial-vanishing
+error bound (vanishing_rate, in factored form).
 
 The sampling kernel does a whole row's work per Python-level step:
 
@@ -57,8 +47,9 @@ The sampling kernel does a whole row's work per Python-level step:
   _packed_evaluator), so no value is ever wrong, only wider, and the
   result is decoded by one little-endian struct whatever the host's byte
   order (int.from_bytes only for slots wider than 8 bytes);
-- EchelonModP keeps its rows packed the same way, in 72-bit slots up to
-  d = 16: with residues below 2^31 every multiplier is two CPython digits.
+- EchelonModP, which keeps the independent shear conjugates, packs its
+  rows the same way, in 72-bit slots up to d = 16: with residues below
+  2^31 every multiplier is two CPython digits.
 """
 
 from __future__ import annotations
@@ -105,10 +96,9 @@ class SampleConfig:
     Every random draw flows from seed.  Entries are integers uniform in
     [-coeff_bound, coeff_bound].  When max_samples is None the budget
     defaults to 64 * d^2 for dimension d.  A proof of the class usually
-    takes one sample and rarely more than two; the budget binds only the
-    rank loop that runs without one, whose rank can grow at most d^2
-    times, with generous slack.  No field sets the STABILITY_WINDOW stop:
-    a matched basis that 50 samples in a row did not grow.
+    takes one sample and rarely more than two; the budget binds only a
+    class that no sample proves.  No field sets the STABILITY_WINDOW stop:
+    a class that 50 samples in a row did not raise.
     """
 
     seed: int = 0
@@ -127,7 +117,7 @@ class SampleConfig:
 
 Witness = tuple[tuple[MatrixQ, ...], MatrixQ]
 # The STABILITY_WINDOW stall, fixed: exact verdicts on generic matrices are
-# to replace it where the Lie-ideal stop finds no proof.
+# to replace it where no sample proves the class.
 _STABILITY_WINDOW = 50
 
 
@@ -135,9 +125,9 @@ class StopReason(Enum):
     """Why classify_span stopped sampling.
 
     LIE_IDEAL stops on a proof that the span of f's values is the whole
-    canonical space (see classify_span); STABILITY_WINDOW (a matched basis
-    that 50 samples in a row did not grow) and BUDGET_EXHAUSTED stop on a
-    sampled verdict, a lower bound on the span.
+    canonical space (see classify_span); STABILITY_WINDOW (a class that 50
+    samples in a row did not raise) and BUDGET_EXHAUSTED stop on a sampled
+    verdict: a proved lower bound on the span, whose upper bound is sampled.
     """
 
     LIE_IDEAL = "LIE_IDEAL"
@@ -153,12 +143,11 @@ class SpanReport:
     """Outcome of sampling the span of a polynomial's values on M_d.
 
     rows holds (entries, L * f(t)) rows in plain integers, and scale is L,
-    which clears f's denominators.  After a LIE_IDEAL stop they are the
-    one or two samples that prove the class; otherwise they are the
-    samples that grew the rank.  grown holds rank-many rows whose values
-    span the basis, and witness k is t_k and grown[k][1] / L.  The report
-    holds no basis: a decided class answers rank and membership in closed
-    form, and basis, grown and the witnesses are built when first read.
+    which clears f's denominators: the one or two samples that raised the
+    class.  grown holds rank-many rows whose values span the class, and
+    witness k is t_k and grown[k][1] / L.  The report holds no basis: the
+    class answers rank and membership in closed form, and basis, grown and
+    the witnesses are built when first read.
     """
 
     poly: NcPoly
@@ -173,26 +162,17 @@ class SpanReport:
 
     @functools.cached_property
     def basis(self) -> SpanBasis:
-        """The reduced basis of the span, built once, when first read: in
-        closed form for a decided class, else by reducing the rows' values."""
-        if self.classification is Classification.UNDETERMINED:
-            d = self.dim
-            return SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in self.rows])
+        """The class's reduced basis, built once, when first read, in closed form."""
         return SpanBasis.canonical(self.dim, self.classification)
 
     @property
     def rank(self) -> int:
-        """The rank of the span: the class's in closed form, else the basis's."""
-        if self.classification is Classification.UNDETERMINED:
-            return self.basis.rank
+        """The rank of the span, the class's in closed form."""
         return self.classification.rank(self.dim)
 
     @functools.cached_property
     def grown(self) -> tuple[Row, ...]:
-        """The rows of a sampled verdict, or the shear closure of a proof
-        (see _shear_closure), built once, when first read."""
-        if self.stop_reason is not StopReason.LIE_IDEAL:
-            return self.rows
+        """The shear closure of the rows (see _shear_closure), built once, when first read."""
         return _shear_closure(self.rows, self.dim, self.rank)
 
     @functools.cached_property
@@ -624,119 +604,71 @@ def nontriviality_oracle(
     return lambda f: not any(_verdicts(f, d, cfg))
 
 
-def _match_class(
-    rank: int, d: int, all_zero: bool, all_scalar: bool, all_trace_zero: bool
-) -> Classification | None:
-    """The canonical space spanned by the sampled values, if their facts pin it.
-
-    rank is the rank mod p, a lower bound on the rank over Q; the three
-    flags are exact facts about every sampled value.  A span of scalars
-    with rank 1, or of trace-zero matrices with rank d^2 - 1, equals its
-    canonical space, so no verdict is ever overclaimed.  No FULL: the
-    Lie-ideal stop proves it before the rank can reach d^2 (see
-    classify_span).
-    """
-    if all_zero:
-        return Classification.ZERO
-    if rank == 1 and all_scalar:
-        return Classification.SCALARS
-    if rank == d * d - 1 and all_trace_zero:
-        return Classification.TRACE_ZERO
-    return None
-
-
-def _proved_class(
-    d: int, all_zero: bool, all_scalar: bool, all_trace_zero: bool, commutator_sum: bool
-) -> Classification | None:
-    """The class the sampled values prove by the Lie-ideal theorem, if any
-    (see classify_span); the flags are exact facts about every value."""
-    if d == 1:
-        if commutator_sum or not all_zero:
-            return Classification.ZERO if all_zero else Classification.FULL
-    elif not all_scalar and (commutator_sum or not all_trace_zero):
-        return Classification.TRACE_ZERO if all_trace_zero else Classification.FULL
-    return None
-
-
 def classify_span(
     f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
 ) -> SpanReport:
     """Sample values of f on M_d and classify their linear span.
 
-    Stops at the first proof of the class (LIE_IDEAL), or at a matched
-    basis that 50 samples in a row did not grow, or when the budget runs
-    out (see StopReason).  The proof is the paper's argument.  f(P^-1 t P)
-    = P^-1 f(t) P for every invertible P, so the span V of f's values is
-    closed under conjugation, and so it is a Lie ideal of M_d (see
-    _shear_closure).  A Lie ideal that holds one non-scalar matrix contains
-    the trace-zero matrices sl_d (Herstein, Topics in Ring Theory, 1969).
-    So, at d >= 2, one non-scalar value proves V = M_d together with one
-    value of nonzero trace, and V = sl_d when f is a sum of commutators,
-    whose values all have trace 0 since tr[a, b] = 0.  At d = 1, one
-    nonzero value proves FULL, and a sum of commutators is ZERO (sl_1 = 0).
-    Each sample is tested for the proof before any elimination, so a
-    proof never waits for the rank.
+    The class is the least canonical space that holds every sample so far:
+    ZERO, then SCALARS, TRACE_ZERO or FULL, and at d = 1, where the
+    scalars are all of M_1, FULL at the first nonzero value.  Each sample
+    is tested against it exactly, and one that lies outside raises it.
 
-    Two cases find no proof and stay on the rank loop: every value is
-    scalar, or every value has trace 0 and f is not a sum of commutators.
-    There growth is tracked by rank mod a prime, which never overclaims
-    (see EchelonModP), and the class comes from that rank plus exact tests
-    of every sampled value.  No FULL or proved TRACE_ZERO is left to it.
+    The class is a proved lower bound on the span V of f's values: the
+    paper's argument.  f(P^-1 t P) = P^-1 f(t) P for every invertible P,
+    so V is closed under conjugation, and so it is a Lie ideal of M_d (see
+    _shear_closure).  A Lie ideal that holds one non-scalar matrix contains
+    the trace-zero matrices sl_d (Herstein, Topics in Ring Theory, 1969),
+    and a nonzero scalar value spans the scalars, so V holds the class.
+    At d >= 2 the class is V once it is FULL, and once it is TRACE_ZERO
+    when f is a sum of commutators, whose values all have trace 0 since
+    tr[a, b] = 0.  At d = 1 a sum of commutators is ZERO (sl_1 = 0).
+    Sampling stops there (LIE_IDEAL).  Otherwise only the upper bound is
+    sampled, and sampling stops once 50 samples in a row did not raise the
+    class (STABILITY_WINDOW), or when the budget runs out.
 
     Values are computed as integer matrices L * f(t), and the report keeps
-    them as integer rows: the one or two proving samples, or the samples
-    that grew the rank.  No basis, no witness and no Fraction is built
-    here: the report's basis, grown and witnesses are built when first
-    read.  The basis of an UNDETERMINED report reduces the grown rows L *
-    f(t_k), which span the same space as the witness values f(t_k), so
-    the reduced rows, being canonical, are the same.
+    the samples that raised the class as integer rows, one or two of them.
+    No basis, no witness and no Fraction is built here: the report's
+    basis, grown and witnesses are built when first read.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
-    echelon = EchelonModP()
-    grown: list[Row] = []
-    proof: list[Row] = []
     commutator_sum = f.is_sum_of_commutators()
-    all_zero = all_scalar = all_trace_zero = True
-    stall = 0
-    samples_used = 0
-    match: Classification | None = None
+    proved = {Classification.FULL}
+    if commutator_sum:
+        proved.add(Classification.ZERO if d == 1 else Classification.TRACE_ZERO)
+    cls = Classification.ZERO
+    rows: list[Row] = []
+    stall = samples_used = 0
     stop_reason = StopReason.BUDGET_EXHAUSTED
     for entries in _samples(f, d, cfg):
         vec = ev(entries)
         samples_used += 1
-        scalar = Classification.SCALARS.contains(vec, d)
-        traced = not Classification.TRACE_ZERO.contains(vec, d)
-        # A proving sample is the first non-scalar one or the first one of nonzero trace.
-        if (all_scalar and not scalar) or (all_trace_zero and traced):
-            proof.append((tuple(entries), tuple(vec)))
-        all_zero = all_zero and not any(vec)
-        all_scalar = all_scalar and scalar
-        all_trace_zero = all_trace_zero and not traced
-        match = _proved_class(d, all_zero, all_scalar, all_trace_zero, commutator_sum)
-        if match is not None:
-            stop_reason, grown = StopReason.LIE_IDEAL, proof
-            break
-        # A value that keeps the span canonical lies in it: no elimination.
-        match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
-        if match is None and echelon.insert(vec):
-            grown.append((tuple(entries), tuple(vec)))
-            stall = 0
-            match = _match_class(echelon.rank, d, all_zero, all_scalar, all_trace_zero)
-        else:
+        if cls.contains(vec, d):
             stall += 1
-        if stall >= _STABILITY_WINDOW and match is not None:
+        else:
+            # ZERO rises to the least space holding vec, any other class to FULL.
+            from_zero = cls is Classification.ZERO and d > 1
+            least = (Classification.SCALARS, Classification.TRACE_ZERO) if from_zero else ()
+            cls = next((c for c in least if c.contains(vec, d)), Classification.FULL)
+            rows.append((tuple(entries), tuple(vec)))
+            stall = 0
+        if cls in proved:
+            stop_reason = StopReason.LIE_IDEAL
+            break
+        if stall >= _STABILITY_WINDOW:
             stop_reason = StopReason.STABILITY_WINDOW
             break
     return SpanReport(
         poly=f,
         dim=d,
-        classification=match or Classification.UNDETERMINED,
+        classification=cls,
         samples_used=samples_used,
         stop_reason=stop_reason,
         config=cfg,
         sum_of_commutators=commutator_sum,
         scale=scale,
-        rows=tuple(grown),
+        rows=tuple(rows),
     )
 
 
@@ -775,9 +707,9 @@ def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, .
     return kept
 
 
-def _shear_closure(proof: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
-    """rank rows (entries, L * f(t)) whose values span the proved class of
-    rank rank, grown from the proving rows by shear conjugation: no
+def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
+    """rank rows (entries, L * f(t)) whose values span the class of rank
+    rank, grown from the rows that raised it by shear conjugation: no
     evaluation of f, an O(d^2) integer update per candidate.
 
     Why it ends at the rank: let W be the span of the kept values once
@@ -785,22 +717,24 @@ def _shear_closure(proof: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
     conjugate of v is v + s[v, E_ij] - s^2 E_ij v E_ij, and W holds it at
     s = 0, 1 and -1, so it holds the s^1 coefficient [v, E_ij] for i != j.
     Those E_ij generate sl_d as a Lie algebra, and scalars bracket to 0,
-    so W is a Lie ideal of M_d (Jacobi identity, see _chevalley_units).
-    W holds the proof's non-scalar value, so by Herstein W contains sl_d,
-    and with the proof's value of nonzero trace W is M_d.  Every kept value
-    is a value of f, so W lies in its span: sl_d for a sum of commutators.
-    So W is the class, and the walk reaches its rank.
+    so W is a Lie ideal of M_d (Jacobi identity, see _chevalley_units),
+    and it holds the seeds.  So W holds the least canonical space that
+    holds the seeds, which is the class: a nonzero scalar seed spans the
+    scalars, and a non-scalar one puts sl_d in W by Herstein.  Every kept
+    value is a conjugate of a seed's, and each canonical space is closed
+    under conjugation, so W lies inside the class.  So W is the class, and
+    the walk reaches its rank, whether the class is proved or sampled.
 
     Growth is tested mod p (see EchelonModP): a growth mod p certifies
     independence over Q.  Only a mod-p miss can end the walk short, say a
     non-scalar value that is scalar mod p, which every conjugate then is
     too.  The walk is then done again with exact tests over Q (EchelonQ),
     which the argument above carries to the rank: a cost met about once
-    in 2^31 proofs, about 6 s at d = 16 against 0.2 s mod p.
+    in 2^31 walks, about 6 s at d = 16 against 0.2 s mod p.
     """
-    kept = _walk(proof, d, rank, EchelonModP().insert)
+    kept = _walk(seeds, d, rank, EchelonModP().insert)
     if len(kept) < rank:
-        kept = _walk(proof, d, rank, EchelonQ().insert)
+        kept = _walk(seeds, d, rank, EchelonQ().insert)
     return tuple(kept)
 
 
@@ -871,23 +805,17 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     """Express target as an exact combination sum lam_j * f(t_j).
 
     The t_j are the report's witness inputs (whose values span the
-    report's basis; no value is built as a matrix), except in the directly
+    report's class; no value is built as a matrix), except in the directly
     invertible case f = c * X_i, where the preimage tuple is written down
-    outright.  Raises NotInSpan when the target lies outside the recorded
-    span: for a decided class that is the closed-form membership test
-    (see Classification), before any solve and with no basis built.
-    Otherwise each call is one fraction-free solve (express_in_terms) of
-    the d^2 x (k + 1) system [grown rows L * f(t_j) | target], in integers
-    until the solution mu: forward Bareiss elimination, then back
-    substitution on the free columns only (the target's and those of
-    dependent witnesses).  Scaling every column by L moves no pivot, so
-    lam_j = L * mu_j.
-
-    The solve fails exactly when the target is outside the span, so one
-    message serves both tests: the grown values span the class of a
-    decided report (the shear closure reaches its rank, and the rank loop
-    decides a class only at its rank, on values inside it), and they span
-    an UNDETERMINED report's basis, which is built from them.
+    outright.  Raises NotInSpan when the target lies outside the class, by
+    the closed-form membership test (see Classification), before any solve
+    and with no basis built.  Otherwise each call is one fraction-free
+    solve (express_in_terms) of the d^2 x (k + 1) system [grown rows
+    L * f(t_j) | target], in integers until the solution mu: forward
+    Bareiss elimination, then back substitution on the free columns only
+    (the target's and those of dependent witnesses).  Scaling every column
+    by L moves no pivot, so lam_j = L * mu_j.  The solve succeeds because
+    the grown values span the class (the shear closure reaches its rank).
     """
     d = report.dim
     if target.dim != d:
@@ -903,10 +831,8 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
                 for v in range(1, f.nvars + 1)
             )
             return [(Fraction(1), args)]
-    vec, cls = target.flatten(), report.classification
-    sol = None
-    if cls is Classification.UNDETERMINED or cls.contains(vec, d):
-        sol = express_in_terms([row for _, row in report.grown], vec)
-    if sol is None:
+    vec = target.flatten()
+    if not report.classification.contains(vec, d):
         raise NotInSpan("target is outside the sampled span")
+    sol = express_in_terms([row for _, row in report.grown], vec)
     return [(lam * report.scale, args) for lam, args in zip(sol, report._inputs) if lam]

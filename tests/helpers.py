@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -17,7 +19,6 @@ from ncspan import (
     NcPoly,
     SampleConfig,
     SpanBasis,
-    SpanReport,
     VariableCollision,
     commutator,
     is_identity,
@@ -135,6 +136,9 @@ def random_trace_zero(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:
 
 
 def random_noncentral(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:
+    """A non-scalar integer matrix; M_1 has none, so d < 2 is refused."""
+    if d < 2:
+        raise ValueError(f"every {d}x{d} matrix is scalar")
     while True:
         m = random_matrix_int(rng, d, bound)
         if not m.is_scalar():
@@ -283,17 +287,51 @@ class ReferenceStop(Enum):
     BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 
-def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> SpanReport:
-    """The rank loop that the Lie-ideal stop replaced: every sample is
+@dataclass(frozen=True)
+class ReferenceReport:
+    """reference_classify_span's outcome, with SpanReport's fields.
+
+    classification is None where the rank loop matched no canonical space
+    (the budget ran out first); rows are the samples that grew the rank,
+    and they are its grown rows too.  basis reduces their values, which
+    span the class wherever one is matched.
+    """
+
+    poly: NcPoly
+    dim: int
+    classification: Classification | None
+    samples_used: int
+    stop_reason: ReferenceStop
+    config: SampleConfig
+    sum_of_commutators: bool
+    scale: int
+    rows: tuple
+
+    @property
+    def grown(self) -> tuple:
+        return self.rows
+
+    @functools.cached_property
+    def basis(self) -> SpanBasis:
+        d = self.dim
+        return SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in self.rows])
+
+    @functools.cached_property
+    def witnesses(self) -> tuple:
+        d, scale = self.dim, self.scale
+        return tuple((span._matrices(entries, d), span._unscaled(vec, d, scale)) for entries, vec in self.rows)
+
+
+def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> ReferenceReport:
+    """The rank loop that the Lie-ideal rule replaced: every sample is
     folded into EchelonModP until the rank proves the class.
 
     Two ranks prove it: full rank d^2 (FULL_RANK), and rank d^2 - 1 when
     f is a sum of commutators (COMMUTATOR_SUM; at d = 1 the span is ZERO);
     otherwise a matched basis that 50 samples in a row did not grow
-    (STABILITY_WINDOW), or the budget (BUDGET_EXHAUSTED).  The report's
-    rows are the samples that grew the rank, and its stop_reason a
-    ReferenceStop.  classify_span runs the same loop, with the same stall
-    of 50, when it finds no proof.
+    (STABILITY_WINDOW), or the budget (BUDGET_EXHAUSTED), which may leave
+    no class matched.  The report's rows are the samples that grew the
+    rank.
     """
     scale, ev = span._evaluator(f, d, cfg.coeff_bound)
     echelon = EchelonModP()
@@ -340,10 +378,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
         else:
             continue
         break
-    return SpanReport(
-        f, d, match or Classification.UNDETERMINED, samples_used, stop_reason, cfg, commutator_sum, scale,
-        tuple(grown),
-    )
+    return ReferenceReport(f, d, match, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(grown))
 
 
 def reference_report_doc(report) -> dict:
@@ -607,7 +642,7 @@ def reference_suite_violations(entries) -> int:
     return sum(
         1
         for e in entries
-        if (not e["lie_ideal"] and e["classification"] != "UNDETERMINED")
+        if not e["lie_ideal"]
         or e["exclusion"] == "violated"
         or (
             e["reduction"] is not None

@@ -13,9 +13,9 @@ import pytest
 import ncspan.cli
 from helpers import reference_classify_span, reference_suite_violations, standard_polynomial
 from ncspan.cli import main
-from ncspan.linalg import Classification
+from ncspan.linalg import Classification, MatrixQ, SpanBasis
 from ncspan.linearize import OracleFailed
-from ncspan.span import SampleConfig, classify_span
+from ncspan.span import SampleConfig, classify_span, evaluate
 from ncspan.text import format_scalar, parse_poly, poly_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,7 +40,7 @@ class TestClassify:
             capsys, "classify", "--poly", "X1*X2 - X2*X1", "--dim", "2"
         )
         assert code == 0
-        assert doc["schema"] == "ncspan/4"
+        assert doc["schema"] == "ncspan/5"
         assert doc["classification"] == "TRACE_ZERO"
         assert doc["rank"] == 3
         assert doc["polynomial"] == "X1*X2 - X2*X1"
@@ -94,16 +94,38 @@ class TestClassify:
         assert json.loads(a)["classification"] == json.loads(b)["classification"]
         assert a != b
 
-    def test_undetermined_exit_code(self, capsys):
-        # Trace zero on M_2 but no sum of commutators: no proof, and two
-        # samples leave the rank short.
+    @pytest.mark.parametrize("budget", [(), ("--max-samples", "2")], ids=["default", "budget2"])
+    def test_trace_zero_non_sum(self, capsys, budget):
+        # Trace zero on M_2 but no sum of commutators: nothing proves the
+        # class, and its first non-scalar value names TRACE_ZERO, sampled.
+        # Seed 0 raises it at the first sample and stops 50 later.
         code, doc = run_json(
             capsys,
-            "classify", "--poly", TRACE_ZERO_NON_SUM, "--dim", "2", "--max-samples", "2",
+            "classify", "--poly", TRACE_ZERO_NON_SUM, "--dim", "2", "--seed", "0", *budget,
         )
-        assert code == 64
-        assert doc["classification"] == "UNDETERMINED"
-        assert doc["consistency_flags"]["stop_reason"] == "BUDGET_EXHAUSTED"
+        assert code == 0
+        got = (doc["classification"], doc["rank"], doc["samples_used"], doc["consistency_flags"]["stop_reason"])
+        assert got == (("TRACE_ZERO", 3, 2, "BUDGET_EXHAUSTED") if budget else ("TRACE_ZERO", 3, 51, "STABILITY_WINDOW"))
+        # Three witnesses, f at their inputs, of trace 0, spanning sl_2.
+        f = parse_poly(TRACE_ZERO_NON_SUM)
+        values = []
+        for w in doc["witnesses"]:
+            args = [MatrixQ([[Fraction(x) for x in row] for row in m]) for m in w["inputs"]]
+            value = evaluate(f, args, dim=2)
+            assert [[format_scalar(x) for x in row] for row in value.rows] == w["value"]
+            assert value.trace() == 0
+            values.append(value)
+        assert len(values) == 3
+        assert SpanBasis.from_matrices(2, values) == SpanBasis.canonical(2, Classification.TRACE_ZERO)
+        # A trace-zero target decomposes over them, and the sum checks out.
+        code, doc = run_json(
+            capsys,
+            "decompose", "--poly", TRACE_ZERO_NON_SUM, "--dim", "2", "--seed", "0", "--target", "3,-1;5,-3", *budget,
+        )
+        assert code == 0
+        assert (doc["classification"], doc["verified"]) == ("TRACE_ZERO", True)
+
+    def test_proved_within_any_budget(self, capsys):
         # [X1,X2] is proved by its first sample, within any budget.
         code, doc = run_json(
             capsys,
@@ -491,8 +513,9 @@ class TestSuite:
         assert calls == []
 
     def test_undetermined_entries(self, capsys, tmp_path):
-        # A budget of 3 samples at d=3 still proves every entry: one sample
-        # does it for all but the scalar one, which the rank loop matches.
+        # Every entry names a class, so the summary's undetermined count is 0.
+        # A budget of 3 samples at d=3 proves every entry but the scalar one,
+        # whose class the budget leaves sampled.
         corpus = str(GOLDEN / "corpus.txt")
         code, doc = run_json(
             capsys, "suite", "--corpus", corpus, "--dim", "3", "--seed", "0", "--max-samples", "3"
@@ -500,27 +523,25 @@ class TestSuite:
         assert code == 0
         assert doc["summary"] == {"total": 11, "violations": 0, "undetermined": 0}
         # No sample proves a trace-zero polynomial that is not a sum of
-        # commutators, and two leave the rank short.  The partial basis is no
-        # Lie ideal, nor does it hold its step's basis; neither is a violation
-        # of an UNDETERMINED entry, so the run exits 64.
-        path = tmp_path / "undetermined.txt"
+        # commutators, yet its first non-scalar value names its class.
+        path = tmp_path / "non_sum.txt"
         path.write_text(TRACE_ZERO_NON_SUM + "\n[X1,X2]\n")
         code, doc = run_json(
             capsys, "suite", "--corpus", str(path), "--dim", "2", "--seed", "0", "--max-samples", "2"
         )
         entry = doc["entries"][0]
-        assert (entry["classification"], entry["lie_ideal"], entry["exclusion"]) == (
-            "UNDETERMINED", False, "undetermined"
+        assert (entry["classification"], entry["rank"], entry["lie_ideal"], entry["exclusion"]) == (
+            "TRACE_ZERO", 3, True, "inapplicable"
         )
         assert entry["reduction"]["steps"] and entry["reduction"]["containments_ok"]
         assert doc["entries"][1]["classification"] == "TRACE_ZERO"
         assert doc["summary"] == {
             "total": 2,
             "violations": reference_suite_violations(doc["entries"]),
-            "undetermined": 1,
+            "undetermined": 0,
         }
         assert doc["summary"]["violations"] == 0
-        assert code == 64
+        assert code == 0
 
     def test_missing_corpus(self, capsys):
         code = main(["suite", "--corpus", "/nonexistent/corpus.txt", "--dim", "2"])
@@ -603,10 +624,6 @@ def _reduction_with(**fields):
 
 # Reason -> (force it by monkeypatch, the change it makes to a golden entry).
 FORCED_VIOLATIONS = {
-    "lie_ideal": (
-        lambda mp: mp.setattr(ncspan.cli, "_lie_ideal_flag", lambda report: False),
-        lambda e: {"lie_ideal": False},
-    ),
     "exclusion": (
         _flip_sum_of_commutators,
         lambda e: {
@@ -788,7 +805,7 @@ class TestSerRows:
         seen = set()
         for text in ("3/2*X1*X1*X2 + [X2,X1]", "[X1,X2]", "X1*X2 - 1/3*X2*X1"):
             for seed in (0, 7919):
-                # max_samples=3 leaves the rank loop's partial, UNDETERMINED bases.
+                # max_samples=3 leaves the rank loop's partial bases (no class).
                 for max_samples, classify in itertools.product((None, 3), (classify_span, reference_classify_span)):
                     cfg = SampleConfig(seed=seed, max_samples=max_samples)
                     report = classify(parse_poly(text), d, cfg)
@@ -799,7 +816,7 @@ class TestSerRows:
                         assert ncspan.cli._ser_rows(rows) == [[format_scalar(x) for x in row] for row in rows]
                     if text.startswith("3/2"):
                         assert any(type(x) is Fraction and x.denominator > 1 for m in values for r in m for x in r)
-        assert Classification.UNDETERMINED in seen and seen - {Classification.UNDETERMINED}
+        assert None in seen and seen - {None}
 
 
 # Leaves for the emitter battery: quotes, backslashes, control characters,

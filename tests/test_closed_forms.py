@@ -1,9 +1,9 @@
-"""The closed forms of a decided class against its built canonical basis.
+"""The closed forms of a class against its built canonical basis.
 
 Classification.rank, lies_in and contains answer for the four canonical
 spaces what SpanBasis.canonical's rank, is_subspace_of and contains
 answer by elimination: for every class and pair of classes at d = 1..5,
-on random and in-class matrices, and on the decided reports of the seeded
+on random and in-class matrices, and on the reports of the seeded
 batteries.  A report of classify_span builds no basis until it is read.
 """
 
@@ -32,7 +32,7 @@ from ncspan import (
 )
 from ncspan.span import lie_ideal_check
 
-DECIDED = [c for c in Classification if c is not Classification.UNDETERMINED]
+CLASSES = list(Classification)
 ZERO, SCALARS, TRACE_ZERO, FULL = (
     Classification.ZERO,
     Classification.SCALARS,
@@ -52,21 +52,29 @@ def members(rng, d):
     return out
 
 
+def test_random_noncentral_refuses_d1():
+    # Every 1 x 1 matrix is scalar, so no draw could ever return.
+    rng = random.Random(1)
+    with pytest.raises(ValueError, match="scalar"):
+        random_noncentral(rng, 1)
+    assert not random_noncentral(rng, 2).is_scalar()
+
+
 @pytest.mark.parametrize("d", range(1, 6))
 class TestAgainstCanonicalBases:
     def test_rank(self, d):
-        for cls in DECIDED:
+        for cls in CLASSES:
             assert cls.rank(d) == SpanBasis.canonical(d, cls).rank
 
     def test_order(self, d):
-        for a in DECIDED:
+        for a in CLASSES:
             below = SpanBasis.canonical(d, a)
-            for b in DECIDED:
+            for b in CLASSES:
                 assert a.lies_in(b, d) == below.is_subspace_of(SpanBasis.canonical(d, b)), (a, b)
 
     def test_membership(self, d):
         rng = random.Random(2700 + d)
-        for cls in DECIDED:
+        for cls in CLASSES:
             basis = SpanBasis.canonical(d, cls)
             seen = set()
             for m in members(rng, d):
@@ -79,31 +87,22 @@ class TestAgainstCanonicalBases:
 
 def test_degenerate_d1():
     # At d = 1 the scalars are all of M_1, and sl_1 is {0}.
-    assert [cls.rank(1) for cls in DECIDED] == [0, 1, 0, 1]
+    assert [cls.rank(1) for cls in CLASSES] == [0, 1, 0, 1]
     assert SCALARS.lies_in(FULL, 1) and FULL.lies_in(SCALARS, 1)
     assert TRACE_ZERO.lies_in(ZERO, 1) and ZERO.lies_in(TRACE_ZERO, 1)
     assert not FULL.lies_in(TRACE_ZERO, 1) and not SCALARS.lies_in(ZERO, 1)
     for vec, inside in (((0,), (True, True, True, True)), ((Fraction(5, 2),), (False, True, False, True))):
-        assert tuple(cls.contains(vec, 1) for cls in DECIDED) == inside
-
-
-def test_undetermined_names_no_space():
-    und = Classification.UNDETERMINED
-    for ask in (lambda: und.rank(2), lambda: und.contains((0,) * 4, 2), lambda: und.lies_in(FULL, 2),
-                lambda: FULL.lies_in(und, 2)):
-        with pytest.raises(ValueError, match="UNDETERMINED"):
-            ask()
+        assert tuple(cls.contains(vec, 1) for cls in CLASSES) == inside
 
 
 @pytest.mark.parametrize("d", (2, 3))
 def test_battery_reports(d):
-    """On decided battery reports: rank, order between consecutive reports,
-    and membership of each witness value and of random matrices."""
+    """On battery reports: rank, order between consecutive reports, and
+    membership of each witness value and of random matrices."""
     rng = random.Random(2727 + d)
     reports = [classify_span(battery_poly(rng), d, SampleConfig(seed=s)) for s in (0, 7919) for _ in range(30)]
-    decided = [r for r in reports if r.classification is not Classification.UNDETERMINED]
-    assert {r.classification for r in decided} >= {TRACE_ZERO, FULL}
-    for before, after in zip(decided, decided[1:]):
+    assert {r.classification for r in reports} >= {TRACE_ZERO, FULL}
+    for before, after in zip(reports, reports[1:]):
         assert after.rank == after.basis.rank
         assert lie_ideal_check(after.basis)
         assert after.classification.lies_in(before.classification, d) == after.basis.is_subspace_of(before.basis)
@@ -130,7 +129,6 @@ class TestLazyBasis:
     def test_decided_report_builds_no_basis(self, builds, text, d):
         report = classify_span(parse_poly(text), d)
         cls = report.classification
-        assert cls is not Classification.UNDETERMINED
         assert report.rank == cls.rank(d)
         assert decompose_target(report, MatrixQ.zero(d)) == []
         for outside in (MatrixQ.identity(d), MatrixQ.unit(d, 0, d - 1)):
@@ -143,12 +141,12 @@ class TestLazyBasis:
         assert report.basis is report.basis
         assert builds == {"canonical": 1, "from_matrices": 0}
 
-    def test_undetermined_report_builds_its_basis_when_read(self, builds):
+    def test_budget_cut_report_builds_its_basis_when_read(self, builds):
+        # Trace zero on M_2 but no sum of commutators: its class is sampled,
+        # and read in closed form like a proved one.
         f = parse_poly("[X1,X2]") + standard_polynomial(4) * parse_poly("X5")
         report = classify_span(f, 2, SampleConfig(max_samples=2))
-        assert report.classification is Classification.UNDETERMINED
+        assert report.classification is TRACE_ZERO and report.rank == 3
         assert builds == {"canonical": 0, "from_matrices": 0}
-        assert report.rank == len(report.rows)
-        assert builds == {"canonical": 0, "from_matrices": 1}
         assert report.basis is report.basis
-        assert builds == {"canonical": 0, "from_matrices": 1}
+        assert builds == {"canonical": 1, "from_matrices": 0}

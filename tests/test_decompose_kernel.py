@@ -139,17 +139,19 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("max_samples", (3, 20))
     def test_undetermined_reports(self, max_samples):
-        # The partial spans come from the rank loop, which classify_span
-        # runs only when it finds no proof.
+        # The rank loop's partial spans, which only its reference still
+        # leaves: express_in_terms on their rows against the Fraction solve.
         rng = random.Random(max_samples)
         undetermined = 0
         for text in HEADLINE:
             for d in (2, 3, 5):
                 for seed in (0, 7919):
                     cfg = SampleConfig(seed=seed, max_samples=max_samples)
-                    report = reference_classify_span(parse_poly(text), d, cfg)
-                    undetermined += report.classification is Classification.UNDETERMINED
-                    assert_same_decompositions(report, rng)
+                    partial = reference_classify_span(parse_poly(text), d, cfg)
+                    undetermined += partial.classification is None
+                    rows = [vec for _, vec in partial.rows]
+                    chosen = [t.flatten() for t in targets(rng, partial, 3)]
+                    assert [express_in_terms(rows, t) for t in chosen] == reference_express_all(rows, chosen)
         assert undetermined > 0
 
 
@@ -182,29 +184,32 @@ class TestVerdicts:
 
 class TestHandBuiltReports:
     def test_witness_values_that_are_not_a_basis(self):
+        # Integer rows (entries, f(t)) with scale 1 whose values repeat: the
+        # shear walk keeps only the rows that grow, up to the class's rank,
+        # and decompose solves on those.
         cfg = SampleConfig()
-        e11, e12 = MatrixQ.unit(2, 0, 0), MatrixQ.unit(2, 0, 1)
+        eye, e11, e12 = MatrixQ.identity(2), MatrixQ.unit(2, 0, 0), MatrixQ.unit(2, 0, 1)
         f = parse_poly("X1*X2")
-        args = (MatrixQ.identity(2), MatrixQ.identity(2))
-        entries = tuple(x for a in args for x in a.flatten())
-        # Integer rows (entries, value) with scale 1: each value is its own
-        # witness value, and the values span the report's basis.
-        for grown, want in (
-            (((entries, (1, 1, 0, 0)),), "NotInSpan"),  # values whose span misses e11
-            (((entries, (1, 0, 0, 0)), (entries, (2, 0, 0, 0))), [(1, args)]),  # dependent values
-            ((), "NotInSpan"),  # too few values
+
+        def row(*args):
+            return tuple(x for a in args for x in a.flatten()), (args[0] * args[1]).flatten()
+
+        scalar, nilpotent = row(eye, eye.scale(2)), row(eye, e12)
+        for cls, rows, want in (
+            (Classification.SCALARS, (scalar, scalar), "NotInSpan"),
+            (Classification.TRACE_ZERO, (nilpotent, nilpotent), "NotInSpan"),
+            (Classification.FULL, (nilpotent, nilpotent, scalar), list),
         ):
-            report = SpanReport(
-                f, 2, Classification.UNDETERMINED, 2, StopReason.BUDGET_EXHAUSTED, cfg, False, 1, grown,
-            )
-            values = [MatrixQ([vec[:2], vec[2:]]) for _, vec in grown]
-            assert report.witnesses == tuple((args, value) for value in values)
-            assert report.basis == SpanBasis.from_matrices(2, values)
-            for target in (e11, e12):
+            report = SpanReport(f, 2, cls, 3, StopReason.BUDGET_EXHAUSTED, cfg, False, 1, rows)
+            assert report.grown[0] == rows[0] and len(report.grown) == cls.rank(2)
+            assert SpanBasis.from_matrices(2, [value for _, value in report.witnesses]) == report.basis
+            for args, value in report.witnesses:
+                assert evaluate(f, args) == value
+            for target in (e11, e12, eye.scale(Fraction(5, 3))):
                 got = outcome(decompose_target, report, target)
                 assert got == reference_outcomes(report, [target])[0]
             got = outcome(decompose_target, report, e11)
-            assert got == want or got[0] == want
+            assert type(got) is want or got[0] == want
 
 
 def bareiss_inverse(rows):

@@ -31,16 +31,12 @@ CASES = {
     for d in (2, 3)
     for seed in (0, 7919)
 }
-# A budget of 3 samples: one sample proves every entry but the scalar one,
-# which the rank loop matches.
-CASES.update(
-    {
-        f"suite-budget3-d3-seed{seed}.json": (
-            "suite", "--corpus", "corpus.txt", "--dim", "3", "--seed", str(seed),
-            "--max-samples", "3",
-        )
-        for seed in (0, 7919)
-    }
+# A budget of one sample: at seed 0 it is a value of trace 0 for X1, and a
+# scalar one for X1*X1 (a trace-zero 2 x 2 matrix squares to a scalar), so
+# both are classed below their span and the degree exclusion flags both.
+# Budgets of 2 and 3, and seed 7919, print suite-d2's documents.
+CASES["suite-budget1-d2-seed0.json"] = (
+    "suite", "--corpus", "corpus.txt", "--dim", "2", "--seed", "0", "--max-samples", "1"
 )
 CASES.update(
     {
@@ -59,7 +55,7 @@ CASES.update(
 # Trace zero on M_2, where S_4 vanishes, but not a sum of commutators.
 TRACE_ZERO_NON_SUM = poly_to_text(parse_poly("[X1,X2]") + standard_polynomial(4) * parse_poly("X5"))
 
-# Each classify stop reason; the undetermined case exits 64 (UNDETERMINED).
+# Each classify stop reason, and a budget that cuts a sampled class short.
 CASES.update(
     {
         f"classify-{name}-seed{seed}.json": (
@@ -69,8 +65,8 @@ CASES.update(
             ("commutator-d3", "[X1,X2]", 3, ()),  # TRACE_ZERO by LIE_IDEAL
             ("product-d3", "X1*X2", 3, ()),  # FULL by LIE_IDEAL
             ("hall-d2", "[X1,X2]^2", 2, ()),  # SCALARS by STABILITY_WINDOW
-            ("budget3-d3", "[X1,X2]", 3, ("--max-samples", "3")),  # LIE_IDEAL within the budget
-            ("undetermined-d2", TRACE_ZERO_NON_SUM, 2, ("--max-samples", "2")),  # BUDGET_EXHAUSTED
+            ("budget3-d2", "[X1,X2]^2", 2, ("--max-samples", "3")),  # SCALARS by BUDGET_EXHAUSTED
+            ("nonsum-budget2-d2", TRACE_ZERO_NON_SUM, 2, ("--max-samples", "2")),  # TRACE_ZERO by BUDGET_EXHAUSTED
         )
         for seed in (0, 7919)
     }

@@ -26,6 +26,7 @@ from ncspan import (
     NotInSpan,
     SampleConfig,
     SpanBasis,
+    StopReason,
     classify_span,
     commutator,
     decompose_target,
@@ -249,14 +250,15 @@ class TestClassifySpan:
         report = classify_span(NcPoly.zero(), 2)
         assert report.classification is Classification.ZERO
 
-    def test_undetermined_when_budget_too_small(self):
+    def test_trace_zero_non_sum_under_budget(self):
         # Only trace-zero values on M_2 (S_4 vanishes there), yet no sum of
-        # commutators: nothing proves the class, and the rank loop needs
-        # three samples to reach rank 3.
+        # commutators: nothing proves the class, and the first non-scalar
+        # value names TRACE_ZERO, sampled, within any budget.
         f = COMM + standard_polynomial(4) * NcPoly.variable(5)
-        report = classify_span(f, 2, SampleConfig(max_samples=2))
-        assert report.classification is Classification.UNDETERMINED
-        assert report.samples_used == 2
+        for budget in (1, 2):
+            report = classify_span(f, 2, SampleConfig(max_samples=budget))
+            assert report.classification is Classification.TRACE_ZERO and report.rank == 3
+            assert (report.samples_used, report.stop_reason) == (budget, StopReason.BUDGET_EXHAUSTED)
         # One non-scalar value proves [X1,X2] TRACE_ZERO within any budget.
         report = classify_span(COMM, 2, SampleConfig(max_samples=1))
         assert report.classification is Classification.TRACE_ZERO
@@ -455,7 +457,7 @@ class TestVanishingBound:
 
 
 # Small polynomials on X1..X3, constants among them, and their brackets,
-# so that every class but UNDETERMINED turns up.
+# so that every class turns up.
 small_polys = st.dictionaries(
     st.lists(st.integers(1, 3), max_size=3).map(tuple),
     st.integers(-3, 3),

@@ -1,12 +1,13 @@
-"""The Lie-ideal stop and the modular span kernel against their references.
+"""The Lie-ideal rule and the modular span kernel against their references.
 
-classify_span stops at the first proof of its class (the Lie-ideal stop)
-and otherwise runs the rank loop it replaced, which helpers keeps as
-reference_classify_span.  These tests require the same class wherever the
-loop decides one, the same report field for field wherever no proof is
-found, and, for every proof, at most two samples and witnesses, built by
-shear conjugation, whose values are f at their inputs and span the
-canonical basis.  They hold the commutator-sum half of the stop to the
+classify_span names the least canonical space that holds its samples and
+stops at the first proof that it is the span (the Lie-ideal stop); helpers
+keeps the rank loop it replaced as reference_classify_span.  These tests
+require the same class wherever the loop decides one and never more
+samples; for every report, witnesses built by shear conjugation whose
+values are f at their inputs and span the class; for every proof, at most
+two samples; and, for a span of scalars or zero, the loop's report field
+for field.  They hold the commutator-sum half of the stop to the
 window-only rule, pin the closed-form bases and d = 1, and replay every
 growth decision of the loop and of the shear closure over Q.
 The packed stages of the kernel (bulk draw, packed evaluation, packed
@@ -63,45 +64,55 @@ from ncspan.linalg import PRIME, EchelonModP, EchelonQ
 
 HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
 # Trace zero on M_2, where S_4 vanishes, but not a sum of commutators: no
-# value of nonzero trace ever proves FULL, so at d = 2 it stays on the rank loop.
+# value of nonzero trace ever proves FULL, so at d = 2 its TRACE_ZERO stays sampled.
 TRACE_ZERO_NON_SUM = parse_poly("[X1,X2]") + standard_polynomial(4) * NcPoly.variable(5)
 CORPUS = str(Path(__file__).parent / "golden" / "corpus.txt")
 
 
-def as_report(want):
-    """A reference report with its stop reason named as classify_span names it."""
-    return replace(want, stop_reason=StopReason(want.stop_reason.value))
-
-
-def assert_proved(report):
-    """A Lie-ideal stop: at most two samples, the canonical basis, and
-    rank-many witnesses whose values are f at their inputs and span it."""
+def assert_grown(report):
+    """One or two rows that raised the class (none for ZERO), the canonical
+    basis, and rank-many witnesses, the rows first, whose values are f at
+    their inputs, lie in the class and span it."""
     f, d = report.poly, report.dim
     where = f"{poly_to_text(f)} at d={d}, {report.config}"
-    assert report.stop_reason is StopReason.LIE_IDEAL, where
-    assert report.samples_used <= 2, where
     canonical = SpanBasis.canonical(d, report.classification)
     assert report.basis == canonical, where
-    assert len(report.rows) <= 2 and report.grown[: len(report.rows)] == report.rows, where
+    assert len(report.rows) <= 2 and bool(report.rows) == bool(canonical.rank), where
+    assert report.grown[: len(report.rows)] == report.rows, where
     assert len(report.witnesses) == canonical.rank, where
     for args, value in report.witnesses:
         assert reference_evaluate(f, args, d) == value, where
+        assert report.classification.contains(value.flatten(), d), where
     assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == canonical, where
+
+
+def assert_proved(report):
+    """A Lie-ideal stop: at most two samples, and witnesses as assert_grown's."""
+    where = f"{poly_to_text(report.poly)} at d={report.dim}, {report.config}"
+    assert report.stop_reason is StopReason.LIE_IDEAL, where
+    assert report.samples_used <= 2, where
+    assert_grown(report)
 
 
 def assert_same_report(f, d, cfg):
     """classify_span against the rank loop: the same class wherever the loop
-    decides one, and the same report wherever classify_span finds no proof."""
+    decides one, never more samples, witnesses that span the class, and,
+    for a sampled span of scalars or zero, where a raise is a growth, the
+    loop's samples, stop and rows."""
     got = classify_span(f, d, cfg)
     want = reference_classify_span(f, d, cfg)
     where = f"{poly_to_text(f)} at d={d}, {cfg}"
+    if want.classification is not None:
+        assert got.classification is want.classification, where
+    assert got.samples_used <= want.samples_used, where
     if got.stop_reason is StopReason.LIE_IDEAL:
-        if want.classification is not Classification.UNDETERMINED:
-            assert got.classification is want.classification, where
-        assert got.samples_used <= want.samples_used, where
         assert_proved(got)
-    else:
-        assert got == as_report(want), where
+        return got, want
+    assert_grown(got)
+    if got.classification in (Classification.ZERO, Classification.SCALARS):
+        assert (got.samples_used, got.stop_reason.value, got.rows) == (
+            want.samples_used, want.stop_reason.value, want.rows,
+        ), where
         assert got.witnesses == want.witnesses, where
     return got, want
 
@@ -139,8 +150,17 @@ def battery_budget_limited(max_samples):
     return cases + [(TRACE_ZERO_NON_SUM, 2, SampleConfig(seed=seed, max_samples=max_samples)) for seed in (0, 7919)]
 
 
+def battery_small_entries():
+    """Entries in {-1, 0, 1}, where zero values are common: a central
+    polynomial and the trace-zero non-sum at d = 2, whose sampled classes
+    often rise only after a run of samples that did not raise them."""
+    polys = [parse_poly("[X1,X2]^2"), TRACE_ZERO_NON_SUM]
+    return [(f, 2, SampleConfig(seed=seed, coeff_bound=1)) for f in polys for seed in range(10)]
+
+
 BATTERIES = {
     "d3": battery_d3,
+    "small-entries": battery_small_entries,
     "d3-rational": battery_d3_rational,
     **{
         f"headline-{text}-d{d}": functools.partial(battery_headline, text, d)
@@ -166,15 +186,41 @@ class TestDifferential:
         for case in battery_headline(text, d):
             assert_same_report(*case)
 
+    def test_small_dims(self):
+        for case in battery_small_dims():
+            assert_same_report(*case)
+
+    def test_small_entries(self):
+        # A class raised after samples that did not raise it restarts the
+        # window there, as a growth restarts the rank loop's.
+        late = 0
+        for case in battery_small_entries():
+            got, _ = assert_same_report(*case)
+            late += got.samples_used > 50 + len(got.rows)
+        assert late
+
     @pytest.mark.parametrize("max_samples", (3, 20))
     def test_budget_limited(self, max_samples):
-        # The loop leaves reports UNDETERMINED that the Lie-ideal stop proves.
+        # The loop leaves reports without a class that the Lie-ideal stop proves.
         undetermined = proved = 0
         for case in battery_budget_limited(max_samples):
             got, want = assert_same_report(*case)
-            undetermined += want.classification is Classification.UNDETERMINED
-            proved += want.classification is Classification.UNDETERMINED and got.stop_reason is StopReason.LIE_IDEAL
+            undetermined += want.classification is None
+            proved += want.classification is None and got.stop_reason is StopReason.LIE_IDEAL
         assert proved and undetermined
+
+    def test_trace_zero_non_sum(self):
+        # Nothing proves it: its class is sampled, TRACE_ZERO from the first
+        # non-scalar value on.  The rule stops 50 samples after that one, and
+        # the rank loop 50 after its third growth.
+        for seed in (0, 1, 7919):
+            cfg = SampleConfig(seed=seed)
+            got, want = assert_same_report(TRACE_ZERO_NON_SUM, 2, cfg)
+            assert got.classification is want.classification is Classification.TRACE_ZERO
+            assert got.stop_reason is StopReason.STABILITY_WINDOW and len(got.rows) == 1
+            samples = span._samples(TRACE_ZERO_NON_SUM, 2, cfg)
+            raised = next(k for k, entries in enumerate(samples, 1) if tuple(entries) == got.rows[0][0])
+            assert got.samples_used == raised + 50 < want.samples_used
 
     @pytest.mark.parametrize("text", HEADLINE)
     def test_classify_json(self, text):
@@ -283,9 +329,8 @@ class TestProofStop:
             assert got.classification is Classification.TRACE_ZERO, where
             assert want.stop_reason is not StopReason.LIE_IDEAL, where
             assert want.samples_used > got.samples_used, where
-            if want.classification is not Classification.UNDETERMINED:
-                assert want.classification is got.classification, where
-                assert want.basis == got.basis, where
+            # Its proving sample already raised the class: only the stop differs.
+            assert (want.classification, want.rows) == (got.classification, got.rows), where
 
 
 class TestDimensionOne:
@@ -330,10 +375,6 @@ class TestCanonicalBasis:
         scalars = SpanBasis.from_matrices(d, [MatrixQ.identity(d).scale(7)])
         assert SpanBasis.canonical(d, Classification.SCALARS) == scalars
         assert SpanBasis.canonical(d, Classification.ZERO) == SpanBasis(d)
-
-    def test_undetermined_has_none(self):
-        with pytest.raises(ValueError):
-            SpanBasis.canonical(2, Classification.UNDETERMINED)
 
 
 class TestEchelonModP:
@@ -447,12 +488,15 @@ class TestGrowthDecisions:
 
     @pytest.mark.parametrize("battery", sorted(BATTERIES))
     def test_batteries(self, battery, flags):
+        # The rank loop runs on the reference only; every classify_span
+        # report, proved or sampled, has a shear walk.
         for f, d, cfg in BATTERIES[battery]():
-            start = len(flags)
-            report = reference_classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
-            assert all(grew == grew_q for grew, grew_q in flags[start:]), where
-            assert sum(grew for grew, _ in flags[start:]) == len(report.grown), where
+            for grown in (lambda: reference_classify_span(f, d, cfg).grown, lambda: classify_span(f, d, cfg).grown):
+                start = len(flags)
+                rows = grown()
+                assert all(grew == grew_q for grew, grew_q in flags[start:]), where
+                assert sum(grew for grew, _ in flags[start:]) == len(rows), where
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("text, d", (("[X1,X2]", 7), ("X1*X2", 8), ("[X1,X2]^2", 8)))
@@ -803,7 +847,7 @@ def battery_small_dims():
         for budget in (None, 3)
         for k, f in enumerate(polys)
     ]
-    # Two samples cannot reach its rank 3 on the rank loop: UNDETERMINED.
+    # Two samples: the budget cuts its sampled TRACE_ZERO short.
     return cases + [(TRACE_ZERO_NON_SUM, 2, SampleConfig(seed=k, max_samples=2)) for k in (0, 1)]
 
 
@@ -819,18 +863,16 @@ def witness_builds(monkeypatch):
 
 
 class TestSampledSpan:
-    """classify_span's integer rows: the proving samples or what grew the
-    rank, with grown and the witnesses unbuilt until read."""
+    """classify_span's integer rows: the samples that raised the class, with
+    grown and the witnesses unbuilt until read."""
 
     @pytest.mark.parametrize("battery", ["small-dims", "d3", "d3-rational", "budget-3"])
     def test_agrees_with_classify_span(self, battery):
         cases = battery_small_dims() if battery == "small-dims" else BATTERIES[battery]()
-        undetermined = 0
+        seen = set()
         for f, d, cfg in cases:
             got = classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
-            if got.stop_reason is not StopReason.LIE_IDEAL:
-                assert got == as_report(reference_classify_span(f, d, cfg)), where
             # scale is L, the lcm of f's denominators, and each kept and
             # grown row is (entries of t, L * f(t)) in plain integers.
             assert got.scale == math.lcm(*(Fraction(c).denominator for c in f.terms.values())), where
@@ -839,13 +881,12 @@ class TestSampledSpan:
                 assert all(type(x) is int for x in entries + vec), where
                 value = reference_evaluate(f, span._matrices(entries, d), d)
                 assert vec == tuple(got.scale * x for x in value.flatten()), where
-            if got.classification is Classification.UNDETERMINED:
-                # Reduced from integer rows, as classify_span once did from the values.
-                undetermined += 1
-                values = [value for _, value in got.witnesses]
-                assert got.basis == SpanBasis.from_matrices(d, values), where
-        # Budgets of 3 now end in proofs; the rank loop's partial spans remain.
-        assert undetermined or battery != "small-dims"
+            seen.add((got.classification, got.stop_reason))
+        # The walk grows a sampled class too: the trace-zero non-sum, cut by the budget or not.
+        assert battery != "small-dims" or {
+            (Classification.TRACE_ZERO, StopReason.STABILITY_WINDOW),
+            (Classification.TRACE_ZERO, StopReason.BUDGET_EXHAUSTED),
+        } <= seen
 
     @pytest.mark.parametrize("text", [*HEADLINE, "1/3*X1*X2 - 2/5*X2*X1", "[X1,X2]^2"])
     def test_witnesses_built_once_when_read(self, text, witness_builds):
@@ -915,7 +956,7 @@ class TestSampledSpan:
         for text in (*HEADLINE, "5"):
             for extra in ((), ("--max-samples", "3")):
                 argv = ["classify", "--poly", text, "--dim", "3", "--seed", "0", "--format", fmt, *extra]
-                assert main(argv) in (0, 64)
+                assert main(argv) == 0
                 assert capsys.readouterr().out
                 assert built == [], argv
 
@@ -938,22 +979,26 @@ class TestClassifyDocument:
 
     @pytest.mark.parametrize("battery", sorted(DOCUMENT_BATTERIES))
     def test_same_stdout_as_reference(self, battery, capsys):
-        classes, denominators = set(), False
+        classes, stops, denominators = set(), set(), False
         for f, d, cfg in DOCUMENT_BATTERIES[battery]():
             argv = ["classify", "--poly", poly_to_text(f), "--dim", str(d), "--seed", str(cfg.seed)]
             if cfg.max_samples is not None:
                 argv += ["--max-samples", str(cfg.max_samples)]
+            if cfg.coeff_bound != SampleConfig().coeff_bound:
+                argv += ["--coeff-bound", str(cfg.coeff_bound)]
             code = main(argv)
             out = capsys.readouterr().out
             report = classify_span(f, d, cfg)
             assert out == json.dumps(reference_report_doc(report), indent=2) + "\n", argv
-            assert code == (64 if report.classification is Classification.UNDETERMINED else 0), argv
+            assert code == 0, argv
             classes.add(report.classification)
+            stops.add((report.classification, report.stop_reason))
             denominators = denominators or any(
                 "/" in x for w in json.loads(out)["witnesses"] for row in w["value"] for x in row
             )
         if battery in ("small-dims", "budget-2"):
-            assert Classification.UNDETERMINED in classes
+            # A trace-zero non-sum that the budget cuts short prints its witnesses too.
+            assert (Classification.TRACE_ZERO, StopReason.BUDGET_EXHAUSTED) in stops
         if battery == "constants":
             # A nonzero constant spans the scalars, which are all of M_1.
             assert classes == {Classification.ZERO, Classification.SCALARS, Classification.FULL}
