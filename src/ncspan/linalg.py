@@ -7,25 +7,26 @@ freely in arithmetic and comparisons.
 
 A SpanBasis holds a subspace of M_d flattened row-major to length-d^2
 vectors, maintained in reduced row echelon form.  Echelon canonicality makes
-subspace equality a plain row-list comparison and membership a single
-reduction pass that reads only the pivots in a vector's support.  The four
-canonical subspaces have their reduced bases written down in closed form.
+subspace equality a plain row-list comparison and membership one dense
+reduction by the rows, each row's coefficient read off at its pivot and the
+remainder checked at the free columns.  The four canonical subspaces have
+their reduced bases written down in closed form.
 
-Every exact elimination is one routine, fraction_free_rref, over integer
-rows: bases built from a list of matrices, a matrix inserted into a basis,
-and solves all use it.  It runs forward Bareiss elimination below each
-pivot, then builds det * RREF by exact back substitution from the last
-pivot row up; every quotient is a minor of the input, so no division leaves
-a remainder and no Fraction is formed.
+Bases built from a list of matrices, a matrix inserted into a basis, and
+solves all run through one routine, fraction_free_rref, over integer rows.
+It runs forward Bareiss elimination below each pivot, then builds det * RREF
+by exact back substitution from the last pivot row up; every quotient is a
+minor of the input, so no division leaves a remainder and no Fraction is
+formed.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
 rank is a lower bound on the rank over Q, so a growth it reports is exact;
 the span classifier uses it only to keep independent shear conjugates as
-the witnesses of a class (see span._shear_closure).  A vector independent
-over Q looks dependent mod p only when p divides the minors it forms with
-the earlier growths, about once in 2^31 walks; the walk is then done again
-with EchelonQ, its exact counterpart over Q, in primitive integer rows.
+the witnesses of a class (see span._shear_closure).  The walk falls short
+only on values with a nonzero multiple of p among their entries, diagonal
+differences or traces; it is then done again with EchelonQ, a second,
+forward-only exact echelon over Q in primitive integer rows.
 """
 
 from __future__ import annotations
@@ -263,8 +264,7 @@ class SpanBasis:
     different orders from the same matrices end up identical.
     """
 
-    # _pairs, derived from rows and so no field: pivot -> the row's nonzero (index, value) pairs.
-    __slots__ = ("dim", "rows", "pivots", "_pairs")
+    __slots__ = ("dim", "rows", "pivots")
     dim: int
     rows: tuple[Vector, ...]
     pivots: tuple[int, ...]
@@ -280,8 +280,6 @@ class SpanBasis:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        pairs = {p: tuple((j, x) for j, x in enumerate(row) if x) for row, p in zip(rows, pivots)}
-        object.__setattr__(self, "_pairs", pairs)
 
     @staticmethod
     def from_matrices(dim: int, mats: Iterable[MatrixQ]) -> SpanBasis:
@@ -298,25 +296,6 @@ class SpanBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _sparse(self, m: MatrixQ) -> dict[int, Num]:
-        """The nonzero entries of m, flattened row-major, by index."""
-        if m.dim != self.dim:
-            raise DimensionMismatch(f"dimensions {m.dim} and {self.dim} differ")
-        return {i: x for i, x in enumerate(m.flatten()) if x}
-
-    def _residual(self, v: dict[int, Num]) -> dict[int, Num]:
-        """The nonzero entries (index -> entry) of v less its parts along the
-        rows; empty iff v is inside.  Row p is 1 at its pivot and 0 at every
-        other pivot, so its coefficient is v[p] itself: only the pivots in v's
-        support are read, and only those rows' nonzero pairs subtracted."""
-        out = dict(v)
-        pairs = self._pairs
-        for p, c in v.items():
-            if p in pairs:
-                for j, x in pairs[p]:
-                    out[j] = out.get(j, 0) - c * x
-        return {j: x for j, x in out.items() if x}
-
     def insert(self, m: MatrixQ) -> tuple[SpanBasis, bool]:
         """(basis, grew): self if m is inside, else the span of the rows and m
         rebuilt by from_matrices; grew is True iff the rank increased."""
@@ -325,28 +304,24 @@ class SpanBasis:
         return SpanBasis.from_matrices(self.dim, [*self.row_matrices(), m]), True
 
     def contains(self, m: MatrixQ) -> bool:
-        """Exact membership test by reduction against the basis rows."""
-        return not self._residual(self._sparse(m))
+        """Exact membership by one dense reduction of m, flattened, by the rows.
+        Row p is 1 at its pivot and 0 at every other pivot, so its coefficient
+        is m's own entry at p, and m less its parts along the rows is 0 at
+        every pivot: m is inside iff that holds at the free columns too."""
+        if m.dim != self.dim:
+            raise DimensionMismatch(f"dimensions {m.dim} and {self.dim} differ")
+        v, pivots = m.flatten(), set(self.pivots)
+        parts = [(v[p], row) for row, p in zip(self.rows, self.pivots) if v[p]]
+        return all(x == sum(c * row[j] for c, row in parts) for j, x in enumerate(v) if j not in pivots)
 
     def closed_under_units(self, units: Sequence[tuple[int, int]]) -> bool:
-        """True iff [r, E_jk] is in the span for every row r and (j, k) in units,
-        one _residual each; as in unit_commutator, r's nonzero x at (a, j) goes
-        to (a, k), and one at (k, c) is subtracted at (j, c)."""
-        d = self.dim
-        for pairs in self._pairs.values():
-            for j, k in units:
-                v = {i + k - j: x for i, x in pairs if i % d == j}
-                for i, x in pairs:
-                    if i // d == k:
-                        v[i + (j - k) * d] = v.get(i + (j - k) * d, 0) - x
-                if self._residual(v):
-                    return False
-        return True
+        """True iff [r, E_jk] is in the span for every row r and (j, k) in units."""
+        return all(self.contains(unit_commutator(r, j, k)) for r in self.row_matrices() for j, k in units)
 
     def is_subspace_of(self, other: SpanBasis) -> bool:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
-        return not any(other._residual(dict(pairs)) for pairs in self._pairs.values())
+        return all(other.contains(r) for r in self.row_matrices())
 
     def row_matrices(self) -> list[MatrixQ]:
         return [MatrixQ.unflatten(row, self.dim) for row in self.rows]
@@ -393,8 +368,8 @@ class EchelonModP:
     growth mod p certifies a growth over Q.  The rank mod p of a set of
     vectors does not depend on how they are eliminated.  The converse fails
     only when p divides the minors a new vector forms with the rows: for the
-    vector that completes a class that is one determinant, about once in
-    2^31.
+    vector that completes a class that is one determinant (span._shear_closure
+    says when its walk meets one).
 
     Vectors and rows are packed: entry k is the k-th fixed-width slot of one
     int.  Reducing by a row reads one slot and does one big-int
@@ -462,8 +437,8 @@ class EchelonModP:
 
 class EchelonQ:
     """Forward echelon over Q of integer vectors added one at a time: the
-    exact counterpart of EchelonModP, for the rare walk that a miss mod p
-    ends short (see span._shear_closure).
+    exact counterpart of EchelonModP, for a walk that a miss mod p ends
+    short (see span._shear_closure).
 
     Row k is a primitive integer vector that is 0 at the pivots of rows
     0..k-1, so reducing a vector by the rows in insertion order, v <-

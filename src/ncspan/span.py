@@ -726,11 +726,15 @@ def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
     the walk reaches its rank, whether the class is proved or sampled.
 
     Growth is tested mod p (see EchelonModP): a growth mod p certifies
-    independence over Q.  Only a mod-p miss can end the walk short, say a
-    non-scalar value that is scalar mod p, which every conjugate then is
-    too.  The walk is then done again with exact tests over Q (EchelonQ),
-    which the argument above carries to the rank: a cost met about once
-    in 2^31 walks, about 6 s at d = 16 against 0.2 s mod p.
+    independence over Q.  The argument above holds over F_p too (2 is
+    invertible, and for p > d the Lie ideals of gl_d(F_p) are the four
+    canonical spaces), so the walk mod p keeps the rank of the seeds' class
+    mod p.  It ends short exactly when that class is below their class over
+    Q, which needs a seed entry, diagonal difference or trace that is a
+    nonzero multiple of p: never when d * max|entry| < p, and every time
+    for 2147483647*[X1,X2].  The walk is then done again with exact tests
+    over Q (EchelonQ), which the argument carries to the rank: at d = 8,
+    45-48 ms against 4-5 ms mod p (Python 3.11 on a 2-CPU host).
     """
     kept = _walk(seeds, d, rank, EchelonModP().insert)
     if len(kept) < rank:

@@ -1,15 +1,15 @@
 """The Chevalley-generator Lie checks against the all-units references.
 
 lie_ideal_check brackets only with the 2(d - 1) units E_{i,i+1} and
-E_{i+1,i}, product-free, through SpanBasis.closed_under_units, and
+E_{i+1,i}, through unit_commutator in SpanBasis.closed_under_units, and
 herstein_closure brackets with none: it returns its canonical space in
 closed form.  These tests require the same verdicts and closures as the
 bodies kept in helpers, which bracket with all d^2 matrix units through
 commutator and close under products by a fixpoint, and pin the bracket
-helper and the number of membership tests.  The sparse membership
-path, SpanBasis._residual, and the sparse bracket of
-SpanBasis.closed_under_units are checked against the dense reduction kept in
-helpers and unit_commutator.
+helper and the number of membership tests.  SpanBasis.contains, the one
+membership path, and insert, is_subspace_of and closed_under_units,
+which reduce through it, are checked against the reduction kept in
+helpers.
 """
 
 import random
@@ -131,11 +131,11 @@ class TestLieIdealDifferential:
 class TestLieIdealCount:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_membership_tests_per_row(self, d, monkeypatch):
-        # _residual is the one membership path: contains, insert, is_subspace_of
-        # and lie_ideal_check all reduce through it.
+        # contains is the one membership path: insert, is_subspace_of,
+        # closed_under_units and lie_ideal_check all reduce through it.
         calls = []
-        real = SpanBasis._residual
-        monkeypatch.setattr(SpanBasis, "_residual", lambda self, v: calls.append(v) or real(self, v))
+        real = SpanBasis.contains
+        monkeypatch.setattr(SpanBasis, "contains", lambda self, m: calls.append(m) or real(self, m))
         for cls in CANONICAL:
             basis = SpanBasis.canonical(d, cls)
             calls.clear()
@@ -174,7 +174,7 @@ def _targets(rng, basis):
 
 
 class TestResidualDifferential:
-    """contains, insert and is_subspace_of against the dense reduction."""
+    """contains, insert and is_subspace_of against the reduction in helpers."""
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_agrees_with_reference(self, d):

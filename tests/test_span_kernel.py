@@ -303,6 +303,24 @@ class TestLieIdealStop:
             assert reference_evaluate(f, args, d) == value
         assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == report.basis
 
+    @pytest.mark.parametrize("seed", (0, 7919))
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize(
+        "text, kept_mod_p",
+        ((f"{PRIME}*[X1,X2]", 0), (f"{PRIME}*X1*X2", 0), (f"1 + {PRIME}*[X1,X2]", 1)),
+    )
+    def test_multiples_of_p_take_the_exact_walk(self, text, kept_mod_p, d, seed):
+        # Every value is 0, or I, mod p, so the mod-p walk keeps that class's
+        # rank, below the class over Q, and the exact walk reaches the rank.
+        f = parse_poly(text)
+        report = classify_span(f, d, SampleConfig(seed=seed))
+        canonical = SpanBasis.canonical(d, report.classification)
+        assert len(span._walk(report.rows, d, canonical.rank, EchelonModP().insert)) == kept_mod_p < canonical.rank
+        assert len(report.grown) == canonical.rank
+        for args, value in report.witnesses:
+            assert reference_evaluate(f, args, d) == value
+        assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == canonical
+
 
 class TestProofStop:
     """The commutator-sum half of the Lie-ideal stop against the

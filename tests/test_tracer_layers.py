@@ -3,7 +3,8 @@
 perfbench/tracer.py wraps ncspan's entry points by name, so a rename or a
 second path beside an entry point silences its layer without failing.  The
 tracer is loaded from its file, unchanged, and every layer it names must
-resolve; classify, suite and decompose must each be seen classifying.
+resolve; classify, suite and decompose must each be seen classifying, and
+the library's Lie check testing membership.
 """
 
 import importlib
@@ -58,3 +59,14 @@ def test_commands_show_classify_span(argv, tracer_module, capsys):
     # The wrapping is undone on exit.
     assert not hasattr(ncspan.cli.main, "__wrapped__")
     assert not hasattr(ncspan.cli.classify_span, "__wrapped__")
+
+
+def test_lie_ideal_check_shows_contains(tracer_module):
+    # No command runs the Lie check, so it is called as a library function:
+    # through the package attribute, which the tracer replaces.  Each of the
+    # 8 rows of sl_3 is bracketed with the 2(d - 1) = 4 Chevalley units.
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        assert ncspan.lie_ideal_check(ncspan.SpanBasis.canonical(3, ncspan.Classification.TRACE_ZERO))
+    assert tracer.calls["span.lie_ideal_check"] == 1
+    assert tracer.calls["linalg.SpanBasis.contains"] == 32
