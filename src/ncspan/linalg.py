@@ -120,15 +120,6 @@ class MatrixQ:
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "rows", rows)
 
-    @staticmethod
-    def _of(rows: tuple[tuple[Num, ...], ...]) -> MatrixQ:
-        """The matrix with these rows, unchecked: for callers that built them
-        as a nonempty tuple of d tuples of d entries each."""
-        m = object.__new__(MatrixQ)
-        object.__setattr__(m, "dim", len(rows))
-        object.__setattr__(m, "rows", rows)
-        return m
-
     # -- constructors -------------------------------------------------------
 
     @staticmethod

@@ -25,18 +25,16 @@ _shear_closure).  suite prints no witness, classify writes each one as text
 straight from the integer rows, and decompose solves on the integer rows
 and returns the witness tuples.
 
-Every sampled verdict reads one seeded stream of integer values: the
-classifier tests each value against its class so far, and one pass
-decides identity and centrality, stopping at the first non-scalar value.
+Every sampled verdict reads one seeded stream of integer entries, the
+values randint(-B, B) gives one by one (see _samples): the classifier
+tests each value of f against its class so far, and one pass decides
+identity and centrality, stopping at the first non-scalar value.
 Both verdicts are exact for multilinear polynomials (tuples of matrix
 units suffice) and randomized otherwise, under one polynomial-vanishing
 error bound (vanishing_rate, in factored form).
 
 The sampling kernel does a whole row's work per Python-level step:
 
-- the entries come from one getrandbits call per batch, read through a
-  byte table; they are exactly the values randint(-B, B) would give one by
-  one (see _entry_stream), with randint itself for B > 127;
 - the polynomial is compiled once per verdict, or per suite entry (see
   _evaluator), through the minimal DAG of its words (see _compile): a
   subterm that many words share is computed once per sample, and the
@@ -421,14 +419,10 @@ def _unscaled(vec: list[int], d: int, scale: int) -> MatrixQ:
 
 
 def _matrices(entries: Sequence[int], d: int) -> tuple[MatrixQ, ...]:
-    """The d x d matrices whose row-major entries follow each other in entries.
-
-    Rows are consecutive d-tuples of entries and matrices consecutive
-    d-tuples of rows (zip over d references to one iterator), so each is
-    well formed and goes to MatrixQ._of unchecked.
-    """
+    """The d x d matrices whose row-major entries follow each other in
+    entries: consecutive d-tuples of rows of consecutive d-tuples of entries."""
     rows = zip(*[iter(entries)] * d)
-    return tuple(map(MatrixQ._of, zip(*[rows] * d)))
+    return tuple(map(MatrixQ, zip(*[rows] * d)))
 
 
 def evaluate(
@@ -468,62 +462,22 @@ def evaluate(
     return _unscaled(ev(entries), d, scale * den**deg)
 
 
-@functools.cache
-def _byte_tables(bound: int) -> tuple[bytes, bytes]:
-    """(table, rejected) for _entry_stream at a bound of at most 127.
-
-    table maps a word's top byte to r - B as a signed byte, where r is its
-    top k bits; rejected lists the bytes with r >= 2B + 1.
-    """
-    n = 2 * bound + 1
-    k = n.bit_length()
-    table = bytes(((b >> (8 - k)) - bound) & 0xFF for b in range(256))
-    rejected = bytes(b for b in range(256) if b >> (8 - k) >= n)
-    return table, rejected
-
-
-def _entry_stream(rng: random.Random, bound: int) -> Callable[[int], list[int]]:
-    """draw(m): the next m values that m calls of rng.randint(-bound, bound) give.
-
-    randint(-B, B) returns r - B for the top k bits r of one 32-bit
-    Mersenne Twister word, k the bit length of n = 2B + 1, drawing again
-    while r >= n.  getrandbits(32 * m) returns m such words, the first one
-    least significant, so byte 3 of every 4 of its little-endian bytes is a
-    word's top byte.  When k <= 8 a 256-entry translation maps that byte to
-    r - B (as a signed byte) and deletes the rejected ones: the same values
-    in the same order.  Unused values wait in a buffer for the next draw,
-    which is exact as long as nothing else reads rng.  For n > 256 every
-    value is drawn with randint.
-    """
-    n = 2 * bound + 1
-    k = n.bit_length()
-    if k > 8:
-        return lambda m: [rng.randint(-bound, bound) for _ in range(m)]
-    table, rejected = _byte_tables(bound)
-    buf = b""
-
-    def draw(m: int) -> list[int]:
-        nonlocal buf
-        while len(buf) < m:
-            # A word is kept with probability n / 2^k > 1/2.
-            words = ((m - len(buf)) << k) // n + 8
-            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-            buf += raw[3::4].translate(table, rejected)
-        out, buf = buf[:m], buf[m:]
-        return memoryview(out).cast("b").tolist()
-
-    return draw
-
-
 def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
     """The seeded argument tuples that every sampled verdict reads and
     evaluates with f's _evaluator: samples_for(d) lists of the row-major
-    entries of random integer matrices, X1's, then X2's, ...: those that
-    randint(-B, B) would give one by one."""
-    draw = _entry_stream(random.Random(cfg.seed), cfg.coeff_bound)
-    size = f.nvars * d * d
+    entries of random integer matrices, X1's, then X2's, ...
+
+    The entries are the values randint(-B, B) gives one by one, by its own
+    rule (Random._randbelow_with_getrandbits, the same on Python 3.10-3.13):
+    r - B for the first r = getrandbits(k) below n = 2B + 1, k the bit
+    length of n.  Read lazily, rng reads exactly the words randint would.
+    """
+    bound = cfg.coeff_bound
+    n = 2 * bound + 1
+    words = map(random.Random(cfg.seed).getrandbits, itertools.repeat(n.bit_length()))
+    values = (r - bound for r in words if r < n)
     for _ in range(cfg.samples_for(d)):
-        yield draw(size)
+        yield list(itertools.islice(values, f.nvars * d * d))
 
 
 def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:

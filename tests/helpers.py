@@ -114,8 +114,9 @@ def standard_polynomial(n: int) -> NcPoly:
 def random_matrix(rng: random.Random, d: int, bound: int) -> MatrixQ:
     """d x d matrix with integer entries uniform in [-bound, bound], by randint.
 
-    Draws entry by entry, as the sample stream of ncspan.span is specified
-    to, so the references sample independently of the bulk draw.
+    Draws entry by entry with randint itself, so the references sample
+    independently of ncspan.span._samples, which reads the same values by
+    randint's rule without calling it.
     """
     return MatrixQ(
         [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]

@@ -10,7 +10,7 @@ two samples; and, for a span of scalars or zero, the loop's report field
 for field.  They hold the commutator-sum half of the stop to the
 window-only rule, pin the closed-form bases and d = 1, and replay every
 growth decision of the loop and of the shear closure over Q.
-The packed stages of the kernel (bulk draw, packed evaluation, packed
+The stages of the kernel (the sample stream, packed evaluation, packed
 mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
 and the word-DAG evaluator to the word-by-word loop kept in helpers.
 """
@@ -551,17 +551,10 @@ class TestGrowthDecisions:
         assert flags == {True, False}
 
 
-class TestBulkDraw:
-    @pytest.mark.parametrize("bound", (1, 10, 127, 128, 1000))
-    def test_matches_randint_stream(self, bound):
-        for seed in (0, 7919):
-            draw = span._entry_stream(random.Random(seed), bound)
-            ref = random.Random(seed)
-            for m in (0, 1, 7, 3, 64, 2, 129, 0, 5, 300, 11, 1000, 1):
-                assert draw(m) == [ref.randint(-bound, bound) for _ in range(m)], (seed, m)
-
-    @pytest.mark.parametrize("bound", (1, 3, 127, 128))
+class TestSampleStream:
+    @pytest.mark.parametrize("bound", (1, 3, 10, 127, 128, 1000, 2**31 - 1, 2**31, 2**40))
     def test_samples_match_random_matrices(self, bound):
+        # At 2**31 and 2**40 each draw is getrandbits(33) or (42): two 32-bit words.
         f = parse_poly("X1*X2*X3 - 2*X3")
         cfg = SampleConfig(seed=bound, coeff_bound=bound, max_samples=40)
         for d in (1, 3):
@@ -569,6 +562,8 @@ class TestBulkDraw:
             for entries in span._samples(f, d, cfg):
                 want = tuple(random_matrix(ref, d, bound) for _ in range(3))
                 assert span._matrices(entries, d) == want
+            # A constant has no variables, so every sample is empty.
+            assert list(span._samples(parse_poly("5"), d, cfg)) == [[]] * 40
 
 
 class TestPackedEvaluation:
