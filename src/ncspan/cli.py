@@ -25,7 +25,7 @@ import math
 import os
 import sys
 
-from .linalg import Classification, DimensionMismatch, NotInSpan, _cleared
+from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan
 from .linearize import (
     NotReducible,
     OracleFailed,
@@ -282,16 +282,9 @@ def _cmd_decompose(args) -> int:
             )
         )
         return EXIT_NEGATIVE
-    # The check re-evaluates f at every tuple and sums in integers: rows are
-    # L * f(t_k) and L * target for one L, coefficients den * lam_k.
-    values = [evaluate(f, tup, dim=args.dim).flatten() for _, tup in terms]
-    _, rows = _cleared([*values, target.flatten()])
-    want = rows.pop()
-    den = math.lcm(*(lam.denominator for lam, _ in terms))
-    coeffs = [lam.numerator * (den // lam.denominator) for lam, _ in terms]
-    verified = all(
-        sum(c * row[j] for c, row in zip(coeffs, rows)) == den * x for j, x in enumerate(want)
-    )
+    # The check re-evaluates f at every tuple and sums the terms exactly.
+    values = (evaluate(f, tup, dim=args.dim).scale(lam) for lam, tup in terms)
+    verified = sum(values, MatrixQ.zero(args.dim)) == target
     _emit(
         _doc(
             f,

@@ -163,17 +163,11 @@ class MatrixQ:
         return sum(self.rows[i][i] for i in range(self.dim))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return Classification.ZERO.contains(self.flatten(), self.dim)
 
     def is_scalar(self) -> bool:
         """True iff self is a scalar multiple of the identity."""
-        d = self.dim
-        lam = self.rows[0][0]
-        return all(
-            self.rows[i][j] == (lam if i == j else 0)
-            for i in range(d)
-            for j in range(d)
-        )
+        return Classification.SCALARS.contains(self.flatten(), self.dim)
 
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(x) for x in row) for row in self.rows)

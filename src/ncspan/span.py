@@ -39,7 +39,9 @@ The sampling kernel does a whole row's work per Python-level step:
   _evaluator), through the minimal DAG of its words (see _compile): a
   subterm that many words share is computed once per sample, and the
   arguments of letters that lead to the same subterm are summed before
-  one product, so (X1+X2)^5 costs 4 matrix products, not 128;
+  one product, so (X1+X2)^5 costs 4 matrix products, not 128; the root
+  closes by the same rule as every node, into one step, or none for a
+  constant, and the value is its rows packed once, times one factor;
 - each matrix row is one int with the row's entries in fixed-width
   slots, sized from a proved bound on every entry of the value (see
   _packed_evaluator), so no value is ever wrong, only wider, and the
@@ -197,10 +199,10 @@ _SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 @functools.lru_cache(maxsize=16)
 def _slots(d: int, width: int) -> tuple:
-    """(cols, rows_at, eye, offset, unpack) for d x d matrices in width-byte slots.
+    """(cols, rows_at, offset, unpack) for d x d matrices in width-byte slots.
 
-    cols[c] is 1 in slot c of a packed row, and rows_at[i] puts a packed
-    row at row i of a packed matrix; eye is the packed identity.  Adding
+    cols[c] is 1 in slot c of a packed row, so cols is I's rows, and
+    rows_at[i] puts a packed row at row i of a packed matrix.  Adding
     offset makes every slot nonnegative without borrows, and xor-ing it
     back flips each slot's top bit, leaving its two's-complement value.
     unpack is one little-endian struct for the widths that have a code.
@@ -208,23 +210,21 @@ def _slots(d: int, width: int) -> tuple:
     bits = 8 * width
     cols = tuple(1 << (bits * c) for c in range(d))
     rows_at = tuple(1 << (bits * d * i) for i in range(d))
-    eye = sum(1 << (bits * (d + 1) * i) for i in range(d))
     offset = sum(1 << (bits * k + bits - 1) for k in range(d * d))
     code = _SIGNED_SLOTS.get(width)
-    return cols, rows_at, eye, offset, struct.Struct(f"<{d * d}{code}").unpack if code else None
+    return cols, rows_at, offset, struct.Struct(f"<{d * d}{code}").unpack if code else None
 
 
 def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
-    """(const, root, steps, sums, nvars): sum c * w over terms as a program
-    on packed rows, compiled through the minimal DAG of its words.
+    """((g, v), steps, sums, nvars): sum c * w over terms as a program on
+    packed rows, compiled through the minimal DAG of its words.
 
     Per sample, rows holds the d rows of each of X1..X_nvars (X_x's first
     is row (x - 1) * d), then those of each sum of letters in sums, given
     by the offsets of the letters' entries.  vals[0] is I, and steps[i]
     appends vals[i + 1]: a step (k, v, None) is rows k..k+d-1 times
     vals[v], and a step (c, None, parts) is c * I plus g * (rows k..) *
-    vals[v] for each (g, k, v) in parts.  The sum is const * I plus
-    g * vals[v] for each (g, v) in root.
+    vals[v] for each (g, k, v) in parts.  The sum is g * vals[v].
 
     A node of the DAG stands for the polynomial c + sum x * child over its
     (letter x, child) edges: a path from the root spells a word, and c at
@@ -237,12 +237,14 @@ def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
     computes it, or found among the steps already made.  So memory is the
     program plus one word.
 
-    A closed node's value is g * vals[v]: the letters that lead to one
-    child value are summed before the one product, a leaf child is c * I,
-    so its product only packs rows, and each step is divided by the gcd of
-    its scalars, so that values equal up to an integer factor share it,
-    and a chain of single letters carries its coefficient to the root, as
-    when each word was multiplied out.
+    Every node, the root too, closes by one rule into g * vals[v]: a leaf
+    is c * I, the letters that lead to one child value are summed before
+    the one product, so a leaf child's product only packs rows, and each
+    step is divided by the gcd of its scalars, so that values equal up to
+    an integer factor share it, and a chain of single letters carries its
+    coefficient to the root, as when each word was multiplied out.  So a
+    constant is (c, 0) with no step, and a root of several parts is one
+    step.
     """
     n = d * d
     nvars = max((max(w) for w, _ in terms if w), default=0)
@@ -276,26 +278,27 @@ def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
             out.append((g, k, v))
         return out
 
+    def node(c: int, edges: list) -> tuple[int, int]:
+        """(g, v) with g * vals[v] the value of the node c + sum x * child."""
+        if not edges:
+            return c, 0
+        if len(edges) == 1 and not c:
+            (x, (g, v)), = edges
+            return g, step(((x - 1) * d, v, None))
+        ps = parts(edges)
+        g = math.gcd(c, *(h for h, _, _ in ps))
+        g = -g if (c or ps[0][0]) < 0 else g
+        if len(ps) == 1 and not c:
+            _, k, v = ps[0]
+            return g, step((k, v, None))
+        if g != 1:
+            c, ps = c // g, [(h // g, k, v) for h, k, v in ps]
+        return g, step((c, None, tuple(ps)))
+
     def close(depth: int) -> None:
         """Close the open nodes below depth into (letter, (g, v)) edges of their parents."""
         for i in range(len(path) - 1, depth, -1):
-            c, edges = path.pop()
-            if not edges:
-                value = (c, 0)
-            elif len(edges) == 1 and not c:
-                (x, (g, v)), = edges
-                value = (g, step(((x - 1) * d, v, None)))
-            else:
-                ps = parts(edges)
-                g = math.gcd(c, *(h for h, _, _ in ps))
-                g = -g if (c or ps[0][0]) < 0 else g
-                if len(ps) == 1 and not c:
-                    _, k, v = ps[0]
-                    value = (g, step((k, v, None)))
-                else:
-                    if g != 1:
-                        c, ps = c // g, [(h // g, k, v) for h, k, v in ps]
-                    value = (g, step((c, None, tuple(ps))))
+            value = node(*path.pop())
             path[-1][1].append((prev[i - 1], value))
 
     # The open nodes as [c, edges], root first: the node at depth i has an
@@ -313,9 +316,7 @@ def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
         path[-1][0] = c
         prev = word
     close(0)
-    const, edges = path[0]
-    root = [(g, step((k, v, None))) for g, k, v in parts(edges)]
-    return const, root, steps, sums, nvars
+    return node(*path[0]), steps, sums, nvars
 
 
 def _packed_evaluator(
@@ -330,9 +331,9 @@ def _packed_evaluator(
     the letters x that lead to one child summed before the product.  It
     runs on packed rows: a row is one int holding its d entries in
     fixed-width slots, so a product A * P is d C-level sums of A's entries
-    times P's rows.  The root's products are packed into one int of d^2
-    slots and decoded once, by one little-endian struct for 1-, 2-, 4- and
-    8-byte slots, else slot by slot.
+    times P's rows.  The root's d rows, times its factor, are packed into
+    one int of d^2 slots and decoded once, by one little-endian struct for
+    1-, 2-, 4- and 8-byte slots, else slot by slot.
 
     Why merged nodes and summed letters stay exact: packing is a ring map
     Z[t] -> Z, t -> 2^s, and both are the distributive law, so every step
@@ -347,9 +348,8 @@ def _packed_evaluator(
     top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
     # Bytes per slot: a power of two with room for the sign.
     width = 1 << ((top.bit_length() + 8) // 8 - 1).bit_length()
-    cols, rows_at, eye, offset, unpack = _slots(d, width)
-    const, root, steps, sums, nvars = _compile(terms, d)
-    const *= eye
+    cols, rows_at, offset, unpack = _slots(d, width)
+    (factor, root), steps, sums, nvars = _compile(terms, d)
     size = nvars * n
 
     def ev(entries: Sequence[int]) -> list[int]:
@@ -370,9 +370,7 @@ def _packed_evaluator(
                 p = vals[u]
                 acc = [a + g * sum(map(mul, r, p)) for a, r in zip(acc, rows[j : j + d])]
             vals.append(acc)
-        total = const
-        for g, v in root:
-            total += g * sum(map(mul, vals[v], rows_at))
+        total = factor * sum(map(mul, vals[root], rows_at))
         data = ((total + offset) ^ offset).to_bytes(n * width, "little")
         if unpack:
             return list(unpack(data))
@@ -524,15 +522,15 @@ def vanishing_rate(
     probability at most p = k / (2B + 1), independently in each of the n
     samples; p is capped at 1.  It bounds both verdicts, which read f's
     own samples: a wrong one misses a nonzero entry, off-diagonal entry or
-    diagonal difference of f, each of degree at most deg f.  Exact
-    (multilinear) tests have p = 0.  The bound stays factored because
-    p ** n can have thousands of digits.
+    diagonal difference of f, each of degree at most deg f.  The tests
+    are exact, p = 0, when f is multilinear, the rule by which _values
+    walks units (zero and constants are multilinear).  The bound stays
+    factored because p ** n can have thousands of digits.
     """
     n = cfg.samples_for(d)
-    deg = f.degree()
-    if f.is_zero() or f.is_multilinear() or deg == 0:
+    if f.is_multilinear():
         return Fraction(0), n
-    return min(Fraction(deg, 2 * cfg.coeff_bound + 1), Fraction(1)), n
+    return min(Fraction(f.degree(), 2 * cfg.coeff_bound + 1), Fraction(1)), n
 
 
 def _verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool]:

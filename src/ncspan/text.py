@@ -45,6 +45,12 @@ class ParseError(Exception):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, message: str, text: str, offset: int) -> ParseError:
+        """The error at text[offset], its line and column counted from the text."""
+        line = text.count("\n", 0, offset) + 1
+        return cls(message, line, offset - text.rfind("\n", 0, offset))
+
 
 class ExponentNegative(ParseError):
     """Exponents must be literal nonnegative integers."""
@@ -83,40 +89,34 @@ _TOKEN_RE = re.compile(r"X(\d+)|(\d+)|([+\-*/^()\[\],])|(\s+)|(.)")
 class _Token(NamedTuple):
     kind: str  # 'var' | 'int' | single-char operator | 'end'
     value: object
-    line: int
-    col: int
+    offset: int  # into the text; a ParseError counts its line and column
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
     for m in _TOKEN_RE.finditer(text):
         var, num, op, ws, bad = m.groups()
+        at = m.start()
         if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", line, col)
+            raise ParseError.at(f"unexpected character {bad!r}", text, at)
         if ws is None:
             digits = var if var is not None else num
             if digits is None:
-                tokens.append(_Token(op, op, line, col))
+                tokens.append(_Token(op, op, at))
             else:
                 try:
                     value = int(digits)
                 except ValueError:  # more digits than int() converts
-                    raise ParseError(f"number too long ({len(digits)} digits)", line, col) from None
-                tokens.append(_Token("var" if var is not None else "int", value, line, col))
-        chunk = m.group(0)
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-    tokens.append(_Token("end", None, line, col))
+                    message = f"number too long ({len(digits)} digits)"
+                    raise ParseError.at(message, text, at) from None
+                tokens.append(_Token("var" if var is not None else "int", value, at))
+    tokens.append(_Token("end", None, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -132,9 +132,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {self._describe(tok)}", tok.line, tok.col
-            )
+            raise self._error(f"expected {kind!r}, found {self._describe(tok)}", tok)
         return self.advance()
 
     @staticmethod
@@ -145,26 +143,26 @@ class _Parser:
             return f"'X{tok.value}'"
         return repr(str(tok.value))
 
-    @staticmethod
-    def _checked(op: _Token, terms: int, degree: int) -> tuple[int, int]:
+    def _error(self, message: str, tok: _Token) -> ParseError:
+        return ParseError.at(message, self.text, tok.offset)
+
+    def _checked(self, op: _Token, terms: int, degree: int) -> tuple[int, int]:
         """(terms, degree) of the expansion op makes, if within the limits."""
         if not degree:
             terms = min(terms, 1)  # a constant is one term
         if terms > _MAX_TERMS:
-            raise ParseError(f"expansion has more than {_MAX_TERMS} terms", op.line, op.col)
+            raise self._error(f"expansion has more than {_MAX_TERMS} terms", op)
         if degree > _MAX_DEGREE:
-            raise ParseError(f"expansion has degree above {_MAX_DEGREE}", op.line, op.col)
+            raise self._error(f"expansion has degree above {_MAX_DEGREE}", op)
         if terms * degree > _MAX_LETTERS:
-            raise ParseError(f"expansion has more than {_MAX_LETTERS} letters", op.line, op.col)
+            raise self._error(f"expansion has more than {_MAX_LETTERS} letters", op)
         return terms, degree
 
     def parse(self) -> NcPoly:
         expansion = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(
-                f"unexpected trailing {self._describe(tok)}", tok.line, tok.col
-            )
+            raise self._error(f"unexpected trailing {self._describe(tok)}", tok)
         return expansion.build()
 
     def expr(self) -> _Expansion:
@@ -207,19 +205,15 @@ class _Parser:
             caret = self.advance()
             tok = self.peek()
             if tok.kind == "-":
-                raise ExponentNegative(
-                    "exponent must be a nonnegative integer", tok.line, tok.col
-                )
+                message = "exponent must be a nonnegative integer"
+                raise ExponentNegative.at(message, self.text, tok.offset)
             if tok.kind != "int":
-                raise ParseError(
-                    f"expected exponent after '^', found {self._describe(tok)}",
-                    caret.line,
-                    caret.col,
-                )
+                found = self._describe(tok)
+                raise self._error(f"expected exponent after '^', found {found}", caret)
             self.advance()
             k = tok.value
             if k > _MAX_EXPONENT:
-                raise ParseError(f"exponent above {_MAX_EXPONENT}", caret.line, caret.col)
+                raise self._error(f"exponent above {_MAX_EXPONENT}", caret)
             terms, degree = self._checked(caret, base.terms**k, base.degree * k)
             return _Expansion(terms, degree, lambda: base.build() ** k)
         return base
@@ -231,13 +225,13 @@ class _Parser:
         if tok.kind == "var":
             self.advance()
             if tok.value < 1:
-                raise ParseError("variable index must be >= 1", tok.line, tok.col)
+                raise self._error("variable index must be >= 1", tok)
             if tok.value > _MAX_VARIABLE:
-                raise ParseError(f"variable index above {_MAX_VARIABLE}", tok.line, tok.col)
+                raise self._error(f"variable index above {_MAX_VARIABLE}", tok)
             return _built(NcPoly.variable(tok.value))
         if tok.kind in ("(", "["):
             if self.depth == _MAX_NESTING:
-                raise ParseError(f"nesting deeper than {_MAX_NESTING}", tok.line, tok.col)
+                raise self._error(f"nesting deeper than {_MAX_NESTING}", tok)
             self.depth += 1
             self.advance()
             left = self.expr()
@@ -257,11 +251,8 @@ class _Parser:
                 return a * b - b * a
 
             return _Expansion(2 * terms, degree, build)
-        raise ParseError(
-            f"expected a number, variable, '(' or '[', found {self._describe(tok)}",
-            tok.line,
-            tok.col,
-        )
+        found = self._describe(tok)
+        raise self._error(f"expected a number, variable, '(' or '[', found {found}", tok)
 
     def rational(self) -> Fraction:
         sign = 1
@@ -271,17 +262,13 @@ class _Parser:
             tok = self.peek()
             sign = -1
             if tok.kind != "int":
-                raise ParseError(
-                    f"expected a number after '-', found {self._describe(tok)}",
-                    tok.line,
-                    tok.col,
-                )
+                raise self._error(f"expected a number after '-', found {self._describe(tok)}", tok)
         num = self.expect("int").value
         if self.peek().kind == "/":
             self.advance()
             den_tok = self.expect("int")
             if den_tok.value == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+                raise self._error("zero denominator", den_tok)
             return Fraction(sign * num, den_tok.value)
         return Fraction(sign * num)
 

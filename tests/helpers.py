@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from ncspan import (
     Classification,
@@ -28,7 +29,7 @@ from ncspan import (
 )
 from ncspan.cli import _doc, _exclusion_flags
 from ncspan.linalg import EchelonModP
-from ncspan.text import format_scalar
+from ncspan.text import _TOKEN_RE, ParseError, format_scalar
 
 
 def random_word(rng: random.Random, nvars: int, max_len: int, min_len: int = 0):
@@ -206,6 +207,43 @@ def reference_commutator_obstruction(f: NcPoly):
         sums[label] = sums.get(label, 0) + coeff
     offending = [w for w, c in sums.items() if c]
     return min(offending, key=lambda w: (len(w), w)) if offending else None
+
+
+class ReferenceToken(NamedTuple):
+    kind: str
+    value: object
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> list[ReferenceToken]:
+    """The tokenizer that kept a running line and column, which text._tokenize
+    replaced with offsets: each token's position is counted as it is met."""
+    tokens = []
+    line, col = 1, 1
+    for m in _TOKEN_RE.finditer(text):
+        var, num, op, ws, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", line, col)
+        if ws is None:
+            digits = var if var is not None else num
+            if digits is None:
+                tokens.append(ReferenceToken(op, op, line, col))
+            else:
+                try:
+                    value = int(digits)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"number too long ({len(digits)} digits)", line, col) from None
+                tokens.append(ReferenceToken("var" if var is not None else "int", value, line, col))
+        chunk = m.group(0)
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+    tokens.append(ReferenceToken("end", None, line, col))
+    return tokens
 
 
 def reference_packed_evaluator(terms, d: int, bound: int):

@@ -138,7 +138,7 @@ class TestAgainstReference:
             assert_same_decompositions(report, rng, count=3 if d < 5 else 1)
 
     @pytest.mark.parametrize("max_samples", (3, 20))
-    def test_undetermined_reports(self, max_samples):
+    def test_reference_partial_spans(self, max_samples):
         # The rank loop's partial spans, which only its reference still
         # leaves: express_in_terms on their rows against the Fraction solve.
         rng = random.Random(max_samples)

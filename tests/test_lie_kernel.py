@@ -115,7 +115,7 @@ class TestLieIdealDifferential:
             basis = classify_span(battery_poly(rng), 3, SampleConfig(seed=0)).basis
             assert lie_ideal_check(basis) == reference_lie_ideal_check(basis)
 
-    def test_undetermined_reports(self):
+    def test_reference_partial_spans(self):
         rng = random.Random(3)
         polys = [parse_poly(text) for text in ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")]
         polys += [random_poly(rng, nvars=2, max_degree=3) for _ in range(6)]

@@ -455,6 +455,18 @@ class TestVanishingBound:
         # A per-sample rate of 1 or more is capped at 1.
         assert vanishing_rate(HALL, 2, SampleConfig(coeff_bound=1)) == (1, 256)
 
+    def test_exact_iff_multilinear(self):
+        # One rule: the bound is 0 exactly where _values walks units, and
+        # zero and constants count as multilinear.
+        rng = random.Random(31)
+        polys = [battery_poly(rng) for _ in range(40)]
+        polys += [random_multilinear(rng, n) for n in (1, 2, 3) for _ in range(3)]
+        polys += [parse_poly(text) for text in ("0", "5", "X1*X1", "X1*X2*X1")]
+        assert {f.is_multilinear() for f in polys} == {True, False}
+        for f in polys:
+            for d in (1, 2, 3):
+                assert (vanishing_rate(f, d)[0] == 0) is f.is_multilinear(), (poly_to_text(f), d)
+
 
 # Small polynomials on X1..X3, constants among them, and their brackets,
 # so that every class turns up.

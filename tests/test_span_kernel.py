@@ -668,7 +668,10 @@ class TestPackedEvaluation:
     def test_dag_matches_reference_every_slot_width(self):
         # Bounds that need 1, 2, 4, 8 and 16 bytes per slot, as above.
         rng = random.Random(300)
-        polys = [parse_poly(text) for text in ("X1*X2 - 3*X2*X1*X2 + X1 - 2", "X1*X2 + 2*X3*X2", "(X1+X2)^3 - 1")]
+        texts = ("X1*X2 - 3*X2*X1*X2 + X1 - 2", "X1*X2 + 2*X3*X2", "(X1+X2)^3 - 1")
+        # Three signed root parts and a constant, and a constant alone.
+        texts += ("-1*X1 + 2*X2 - 3*X3 + 5", "-7")
+        polys = [parse_poly(text) for text in texts]
         widths = set()
         for bound in (1, 10, 1000, 10**6, 10**12):
             for d in (1, 2, 3):
@@ -680,23 +683,32 @@ class TestPackedEvaluation:
         assert widths == {1, 2, 4, 8, 16}
 
     def test_shared_structure_is_computed_once(self):
-        def steps(f, d):
+        def compiled(f, d):
             _, terms = span._integer_terms(parse_poly(f) if isinstance(f, str) else f)
-            _, _, steps, _, _ = span._compile(terms, d)
-            return len(steps)
+            root, steps, _, _ = span._compile(terms, d)
+            return root, len(steps)
 
+        def steps(f, d):
+            return compiled(f, d)[1]
+
+        # The root closes like any node: its parts are one step that sums
+        # them, or no step when it is a constant (g * vals[0] = g * I).
         # (X1+X2)^k: one pack and k - 1 products, not 2^k (k - 1) products.
         for k in range(1, 9):
             assert steps(f"(X1+X2)^{k}", 3) == k
-        # X1*X2 + 2*X3*X2: X2 is packed once for both words.
-        assert steps("X1*X2 + 2*X3*X2", 3) == 3
+        # X1*X2 + 2*X3*X2: X2 is packed once for both words, and the root
+        # is one step of two parts.
+        assert steps("X1*X2 + 2*X3*X2", 3) == 2
         # 2^8 words of length 24, and 5 steps a factor: two products down
-        # each of X1^3 and X2^3 below it, then one step for the sum.
-        assert steps("(X1^3+X2^3)^8", 2) == 5 * 8 + 1
+        # each of X1^3 and X2^3 below it; the root's sum is the last factor's.
+        assert steps("(X1^3+X2^3)^8", 2) == 5 * 8
         # S_4: the nodes after two prefixes of the same letters differ at
         # most in sign and share a step: one for each nonempty proper subset
-        # of the letters left (14), then one product for each first letter.
-        assert steps(standard_polynomial(4), 2) == 14 + 4
+        # of the letters left (14), then one step for the four first letters.
+        assert steps(standard_polynomial(4), 2) == 14 + 1
+        # A constant is the root's factor, and zero is the factor 0.
+        assert compiled("5", 2) == ((5, 0), 0)
+        assert compiled("0", 2) == ((0, 0), 0)
 
 
 @pytest.fixture

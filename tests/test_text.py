@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_poly
+from helpers import random_poly, reference_tokenize
 from ncspan import (
     DimensionMismatch,
     ExponentNegative,
@@ -17,7 +17,7 @@ from ncspan import (
     parse_poly,
     poly_to_text,
 )
-from ncspan.text import format_scalar
+from ncspan.text import _tokenize, format_scalar
 
 X1 = NcPoly.variable(1)
 X2 = NcPoly.variable(2)
@@ -156,6 +156,60 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_poly("")
+
+
+def _position(text, offset):
+    err = ParseError.at("", text, offset)
+    return err.line, err.col
+
+
+def _outcome(tokenize, text):
+    """The tokens, or the (message, line, col) of the error tokenizing raised."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+
+
+class TestTokenPositions:
+    """Tokens keep offsets; their lines and columns, counted only when an
+    error is raised, match the running count of the reference tokenizer."""
+
+    ALPHABET = list("X019+-*/^()[],@") + [" ", "\t", "\n"]
+
+    def assert_matches_reference(self, text):
+        got, want = _outcome(_tokenize, text), _outcome(reference_tokenize, text)
+        if isinstance(want, tuple):
+            assert got == want, repr(text)
+            return
+        assert [(t.kind, t.value) for t in got] == [(t.kind, t.value) for t in want], repr(text)
+        positions = [_position(text, t.offset) for t in got]
+        assert positions == [(t.line, t.col) for t in want], repr(text)
+        # Every parse error past the tokens names one of them.
+        try:
+            parse_poly(text)
+        except ParseError as exc:
+            assert (exc.line, exc.col) in positions, repr(text)
+
+    def test_random_strings(self):
+        rng = random.Random(31)
+        for _ in range(3000):
+            text = "".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(0, 24)))
+            self.assert_matches_reference(text)
+
+    def test_stray_character_on_a_later_line(self):
+        self.assert_matches_reference("X1 +\n  @")
+        with pytest.raises(ParseError) as exc:
+            parse_poly("X1 +\n  @")
+        assert (exc.value.message, exc.value.line, exc.value.col) == ("unexpected character '@'", 2, 3)
+
+    def test_end_of_input_after_a_trailing_newline(self):
+        self.assert_matches_reference("X1 +\n")
+        self.assert_matches_reference("X1\n\t\n")
+        with pytest.raises(ParseError) as exc:
+            parse_poly("X1 +\n")
+        assert (exc.value.line, exc.value.col) == (2, 1)
+        assert exc.value.message.endswith("found end of input")
 
 
 # Inputs whose expansion is refused, with the column of the refusing operator.
