@@ -1,7 +1,8 @@
 """Command-line driver: parse polynomials, run analyses, emit JSON reports.
 
 Exit codes: 0 success, 1 negative analysis outcome (e.g. target not in
-span, no witness dimension, a suite violation), 2 usage or parse error.
+span, no witness dimension, a suite violation), 2 usage or parse error,
+141 (128 + SIGPIPE) when stdout's reader closed the pipe, with no message.
 All rationals in JSON are "p/q" strings so nothing is ever rounded;
 identical seeds and flags give byte-identical output.
 
@@ -57,6 +58,7 @@ SCHEMA = "ncspan/5"
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -498,6 +500,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, _UsageError) as exc:
         print(f"ncspan: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

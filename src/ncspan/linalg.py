@@ -101,7 +101,7 @@ class Classification(Enum):
             return list(vec) == [vec[0], *([0] * d + [vec[0]]) * (d - 1)]
         if self is Classification.TRACE_ZERO:
             return sum(vec[:: d + 1]) == 0
-        return self.rank(d) == d * d
+        return True
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -124,11 +124,11 @@ class MatrixQ:
 
     @staticmethod
     def zero(d: int) -> MatrixQ:
-        return MatrixQ([[0] * d for _ in range(d)])
+        return MatrixQ.diagonal([0] * d)
 
     @staticmethod
     def identity(d: int) -> MatrixQ:
-        return MatrixQ([[1 if i == j else 0 for j in range(d)] for i in range(d)])
+        return MatrixQ.diagonal([1] * d)
 
     @staticmethod
     def diagonal(entries: Sequence[Num]) -> MatrixQ:
@@ -192,15 +192,10 @@ class MatrixQ:
 
     def __sub__(self, other: MatrixQ) -> MatrixQ:
         self._check_dim(other)
-        return MatrixQ(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self + -other
 
     def __neg__(self) -> MatrixQ:
-        return MatrixQ([[-x for x in row] for row in self.rows])
+        return self.scale(-1)
 
     def __mul__(self, other: MatrixQ) -> MatrixQ:
         self._check_dim(other)

@@ -454,7 +454,7 @@ def evaluate(
     scale, terms = _integer_terms(f)
     used = [x for a in args[: f.nvars] for row in a.rows for x in row]
     den, (entries,) = _cleared([used])
-    deg = max((len(w) for w, _ in terms), default=0)
+    deg = f.degree() or 0
     terms = [(w, c * den ** (deg - len(w))) for w, c in terms]
     ev = _packed_evaluator(terms, d, max(map(abs, entries), default=0))
     return _unscaled(ev(entries), d, scale * den**deg)
@@ -747,11 +747,8 @@ def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     """
     if seed.dim != d:
         raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
-    if seed.is_zero():
-        return SpanBasis.canonical(d, Classification.ZERO)
-    if seed.is_scalar():
-        return SpanBasis.canonical(d, Classification.SCALARS)
-    return SpanBasis.canonical(d, Classification.FULL)
+    vec, least = seed.flatten(), (Classification.ZERO, Classification.SCALARS)
+    return SpanBasis.canonical(d, next((c for c in least if c.contains(vec, d)), Classification.FULL))
 
 
 Decomposition = list[tuple[Fraction, tuple[MatrixQ, ...]]]

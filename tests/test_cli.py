@@ -2,7 +2,9 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -964,3 +966,31 @@ class TestEmit:
         for twin in ({"a": "\0basis"}, {"a": ['"\0basis']}, {"a": {"\0basis": 0}}):
             with pytest.raises(ValueError, match="occurs 2 times"):
                 _emitted(capsys, {**twin, "basis": [["1"]]}, ("basis",))
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early ends the command with exit 141 and
+    an empty stderr.  The command runs as a subprocess: main points the
+    process's real stdout descriptor at devnull, which in-process would be
+    pytest's."""
+
+    ARGV = ("classify", "--poly", "[X1,X2]", "--dim", "12", "--seed", "0")
+
+    def _start(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        cmd = [sys.executable, "-m", "ncspan", *self.ARGV]
+        return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+    def test_closed_reader_exits_141(self):
+        # About 1.4 MB of JSON, far above a pipe's 64 KB buffer: the write fails on every run.
+        proc = self._start()
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_reader_to_the_end_exits_0(self):
+        proc = self._start()
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        assert len(out) > 1 << 16 and json.loads(out)["classification"] == "TRACE_ZERO"
