@@ -36,7 +36,6 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
-    _shared_evaluators,
     _verdicts,
     classify_span,
     decompose_target,
@@ -391,10 +390,7 @@ def _cmd_suite(args) -> int:
     entries = []
     violations = 0
     for lineno, f in _read_corpus(args.corpus):
-        # The entry classifies f and its reduction steps and asks the oracle
-        # about each: one evaluator serves both, and none outlives the entry.
-        with _shared_evaluators():
-            entry, violated = _suite_entry(lineno, f, args.dim, cfg)
+        entry, violated = _suite_entry(lineno, f, args.dim, cfg)
         entries.append(entry)
         violations += violated
     _emit(

@@ -123,8 +123,10 @@ def resubstitute_check(f: NcPoly, fprime: NcPoly, i: int, m: int) -> bool:
 
 
 def _compact_above(f: NcPoly, i: int) -> NcPoly:
-    """Renumber every variable index above i down by one.  X_i must be
-    absent, so the relabelling is injective on words."""
+    """Renumber every variable index above i down by one.  X_i must be absent,
+    so the relabelling is injective; with none above i, f itself and its compile."""
+    if f.nvars <= i:
+        return f
     return NcPoly({tuple(j - (j > i) for j in w): c for w, c in f.terms.items()})
 
 

@@ -10,7 +10,7 @@ coefficients:
 
 The zero polynomial has an empty term map.  All arithmetic is exact; no
 floating point is ever involved.  NcPoly values are immutable and hashable,
-so they can be shared freely; each one computes its hash once.
+so they can be shared freely; each keeps its hash and its last compile.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class NcPoly:
     """
 
     # _hash: None until the first hash, then kept (the terms never change).
-    __slots__ = ("_terms", "_nvars", "_hash")
+    # _compiled: None, or span._evaluator's last ((d, bound), (L, ev)).
+    __slots__ = ("_terms", "_nvars", "_hash", "_compiled")
 
     def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -67,7 +68,7 @@ class NcPoly:
                 raise ValueError(f"variable indices must be >= 1, got word {word}")
         self._terms = cleaned
         self._nvars = max((max(w) for w in cleaned if w), default=0)
-        self._hash = None
+        self._hash = self._compiled = None
 
     # -- constructors ------------------------------------------------------
 
@@ -142,6 +143,10 @@ class NcPoly:
         if self._hash is None:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
+
+    def __reduce__(self):
+        # The terms alone: the kept evaluator is a closure, which cannot pickle.
+        return _raw, (self._terms,)
 
     def __repr__(self) -> str:
         from .text import poly_to_text
@@ -314,7 +319,7 @@ def _raw(terms: dict[Word, Fraction]) -> NcPoly:
     p = object.__new__(NcPoly)
     p._terms = terms
     p._nvars = max((max(w) for w in terms if w), default=0)
-    p._hash = None
+    p._hash = p._compiled = None
     return p
 
 

@@ -35,7 +35,7 @@ error bound (vanishing_rate, in factored form).
 
 The sampling kernel does a whole row's work per Python-level step:
 
-- the polynomial is compiled once per verdict, or per suite entry (see
+- a polynomial keeps its last compile, for one dimension and bound (see
   _evaluator), through the minimal DAG of its words (see _compile): a
   subterm that many words share is computed once per sample, and the
   arguments of letters that lead to the same subterm are summed before
@@ -54,7 +54,6 @@ The sampling kernel does a whole row's work per Python-level step:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -106,6 +105,10 @@ class SampleConfig:
     max_samples: int | None = None
 
     def __post_init__(self):
+        for name, allowed in (("coeff_bound", int), ("max_samples", int | None)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
         if self.max_samples is not None and self.max_samples < 1:
@@ -382,31 +385,16 @@ def _packed_evaluator(
     return ev
 
 
-# The (L, ev) of each (f, d, bound) met in a _shared_evaluators block, None outside one.
-_shared: dict | None = None
-
-
-@contextlib.contextmanager
-def _shared_evaluators() -> Iterator[None]:
-    """Inside the block, _evaluator compiles each (f, d, bound) once."""
-    global _shared
-    _shared = {}
-    try:
-        yield
-    finally:
-        _shared = None
-
-
 def _evaluator(f: NcPoly, d: int, bound: int) -> tuple[int, Callable[[Sequence[int]], list[int]]]:
     """(L, ev) for ev(entries) = L * f(args), entries within bound (see
-    _packed_evaluator), L clearing f's denominators."""
-    made = None if _shared is None else _shared.get((f, d, bound))
-    if made is None:
+    _packed_evaluator), L clearing f's denominators.  f keeps the last
+    pair built for it, keyed by (d, bound), so a suite entry's classifier
+    and oracle share one compile and none outlives f."""
+    made = f._compiled
+    if made is None or made[0] != (d, bound):
         scale, terms = _integer_terms(f)
-        made = scale, _packed_evaluator(terms, d, bound)
-        if _shared is not None:
-            _shared[f, d, bound] = made
-    return made
+        made = f._compiled = (d, bound), (scale, _packed_evaluator(terms, d, bound))
+    return made[1]
 
 
 def _unscaled(vec: list[int], d: int, scale: int) -> MatrixQ:

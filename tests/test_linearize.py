@@ -197,6 +197,13 @@ class TestReduce:
             (StepKind.STRIP, 2, "dropped")
         ]
 
+    def test_dropping_the_last_variable_hands_on_the_oracles_object(self):
+        # With no index above the dropped one, the step's result is the very
+        # candidate the oracle was asked about, and so keeps its compile.
+        asked = []
+        red = reduce_to_multilinear(X1 + X1 * X2, lambda p: asked.append(p) or True)
+        assert red.steps[0].after is asked[1] and red.output is asked[1]
+
     def test_constant_not_reducible(self):
         with pytest.raises(NotReducible):
             reduce_to_multilinear(NcPoly.constant(3), nonzero_oracle)

@@ -421,6 +421,16 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             SampleConfig(max_samples=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("coeff_bound", 2.5), ("coeff_bound", True), ("coeff_bound", None), ("coeff_bound", "10"),
+         ("max_samples", 2.5), ("max_samples", False), ("max_samples", Fraction(3))],
+    )
+    def test_non_integer_fields_refused(self, field, value):
+        # Refused when built, not deep inside sampling, and a bool is no count.
+        with pytest.raises(TypeError, match=field):
+            SampleConfig(**{field: value})
+
 
 class TestNontrivialityOracle:
     def test_one_pass_per_call(self, monkeypatch):

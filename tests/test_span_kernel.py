@@ -15,13 +15,15 @@ mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
 and the word-DAG evaluator to the word-by-word loop kept in helpers.
 """
 
-import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
+import pickle
 import random
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -774,46 +776,49 @@ class TestVerdictsOnePass:
 
 
 class TestSharedEvaluators:
-    """span._evaluator: one compile per (polynomial, dimension, bound) inside
-    a _shared_evaluators block, and nothing kept outside one."""
+    """span._evaluator: each polynomial keeps the last (L, ev) built for it,
+    keyed by dimension and bound, and the pair lives no longer than it."""
 
     def test_keyed_by_dimension_and_bound(self):
         rng = random.Random(19)
         f = parse_poly("X1*X2 - 3*X2*X1*X2 + 1/2*X1 - 2")
         scale, terms = span._integer_terms(f)
-        evaluators = {}
-        with span._shared_evaluators():
-            for d in (2, 3):
-                for bound in (10, 10**12):
-                    L, ev = span._evaluator(f, d, bound)
-                    assert L == scale == 2
-                    assert all(ev is not other for other in evaluators.values())
-                    evaluators[d, bound] = ev
-            assert all(span._evaluator(f, *key)[1] is ev for key, ev in evaluators.items())
-            assert len(span._shared) == 4
-        # Entries at the bound overflow the slots of a smaller bound, so a
-        # d = 2 or bound-10 evaluator served in the wrong place would show.
-        for (d, bound), ev in evaluators.items():
+        keys = [(d, bound) for bound in (10, 10**12) for d in (2, 3)]
+        built = {}
+        for d, bound in keys + keys:
+            L, ev = span._evaluator(f, d, bound)
+            assert L == scale == 2
+            # The same key twice in a row is one build; coming back to an
+            # earlier key, after another, rebuilds.
+            assert span._evaluator(f, d, bound)[1] is ev
+            assert ev is not built.get((d, bound))
+            built[d, bound] = ev
+            # Entries at the bound overflow the slots of a smaller bound, so
+            # a d = 2 or bound-10 evaluator served in the wrong place would show.
             want = reference_packed_evaluator(terms, d, bound)
             size = 2 * d * d
             for entries in ([bound] * size, [rng.randint(-bound, bound) for _ in range(size)]):
                 assert ev(entries) == want(entries), (d, bound)
+        assert f._compiled == ((d, bound), (L, ev))
 
-    def test_equal_polynomials_share_one_entry(self):
+    def test_equal_polynomials_compile_apart(self):
+        # The key is the object: equal polynomials do not share a compile.
         parsed = parse_poly("X1*X2 - 1/2*X2*X1 + 3")
         built = NcPoly({(2, 1): Fraction(-1, 2), (): 3, (1, 2): 1})
         assert parsed is not built and parsed == built
-        with span._shared_evaluators():
-            assert span._evaluator(parsed, 3, 10) is span._evaluator(built, 3, 10)
-            assert len(span._shared) == 1
+        assert span._evaluator(parsed, 3, 10) is not span._evaluator(built, 3, 10)
+        assert span._evaluator(parsed, 3, 10) is parsed._compiled[1]
 
-    def test_nothing_outlives_the_block(self):
+    def test_nothing_outlives_the_polynomial(self):
         f = parse_poly("[X1,X2]")
-        assert span._evaluator(f, 2, 10) is not span._evaluator(f, 2, 10)
-        with pytest.raises(ZeroDivisionError), span._shared_evaluators():
-            assert span._evaluator(f, 2, 10) is span._evaluator(f, 2, 10)
-            1 / 0
-        assert span._shared is None
+        _, ev = span._evaluator(f, 2, 10)
+        kept = weakref.ref(ev)
+        del ev
+        gc.collect()
+        assert kept() is not None
+        del f
+        gc.collect()
+        assert kept() is None
 
     def test_suite_compiles_each_polynomial_once_per_entry(self, monkeypatch, capsys):
         """Every evaluator build of `ncspan suite` on the golden corpus, keyed
@@ -851,13 +856,34 @@ class TestSharedEvaluators:
         ids=lambda argv: argv[0],
     )
     def test_shared_and_own_evaluators_print_the_same(self, argv, monkeypatch, capsys):
+        """With an _evaluator that never reuses a kept compile, every command
+        prints the same bytes."""
+        real = span._evaluator
+
+        def rebuild(f, d, bound):
+            f._compiled = None
+            return real(f, d, bound)
+
         outputs = []
         for shared in (True, True, False):
             if not shared:
-                monkeypatch.setattr(ncspan.cli, "_shared_evaluators", contextlib.nullcontext)
+                monkeypatch.setattr(span, "_evaluator", rebuild)
             outputs.append((main(argv), capsys.readouterr().out))
-            assert span._shared is None
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_classified_polynomial_and_report_pickle(self):
+        """A polynomial pickles without its kept compile, and so does a
+        report whose witness rows were read."""
+        f = parse_poly("3/2*X1*X1*X2 + [X2,X1]")
+        cfg = SampleConfig(seed=4)
+        report = classify_span(f, 3, cfg)
+        assert report.grown and f._compiled is not None
+        for original in (f, report):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            poly = copy if original is f else copy.poly
+            assert poly._compiled is None
+            assert classify_span(poly, 3, cfg) == report
 
 
 def battery_small_dims():
