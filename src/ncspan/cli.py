@@ -45,7 +45,6 @@ from .span import (
 )
 from .text import (
     ParseError,
-    format_scalar,
     matrix_to_text,
     parse_matrix,
     parse_poly,
@@ -108,11 +107,6 @@ def _doc(f: NcPoly, **fields) -> dict:
     return {"schema": SCHEMA, "polynomial": poly_to_text(f), **fields}
 
 
-def _ser_rows(rows) -> list[list[str]]:
-    # Every row entry is an int or a Fraction, whose str is its format_scalar.
-    return [list(map(str, row)) for row in rows]
-
-
 def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
     """(applicable, consistent-or-None) for the degree exclusion: for d >= 2
     and 1 <= deg f < 2d, f is neither an identity of M_d nor central on it,
@@ -151,7 +145,7 @@ def _witnesses(s: SpanReport) -> _Json:
     rows (t_k, L * f(t_k)) in one format call.  json.dumps lays out the
     list and one witness's frame, and _grid each of its d x d matrices,
     as "%s" slots for the entries: an input entry is an int, a value entry
-    x/L in lowest terms, as format_scalar(Fraction(x, L)) prints it."""
+    x/L in lowest terms, as str(Fraction(x, L)) prints it."""
     item, d = _FIELD + "  ", s.dim  # the break before each witness
     frame = json.dumps({"inputs": ["\0"] * s.poly.nvars, "value": "\1"}, indent=2).replace("\n", item)
     inputs, value = _grid(d, d, item + "    "), _grid(d, d, item + "  ")
@@ -177,7 +171,6 @@ def _cmd_classify(args) -> int:
         print(f"stop reason:    {s.stop_reason.value}")
         print(f"seed:           {cfg.seed}")
     else:
-        # Basis entries are ints and Fractions, whose str is their format_scalar.
         rows = s.basis.rows
         basis = _grid(len(rows), s.dim**2, _FIELD) % tuple(itertools.chain(*rows))
         applicable, consistent = _exclusion_flags(s)
@@ -212,7 +205,7 @@ def _cmd_witness(args) -> int:
         ident, central = _verdicts(f, d, cfg)
         # The bound per_sample ** samples stays factored: it can have thousands of digits.
         per_sample, samples = vanishing_rate(f, d, cfg)
-        bound = {"per_sample": format_scalar(per_sample), "samples": samples}
+        bound = {"per_sample": str(per_sample), "samples": samples}
         per_dim.append({"dim": d, "identity": ident, "central": central, "vanishing_bound": bound})
         if not ident and not central:
             found = d
@@ -294,7 +287,7 @@ def _cmd_decompose(args) -> int:
             target=matrix_to_text(target),
             classification=report.classification.value,
             terms=[
-                {"coefficient": format_scalar(lam), "inputs": [_ser_rows(a.rows) for a in tup]}
+                {"coefficient": str(lam), "inputs": [[list(map(str, row)) for row in a.rows] for a in tup]}
                 for lam, tup in terms
             ],
             verified=verified,

@@ -2,8 +2,9 @@
 
 Matrices are square with entries kept as exact numbers: Python ints where
 possible (the common case for sampled matrices, and much faster) and
-Fraction wherever division has occurred.  Both are exact rationals and mix
-freely in arithmetic and comparisons.
+Fraction wherever division has occurred, and the constructor refuses
+anything else.  Both are exact rationals and mix freely in arithmetic and
+comparisons.
 
 A SpanBasis holds a subspace of M_d flattened row-major to length-d^2
 vectors, maintained in reduced row echelon form.  Echelon canonicality makes
@@ -117,6 +118,10 @@ class MatrixQ:
         d = len(rows)
         if d == 0 or any(len(r) != d for r in rows):
             raise DimensionMismatch("matrix must be square and nonempty")
+        for row in rows:
+            for x in row:
+                if type(x) is not int and type(x) is not Fraction:
+                    raise TypeError(f"matrix entry {x!r} is a {type(x).__name__}, not an int or a Fraction")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "rows", rows)
 
@@ -210,10 +215,7 @@ class MatrixQ:
     def scale(self, c: Num) -> MatrixQ:
         return MatrixQ([[c * x for x in row] for row in self.rows])
 
-    def __rmul__(self, c: Num) -> MatrixQ:
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+    __rmul__ = scale
 
 
 def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:

@@ -105,7 +105,7 @@ class SampleConfig:
     max_samples: int | None = None
 
     def __post_init__(self):
-        for name, allowed in (("coeff_bound", int), ("max_samples", int | None)):
+        for name, allowed in (("seed", int), ("coeff_bound", int), ("max_samples", int | None)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise TypeError(f"{name} must be an int, got {value!r}")

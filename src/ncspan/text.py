@@ -278,17 +278,6 @@ def parse_poly(text: str) -> NcPoly:
     return _Parser(text).parse()
 
 
-def format_scalar(x) -> str:
-    """Canonical text of an exact scalar: "n" or "n/m" in lowest terms.
-
-    An int or a Fraction already prints that way; anything else (a bool
-    prints as "1" or "0") goes through Fraction.
-    """
-    if type(x) is int or isinstance(x, Fraction):
-        return str(x)
-    return str(Fraction(x))
-
-
 def _word_text(word: Word) -> str:
     return "*".join(f"X{i}" for i in word)
 
@@ -305,11 +294,11 @@ def poly_to_text(f: NcPoly) -> str:
             pieces.append(" + " if coeff > 0 else " - ")
             coeff = abs(coeff)
         if not word:
-            pieces.append(format_scalar(coeff))
+            pieces.append(str(coeff))
         elif coeff == 1:
             pieces.append(_word_text(word))
         else:
-            pieces.append(f"{format_scalar(coeff)}*{_word_text(word)}")
+            pieces.append(f"{coeff}*{_word_text(word)}")
     return "".join(pieces)
 
 
@@ -338,4 +327,4 @@ def parse_matrix(text: str) -> MatrixQ:
 
 
 def matrix_to_text(m: MatrixQ) -> str:
-    return ";".join(",".join(format_scalar(x) for x in row) for row in m.rows)
+    return ";".join(",".join(map(str, row)) for row in m.rows)

@@ -29,7 +29,7 @@ from ncspan import (
 )
 from ncspan.cli import _doc, _exclusion_flags
 from ncspan.linalg import EchelonModP
-from ncspan.text import _TOKEN_RE, ParseError, format_scalar
+from ncspan.text import _TOKEN_RE, ParseError
 
 
 def random_word(rng: random.Random, nvars: int, max_len: int, min_len: int = 0):
@@ -422,11 +422,11 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
 
 def reference_report_doc(report) -> dict:
     """classify's JSON document, built from a classify_span report field by
-    field, every matrix entry through format_scalar: the document classify
+    field, every matrix entry as str(Fraction(x)) prints it: the document classify
     printed before it wrote its witnesses from the report's integer rows."""
 
     def text(rows):
-        return [[format_scalar(x) for x in row] for row in rows]
+        return [[str(Fraction(x)) for x in row] for row in rows]
 
     applicable, consistent = _exclusion_flags(report)
     return _doc(

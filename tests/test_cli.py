@@ -17,8 +17,8 @@ from helpers import reference_classify_span, reference_suite_violations, standar
 from ncspan.cli import main
 from ncspan.linalg import Classification, MatrixQ, SpanBasis
 from ncspan.linearize import OracleFailed
-from ncspan.span import SampleConfig, classify_span, evaluate
-from ncspan.text import format_scalar, parse_poly, poly_to_text
+from ncspan.span import SampleConfig, classify_span, decompose_target, evaluate
+from ncspan.text import matrix_to_text, parse_poly, poly_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
 # Trace zero on M_2, where S_4 vanishes, but not a sum of commutators.
@@ -114,7 +114,7 @@ class TestClassify:
         for w in doc["witnesses"]:
             args = [MatrixQ([[Fraction(x) for x in row] for row in m]) for m in w["inputs"]]
             value = evaluate(f, args, dim=2)
-            assert [[format_scalar(x) for x in row] for row in value.rows] == w["value"]
+            assert [[str(x) for x in row] for row in value.rows] == w["value"]
             assert value.trace() == 0
             values.append(value)
         assert len(values) == 3
@@ -800,10 +800,11 @@ class TestParserPerCommand:
 
 
 class TestSerRows:
-    """cli._ser_rows against format_scalar, entry by entry."""
+    """Every matrix entry a report holds is an int or a Fraction, and
+    decompose prints its inputs as str of the report's _inputs entries."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_battery(self, d):
+    def test_battery(self, capsys, d):
         seen = set()
         for text in ("3/2*X1*X1*X2 + [X2,X1]", "[X1,X2]", "X1*X2 - 1/3*X2*X1"):
             for seed in (0, 7919):
@@ -815,9 +816,21 @@ class TestSerRows:
                     values = [v.rows for _, v in report.witnesses]
                     for rows in [report.basis.rows, *values, *(a.rows for args, _ in report.witnesses for a in args)]:
                         assert {type(x) for row in rows for x in row} <= {int, Fraction}
-                        assert ncspan.cli._ser_rows(rows) == [[format_scalar(x) for x in row] for row in rows]
                     if text.startswith("3/2"):
                         assert any(type(x) is Fraction and x.denominator > 1 for m in values for r in m for x in r)
+                    if classify is classify_span:
+                        # The first witness's value lies in the span, so decompose prints terms.
+                        target = matrix_to_text(report.witnesses[0][1])
+                        budget = () if max_samples is None else ("--max-samples", str(max_samples))
+                        argv = ("decompose", "--poly", text, "--dim", str(d), "--seed", str(seed), "--target", target)
+                        code, doc = run_json(capsys, *argv, *budget)
+                        terms = decompose_target(report, report.witnesses[0][1])
+                        assert code == 0 and doc["verified"] and terms
+                        assert all(any(args is t for t in report._inputs) for _, args in terms)
+                        assert [t["inputs"] for t in doc["terms"]] == [
+                            [[[str(x) for x in row] for row in a.rows] for a in args] for _, args in terms
+                        ]
+                        assert [t["coefficient"] for t in doc["terms"]] == [str(lam) for lam, _ in terms]
         assert None in seen and seen - {None}
 
 

@@ -18,8 +18,8 @@ import pytest
 from helpers import standard_polynomial
 import ncspan.cli
 from ncspan.cli import _config, build_parser, main
-from ncspan.span import classify_span
-from ncspan.text import format_scalar, parse_poly, poly_to_text
+from ncspan.span import classify_span, decompose_target
+from ncspan.text import parse_matrix, parse_poly, poly_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -134,36 +134,34 @@ def test_stdout_matches_golden(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ser_rows_agrees_with_format_scalar(name, monkeypatch):
-    """Every matrix a golden run prints is serialised as format_scalar would:
-    decompose's through _ser_rows, and classify's, written from the sampling
-    loop's integer rows, entry for entry as format_scalar prints the exact
-    basis and witnesses of classify_span's report."""
-    real, seen = ncspan.cli._ser_rows, []
-
-    def checked(rows):
-        assert {type(x) for row in rows for x in row} <= {int, Fraction}
-        got = real(rows)
-        assert got == [[format_scalar(x) for x in row] for row in rows]
-        seen.append(got)
-        return got
-
-    monkeypatch.setattr(ncspan.cli, "_ser_rows", checked)
+    """Every matrix a golden run prints is the str of a report's exact
+    entries, each an int or a Fraction: classify's basis and witnesses,
+    written from the sampling loop's integer rows, and decompose's inputs,
+    which are the report's _inputs entries."""
     monkeypatch.chdir(GOLDEN)
     out = _stdout(CASES[name])
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
-    # decompose prints matrices through _ser_rows, except outside the span.
-    assert bool(seen) == (name.startswith("decompose") and "trace" not in name)
-    if not name.startswith("classify"):
+    command = CASES[name][0]
+    if command not in ("classify", "decompose"):
         return
-    args = build_parser("classify").parse_args(list(CASES[name]))
+    args = build_parser(command).parse_args(ncspan.cli._attach_literals(list(CASES[name])))
     report = classify_span(parse_poly(args.poly), args.dim, _config(args))
     matrices = [report.basis.rows] + [m.rows for tup, v in report.witnesses for m in (*tup, v)]
     assert {type(x) for rows in matrices for row in rows for x in row} <= {int, Fraction}
 
     def text(rows):
-        return [[format_scalar(x) for x in row] for row in rows]
+        return [[str(x) for x in row] for row in rows]
 
     doc = json.loads(out)
+    if command == "decompose":
+        # Outside the span decompose prints no terms.
+        assert ("terms" in doc) == ("trace" not in name)
+        terms = decompose_target(report, parse_matrix(args.target)) if "terms" in doc else []
+        assert all(any(tup is t for t in report._inputs) for _, tup in terms)
+        assert doc.get("terms", []) == [
+            {"coefficient": str(lam), "inputs": [text(a.rows) for a in tup]} for lam, tup in terms
+        ]
+        return
     assert doc["basis"] == text(report.basis.rows)
     assert doc["witnesses"] == [
         {"inputs": [text(a.rows) for a in tup], "value": text(v.rows)} for tup, v in report.witnesses

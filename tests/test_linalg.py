@@ -19,6 +19,7 @@ from ncspan import (
     SpanBasis,
     commutator,
     commutator_decomposition,
+    parse_matrix,
     vandermonde_extract,
     zero_diagonal_conjugate,
 )
@@ -64,6 +65,41 @@ class TestMatrixOps:
         m = MatrixQ([[1, 2], [3, 4]])
         assert m.flatten() == (1, 2, 3, 4)
         assert MatrixQ.unflatten((1, 2, 3, 4), 2) == m
+
+
+class TestExactEntries:
+    """Every entry is an int or a Fraction; anything else is refused when built."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MatrixQ([[0.5, 1], [2, 3]]),
+            lambda: MatrixQ([[True]]),
+            lambda: MatrixQ([[1, "1"], [0, 1]]),
+            lambda: MatrixQ([[None]]),
+            lambda: MatrixQ([[1, 2], [3, 4]]).scale(0.1),
+            lambda: 2.5 * MatrixQ([[1, 2], [3, 4]]),
+            lambda: MatrixQ.diagonal([1, 2.0]),
+            lambda: MatrixQ.unflatten((1, 2, 3, False), 2),
+        ],
+        ids=["float", "bool", "str", "None", "scale-float", "rmul-float", "diagonal-float", "unflatten-bool"],
+    )
+    def test_inexact_entries_refused(self, make):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            make()
+
+    def test_exact_results_build(self):
+        m = MatrixQ([[1, 2], [3, 4]])
+        built = [
+            Fraction(1, 3) * m, 2 * m, m.scale(Fraction(1, 2)), m + m, m - m, m * m, -m,
+            MatrixQ.zero(3), MatrixQ.identity(3), MatrixQ.unit(3, 0, 2),
+            MatrixQ.diagonal([Fraction(1, 2), 3]), MatrixQ.unflatten((1, Fraction(2, 3), 0, -1), 2),
+            parse_matrix("1/2,-3;0,4/6"),
+        ]
+        for b in built:
+            assert {type(x) for row in b.rows for x in row} <= {int, Fraction}
+        assert Fraction(1, 3) * m == m.scale(Fraction(1, 3)) == MatrixQ([[Fraction(1, 3), Fraction(2, 3)], [1, Fraction(4, 3)]])
+        assert 2 * m == m + m
 
 
 class TestSpanBasis:

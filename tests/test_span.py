@@ -424,12 +424,17 @@ class TestSampleConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("coeff_bound", 2.5), ("coeff_bound", True), ("coeff_bound", None), ("coeff_bound", "10"),
-         ("max_samples", 2.5), ("max_samples", False), ("max_samples", Fraction(3))],
+         ("max_samples", 2.5), ("max_samples", False), ("max_samples", Fraction(3)),
+         ("seed", None), ("seed", True), ("seed", 2.5), ("seed", "7")],
     )
     def test_non_integer_fields_refused(self, field, value):
         # Refused when built, not deep inside sampling, and a bool is no count.
         with pytest.raises(TypeError, match=field):
             SampleConfig(**{field: value})
+
+    def test_any_int_seed(self):
+        for seed in (0, -1, 2**64 + 1, -(2**70)):
+            assert SampleConfig(seed=seed).seed == seed
 
 
 class TestNontrivialityOracle:

@@ -17,7 +17,7 @@ from ncspan import (
     parse_poly,
     poly_to_text,
 )
-from ncspan.text import _tokenize, format_scalar
+from ncspan.text import _tokenize
 
 X1 = NcPoly.variable(1)
 X2 = NcPoly.variable(2)
@@ -294,19 +294,20 @@ class TestPrint:
             once = poly_to_text(parse_poly(text))
             assert poly_to_text(parse_poly(once)) == once
 
-
-class TestFormatScalar:
+    # Scalars print as "n" or "n/m" in lowest terms, in polynomials and matrices alike.
     def test_ints_print_as_their_fraction(self):
         for x in (0, 1, -1, 7, -12345, 2**64 + 3, -(2**64) - 3, 10**40):
-            assert format_scalar(x) == str(Fraction(x)), x
-
-    def test_bools_print_as_digits(self):
-        assert format_scalar(True) == str(Fraction(True)) == "1"
-        assert format_scalar(False) == str(Fraction(False)) == "0"
+            assert poly_to_text(NcPoly.constant(x)) == str(Fraction(x)), x
+            assert matrix_to_text(MatrixQ([[x, -x], [0, 1]])) == f"{x},{-x};0,1", x
 
     def test_fractions_in_lowest_terms(self):
-        for x in (Fraction(0), Fraction(6, 4), Fraction(-3, 9), Fraction(5), Fraction(2**70, 3)):
-            assert format_scalar(x) == str(Fraction(x)), x
+        for x, text in (
+            (Fraction(0), "0"), (Fraction(6, 4), "3/2"), (Fraction(-3, 9), "-1/3"),
+            (Fraction(5), "5"), (Fraction(2**70, 3), f"{2**70}/3"),
+        ):
+            assert poly_to_text(NcPoly.constant(x)) == text, x
+            assert poly_to_text(NcPoly.monomial((1,), x) + X2) == (f"{text}*X1 + X2" if x else "X2"), x
+            assert matrix_to_text(MatrixQ([[x, 1], [0, x]])) == f"{text},1;0,{text}", x
 
 
 class TestMatrixLiterals:
