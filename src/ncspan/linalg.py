@@ -24,10 +24,9 @@ EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
 rank is a lower bound on the rank over Q, so a growth it reports is exact;
 the span classifier uses it only to keep independent shear conjugates as
-the witnesses of a class (see span._shear_closure).  The walk falls short
-only on values with a nonzero multiple of p among their entries, diagonal
-differences or traces; it is then done again with EchelonQ, a second,
-forward-only exact echelon over Q in primitive integer rows.
+the witnesses of a class (see span._shear_closure), on values first
+divided by the powers of p that their trace-free parts and traces share,
+so that the walk mod p reaches the class's rank.
 """
 
 from __future__ import annotations
@@ -349,9 +348,9 @@ class EchelonModP:
     rank here never exceeds the rank over Q of the same vectors, and every
     growth mod p certifies a growth over Q.  The rank mod p of a set of
     vectors does not depend on how they are eliminated.  The converse fails
-    only when p divides the minors a new vector forms with the rows: for the
-    vector that completes a class that is one determinant (span._shear_closure
-    says when its walk meets one).
+    only when p divides the minors a new vector forms with the rows
+    (span._shear_closure divides out the powers of p that would make its
+    walk meet one).
 
     Vectors and rows are packed: entry k is the k-th fixed-width slot of one
     int.  Reducing by a row reads one slot and does one big-int
@@ -414,40 +413,6 @@ class EchelonModP:
         scale = PRIME - pow(v >> (bits * p) & PRIME, -1, PRIME)
         self.rows.append(self._fold(v * scale))
         self.pivots.append(p)
-        return True
-
-
-class EchelonQ:
-    """Forward echelon over Q of integer vectors added one at a time: the
-    exact counterpart of EchelonModP, for a walk that a miss mod p ends
-    short (see span._shear_closure).
-
-    Row k is a primitive integer vector that is 0 at the pivots of rows
-    0..k-1, so reducing a vector by the rows in insertion order, v <-
-    r[p] * v - v[p] * r, zeroes every pivot for good.  Dividing out the
-    content after each step keeps every entry a divisor of a minor of the
-    input, so no row is ever rebuilt.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[int]]] = []
-
-    def insert(self, vec: Sequence[int]) -> bool:
-        """Adjoin an integer vector; True iff the rank over Q increased."""
-        v = list(vec)
-        for p, row in self.rows:
-            c = v[p]
-            if c:
-                a = row[p]
-                v = [a * x - c * y for x, y in zip(v, row)]
-                g = math.gcd(*v) or 1
-                v = [x // g for x in v]
-        g = math.gcd(*v)
-        if not g:
-            return False
-        self.rows.append((next(k for k, x in enumerate(v) if x), [x // g for x in v]))
         return True
 
 

@@ -60,9 +60,7 @@ class NcPoly:
 
     def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned = _clean_terms(
-            (tuple(word), Fraction(coeff)) for word, coeff in items
-        )
+        cleaned = _clean_terms((tuple(word), _exact(coeff)) for word, coeff in items)
         for word in cleaned:
             if any(i < 1 for i in word):
                 raise ValueError(f"variable indices must be >= 1, got word {word}")
@@ -136,7 +134,7 @@ class NcPoly:
         if isinstance(other, NcPoly):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == NcPoly.constant(other)._terms
+            return self._terms == ({(): other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -193,7 +191,7 @@ class NcPoly:
         return NotImplemented
 
     def scale(self, c: Scalar) -> NcPoly:
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return NcPoly.zero()
         return _raw({w: coeff * c for w, coeff in self._terms.items()})
@@ -312,6 +310,14 @@ class NcPoly:
     def is_sum_of_commutators(self) -> bool:
         """True iff self lies in the span of commutators [u, v]."""
         return self.commutator_obstruction() is None
+
+
+def _exact(c: Scalar) -> Fraction:
+    """c as a Fraction; TypeError unless c is an int or a Fraction, bools
+    included, as for a MatrixQ entry."""
+    if type(c) is not int and type(c) is not Fraction:
+        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}, not an int or a Fraction")
+    return Fraction(c)
 
 
 def _raw(terms: dict[Word, Fraction]) -> NcPoly:

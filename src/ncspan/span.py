@@ -20,10 +20,12 @@ Exactness comes from two places:
 
 A report keeps integer rows: the one or two samples that raised its class.
 Its rank-many witness rows (grown) and witness matrices are built only
-when read, as shear conjugates of those rows, with no evaluation of f (see
-_shear_closure).  suite prints no witness, classify writes each one as text
-straight from the integer rows, and decompose solves on the integer rows
-and returns the witness tuples.
+when read, as shear conjugates of those rows, with no evaluation of f,
+each kept when it grows an echelon mod p = 2^31 - 1 once the powers of p
+that the rows' traces and trace-free parts share are divided out (see
+_shear_closure).  suite prints no witness, classify writes each one as
+text straight from the integer rows, and decompose solves on the integer
+rows and returns the witness tuples.
 
 Every sampled verdict reads one seeded stream of integer entries, the
 values randint(-B, B) gives one by one (see _samples): the classifier
@@ -66,10 +68,10 @@ from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from .linalg import (
+    PRIME,
     Classification,
     DimensionMismatch,
     EchelonModP,
-    EchelonQ,
     MatrixQ,
     NotInSpan,
     SpanBasis,
@@ -213,7 +215,7 @@ def _slots(d: int, width: int) -> tuple:
     bits = 8 * width
     cols = tuple(1 << (bits * c) for c in range(d))
     rows_at = tuple(1 << (bits * d * i) for i in range(d))
-    offset = sum(1 << (bits * k + bits - 1) for k in range(d * d))
+    offset = int.from_bytes((b"\0" * (width - 1) + b"\x80") * (d * d), "little")
     code = _SIGNED_SLOTS.get(width)
     return cols, rows_at, offset, struct.Struct(f"<{d * d}{code}").unpack if code else None
 
@@ -389,7 +391,12 @@ def _evaluator(f: NcPoly, d: int, bound: int) -> tuple[int, Callable[[Sequence[i
     """(L, ev) for ev(entries) = L * f(args), entries within bound (see
     _packed_evaluator), L clearing f's denominators.  f keeps the last
     pair built for it, keyed by (d, bound), so a suite entry's classifier
-    and oracle share one compile and none outlives f."""
+    and oracle share one compile and none outlives f.  Every sampled
+    verdict reaches it first, so it is where d is checked: an int >= 1."""
+    if type(d) is not int:
+        raise TypeError(f"dimension {d!r} is a {type(d).__name__}, not an int")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     made = f._compiled
     if made is None or made[0] != (d, bound):
         scale, terms = _integer_terms(f)
@@ -497,7 +504,7 @@ def is_identity(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> bool:
     run returns True with error probability at most p ** n for (p, n) =
     vanishing_rate().  Both evaluate L * f, which vanishes where f does.
     """
-    return f.is_zero() or not any(map(any, _values(f, d, cfg)))
+    return not any(map(any, _values(f, d, cfg)))
 
 
 def vanishing_rate(
@@ -665,21 +672,40 @@ def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
     under conjugation, so W lies inside the class.  So W is the class, and
     the walk reaches its rank, whether the class is proved or sampled.
 
-    Growth is tested mod p (see EchelonModP): a growth mod p certifies
-    independence over Q.  The argument above holds over F_p too (2 is
-    invertible, and for p > d the Lie ideals of gl_d(F_p) are the four
-    canonical spaces), so the walk mod p keeps the rank of the seeds' class
-    mod p.  It ends short exactly when that class is below their class over
-    Q, which needs a seed entry, diagonal difference or trace that is a
-    nonzero multiple of p: never when d * max|entry| < p, and every time
-    for 2147483647*[X1,X2].  The walk is then done again with exact tests
-    over Q (EchelonQ), which the argument carries to the rank: at d = 8,
-    45-48 ms against 4-5 ms mod p (Python 3.11 on a 2-CPU host).
+    Growth is tested mod p (see EchelonModP) on psi(v) = (d * v - tr(v) *
+    I) / h + tr(v) / g * I, h and g the largest powers of p that divide
+    every seed's d * v - tr(v) * I and every nonzero seed trace.  psi is
+    invertible over Q and commutes with conjugation, which keeps traces
+    and, by unimodular T, the p-content of trace-free parts; so psi is
+    integral on every candidate, and its growth mod p is one over Q.  The
+    argument above holds over F_p (2 is invertible, and for p > d the Lie
+    ideals of gl_d(F_p) are the four canonical spaces), and after h and g
+    some seed is non-scalar mod p, or has a trace nonzero mod p, whenever
+    one is over Q: the seeds' class mod p is their class, and the walk
+    reaches its rank.  Whole values divided by their p-content would not
+    do: the two parts of [X1,X2] + p carry different powers of p.  When h
+    = g = 1, psi is d times the identity, which changes no decision mod p.
     """
-    kept = _walk(seeds, d, rank, EchelonModP().insert)
-    if len(kept) < rank:
-        kept = _walk(seeds, d, rank, EchelonQ().insert)
-    return tuple(kept)
+
+    def p_part(xs: list[int]) -> int:
+        q, g = 1, math.gcd(*xs)
+        while g and g % (q * PRIME) == 0:
+            q *= PRIME
+        return q
+
+    traces = [sum(vec[:: d + 1]) for _, vec in seeds]
+    h = p_part([d * x - t * (k % (d + 1) == 0) for (_, vec), t in zip(seeds, traces) for k, x in enumerate(vec)])
+    g = p_part(traces)
+    grows = insert = EchelonModP().insert
+    if h != 1 or g != 1:
+
+        def grows(vec: tuple[int, ...]) -> bool:
+            t = sum(vec[:: d + 1])
+            psi = [d * x // h for x in vec]
+            psi[:: d + 1] = [(d * x - t) // h + t // g for x in vec[:: d + 1]]
+            return insert(psi)
+
+    return tuple(_walk(seeds, d, rank, grows))
 
 
 def find_witness_dimension(

@@ -619,6 +619,24 @@ def reference_forward_insert(rows, vec):
     return rows + ((p, tuple(v)),), True
 
 
+class EchelonQ:
+    """Forward echelon over Q of vectors added one at a time, through
+    reference_forward_insert: the exact counterpart of EchelonModP."""
+
+    def __init__(self):
+        self.rows = ()
+
+    def insert(self, vec) -> bool:
+        """Adjoin vec; True iff the rank over Q increased."""
+        self.rows, grew = reference_forward_insert(self.rows, vec)
+        return grew
+
+
+def reference_shear_closure(seeds, d: int, rank: int) -> tuple:
+    """span._shear_closure's walk with every growth decided exactly over Q."""
+    return tuple(span._walk(seeds, d, rank, EchelonQ().insert))
+
+
 def reference_residual(basis: SpanBasis, m: MatrixQ) -> list:
     """m reduced densely by each basis row (leading 1 at its pivot); zero iff m is inside."""
     if m.dim != basis.dim:

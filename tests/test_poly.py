@@ -97,6 +97,29 @@ def test_add_commutative(f, g):
     assert f + g == g + f
 
 
+class TestExactCoefficients:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NcPoly.constant(0.1),
+            lambda: parse_poly("X1").scale(0.1),
+            lambda: NcPoly.monomial((1,), True),
+            lambda: NcPoly({(1, 2): "1"}),
+            lambda: X1 * False,
+        ],
+        ids=["constant-float", "scale-float", "monomial-bool", "str", "mul-bool"],
+    )
+    def test_inexact_coefficients_refused(self, make):
+        # As for a MatrixQ entry: a coefficient is an int or a Fraction.
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            make()
+
+    def test_comparison_with_a_bool_stays_a_bool(self):
+        assert (parse_poly("X1") == True) is False
+        assert (parse_poly("1") == True) is True
+        assert (NcPoly.zero() == 0) is True
+
+
 def test_ring_axioms_random_triples():
     rng = random.Random(2024)
     for _ in range(100):

@@ -437,6 +437,35 @@ class TestSampleConfig:
             assert SampleConfig(seed=seed).seed == seed
 
 
+class TestDimensionChecked:
+    """Every sampled verdict refuses a dimension that is not an int >= 1."""
+
+    def test_classify_span_zero(self):
+        with pytest.raises(ValueError, match="dimension"):
+            classify_span(COMM, 0)
+
+    def test_classify_span_bool(self):
+        with pytest.raises(TypeError, match="bool"):
+            classify_span(COMM, True)
+
+    def test_classify_span_float(self):
+        with pytest.raises(TypeError, match="float"):
+            classify_span(COMM, 2.0)
+
+    def test_is_identity_zero(self):
+        for f in (COMM, NcPoly.zero()):
+            with pytest.raises(ValueError, match="dimension"):
+                is_identity(f, 0)
+
+    def test_oracle_zero(self):
+        with pytest.raises(ValueError, match="dimension"):
+            nontriviality_oracle(0)(COMM)
+
+    def test_is_central_negative(self):
+        with pytest.raises(ValueError, match="dimension"):
+            is_central(COMM, -1)
+
+
 class TestNontrivialityOracle:
     def test_one_pass_per_call(self, monkeypatch):
         import ncspan.span

@@ -32,6 +32,7 @@ import pytest
 
 import helpers
 from helpers import (
+    EchelonQ,
     battery_poly,
     random_matrix,
     random_poly,
@@ -41,6 +42,7 @@ from helpers import (
     reference_packed_evaluator,
     reference_report_doc,
     reference_rref_insert,
+    reference_shear_closure,
     standard_polynomial,
 )
 from ncspan import (
@@ -62,7 +64,7 @@ from ncspan import (
 )
 import ncspan.cli
 from ncspan.cli import main
-from ncspan.linalg import PRIME, EchelonModP, EchelonQ
+from ncspan.linalg import PRIME, EchelonModP
 
 HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
 # Trace zero on M_2, where S_4 vanishes, but not a sum of commutators: no
@@ -284,22 +286,22 @@ class TestLieIdealStop:
     @pytest.mark.parametrize("text, d", (("[X1,X2]", 2), ("X1*X2", 3), ("3/2*X1*X1*X2 + [X2,X1]", 3), ("[X1,X2]", 4)))
     def test_closure_never_returns_short(self, text, d, miss, monkeypatch):
         # The miss-th insert of the walk looks dependent mod p and is not
-        # kept.  A miss on the proving row ends the mod-p walk short, and
-        # the exact walk must then carry it to the rank.
+        # kept, and the walk must still reach the rank.  The proving row
+        # always grows mod p (see span._shear_closure), so a miss on it
+        # cannot happen: at miss = 0 every insert is real, and the first grows.
         f = parse_poly(text)
         report = classify_span(f, d, SampleConfig(seed=3))
         assert report.stop_reason is StopReason.LIE_IDEAL and len(report.rows) == 1
-        calls, exact = [], []
-        real, real_exact = EchelonModP.insert, EchelonQ.insert
+        flags = []
+        real = EchelonModP.insert
 
         def insert(self, vec):
-            calls.append(vec)
-            return False if len(calls) == miss + 1 else real(self, vec)
+            flags.append(False if miss and len(flags) == miss else real(self, vec))
+            return flags[-1]
 
         monkeypatch.setattr(EchelonModP, "insert", insert)
-        monkeypatch.setattr(EchelonQ, "insert", lambda self, vec: exact.append(vec) or real_exact(self, vec))
         grown = report.grown
-        assert len(calls) > miss and bool(exact) == (miss == 0)
+        assert len(flags) > miss and flags[0]
         assert len(grown) == report.basis.rank
         for args, value in report.witnesses:
             assert reference_evaluate(f, args, d) == value
@@ -312,8 +314,9 @@ class TestLieIdealStop:
         ((f"{PRIME}*[X1,X2]", 0), (f"{PRIME}*X1*X2", 0), (f"1 + {PRIME}*[X1,X2]", 1)),
     )
     def test_multiples_of_p_take_the_exact_walk(self, text, kept_mod_p, d, seed):
-        # Every value is 0, or I, mod p, so the mod-p walk keeps that class's
-        # rank, below the class over Q, and the exact walk reaches the rank.
+        # Every value is 0, or I, mod p, so the walk on raw values mod p
+        # keeps that class's rank, below the class over Q; the walk on
+        # their p-free parts (see span._shear_closure) reaches the rank.
         f = parse_poly(text)
         report = classify_span(f, d, SampleConfig(seed=seed))
         canonical = SpanBasis.canonical(d, report.classification)
@@ -322,6 +325,20 @@ class TestLieIdealStop:
         for args, value in report.witnesses:
             assert reference_evaluate(f, args, d) == value
         assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == canonical
+
+    def test_multiples_of_p_keep_the_exact_walks_rows(self):
+        # Traces and trace-free parts with their own powers of p, and none:
+        # the walk mod p keeps the rows that the walk over Q keeps, rank many.
+        texts = ("P*[X1,X2]", "P*X1*X2", "1 + P*[X1,X2]", "[X1,X2] + P", "P*X1 + 1", "P*P*[X1,X2] + P", "P", "P*X1*X1")
+        for text in texts:
+            f = parse_poly(text.replace("P", str(PRIME)))
+            for d in range(1, 6):
+                for seed in (0, 7919):
+                    report = classify_span(f, d, SampleConfig(seed=seed))
+                    rank = SpanBasis.canonical(d, report.classification).rank
+                    where = f"{text} at d={d}, seed {seed}"
+                    assert report.grown == reference_shear_closure(report.rows, d, rank), where
+                    assert len(report.grown) == rank, where
 
 
 class TestProofStop:
@@ -532,8 +549,9 @@ class TestGrowthDecisions:
 
     def test_forward_reference_agrees_with_rref(self):
         # The forward echelon against the full RREF it replaced in the
-        # replay, and EchelonQ, the exact walk's echelon, against both:
-        # the same flags on streams with many dependencies.
+        # replay, and EchelonQ, the reference walk's echelon, on the same
+        # vectors cleared of denominators: the same flags on streams with
+        # many dependencies.
         rng = random.Random(62)
         flags = set()
         for _ in range(60):
@@ -604,6 +622,12 @@ class TestPackedEvaluation:
             for d in (1, 2, 3):
                 args = [random_matrix(rng, d, bound) for _ in range(2)]
                 assert evaluate(f, args) == reference_evaluate(f, args, d)
+
+    @pytest.mark.parametrize("width", (1, 2, 4, 8, 16))
+    @pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
+    def test_slot_offset_is_each_slots_top_bit(self, d, width):
+        bits = 8 * width
+        assert span._slots(d, width)[2] == sum(1 << (bits * k + bits - 1) for k in range(d * d))
 
     def test_fraction_arguments(self):
         rng = random.Random(14)
