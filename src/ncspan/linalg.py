@@ -58,6 +58,17 @@ class NotInSpan(Exception):
     """Target matrix does not lie in the given span."""
 
 
+def check_dimension(d: int, name: str = "dimension") -> int:
+    """d, checked by the library's one rule for a dimension or a bound on
+    one: TypeError unless it is an int (a bool is not), then ValueError
+    below 1."""
+    if type(d) is not int:
+        raise TypeError(f"{name} {d!r} is a {type(d).__name__}, not an int")
+    if d < 1:
+        raise ValueError(f"{name} must be >= 1, got {d}")
+    return d
+
+
 class Classification(Enum):
     """The possible linear spans of polynomial values on M_d.
 
@@ -85,7 +96,8 @@ class Classification(Enum):
 
     def rank(self, d: int) -> int:
         """The dimension of this class's space in M_d."""
-        return {"ZERO": 0, "SCALARS": 1, "TRACE_ZERO": d * d - 1, "FULL": d * d}[self.value]
+        n = check_dimension(d) ** 2
+        return {"ZERO": 0, "SCALARS": 1, "TRACE_ZERO": n - 1, "FULL": n}[self.value]
 
     def lies_in(self, other: Classification, d: int) -> bool:
         """Whether this class's space in M_d lies in other's."""
@@ -94,6 +106,8 @@ class Classification(Enum):
 
     def contains(self, vec: Sequence[Num], d: int) -> bool:
         """Whether the d x d matrix with row-major entries vec lies in this class's space."""
+        if len(vec) != check_dimension(d) ** 2:
+            raise DimensionMismatch(f"need {d * d} entries, got {len(vec)}")
         if self is Classification.ZERO:
             return not any(vec)
         if self is Classification.SCALARS:
@@ -256,9 +270,7 @@ class SpanBasis:
         rows: tuple[Vector, ...] = (),
         pivots: tuple[int, ...] = (),
     ):
-        if dim < 1:
-            raise DimensionMismatch("dimension must be positive")
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", check_dimension(dim))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
 
@@ -318,7 +330,7 @@ class SpanBasis:
         a pivot at every coordinate but the last diagonal one: unit rows off
         the diagonal, and E_ii - E_(d-1)(d-1) on it.
         """
-        n = dim * dim
+        n = check_dimension(dim) ** 2
         if which is Classification.ZERO:
             return SpanBasis(dim)
         if which is Classification.SCALARS:

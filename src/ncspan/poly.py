@@ -60,12 +60,8 @@ class NcPoly:
 
     def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned = _clean_terms((tuple(word), _exact(coeff)) for word, coeff in items)
-        for word in cleaned:
-            if any(i < 1 for i in word):
-                raise ValueError(f"variable indices must be >= 1, got word {word}")
-        self._terms = cleaned
-        self._nvars = max((max(w) for w in cleaned if w), default=0)
+        self._terms = _clean_terms((_letters(word), _exact(coeff)) for word, coeff in items)
+        self._nvars = max((max(w) for w in self._terms if w), default=0)
         self._hash = self._compiled = None
 
     # -- constructors ------------------------------------------------------
@@ -85,8 +81,6 @@ class NcPoly:
     @staticmethod
     def variable(i: int) -> NcPoly:
         """The polynomial X_i (i is 1-based)."""
-        if i < 1:
-            raise ValueError(f"variable index must be >= 1, got {i}")
         return NcPoly({(i,): 1})
 
     @staticmethod
@@ -318,6 +312,18 @@ def _exact(c: Scalar) -> Fraction:
     if type(c) is not int and type(c) is not Fraction:
         raise TypeError(f"coefficient {c!r} is a {type(c).__name__}, not an int or a Fraction")
     return Fraction(c)
+
+
+def _letters(word: Iterable[int]) -> Word:
+    """word as a tuple; TypeError unless every letter is an int, bools
+    included, then ValueError for a letter below 1."""
+    word = tuple(word)
+    for i in word:
+        if type(i) is not int:
+            raise TypeError(f"variable index {i!r} in word {word} is a {type(i).__name__}, not an int")
+    if word and min(word) < 1:
+        raise ValueError(f"variable indices must be >= 1, got word {word}")
+    return word
 
 
 def _raw(terms: dict[Word, Fraction]) -> NcPoly:

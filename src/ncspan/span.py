@@ -64,7 +64,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add, mul
+from operator import add, lshift, mul
 from typing import Callable, Iterator, Sequence
 
 from .linalg import (
@@ -77,6 +77,7 @@ from .linalg import (
     SpanBasis,
     _cleared,
     _conjugate,
+    check_dimension,
     express_in_terms,
 )
 from .poly import NcPoly, Word
@@ -202,24 +203,6 @@ def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
 _SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-@functools.lru_cache(maxsize=16)
-def _slots(d: int, width: int) -> tuple:
-    """(cols, rows_at, offset, unpack) for d x d matrices in width-byte slots.
-
-    cols[c] is 1 in slot c of a packed row, so cols is I's rows, and
-    rows_at[i] puts a packed row at row i of a packed matrix.  Adding
-    offset makes every slot nonnegative without borrows, and xor-ing it
-    back flips each slot's top bit, leaving its two's-complement value.
-    unpack is one little-endian struct for the widths that have a code.
-    """
-    bits = 8 * width
-    cols = tuple(1 << (bits * c) for c in range(d))
-    rows_at = tuple(1 << (bits * d * i) for i in range(d))
-    offset = int.from_bytes((b"\0" * (width - 1) + b"\x80") * (d * d), "little")
-    code = _SIGNED_SLOTS.get(width)
-    return cols, rows_at, offset, struct.Struct(f"<{d * d}{code}").unpack if code else None
-
-
 def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
     """((g, v), steps, sums, nvars): sum c * w over terms as a program on
     packed rows, compiled through the minimal DAG of its words.
@@ -336,9 +319,11 @@ def _packed_evaluator(
     the letters x that lead to one child summed before the product.  It
     runs on packed rows: a row is one int holding its d entries in
     fixed-width slots, so a product A * P is d C-level sums of A's entries
-    times P's rows.  The root's d rows, times its factor, are packed into
-    one int of d^2 slots and decoded once, by one little-endian struct for
-    1-, 2-, 4- and 8-byte slots, else slot by slot.
+    times P's rows.  The root's d rows are packed into one int of d^2
+    slots by shifts, row i by i * d slots, times its factor, and decoded
+    once, by one little-endian struct for 1-, 2-, 4- and 8-byte slots, else
+    slot by slot.  The slot layout is built here, once per compile, and the
+    compile is kept only on its polynomial (see _evaluator).
 
     Why merged nodes and summed letters stay exact: packing is a ring map
     Z[t] -> Z, t -> 2^s, and both are the distributive law, so every step
@@ -353,9 +338,17 @@ def _packed_evaluator(
     top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
     # Bytes per slot: a power of two with room for the sign.
     width = 1 << ((top.bit_length() + 8) // 8 - 1).bit_length()
-    cols, rows_at, offset, unpack = _slots(d, width)
+    bits = 8 * width
+    # cols[c] is 1 in slot c of a packed row, so cols is I's rows.  Adding
+    # offset makes every slot nonnegative without borrows, and xor-ing it
+    # back flips each slot's top bit, leaving its two's-complement value.
+    cols = [1 << (bits * c) for c in range(d)]
+    offset = int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+    code = _SIGNED_SLOTS.get(width)
+    unpack = struct.Struct(f"<{n}{code}").unpack if code else None
     (factor, root), steps, sums, nvars = _compile(terms, d)
     size = nvars * n
+    row_shifts = range(0, n * bits, d * bits)
 
     def ev(entries: Sequence[int]) -> list[int]:
         rows = list(zip(*[iter(entries[:size])] * d))
@@ -375,7 +368,7 @@ def _packed_evaluator(
                 p = vals[u]
                 acc = [a + g * sum(map(mul, r, p)) for a, r in zip(acc, rows[j : j + d])]
             vals.append(acc)
-        total = factor * sum(map(mul, vals[root], rows_at))
+        total = factor * sum(map(lshift, vals[root], row_shifts))
         data = ((total + offset) ^ offset).to_bytes(n * width, "little")
         if unpack:
             return list(unpack(data))
@@ -392,11 +385,9 @@ def _evaluator(f: NcPoly, d: int, bound: int) -> tuple[int, Callable[[Sequence[i
     _packed_evaluator), L clearing f's denominators.  f keeps the last
     pair built for it, keyed by (d, bound), so a suite entry's classifier
     and oracle share one compile and none outlives f.  Every sampled
-    verdict reaches it first, so it is where d is checked: an int >= 1."""
-    if type(d) is not int:
-        raise TypeError(f"dimension {d!r} is a {type(d).__name__}, not an int")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    verdict reaches it first, so it is where d is checked (see
+    check_dimension)."""
+    check_dimension(d)
     made = f._compiled
     if made is None or made[0] != (d, bound):
         scale, terms = _integer_terms(f)
@@ -443,7 +434,7 @@ def evaluate(
         if dim is not None and dim != d:
             raise DimensionMismatch(f"arguments are {d}x{d}, expected {dim}x{dim}")
     elif dim is not None:
-        d = dim
+        d = check_dimension(dim)
     else:
         raise ArityMismatch("cannot infer dimension: no arguments and no dim given")
     scale, terms = _integer_terms(f)
@@ -522,7 +513,7 @@ def vanishing_rate(
     walks units (zero and constants are multilinear).  The bound stays
     factored because p ** n can have thousands of digits.
     """
-    n = cfg.samples_for(d)
+    n = cfg.samples_for(check_dimension(d))
     if f.is_multilinear():
         return Fraction(0), n
     return min(Fraction(f.degree(), 2 * cfg.coeff_bound + 1), Fraction(1)), n
@@ -719,7 +710,7 @@ def find_witness_dimension(
     """
     if f.is_constant():
         raise ConstantInput("witness dimensions are defined for nonconstant input")
-    for d in range(1, d_max + 1):
+    for d in range(1, check_dimension(d_max, "d_max") + 1):
         if nontriviality_oracle(d, cfg)(f):
             return d
     return None
@@ -759,7 +750,7 @@ def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     sl_d contains E_11 = E_12 * E_21, so it is M_d; the scalars are already
     a subalgebra.
     """
-    if seed.dim != d:
+    if seed.dim != check_dimension(d):
         raise DimensionMismatch(f"seed is {seed.dim}x{seed.dim}, expected {d}x{d}")
     vec, least = seed.flatten(), (Classification.ZERO, Classification.SCALARS)
     return SpanBasis.canonical(d, next((c for c in least if c.contains(vec, d)), Classification.FULL))

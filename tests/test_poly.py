@@ -78,6 +78,23 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             NcPoly({(0,): 1})
 
+    @pytest.mark.parametrize("word", [(1.5,), (1.0,), (True,), ("1",), (2, False)], ids=repr)
+    def test_non_int_letter_refused(self, word):
+        # A letter is an int, not merely equal to one: (1.0,) would print X1.0.
+        with pytest.raises(TypeError, match="not an int"):
+            NcPoly({word: 1})
+
+    def test_non_int_letter_refused_before_terms_merge(self):
+        # (1.0,) hashes like (1,); it is refused before the two could merge.
+        with pytest.raises(TypeError, match="float"):
+            NcPoly([((1,), 1), ((1.0,), 1)])
+
+    def test_non_int_letter_refused_by_constructors(self):
+        with pytest.raises(TypeError, match="bool"):
+            NcPoly.variable(True)
+        with pytest.raises(TypeError, match="bool"):
+            NcPoly.monomial((2, True))
+
 
 @settings(max_examples=100)
 @given(polys, polys, polys)

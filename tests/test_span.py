@@ -466,6 +466,84 @@ class TestDimensionChecked:
             is_central(COMM, -1)
 
 
+class TestLibraryDimensionRule:
+    """Every public function that takes a dimension reads it by one rule
+    (linalg.check_dimension): TypeError for a non-int or a bool, then
+    ValueError below 1."""
+
+    def test_contains_refuses_a_short_vector(self):
+        with pytest.raises(DimensionMismatch, match="need 4 entries, got 2"):
+            Classification.TRACE_ZERO.contains([1, 2], 2)
+
+    def test_contains_refuses_a_long_vector(self):
+        with pytest.raises(DimensionMismatch, match="need 4 entries, got 9"):
+            Classification.ZERO.contains([0] * 9, 2)
+
+    def test_contains_refuses_a_bool_dimension(self):
+        with pytest.raises(TypeError, match="bool"):
+            Classification.FULL.contains([7], True)
+
+    def test_rank_negative(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Classification.TRACE_ZERO.rank(-2)
+
+    def test_rank_float(self):
+        with pytest.raises(TypeError, match="float"):
+            Classification.TRACE_ZERO.rank(2.0)
+
+    def test_lies_in_zero(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Classification.ZERO.lies_in(Classification.FULL, 0)
+
+    def test_span_basis_zero(self):
+        with pytest.raises(ValueError, match="dimension"):
+            SpanBasis(0)
+
+    def test_span_basis_bool(self):
+        with pytest.raises(TypeError, match="bool"):
+            SpanBasis(True)
+
+    def test_canonical_bool(self):
+        for which in Classification:
+            with pytest.raises(TypeError, match="bool"):
+                SpanBasis.canonical(True, which)
+
+    def test_canonical_negative(self):
+        for which in Classification:
+            with pytest.raises(ValueError, match="dimension"):
+                SpanBasis.canonical(-1, which)
+
+    def test_herstein_closure_bool(self):
+        with pytest.raises(TypeError, match="bool"):
+            herstein_closure(MatrixQ.identity(1), True)
+
+    def test_vanishing_rate_float(self):
+        with pytest.raises(TypeError, match="float"):
+            vanishing_rate(X1 * X1, 2.5)
+
+    def test_find_witness_dimension_bool(self):
+        with pytest.raises(TypeError, match="d_max True is a bool"):
+            find_witness_dimension(COMM, True)
+
+    def test_find_witness_dimension_zero(self):
+        with pytest.raises(ValueError, match="d_max"):
+            find_witness_dimension(COMM, 0)
+
+    def test_evaluate_constant_at_zero(self):
+        with pytest.raises(ValueError, match="dimension"):
+            evaluate(NcPoly.constant(3), [], dim=0)
+
+    def test_evaluate_constant_at_float(self):
+        with pytest.raises(TypeError, match="float"):
+            evaluate(NcPoly.constant(3), [], dim=2.0)
+
+    def test_valid_dimensions_unchanged(self):
+        assert Classification.TRACE_ZERO.rank(2) == 3
+        assert Classification.TRACE_ZERO.contains([1, 2, 3, -1], 2)
+        assert SpanBasis.canonical(1, Classification.FULL).rank == 1
+        assert evaluate(NcPoly.constant(3), [], dim=2) == MatrixQ.diagonal([3, 3])
+
+
 class TestNontrivialityOracle:
     def test_one_pass_per_call(self, monkeypatch):
         import ncspan.span

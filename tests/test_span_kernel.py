@@ -626,8 +626,14 @@ class TestPackedEvaluation:
     @pytest.mark.parametrize("width", (1, 2, 4, 8, 16))
     @pytest.mark.parametrize("d", (1, 2, 3, 8, 16))
     def test_slot_offset_is_each_slots_top_bit(self, d, width):
-        bits = 8 * width
-        assert span._slots(d, width)[2] == sum(1 << (bits * k + bits - 1) for k in range(d * d))
+        # For f = X1 the bound B = 2^(8w - 1) - 1 sizes width-w slots, so B
+        # and -B fill a slot to its edges, and 0 and -1 leave every bit of
+        # it clear or set: the offset's top bits must undo each exactly.
+        top = 2 ** (8 * width - 1) - 1
+        ev = span._packed_evaluator([((1,), 1)], d, top)
+        n = d * d
+        for entries in ([top] * n, [-top] * n, [0] * n, [-1] * n, [(top, -top, 0, -1)[k % 4] for k in range(n)]):
+            assert ev(entries) == entries
 
     def test_fraction_arguments(self):
         rng = random.Random(14)
@@ -690,6 +696,20 @@ class TestPackedEvaluation:
             polys.append(delta(delta(g, 1, g.nvars + 1), 1, g.nvars + 2))
         for f in polys:
             self.assert_matches_reference(f, d, rng.choice((1, 2, 10)), rng, draws=2)
+
+    @pytest.mark.parametrize(
+        "d, bound", ((32, 10), (64, 10), (32, 10**12)), ids=("d32-b10", "d64-b10", "d32-b1e12")
+    )
+    def test_large_d_matches_reference(self, d, bound):
+        # The root's rows are packed by shifts across d^2 slots: held to the
+        # word-by-word loop, which packs them by powers of two, at large d.
+        rng = random.Random(d + bound)
+        for text in ("[X1,X2]", "X1*X2", "(X1+X2)^3"):
+            f = parse_poly(text)
+            _, ev = span._evaluator(f, d, bound)
+            want = reference_packed_evaluator(span._integer_terms(f)[1], d, bound)
+            entries = [rng.randint(-bound, bound) for _ in range(f.nvars * d * d)]
+            assert ev(entries) == want(entries), (text, d, bound)
 
     def test_dag_matches_reference_every_slot_width(self):
         # Bounds that need 1, 2, 4, 8 and 16 bytes per slot, as above.
