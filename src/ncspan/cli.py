@@ -7,11 +7,12 @@ All rationals in JSON are "p/q" strings so nothing is ever rounded;
 identical seeds and flags give byte-identical output.
 
 Every command that classifies reads span.classify_span, whose report
-names one of the four canonical spaces and builds its basis and witness
-matrices only when they are read: classify's JSON prints the basis,
-decompose reads the witnesses, suite prints no witness and compares
-classes in closed form, and classify prints its witnesses straight from
-the report's integer rows, in one format call.  Every document is
+names one of the four canonical spaces, by theorem below degree 2d, and
+samples, builds its basis and builds its witness matrices only when they
+are read: classify's JSON prints the basis, decompose reads the
+witnesses, suite reads no sample and compares classes in closed form, and
+classify prints its witnesses straight from the report's integer rows, in
+one format call.  Every document is
 json.dumps(doc, indent=2); only classify's matrices of "%s" slots are laid
 out by hand (_grid), and _emit splices them in.
 """
@@ -51,7 +52,7 @@ from .text import (
     poly_to_text,
 )
 
-SCHEMA = "ncspan/5"
+SCHEMA = "ncspan/6"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -109,15 +110,12 @@ def _doc(f: NcPoly, **fields) -> dict:
 
 def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
     """(applicable, consistent-or-None) for the degree exclusion: for d >= 2
-    and 1 <= deg f < 2d, f is neither an identity of M_d nor central on it,
-    so its span, a Lie ideal of M_d, is TRACE_ZERO or FULL.  Proof: over Q
-    the full linearization g of a component of f of degree k >= 1 takes
-    values in the span of f's (Rowen, 1980), and g sends matrix units in
-    staircase order E_11, E_12, E_22, E_23, ... along a word with coefficient
-    c != 0 to c*E_1j, j = k//2 + 1 <= d, every other order of them giving 0:
-    the easy half of Amitsur-Levitzki (1950).  On the commutative M_1 every f
-    is central; the flag holds there (deg f = 1) only because SCALARS = FULL
-    and the report names FULL."""
+    and 1 <= deg f < 2d, the span of f's values is TRACE_ZERO if f is a sum
+    of commutators and FULL otherwise (proved at span._degree_decides).
+    classify_span names the class by that theorem, so the flag is a
+    self-check of the report.  On the commutative M_1 every f is central;
+    the flag holds there (deg f = 1) only because SCALARS = FULL and the
+    report names FULL."""
     deg = report.poly.degree()
     applicable = deg is not None and deg >= 1 and 2 * report.dim > deg
     if not applicable:

@@ -164,7 +164,7 @@ class MatrixQ:
 
     @staticmethod
     def unflatten(vec: Sequence[Num], d: int) -> MatrixQ:
-        if len(vec) != d * d:
+        if len(vec) != check_dimension(d) ** 2:
             raise DimensionMismatch(f"need {d * d} entries, got {len(vec)}")
         return MatrixQ([vec[i * d : (i + 1) * d] for i in range(d)])
 

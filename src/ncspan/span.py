@@ -2,35 +2,41 @@
 
 The linear span of the values of a polynomial on a full matrix algebra is
 always one of four canonical subspaces: zero, the scalars, the trace-zero
-matrices, or everything.  This module samples random integer matrix tuples,
-evaluates L * f on them in plain integers (L clears f's denominators), and
-names the least canonical space that holds every sampled value.  That space
-is a proved lower bound on the span: the span is closed under conjugation,
-so it is a Lie ideal of M_d, and one non-scalar value puts the trace-zero
-matrices inside it (see classify_span).  It is the span itself once it is
-M_d, or the trace-zero matrices for a sum of commutators; otherwise the
-upper bound is sampled, and the report says so by its stop reason.
-Exactness comes from two places:
+matrices, or everything.  The span is closed under conjugation, so it is a
+Lie ideal of M_d, and one non-scalar value puts the trace-zero matrices
+inside it (see _sample).  For d >= 2 and 1 <= deg f < 2d that fixes the
+class before any sample: sl_d for a sum of commutators, M_d otherwise, and
+f is neither an identity nor central (see _degree_decides).  Elsewhere this
+module samples random integer matrix tuples, evaluates L * f on them in
+plain integers (L clears f's denominators), and names the least canonical
+space that holds every sampled value.  That space is a proved lower bound
+on the span, and the span itself once it is M_d, or the trace-zero
+matrices for a sum of commutators; otherwise the upper bound is sampled,
+and the report says so by its stop reason.  Exactness comes from two
+places:
 
 - whether a sampled value is zero, scalar or trace zero is tested exactly
-  on the integer values, and the class rests on these tests alone;
+  on the integer values, and the class rests on these tests, or on the
+  theorem, alone;
 - a report names one of the four canonical spaces, whose rank, order and
   membership tests are closed forms (see Classification); its exact basis
   is built only when read, in closed form.
 
-A report keeps integer rows: the one or two samples that raised its class.
-Its rank-many witness rows (grown) and witness matrices are built only
-when read, as shear conjugates of those rows, with no evaluation of f,
-each kept when it grows an echelon mod p = 2^31 - 1 once the powers of p
-that the rows' traces and trace-free parts share are divided out (see
-_shear_closure).  suite prints no witness, classify writes each one as
-text straight from the integer rows, and decompose solves on the integer
-rows and returns the witness tuples.
+Where the theorem names the class, the sampling loop runs only when a
+sample is read: suite reads none.  A report keeps integer rows: the one or
+two samples that raised its class.  Its rank-many witness rows (grown) and
+witness matrices are built only when read, as shear conjugates of those
+rows, with no evaluation of f, each kept when it grows an echelon mod p =
+2^31 - 1 once the powers of p that the rows' traces and trace-free parts
+share are divided out (see _shear_closure).  suite prints no witness,
+classify writes each one as text straight from the integer rows, and
+decompose solves on the integer rows and returns the witness tuples.
 
 Every sampled verdict reads one seeded stream of integer entries, the
 values randint(-B, B) gives one by one (see _samples): the classifier
 tests each value of f against its class so far, and one pass decides
-identity and centrality, stopping at the first non-scalar value.
+identity and centrality, stopping at the first non-scalar value, where
+the degree does not decide them.
 Both verdicts are exact for multilinear polynomials (tuples of matrix
 units suffice) and randomized otherwise, under one polynomial-vanishing
 error bound (vanishing_rate, in factored form).
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add, lshift, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
     PRIME,
@@ -99,7 +105,8 @@ class SampleConfig:
     [-coeff_bound, coeff_bound].  When max_samples is None the budget
     defaults to 64 * d^2 for dimension d.  A proof of the class usually
     takes one sample and rarely more than two; the budget binds only a
-    class that no sample proves.  No field sets the STABILITY_WINDOW stop:
+    class that no sample proves, or, where the degree decides the class,
+    only the rows that raise it.  No field sets the STABILITY_WINDOW stop:
     a class that 50 samples in a row did not raise.
     """
 
@@ -128,12 +135,15 @@ _STABILITY_WINDOW = 50
 
 
 class StopReason(Enum):
-    """Why classify_span stopped sampling.
+    """Why the sampling loop stopped (see _sample).
 
     LIE_IDEAL stops on a proof that the span of f's values is the whole
-    canonical space (see classify_span); STABILITY_WINDOW (a class that 50
+    canonical space of the samples; STABILITY_WINDOW (a class that 50
     samples in a row did not raise) and BUDGET_EXHAUSTED stop on a sampled
     verdict: a proved lower bound on the span, whose upper bound is sampled.
+    Where the degree decides the class (see _degree_decides), they say
+    instead that the rows stopped short of it, with fewer witnesses than
+    its rank.
     """
 
     LIE_IDEAL = "LIE_IDEAL"
@@ -144,27 +154,48 @@ class StopReason(Enum):
 Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+class _Run(NamedTuple):
+    """One run of the sampling loop (see _sample): the least class that
+    holds its samples, how many it drew, why it stopped, L, and the
+    (entries, L * f(t)) rows of the samples that raised the class."""
+
+    classification: Classification
+    samples_used: int
+    stop_reason: StopReason
+    scale: int
+    rows: tuple[Row, ...]
+
+
 @dataclass(frozen=True)
 class SpanReport:
-    """Outcome of sampling the span of a polynomial's values on M_d.
+    """The class of the span of a polynomial's values on M_d, and its samples.
 
-    rows holds (entries, L * f(t)) rows in plain integers, and scale is L,
-    which clears f's denominators: the one or two samples that raised the
-    class.  grown holds rank-many rows whose values span the class, and
-    witness k is t_k and grown[k][1] / L.  The report holds no basis: the
-    class answers rank and membership in closed form, and basis, grown and
-    the witnesses are built when first read.
+    samples_used, stop_reason, scale (L, which clears f's denominators) and
+    rows (entries, L * f(t)), the one or two samples that raised the class,
+    come from one run of the sampling loop (see _sample).  It is made when
+    first read, or by classify_span when no theorem names the class.  grown
+    holds the rows' shear closure, whose values span the class unless a
+    budget cut the rows short of it, and witness k is t_k and grown[k][1] /
+    L.  The report holds no basis: the class answers rank and membership in
+    closed form, and basis, grown and the witnesses are built when first
+    read.  Equal reports have equal fields, and so equal runs.
     """
 
     poly: NcPoly
     dim: int
     classification: Classification
-    samples_used: int
-    stop_reason: StopReason
     config: SampleConfig
     sum_of_commutators: bool
-    scale: int
-    rows: tuple[Row, ...]
+
+    @functools.cached_property
+    def _run(self) -> _Run:
+        """The sampling loop's run, made once, when first read."""
+        return _sample(self.poly, self.dim, self.config, self.sum_of_commutators)
+
+    samples_used = property(lambda self: self._run.samples_used)
+    stop_reason = property(lambda self: self._run.stop_reason)
+    scale = property(lambda self: self._run.scale)
+    rows = property(lambda self: self._run.rows)
 
     @functools.cached_property
     def basis(self) -> SpanBasis:
@@ -422,6 +453,8 @@ def evaluate(
     divided by L * D^m, m the degree of f: one integer evaluation.
     """
     args = tuple(args)
+    if dim is not None:
+        check_dimension(dim)
     if len(args) < f.nvars:
         raise ArityMismatch(
             f"polynomial uses X1..X{f.nvars} but only {len(args)} matrices given"
@@ -434,7 +467,7 @@ def evaluate(
         if dim is not None and dim != d:
             raise DimensionMismatch(f"arguments are {d}x{d}, expected {dim}x{dim}")
     elif dim is not None:
-        d = check_dimension(dim)
+        d = dim
     else:
         raise ArityMismatch("cannot infer dimension: no arguments and no dim given")
     scale, terms = _integer_terms(f)
@@ -487,15 +520,49 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
         yield ev(entries)
 
 
+def _degree_decides(f: NcPoly, d: int) -> bool:
+    """Whether d >= 2 and 1 <= deg f < 2d, d checked first (see
+    check_dimension).  There the degree decides f on M_d: f is neither an
+    identity nor central, and the span V of its values is sl_d (TRACE_ZERO)
+    if f is a sum of commutators, M_d (FULL) otherwise.
+
+    V holds sl_d.  Over Q the values of each multihomogeneous component of
+    f lie in V (scale the variables), and so do those of its full
+    linearization g (Rowen, 1980), multilinear of the component's degree
+    k.  Take k >= 1, so k < 2d.  g sends matrix units in staircase order
+    E_11, E_12, E_22, E_23, ... along a word with coefficient c != 0 to
+    c * E_1j, j = k//2 + 1 <= d, every other order of them giving 0: the
+    easy half of Amitsur-Levitzki (1950).  c * E_1j is not scalar at d >=
+    2, so V, a Lie ideal (see _sample), holds sl_d by Herstein, and f is
+    neither an identity nor central.
+
+    V lies in sl_d iff f is a sum of commutators.  If f is one, tr[a, b] =
+    0.  Conversely, let every value of f have trace 0.  A constant
+    component c has the value c * I, of trace d * c, so c = 0.  For k >= 1,
+    rotate each word of g to end in x_k: tr g = tr(h * x_k), h multilinear
+    of degree k - 1, with one word per cyclic class of g's words, whose
+    coefficient is the class's sum.  The trace form is nondegenerate, so h
+    vanishes on M_d, and k - 1 < 2d, so h = 0 by Amitsur-Levitzki: each
+    cyclic class of g sums to 0.  Restitution, which gives back the
+    component from g, maps cyclic classes into cyclic classes, so each of
+    the component's sums to 0, and so does each of f's (see
+    NcPoly.commutator_obstruction).  Brešar and Klep (2009) prove this for
+    every degree, up to an identity of M_d.
+    """
+    return check_dimension(d) >= 2 and 1 <= (f.degree() or 0) < 2 * d
+
+
 def is_identity(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> bool:
     """Decide whether every value of f on M_d is zero.
 
-    Exact for multilinear f (see _values).  Otherwise randomized over
-    integer matrices: any nonzero value certifies False, while an all-zero
-    run returns True with error probability at most p ** n for (p, n) =
-    vanishing_rate().  Both evaluate L * f, which vanishes where f does.
+    False with no evaluation where the degree decides it (see
+    _degree_decides).  Exact for multilinear f (see _values).  Otherwise
+    randomized over integer matrices: any nonzero value certifies False,
+    while an all-zero run returns True with error probability at most p **
+    n for (p, n) = vanishing_rate().  Both evaluate L * f, which vanishes
+    where f does.
     """
-    return not any(map(any, _values(f, d, cfg)))
+    return not _degree_decides(f, d) and not any(map(any, _values(f, d, cfg)))
 
 
 def vanishing_rate(
@@ -520,8 +587,11 @@ def vanishing_rate(
 
 
 def _verdicts(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[bool, bool]:
-    """(identity, central) for f on M_d in one pass over _values: neither at
-    a non-scalar value, else identity if all are zero and central if not."""
+    """(identity, central) for f on M_d: neither where the degree decides
+    (see _degree_decides), else in one pass over _values, neither at a
+    non-scalar value, else identity if all are zero and central if not."""
+    if _degree_decides(f, d):
+        return False, False
     zero = True
     for vec in _values(f, d, cfg):
         if not Classification.SCALARS.contains(vec, d):
@@ -545,7 +615,30 @@ def nontriviality_oracle(
 def classify_span(
     f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
 ) -> SpanReport:
-    """Sample values of f on M_d and classify their linear span.
+    """Classify the linear span of f's values on M_d.
+
+    Where the degree decides it (d >= 2 and 1 <= deg f < 2d, see
+    _degree_decides), the class is named before any sample: TRACE_ZERO for
+    a sum of commutators, FULL otherwise, and the sampling loop (see
+    _sample) runs only when the report's samples, rows or witnesses are
+    first read.  A budget then bounds only that search for rows: a run cut
+    short of the class leaves the class as it is, and fewer witnesses than
+    its rank.  Elsewhere (d = 1, constants, deg f >= 2d) the loop names the
+    class, so it runs here, once, and the report keeps its run.
+    """
+    check_dimension(d)
+    commutator_sum = f.is_sum_of_commutators()
+    if _degree_decides(f, d):
+        cls = Classification.TRACE_ZERO if commutator_sum else Classification.FULL
+        return SpanReport(f, d, cls, cfg, commutator_sum)
+    run = _sample(f, d, cfg, commutator_sum)
+    report = SpanReport(f, d, run.classification, cfg, commutator_sum)
+    report.__dict__["_run"] = run  # where cached_property keeps it: no second run
+    return report
+
+
+def _sample(f: NcPoly, d: int, cfg: SampleConfig, commutator_sum: bool) -> _Run:
+    """Sample values of f on M_d until their class is proved to be the span.
 
     The class is the least canonical space that holds every sample so far:
     ZERO, then SCALARS, TRACE_ZERO or FULL, and at d = 1, where the
@@ -559,19 +652,17 @@ def classify_span(
     the trace-zero matrices sl_d (Herstein, Topics in Ring Theory, 1969),
     and a nonzero scalar value spans the scalars, so V holds the class.
     At d >= 2 the class is V once it is FULL, and once it is TRACE_ZERO
-    when f is a sum of commutators, whose values all have trace 0 since
-    tr[a, b] = 0.  At d = 1 a sum of commutators is ZERO (sl_1 = 0).
-    Sampling stops there (LIE_IDEAL).  Otherwise only the upper bound is
-    sampled, and sampling stops once 50 samples in a row did not raise the
-    class (STABILITY_WINDOW), or when the budget runs out.
+    when f is a sum of commutators (commutator_sum), whose values all have
+    trace 0 since tr[a, b] = 0.  At d = 1 a sum of commutators is ZERO
+    (sl_1 = 0).  Sampling stops there (LIE_IDEAL).  Otherwise only the
+    upper bound is sampled, and sampling stops once 50 samples in a row did
+    not raise the class (STABILITY_WINDOW), or when the budget runs out.
 
-    Values are computed as integer matrices L * f(t), and the report keeps
+    Values are computed as integer matrices L * f(t), and the run keeps
     the samples that raised the class as integer rows, one or two of them.
-    No basis, no witness and no Fraction is built here: the report's
-    basis, grown and witnesses are built when first read.
+    No basis, no witness and no Fraction is built here.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
-    commutator_sum = f.is_sum_of_commutators()
     proved = {Classification.FULL}
     if commutator_sum:
         proved.add(Classification.ZERO if d == 1 else Classification.TRACE_ZERO)
@@ -597,17 +688,7 @@ def classify_span(
         if stall >= _STABILITY_WINDOW:
             stop_reason = StopReason.STABILITY_WINDOW
             break
-    return SpanReport(
-        poly=f,
-        dim=d,
-        classification=cls,
-        samples_used=samples_used,
-        stop_reason=stop_reason,
-        config=cfg,
-        sum_of_commutators=commutator_sum,
-        scale=scale,
-        rows=tuple(rows),
-    )
+    return _Run(cls, samples_used, stop_reason, scale, tuple(rows))
 
 
 def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, ...]], bool]) -> list[Row]:
@@ -772,8 +853,10 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     L * f(t_j) | target], in integers until the solution mu: forward
     Bareiss elimination, then back substitution on the free columns only
     (the target's and those of dependent witnesses).  Scaling every column
-    by L moves no pivot, so lam_j = L * mu_j.  The solve succeeds because
-    the grown values span the class (the shear closure reaches its rank).
+    by L moves no pivot, so lam_j = L * mu_j.  The solve succeeds when the
+    grown values span the class (the shear closure reaches its rank); a
+    budget can cut the rows short of a class the degree decides, and then
+    a target the witnesses do not span raises NotInSpan, naming the budget.
     """
     d = report.dim
     if target.dim != d:
@@ -793,4 +876,9 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     if not report.classification.contains(vec, d):
         raise NotInSpan("target is outside the sampled span")
     sol = express_in_terms([row for _, row in report.grown], vec)
+    if sol is None:
+        raise NotInSpan(
+            f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
+            f" before the witnesses spanned the target ({len(report.grown)} witnesses for rank {report.rank})"
+        )
     return [(lam * report.scale, args) for lam, args in zip(sol, report._inputs) if lam]

@@ -20,6 +20,7 @@ from ncspan import (
     NcPoly,
     SampleConfig,
     SpanBasis,
+    StopReason,
     VariableCollision,
     commutator,
     is_identity,
@@ -418,6 +419,62 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
             continue
         break
     return ReferenceReport(f, d, match, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(grown))
+
+
+@dataclass(frozen=True)
+class EagerReport:
+    """reference_eager_classify_span's outcome: SpanReport's fields as they
+    were when every report sampled at once, and grown as SpanReport builds it."""
+
+    poly: NcPoly
+    dim: int
+    classification: Classification
+    samples_used: int
+    stop_reason: StopReason
+    config: SampleConfig
+    sum_of_commutators: bool
+    scale: int
+    rows: tuple
+
+    @functools.cached_property
+    def grown(self) -> tuple:
+        return span._shear_closure(self.rows, self.dim, self.classification.rank(self.dim))
+
+
+def reference_eager_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> EagerReport:
+    """The eager classifier that the degree theorem deferred: it samples at
+    once and names the least canonical space that holds every sample,
+    stopping at a proof that it is the span (LIE_IDEAL), after 50 samples
+    in a row that did not raise it (STABILITY_WINDOW), or when the budget
+    runs out (BUDGET_EXHAUSTED).  Its rows are the samples that raised the
+    class."""
+    scale, ev = span._evaluator(f, d, cfg.coeff_bound)
+    commutator_sum = f.is_sum_of_commutators()
+    proved = {Classification.FULL}
+    if commutator_sum:
+        proved.add(Classification.ZERO if d == 1 else Classification.TRACE_ZERO)
+    cls = Classification.ZERO
+    rows = []
+    stall = samples_used = 0
+    stop_reason = StopReason.BUDGET_EXHAUSTED
+    for entries in span._samples(f, d, cfg):
+        vec = ev(entries)
+        samples_used += 1
+        if cls.contains(vec, d):
+            stall += 1
+        else:
+            from_zero = cls is Classification.ZERO and d > 1
+            least = (Classification.SCALARS, Classification.TRACE_ZERO) if from_zero else ()
+            cls = next((c for c in least if c.contains(vec, d)), Classification.FULL)
+            rows.append((tuple(entries), tuple(vec)))
+            stall = 0
+        if cls in proved:
+            stop_reason = StopReason.LIE_IDEAL
+            break
+        if stall >= 50:
+            stop_reason = StopReason.STABILITY_WINDOW
+            break
+    return EagerReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(rows))
 
 
 def reference_report_doc(report) -> dict:

@@ -42,7 +42,7 @@ class TestClassify:
             capsys, "classify", "--poly", "X1*X2 - X2*X1", "--dim", "2"
         )
         assert code == 0
-        assert doc["schema"] == "ncspan/5"
+        assert doc["schema"] == "ncspan/6"
         assert doc["classification"] == "TRACE_ZERO"
         assert doc["rank"] == 3
         assert doc["polynomial"] == "X1*X2 - X2*X1"
@@ -230,9 +230,10 @@ class TestWitness:
         code, doc = run_json(capsys, "witness", "--poly", "[X1,X2]^2", "--dmax", "3")
         assert code == 0
         assert [e["central"] for e in doc["tested"]] == [False, True, False]
-        # One pass over f's own values per dimension: no bracket with a fresh variable.
+        # One pass over f's own values per dimension where deg f >= 2d: no
+        # bracket with a fresh variable.  At d=3, deg f = 4 < 6 decides both.
         f = parse_poly("[X1,X2]^2")
-        assert calls == [(f, 1), (f, 2), (f, 3)]
+        assert calls == [(f, 1), (f, 2)]
 
     def test_huge_sample_budget(self, capsys):
         # 21^4000 has more digits than int-to-str conversion allows.
@@ -487,20 +488,23 @@ class TestSuite:
             ncspan.span, "_values", lambda f, d, cfg: read.append(f) or real_values(f, d, cfg)
         )
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("X1*X2\n")
+        corpus.write_text("[X1,X2]*X3*X4\n")
         code, doc = run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
         assert code == 0
         reduction = doc["entries"][0]["reduction"]
         assert reduction["steps"] == 0 and reduction["oracle_true"] is True
         # f's own values, read once: no bracket with a fresh variable.
-        assert read == asked == [parse_poly("X1*X2")]
-        for text in ("X1*X1*X2 + X2", "(X1+X2)^3*X3", "[X1,X2]^2"):
+        assert read == asked == [parse_poly("[X1,X2]*X3*X4")]
+        for text, sampled in (("X1*X2", False), ("X1*X1*X2 + X2", False), ("(X1+X2)^3*X3", True), ("[X1,X2]^2", True)):
             asked.clear()
             read.clear()
             corpus.write_text(text + "\n")
             run_json(capsys, "suite", "--corpus", str(corpus), "--dim", "2")
-            # One pass per polynomial the oracle is asked about, and no other.
-            assert read and read == asked and len(read) == len(set(read)), text
+            # One pass per polynomial the oracle is asked about where deg >= 2d,
+            # and no other: below degree 4 the degree decides at d=2.
+            assert asked and len(asked) == len(set(asked)), text
+            assert read == [g for g in asked if g.degree() >= 4], text
+            assert bool(read) is sampled, text
 
     def test_parses_whole_corpus_first(self, capsys, tmp_path, monkeypatch):
         import ncspan.cli

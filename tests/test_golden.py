@@ -32,9 +32,11 @@ CASES = {
     for seed in (0, 7919)
 }
 # A budget of one sample: at seed 0 it is a value of trace 0 for X1, and a
-# scalar one for X1*X1 (a trace-zero 2 x 2 matrix squares to a scalar), so
-# both are classed below their span and the degree exclusion flags both.
-# Budgets of 2 and 3, and seed 7919, print suite-d2's documents.
+# scalar one for X1*X1 (a trace-zero 2 x 2 matrix squares to a scalar).
+# Below degree 2d the budget cuts only the search for rows, not the class:
+# both are FULL by the degree theorem, X1*X1 is not called central, so it
+# is reduced, and no entry shows a violation.  So this budget, like those
+# of 2 and 3 and seed 7919's, prints suite-d2's document.
 CASES["suite-budget1-d2-seed0.json"] = (
     "suite", "--corpus", "corpus.txt", "--dim", "2", "--seed", "0", "--max-samples", "1"
 )
@@ -167,6 +169,14 @@ def test_ser_rows_agrees_with_format_scalar(name, monkeypatch):
         {"inputs": [text(a.rows) for a in tup], "value": text(v.rows)} for tup, v in report.witnesses
     ]
     assert doc["witnesses"]
+
+
+def test_one_sample_budget_prints_the_default_suite():
+    """Below degree 2d a budget cuts no class, so suite on the corpus at
+    d=2 prints the same document with one sample as with the default budget."""
+    assert (GOLDEN / "suite-budget1-d2-seed0.json").read_text(encoding="utf-8") == (
+        GOLDEN / "suite-d2-seed0.json"
+    ).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE))

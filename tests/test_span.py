@@ -312,8 +312,13 @@ class TestWitnessDimension:
         )
         assert find_witness_dimension(HALL, 3) == 3
         # An identity on M_1, central on M_2: one pass over HALL's own values
-        # per dimension, and no bracket with a fresh variable.
-        assert calls == [(HALL, 1), (HALL, 2), (HALL, 3)]
+        # per dimension where deg HALL = 4 >= 2d, and no bracket with a fresh
+        # variable.  At d=3 the degree decides.
+        assert calls == [(HALL, 1), (HALL, 2)]
+        calls.clear()
+        # HALL^2, central on M_2 and of degree 8 >= 6: a pass at d=3 too.
+        assert find_witness_dimension(HALL * HALL, 3) == 3
+        assert calls == [(HALL * HALL, 1), (HALL * HALL, 2), (HALL * HALL, 3)]
 
 
 class TestLieIdeal:
@@ -452,6 +457,14 @@ class TestDimensionChecked:
         with pytest.raises(TypeError, match="float"):
             classify_span(COMM, 2.0)
 
+    def test_closed_form_path_checks_first(self):
+        # COMM has degree 2 < 2d for every d >= 2: the degree would decide
+        # each verdict at d = 2.0 without sampling, so d is checked first.
+        for d, error in ((2.0, TypeError), (True, TypeError), (0, ValueError)):
+            for call in (classify_span, is_identity, is_central, lambda f, d: nontriviality_oracle(d)(f)):
+                with pytest.raises(error):
+                    call(COMM, d)
+
     def test_is_identity_zero(self):
         for f in (COMM, NcPoly.zero()):
             with pytest.raises(ValueError, match="dimension"):
@@ -537,11 +550,32 @@ class TestLibraryDimensionRule:
         with pytest.raises(TypeError, match="float"):
             evaluate(NcPoly.constant(3), [], dim=2.0)
 
+    def test_unflatten_bool(self):
+        # [5] has 1 = True ** 2 entries: the bool is refused, not read as 1.
+        with pytest.raises(TypeError, match="bool"):
+            MatrixQ.unflatten([5], True)
+
+    def test_unflatten_float(self):
+        # Refused by the dimension rule, not by range() deep inside.
+        with pytest.raises(TypeError, match="dimension 2.0 is a float"):
+            MatrixQ.unflatten([1, 2, 3, 4], 2.0)
+
+    def test_evaluate_dim_bool_with_arguments(self):
+        # True == 1 matches the 1 x 1 argument, but a bool is no dimension.
+        with pytest.raises(TypeError, match="bool"):
+            evaluate(X1, [MatrixQ([[2]])], dim=True)
+
+    def test_evaluate_dim_float_with_arguments(self):
+        with pytest.raises(TypeError, match="float"):
+            evaluate(X1, [MatrixQ([[2]])], dim=1.0)
+
     def test_valid_dimensions_unchanged(self):
         assert Classification.TRACE_ZERO.rank(2) == 3
         assert Classification.TRACE_ZERO.contains([1, 2, 3, -1], 2)
         assert SpanBasis.canonical(1, Classification.FULL).rank == 1
         assert evaluate(NcPoly.constant(3), [], dim=2) == MatrixQ.diagonal([3, 3])
+        assert evaluate(X1, [MatrixQ([[2]])], dim=1) == MatrixQ([[2]])
+        assert MatrixQ.unflatten([1, 2, 3, 4], 2) == MatrixQ([[1, 2], [3, 4]])
 
 
 class TestNontrivialityOracle:
@@ -554,12 +588,17 @@ class TestNontrivialityOracle:
             ncspan.span, "_values", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
         )
         oracle = nontriviality_oracle(2)
-        for f, want in ((HALL, False), (X1 * X2, True), (SYM, False)):
+        for f, want in ((HALL, False), (HALL * X1, True), (SYM, False)):
             calls.clear()
             assert oracle(f) is want
-            # f's own values, read once: no bracket with a fresh variable.
+            # f's own values, read once where deg f >= 2d: no bracket with a
+            # fresh variable.
             assert calls == [f]
+        calls.clear()
+        # Below degree 4 the degree decides at d=2: no value is read.
+        assert oracle(X1 * X2) is True
         assert oracle(COMM * X1 - X1 * COMM) is True
+        assert calls == []
 
 
 class TestVanishingBound:

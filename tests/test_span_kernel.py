@@ -13,6 +13,9 @@ growth decision of the loop and of the shear closure over Q.
 The stages of the kernel (the sample stream, packed evaluation, packed
 mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
 and the word-DAG evaluator to the word-by-word loop kept in helpers.
+Below degree 2d the class is a theorem and sampling waits for a read;
+that deferred loop is held to the eager classifier it replaced
+(reference_eager_classify_span).
 """
 
 import functools
@@ -35,8 +38,11 @@ from helpers import (
     EchelonQ,
     battery_poly,
     random_matrix,
+    random_multilinear,
     random_poly,
     reference_classify_span,
+    reference_eager_classify_span,
+    reference_is_identity,
     reference_evaluate,
     reference_forward_insert,
     reference_packed_evaluator,
@@ -49,6 +55,7 @@ from ncspan import (
     Classification,
     MatrixQ,
     NcPoly,
+    NotInSpan,
     SampleConfig,
     SpanBasis,
     StopReason,
@@ -58,6 +65,7 @@ from ncspan import (
     evaluate,
     is_central,
     is_identity,
+    nontriviality_oracle,
     parse_poly,
     poly_to_text,
     span,
@@ -346,28 +354,158 @@ class TestProofStop:
     window-only rule on the batteries.
 
     A sum of commutators with one non-scalar value is proved TRACE_ZERO.
-    Treating no polynomial as a commutator sum leaves it to the rank loop,
-    which must reach the same class and basis by the window, later, or
-    run out of budget.  Every other report is unchanged.
+    Treating no polynomial as a commutator sum leaves it to the sampling
+    loop, which must reach the same class and rows by the window, later, or
+    run out of budget.  Every other run is unchanged.  The loop takes the
+    fact as an argument, so every case runs it both ways; below degree 2d
+    the report's class is the theorem's (see TestDegreeDecides), so only
+    the cases outside it compare whole reports, the fact denied.
     """
 
     @pytest.mark.parametrize("battery", sorted(BATTERIES))
     def test_same_verdict_as_window_only(self, battery, monkeypatch):
         cases = BATTERIES[battery]()
-        proved = [classify_span(*case) for case in cases]
-        monkeypatch.setattr(NcPoly, "is_sum_of_commutators", lambda self: False)
-        for (f, d, cfg), got in zip(cases, proved):
-            want = classify_span(f, d, cfg)
+        outside = [(f, d, cfg) for f, d, cfg in cases if not span._degree_decides(f, d)]
+        reports = [classify_span(*case) for case in outside]
+        for f, d, cfg in cases:
+            got = span._sample(f, d, cfg, f.is_sum_of_commutators())
+            want = span._sample(f, d, cfg, False)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
             if got.stop_reason is not StopReason.LIE_IDEAL or got.classification is Classification.FULL:
-                # Only the commutator-sum fact, which the patch denies, differs.
-                assert replace(got, sum_of_commutators=False) == want, where
+                # Only the commutator-sum fact, which is denied, differs.
+                assert got == want, where
                 continue
             assert got.classification is Classification.TRACE_ZERO, where
             assert want.stop_reason is not StopReason.LIE_IDEAL, where
             assert want.samples_used > got.samples_used, where
             # Its proving sample already raised the class: only the stop differs.
             assert (want.classification, want.rows) == (got.classification, got.rows), where
+        monkeypatch.setattr(NcPoly, "is_sum_of_commutators", lambda self: False)
+        for (f, d, cfg), got in zip(outside, reports):
+            want = classify_span(f, d, cfg)
+            where = f"{poly_to_text(f)} at d={d}, {cfg}"
+            assert got._run == span._sample(f, d, cfg, got.sum_of_commutators), where
+            if got.stop_reason is not StopReason.LIE_IDEAL or got.classification is Classification.FULL:
+                assert replace(got, sum_of_commutators=False) == want, where
+                assert got._run == want._run, where
+
+
+def battery_degrees(d):
+    """(f, d, cfg) at the default budget and at 3 samples, the latter also
+    with entries in {-1, 0, 1}, where a budget can cut the rows short of
+    the class: the headline polynomials, squares, constants, battery
+    polynomials and polynomials of degree 4 or 5, inside and outside the
+    degree theorem; and X1*X1 at d=2 with one sample, which is cut."""
+    rng = random.Random(2029)
+    polys = [parse_poly(t) for t in (*HEADLINE, "X1*X1", "[X1,X2]^2", "5", "0")]
+    polys += [battery_poly(rng) for _ in range(12)]
+    polys += [random_poly(rng, nvars=2, max_degree=5, min_degree=4) for _ in range(4)]
+    configs = [{}, {"max_samples": 3}, {"max_samples": 3, "coeff_bound": 1}]
+    cases = [(f, d, SampleConfig(seed=k, **kw)) for kw in configs for k, f in enumerate(polys)]
+    return cases + [(parse_poly("X1*X1"), d, SampleConfig(seed=0, max_samples=1))] * (d == 2)
+
+
+class TestDegreeDecides:
+    """For d >= 2 and 1 <= deg f < 2d the class is TRACE_ZERO for a sum of
+    commutators and FULL otherwise, f is neither an identity nor central,
+    and nothing is evaluated to know it (span._degree_decides)."""
+
+    def test_same_run_as_the_eager_reference(self):
+        """The deferred loop against the eager classifier it replaced, at
+        d = 1..5: the same samples, stop, rows and grown rows everywhere,
+        the same class wherever the reference reaches the proved class, and
+        elsewhere the theorem's class, with the reference's witnesses."""
+        inside = cut = 0
+        for d in range(1, 6):
+            for f, d, cfg in battery_degrees(d):
+                got, want = classify_span(f, d, cfg), reference_eager_classify_span(f, d, cfg)
+                where = f"{poly_to_text(f)} at d={d}, {cfg}"
+                fields = ("samples_used", "stop_reason", "scale", "rows", "grown", "sum_of_commutators")
+                assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields], where
+                if not span._degree_decides(f, d):
+                    assert got.classification is want.classification, where
+                    continue
+                inside += 1
+                theorem = Classification.TRACE_ZERO if f.is_sum_of_commutators() else Classification.FULL
+                assert got.classification is theorem, where
+                if want.classification is not theorem:
+                    # The budget cut the rows short: the class stays, with fewer witnesses.
+                    cut += 1
+                    assert want.classification.lies_in(theorem, d), where
+                    assert got.stop_reason is not StopReason.LIE_IDEAL, where
+                    assert len(got.witnesses) == want.classification.rank(d) < got.rank, where
+        assert inside > 150 and cut >= 2
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_verdicts_against_the_references(self, d):
+        """is_identity, is_central and the oracle, which read nothing below
+        2d, against reference_is_identity on f and on its bracket with a
+        fresh variable, which is an identity iff f is central or one."""
+        rng = random.Random(2030 + d)
+        cfg = SampleConfig(seed=d)
+        polys = [random_poly(rng, nvars=3, max_degree=2 * d - 1, min_degree=1) for _ in range(15)]
+        polys += [random_multilinear(rng, n) for n in (1, 2, 3)]
+        for f in polys:
+            where = f"{poly_to_text(f)} at d={d}"
+            assert span._degree_decides(f, d), where
+            fresh = NcPoly.variable(f.nvars + 1)
+            assert is_identity(f, d, cfg) is reference_is_identity(f, d, cfg) is False, where
+            assert is_central(f, d, cfg) is reference_is_identity(f * fresh - fresh * f, d, cfg) is False, where
+            assert nontriviality_oracle(d, cfg)(f) is True, where
+
+    def test_decided_verdicts_evaluate_nothing(self, evaluations):
+        f = parse_poly("(X1+X2)^3*X3")
+        assert (is_identity(f, 3), is_central(f, 3), nontriviality_oracle(3)(f)) == (False, False, True)
+        assert span._verdicts(f, 3, SampleConfig()) == (False, False)
+        assert evaluations == []
+        # Degree 4 = 2d at d=2: sampled.
+        assert nontriviality_oracle(2)(f) is True and evaluations
+
+    def test_report_samples_when_first_read(self, evaluations):
+        report = classify_span(parse_poly("[X1,X2]"), 3)
+        assert (report.classification, report.rank) == (Classification.TRACE_ZERO, 8)
+        assert evaluations == []
+        assert report.samples_used == 1 and len(evaluations) == 1
+        assert report.stop_reason is StopReason.LIE_IDEAL and len(report.witnesses) == 8
+        assert len(evaluations) == 1
+        # Outside the theorem the class needs the loop: it runs at once, once.
+        evaluations.clear()
+        report = classify_span(parse_poly("[X1,X2]^2"), 2)
+        assert report.classification is Classification.SCALARS
+        assert len(evaluations) == report.samples_used == 51
+        assert report.rows and report.witnesses and len(evaluations) == 51
+
+    def test_suite_compiles_nothing_below_2d(self, monkeypatch, capsys):
+        """Every evaluator `ncspan suite` builds on the golden corpus is for
+        a polynomial the theorem does not decide: at d=3 the two constants
+        (a strip's dropped part among them), at d=2 those of degree 0, 4
+        or 5."""
+        cleared, built = [], []
+        real_terms, real_build = span._integer_terms, span._packed_evaluator
+        monkeypatch.setattr(span, "_integer_terms", lambda f: cleared.append(f) or real_terms(f))
+        monkeypatch.setattr(span, "_packed_evaluator", lambda *spec: built.append(spec) or real_build(*spec))
+        for d, count, degrees in ((3, 2, {0}), (2, 10, {0, 4, 5})):
+            cleared.clear()
+            built.clear()
+            assert main(["suite", "--corpus", CORPUS, "--dim", str(d), "--seed", "0"]) == 0
+            capsys.readouterr()
+            assert len(built) == len(cleared) == count, d
+            assert {f.degree() or 0 for f in cleared} == degrees, d
+            assert not any(span._degree_decides(f, d) for f in cleared), d
+
+    def test_budget_cuts_witnesses_not_the_class(self, capsys):
+        report = classify_span(parse_poly("X1*X1"), 2, SampleConfig(seed=0, max_samples=1))
+        got = (report.classification, report.rank, report.stop_reason, len(report.witnesses))
+        assert got == (Classification.FULL, 4, StopReason.BUDGET_EXHAUSTED, 1)
+        # E_12 lies in FULL, but the one witness does not span it.
+        with pytest.raises(NotInSpan, match="budget"):
+            decompose_target(report, MatrixQ.unit(2, 0, 1))
+        ((args, value),) = report.witnesses
+        assert decompose_target(report, value.scale(3)) == [(3, args)]
+        argv = ["decompose", "--poly", "X1*X1", "--dim", "2", "--seed", "0", "--max-samples", "1", "--target", "0,1;0,0"]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["error"], doc["classification"]) == ("NotInSpan", "FULL") and "budget" in doc["message"]
 
 
 class TestDimensionOne:
@@ -773,6 +911,10 @@ def evaluations(monkeypatch):
 
 class TestIdentitySamplesFirst:
     def test_one_evaluation_disproves(self, evaluations):
+        # Degree 6 >= 2d at d=3: sampled, and one value disproves it.
+        assert not is_identity(parse_poly("[X1,X2]*X3*X3*X3*X3"), 3)
+        assert len(evaluations) == 1
+        # Degree 3 < 2d: the degree decides, with no evaluation.
         assert not is_identity(parse_poly("[X1,X2]*X3"), 3)
         assert len(evaluations) == 1
 
@@ -885,9 +1027,11 @@ class TestSharedEvaluators:
         monkeypatch.setattr(span, "_integer_terms", lambda f: cleared.append(f) or real_terms(f))
         monkeypatch.setattr(span, "_packed_evaluator", build)
         monkeypatch.setattr(ncspan.cli, "_suite_entry", entry)
-        assert main(["suite", "--corpus", CORPUS, "--dim", "3", "--seed", "0"]) == 0
+        # At d=2, where entries of degree 4 and 5 are sampled (see
+        # TestDegreeDecides for the theorem that spares the rest).
+        assert main(["suite", "--corpus", CORPUS, "--dim", "2", "--seed", "0"]) == 0
         capsys.readouterr()
-        assert len(builds) == len(set(builds)) > 11
+        assert len(builds) == len(set(builds)) > 5
 
     @pytest.mark.parametrize(
         "argv",
@@ -1021,13 +1165,18 @@ class TestSampledSpan:
             for d, cfg in ((1, SampleConfig()), (3, SampleConfig(seed=7919)), (3, SampleConfig(max_samples=3))):
                 a, b = classify_span(f, d, cfg), classify_span(f, d, cfg)
                 assert a is not b and a == b and hash(a) == hash(b), (text, d)
-                # Reading one report's witnesses changes neither its value nor its hash.
+                # Reading one report's samples and witnesses changes neither
+                # its value nor its hash, and equal reports read equal runs.
                 assert len(a.witnesses) == len(a.grown)
                 assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (text, d)
+                assert (a.samples_used, a.stop_reason, a.scale, a.rows) == (b.samples_used, b.stop_reason, b.scale, b.rows)
+                assert a._run is not b._run and a._run == b._run and a.grown == b.grown
+                # A report runs the loop on its own fields: flipping the
+                # commutator-sum fact gives the loop's run without it.
                 other = replace(a, sum_of_commutators=not a.sum_of_commutators)
-                assert other != a and other.rows is a.rows and other.grown == a.grown
-                assert other.witnesses == a.witnesses
-                assert replace(a) == a
+                assert other != a and other._run == span._sample(f, d, cfg, other.sum_of_commutators)
+                same = replace(a)
+                assert same == a and same.rows == a.rows and same.witnesses == a.witnesses
         assert classify_span(parse_poly("[X1,X2]"), 3, SampleConfig(seed=1)) != classify_span(
             parse_poly("[X1,X2]"), 3, SampleConfig(seed=2)
         )
