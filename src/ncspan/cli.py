@@ -6,13 +6,15 @@ span, no witness dimension, a suite violation), 2 usage or parse error,
 All rationals in JSON are "p/q" strings so nothing is ever rounded;
 identical seeds and flags give byte-identical output.
 
-Every command that classifies reads span.classify_span, whose report
-names one of the four canonical spaces, by theorem below degree 2d, and
-samples, builds its basis and builds its witness matrices only when they
-are read: classify's JSON prints the basis, decompose reads the
-witnesses, suite reads no sample and compares classes in closed form, and
-classify prints its witnesses straight from the report's integer rows, in
-one format call.  Every document is
+Every command that classifies reads a span report, which names one of the
+four canonical spaces, by theorem below degree 2d, and builds its basis
+and its witness matrices only when they are read: classify's JSON prints
+the basis, decompose reads the witnesses, and classify prints its
+witnesses straight from the report's integer rows, in one format call.
+classify and decompose read span.classify_span's report, sampled in the
+call.  suite reads the class alone, through span._class_report, which
+samples nothing below degree 2d, and compares classes in closed form.
+Every document is
 json.dumps(doc, indent=2); only classify's matrices of "%s" slots are laid
 out by hand (_grid), and _emit splices them in.
 """
@@ -37,6 +39,7 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
+    _class_report,
     _verdicts,
     classify_span,
     decompose_target,
@@ -112,8 +115,8 @@ def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
     """(applicable, consistent-or-None) for the degree exclusion: for d >= 2
     and 1 <= deg f < 2d, the span of f's values is TRACE_ZERO if f is a sum
     of commutators and FULL otherwise (proved at span._degree_decides).
-    classify_span names the class by that theorem, so the flag is a
-    self-check of the report.  On the commutative M_1 every f is central;
+    A report names the class by that theorem, so the flag is a self-check
+    of the report.  On the commutative M_1 every f is central;
     the flag holds there (deg f = 1) only because SCALARS = FULL and the
     report names FULL."""
     deg = report.poly.degree()
@@ -331,8 +334,9 @@ def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
 
 def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
     """f's suite entry, and whether it shows a violation.  It prints no
-    witness, so no report of f or of a step builds one."""
-    report = classify_span(f, d, cfg)
+    witness, so no report of f or of a step builds one, and below degree
+    2d none samples."""
+    report = _class_report(f, d, cfg)
     applicable, consistent = _exclusion_flags(report)
     if not applicable:
         exclusion = "inapplicable"
@@ -361,7 +365,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
         # The steps chain from f, so each polynomial is classified once, and
         # each step's class must lie in the one before, in closed form.
         classes = [report.classification]
-        classes += [classify_span(step.after, d, cfg).classification for step in reduction.steps]
+        classes += [_class_report(step.after, d, cfg).classification for step in reduction.steps]
         containments = all(after.lies_in(before, d) for before, after in zip(classes, classes[1:]))
         multilinear = reduction.output.is_multilinear()
         oracle_true = oracle(reduction.output)

@@ -22,8 +22,10 @@ places:
   membership tests are closed forms (see Classification); its exact basis
   is built only when read, in closed form.
 
-Where the theorem names the class, the sampling loop runs only when a
-sample is read: suite reads none.  A report keeps integer rows: the one or
+classify_span samples in the call, whatever names the class.  suite, which
+reads the class alone, asks _class_report: where the theorem names the
+class, that report samples only when a sample is read, and suite reads
+none.  A report keeps integer rows: the one or
 two samples that raised its class.  Its rank-many witness rows (grown) and
 witness matrices are built only when read, as shear conjugates of those
 rows, with no evaluation of f, each kept when it grows an echelon mod p =
@@ -172,8 +174,9 @@ class SpanReport:
 
     samples_used, stop_reason, scale (L, which clears f's denominators) and
     rows (entries, L * f(t)), the one or two samples that raised the class,
-    come from one run of the sampling loop (see _sample).  It is made when
-    first read, or by classify_span when no theorem names the class.  grown
+    come from one run of the sampling loop (see _sample).  classify_span
+    makes it in the call; a report whose class the degree theorem named
+    for _class_report makes it when first read.  grown
     holds the rows' shear closure, whose values span the class unless a
     budget cut the rows short of it, and witness k is t_k and grown[k][1] /
     L.  The report holds no basis: the class answers rank and membership in
@@ -615,26 +618,46 @@ def nontriviality_oracle(
 def classify_span(
     f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
 ) -> SpanReport:
-    """Classify the linear span of f's values on M_d.
+    """Classify the linear span of f's values on M_d, sampling here.
 
-    Where the degree decides it (d >= 2 and 1 <= deg f < 2d, see
-    _degree_decides), the class is named before any sample: TRACE_ZERO for
-    a sum of commutators, FULL otherwise, and the sampling loop (see
-    _sample) runs only when the report's samples, rows or witnesses are
-    first read.  A budget then bounds only that search for rows: a run cut
-    short of the class leaves the class as it is, and fewer witnesses than
-    its rank.  Elsewhere (d = 1, constants, deg f >= 2d) the loop names the
-    class, so it runs here, once, and the report keeps its run.
+    The sampling loop (see _sample) runs in this call, once, and the report
+    keeps its run, so reading its samples, rows or witnesses later samples
+    nothing: what the call costs is what the report cost.  Where the degree
+    decides the class (d >= 2 and 1 <= deg f < 2d, see _degree_decides),
+    the report names the theorem's: TRACE_ZERO for a sum of commutators,
+    FULL otherwise, and the loop only searches for rows.  A budget then
+    bounds only that search: a run cut short of the class leaves the class
+    as it is, and fewer witnesses than its rank.  Elsewhere (d = 1,
+    constants, deg f >= 2d) the loop names the class.  A caller that reads
+    the class alone asks _class_report, which samples nothing where the
+    degree decides it.
     """
-    check_dimension(d)
-    commutator_sum = f.is_sum_of_commutators()
-    if _degree_decides(f, d):
-        cls = Classification.TRACE_ZERO if commutator_sum else Classification.FULL
-        return SpanReport(f, d, cls, cfg, commutator_sum)
+    report = _theorem_report(f, d, cfg)
+    commutator_sum = f.is_sum_of_commutators() if report is None else report.sum_of_commutators
     run = _sample(f, d, cfg, commutator_sum)
-    report = SpanReport(f, d, run.classification, cfg, commutator_sum)
+    if report is None:
+        report = SpanReport(f, d, run.classification, cfg, commutator_sum)
     report.__dict__["_run"] = run  # where cached_property keeps it: no second run
     return report
+
+
+def _class_report(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> SpanReport:
+    """f's report for a reader of its class alone (suite).  Where the
+    degree decides the class, the theorem names it before any sample, and
+    the sampling loop runs only when the report's samples, rows or
+    witnesses are first read; elsewhere it is classify_span's report."""
+    return _theorem_report(f, d, cfg) or classify_span(f, d, cfg)
+
+
+def _theorem_report(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport | None:
+    """The report whose class the degree decides (see _degree_decides),
+    with its run made when first read, or None where the degree does not
+    decide it.  d is checked first (see check_dimension)."""
+    if not _degree_decides(f, d):
+        return None
+    commutator_sum = f.is_sum_of_commutators()
+    cls = Classification.TRACE_ZERO if commutator_sum else Classification.FULL
+    return SpanReport(f, d, cls, cfg, commutator_sum)
 
 
 def _sample(f: NcPoly, d: int, cfg: SampleConfig, commutator_sum: bool) -> _Run:

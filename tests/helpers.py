@@ -442,7 +442,7 @@ class EagerReport:
 
 
 def reference_eager_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> EagerReport:
-    """The eager classifier that the degree theorem deferred: it samples at
+    """The classifier before the degree theorem: it samples at
     once and names the least canonical space that holds every sample,
     stopping at a proof that it is the span (LIE_IDEAL), after 50 samples
     in a row that did not raise it (STABILITY_WINDOW), or when the budget

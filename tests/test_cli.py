@@ -452,9 +452,9 @@ class TestSuite:
         import ncspan.cli
 
         calls = []
-        real = ncspan.cli.classify_span
+        real = ncspan.cli._class_report
         monkeypatch.setattr(
-            ncspan.cli, "classify_span", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
+            ncspan.cli, "_class_report", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
         )
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("X1*X1*X2 + X2\n")
@@ -510,7 +510,7 @@ class TestSuite:
         import ncspan.cli
 
         calls = []
-        monkeypatch.setattr(ncspan.cli, "classify_span", lambda *a: calls.append(a))
+        monkeypatch.setattr(ncspan.cli, "_class_report", lambda *a: calls.append(a))
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("X1\n[X1,X2]\nX1 +\n")
         code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
@@ -595,13 +595,13 @@ class TestSuite:
 
 
 def _flip_sum_of_commutators(monkeypatch):
-    real = ncspan.cli.classify_span
+    real = ncspan.cli._class_report
 
     def flipped(f, d, cfg):
         report = real(f, d, cfg)
         return dataclasses.replace(report, sum_of_commutators=not report.sum_of_commutators)
 
-    monkeypatch.setattr(ncspan.cli, "classify_span", flipped)
+    monkeypatch.setattr(ncspan.cli, "_class_report", flipped)
 
 
 def _fail_reduction(monkeypatch):

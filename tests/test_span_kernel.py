@@ -13,8 +13,9 @@ growth decision of the loop and of the shear closure over Q.
 The stages of the kernel (the sample stream, packed evaluation, packed
 mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
 and the word-DAG evaluator to the word-by-word loop kept in helpers.
-Below degree 2d the class is a theorem and sampling waits for a read;
-that deferred loop is held to the eager classifier it replaced
+Below degree 2d the class is a theorem: classify_span still samples in
+the call, and suite's report of the class alone waits for a read; both
+are held to the eager classifier that named every class by sampling
 (reference_eager_classify_span).
 """
 
@@ -411,14 +412,14 @@ class TestDegreeDecides:
     and nothing is evaluated to know it (span._degree_decides)."""
 
     def test_same_run_as_the_eager_reference(self):
-        """The deferred loop against the eager classifier it replaced, at
-        d = 1..5: the same samples, stop, rows and grown rows everywhere,
+        """classify_span, and suite's report of the class alone, whose loop
+        waits for a read below 2d, against the eager classifier, at d = 1..5: the same samples, stop, rows and grown rows everywhere,
         the same class wherever the reference reaches the proved class, and
         elsewhere the theorem's class, with the reference's witnesses."""
         inside = cut = 0
-        for d in range(1, 6):
+        for d, classify in itertools.product(range(1, 6), (classify_span, span._class_report)):
             for f, d, cfg in battery_degrees(d):
-                got, want = classify_span(f, d, cfg), reference_eager_classify_span(f, d, cfg)
+                got, want = classify(f, d, cfg), reference_eager_classify_span(f, d, cfg)
                 where = f"{poly_to_text(f)} at d={d}, {cfg}"
                 fields = ("samples_used", "stop_reason", "scale", "rows", "grown", "sum_of_commutators")
                 assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields], where
@@ -462,12 +463,30 @@ class TestDegreeDecides:
         assert nontriviality_oracle(2)(f) is True and evaluations
 
     def test_report_samples_when_first_read(self, evaluations):
-        report = classify_span(parse_poly("[X1,X2]"), 3)
+        # suite's report of the class alone: the theorem's class, no sample yet.
+        report = span._class_report(parse_poly("[X1,X2]"), 3)
         assert (report.classification, report.rank) == (Classification.TRACE_ZERO, 8)
         assert evaluations == []
         assert report.samples_used == 1 and len(evaluations) == 1
         assert report.stop_reason is StopReason.LIE_IDEAL and len(report.witnesses) == 8
         assert len(evaluations) == 1
+        assert report == classify_span(parse_poly("[X1,X2]"), 3) and len(evaluations) == 2
+
+    def test_classify_span_samples_in_the_call(self, evaluations):
+        # The theorem names the class, and the loop still runs in the call:
+        # reading the report afterwards evaluates nothing more.
+        report = classify_span(parse_poly("[X1,X2]"), 3)
+        assert len(evaluations) == 1 and "_run" in report.__dict__
+        assert (report.classification, report.samples_used, report.stop_reason) == (
+            Classification.TRACE_ZERO, 1, StopReason.LIE_IDEAL
+        )
+        assert len(report.witnesses) == 8 and len(evaluations) == 1
+        # Outside the theorem (deg f = 4 = 2d at d=2) _class_report is classify_span.
+        f = parse_poly("[X1,X2]^2")
+        evaluations.clear()
+        report = span._class_report(f, 2)
+        assert report == classify_span(f, 2) and "_run" in report.__dict__
+        assert evaluations and len(evaluations) % 2 == 0
         # Outside the theorem the class needs the loop: it runs at once, once.
         evaluations.clear()
         report = classify_span(parse_poly("[X1,X2]^2"), 2)
