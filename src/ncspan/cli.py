@@ -6,17 +6,15 @@ span, no witness dimension, a suite violation), 2 usage or parse error,
 All rationals in JSON are "p/q" strings so nothing is ever rounded;
 identical seeds and flags give byte-identical output.
 
-Every command that classifies reads a span report, which names one of the
-four canonical spaces, by theorem below degree 2d, and builds its basis
-and its witness matrices only when they are read: classify's JSON prints
-the basis, decompose reads the witnesses, and classify prints its
+classify and decompose read span.classify_span's report, which names one
+of the four canonical spaces, by theorem below degree 2d, and builds its
+basis and its witness matrices only when they are read: classify's JSON
+prints the basis, decompose reads the witnesses, and classify prints its
 witnesses straight from the report's integer rows, in one format call.
-classify and decompose read span.classify_span's report, sampled in the
-call.  suite reads the class alone, through span._class_report, which
-samples nothing below degree 2d, and compares classes in closed form.
-Every document is
-json.dumps(doc, indent=2); only classify's matrices of "%s" slots are laid
-out by hand (_grid), and _emit splices them in.
+suite builds no report: it reads each class alone (_suite_class), with
+no sample below degree 2d, and compares classes in closed form.  Every
+document is json.dumps(doc, indent=2); only classify's matrices of "%s"
+slots are laid out by hand (_grid), and _emit splices them in.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
-    _class_report,
+    _degree_class,
+    _degree_decides,
     _verdicts,
     classify_span,
     decompose_target,
@@ -111,21 +110,19 @@ def _doc(f: NcPoly, **fields) -> dict:
     return {"schema": SCHEMA, "polynomial": poly_to_text(f), **fields}
 
 
-def _exclusion_flags(report: SpanReport) -> tuple[bool, bool | None]:
-    """(applicable, consistent-or-None) for the degree exclusion: for d >= 2
-    and 1 <= deg f < 2d, the span of f's values is TRACE_ZERO if f is a sum
-    of commutators and FULL otherwise (proved at span._degree_decides).
-    A report names the class by that theorem, so the flag is a self-check
-    of the report.  On the commutative M_1 every f is central;
-    the flag holds there (deg f = 1) only because SCALARS = FULL and the
-    report names FULL."""
-    deg = report.poly.degree()
-    applicable = deg is not None and deg >= 1 and 2 * report.dim > deg
+def _exclusion_flags(f: NcPoly, d: int, cls: Classification, commutator_sum: bool) -> tuple[bool, bool | None]:
+    """(applicable, consistent-or-None) for the degree exclusion of f's
+    class cls on M_d: for d >= 2 and 1 <= deg f < 2d it is TRACE_ZERO if f
+    is a sum of commutators (commutator_sum) and FULL otherwise (proved at
+    span._degree_decides), so the flag is a self-check.  On the
+    commutative M_1 every f is central; the flag holds there (deg f = 1)
+    only because SCALARS = FULL and the class is FULL."""
+    deg = f.degree()
+    applicable = deg is not None and deg >= 1 and 2 * d > deg
     if not applicable:
         return applicable, None
-    cls = report.classification
     consistent = cls in (Classification.TRACE_ZERO, Classification.FULL) and (
-        (cls is Classification.TRACE_ZERO) == report.sum_of_commutators
+        (cls is Classification.TRACE_ZERO) == commutator_sum
     )
     return applicable, consistent
 
@@ -174,7 +171,7 @@ def _cmd_classify(args) -> int:
     else:
         rows = s.basis.rows
         basis = _grid(len(rows), s.dim**2, _FIELD) % tuple(itertools.chain(*rows))
-        applicable, consistent = _exclusion_flags(s)
+        applicable, consistent = _exclusion_flags(f, s.dim, s.classification, s.sum_of_commutators)
         _emit(
             _doc(
                 f,
@@ -332,12 +329,23 @@ def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
     return entries
 
 
+def _suite_class(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[Classification, bool]:
+    """f's class on M_d and whether f is a sum of commutators: by the
+    degree where it decides the class (span._degree_class), with no
+    evaluator and no sample, else by classify_span."""
+    if _degree_decides(f, d):
+        commutator_sum = f.is_sum_of_commutators()
+        return _degree_class(f, d, commutator_sum), commutator_sum
+    report = classify_span(f, d, cfg)
+    return report.classification, report.sum_of_commutators
+
+
 def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
-    """f's suite entry, and whether it shows a violation.  It prints no
-    witness, so no report of f or of a step builds one, and below degree
-    2d none samples."""
-    report = _class_report(f, d, cfg)
-    applicable, consistent = _exclusion_flags(report)
+    """f's suite entry, and whether it shows a violation.  It reads the
+    class of f and of each step alone (_suite_class): below degree 2d
+    nothing is sampled."""
+    cls, commutator_sum = _suite_class(f, d, cfg)
+    applicable, consistent = _exclusion_flags(f, d, cls, commutator_sum)
     if not applicable:
         exclusion = "inapplicable"
     else:
@@ -345,10 +353,10 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
     entry = {
         "line": lineno,
         "polynomial": poly_to_text(f),
-        "classification": report.classification.value,
-        "rank": report.rank,
+        "classification": cls.value,
+        "rank": cls.rank(d),
         "lie_ideal": _LIE_IDEAL,
-        "sum_of_commutators": report.sum_of_commutators,
+        "sum_of_commutators": commutator_sum,
         "exclusion": exclusion,
         "reduction": None,
     }
@@ -364,8 +372,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
             return entry, True
         # The steps chain from f, so each polynomial is classified once, and
         # each step's class must lie in the one before, in closed form.
-        classes = [report.classification]
-        classes += [_class_report(step.after, d, cfg).classification for step in reduction.steps]
+        classes = [cls] + [_suite_class(step.after, d, cfg)[0] for step in reduction.steps]
         containments = all(after.lies_in(before, d) for before, after in zip(classes, classes[1:]))
         multilinear = reduction.output.is_multilinear()
         oracle_true = oracle(reduction.output)

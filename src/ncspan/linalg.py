@@ -138,15 +138,19 @@ class MatrixQ:
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "rows", rows)
 
+    def __reduce__(self):
+        # Back through the checked constructor: frozen fields refuse a setattr.
+        return MatrixQ, (self.rows,)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(d: int) -> MatrixQ:
-        return MatrixQ.diagonal([0] * d)
+        return MatrixQ.diagonal([0] * check_dimension(d))
 
     @staticmethod
     def identity(d: int) -> MatrixQ:
-        return MatrixQ.diagonal([1] * d)
+        return MatrixQ.diagonal([1] * check_dimension(d))
 
     @staticmethod
     def diagonal(entries: Sequence[Num]) -> MatrixQ:
@@ -158,6 +162,8 @@ class MatrixQ:
     @staticmethod
     def unit(d: int, j: int, k: int) -> MatrixQ:
         """Matrix unit E_jk: 1 in row j, column k (0-based), 0 elsewhere."""
+        if j not in range(check_dimension(d)) or k not in range(d):
+            raise ValueError(f"E_{j}{k} is not a unit of M_{d}: indices run over range({d})")
         return MatrixQ(
             [[1 if (r, c) == (j, k) else 0 for c in range(d)] for r in range(d)]
         )
@@ -273,6 +279,9 @@ class SpanBasis:
         object.__setattr__(self, "dim", check_dimension(dim))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
+
+    def __reduce__(self):
+        return SpanBasis, (self.dim, self.rows, self.pivots)
 
     @staticmethod
     def from_matrices(dim: int, mats: Iterable[MatrixQ]) -> SpanBasis:
@@ -525,10 +534,14 @@ def vandermonde_extract(
 ) -> list[MatrixQ]:
     """Recover matrices c_0..c_m from values[j] = sum_i lambdas[j]^i * c_i.
 
-    The nodes must be pairwise distinct; the system is solved exactly by
-    one fraction-free reduction of the Vandermonde matrix augmented with
-    the value matrices.
+    The nodes must be exact, each an int or a Fraction (TypeError
+    otherwise, bools included), and pairwise distinct; the system is
+    solved exactly by one fraction-free reduction of the Vandermonde
+    matrix augmented with the value matrices.
     """
+    for lam in lambdas:
+        if type(lam) is not int and type(lam) is not Fraction:
+            raise TypeError(f"node {lam!r} is a {type(lam).__name__}, not an int or a Fraction")
     k = len(lambdas)
     if len(values) != k:
         raise ValueError(f"{k} nodes but {len(values)} values")

@@ -4,16 +4,16 @@ The linear span of the values of a polynomial on a full matrix algebra is
 always one of four canonical subspaces: zero, the scalars, the trace-zero
 matrices, or everything.  The span is closed under conjugation, so it is a
 Lie ideal of M_d, and one non-scalar value puts the trace-zero matrices
-inside it (see _sample).  For d >= 2 and 1 <= deg f < 2d that fixes the
-class before any sample: sl_d for a sum of commutators, M_d otherwise, and
-f is neither an identity nor central (see _degree_decides).  Elsewhere this
-module samples random integer matrix tuples, evaluates L * f on them in
-plain integers (L clears f's denominators), and names the least canonical
-space that holds every sampled value.  That space is a proved lower bound
-on the span, and the span itself once it is M_d, or the trace-zero
-matrices for a sum of commutators; otherwise the upper bound is sampled,
-and the report says so by its stop reason.  Exactness comes from two
-places:
+inside it (see classify_span).  For d >= 2 and 1 <= deg f < 2d that fixes
+the class before any sample: sl_d for a sum of commutators, M_d otherwise,
+and f is neither an identity nor central (see _degree_decides and
+_degree_class).  Elsewhere this module samples random integer matrix
+tuples, evaluates L * f on them in plain integers (L clears f's
+denominators), and names the least canonical space that holds every
+sampled value.  That space is a proved lower bound on the span, and the
+span itself once it is M_d, or the trace-zero matrices for a sum of
+commutators; otherwise the upper bound is sampled, and the report says so
+by its stop reason.  Exactness comes from two places:
 
 - whether a sampled value is zero, scalar or trace zero is tested exactly
   on the integer values, and the class rests on these tests, or on the
@@ -22,17 +22,16 @@ places:
   membership tests are closed forms (see Classification); its exact basis
   is built only when read, in closed form.
 
-classify_span samples in the call, whatever names the class.  suite, which
-reads the class alone, asks _class_report: where the theorem names the
-class, that report samples only when a sample is read, and suite reads
-none.  A report keeps integer rows: the one or
-two samples that raised its class.  Its rank-many witness rows (grown) and
-witness matrices are built only when read, as shear conjugates of those
-rows, with no evaluation of f, each kept when it grows an echelon mod p =
-2^31 - 1 once the powers of p that the rows' traces and trace-free parts
-share are divided out (see _shear_closure).  suite prints no witness,
-classify writes each one as text straight from the integer rows, and
-decompose solves on the integer rows and returns the witness tuples.
+classify_span samples in the call, whatever names the class, and its
+report keeps integer rows: the one or two samples that raised its class.
+Its rank-many witness rows (grown) and witness matrices are built only
+when read, as shear conjugates of those rows, with no evaluation of f,
+each kept when it grows an echelon mod p = 2^31 - 1 once the powers of p
+that the rows' traces and trace-free parts share are divided out (see
+_shear_closure).  suite reads the class alone, by _degree_class where the
+degree decides it and from classify_span elsewhere, and prints no
+witness; classify writes each one as text straight from the integer rows,
+and decompose solves on the integer rows and returns the witness tuples.
 
 Every sampled verdict reads one seeded stream of integer entries, the
 values randint(-B, B) gives one by one (see _samples): the classifier
@@ -73,7 +72,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add, lshift, mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .linalg import (
     PRIME,
@@ -137,7 +136,7 @@ _STABILITY_WINDOW = 50
 
 
 class StopReason(Enum):
-    """Why the sampling loop stopped (see _sample).
+    """Why the sampling loop stopped (see classify_span).
 
     LIE_IDEAL stops on a proof that the span of f's values is the whole
     canonical space of the samples; STABILITY_WINDOW (a class that 50
@@ -156,49 +155,28 @@ class StopReason(Enum):
 Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class _Run(NamedTuple):
-    """One run of the sampling loop (see _sample): the least class that
-    holds its samples, how many it drew, why it stopped, L, and the
-    (entries, L * f(t)) rows of the samples that raised the class."""
-
-    classification: Classification
-    samples_used: int
-    stop_reason: StopReason
-    scale: int
-    rows: tuple[Row, ...]
-
-
 @dataclass(frozen=True)
 class SpanReport:
     """The class of the span of a polynomial's values on M_d, and its samples.
 
     samples_used, stop_reason, scale (L, which clears f's denominators) and
     rows (entries, L * f(t)), the one or two samples that raised the class,
-    come from one run of the sampling loop (see _sample).  classify_span
-    makes it in the call; a report whose class the degree theorem named
-    for _class_report makes it when first read.  grown
-    holds the rows' shear closure, whose values span the class unless a
-    budget cut the rows short of it, and witness k is t_k and grown[k][1] /
-    L.  The report holds no basis: the class answers rank and membership in
-    closed form, and basis, grown and the witnesses are built when first
-    read.  Equal reports have equal fields, and so equal runs.
+    come from the sampling loop run by classify_span.  grown holds the
+    rows' shear closure, whose values span the class unless a budget cut
+    the rows short of it, and witness k is t_k and grown[k][1] / L.  The
+    report holds no basis: the class answers rank and membership in closed
+    form, and basis, grown and the witnesses are built when first read.
     """
 
     poly: NcPoly
     dim: int
     classification: Classification
+    samples_used: int
+    stop_reason: StopReason
     config: SampleConfig
     sum_of_commutators: bool
-
-    @functools.cached_property
-    def _run(self) -> _Run:
-        """The sampling loop's run, made once, when first read."""
-        return _sample(self.poly, self.dim, self.config, self.sum_of_commutators)
-
-    samples_used = property(lambda self: self._run.samples_used)
-    stop_reason = property(lambda self: self._run.stop_reason)
-    scale = property(lambda self: self._run.scale)
-    rows = property(lambda self: self._run.rows)
+    scale: int
+    rows: tuple[Row, ...]
 
     @functools.cached_property
     def basis(self) -> SpanBasis:
@@ -536,7 +514,7 @@ def _degree_decides(f: NcPoly, d: int) -> bool:
     E_11, E_12, E_22, E_23, ... along a word with coefficient c != 0 to
     c * E_1j, j = k//2 + 1 <= d, every other order of them giving 0: the
     easy half of Amitsur-Levitzki (1950).  c * E_1j is not scalar at d >=
-    2, so V, a Lie ideal (see _sample), holds sl_d by Herstein, and f is
+    2, so V, a Lie ideal (see classify_span), holds sl_d by Herstein, and f is
     neither an identity nor central.
 
     V lies in sl_d iff f is a sum of commutators.  If f is one, tr[a, b] =
@@ -615,55 +593,21 @@ def nontriviality_oracle(
     return lambda f: not any(_verdicts(f, d, cfg))
 
 
+def _degree_class(f: NcPoly, d: int, commutator_sum: bool) -> Classification | None:
+    """The class the degree decides (see _degree_decides), with no sample:
+    TRACE_ZERO for a sum of commutators (commutator_sum), FULL otherwise;
+    None where the degree does not decide it."""
+    if not _degree_decides(f, d):
+        return None
+    return Classification.TRACE_ZERO if commutator_sum else Classification.FULL
+
+
 def classify_span(
     f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
 ) -> SpanReport:
-    """Classify the linear span of f's values on M_d, sampling here.
+    """Sample values of f on M_d, in this call, and classify their linear span.
 
-    The sampling loop (see _sample) runs in this call, once, and the report
-    keeps its run, so reading its samples, rows or witnesses later samples
-    nothing: what the call costs is what the report cost.  Where the degree
-    decides the class (d >= 2 and 1 <= deg f < 2d, see _degree_decides),
-    the report names the theorem's: TRACE_ZERO for a sum of commutators,
-    FULL otherwise, and the loop only searches for rows.  A budget then
-    bounds only that search: a run cut short of the class leaves the class
-    as it is, and fewer witnesses than its rank.  Elsewhere (d = 1,
-    constants, deg f >= 2d) the loop names the class.  A caller that reads
-    the class alone asks _class_report, which samples nothing where the
-    degree decides it.
-    """
-    report = _theorem_report(f, d, cfg)
-    commutator_sum = f.is_sum_of_commutators() if report is None else report.sum_of_commutators
-    run = _sample(f, d, cfg, commutator_sum)
-    if report is None:
-        report = SpanReport(f, d, run.classification, cfg, commutator_sum)
-    report.__dict__["_run"] = run  # where cached_property keeps it: no second run
-    return report
-
-
-def _class_report(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> SpanReport:
-    """f's report for a reader of its class alone (suite).  Where the
-    degree decides the class, the theorem names it before any sample, and
-    the sampling loop runs only when the report's samples, rows or
-    witnesses are first read; elsewhere it is classify_span's report."""
-    return _theorem_report(f, d, cfg) or classify_span(f, d, cfg)
-
-
-def _theorem_report(f: NcPoly, d: int, cfg: SampleConfig) -> SpanReport | None:
-    """The report whose class the degree decides (see _degree_decides),
-    with its run made when first read, or None where the degree does not
-    decide it.  d is checked first (see check_dimension)."""
-    if not _degree_decides(f, d):
-        return None
-    commutator_sum = f.is_sum_of_commutators()
-    cls = Classification.TRACE_ZERO if commutator_sum else Classification.FULL
-    return SpanReport(f, d, cls, cfg, commutator_sum)
-
-
-def _sample(f: NcPoly, d: int, cfg: SampleConfig, commutator_sum: bool) -> _Run:
-    """Sample values of f on M_d until their class is proved to be the span.
-
-    The class is the least canonical space that holds every sample so far:
+    The loop's class is the least canonical space that holds every sample:
     ZERO, then SCALARS, TRACE_ZERO or FULL, and at d = 1, where the
     scalars are all of M_1, FULL at the first nonzero value.  Each sample
     is tested against it exactly, and one that lies outside raises it.
@@ -675,17 +619,22 @@ def _sample(f: NcPoly, d: int, cfg: SampleConfig, commutator_sum: bool) -> _Run:
     the trace-zero matrices sl_d (Herstein, Topics in Ring Theory, 1969),
     and a nonzero scalar value spans the scalars, so V holds the class.
     At d >= 2 the class is V once it is FULL, and once it is TRACE_ZERO
-    when f is a sum of commutators (commutator_sum), whose values all have
-    trace 0 since tr[a, b] = 0.  At d = 1 a sum of commutators is ZERO
-    (sl_1 = 0).  Sampling stops there (LIE_IDEAL).  Otherwise only the
-    upper bound is sampled, and sampling stops once 50 samples in a row did
-    not raise the class (STABILITY_WINDOW), or when the budget runs out.
+    when f is a sum of commutators, whose values all have trace 0 since
+    tr[a, b] = 0.  At d = 1 a sum of commutators is ZERO (sl_1 = 0).
+    Sampling stops there (LIE_IDEAL).  Otherwise only the upper bound is
+    sampled, and sampling stops once 50 samples in a row did not raise the
+    class (STABILITY_WINDOW), or when the budget runs out.
 
-    Values are computed as integer matrices L * f(t), and the run keeps
-    the samples that raised the class as integer rows, one or two of them.
-    No basis, no witness and no Fraction is built here.
+    Where the degree decides the class (see _degree_class), the report
+    names the theorem's, and the loop only searches for rows: a budget
+    that cuts it short leaves the class, and fewer witnesses than its rank.
+
+    The report keeps the samples that raised the loop's class as integer
+    rows (entries, L * f(t)), one or two; no basis, witness or Fraction is
+    built here.
     """
     scale, ev = _evaluator(f, d, cfg.coeff_bound)
+    commutator_sum = f.is_sum_of_commutators()
     proved = {Classification.FULL}
     if commutator_sum:
         proved.add(Classification.ZERO if d == 1 else Classification.TRACE_ZERO)
@@ -711,7 +660,8 @@ def _sample(f: NcPoly, d: int, cfg: SampleConfig, commutator_sum: bool) -> _Run:
         if stall >= _STABILITY_WINDOW:
             stop_reason = StopReason.STABILITY_WINDOW
             break
-    return _Run(cls, samples_used, stop_reason, scale, tuple(rows))
+    cls = _degree_class(f, d, commutator_sum) or cls
+    return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(rows))
 
 
 def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, ...]], bool]) -> list[Row]:

@@ -485,7 +485,7 @@ def reference_report_doc(report) -> dict:
     def text(rows):
         return [[str(Fraction(x)) for x in row] for row in rows]
 
-    applicable, consistent = _exclusion_flags(report)
+    applicable, consistent = _exclusion_flags(report.poly, report.dim, report.classification, report.sum_of_commutators)
     return _doc(
         report.poly,
         dim=report.dim,

@@ -40,7 +40,6 @@ from ncspan import (
     parse_poly,
 )
 import ncspan.linalg
-from ncspan import span
 from ncspan.linalg import (
     _cleared,
     express_in_terms,
@@ -201,9 +200,7 @@ class TestHandBuiltReports:
             (Classification.TRACE_ZERO, (nilpotent, nilpotent), "NotInSpan"),
             (Classification.FULL, (nilpotent, nilpotent, scalar), list),
         ):
-            # A report keeps its sampling run where cached_property keeps it.
-            report = SpanReport(f, 2, cls, cfg, False)
-            report.__dict__["_run"] = span._Run(cls, 3, StopReason.BUDGET_EXHAUSTED, 1, rows)
+            report = SpanReport(f, 2, cls, 3, StopReason.BUDGET_EXHAUSTED, cfg, False, 1, rows)
             assert report.rows is rows and report.samples_used == 3
             assert report.grown[0] == rows[0] and len(report.grown) == cls.rank(2)
             assert SpanBasis.from_matrices(2, [value for _, value in report.witnesses]) == report.basis

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -204,6 +206,24 @@ def test_immutable(make, field, change):
     assert hash(value) == hash(make())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MatrixQ([[Fraction(1, 3), 2], [0, Fraction(-5, 2)]]),
+        *(lambda which=which: SpanBasis.canonical(3, which) for which in Classification),
+    ],
+    ids=["MatrixQ", *(f"SpanBasis-{which.value}" for which in Classification)],
+)
+@pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy])
+def test_round_trip(make, round_trip):
+    # Back through the checked constructor: the frozen fields stay frozen.
+    value = make()
+    again = round_trip(value)
+    assert again == value and hash(again) == hash(value) and type(again) is type(value)
+    with pytest.raises(AttributeError):
+        again.rows = ()
+
+
 class TestVandermonde:
     def test_two_nodes(self):
         rng = random.Random(8)
@@ -258,6 +278,12 @@ class TestVandermonde:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             vandermonde_extract([0, 1], [MatrixQ.zero(2)])
+
+    @pytest.mark.parametrize("nodes", [[0.1, 2], [0, 2.0], [True, 2], [0, False]], ids=["float", "float-int", "bool", "bool-zero"])
+    def test_inexact_nodes_refused(self, nodes):
+        # 0.1 used to be read as its binary expansion, and True as 1.
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            vandermonde_extract(nodes, [MatrixQ([[1]]), MatrixQ([[3]])])
 
 
 class TestZeroDiagonalConjugate:

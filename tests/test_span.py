@@ -560,6 +560,26 @@ class TestLibraryDimensionRule:
         with pytest.raises(TypeError, match="dimension 2.0 is a float"):
             MatrixQ.unflatten([1, 2, 3, 4], 2.0)
 
+    def test_unit_index_outside_range(self):
+        # E_50 is no unit of M_2: refused, not the zero matrix.
+        with pytest.raises(ValueError, match="range"):
+            MatrixQ.unit(2, 5, 0)
+        with pytest.raises(ValueError, match="range"):
+            MatrixQ.unit(2, 0, -1)
+
+    def test_unit_bool(self):
+        with pytest.raises(TypeError, match="bool"):
+            MatrixQ.unit(True, 0, 0)
+
+    def test_identity_bool(self):
+        with pytest.raises(TypeError, match="bool"):
+            MatrixQ.identity(True)
+
+    def test_zero_float(self):
+        # Refused by the dimension rule, not by a list multiplication.
+        with pytest.raises(TypeError, match="dimension 2.0 is a float"):
+            MatrixQ.zero(2.0)
+
     def test_evaluate_dim_bool_with_arguments(self):
         # True == 1 matches the 1 x 1 argument, but a bool is no dimension.
         with pytest.raises(TypeError, match="bool"):
@@ -576,6 +596,8 @@ class TestLibraryDimensionRule:
         assert evaluate(NcPoly.constant(3), [], dim=2) == MatrixQ.diagonal([3, 3])
         assert evaluate(X1, [MatrixQ([[2]])], dim=1) == MatrixQ([[2]])
         assert MatrixQ.unflatten([1, 2, 3, 4], 2) == MatrixQ([[1, 2], [3, 4]])
+        assert MatrixQ.unit(2, 1, 0) == MatrixQ([[0, 0], [1, 0]])
+        assert MatrixQ.zero(1) == MatrixQ([[0]]) and MatrixQ.identity(2) == MatrixQ.diagonal([1, 1])
 
 
 class TestNontrivialityOracle:

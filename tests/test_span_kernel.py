@@ -14,9 +14,9 @@ The stages of the kernel (the sample stream, packed evaluation, packed
 mod-p rows) are held to randint, MatrixQ arithmetic and Fraction ranks,
 and the word-DAG evaluator to the word-by-word loop kept in helpers.
 Below degree 2d the class is a theorem: classify_span still samples in
-the call, and suite's report of the class alone waits for a read; both
-are held to the eager classifier that named every class by sampling
-(reference_eager_classify_span).
+the call, and is held to the eager classifier that named every class by
+sampling (reference_eager_classify_span); suite's reader of the class
+alone samples nothing there, and is held to classify_span.
 """
 
 import functools
@@ -357,38 +357,34 @@ class TestProofStop:
     A sum of commutators with one non-scalar value is proved TRACE_ZERO.
     Treating no polynomial as a commutator sum leaves it to the sampling
     loop, which must reach the same class and rows by the window, later, or
-    run out of budget.  Every other run is unchanged.  The loop takes the
-    fact as an argument, so every case runs it both ways; below degree 2d
-    the report's class is the theorem's (see TestDegreeDecides), so only
-    the cases outside it compare whole reports, the fact denied.
+    run out of budget.  Every other run is unchanged.  Below degree 2d the
+    report's class is the theorem's (see TestDegreeDecides), which denying
+    the fact turns to FULL, so there the runs are compared by their
+    samples, stop and rows: the loop's class is the least class holding
+    its last row's value, so equal rows are an equal loop class.
     """
 
     @pytest.mark.parametrize("battery", sorted(BATTERIES))
     def test_same_verdict_as_window_only(self, battery, monkeypatch):
         cases = BATTERIES[battery]()
-        outside = [(f, d, cfg) for f, d, cfg in cases if not span._degree_decides(f, d)]
-        reports = [classify_span(*case) for case in outside]
-        for f, d, cfg in cases:
-            got = span._sample(f, d, cfg, f.is_sum_of_commutators())
-            want = span._sample(f, d, cfg, False)
+        reports = [classify_span(*case) for case in cases]
+        monkeypatch.setattr(NcPoly, "is_sum_of_commutators", lambda self: False)
+        for (f, d, cfg), got in zip(cases, reports):
+            want = classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
+            decided = span._degree_decides(f, d)
             if got.stop_reason is not StopReason.LIE_IDEAL or got.classification is Classification.FULL:
                 # Only the commutator-sum fact, which is denied, differs.
-                assert got == want, where
+                run = ("samples_used", "stop_reason", "scale", "rows")
+                assert [getattr(got, k) for k in run] == [getattr(want, k) for k in run], where
+                assert decided or replace(got, sum_of_commutators=False) == want, where
                 continue
             assert got.classification is Classification.TRACE_ZERO, where
+            assert want.classification is (Classification.FULL if decided else Classification.TRACE_ZERO), where
             assert want.stop_reason is not StopReason.LIE_IDEAL, where
             assert want.samples_used > got.samples_used, where
             # Its proving sample already raised the class: only the stop differs.
-            assert (want.classification, want.rows) == (got.classification, got.rows), where
-        monkeypatch.setattr(NcPoly, "is_sum_of_commutators", lambda self: False)
-        for (f, d, cfg), got in zip(outside, reports):
-            want = classify_span(f, d, cfg)
-            where = f"{poly_to_text(f)} at d={d}, {cfg}"
-            assert got._run == span._sample(f, d, cfg, got.sum_of_commutators), where
-            if got.stop_reason is not StopReason.LIE_IDEAL or got.classification is Classification.FULL:
-                assert replace(got, sum_of_commutators=False) == want, where
-                assert got._run == want._run, where
+            assert want.rows == got.rows, where
 
 
 def battery_degrees(d):
@@ -412,14 +408,14 @@ class TestDegreeDecides:
     and nothing is evaluated to know it (span._degree_decides)."""
 
     def test_same_run_as_the_eager_reference(self):
-        """classify_span, and suite's report of the class alone, whose loop
-        waits for a read below 2d, against the eager classifier, at d = 1..5: the same samples, stop, rows and grown rows everywhere,
-        the same class wherever the reference reaches the proved class, and
-        elsewhere the theorem's class, with the reference's witnesses."""
+        """classify_span against the eager classifier, at d = 1..5: the same
+        samples, stop, rows and grown rows everywhere, the same class
+        wherever the reference reaches the proved class, and elsewhere the
+        theorem's class, with the reference's witnesses."""
         inside = cut = 0
-        for d, classify in itertools.product(range(1, 6), (classify_span, span._class_report)):
+        for d in range(1, 6):
             for f, d, cfg in battery_degrees(d):
-                got, want = classify(f, d, cfg), reference_eager_classify_span(f, d, cfg)
+                got, want = classify_span(f, d, cfg), reference_eager_classify_span(f, d, cfg)
                 where = f"{poly_to_text(f)} at d={d}, {cfg}"
                 fields = ("samples_used", "stop_reason", "scale", "rows", "grown", "sum_of_commutators")
                 assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields], where
@@ -462,31 +458,36 @@ class TestDegreeDecides:
         # Degree 4 = 2d at d=2: sampled.
         assert nontriviality_oracle(2)(f) is True and evaluations
 
-    def test_report_samples_when_first_read(self, evaluations):
-        # suite's report of the class alone: the theorem's class, no sample yet.
-        report = span._class_report(parse_poly("[X1,X2]"), 3)
-        assert (report.classification, report.rank) == (Classification.TRACE_ZERO, 8)
-        assert evaluations == []
-        assert report.samples_used == 1 and len(evaluations) == 1
-        assert report.stop_reason is StopReason.LIE_IDEAL and len(report.witnesses) == 8
-        assert len(evaluations) == 1
-        assert report == classify_span(parse_poly("[X1,X2]"), 3) and len(evaluations) == 2
+    def test_suite_class_is_classify_spans(self, evaluations):
+        """suite's reader of the class alone against classify_span on the
+        same cases, at d = 1..5: the same class and commutator-sum fact, no
+        evaluation wherever the degree decides the class, and elsewhere
+        classify_span's own run."""
+        inside = 0
+        for d in range(1, 6):
+            for f, d, cfg in battery_degrees(d):
+                where = f"{poly_to_text(f)} at d={d}, {cfg}"
+                evaluations.clear()
+                got = ncspan.cli._suite_class(f, d, cfg)
+                read = len(evaluations)
+                want = classify_span(f, d, cfg)
+                assert got == (want.classification, want.sum_of_commutators), where
+                if span._degree_decides(f, d):
+                    inside += 1
+                    assert read == 0, where
+                else:
+                    assert read == want.samples_used, where
+        assert inside > 150
 
     def test_classify_span_samples_in_the_call(self, evaluations):
         # The theorem names the class, and the loop still runs in the call:
         # reading the report afterwards evaluates nothing more.
         report = classify_span(parse_poly("[X1,X2]"), 3)
-        assert len(evaluations) == 1 and "_run" in report.__dict__
+        assert len(evaluations) == 1
         assert (report.classification, report.samples_used, report.stop_reason) == (
             Classification.TRACE_ZERO, 1, StopReason.LIE_IDEAL
         )
         assert len(report.witnesses) == 8 and len(evaluations) == 1
-        # Outside the theorem (deg f = 4 = 2d at d=2) _class_report is classify_span.
-        f = parse_poly("[X1,X2]^2")
-        evaluations.clear()
-        report = span._class_report(f, 2)
-        assert report == classify_span(f, 2) and "_run" in report.__dict__
-        assert evaluations and len(evaluations) % 2 == 0
         # Outside the theorem the class needs the loop: it runs at once, once.
         evaluations.clear()
         report = classify_span(parse_poly("[X1,X2]^2"), 2)
@@ -1080,17 +1081,19 @@ class TestSharedEvaluators:
 
     def test_classified_polynomial_and_report_pickle(self):
         """A polynomial pickles without its kept compile, and so does a
-        report whose witness rows were read."""
+        report whose witness rows, witnesses and basis were read."""
         f = parse_poly("3/2*X1*X1*X2 + [X2,X1]")
         cfg = SampleConfig(seed=4)
         report = classify_span(f, 3, cfg)
-        assert report.grown and f._compiled is not None
+        assert report.grown and report.witnesses and report.basis.rank == 9
+        assert f._compiled is not None
         for original in (f, report):
             copy = pickle.loads(pickle.dumps(original))
             assert copy == original and hash(copy) == hash(original)
             poly = copy if original is f else copy.poly
             assert poly._compiled is None
             assert classify_span(poly, 3, cfg) == report
+        assert (copy.witnesses, copy.basis) == (report.witnesses, report.basis)
 
 
 def battery_small_dims():
@@ -1189,11 +1192,10 @@ class TestSampledSpan:
                 assert len(a.witnesses) == len(a.grown)
                 assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (text, d)
                 assert (a.samples_used, a.stop_reason, a.scale, a.rows) == (b.samples_used, b.stop_reason, b.scale, b.rows)
-                assert a._run is not b._run and a._run == b._run and a.grown == b.grown
-                # A report runs the loop on its own fields: flipping the
-                # commutator-sum fact gives the loop's run without it.
+                assert a.grown == b.grown
+                # A report is its fields: replacing one keeps the samples.
                 other = replace(a, sum_of_commutators=not a.sum_of_commutators)
-                assert other != a and other._run == span._sample(f, d, cfg, other.sum_of_commutators)
+                assert other != a and (other.samples_used, other.rows) == (a.samples_used, a.rows)
                 same = replace(a)
                 assert same == a and same.rows == a.rows and same.witnesses == a.witnesses
         assert classify_span(parse_poly("[X1,X2]"), 3, SampleConfig(seed=1)) != classify_span(
