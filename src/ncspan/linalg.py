@@ -69,6 +69,19 @@ def check_dimension(d: int, name: str = "dimension") -> int:
     return d
 
 
+_EXACT = frozenset((int, Fraction))
+
+
+def check_exact(values: Sequence, name: str = "entry") -> None:
+    """The library's one rule for an exact scalar: TypeError unless each of
+    values is an int or a Fraction (a bool is neither).  The types are
+    scanned at C level; values is read a second time only to name the
+    first that fails."""
+    if not _EXACT.issuperset(map(type, values)):
+        x = next(x for x in values if type(x) not in _EXACT)
+        raise TypeError(f"{name} {x!r} is a {type(x).__name__}, not an int or a Fraction")
+
+
 class Classification(Enum):
     """The possible linear spans of polynomial values on M_d.
 
@@ -105,9 +118,11 @@ class Classification(Enum):
         return self is other or low == 0 or high == d * d
 
     def contains(self, vec: Sequence[Num], d: int) -> bool:
-        """Whether the d x d matrix with row-major entries vec lies in this class's space."""
+        """Whether the d x d matrix with row-major entries vec lies in this
+        class's space; every entry must be exact (see check_exact)."""
         if len(vec) != check_dimension(d) ** 2:
             raise DimensionMismatch(f"need {d * d} entries, got {len(vec)}")
+        check_exact(vec)
         if self is Classification.ZERO:
             return not any(vec)
         if self is Classification.SCALARS:
@@ -132,9 +147,7 @@ class MatrixQ:
         if d == 0 or any(len(r) != d for r in rows):
             raise DimensionMismatch("matrix must be square and nonempty")
         for row in rows:
-            for x in row:
-                if type(x) is not int and type(x) is not Fraction:
-                    raise TypeError(f"matrix entry {x!r} is a {type(x).__name__}, not an int or a Fraction")
+            check_exact(row, "matrix entry")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "rows", rows)
 
@@ -276,7 +289,29 @@ class SpanBasis:
         rows: tuple[Vector, ...] = (),
         pivots: tuple[int, ...] = (),
     ):
-        object.__setattr__(self, "dim", check_dimension(dim))
+        """rows must be the reduced echelon form that pivots names:
+        ValueError unless every row has d^2 entries, the pivots are ints
+        that increase strictly in range(d^2), and each row is 0 left of
+        its pivot, 1 at it and 0 at every other pivot; TypeError for an
+        inexact entry (see check_exact)."""
+        n = check_dimension(dim) ** 2
+        rows, pivots = tuple(map(tuple, rows)), tuple(pivots)
+        if len(rows) != len(pivots):
+            raise ValueError(f"{len(rows)} rows but {len(pivots)} pivots")
+        if (
+            set(map(type, pivots)) - {int}
+            or list(pivots) != sorted(set(pivots))
+            or any(p not in range(n) for p in pivots[:1] + pivots[-1:])
+        ):
+            raise ValueError(f"pivots {pivots} are not ints increasing strictly in range({n})")
+        for row, p in zip(rows, pivots):
+            if len(row) != n:
+                raise ValueError(f"a row of a basis of M_{dim} has {n} entries, not {len(row)}")
+            check_exact(row, "basis entry")
+            at = [row[q] for q in pivots]
+            if any(row[:p]) or row[p] != 1 or at.count(0) != len(at) - 1:
+                raise ValueError(f"the row with pivot {p} is not 0 before it, 1 at it and 0 at every other pivot")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
 
@@ -539,9 +574,7 @@ def vandermonde_extract(
     solved exactly by one fraction-free reduction of the Vandermonde
     matrix augmented with the value matrices.
     """
-    for lam in lambdas:
-        if type(lam) is not int and type(lam) is not Fraction:
-            raise TypeError(f"node {lam!r} is a {type(lam).__name__}, not an int or a Fraction")
+    check_exact(lambdas, "node")
     k = len(lambdas)
     if len(values) != k:
         raise ValueError(f"{k} nodes but {len(values)} values")

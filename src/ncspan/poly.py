@@ -3,21 +3,28 @@
 A polynomial lives in the free associative algebra on countably many
 variables X1, X2, ...  Monomials are *words*: tuples of 1-based variable
 indices, so X1*X2*X1 is the word (1, 2, 1) and the empty tuple () is the
-constant monomial 1.  A polynomial maps words to nonzero Fraction
-coefficients:
+constant monomial 1.  A polynomial is kept as one positive integer
+denominator D and a map from words to nonzero integer numerators, with
+gcd(D, every numerator) = 1, so that each coefficient is n_w / D:
 
-  X1*X2 - X2*X1  ->  {(1, 2): Fraction(1), (2, 1): Fraction(-1)}
+  X1*X2 - 1/2*X2*X1  ->  D = 2, {(1, 2): 2, (2, 1): -1}
 
-The zero polynomial has an empty term map.  All arithmetic is exact; no
-floating point is ever involved.  NcPoly values are immutable and hashable,
-so they can be shared freely; each keeps its hash and its last compile.
+The zero polynomial has an empty map over 1.  All arithmetic runs on the
+integers, and each result is brought back to that form by one gcd pass,
+which an integer polynomial (D = 1) skips; terms is a Fraction view of the
+coefficients.  No floating point is ever involved.  NcPoly values are
+immutable and hashable, so they can be shared freely; each keeps its hash,
+its variable count, its degree and its last compile once computed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
+
+from .linalg import check_exact
 
 Word = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -32,10 +39,17 @@ class MissingAssignment(Exception):
 
 
 def _clean_terms(
-    items: Iterable[tuple[Word, Fraction]], start: Mapping[Word, Fraction] = {}
-) -> dict[Word, Fraction]:
-    """Canonical start plus a stream of (word, coefficient) pairs, zero sums
-    dropped: the one place like terms combine."""
+    items: Iterable[tuple[Word, int]], start: Mapping[Word, int] = {}
+) -> dict[Word, int]:
+    """Nonzero start plus a stream of (word, numerator) pairs, zero sums
+    dropped: the one place like terms combine.  With no start, pairs whose
+    words are distinct and numerators nonzero, as in most products, are
+    the result as they stand, found by one C-level pass."""
+    if not start:
+        items = list(items)
+        terms = dict(items)
+        if len(terms) == len(items) and all(terms.values()):
+            return terms
     terms = dict(start)
     for word, coeff in items:
         acc = terms.get(word)
@@ -50,38 +64,46 @@ def _clean_terms(
 class NcPoly:
     """An element of the free algebra Q<X1, X2, ...> in canonical form.
 
-    Canonical means: no stored coefficient is zero, and two polynomials are
-    equal exactly when their term maps are equal.
+    Canonical means: _den is positive, no numerator in _num is zero, and
+    gcd(_den, every numerator) = 1; so two polynomials are equal exactly
+    when their denominators and numerator maps are equal.
     """
 
-    # _hash: None until the first hash, then kept (the terms never change).
-    # _compiled: None, or span._evaluator's last ((d, bound), (L, ev)).
-    __slots__ = ("_terms", "_nvars", "_hash", "_compiled")
+    # _nvars, _degree, _hash: None until first read, then kept (the terms
+    # never change).  _compiled: None, or span._evaluator's last
+    # ((d, bound), (L, ev)).
+    __slots__ = ("_den", "_num", "_nvars", "_degree", "_hash", "_compiled")
 
     def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _clean_terms((_letters(word), _exact(coeff)) for word, coeff in items)
-        self._nvars = max((max(w) for w in self._terms if w), default=0)
-        self._hash = self._compiled = None
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        words = [_letters(word) for word, _ in items]
+        coeffs = [coeff for _, coeff in items]
+        check_exact(coeffs, "coefficient")
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _fill(self, _clean_terms(zip(words, (c.numerator * (den // c.denominator) for c in coeffs))), den)
 
     # -- constructors ------------------------------------------------------
 
+    # The parser builds an atom per literal and letter: these skip the
+    # general constructor's passes, with the same checks.
+
     @staticmethod
     def zero() -> NcPoly:
-        return NcPoly()
+        return _raw({})
 
     @staticmethod
     def one() -> NcPoly:
-        return NcPoly({(): 1})
+        return _raw({(): 1})
 
     @staticmethod
     def constant(c: Scalar) -> NcPoly:
-        return NcPoly({(): c})
+        check_exact((c,), "coefficient")
+        return _raw({(): c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(i: int) -> NcPoly:
         """The polynomial X_i (i is 1-based)."""
-        return NcPoly({(i,): 1})
+        return _raw({_letters((i,)): 1})
 
     @staticmethod
     def monomial(word: Iterable[int], coeff: Scalar = 1) -> NcPoly:
@@ -90,55 +112,62 @@ class NcPoly:
     # -- structure ---------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Word, Fraction]:
-        """The word -> coefficient map (treat as read-only)."""
-        return self._terms
+    def terms(self) -> dict[Word, Fraction]:
+        """A new word -> coefficient map, each coefficient a Fraction in
+        lowest terms."""
+        den = self._den
+        return {w: Fraction(n, den) for w, n in self._num.items()}
 
     @property
     def nvars(self) -> int:
         """Largest variable index occurring; 0 for constants and zero."""
+        if self._nvars is None:
+            self._nvars = max(map(max, filter(None, self._num)), default=0)
         return self._nvars
 
     def variables(self) -> list[int]:
         """Sorted list of variable indices that actually occur."""
         seen: set[int] = set()
-        for word in self._terms:
+        for word in self._num:
             seen.update(word)
         return sorted(seen)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(not w for w in self._terms)
+        return all(not w for w in self._num)
 
     def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
+        return Fraction(self._num.get(tuple(word), 0), self._den)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self._terms.items())
+        return iter(self.terms.items())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NcPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({(): other} if other else {})
+            return self._den == other.denominator and self._num == ({(): other.numerator} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
+        # For an integer polynomial this is hash(frozenset(self.terms.items())).
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            key = frozenset(self._num.items())
+            self._hash = hash(key if self._den == 1 else (key, self._den))
         return self._hash
 
     def __reduce__(self):
-        # The terms alone: the kept evaluator is a closure, which cannot pickle.
-        return _raw, (self._terms,)
+        # The numerators and denominator alone: the kept evaluator is a
+        # closure, which cannot pickle.
+        return _raw, (self._num, self._den)
 
     def __repr__(self) -> str:
         from .text import poly_to_text
@@ -151,12 +180,12 @@ class NcPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _raw(_clean_terms(other._terms.items(), self._terms))
+        return _sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> NcPoly:
-        return _raw({w: -c for w, c in self._terms.items()})
+        return _raw({w: -n for w, n in self._num.items()}, self._den)
 
     def __sub__(self, other: NcPoly | Scalar) -> NcPoly:
         other = _coerce(other)
@@ -174,10 +203,10 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         return _raw(_clean_terms(
-            (wa + wb, ca * cb)
-            for wa, ca in self._terms.items()
-            for wb, cb in other._terms.items()
-        ))
+            (wa + wb, na * nb)
+            for wa, na in self._num.items()
+            for wb, nb in other._num.items()
+        ), self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> NcPoly:
         if isinstance(other, (int, Fraction)):
@@ -185,10 +214,10 @@ class NcPoly:
         return NotImplemented
 
     def scale(self, c: Scalar) -> NcPoly:
-        c = _exact(c)
+        check_exact((c,), "coefficient")
         if not c:
             return NcPoly.zero()
-        return _raw({w: coeff * c for w, coeff in self._terms.items()})
+        return _raw(_scaled(self._num, c.numerator), self._den * c.denominator)
 
     def __pow__(self, k: int) -> NcPoly:
         if k < 0:
@@ -202,21 +231,21 @@ class NcPoly:
 
     def degree(self) -> int | None:
         """Total degree (max word length); None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(len(w) for w in self._terms)
+        if self._degree is None and self._num:
+            self._degree = max(map(len, self._num))
+        return self._degree
 
     def degree_in(self, i: int) -> int | None:
         """Max number of occurrences of X_i in a word; None for zero."""
-        if not self._terms:
+        if not self._num:
             return None
-        return max(w.count(i) for w in self._terms)
+        return max(w.count(i) for w in self._num)
 
     def min_degree_in(self, i: int) -> int | None:
         """Min number of occurrences of X_i over the words; None for zero."""
-        if not self._terms:
+        if not self._num:
             return None
-        return min(w.count(i) for w in self._terms)
+        return min(w.count(i) for w in self._num)
 
     def homogeneous_components_in(self, i: int) -> list[tuple[int, NcPoly]]:
         """Partition the terms by their degree in X_i.
@@ -224,28 +253,28 @@ class NcPoly:
         Returns (degree, component) pairs in increasing degree order, only for
         degrees that actually occur.  The components sum back to self.
         """
-        buckets: dict[int, dict[Word, Fraction]] = {}
-        for word, coeff in self._terms.items():
-            buckets.setdefault(word.count(i), {})[word] = coeff
-        return [(j, _raw(buckets[j])) for j in sorted(buckets)]
+        buckets: dict[int, dict[Word, int]] = {}
+        for word, n in self._num.items():
+            buckets.setdefault(word.count(i), {})[word] = n
+        return [(j, _raw(buckets[j], self._den)) for j in sorted(buckets)]
 
     def is_homogeneous_in(self, i: int) -> bool:
-        degrees = {w.count(i) for w in self._terms}
+        degrees = {w.count(i) for w in self._num}
         return len(degrees) <= 1
 
     def strip_variable(self, i: int) -> tuple[NcPoly, NcPoly]:
         """Split self = g + h where X_i occurs in every word of g and none of h."""
-        with_i: dict[Word, Fraction] = {}
-        without_i: dict[Word, Fraction] = {}
-        for word, coeff in self._terms.items():
-            (with_i if i in word else without_i)[word] = coeff
-        return _raw(with_i), _raw(without_i)
+        with_i: dict[Word, int] = {}
+        without_i: dict[Word, int] = {}
+        for word, n in self._num.items():
+            (with_i if i in word else without_i)[word] = n
+        return _raw(with_i, self._den), _raw(without_i, self._den)
 
     def is_multilinear(self) -> bool:
         """True iff every word contains each of X1..X_nvars exactly once."""
-        n = self._nvars
+        n = self.nvars
         return all(
-            len(w) == n and len(set(w)) == n for w in self._terms
+            len(w) == n and len(set(w)) == n for w in self._num
         )
 
     # -- substitution ---------------------------------------------------------
@@ -257,6 +286,9 @@ class NcPoly:
         MissingAssignment is raised.  Words map to ordered products of the
         images, so the result is the homomorphic image of self.  Each word
         is expanded once, and like terms combine in one pass over them all.
+        With the images over one denominator E, a word w of self, over D,
+        contributes over D * E^|w|, so over D * E^deg once its numerator is
+        multiplied by E^(deg - |w|).
         """
         variables = self.variables()
         for i in variables:
@@ -265,16 +297,19 @@ class NcPoly:
         images = {i: _coerce(assignment[i]) for i in variables}
         if any(image is NotImplemented for image in images.values()):
             raise TypeError("images must be polynomials or scalars")
+        den = math.lcm(*(p._den for p in images.values()))
+        nums = {i: _scaled(p._num, den // p._den) for i, p in images.items()}
+        deg = self.degree() or 0
 
-        def expand(word: Word, coeff: Fraction) -> list[tuple[Word, Fraction]]:
-            out = [((), coeff)]
+        def expand(word: Word, n: int) -> list[tuple[Word, int]]:
+            out = [((), n * den ** (deg - len(word)))]
             for letter in word:
-                out = [(w + v, c * e) for w, c in out for v, e in images[letter]._terms.items()]
+                out = [(w + v, c * e) for w, c in out for v, e in nums[letter].items()]
             return out
 
         return _raw(_clean_terms(itertools.chain.from_iterable(
-            itertools.starmap(expand, self._terms.items())
-        )))
+            itertools.starmap(expand, self._num.items())
+        )), self._den * den**deg)
 
     def substitute_one(self, i: int, image: NcPoly) -> NcPoly:
         """Substitute X_i -> image, leaving all other variables fixed."""
@@ -295,7 +330,7 @@ class NcPoly:
         polynomial passes.
         """
         offending = _clean_terms(
-            (cyclic_representative(word), coeff) for word, coeff in self._terms.items()
+            (cyclic_representative(word), n) for word, n in self._num.items()
         )
         if not offending:
             return None
@@ -304,14 +339,6 @@ class NcPoly:
     def is_sum_of_commutators(self) -> bool:
         """True iff self lies in the span of commutators [u, v]."""
         return self.commutator_obstruction() is None
-
-
-def _exact(c: Scalar) -> Fraction:
-    """c as a Fraction; TypeError unless c is an int or a Fraction, bools
-    included, as for a MatrixQ entry."""
-    if type(c) is not int and type(c) is not Fraction:
-        raise TypeError(f"coefficient {c!r} is a {type(c).__name__}, not an int or a Fraction")
-    return Fraction(c)
 
 
 def _letters(word: Iterable[int]) -> Word:
@@ -326,13 +353,36 @@ def _letters(word: Iterable[int]) -> Word:
     return word
 
 
-def _raw(terms: dict[Word, Fraction]) -> NcPoly:
-    # Internal fast path: terms are already canonical (no zeros, tuple keys).
-    p = object.__new__(NcPoly)
-    p._terms = terms
-    p._nvars = max((max(w) for w in terms if w), default=0)
-    p._hash = p._compiled = None
+def _raw(num: dict[Word, int], den: int = 1) -> NcPoly:
+    """The polynomial sum of num[w] / den * w.  Internal fast path: the
+    words are checked and the numerators nonzero ints, and den > 0."""
+    return _fill(object.__new__(NcPoly), num, den)
+
+
+def _fill(p: NcPoly, num: dict[Word, int], den: int) -> NcPoly:
+    """p set to num over den, both divided by their gcd (none of an
+    integer polynomial), which leaves the zero polynomial over 1."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num, den = {w: n // g for w, n in num.items()}, den // g
+    p._num, p._den = num, den
+    p._nvars = p._degree = p._hash = p._compiled = None
     return p
+
+
+def _scaled(num: dict[Word, int], k: int) -> dict[Word, int]:
+    """num with every numerator times k; num itself for k = 1."""
+    return num if k == 1 else {w: n * k for w, n in num.items()}
+
+
+def _sum(polys: Iterable[NcPoly]) -> NcPoly:
+    """The sum of polys over the lcm of their denominators, like terms
+    combined in one pass over them all."""
+    polys = list(polys)
+    den = math.lcm(*(p._den for p in polys))
+    first, *rest = (_scaled(p._num, den // p._den) for p in polys)
+    return _raw(_clean_terms(itertools.chain.from_iterable(map(dict.items, rest)), first), den)
 
 
 def _coerce(value: NcPoly | Scalar) -> NcPoly:

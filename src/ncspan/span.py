@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add, lshift, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .linalg import (
     PRIME,
@@ -205,17 +205,11 @@ class SpanReport:
         return tuple((args, _unscaled(vec, d, scale)) for args, (_, vec) in zip(self._inputs, self.grown))
 
 
-def _integer_terms(f: NcPoly) -> tuple[int, list[tuple[Word, int]]]:
-    """(L, terms of L * f) for L the lcm of f's coefficient denominators."""
-    scale, (coeffs,) = _cleared([f.terms.values()])
-    return scale, list(zip(f.terms, coeffs))
-
-
 # struct codes of the signed slot widths that have one.
 _SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
+def _compile(terms: Collection[tuple[Word, int]], d: int) -> tuple:
     """((g, v), steps, sums, nvars): sum c * w over terms as a program on
     packed rows, compiled through the minimal DAG of its words.
 
@@ -320,7 +314,7 @@ def _compile(terms: list[tuple[Word, int]], d: int) -> tuple:
 
 
 def _packed_evaluator(
-    terms: list[tuple[Word, int]], d: int, bound: int
+    terms: Collection[tuple[Word, int]], d: int, bound: int
 ) -> Callable[[Sequence[int]], list[int]]:
     """ev(entries) = sum c * w(args) over (w, c) in terms, row-major.
 
@@ -394,16 +388,19 @@ def _packed_evaluator(
 
 def _evaluator(f: NcPoly, d: int, bound: int) -> tuple[int, Callable[[Sequence[int]], list[int]]]:
     """(L, ev) for ev(entries) = L * f(args), entries within bound (see
-    _packed_evaluator), L clearing f's denominators.  f keeps the last
-    pair built for it, keyed by (d, bound), so a suite entry's classifier
-    and oracle share one compile and none outlives f.  Every sampled
-    verdict reaches it first, so it is where d is checked (see
-    check_dimension)."""
+    _packed_evaluator), L the lcm of the denominators of f's coefficients.
+    f keeps the last pair built for it, keyed by (d, bound), so a suite
+    entry's classifier and oracle share one compile and none outlives f.
+    Every sampled verdict reaches it first, so it is where d is checked
+    (see check_dimension).
+
+    L and the terms of L * f are f's own denominator D and numerators n_w:
+    f keeps gcd(D, n_1, ..., n_k) = 1, so the lcm of the denominators of
+    the n_w / D in lowest terms is D / gcd(D, n_1, ..., n_k) = D."""
     check_dimension(d)
     made = f._compiled
     if made is None or made[0] != (d, bound):
-        scale, terms = _integer_terms(f)
-        made = f._compiled = (d, bound), (scale, _packed_evaluator(terms, d, bound))
+        made = f._compiled = (d, bound), (f._den, _packed_evaluator(f._num.items(), d, bound))
     return made[1]
 
 
@@ -429,9 +426,10 @@ def evaluate(
     The constant term contributes a scalar multiple of the identity.  For a
     polynomial without variables the target dimension must be passed
     explicitly since it cannot be inferred.  With L the lcm of f's
-    coefficient denominators and D that of the arguments' entries, args =
-    A / D for integer A, and f(args) is sum L * c * D^(m - |w|) * w(A)
-    divided by L * D^m, m the degree of f: one integer evaluation.
+    coefficient denominators (f's own denominator, see _evaluator) and D
+    that of the arguments' entries, args = A / D for integer A, and f(args)
+    is sum L * c * D^(m - |w|) * w(A) divided by L * D^m, m the degree of
+    f: one integer evaluation.
     """
     args = tuple(args)
     if dim is not None:
@@ -451,13 +449,12 @@ def evaluate(
         d = dim
     else:
         raise ArityMismatch("cannot infer dimension: no arguments and no dim given")
-    scale, terms = _integer_terms(f)
     used = [x for a in args[: f.nvars] for row in a.rows for x in row]
     den, (entries,) = _cleared([used])
     deg = f.degree() or 0
-    terms = [(w, c * den ** (deg - len(w))) for w, c in terms]
+    terms = [(w, n * den ** (deg - len(w))) for w, n in f._num.items()]
     ev = _packed_evaluator(terms, d, max(map(abs, entries), default=0))
-    return _unscaled(ev(entries), d, scale * den**deg)
+    return _unscaled(ev(entries), d, f._den * den**deg)
 
 
 def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
@@ -835,7 +832,7 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     if target.dim != d:
         raise DimensionMismatch(f"target is {target.dim}x{target.dim}, expected {d}")
     f = report.poly
-    if len(f.terms) == 1:
+    if len(f) == 1:
         ((word, coeff),) = f.terms.items()
         if len(word) == 1:
             i = word[0]

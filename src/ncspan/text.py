@@ -26,14 +26,13 @@ by ',', e.g. "1,0;0,-1".
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .linalg import DimensionMismatch, MatrixQ
-from .poly import NcPoly, Word, _clean_terms, _raw
+from .poly import NcPoly, Word, _sum
 
 
 class ParseError(Exception):
@@ -180,8 +179,7 @@ class _Parser:
 
         def build() -> NcPoly:
             # One combine for all summands: a long sum costs linear time.
-            built = (-p.build() if neg else p.build() for p, neg in zip(parts, negated))
-            return _raw(_clean_terms(itertools.chain.from_iterable(built)))
+            return _sum(-p.build() if neg else p.build() for p, neg in zip(parts, negated))
 
         return _Expansion(terms, degree, build)
 
@@ -254,7 +252,7 @@ class _Parser:
         found = self._describe(tok)
         raise self._error(f"expected a number, variable, '(' or '[', found {found}", tok)
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
         sign = 1
         tok = self.peek()
         if tok.kind == "-":
@@ -270,7 +268,7 @@ class _Parser:
             if den_tok.value == 0:
                 raise self._error("zero denominator", den_tok)
             return Fraction(sign * num, den_tok.value)
-        return Fraction(sign * num)
+        return sign * num
 
 
 def parse_poly(text: str) -> NcPoly:
@@ -287,12 +285,16 @@ def poly_to_text(f: NcPoly) -> str:
     if f.is_zero():
         return "0"
     pieces = []
-    for word, coeff in sorted(f.terms.items(), key=lambda t: (len(t[0]), t[0])):
+    den, num = f._den, f._num
+    for word in sorted(num, key=lambda w: (len(w), w)):
+        coeff = num[word]
         # The first term's sign stays in its coefficient ("-1*X1"); later
         # terms print theirs as the operator.
         if pieces:
             pieces.append(" + " if coeff > 0 else " - ")
             coeff = abs(coeff)
+        if den != 1:
+            coeff = Fraction(coeff, den)  # in lowest terms
         if not word:
             pieces.append(str(coeff))
         elif coeff == 1:

@@ -148,6 +148,99 @@ def random_noncentral(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:
             return m
 
 
+# The Fraction arithmetic of ncspan.poly before a polynomial kept integer
+# numerators over one denominator: each reads f.terms and returns a word ->
+# Fraction map, with zero sums dropped.
+
+
+def reference_clean_terms(items, start={}) -> dict:
+    """start plus a stream of (word, coefficient) pairs, zero sums dropped."""
+    terms = dict(start)
+    for word, coeff in items:
+        acc = terms.get(word)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            terms[word] = acc
+        elif word in terms:
+            del terms[word]
+    return terms
+
+
+def reference_sum(f: NcPoly, g: NcPoly) -> dict:
+    return reference_clean_terms(g.terms.items(), f.terms)
+
+
+def reference_product(f: NcPoly, g: NcPoly) -> dict:
+    return reference_clean_terms(
+        (wa + wb, ca * cb) for wa, ca in f.terms.items() for wb, cb in g.terms.items()
+    )
+
+
+def reference_scale(f: NcPoly, c) -> dict:
+    return {w: coeff * c for w, coeff in f.terms.items()} if c else {}
+
+
+def reference_substitute_terms(f: NcPoly, assignment) -> dict:
+    """Each word expanded once into products of the images' Fraction terms."""
+    images = {
+        i: image.terms if isinstance(image, NcPoly) else {(): Fraction(image)} if image else {}
+        for i, image in assignment.items()
+    }
+    expanded = []
+    for word, coeff in f.terms.items():
+        out = [((), coeff)]
+        for letter in word:
+            out = [(w + v, c * e) for w, c in out for v, e in images[letter].items()]
+        expanded += out
+    return reference_clean_terms(expanded)
+
+
+def reference_delta_terms(f: NcPoly, i: int, m: int) -> dict:
+    """linearize.delta's word surgery on Fraction terms, for X_m fresh and
+    X_i in every word: each word gives the 2^k - 2 words with a nonempty
+    proper subset of its k letters X_i renamed X_m."""
+    terms = {}
+    for word, coeff in f.terms.items():
+        renamed = itertools.product(*[(x, m) if x == i else (x,) for x in word])
+        for w in itertools.islice(renamed, 1, (1 << word.count(i)) - 1):
+            terms[w] = coeff
+    return terms
+
+
+def reference_strip(f: NcPoly, i: int) -> tuple[dict, dict]:
+    """(the terms whose words hold X_i, the rest)."""
+    terms = f.terms
+    return {w: c for w, c in terms.items() if i in w}, {w: c for w, c in terms.items() if i not in w}
+
+
+def reference_components(f: NcPoly, i: int) -> list[tuple[int, dict]]:
+    """(degree in X_i, the terms of that degree), in increasing degree."""
+    buckets = {}
+    for word, coeff in f.terms.items():
+        buckets.setdefault(word.count(i), {})[word] = coeff
+    return [(j, buckets[j]) for j in sorted(buckets)]
+
+
+def reference_integer_terms(f: NcPoly) -> tuple[int, list]:
+    """(L, terms of L * f) for L the lcm of the denominators of f.terms, in
+    lowest terms: what span._evaluator reads as f's own denominator and
+    numerators."""
+    terms = f.terms
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return scale, [(w, c.numerator * (scale // c.denominator)) for w, c in terms.items()]
+
+
+def assert_integer_form(p: NcPoly) -> None:
+    """p is a positive int denominator over nonzero int numerators, all of
+    them coprime, so the zero polynomial is {} over 1; and terms reads
+    them as Fractions."""
+    assert type(p._den) is int and p._den > 0, p._den
+    assert all(type(n) is int and n for n in p._num.values()), p._num
+    assert math.gcd(p._den, *p._num.values()) == 1, (p._den, p._num)
+    assert p.terms == {w: Fraction(n, p._den) for w, n in p._num.items()}
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
 def reference_substitute(f: NcPoly, assignment) -> NcPoly:
     """X_i -> assignment[i] term by term: each word's product of images is
     built with NcPoly arithmetic and added to a running sum."""

@@ -104,6 +104,77 @@ class TestExactEntries:
         assert 2 * m == m + m
 
 
+class TestExactRule:
+    """linalg.check_exact is the one rule for an exact scalar, read by
+    MatrixQ, vandermonde_extract, NcPoly and Classification.contains."""
+
+    @pytest.mark.parametrize(
+        "which, vec, d",
+        [
+            # The float sum of that diagonal is 5.55e-17, not 0.
+            (Classification.TRACE_ZERO, [0.1, 0, 0, 0, 0.2, 0, 0, 0, -0.3], 3),
+            (Classification.SCALARS, [0.5, 0, 0, 0.5], 2),
+            (Classification.ZERO, [0, 0, 0, False], 2),
+            (Classification.FULL, [1, 2, "3", 4], 2),
+            (Classification.TRACE_ZERO, [True], 1),
+        ],
+        ids=["trace-zero-float", "scalars-float", "zero-bool", "full-str", "d1-bool"],
+    )
+    def test_contains_refuses_inexact_entries(self, which, vec, d):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            which.contains(vec, d)
+
+    def test_contains_reads_exact_entries(self):
+        third = Fraction(1, 3)
+        assert Classification.TRACE_ZERO.contains([third, 5, 7, -third], 2)
+        assert Classification.SCALARS.contains([third, 0, 0, third], 2)
+        assert not Classification.ZERO.contains([0, 0, 0, third], 2)
+
+    def test_names_the_first_inexact_value(self):
+        with pytest.raises(TypeError, match=r"^node 2\.5 is a float, not an int or a Fraction$"):
+            linalg.check_exact([1, Fraction(1, 2), 2.5, True], "node")
+        linalg.check_exact([1, Fraction(1, 2), -3])
+        linalg.check_exact([])
+
+
+class TestSpanBasisValidation:
+    """SpanBasis(dim, rows, pivots) refuses rows that are not the reduced
+    echelon form its pivots name."""
+
+    @pytest.mark.parametrize(
+        "rows, pivots",
+        [
+            (((1, 2, 3, 4),), (1,)),  # not 0 left of its pivot, nor 1 at it
+            (((1, 1, 0, 0),), (1,)),  # not 0 left of its pivot
+            (((1, 2, 3),), (0,)),  # not d^2 entries
+            (((0, 2, 3, 4),), (1,)),  # not 1 at its pivot
+            (((1, 1, 0, 0), (0, 1, 0, 0)), (0, 1)),  # not 0 at another pivot
+            (((0, 1, 0, 0), (1, 0, 0, 0)), (1, 0)),  # pivots decreasing
+            (((1, 0, 0, 0), (1, 0, 0, 0)), (0, 0)),  # pivots repeated
+            (((1, 0, 0, 0),), (0, 1)),  # more pivots than rows
+            (((1, 0, 0, 0),), (True,)),  # a bool pivot
+            (((0, 0, 0, 0, 1),), (4,)),  # a pivot past d^2
+        ],
+    )
+    def test_refused(self, rows, pivots):
+        with pytest.raises(ValueError):
+            SpanBasis(2, rows, pivots)
+
+    def test_inexact_entry_refused(self):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            SpanBasis(2, ((1, 0.5, 0, 0),), (0,))
+
+    def test_reduced_rows_build(self):
+        third = Fraction(1, 3)
+        basis = SpanBasis(2, [[1, third, 0, 2], [0, 0, 1, -1]], [0, 2])
+        assert basis.rows == ((1, third, 0, 2), (0, 0, 1, -1)) and basis.pivots == (0, 2)
+        assert SpanBasis.from_matrices(2, basis.row_matrices()) == basis
+        for d in (1, 2, 3):
+            for which in Classification:
+                canonical = SpanBasis.canonical(d, which)
+                assert SpanBasis(d, canonical.rows, canonical.pivots) == canonical
+
+
 class TestSpanBasis:
     def test_repeated_insert_does_not_grow(self):
         basis = SpanBasis(2)

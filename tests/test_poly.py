@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,12 +10,21 @@ from hypothesis import strategies as st
 
 import ncspan.poly
 from helpers import (
+    assert_integer_form,
     battery_poly,
     random_poly,
     random_word,
+    reference_clean_terms,
     reference_commutator_obstruction,
+    reference_components,
     reference_cyclic_representative,
+    reference_delta_terms,
+    reference_product,
+    reference_scale,
+    reference_strip,
     reference_substitute,
+    reference_substitute_terms,
+    reference_sum,
 )
 from ncspan import MissingAssignment, NcPoly, commutator, cyclic_representative, delta, parse_poly
 from ncspan.cli import _read_corpus
@@ -32,6 +43,12 @@ images = st.one_of(
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
 )
 assignments = st.fixed_dictionaries({1: images, 2: images, 3: images})
+# Rational coefficients, whose denominators cancel in sums, products and
+# parts, and polynomials of either kind.
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+rational_polys = st.dictionaries(words, scalars, max_size=4).map(NcPoly)
+either_polys = st.one_of(polys, rational_polys)
+rational_assignments = st.fixed_dictionaries({i: st.one_of(images, rational_polys) for i in (1, 2, 3)})
 
 
 class TestArithmetic:
@@ -309,9 +326,9 @@ class TestSubstitute:
         # All the words expand into one stream that is combined once.
         f = (X1 + X2) ** 3 - X3
         assignment = {1: X1 + X3, 2: X2 * X1, 3: Fraction(1, 2)}
-        raw = ncspan.poly._raw
+        clean = ncspan.poly._clean_terms
         calls = []
-        monkeypatch.setattr(ncspan.poly, "_raw", lambda terms: calls.append(1) or raw(terms))
+        monkeypatch.setattr(ncspan.poly, "_clean_terms", lambda *args: calls.append(1) or clean(*args))
         f.substitute(assignment)
         assert len(calls) == 1
 
@@ -412,3 +429,131 @@ def test_equality_is_canonical():
     g = NcPoly.monomial((1,), Fraction(1, 2))
     assert f == g and hash(f) == hash(g)
     assert NcPoly({(1,): 0}) == NcPoly.zero()
+
+
+class TestIntegerForm:
+    """Integer numerators over one denominator, each result renormalised by
+    one gcd pass, against the Fraction arithmetic kept in helpers: sums,
+    products, scale, substitute, delta, strip, components and the
+    commutator obstruction, on the hypothesis strategies and a seeded
+    battery."""
+
+    @staticmethod
+    def check(f, g, c, assignment):
+        negated = reference_scale(g, -1)
+        pairs = [
+            (f + g, reference_sum(f, g)),
+            (-g, negated),
+            (f - g, reference_clean_terms(negated.items(), f.terms)),
+            (f * g, reference_product(f, g)),
+            (f.scale(c), reference_scale(f, c)),
+            (c * f, reference_scale(f, c)),
+            (f.substitute(assignment), reference_substitute_terms(f, assignment)),
+        ]
+        for i in (1, 2, 3):
+            with_i, without_i = f.strip_variable(i)
+            pairs += zip((with_i, without_i), reference_strip(f, i))
+            got = f.homogeneous_components_in(i)
+            want = reference_components(f, i)
+            assert [j for j, _ in got] == [j for j, _ in want]
+            pairs += [(p, terms) for (_, p), (_, terms) in zip(got, want)]
+            if with_i:
+                m = with_i.nvars + 1
+                pairs.append((delta(with_i, i, m), reference_delta_terms(with_i, i, m)))
+        for got, want in pairs:
+            assert_integer_form(got)
+            assert got.terms == want
+            assert got == NcPoly(want)
+        assert f.commutator_obstruction() == reference_commutator_obstruction(f)
+
+    @settings(max_examples=150)
+    @given(either_polys, either_polys, scalars, rational_assignments)
+    def test_hypothesis(self, f, g, c, assignment):
+        self.check(f, g, c, assignment)
+
+    def test_seeded_battery(self):
+        rng = random.Random(4040)
+
+        def rational():
+            return Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3, 4, 6, 9)))
+
+        for _ in range(200):
+            f = battery_poly(rng).scale(rational())
+            g = random_poly(rng, max_terms=4).scale(rational())
+            assignment = {i: rng.choice((random_poly(rng, max_terms=2, max_degree=2).scale(rational()), rational(), 0)) for i in (1, 2, 3)}
+            self.check(f, g, rational(), assignment)
+
+    def test_products_of_rational_powers(self):
+        f = parse_poly("1/2*X1 + 1/3*X2 - 5/7*X3")
+        want = {(): Fraction(1)}
+        for k in range(1, 6):
+            want = reference_product(NcPoly(want), f)
+            got = f**k
+            assert_integer_form(got)
+            assert got.terms == want and got._den == 42**k
+
+
+class TestCanonicalForm:
+    """Equal polynomials have one (denominator, numerators) form, whatever
+    built them."""
+
+    @staticmethod
+    def routes():
+        """1/2*X1 + 1/3*X2, built nine ways."""
+        return [
+            parse_poly("1/2*X1 + 1/3*X2"),
+            NcPoly({(1,): Fraction(1, 2), (2,): Fraction(1, 3)}),
+            NcPoly([((1,), Fraction(1, 4)), ((2,), Fraction(2, 6)), ((1,), Fraction(1, 4)), ((3,), 0)]),
+            (3 * X1 + 2 * X2).scale(Fraction(1, 6)),
+            X1.scale(Fraction(1, 2)) + X2 * Fraction(1, 3),
+            parse_poly("1/2*X1 + 1/3*X2 + 1/7*X3").strip_variable(3)[1],
+            dict(parse_poly("1/2*X1 + 1/3*X2 - 2/5*X1*X1").homogeneous_components_in(1))[1] + parse_poly("1/3*X2"),
+            (X1 + X2).substitute({1: Fraction(1, 2) * X1, 2: X3 * Fraction(1, 3)}).substitute_one(3, X2),
+            parse_poly("(6*X1 + 4*X2) * 1/12"),
+        ]
+
+    def test_routes_agree(self):
+        routes = self.routes()
+        first = routes[0]
+        assert (first._den, first._num) == (6, {(1,): 3, (2,): 2})
+        for p in routes:
+            assert_integer_form(p)
+            assert p == first and hash(p) == hash(first) and p.terms == first.terms
+            assert (p._den, p._num) == (first._den, first._num)
+        table = {p: k for k, p in enumerate(routes)}
+        assert len(table) == 1 and all(table[p] == len(routes) - 1 for p in self.routes())
+
+    @given(either_polys)
+    def test_difference_is_zero_over_one(self, f):
+        zero = f - f
+        assert (zero._den, zero._num) == (1, {})
+        assert zero == NcPoly.zero() == 0 and hash(zero) == hash(NcPoly.zero())
+
+    @given(either_polys, st.integers(1, 9))
+    def test_scale_by_a_third_and_back(self, f, k):
+        assert f.scale(Fraction(1, 3)).scale(3) == f
+        assert f.scale(Fraction(k, 7)).scale(Fraction(7, k)) == f
+        assert_integer_form(f.scale(Fraction(k, 3)))
+
+    @pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy])
+    def test_pickle_round_trips(self, round_trip):
+        for f in [NcPoly.zero(), NcPoly.constant(Fraction(-3, 6)), X1 * X2 - X2 * X1, *self.routes()]:
+            again = round_trip(f)
+            assert again == f and hash(again) == hash(f) and again.terms == f.terms
+            assert_integer_form(again)
+
+    def test_constants(self):
+        half = NcPoly.constant(Fraction(3, 6))
+        assert (half._den, half._num) == (2, {(): 1})
+        assert half == Fraction(1, 2) and half != 1 and half.coefficient(()) == Fraction(1, 2)
+        assert NcPoly.constant(-4) == -4 and NcPoly.constant(-4).coefficient((1,)) == 0
+        for zero in (NcPoly.constant(0), NcPoly({(1,): Fraction(0, 5)}), X1.scale(0)):
+            assert (zero._den, zero._num) == (1, {}) and zero == 0
+
+    def test_shape_is_read_once(self):
+        f = parse_poly("X1*X3 - 1/2*X2")
+        assert f._nvars is None and f._degree is None
+        assert f.nvars == 3 and f.degree() == 2
+        assert (f._nvars, f._degree) == (3, 2)
+        zero = NcPoly.zero()
+        assert zero.nvars == 0 and zero.degree() is None

@@ -46,6 +46,7 @@ from helpers import (
     reference_is_identity,
     reference_evaluate,
     reference_forward_insert,
+    reference_integer_terms,
     reference_packed_evaluator,
     reference_report_doc,
     reference_rref_insert,
@@ -500,18 +501,19 @@ class TestDegreeDecides:
         a polynomial the theorem does not decide: at d=3 the two constants
         (a strip's dropped part among them), at d=2 those of degree 0, 4
         or 5."""
-        cleared, built = [], []
-        real_terms, real_build = span._integer_terms, span._packed_evaluator
-        monkeypatch.setattr(span, "_integer_terms", lambda f: cleared.append(f) or real_terms(f))
-        monkeypatch.setattr(span, "_packed_evaluator", lambda *spec: built.append(spec) or real_build(*spec))
+        # asked: each polynomial whose evaluator was asked for; built: the
+        # polynomial of each compile, the one asked for when it ran.
+        asked, built = [], []
+        real_evaluator, real_build = span._evaluator, span._packed_evaluator
+        monkeypatch.setattr(span, "_evaluator", lambda f, *key: asked.append(f) or real_evaluator(f, *key))
+        monkeypatch.setattr(span, "_packed_evaluator", lambda *spec: built.append(asked[-1]) or real_build(*spec))
         for d, count, degrees in ((3, 2, {0}), (2, 10, {0, 4, 5})):
-            cleared.clear()
             built.clear()
             assert main(["suite", "--corpus", CORPUS, "--dim", str(d), "--seed", "0"]) == 0
             capsys.readouterr()
-            assert len(built) == len(cleared) == count, d
-            assert {f.degree() or 0 for f in cleared} == degrees, d
-            assert not any(span._degree_decides(f, d) for f in cleared), d
+            assert len(built) == count, d
+            assert {f.degree() or 0 for f in built} == degrees, d
+            assert not any(span._degree_decides(f, d) for f in built), d
 
     def test_budget_cuts_witnesses_not_the_class(self, capsys):
         report = classify_span(parse_poly("X1*X1"), 2, SampleConfig(seed=0, max_samples=1))
@@ -810,7 +812,7 @@ class TestPackedEvaluation:
     @staticmethod
     def assert_matches_reference(f, d, bound, rng, draws=3):
         """Both evaluators agree on random entries and on entries at +-bound."""
-        _, terms = span._integer_terms(f)
+        _, terms = reference_integer_terms(f)
         got = span._packed_evaluator(terms, d, bound)
         want = reference_packed_evaluator(terms, d, bound)
         size = f.nvars * d * d
@@ -865,7 +867,7 @@ class TestPackedEvaluation:
         for text in ("[X1,X2]", "X1*X2", "(X1+X2)^3"):
             f = parse_poly(text)
             _, ev = span._evaluator(f, d, bound)
-            want = reference_packed_evaluator(span._integer_terms(f)[1], d, bound)
+            want = reference_packed_evaluator(reference_integer_terms(f)[1], d, bound)
             entries = [rng.randint(-bound, bound) for _ in range(f.nvars * d * d)]
             assert ev(entries) == want(entries), (text, d, bound)
 
@@ -881,14 +883,14 @@ class TestPackedEvaluation:
             for d in (1, 2, 3):
                 for f in polys:
                     self.assert_matches_reference(f, d, bound, rng, draws=2)
-                    _, terms = span._integer_terms(f)
+                    _, terms = reference_integer_terms(f)
                     top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
                     widths.add(1 << ((top.bit_length() + 8) // 8 - 1).bit_length())
         assert widths == {1, 2, 4, 8, 16}
 
     def test_shared_structure_is_computed_once(self):
         def compiled(f, d):
-            _, terms = span._integer_terms(parse_poly(f) if isinstance(f, str) else f)
+            _, terms = reference_integer_terms(parse_poly(f) if isinstance(f, str) else f)
             root, steps, _, _ = span._compile(terms, d)
             return root, len(steps)
 
@@ -988,7 +990,7 @@ class TestSharedEvaluators:
     def test_keyed_by_dimension_and_bound(self):
         rng = random.Random(19)
         f = parse_poly("X1*X2 - 3*X2*X1*X2 + 1/2*X1 - 2")
-        scale, terms = span._integer_terms(f)
+        scale, terms = reference_integer_terms(f)
         keys = [(d, bound) for bound in (10, 10**12) for d in (2, 3)]
         built = {}
         for d, bound in keys + keys:
@@ -1028,23 +1030,23 @@ class TestSharedEvaluators:
 
     def test_suite_compiles_each_polynomial_once_per_entry(self, monkeypatch, capsys):
         """Every evaluator build of `ncspan suite` on the golden corpus, keyed
-        by its entry's line and the polynomial whose denominators were
-        cleared just before it."""
+        by its entry's line and the polynomial whose evaluator was asked for
+        when it ran."""
         builds = []
-        cleared = []
+        asked = []
         line = []
-        real_terms, real_build = span._integer_terms, span._packed_evaluator
+        real_evaluator, real_build = span._evaluator, span._packed_evaluator
         real_entry = ncspan.cli._suite_entry
 
         def build(terms, d, bound):
-            builds.append((line[-1], cleared[-1], d, bound))
+            builds.append((line[-1], asked[-1], d, bound))
             return real_build(terms, d, bound)
 
         def entry(lineno, *rest):
             line.append(lineno)
             return real_entry(lineno, *rest)
 
-        monkeypatch.setattr(span, "_integer_terms", lambda f: cleared.append(f) or real_terms(f))
+        monkeypatch.setattr(span, "_evaluator", lambda f, *key: asked.append(f) or real_evaluator(f, *key))
         monkeypatch.setattr(span, "_packed_evaluator", build)
         monkeypatch.setattr(ncspan.cli, "_suite_entry", entry)
         # At d=2, where entries of degree 4 and 5 are sampled (see
