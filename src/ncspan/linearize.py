@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .poly import NcPoly, _raw
+from .poly import NcPoly, Word
 
 
 class VariableCollision(Exception):
@@ -94,17 +94,17 @@ def delta(f: NcPoly, i: int, m: int) -> NcPoly:
     coefficient.  Renaming X_m back to X_i recovers the word, since X_m is
     fresh, so no two of the new words coincide and no like terms combine.
     """
-    if any(m in w for w in f._num):
+    if f.degree_in(m):
         raise VariableCollision(f"X{m} already occurs in the polynomial")
     if f.is_zero() or f.min_degree_in(i) < 1:
         raise ValueError(f"X{i} must occur in every monomial")
-    num = {}
-    for word, n in f._num.items():
+
+    def renamed(word: Word):
         # product runs from the word itself to the word with every X_i renamed.
-        renamed = itertools.product(*[(x, m) if x == i else (x,) for x in word])
-        for w in itertools.islice(renamed, 1, (1 << word.count(i)) - 1):
-            num[w] = n
-    return _raw(num, f._den)
+        every = itertools.product(*[(x, m) if x == i else (x,) for x in word])
+        return itertools.islice(every, 1, (1 << word.count(i)) - 1)
+
+    return f.map_words(renamed)
 
 
 def resubstitute_check(f: NcPoly, fprime: NcPoly, i: int, m: int) -> bool:
@@ -127,7 +127,7 @@ def _compact_above(f: NcPoly, i: int) -> NcPoly:
     so the relabelling is injective; with none above i, f itself and its compile."""
     if f.nvars <= i:
         return f
-    return _raw({tuple(j - (j > i) for j in w): n for w, n in f._num.items()}, f._den)
+    return f.map_words(lambda w: (tuple(j - (j > i) for j in w),))
 
 
 def _tiebreak_key(p: NcPoly) -> tuple:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .linalg import check_exact
 
@@ -42,14 +43,7 @@ def _clean_terms(
     items: Iterable[tuple[Word, int]], start: Mapping[Word, int] = {}
 ) -> dict[Word, int]:
     """Nonzero start plus a stream of (word, numerator) pairs, zero sums
-    dropped: the one place like terms combine.  With no start, pairs whose
-    words are distinct and numerators nonzero, as in most products, are
-    the result as they stand, found by one C-level pass."""
-    if not start:
-        items = list(items)
-        terms = dict(items)
-        if len(terms) == len(items) and all(terms.values()):
-            return terms
+    dropped: the one place like terms combine."""
     terms = dict(start)
     for word, coeff in items:
         acc = terms.get(word)
@@ -117,6 +111,13 @@ class NcPoly:
         lowest terms."""
         den = self._den
         return {w: Fraction(n, den) for w, n in self._num.items()}
+
+    def integer_form(self) -> tuple[int, Mapping[Word, int]]:
+        """(D, numerators): the positive denominator D and a read-only map
+        from each word w to its nonzero integer numerator n_w, so that w's
+        coefficient is n_w / D, with gcd(D, every n_w) = 1.  The zero
+        polynomial reads (1, {})."""
+        return self._den, MappingProxyType(self._num)
 
     @property
     def nvars(self) -> int:
@@ -276,6 +277,16 @@ class NcPoly:
         return all(
             len(w) == n and len(set(w)) == n for w in self._num
         )
+
+    def map_words(self, images: Callable[[Word], Iterable[Word]]) -> NcPoly:
+        """The linear map sending each word w of self to the sum of the
+        words images(w): every image takes w's coefficient, and like terms
+        combine.  The images must be words, tuples of ints >= 1; they are
+        not checked, as a rule that relabels checked words keeps them words.
+        """
+        return _raw(_clean_terms(
+            (v, n) for w, n in self._num.items() for v in images(w)
+        ), self._den)
 
     # -- substitution ---------------------------------------------------------
 

@@ -400,7 +400,8 @@ def _evaluator(f: NcPoly, d: int, bound: int) -> tuple[int, Callable[[Sequence[i
     check_dimension(d)
     made = f._compiled
     if made is None or made[0] != (d, bound):
-        made = f._compiled = (d, bound), (f._den, _packed_evaluator(f._num.items(), d, bound))
+        den, num = f.integer_form()
+        made = f._compiled = (d, bound), (den, _packed_evaluator(num.items(), d, bound))
     return made[1]
 
 
@@ -452,9 +453,10 @@ def evaluate(
     used = [x for a in args[: f.nvars] for row in a.rows for x in row]
     den, (entries,) = _cleared([used])
     deg = f.degree() or 0
-    terms = [(w, n * den ** (deg - len(w))) for w, n in f._num.items()]
+    f_den, num = f.integer_form()
+    terms = [(w, n * den ** (deg - len(w))) for w, n in num.items()]
     ev = _packed_evaluator(terms, d, max(map(abs, entries), default=0))
-    return _unscaled(ev(entries), d, f._den * den**deg)
+    return _unscaled(ev(entries), d, f_den * den**deg)
 
 
 def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:

@@ -285,7 +285,7 @@ def poly_to_text(f: NcPoly) -> str:
     if f.is_zero():
         return "0"
     pieces = []
-    den, num = f._den, f._num
+    den, num = f.integer_form()
     for word in sorted(num, key=lambda w: (len(w), w)):
         coeff = num[word]
         # The first term's sign stays in its coefficient ("-1*X1"); later

@@ -234,10 +234,11 @@ def assert_integer_form(p: NcPoly) -> None:
     """p is a positive int denominator over nonzero int numerators, all of
     them coprime, so the zero polynomial is {} over 1; and terms reads
     them as Fractions."""
-    assert type(p._den) is int and p._den > 0, p._den
-    assert all(type(n) is int and n for n in p._num.values()), p._num
-    assert math.gcd(p._den, *p._num.values()) == 1, (p._den, p._num)
-    assert p.terms == {w: Fraction(n, p._den) for w, n in p._num.items()}
+    den, num = p.integer_form()
+    assert type(den) is int and den > 0, den
+    assert all(type(n) is int and n for n in num.values()), num
+    assert math.gcd(den, *num.values()) == 1, (den, num)
+    assert p.terms == {w: Fraction(n, den) for w, n in num.items()}
     assert all(type(c) is Fraction for c in p.terms.values())
 
 

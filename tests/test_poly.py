@@ -490,7 +490,7 @@ class TestIntegerForm:
             want = reference_product(NcPoly(want), f)
             got = f**k
             assert_integer_form(got)
-            assert got.terms == want and got._den == 42**k
+            assert got.terms == want and got.integer_form()[0] == 42**k
 
 
 class TestCanonicalForm:
@@ -515,18 +515,18 @@ class TestCanonicalForm:
     def test_routes_agree(self):
         routes = self.routes()
         first = routes[0]
-        assert (first._den, first._num) == (6, {(1,): 3, (2,): 2})
+        assert first.integer_form() == (6, {(1,): 3, (2,): 2})
         for p in routes:
             assert_integer_form(p)
             assert p == first and hash(p) == hash(first) and p.terms == first.terms
-            assert (p._den, p._num) == (first._den, first._num)
+            assert p.integer_form() == first.integer_form()
         table = {p: k for k, p in enumerate(routes)}
         assert len(table) == 1 and all(table[p] == len(routes) - 1 for p in self.routes())
 
     @given(either_polys)
     def test_difference_is_zero_over_one(self, f):
         zero = f - f
-        assert (zero._den, zero._num) == (1, {})
+        assert zero.integer_form() == (1, {})
         assert zero == NcPoly.zero() == 0 and hash(zero) == hash(NcPoly.zero())
 
     @given(either_polys, st.integers(1, 9))
@@ -544,11 +544,11 @@ class TestCanonicalForm:
 
     def test_constants(self):
         half = NcPoly.constant(Fraction(3, 6))
-        assert (half._den, half._num) == (2, {(): 1})
+        assert half.integer_form() == (2, {(): 1})
         assert half == Fraction(1, 2) and half != 1 and half.coefficient(()) == Fraction(1, 2)
         assert NcPoly.constant(-4) == -4 and NcPoly.constant(-4).coefficient((1,)) == 0
         for zero in (NcPoly.constant(0), NcPoly({(1,): Fraction(0, 5)}), X1.scale(0)):
-            assert (zero._den, zero._num) == (1, {}) and zero == 0
+            assert zero.integer_form() == (1, {}) and zero == 0
 
     def test_shape_is_read_once(self):
         f = parse_poly("X1*X3 - 1/2*X2")
@@ -557,3 +557,22 @@ class TestCanonicalForm:
         assert (f._nvars, f._degree) == (3, 2)
         zero = NcPoly.zero()
         assert zero.nvars == 0 and zero.degree() is None
+
+    def test_integer_form_is_read_only(self):
+        f = parse_poly("1/2*X1 - 1/3*X2")
+        den, num = f.integer_form()
+        assert (den, dict(num)) == (6, {(1,): 3, (2,): -2})
+        with pytest.raises(TypeError):
+            num[(1,)] = 1
+        assert f.integer_form() == (6, {(1,): 3, (2,): -2})
+
+    def test_map_words_combines_like_terms(self):
+        f = parse_poly("1/2*X1*X2 - 1/2*X2*X1 + 1/3*X3")
+        # Sorting each word's letters sends X1*X2 and X2*X1 to one word.
+        merged = f.map_words(lambda w: (tuple(sorted(w)),))
+        assert_integer_form(merged)
+        assert merged == parse_poly("1/3*X3") and merged.integer_form() == (3, {(3,): 1})
+        doubled = f.map_words(lambda w: (w, w + w))
+        assert_integer_form(doubled)
+        assert doubled == f + parse_poly("1/2*X1*X2*X1*X2 - 1/2*X2*X1*X2*X1 + 1/3*X3*X3")
+        assert f.map_words(lambda w: ()).integer_form() == (1, {})
