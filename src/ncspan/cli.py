@@ -39,7 +39,7 @@ from .span import (
     SpanReport,
     _degree_class,
     _degree_decides,
-    _verdicts,
+    _dimensions,
     classify_span,
     decompose_target,
     evaluate,
@@ -199,15 +199,12 @@ def _cmd_witness(args) -> int:
     cfg = _config(args)
     per_dim = []
     found = None
-    for d in range(1, args.dmax + 1):
-        ident, central = _verdicts(f, d, cfg)
+    for d, ident, central in _dimensions(f, args.dmax, cfg):
         # The bound per_sample ** samples stays factored: it can have thousands of digits.
         per_sample, samples = vanishing_rate(f, d, cfg)
         bound = {"per_sample": str(per_sample), "samples": samples}
         per_dim.append({"dim": d, "identity": ident, "central": central, "vanishing_bound": bound})
-        if not ident and not central:
-            found = d
-            break
+        found = None if ident or central else d
     _emit(_doc(f, dmax=args.dmax, witness_dimension=found, tested=per_dim))
     return EXIT_OK if found is not None else EXIT_NEGATIVE
 

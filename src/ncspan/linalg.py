@@ -257,8 +257,10 @@ def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
 
 def unit_commutator(a: MatrixQ, j: int, k: int) -> MatrixQ:
     """[a, E_jk] without a product: a E_jk has column j of a as its column k,
-    and E_jk a has row k of a as its row j."""
+    and E_jk a has row k of a as its row j.  ValueError unless 0 <= j, k < d."""
     d = a.dim
+    if not (0 <= j < d and 0 <= k < d):
+        raise ValueError(f"unit indices ({j}, {k}) are not in range({d})")
     rows = [[0] * d for _ in range(d)]
     for r in range(d):
         rows[r][k] = a.rows[r][j]

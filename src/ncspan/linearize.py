@@ -124,7 +124,7 @@ def resubstitute_check(f: NcPoly, fprime: NcPoly, i: int, m: int) -> bool:
 
 def _compact_above(f: NcPoly, i: int) -> NcPoly:
     """Renumber every variable index above i down by one.  X_i must be absent,
-    so the relabelling is injective; with none above i, f itself and its compile."""
+    so the relabelling is injective; with none above i, f itself."""
     if f.nvars <= i:
         return f
     return f.map_words(lambda w: (tuple(j - (j > i) for j in w),))

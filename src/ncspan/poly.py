@@ -14,7 +14,7 @@ integers, and each result is brought back to that form by one gcd pass,
 which an integer polynomial (D = 1) skips; terms is a Fraction view of the
 coefficients.  No floating point is ever involved.  NcPoly values are
 immutable and hashable, so they can be shared freely; each keeps its hash,
-its variable count, its degree and its last compile once computed.
+its variable count and its degree once computed.
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ class NcPoly:
     """
 
     # _nvars, _degree, _hash: None until first read, then kept (the terms
-    # never change).  _compiled: None, or span._evaluator's last
-    # ((d, bound), (L, ev)).
-    __slots__ = ("_den", "_num", "_nvars", "_degree", "_hash", "_compiled")
+    # never change).
+    __slots__ = ("_den", "_num", "_nvars", "_degree", "_hash")
 
     def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
@@ -166,8 +165,7 @@ class NcPoly:
         return self._hash
 
     def __reduce__(self):
-        # The numerators and denominator alone: the kept evaluator is a
-        # closure, which cannot pickle.
+        # The value alone: the shape caches are rebuilt when first read.
         return _raw, (self._num, self._den)
 
     def __repr__(self) -> str:
@@ -378,7 +376,7 @@ def _fill(p: NcPoly, num: dict[Word, int], den: int) -> NcPoly:
         if g != 1:
             num, den = {w: n // g for w, n in num.items()}, den // g
     p._num, p._den = num, den
-    p._nvars = p._degree = p._hash = p._compiled = None
+    p._nvars = p._degree = p._hash = None
     return p
 
 

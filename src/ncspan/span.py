@@ -44,8 +44,8 @@ error bound (vanishing_rate, in factored form).
 
 The sampling kernel does a whole row's work per Python-level step:
 
-- a polynomial keeps its last compile, for one dimension and bound (see
-  _evaluator), through the minimal DAG of its words (see _compile): a
+- each sampled call compiles its polynomial for its dimension and bound
+  (see _evaluator), through the minimal DAG of its words (see _compile): a
   subterm that many words share is computed once per sample, and the
   arguments of letters that lead to the same subterm are summed before
   one product, so (X1+X2)^5 costs 4 matrix products, not 128; the root
@@ -328,8 +328,7 @@ def _packed_evaluator(
     times P's rows.  The root's d rows are packed into one int of d^2
     slots by shifts, row i by i * d slots, times its factor, and decoded
     once, by one little-endian struct for 1-, 2-, 4- and 8-byte slots, else
-    slot by slot.  The slot layout is built here, once per compile, and the
-    compile is kept only on its polynomial (see _evaluator).
+    slot by slot.  The slot layout is built here, once per compile.
 
     Why merged nodes and summed letters stay exact: packing is a ring map
     Z[t] -> Z, t -> 2^s, and both are the distributive law, so every step
@@ -386,23 +385,13 @@ def _packed_evaluator(
     return ev
 
 
-def _evaluator(f: NcPoly, d: int, bound: int) -> tuple[int, Callable[[Sequence[int]], list[int]]]:
-    """(L, ev) for ev(entries) = L * f(args), entries within bound (see
-    _packed_evaluator), L the lcm of the denominators of f's coefficients.
-    f keeps the last pair built for it, keyed by (d, bound), so a suite
-    entry's classifier and oracle share one compile and none outlives f.
-    Every sampled verdict reaches it first, so it is where d is checked
-    (see check_dimension).
-
-    L and the terms of L * f are f's own denominator D and numerators n_w:
-    f keeps gcd(D, n_1, ..., n_k) = 1, so the lcm of the denominators of
-    the n_w / D in lowest terms is D / gcd(D, n_1, ..., n_k) = D."""
+def _evaluator(f: NcPoly, d: int, bound: int) -> Callable[[Sequence[int]], list[int]]:
+    """ev(entries) = L * f(args) for entries within bound (see
+    _packed_evaluator), where L is f's denominator (see classify_span): a
+    new build on every call.  Every sampled verdict builds one first, so it
+    is where d is checked (see check_dimension)."""
     check_dimension(d)
-    made = f._compiled
-    if made is None or made[0] != (d, bound):
-        den, num = f.integer_form()
-        made = f._compiled = (d, bound), (den, _packed_evaluator(num.items(), d, bound))
-    return made[1]
+    return _packed_evaluator(f.integer_form()[1].items(), d, bound)
 
 
 def _unscaled(vec: list[int], d: int, scale: int) -> MatrixQ:
@@ -427,7 +416,7 @@ def evaluate(
     The constant term contributes a scalar multiple of the identity.  For a
     polynomial without variables the target dimension must be passed
     explicitly since it cannot be inferred.  With L the lcm of f's
-    coefficient denominators (f's own denominator, see _evaluator) and D
+    coefficient denominators (f's own denominator, see classify_span) and D
     that of the arguments' entries, args = A / D for integer A, and f(args)
     is sum L * c * D^(m - |w|) * w(A) divided by L * D^m, m the degree of
     f: one integer evaluation.
@@ -461,7 +450,7 @@ def evaluate(
 
 def _samples(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
     """The seeded argument tuples that every sampled verdict reads and
-    evaluates with f's _evaluator: samples_for(d) lists of the row-major
+    evaluates with an _evaluator of f: samples_for(d) lists of the row-major
     entries of random integer matrices, X1's, then X2's, ...
 
     The entries are the values randint(-B, B) gives one by one, by its own
@@ -486,7 +475,7 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
     coeff_bound, so the samples' evaluator serves both.  The tuples are
     walked lazily, by the index of each unit's 1: no d^4-entry table.
     """
-    _, ev = _evaluator(f, d, cfg.coeff_bound)
+    ev = _evaluator(f, d, cfg.coeff_bound)
     values = map(ev, _samples(f, d, cfg))
     if not f.is_multilinear():
         yield from values
@@ -630,9 +619,12 @@ def classify_span(
 
     The report keeps the samples that raised the loop's class as integer
     rows (entries, L * f(t)), one or two; no basis, witness or Fraction is
-    built here.
+    built here.  L, the lcm of the denominators of f's coefficients, is
+    f's own denominator D, and L * f has f's numerators n_w as its terms:
+    f keeps gcd(D, n_1, ..., n_k) = 1, so the lcm of the denominators of
+    the n_w / D in lowest terms is D / gcd(D, n_1, ..., n_k) = D.
     """
-    scale, ev = _evaluator(f, d, cfg.coeff_bound)
+    ev = _evaluator(f, d, cfg.coeff_bound)
     commutator_sum = f.is_sum_of_commutators()
     proved = {Classification.FULL}
     if commutator_sum:
@@ -660,7 +652,7 @@ def classify_span(
             stop_reason = StopReason.STABILITY_WINDOW
             break
     cls = _degree_class(f, d, commutator_sum) or cls
-    return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(rows))
+    return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, f.integer_form()[0], tuple(rows))
 
 
 def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, ...]], bool]) -> list[Row]:
@@ -763,10 +755,17 @@ def find_witness_dimension(
     """
     if f.is_constant():
         raise ConstantInput("witness dimensions are defined for nonconstant input")
+    return next((d for d, *verdicts in _dimensions(f, d_max, cfg) if not any(verdicts)), None)
+
+
+def _dimensions(f: NcPoly, d_max: int, cfg: SampleConfig) -> Iterator[tuple[int, bool, bool]]:
+    """(d, identity, central) for f on M_d (see _verdicts), d = 1, 2, ...,
+    d_max (checked first), stopping after the first d where both are False."""
     for d in range(1, check_dimension(d_max, "d_max") + 1):
-        if nontriviality_oracle(d, cfg)(f):
-            return d
-    return None
+        identity, central = _verdicts(f, d, cfg)
+        yield d, identity, central
+        if not (identity or central):
+            return
 
 
 def _chevalley_units(d: int) -> list[tuple[int, int]]:

@@ -223,8 +223,8 @@ def reference_components(f: NcPoly, i: int) -> list[tuple[int, dict]]:
 
 def reference_integer_terms(f: NcPoly) -> tuple[int, list]:
     """(L, terms of L * f) for L the lcm of the denominators of f.terms, in
-    lowest terms: what span._evaluator reads as f's own denominator and
-    numerators."""
+    lowest terms: f's own denominator and numerators, which span._evaluator
+    reads and classify_span reports as its scale."""
     terms = f.terms
     scale = math.lcm(*(c.denominator for c in terms.values()))
     return scale, [(w, c.numerator * (scale // c.denominator)) for w, c in terms.items()]
@@ -467,7 +467,8 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
     no class matched.  The report's rows are the samples that grew the
     rank.
     """
-    scale, ev = span._evaluator(f, d, cfg.coeff_bound)
+    ev = span._evaluator(f, d, cfg.coeff_bound)
+    scale = reference_integer_terms(f)[0]
     echelon = EchelonModP()
     grown = []
     full_rank = d * d
@@ -542,7 +543,8 @@ def reference_eager_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleC
     in a row that did not raise it (STABILITY_WINDOW), or when the budget
     runs out (BUDGET_EXHAUSTED).  Its rows are the samples that raised the
     class."""
-    scale, ev = span._evaluator(f, d, cfg.coeff_bound)
+    ev = span._evaluator(f, d, cfg.coeff_bound)
+    scale = reference_integer_terms(f)[0]
     commutator_sum = f.is_sum_of_commutators()
     proved = {Classification.FULL}
     if commutator_sum:

@@ -88,6 +88,12 @@ class TestUnitCommutator:
                 for k in range(d):
                     assert unit_commutator(r, j, k) == commutator(r, MatrixQ.unit(d, j, k))
 
+    @pytest.mark.parametrize("j, k", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_index_outside_range_refused(self, j, k):
+        # Unchecked, a negative index would wrap and one past d would raise IndexError.
+        with pytest.raises(ValueError, match="not in range"):
+            unit_commutator(MatrixQ.identity(2), j, k)
+
 
 class TestLieIdealDifferential:
     @pytest.mark.parametrize("d, count", [(1, 40), (2, 40), (3, 40), (4, 20), (5, 12)])

@@ -497,21 +497,18 @@ class TestDegreeDecides:
         assert report.rows and report.witnesses and len(evaluations) == 51
 
     def test_suite_compiles_nothing_below_2d(self, monkeypatch, capsys):
-        """Every evaluator `ncspan suite` builds on the golden corpus is for
-        a polynomial the theorem does not decide: at d=3 the two constants
-        (a strip's dropped part among them), at d=2 those of degree 0, 4
-        or 5."""
-        # asked: each polynomial whose evaluator was asked for; built: the
-        # polynomial of each compile, the one asked for when it ran.
-        asked, built = [], []
-        real_evaluator, real_build = span._evaluator, span._packed_evaluator
-        monkeypatch.setattr(span, "_evaluator", lambda f, *key: asked.append(f) or real_evaluator(f, *key))
-        monkeypatch.setattr(span, "_packed_evaluator", lambda *spec: built.append(asked[-1]) or real_build(*spec))
-        for d, count, degrees in ((3, 2, {0}), (2, 10, {0, 4, 5})):
+        """Every polynomial `ncspan suite` builds an evaluator for on the
+        golden corpus is one the theorem does not decide: at d=3 the two
+        constants (a strip's dropped part among them), at d=2 the ten of
+        degree 0, 4 or 5, which the classifier and the oracle each build."""
+        built = []
+        real = span._evaluator
+        monkeypatch.setattr(span, "_evaluator", lambda f, *key: built.append(f) or real(f, *key))
+        for d, distinct, degrees in ((3, 2, {0}), (2, 10, {0, 4, 5})):
             built.clear()
             assert main(["suite", "--corpus", CORPUS, "--dim", str(d), "--seed", "0"]) == 0
             capsys.readouterr()
-            assert len(built) == count, d
+            assert len(set(built)) == distinct, d
             assert {f.degree() or 0 for f in built} == degrees, d
             assert not any(span._degree_decides(f, d) for f in built), d
 
@@ -767,7 +764,7 @@ class TestPackedEvaluation:
         f = parse_poly("(X1+X2)^8")
         cfg = SampleConfig(seed=3, coeff_bound=1000, max_samples=6)
         for d in (1, 2, 3):
-            _, ev = span._evaluator(f, d, cfg.coeff_bound)
+            ev = span._evaluator(f, d, cfg.coeff_bound)
             for entries in span._samples(f, d, cfg):
                 vec = ev(entries)
                 args = span._matrices(entries, d)
@@ -866,7 +863,7 @@ class TestPackedEvaluation:
         rng = random.Random(d + bound)
         for text in ("[X1,X2]", "X1*X2", "(X1+X2)^3"):
             f = parse_poly(text)
-            _, ev = span._evaluator(f, d, bound)
+            ev = span._evaluator(f, d, bound)
             want = reference_packed_evaluator(reference_integer_terms(f)[1], d, bound)
             entries = [rng.randint(-bound, bound) for _ in range(f.nvars * d * d)]
             assert ev(entries) == want(entries), (text, d, bound)
@@ -984,116 +981,43 @@ class TestVerdictsOnePass:
 
 
 class TestSharedEvaluators:
-    """span._evaluator: each polynomial keeps the last (L, ev) built for it,
-    keyed by dimension and bound, and the pair lives no longer than it."""
+    """span._evaluator: each call builds one evaluator, for the dimension
+    and bound asked for, and keeps nothing on the polynomial."""
 
     def test_keyed_by_dimension_and_bound(self):
         rng = random.Random(19)
         f = parse_poly("X1*X2 - 3*X2*X1*X2 + 1/2*X1 - 2")
-        scale, terms = reference_integer_terms(f)
-        keys = [(d, bound) for bound in (10, 10**12) for d in (2, 3)]
-        built = {}
-        for d, bound in keys + keys:
-            L, ev = span._evaluator(f, d, bound)
-            assert L == scale == 2
-            # The same key twice in a row is one build; coming back to an
-            # earlier key, after another, rebuilds.
-            assert span._evaluator(f, d, bound)[1] is ev
-            assert ev is not built.get((d, bound))
-            built[d, bound] = ev
+        terms = reference_integer_terms(f)[1]
+        for d, bound in [(d, bound) for bound in (10, 10**12) for d in (2, 3)]:
+            ev = span._evaluator(f, d, bound)
             # Entries at the bound overflow the slots of a smaller bound, so
-            # a d = 2 or bound-10 evaluator served in the wrong place would show.
+            # a d = 2 or bound-10 evaluator built in the wrong place would show.
             want = reference_packed_evaluator(terms, d, bound)
             size = 2 * d * d
             for entries in ([bound] * size, [rng.randint(-bound, bound) for _ in range(size)]):
                 assert ev(entries) == want(entries), (d, bound)
-        assert f._compiled == ((d, bound), (L, ev))
-
-    def test_equal_polynomials_compile_apart(self):
-        # The key is the object: equal polynomials do not share a compile.
-        parsed = parse_poly("X1*X2 - 1/2*X2*X1 + 3")
-        built = NcPoly({(2, 1): Fraction(-1, 2), (): 3, (1, 2): 1})
-        assert parsed is not built and parsed == built
-        assert span._evaluator(parsed, 3, 10) is not span._evaluator(built, 3, 10)
-        assert span._evaluator(parsed, 3, 10) is parsed._compiled[1]
 
     def test_nothing_outlives_the_polynomial(self):
+        # Nothing is kept: the evaluator goes with its last reference while
+        # f lives, and f's slots read as they did before the build.
         f = parse_poly("[X1,X2]")
-        _, ev = span._evaluator(f, 2, 10)
-        kept = weakref.ref(ev)
-        del ev
-        gc.collect()
-        assert kept() is not None
-        del f
+        before = [getattr(f, slot) for slot in NcPoly.__slots__]
+        kept = weakref.ref(span._evaluator(f, 2, 10))
         gc.collect()
         assert kept() is None
-
-    def test_suite_compiles_each_polynomial_once_per_entry(self, monkeypatch, capsys):
-        """Every evaluator build of `ncspan suite` on the golden corpus, keyed
-        by its entry's line and the polynomial whose evaluator was asked for
-        when it ran."""
-        builds = []
-        asked = []
-        line = []
-        real_evaluator, real_build = span._evaluator, span._packed_evaluator
-        real_entry = ncspan.cli._suite_entry
-
-        def build(terms, d, bound):
-            builds.append((line[-1], asked[-1], d, bound))
-            return real_build(terms, d, bound)
-
-        def entry(lineno, *rest):
-            line.append(lineno)
-            return real_entry(lineno, *rest)
-
-        monkeypatch.setattr(span, "_evaluator", lambda f, *key: asked.append(f) or real_evaluator(f, *key))
-        monkeypatch.setattr(span, "_packed_evaluator", build)
-        monkeypatch.setattr(ncspan.cli, "_suite_entry", entry)
-        # At d=2, where entries of degree 4 and 5 are sampled (see
-        # TestDegreeDecides for the theorem that spares the rest).
-        assert main(["suite", "--corpus", CORPUS, "--dim", "2", "--seed", "0"]) == 0
-        capsys.readouterr()
-        assert len(builds) == len(set(builds)) > 5
-
-    @pytest.mark.parametrize(
-        "argv",
-        (
-            ["suite", "--corpus", CORPUS, "--dim", "2", "--seed", "7919"],
-            ["classify", "--poly", "3/2*X1*X1*X2 + [X2,X1]", "--dim", "3", "--seed", "0"],
-            ["witness", "--poly", "[X1,X2]^2", "--dmax", "3", "--seed", "0"],
-            ["linearize", "--poly", "[X1,X2]^2", "--dim", "2", "--seed", "7919"],
-        ),
-        ids=lambda argv: argv[0],
-    )
-    def test_shared_and_own_evaluators_print_the_same(self, argv, monkeypatch, capsys):
-        """With an _evaluator that never reuses a kept compile, every command
-        prints the same bytes."""
-        real = span._evaluator
-
-        def rebuild(f, d, bound):
-            f._compiled = None
-            return real(f, d, bound)
-
-        outputs = []
-        for shared in (True, True, False):
-            if not shared:
-                monkeypatch.setattr(span, "_evaluator", rebuild)
-            outputs.append((main(argv), capsys.readouterr().out))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert [getattr(f, slot) for slot in NcPoly.__slots__] == before
 
     def test_classified_polynomial_and_report_pickle(self):
-        """A polynomial pickles without its kept compile, and so does a
-        report whose witness rows, witnesses and basis were read."""
+        """A classified polynomial pickles, and so does a report whose
+        witness rows, witnesses and basis were read."""
         f = parse_poly("3/2*X1*X1*X2 + [X2,X1]")
         cfg = SampleConfig(seed=4)
         report = classify_span(f, 3, cfg)
         assert report.grown and report.witnesses and report.basis.rank == 9
-        assert f._compiled is not None
         for original in (f, report):
             copy = pickle.loads(pickle.dumps(original))
             assert copy == original and hash(copy) == hash(original)
             poly = copy if original is f else copy.poly
-            assert poly._compiled is None
             assert classify_span(poly, 3, cfg) == report
         assert (copy.witnesses, copy.basis) == (report.witnesses, report.basis)
 
@@ -1128,6 +1052,19 @@ def witness_builds(monkeypatch):
 class TestSampledSpan:
     """classify_span's integer rows: the samples that raised the class, with
     grown and the witnesses unbuilt until read."""
+
+    def test_scale_is_read_from_the_polynomial(self):
+        """The report's L, read from f in each call, is the lcm of f's
+        coefficient denominators on the seeded batteries: rational
+        coefficients, constants, and the zero polynomial, whose L is 1."""
+        cases = [case for name in ("constants", "d3-rational", "budget-3") for case in DOCUMENT_BATTERIES[name]()]
+        assert any(f.is_zero() for f, _, _ in cases) and any(f.degree() == 0 for f, _, _ in cases)
+        scales = set()
+        for f, d, cfg in cases:
+            want = reference_integer_terms(f)[0]
+            assert classify_span(f, d, cfg).scale == want, (poly_to_text(f), d, cfg)
+            scales.add(want)
+        assert len(scales) > 3
 
     @pytest.mark.parametrize("battery", ["small-dims", "d3", "d3-rational", "budget-3"])
     def test_agrees_with_classify_span(self, battery):
