@@ -112,19 +112,12 @@ def _doc(f: NcPoly, **fields) -> dict:
 
 def _exclusion_flags(f: NcPoly, d: int, cls: Classification, commutator_sum: bool) -> tuple[bool, bool | None]:
     """(applicable, consistent-or-None) for the degree exclusion of f's
-    class cls on M_d: for d >= 2 and 1 <= deg f < 2d it is TRACE_ZERO if f
-    is a sum of commutators (commutator_sum) and FULL otherwise (proved at
-    span._degree_decides), so the flag is a self-check.  On the
-    commutative M_1 every f is central; the flag holds there (deg f = 1)
-    only because SCALARS = FULL and the class is FULL."""
-    deg = f.degree()
-    applicable = deg is not None and deg >= 1 and 2 * d > deg
-    if not applicable:
-        return applicable, None
-    consistent = cls in (Classification.TRACE_ZERO, Classification.FULL) and (
-        (cls is Classification.TRACE_ZERO) == commutator_sum
-    )
-    return applicable, consistent
+    class cls on M_d: for 1 <= deg f < 2d it is TRACE_ZERO if f is a sum of
+    commutators and FULL otherwise (span._degree_decides).  A self-check, and
+    at d = 1 (deg f = 1, SCALARS = FULL) the only check of a budget-cut class."""
+    if not 1 <= (f.degree() or 0) < 2 * d:
+        return False, None
+    return True, cls is (Classification.TRACE_ZERO if commutator_sum else Classification.FULL)
 
 
 # The lie_ideal flag is true in closed form: each canonical space V is a
@@ -242,7 +235,7 @@ def _cmd_linearize(args) -> int:
 def _cmd_commtest(args) -> int:
     f = parse_poly(args.poly)
     obstruction = f.commutator_obstruction()
-    witness = None if obstruction is None else "*".join(f"X{i}" for i in obstruction) or "1"
+    witness = None if obstruction is None else poly_to_text(NcPoly.monomial(obstruction))
     _emit(_doc(f, sum_of_commutators=obstruction is None, witness_class=witness))
     return EXIT_OK if obstruction is None else EXIT_NEGATIVE
 

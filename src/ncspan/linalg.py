@@ -175,8 +175,7 @@ class MatrixQ:
     @staticmethod
     def unit(d: int, j: int, k: int) -> MatrixQ:
         """Matrix unit E_jk: 1 in row j, column k (0-based), 0 elsewhere."""
-        if j not in range(check_dimension(d)) or k not in range(d):
-            raise ValueError(f"E_{j}{k} is not a unit of M_{d}: indices run over range({d})")
+        _check_unit(check_dimension(d), j, k)
         return MatrixQ(
             [[1 if (r, c) == (j, k) else 0 for c in range(d)] for r in range(d)]
         )
@@ -207,8 +206,9 @@ class MatrixQ:
         return Classification.SCALARS.contains(self.flatten(), self.dim)
 
     def __repr__(self) -> str:
-        body = "; ".join(",".join(str(x) for x in row) for row in self.rows)
-        return f"MatrixQ({body!r})"
+        from .text import matrix_to_text
+
+        return f"MatrixQ({matrix_to_text(self)!r})"
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -255,12 +255,19 @@ def commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     return a * b - b * a
 
 
+def _check_unit(d: int, j: int, k: int) -> None:
+    """E_jk's indices: TypeError unless both are ints, then ValueError outside range(d)."""
+    if {type(j), type(k)} != {int}:
+        raise TypeError(f"unit indices ({j!r}, {k!r}) are not both ints")
+    if j not in range(d) or k not in range(d):
+        raise ValueError(f"unit indices ({j}, {k}) are not in range({d})")
+
+
 def unit_commutator(a: MatrixQ, j: int, k: int) -> MatrixQ:
     """[a, E_jk] without a product: a E_jk has column j of a as its column k,
-    and E_jk a has row k of a as its row j.  ValueError unless 0 <= j, k < d."""
+    and E_jk a has row k of a as its row j.  Indices as MatrixQ.unit takes them."""
     d = a.dim
-    if not (0 <= j < d and 0 <= k < d):
-        raise ValueError(f"unit indices ({j}, {k}) are not in range({d})")
+    _check_unit(d, j, k)
     rows = [[0] * d for _ in range(d)]
     for r in range(d):
         rows[r][k] = a.rows[r][j]
@@ -353,10 +360,6 @@ class SpanBasis:
         parts = [(v[p], row) for row, p in zip(self.rows, self.pivots) if v[p]]
         return all(x == sum(c * row[j] for c, row in parts) for j, x in enumerate(v) if j not in pivots)
 
-    def closed_under_units(self, units: Sequence[tuple[int, int]]) -> bool:
-        """True iff [r, E_jk] is in the span for every row r and (j, k) in units."""
-        return all(self.contains(unit_commutator(r, j, k)) for r in self.row_matrices() for j, k in units)
-
     def is_subspace_of(self, other: SpanBasis) -> bool:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
@@ -394,8 +397,6 @@ class SpanBasis:
 
 _EXPONENT = 31
 PRIME = 2**_EXPONENT - 1
-# The struct code of one residue: every x in [0, p) fits its unsigned width.
-_RESIDUE = "I" if _EXPONENT < 32 else "Q"
 
 
 class EchelonModP:
@@ -454,8 +455,8 @@ class EchelonModP:
             n = len(vec)
             width = (((PRIME - 1) * (1 + n * (PRIME - 1))).bit_length() + 7) // 8
             self._bits = 8 * width
-            pad = width - struct.calcsize("<" + _RESIDUE)
-            self._packer = struct.Struct("<" + f"{_RESIDUE}{pad}x" * n)
+            # Each residue, below 2^31, packs as an unsigned 4-byte "I".
+            self._packer = struct.Struct("<" + f"I{width - 4}x" * n)
             self._ones = sum(1 << (self._bits * k) for k in range(n))
         bits = self._bits
         mask = (1 << bits) - 1

@@ -219,6 +219,8 @@ class NcPoly:
         return _raw(_scaled(self._num, c.numerator), self._den * c.denominator)
 
     def __pow__(self, k: int) -> NcPoly:
+        if type(k) is not int:
+            raise TypeError(f"exponent {k!r} is a {type(k).__name__}, not an int")
         if k < 0:
             raise ValueError("negative powers are not defined in the free algebra")
         out = NcPoly.one()

@@ -86,6 +86,7 @@ from .linalg import (
     _conjugate,
     check_dimension,
     express_in_terms,
+    unit_commutator,
 )
 from .poly import NcPoly, Word
 
@@ -108,7 +109,9 @@ class SampleConfig:
     takes one sample and rarely more than two; the budget binds only a
     class that no sample proves, or, where the degree decides the class,
     only the rows that raise it.  No field sets the STABILITY_WINDOW stop:
-    a class that 50 samples in a row did not raise.
+    a class that 50 samples in a row did not raise.  seed must be an int,
+    exactly; coeff_bound, and max_samples when set, follow check_dimension's
+    rule for a dimension or a bound on one.
     """
 
     seed: int = 0
@@ -116,14 +119,11 @@ class SampleConfig:
     max_samples: int | None = None
 
     def __post_init__(self):
-        for name, allowed in (("seed", int), ("coeff_bound", int), ("max_samples", int | None)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-        if self.coeff_bound < 1:
-            raise ValueError("coeff_bound must be >= 1")
-        if self.max_samples is not None and self.max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
+        if type(self.seed) is not int:
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
+        check_dimension(self.coeff_bound, "coeff_bound")
+        if self.max_samples is not None:
+            check_dimension(self.max_samples, "max_samples")
 
     def samples_for(self, d: int) -> int:
         return self.max_samples if self.max_samples is not None else 64 * d * d
@@ -787,9 +787,11 @@ def lie_ideal_check(basis: SpanBasis) -> bool:
     The units generate sl_d as a Lie algebra, so by bilinearity of the
     bracket and the Jacobi identity (see _chevalley_units) this certifies
     exactly that the span is a Lie ideal of the full matrix algebra, with
-    rank * 2(d - 1) membership tests.
+    rank * 2(d - 1) membership tests: each bracket is read off the row by
+    unit_commutator and tested by SpanBasis.contains, row by row.
     """
-    return basis.closed_under_units(_chevalley_units(basis.dim))
+    units = _chevalley_units(basis.dim)
+    return all(basis.contains(unit_commutator(r, j, k)) for r in basis.row_matrices() for j, k in units)
 
 
 def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:

@@ -1,15 +1,14 @@
 """The Chevalley-generator Lie checks against the all-units references.
 
 lie_ideal_check brackets only with the 2(d - 1) units E_{i,i+1} and
-E_{i+1,i}, through unit_commutator in SpanBasis.closed_under_units, and
-herstein_closure brackets with none: it returns its canonical space in
-closed form.  These tests require the same verdicts and closures as the
-bodies kept in helpers, which bracket with all d^2 matrix units through
-commutator and close under products by a fixpoint, and pin the bracket
-helper and the number of membership tests.  SpanBasis.contains, the one
-membership path, and insert, is_subspace_of and closed_under_units,
-which reduce through it, are checked against the reduction kept in
-helpers.
+E_{i+1,i}, through unit_commutator in its own loop, and herstein_closure
+brackets with none: it returns its canonical space in closed form.  These
+tests require the same verdicts and closures as the bodies kept in
+helpers, which bracket with all d^2 matrix units through commutator and
+close under products by a fixpoint, and pin the bracket helper and the
+number of membership tests.  SpanBasis.contains, the one membership
+path, and insert, is_subspace_of and lie_ideal_check, which reduce
+through it, are checked against the reduction kept in helpers.
 """
 
 import random
@@ -41,6 +40,7 @@ from ncspan import (
     parse_poly,
     unit_commutator,
 )
+from ncspan.span import _chevalley_units
 
 CANONICAL = (
     Classification.ZERO,
@@ -137,8 +137,8 @@ class TestLieIdealDifferential:
 class TestLieIdealCount:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_membership_tests_per_row(self, d, monkeypatch):
-        # contains is the one membership path: insert, is_subspace_of,
-        # closed_under_units and lie_ideal_check all reduce through it.
+        # contains is the one membership path: insert, is_subspace_of and
+        # lie_ideal_check all reduce through it.
         calls = []
         real = SpanBasis.contains
         monkeypatch.setattr(SpanBasis, "contains", lambda self, m: calls.append(m) or real(self, m))
@@ -208,19 +208,17 @@ class TestResidualDifferential:
 class TestClosedUnderUnits:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_agrees_with_unit_commutator(self, d):
-        # Any list of units, diagonal ones included, not only the Chevalley units.
+        # lie_ideal_check's own bracket loop against the reference reduction.
         rng = random.Random(950 + d)
-        pairs = [(j, k) for j in range(d) for k in range(d)]
         verdicts = set()
         for basis in _bases(rng, d):
-            for units in ([], pairs, rng.sample(pairs, rng.randint(1, d * d))):
-                want = all(
-                    reference_contains(basis, unit_commutator(row, j, k))
-                    for row in basis.row_matrices()
-                    for j, k in units
-                )
-                assert basis.closed_under_units(units) is want, (basis.rows, units)
-                verdicts.add(want)
+            want = all(
+                reference_contains(basis, unit_commutator(row, j, k))
+                for row in basis.row_matrices()
+                for j, k in _chevalley_units(d)
+            )
+            assert lie_ideal_check(basis) is want, basis.rows
+            verdicts.add(want)
         assert verdicts == ({True} if d == 1 else {True, False})
 
 

@@ -88,6 +88,10 @@ class TestArithmetic:
         assert X1 ** 3 == NcPoly.monomial((1, 1, 1))
         with pytest.raises(ValueError):
             X1 ** -1
+        # Unchecked, X1 ** True would be X1.
+        for k in (True, 2.0):
+            with pytest.raises(TypeError, match="exponent"):
+                X1 ** k
 
     def test_bad_variable_index(self):
         with pytest.raises(ValueError):

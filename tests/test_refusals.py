@@ -1,15 +1,18 @@
-"""Every callable in ncspan.__all__, called on small wrong values.
+"""Every callable in ncspan.__all__, and the constructors and closed-form
+queries of its classes, called on small wrong values.
 
 A seeded fuzz: each position takes a few valid values of its kind, or one
 of SMALL, the values that a caller may pass by mistake, or, where a
 sequence is expected, one that is empty, too short or too long.  Every
 call must return, or raise TypeError, ValueError or one of ncspan's own
 exceptions.  AttributeError is allowed only where a position that should
-hold a MatrixQ (or a sequence of them), a SpanBasis or a SpanReport got
-something else: those positions are duck-typed, as the README says.  No
-dimension above 3 is ever passed, so every call is quick.
+hold a MatrixQ (or a sequence of them), a SpanBasis, a SpanReport or a
+Classification got something else: those positions are duck-typed, as
+the README says.  No dimension above 3 is ever passed, so every call is
+quick.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -55,7 +58,13 @@ VALID = {
     "step_kind": tuple(StepKind),
 }
 # Kinds whose positions are duck-typed: a wrong value may raise AttributeError.
-DUCK_TYPED = {"matrix": MatrixQ, "matrices": tuple, "basis": SpanBasis, "report": ncspan.SpanReport}
+DUCK_TYPED = {
+    "matrix": MatrixQ,
+    "matrices": tuple,
+    "basis": SpanBasis,
+    "report": ncspan.SpanReport,
+    "classification": Classification,
+}
 # Kinds whose positions draw from SMALL too; the rest take valid values only.
 FUZZED = {"number", "value", "word", "rows", "numbers", "tuples", *DUCK_TYPED}
 
@@ -107,6 +116,21 @@ SIGNATURES = {
     "vandermonde_extract": ("numbers", "matrices"),
     "vanishing_rate": ("poly", "number", "cfg"),
     "zero_diagonal_conjugate": ("matrix",),
+    # The constructors and closed-form queries of the public classes, self
+    # first where the method takes one.
+    "MatrixQ.zero": ("number",),
+    "MatrixQ.identity": ("number",),
+    "MatrixQ.diagonal": ("numbers",),
+    "MatrixQ.unit": ("number", "number", "number"),
+    "MatrixQ.unflatten": ("numbers", "number"),
+    "NcPoly.constant": ("number",),
+    "NcPoly.variable": ("number",),
+    "NcPoly.monomial": ("word", "number"),
+    "SpanBasis.canonical": ("number", "classification"),
+    "SpanBasis.from_matrices": ("number", "matrices"),
+    "Classification.rank": ("classification", "number"),
+    "Classification.contains": ("classification", "numbers", "number"),
+    "Classification.lies_in": ("classification", "classification", "number"),
 }
 
 # A callable with at most this many argument tuples is called on all of
@@ -115,7 +139,8 @@ EXHAUSTIVE, DRAWS = 2000, 300
 
 
 def test_every_callable_has_a_signature():
-    assert sorted(SIGNATURES) == sorted(name for name in ncspan.__all__ if callable(getattr(ncspan, name)))
+    top_level = [name for name in SIGNATURES if "." not in name]
+    assert sorted(top_level) == sorted(name for name in ncspan.__all__ if callable(getattr(ncspan, name)))
 
 
 def _allowed(error: Exception, kinds: tuple, args: tuple) -> bool:
@@ -128,7 +153,7 @@ def _allowed(error: Exception, kinds: tuple, args: tuple) -> bool:
 
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_refusals(name):
-    func, kinds = getattr(ncspan, name), SIGNATURES[name]
+    func, kinds = functools.reduce(getattr, name.split("."), ncspan), SIGNATURES[name]
     pools = [(*VALID[kind], *SMALL) if kind in FUZZED else VALID[kind] for kind in kinds]
     if math.prod(map(len, pools)) <= EXHAUSTIVE:
         calls = itertools.product(*pools)

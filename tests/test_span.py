@@ -1,5 +1,6 @@
 import itertools
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from ncspan import (
     nontriviality_oracle,
     parse_poly,
     poly_to_text,
+    unit_commutator,
     vanishing_rate,
 )
 from ncspan.span import _verdicts
@@ -411,6 +413,10 @@ class TestDecomposeTarget:
             assert total == target
 
 
+class _Count(IntEnum):
+    THREE = 3
+
+
 class TestSampleConfig:
     def test_default_budget_scales_with_dim(self):
         cfg = SampleConfig()
@@ -430,11 +436,16 @@ class TestSampleConfig:
         "field, value",
         [("coeff_bound", 2.5), ("coeff_bound", True), ("coeff_bound", None), ("coeff_bound", "10"),
          ("max_samples", 2.5), ("max_samples", False), ("max_samples", Fraction(3)),
-         ("seed", None), ("seed", True), ("seed", 2.5), ("seed", "7")],
+         ("seed", None), ("seed", True), ("seed", 2.5), ("seed", "7"),
+         # The bounds follow check_dimension: no bool, float or int
+         # subclass, and no int below 1.
+         ("coeff_bound", 2.0), ("coeff_bound", _Count.THREE), ("coeff_bound", 0), ("coeff_bound", -1),
+         ("max_samples", True), ("max_samples", 2.0), ("max_samples", _Count.THREE),
+         ("max_samples", 0), ("max_samples", -1)],
     )
     def test_non_integer_fields_refused(self, field, value):
         # Refused when built, not deep inside sampling, and a bool is no count.
-        with pytest.raises(TypeError, match=field):
+        with pytest.raises(ValueError if type(value) is int else TypeError, match=field):
             SampleConfig(**{field: value})
 
     def test_any_int_seed(self):
@@ -570,6 +581,11 @@ class TestLibraryDimensionRule:
     def test_unit_bool(self):
         with pytest.raises(TypeError, match="bool"):
             MatrixQ.unit(True, 0, 0)
+        # Unchecked, a True index would read as 1 and give E_10 or [a, E_10].
+        with pytest.raises(TypeError, match="not both ints"):
+            MatrixQ.unit(2, True, 0)
+        with pytest.raises(TypeError, match="not both ints"):
+            unit_commutator(MatrixQ.identity(2), True, False)
 
     def test_identity_bool(self):
         with pytest.raises(TypeError, match="bool"):

@@ -331,6 +331,14 @@ class TestMatrixLiterals:
             )
             assert parse_matrix(matrix_to_text(m)) == m
 
+    def test_repr_holds_a_literal(self):
+        # MatrixQ's repr prints through matrix_to_text.
+        assert repr(MatrixQ.identity(2)) == "MatrixQ('1,0;0,1')"
+        m = MatrixQ([[Fraction(-3, 4), 0], [2, Fraction(1, 9)]])
+        head, text, tail = repr(m).split("'")
+        assert (head, tail) == ("MatrixQ(", ")")
+        assert parse_matrix(text) == m
+
     def test_not_square(self):
         with pytest.raises(DimensionMismatch):
             parse_matrix("1,2;3")
