@@ -11,7 +11,7 @@ of the four canonical spaces, by theorem below degree 2d, and builds its
 basis and its witness matrices only when they are read: classify's JSON
 prints the basis, decompose reads the witnesses, and classify prints its
 witnesses straight from the report's integer rows, in one format call.
-suite builds no report: it reads each class alone (_suite_class), with
+suite builds no report: it reads each class alone (span._class_of), with
 no sample below degree 2d, and compares classes in closed form.  Every
 document is json.dumps(doc, indent=2); only classify's matrices of "%s"
 slots are laid out by hand (_grid), and _emit splices them in.
@@ -27,7 +27,7 @@ import math
 import os
 import sys
 
-from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan
+from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan, check_dimension
 from .linearize import (
     NotReducible,
     OracleFailed,
@@ -37,8 +37,7 @@ from .poly import NcPoly
 from .span import (
     SampleConfig,
     SpanReport,
-    _degree_class,
-    _degree_decides,
+    _class_of,
     _dimensions,
     classify_span,
     decompose_target,
@@ -319,22 +318,11 @@ def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
     return entries
 
 
-def _suite_class(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[Classification, bool]:
-    """f's class on M_d and whether f is a sum of commutators: by the
-    degree where it decides the class (span._degree_class), with no
-    evaluator and no sample, else by classify_span."""
-    if _degree_decides(f, d):
-        commutator_sum = f.is_sum_of_commutators()
-        return _degree_class(f, d, commutator_sum), commutator_sum
-    report = classify_span(f, d, cfg)
-    return report.classification, report.sum_of_commutators
-
-
 def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dict, bool]:
     """f's suite entry, and whether it shows a violation.  It reads the
-    class of f and of each step alone (_suite_class): below degree 2d
+    class of f and of each step alone (span._class_of): below degree 2d
     nothing is sampled."""
-    cls, commutator_sum = _suite_class(f, d, cfg)
+    cls, commutator_sum = _class_of(f, d, cfg)
     applicable, consistent = _exclusion_flags(f, d, cls, commutator_sum)
     if not applicable:
         exclusion = "inapplicable"
@@ -362,7 +350,7 @@ def _suite_entry(lineno: int, f: NcPoly, d: int, cfg: SampleConfig) -> tuple[dic
             return entry, True
         # The steps chain from f, so each polynomial is classified once, and
         # each step's class must lie in the one before, in closed form.
-        classes = [cls] + [_suite_class(step.after, d, cfg)[0] for step in reduction.steps]
+        classes = [cls] + [_class_of(step.after, d, cfg)[0] for step in reduction.steps]
         containments = all(after.lies_in(before, d) for before, after in zip(classes, classes[1:]))
         multilinear = reduction.output.is_multilinear()
         oracle_true = oracle(reduction.output)
@@ -405,12 +393,9 @@ def _cmd_suite(args) -> int:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        return check_dimension(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 # Each subcommand's name, help, handler and options, as (flag, add_argument keywords).

@@ -380,8 +380,6 @@ class SpanBasis:
         the diagonal, and E_ii - E_(d-1)(d-1) on it.
         """
         n = check_dimension(dim) ** 2
-        if which is Classification.ZERO:
-            return SpanBasis(dim)
         if which is Classification.SCALARS:
             return SpanBasis(dim, (MatrixQ.identity(dim).flatten(),), (0,))
         pivots = tuple(range(which.rank(dim)))

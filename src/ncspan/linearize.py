@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .poly import NcPoly, Word
+from .poly import NcPoly, Word, _letters
 
 
 class VariableCollision(Exception):
@@ -94,6 +94,7 @@ def delta(f: NcPoly, i: int, m: int) -> NcPoly:
     coefficient.  Renaming X_m back to X_i recovers the word, since X_m is
     fresh, so no two of the new words coincide and no like terms combine.
     """
+    _letters((i, m))
     if f.degree_in(m):
         raise VariableCollision(f"X{m} already occurs in the polynomial")
     if f.is_zero() or f.min_degree_in(i) < 1:
@@ -113,12 +114,13 @@ def resubstitute_check(f: NcPoly, fprime: NcPoly, i: int, m: int) -> bool:
     Here k is the degree of f in X_i, which must be homogeneous of degree
     k >= 2 for the identity to make sense.
     """
+    _letters((i, m))
     if not f.is_homogeneous_in(i):
         raise ValueError(f"polynomial is not homogeneous in X{i}")
     k = f.degree_in(i)
     if k is None or k < 2:
         raise ValueError(f"degree in X{i} must be at least 2, got {k}")
-    lhs = fprime.substitute_one(m, NcPoly.variable(i))
+    lhs = fprime.map_words(lambda w: (tuple(i if x == m else x for x in w),))
     return lhs == f.scale(2 ** k - 2)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .linalg import check_exact
+from .linalg import _cleared, check_exact
 
 Word = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -72,8 +72,8 @@ class NcPoly:
         words = [_letters(word) for word, _ in items]
         coeffs = [coeff for _, coeff in items]
         check_exact(coeffs, "coefficient")
-        den = math.lcm(*(c.denominator for c in coeffs))
-        _fill(self, _clean_terms(zip(words, (c.numerator * (den // c.denominator) for c in coeffs))), den)
+        den, (nums,) = _cleared([coeffs])
+        _fill(self, _clean_terms(zip(words, nums)), den)
 
     # -- constructors ------------------------------------------------------
 
@@ -238,12 +238,14 @@ class NcPoly:
 
     def degree_in(self, i: int) -> int | None:
         """Max number of occurrences of X_i in a word; None for zero."""
+        _letters((i,))
         if not self._num:
             return None
         return max(w.count(i) for w in self._num)
 
     def min_degree_in(self, i: int) -> int | None:
         """Min number of occurrences of X_i over the words; None for zero."""
+        _letters((i,))
         if not self._num:
             return None
         return min(w.count(i) for w in self._num)
@@ -254,17 +256,18 @@ class NcPoly:
         Returns (degree, component) pairs in increasing degree order, only for
         degrees that actually occur.  The components sum back to self.
         """
+        _letters((i,))
         buckets: dict[int, dict[Word, int]] = {}
         for word, n in self._num.items():
             buckets.setdefault(word.count(i), {})[word] = n
         return [(j, _raw(buckets[j], self._den)) for j in sorted(buckets)]
 
     def is_homogeneous_in(self, i: int) -> bool:
-        degrees = {w.count(i) for w in self._num}
-        return len(degrees) <= 1
+        return self.degree_in(i) == self.min_degree_in(i)
 
     def strip_variable(self, i: int) -> tuple[NcPoly, NcPoly]:
         """Split self = g + h where X_i occurs in every word of g and none of h."""
+        _letters((i,))
         with_i: dict[Word, int] = {}
         without_i: dict[Word, int] = {}
         for word, n in self._num.items():
@@ -324,6 +327,7 @@ class NcPoly:
 
     def substitute_one(self, i: int, image: NcPoly) -> NcPoly:
         """Substitute X_i -> image, leaving all other variables fixed."""
+        _letters((i,))
         assignment = {j: NcPoly.variable(j) for j in self.variables()}
         assignment[i] = image
         return self.substitute(assignment)

@@ -28,8 +28,8 @@ Its rank-many witness rows (grown) and witness matrices are built only
 when read, as shear conjugates of those rows, with no evaluation of f,
 each kept when it grows an echelon mod p = 2^31 - 1 once the powers of p
 that the rows' traces and trace-free parts share are divided out (see
-_shear_closure).  suite reads the class alone, by _degree_class where the
-degree decides it and from classify_span elsewhere, and prints no
+_shear_closure).  suite reads the class alone (_class_of): by the
+degree where it decides it, else from classify_span, and prints no
 witness; classify writes each one as text straight from the integer rows,
 and decompose solves on the integer rows and returns the witness tuples.
 
@@ -590,6 +590,17 @@ def _degree_class(f: NcPoly, d: int, commutator_sum: bool) -> Classification | N
     return Classification.TRACE_ZERO if commutator_sum else Classification.FULL
 
 
+def _class_of(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[Classification, bool]:
+    """f's class on M_d and whether f is a sum of commutators: by the
+    degree where it decides the class (_degree_class), with no evaluator
+    and no sample, else by classify_span."""
+    if _degree_decides(f, d):
+        commutator_sum = f.is_sum_of_commutators()
+        return _degree_class(f, d, commutator_sum), commutator_sum
+    report = classify_span(f, d, cfg)
+    return report.classification, report.sum_of_commutators
+
+
 def classify_span(
     f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
 ) -> SpanReport:
@@ -661,8 +672,7 @@ def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, .
 
     The conjugate of (entries, L * f(t)) by T = I + s * E_ij, s = +-1, is
     the tuple T^-1 t T, whose value is T^-1 L f(t) T: _conjugate on each
-    matrix, and conjugating by -s undoes it.  The value is conjugated
-    first, and the tuple only when the value is kept.
+    matrix, and conjugating by -s undoes it.
     """
     n = d * d
     shears = [(i, j, s) for i in range(d) for j in range(d) if i != j for s in (1, -1)]
@@ -673,20 +683,18 @@ def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, .
     for entries, vec in kept:  # kept grows as it is walked: breadth first
         if len(kept) == rank:
             break
-        value = [list(vec[k : k + d]) for k in range(0, n, d)]
-        tup = [[list(entries[k : k + d]) for k in range(m, m + n, d)] for m in range(0, len(entries), n)]
+        mats = [[list(v[k : k + d]) for k in range(m, m + n, d)] for v in (vec, entries) for m in range(0, len(v), n)]
+        value, tup = mats[0], mats[1:]
         for i, j, s in shears:
-            _conjugate(value, i, j, s)
+            for m in mats:
+                _conjugate(m, i, j, s)
             new = tuple(itertools.chain.from_iterable(value))
-            _conjugate(value, i, j, -s)
             if grows(new):
-                for m in tup:
-                    _conjugate(m, i, j, s)
                 kept.append((tuple(itertools.chain(*itertools.chain(*tup))), new))
-                for m in tup:
-                    _conjugate(m, i, j, -s)
-                if len(kept) == rank:
-                    break
+            for m in mats:
+                _conjugate(m, i, j, -s)
+            if len(kept) == rank:
+                break
     return kept
 
 

@@ -452,9 +452,9 @@ class TestSuite:
         import ncspan.cli
 
         calls = []
-        real = ncspan.cli._suite_class
+        real = ncspan.cli._class_of
         monkeypatch.setattr(
-            ncspan.cli, "_suite_class", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
+            ncspan.cli, "_class_of", lambda f, d, cfg: calls.append(f) or real(f, d, cfg)
         )
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("X1*X1*X2 + X2\n")
@@ -510,7 +510,7 @@ class TestSuite:
         import ncspan.cli
 
         calls = []
-        monkeypatch.setattr(ncspan.cli, "_suite_class", lambda *a: calls.append(a))
+        monkeypatch.setattr(ncspan.cli, "_class_of", lambda *a: calls.append(a))
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("X1\n[X1,X2]\nX1 +\n")
         code = main(["suite", "--corpus", str(corpus), "--dim", "2"])
@@ -595,13 +595,13 @@ class TestSuite:
 
 
 def _flip_sum_of_commutators(monkeypatch):
-    real = ncspan.cli._suite_class
+    real = ncspan.cli._class_of
 
     def flipped(f, d, cfg):
         cls, commutator_sum = real(f, d, cfg)
         return cls, not commutator_sum
 
-    monkeypatch.setattr(ncspan.cli, "_suite_class", flipped)
+    monkeypatch.setattr(ncspan.cli, "_class_of", flipped)
 
 
 def _fail_reduction(monkeypatch):
@@ -803,7 +803,7 @@ class TestParserPerCommand:
         assert all(("func" in p._defaults) == (name in built) for name, p in sub.choices.items())
 
 
-class TestSerRows:
+class TestExactReportEntries:
     """Every matrix entry a report holds is an int or a Fraction, and
     decompose prints its inputs as str of the report's _inputs entries."""
 

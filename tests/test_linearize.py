@@ -177,6 +177,23 @@ class TestResubstitute:
                 assert resubstitute_check(f, delta(f, 1, m), 1, m)
 
 
+@pytest.mark.parametrize("index", [True, 1.0, Fraction(1)], ids=repr)
+def test_index_must_be_an_int(index):
+    """Both indices of delta and resubstitute_check follow the rule for a
+    word's letters: an index equal to 1 that is not an int is refused
+    before anything else, not read as X1."""
+    f = X1 ** 2
+    fp = delta(f, 1, 2)
+    for call in (
+        lambda: delta(f, index, 2),
+        lambda: delta(X2 * X2, 2, index),
+        lambda: resubstitute_check(f, fp, index, 2),
+        lambda: resubstitute_check(X2 * X2, delta(X2 * X2, 2, 3), 2, index),
+    ):
+        with pytest.raises(TypeError, match="not an int"):
+            call()
+
+
 class TestReduce:
     def test_square_single_delta(self):
         red = reduce_to_multilinear(X1 ** 2, nontriviality_oracle(2))

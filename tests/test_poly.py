@@ -224,6 +224,22 @@ class TestDegrees:
         assert NcPoly.constant(5).nvars == 0
         assert (X1 * X3).nvars == 3
 
+    @pytest.mark.parametrize("index", [True, 1.0, Fraction(1)], ids=repr)
+    def test_index_must_be_an_int(self, index):
+        """A variable index equal to 1 that is not an int is refused, by the
+        rule for a word's letters, not read as X1."""
+        f = X1 * X1 * X2 + X2
+        for call in (
+            f.degree_in,
+            f.min_degree_in,
+            f.is_homogeneous_in,
+            f.homogeneous_components_in,
+            f.strip_variable,
+            lambda i: f.substitute_one(i, X3),
+        ):
+            with pytest.raises(TypeError, match="not an int"):
+                call(index)
+
 
 class TestHomogeneousComponents:
     def test_split_by_degree(self):

@@ -469,7 +469,7 @@ class TestDegreeDecides:
             for f, d, cfg in battery_degrees(d):
                 where = f"{poly_to_text(f)} at d={d}, {cfg}"
                 evaluations.clear()
-                got = ncspan.cli._suite_class(f, d, cfg)
+                got = span._class_of(f, d, cfg)
                 read = len(evaluations)
                 want = classify_span(f, d, cfg)
                 assert got == (want.classification, want.sum_of_commutators), where
