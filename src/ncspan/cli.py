@@ -423,19 +423,23 @@ _COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ncspan parser.  Every subcommand is registered, so the top-level
-    help, usage line and errors never change; if command names one, only
-    that one gets its options and handler (main passes its first argument,
-    the only subcommand argparse can run)."""
+    """The ncspan parser.  If command names a subcommand, only that one is
+    built, under the metavar that lists all six, so its usage line and
+    errors read as with all six (main passes its first argument, the only
+    subcommand argparse can run).  Otherwise all six are built, for the
+    top-level help and the "invalid choice" and "required" errors."""
     parser = argparse.ArgumentParser(
         prog="ncspan",
         description="Classify linear spans of noncommutative polynomial values on M_d(Q).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    every = all(command != name for name, *_ in _COMMANDS)
+    names = [name for name, *_ in _COMMANDS]
+    every = command not in names
+    # An explicit metavar would stand for "command" in the "required" error.
+    metavar = None if every else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, func, options in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
         if every or name == command:
+            p = sub.add_parser(name, help=help_text)
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
             p.set_defaults(func=func)

@@ -139,7 +139,7 @@ class NcPoly:
         return all(not w for w in self._num)
 
     def coefficient(self, word: Iterable[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(word), 0), self._den)
+        return Fraction(self._num.get(_letters(word), 0), self._den)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -302,8 +302,10 @@ class NcPoly:
         is expanded once, and like terms combine in one pass over them all.
         With the images over one denominator E, a word w of self, over D,
         contributes over D * E^|w|, so over D * E^deg once its numerator is
-        multiplied by E^(deg - |w|).
+        multiplied by E^(deg - |w|).  The assignment's keys are read as
+        the letters of one word.
         """
+        _letters(assignment)
         variables = self.variables()
         for i in variables:
             if i not in assignment:

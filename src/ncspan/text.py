@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .linalg import DimensionMismatch, MatrixQ
-from .poly import NcPoly, Word, _sum
+from .poly import NcPoly, _sum
 
 
 class ParseError(Exception):
@@ -276,16 +276,13 @@ def parse_poly(text: str) -> NcPoly:
     return _Parser(text).parse()
 
 
-def _word_text(word: Word) -> str:
-    return "*".join(f"X{i}" for i in word)
-
-
 def poly_to_text(f: NcPoly) -> str:
     """Canonical text: graded-lex term order, explicit '*', no '^'."""
     if f.is_zero():
         return "0"
     pieces = []
     den, num = f.integer_form()
+    letter = {i: f"X{i}" for i in f.variables()}.__getitem__
     for word in sorted(num, key=lambda w: (len(w), w)):
         coeff = num[word]
         # The first term's sign stays in its coefficient ("-1*X1"); later
@@ -297,10 +294,9 @@ def poly_to_text(f: NcPoly) -> str:
             coeff = Fraction(coeff, den)  # in lowest terms
         if not word:
             pieces.append(str(coeff))
-        elif coeff == 1:
-            pieces.append(_word_text(word))
         else:
-            pieces.append(f"{coeff}*{_word_text(word)}")
+            text = "*".join(map(letter, word))
+            pieces.append(text if coeff == 1 else f"{coeff}*{text}")
     return "".join(pieces)
 
 

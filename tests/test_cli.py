@@ -737,8 +737,8 @@ def _with_every_subcommand(argv):
 
 
 class TestParserPerCommand:
-    """main builds options for the invoked subcommand only; what it prints
-    and returns must not depend on that."""
+    """main builds the invoked subcommand only; what it prints and returns
+    must not depend on that."""
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     @pytest.mark.parametrize("case", ["help", "missing_required", "unrecognized"])
@@ -795,12 +795,16 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize("command", [*SUBCOMMANDS, None, "bogus", "-h"])
     def test_options_built(self, command):
+        # A named subcommand is the only one built; otherwise all six are.
         parser = ncspan.cli.build_parser(command)
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == list(SUBCOMMANDS)
-        built = [name for name, p in sub.choices.items() if len(p._actions) > 1]
-        assert built == ([command] if command in SUBCOMMANDS else list(SUBCOMMANDS))
-        assert all(("func" in p._defaults) == (name in built) for name, p in sub.choices.items())
+        assert list(sub.choices) == ([command] if command in SUBCOMMANDS else list(SUBCOMMANDS))
+        assert all(len(p._actions) > 1 and "func" in p._defaults for p in sub.choices.values())
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_usage_names_every_subcommand(self, command):
+        usage = ncspan.cli.build_parser(command).format_usage()
+        assert usage == ncspan.cli.build_parser().format_usage() and usage.startswith(TOP_USAGE)
 
 
 class TestExactReportEntries:

@@ -236,9 +236,19 @@ class TestDegrees:
             f.homogeneous_components_in,
             f.strip_variable,
             lambda i: f.substitute_one(i, X3),
+            lambda i: f.coefficient((i, 2)),
+            lambda i: f.substitute({i: X3, 2: X2}),
         ):
             with pytest.raises(TypeError, match="not an int"):
                 call(index)
+
+    def test_coefficient_and_substitute_refuse_index_below_1(self):
+        f = 3 * X1 * X2 + X2
+        with pytest.raises(ValueError, match=">= 1"):
+            f.coefficient((0, 2))
+        with pytest.raises(ValueError, match=">= 1"):
+            f.substitute({0: X1, 1: X3, 2: X2})
+        assert f.coefficient([1, 2]) == 3 and f.substitute({1: X3, 2: X2}) == X2 + 3 * X3 * X2
 
 
 class TestHomogeneousComponents:
