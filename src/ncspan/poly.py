@@ -77,8 +77,7 @@ class NcPoly:
 
     # -- constructors ------------------------------------------------------
 
-    # The parser builds an atom per literal and letter: these skip the
-    # general constructor's passes, with the same checks.
+    # These skip the general constructor's passes, with the same checks.
 
     @staticmethod
     def zero() -> NcPoly:
@@ -179,7 +178,7 @@ class NcPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum((self, other))
+        return _raw(*_sum(((self._num, self._den), (other._num, other._den))))
 
     __radd__ = __add__
 
@@ -393,13 +392,13 @@ def _scaled(num: dict[Word, int], k: int) -> dict[Word, int]:
     return num if k == 1 else {w: n * k for w, n in num.items()}
 
 
-def _sum(polys: Iterable[NcPoly]) -> NcPoly:
-    """The sum of polys over the lcm of their denominators, like terms
-    combined in one pass over them all."""
-    polys = list(polys)
-    den = math.lcm(*(p._den for p in polys))
-    first, *rest = (_scaled(p._num, den // p._den) for p in polys)
-    return _raw(_clean_terms(itertools.chain.from_iterable(map(dict.items, rest)), first), den)
+def _sum(parts: Iterable[tuple[dict[Word, int], int]]) -> tuple[dict[Word, int], int]:
+    """(numerators, denominator) of the sum of the parts num / den, over
+    the lcm of their denominators, like terms combined in one pass."""
+    parts = list(parts)
+    den = math.lcm(*(d for _, d in parts))
+    first, *rest = (_scaled(num, den // d) for num, d in parts)
+    return _clean_terms(itertools.chain.from_iterable(map(dict.items, rest)), first), den
 
 
 def _coerce(value: NcPoly | Scalar) -> NcPoly:

@@ -1,6 +1,7 @@
 """Surface syntax for polynomials and matrices.
 
-Polynomial grammar (whitespace insignificant, no implicit multiplication):
+Polynomial grammar (whitespace insignificant, no implicit multiplication,
+digits 0-9 only):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -9,15 +10,18 @@ Polynomial grammar (whitespace insignificant, no implicit multiplication):
     var      := 'X' uint          (uint >= 1)
     rational := int ('/' uint)?
 
-'[a,b]' desugars to a*b - b*a and '^k' to a k-fold product, so parsing
+'[a,b]' stands for a*b - b*a and '^k' for a k-fold product, so parsing
 always lands on a canonical NcPoly.  poly_to_text emits terms in graded
 lexicographic word order and round-trips: parse(print(f)) == f.
 
-Nothing is expanded until the whole input has parsed: each sum, product,
-power and bracket first bounds the number of terms, the degree and the
-letters of its result from those of its operands, and refuses past a fixed
-limit at its operator.  A '(' or '[' past a fixed nesting depth is refused
-as it opens.
+parse_poly scans a text once, into tokens that are the text they matched
+(a line and column are counted only for an error), and parses them into a
+tree.  Nothing is expanded until the whole text has parsed: each sum,
+product, power and bracket first bounds the number of terms, the degree
+and the letters of its result from those of its operands, and refuses past
+a fixed limit at its operator.  A '(' or '[' past a fixed nesting depth is
+refused as it opens.  One pass then expands the tree, and each sum,
+product and bracket combines its like terms once.
 
 Matrix literals are shell-friendly: rows separated by ';', rational entries
 by ',', e.g. "1,0;0,-1".
@@ -25,14 +29,11 @@ by ',', e.g. "1,0;0,-1".
 
 from __future__ import annotations
 
-import functools
-import operator
 import re
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .linalg import DimensionMismatch, MatrixQ
-from .poly import NcPoly, _sum
+from .poly import NcPoly, _clean_terms, _raw, _scaled, _sum
 
 
 class ParseError(Exception):
@@ -68,85 +69,79 @@ _MAX_NESTING = 100
 _MAX_VARIABLE = 256
 
 
-class _Expansion(NamedTuple):
-    """A parsed expression, not yet expanded: at most terms terms, of degree
-    at most degree, and build() expands it."""
-
-    terms: int
-    degree: int
-    build: Callable[[], NcPoly]
-
-
-def _built(poly: NcPoly) -> _Expansion:
-    """An atom, built at once: its terms and degree are exact."""
-    return _Expansion(len(poly), poly.degree() or 0, lambda: poly)
+# A token is the text it matched: an operator, 'X' and digits, digits, or
+# one character that starts no token.  Whitespace matches nothing.
+_TOKEN_RE = re.compile(r"[-+*/^()\[\],]|X[0-9]+|[0-9]+|\S")
+# A character that starts no token, a lone 'X' included.
+_REFUSED_RE = re.compile(r"[^-+*/^()\[\],X0-9\s]|X(?![0-9])")
+_OPERATORS = frozenset("+-*/^()[],")
+# int() converts a digit run this long under any sys.set_int_max_str_digits.
+_SHORT_TOKEN = 640
 
 
-_TOKEN_RE = re.compile(r"X(\d+)|(\d+)|([+\-*/^()\[\],])|(\s+)|(.)")
-
-
-class _Token(NamedTuple):
-    kind: str  # 'var' | 'int' | single-char operator | 'end'
-    value: object
-    offset: int  # into the text; a ParseError counts its line and column
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        var, num, op, ws, bad = m.groups()
-        at = m.start()
-        if bad is not None:
-            raise ParseError.at(f"unexpected character {bad!r}", text, at)
-        if ws is None:
-            digits = var if var is not None else num
-            if digits is None:
-                tokens.append(_Token(op, op, at))
-            else:
-                try:
-                    value = int(digits)
-                except ValueError:  # more digits than int() converts
-                    message = f"number too long ({len(digits)} digits)"
-                    raise ParseError.at(message, text, at) from None
-                tokens.append(_Token("var" if var is not None else "int", value, at))
-    tokens.append(_Token("end", None, len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end.  The first token that is
+    no operator, variable or number, or a number too long to convert, is
+    refused at its column."""
+    tokens = _TOKEN_RE.findall(text)
+    if _REFUSED_RE.search(text) or len(text) > _SHORT_TOKEN and max(map(len, tokens), default=0) > _SHORT_TOKEN:
+        for m in _TOKEN_RE.finditer(text):
+            tok = m.group()
+            if tok in _OPERATORS:
+                continue
+            if len(tok) == 1 and not "0" <= tok <= "9":
+                raise ParseError.at(f"unexpected character {tok!r}", text, m.start())
+            digits = tok.lstrip("X")
+            try:
+                int(digits)
+            except ValueError:  # more digits than int() converts
+                raise ParseError.at(f"number too long ({len(digits)} digits)", text, m.start()) from None
+    tokens.append("")
     return tokens
 
 
+def _offset(text: str, k: int) -> int:
+    """Where token k of text starts; a rescan, made only for an error."""
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        if j == k:
+            return m.start()
+    return len(text)
+
+
+def _describe(tok: str) -> str:
+    if not tok:
+        return "end of input"
+    if tok[0] == "X":
+        return f"'X{int(tok[1:])}'"
+    return repr(str(int(tok)) if tok.isdigit() else tok)
+
+
+# A node (terms, degree, kind, operands) is a parsed expression of at most
+# terms terms and degree at most degree.  Its operands: a leaf's numerators
+# and denominator, a sum's summands and signs, a product's factors, a
+# power's base and exponent, a bracket's two sides.
+_LEAF, _SUM, _PRODUCT, _POWER, _BRACKET = range(5)
+
+
 class _Parser:
+    """Each rule reads from token k and returns its node and the index of
+    the token after it; depth counts the '(' and '[' open around it."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _error(self, message: str, k: int, error: type[ParseError] = ParseError) -> ParseError:
+        return error.at(message, self.text, _offset(self.text, k))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def _expect(self, k: int, kind: str) -> int:
+        tok = self.tokens[k]
+        if tok != kind:
+            raise self._error(f"expected {kind!r}, found {_describe(tok)}", k)
+        return k + 1
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self._error(f"expected {kind!r}, found {self._describe(tok)}", tok)
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        if tok.kind == "end":
-            return "end of input"
-        if tok.kind == "var":
-            return f"'X{tok.value}'"
-        return repr(str(tok.value))
-
-    def _error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError.at(message, self.text, tok.offset)
-
-    def _checked(self, op: _Token, terms: int, degree: int) -> tuple[int, int]:
-        """(terms, degree) of the expansion op makes, if within the limits."""
+    def _checked(self, op: int, terms: int, degree: int) -> tuple[int, int]:
+        """(terms, degree) of the expansion token op makes, if within the limits."""
         if not degree:
             terms = min(terms, 1)  # a constant is one term
         if terms > _MAX_TERMS:
@@ -157,123 +152,148 @@ class _Parser:
             raise self._error(f"expansion has more than {_MAX_LETTERS} letters", op)
         return terms, degree
 
-    def parse(self) -> NcPoly:
-        expansion = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise self._error(f"unexpected trailing {self._describe(tok)}", tok)
-        return expansion.build()
+    def expr(self, k: int, depth: int) -> tuple[tuple, int]:
+        node, k = self.term(k, depth)
+        terms, degree = node[0], node[1]
+        parts = [(node, 1)]
+        while (op := self.tokens[k]) == "+" or op == "-":
+            rhs, j = self.term(k + 1, depth)
+            parts.append((rhs, 1 if op == "+" else -1))
+            terms, degree = self._checked(k, terms + rhs[0], max(degree, rhs[1]))
+            k = j
+        return (terms, degree, _SUM, parts) if len(parts) > 1 else node, k
 
-    def expr(self) -> _Expansion:
-        parts = [self.term()]
-        negated = [False]
-        terms, degree = parts[0].terms, parts[0].degree
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            negated.append(op.kind == "-")
-            rhs = self.term()
-            parts.append(rhs)
-            terms, degree = self._checked(op, terms + rhs.terms, max(degree, rhs.degree))
-        if len(parts) == 1:
-            return parts[0]
-
-        def build() -> NcPoly:
-            # One combine for all summands: a long sum costs linear time.
-            return _sum(-p.build() if neg else p.build() for p, neg in zip(parts, negated))
-
-        return _Expansion(terms, degree, build)
-
-    def term(self) -> _Expansion:
-        factors = [self.factor()]
-        terms, degree = factors[0].terms, factors[0].degree
-        while self.peek().kind == "*":
-            op = self.advance()
-            rhs = self.factor()
+    def term(self, k: int, depth: int) -> tuple[tuple, int]:
+        node, k = self.factor(k, depth)
+        terms, degree = node[0], node[1]
+        factors = [node]
+        while self.tokens[k] == "*":
+            rhs, j = self.factor(k + 1, depth)
             factors.append(rhs)
-            terms, degree = self._checked(op, terms * rhs.terms, degree + rhs.degree)
-        if len(factors) == 1:
-            return factors[0]
-        return _Expansion(
-            terms, degree, lambda: functools.reduce(operator.mul, (f.build() for f in factors))
-        )
+            terms, degree = self._checked(k, terms * rhs[0], degree + rhs[1])
+            k = j
+        return (terms, degree, _PRODUCT, factors) if len(factors) > 1 else node, k
 
-    def factor(self) -> _Expansion:
-        base = self.atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            tok = self.peek()
-            if tok.kind == "-":
-                message = "exponent must be a nonnegative integer"
-                raise ExponentNegative.at(message, self.text, tok.offset)
-            if tok.kind != "int":
-                found = self._describe(tok)
-                raise self._error(f"expected exponent after '^', found {found}", caret)
-            self.advance()
-            k = tok.value
-            if k > _MAX_EXPONENT:
-                raise self._error(f"exponent above {_MAX_EXPONENT}", caret)
-            terms, degree = self._checked(caret, base.terms**k, base.degree * k)
-            return _Expansion(terms, degree, lambda: base.build() ** k)
-        return base
+    def factor(self, k: int, depth: int) -> tuple[tuple, int]:
+        """An atom, and its power if a '^' follows."""
+        tokens = self.tokens
+        tok = tokens[k]
+        if tok[:1] == "X":
+            i = int(tok[1:])
+            if i < 1:
+                raise self._error("variable index must be >= 1", k)
+            if i > _MAX_VARIABLE:
+                raise self._error(f"variable index above {_MAX_VARIABLE}", k)
+            base = (1, 1, _LEAF, ({(i,): 1}, 1))
+            k += 1
+        elif tok == "(" or tok == "[":
+            if depth == _MAX_NESTING:
+                raise self._error(f"nesting deeper than {_MAX_NESTING}", k)
+            base, j = self.expr(k + 1, depth + 1)
+            if tok == "(":
+                k = self._expect(j, ")")
+            else:
+                right, j = self.expr(self._expect(j, ","), depth + 1)
+                j = self._expect(j, "]")
+                # Each of the products left * right and right * left.
+                terms, degree = self._checked(k, base[0] * right[0], base[1] + right[1])
+                base = (2 * terms, degree, _BRACKET, (base, right))
+                k = j
+        elif tok == "-" or tok.isdigit():
+            c, k = self.rational(k)
+            num = {(): c.numerator} if c else {}
+            base = (len(num), 0, _LEAF, (num, c.denominator))
+        else:
+            found = _describe(tok)
+            raise self._error(f"expected a number, variable, '(' or '[', found {found}", k)
+        if tokens[k] != "^":
+            return base, k
+        tok = tokens[k + 1]
+        if tok == "-":
+            raise self._error("exponent must be a nonnegative integer", k + 1, ExponentNegative)
+        if not tok.isdigit():
+            raise self._error(f"expected exponent after '^', found {_describe(tok)}", k)
+        e = int(tok)
+        if e > _MAX_EXPONENT:
+            raise self._error(f"exponent above {_MAX_EXPONENT}", k)
+        terms, degree = self._checked(k, base[0] ** e, base[1] * e)
+        return (terms, degree, _POWER, (base, e)), k + 2
 
-    def atom(self) -> _Expansion:
-        tok = self.peek()
-        if tok.kind == "-" or tok.kind == "int":
-            return _built(NcPoly.constant(self.rational()))
-        if tok.kind == "var":
-            self.advance()
-            if tok.value < 1:
-                raise self._error("variable index must be >= 1", tok)
-            if tok.value > _MAX_VARIABLE:
-                raise self._error(f"variable index above {_MAX_VARIABLE}", tok)
-            return _built(NcPoly.variable(tok.value))
-        if tok.kind in ("(", "["):
-            if self.depth == _MAX_NESTING:
-                raise self._error(f"nesting deeper than {_MAX_NESTING}", tok)
-            self.depth += 1
-            self.advance()
-            left = self.expr()
-            if tok.kind == "(":
-                self.expect(")")
-                self.depth -= 1
-                return left
-            self.expect(",")
-            right = self.expr()
-            self.expect("]")
-            self.depth -= 1
-            # Each of the products left * right and right * left.
-            terms, degree = self._checked(tok, left.terms * right.terms, left.degree + right.degree)
-
-            def build() -> NcPoly:
-                a, b = left.build(), right.build()
-                return a * b - b * a
-
-            return _Expansion(2 * terms, degree, build)
-        found = self._describe(tok)
-        raise self._error(f"expected a number, variable, '(' or '[', found {found}", tok)
-
-    def rational(self) -> int | Fraction:
+    def rational(self, k: int) -> tuple[int | Fraction, int]:
+        tokens = self.tokens
         sign = 1
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            tok = self.peek()
+        if tokens[k] == "-":
+            k += 1
             sign = -1
-            if tok.kind != "int":
-                raise self._error(f"expected a number after '-', found {self._describe(tok)}", tok)
-        num = self.expect("int").value
-        if self.peek().kind == "/":
-            self.advance()
-            den_tok = self.expect("int")
-            if den_tok.value == 0:
-                raise self._error("zero denominator", den_tok)
-            return Fraction(sign * num, den_tok.value)
-        return sign * num
+            if not tokens[k].isdigit():
+                raise self._error(f"expected a number after '-', found {_describe(tokens[k])}", k)
+        num = sign * int(tokens[k])
+        if tokens[k + 1] != "/":
+            return num, k + 1
+        den = tokens[k + 2]
+        if not den.isdigit():
+            raise self._error(f"expected 'int', found {_describe(den)}", k + 2)
+        if not int(den):
+            raise self._error("zero denominator", k + 2)
+        return Fraction(num, int(den)), k + 3
+
+
+def _expand(node: tuple, sn: int = 1, sd: int = 1) -> tuple[dict, int]:
+    """(nonzero numerators, denominator) of node times sn / sd, sn nonzero
+    and sd positive, not yet in lowest terms.  A sum, a product over the
+    product of its factors' terms, and a bracket [a, b] over a*b and -b*a
+    each combine once; constant factors join the scale, and a power is a
+    repeated product."""
+    kind, operands = node[2], node[3]
+    if kind is _LEAF:
+        num, den = operands
+        return _scaled(num, sn), den * sd
+    if kind is _SUM:
+        return _sum([_expand(part, sn * sign, sd) for part, sign in operands])
+    if kind is _PRODUCT:
+        factors = []
+        for factor in operands:
+            if factor[1]:
+                factors.append(factor)
+                continue
+            # Of degree 0, so a constant: it joins the scale.
+            num, den = factor[3] if factor[2] is _LEAF else _expand(factor)
+            if not num:
+                return num, 1
+            sn, sd = sn * num[()], sd * den
+        if len(factors) == 1:
+            return _expand(factors[0], sn, sd)
+        items = [((), sn)]
+        for factor in factors:
+            num, den = factor[3] if factor[2] is _LEAF else _expand(factor)
+            items = [(w + v, n * m) for w, n in items for v, m in num.items()]
+            sd *= den
+        return _clean_terms(items), sd
+    if kind is _POWER:
+        base, e = operands
+        p = _raw(*_expand(base)) ** e
+        return _scaled(p._num, sn), p._den * sd
+    (a, da), (b, db) = map(_expand, operands)
+    items = [(v + w, sn * m * n) for v, m in a.items() for w, n in b.items()]
+    items += [(w + v, -sn * n * m) for w, n in b.items() for v, m in a.items()]
+    return _clean_terms(items), sd * da * db
 
 
 def parse_poly(text: str) -> NcPoly:
     """Parse the polynomial grammar into canonical form."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    node, k = parser.expr(0, 0)
+    if parser.tokens[k]:
+        raise parser._error(f"unexpected trailing {_describe(parser.tokens[k])}", k)
+    return _raw(*_expand(node))
+
+
+class _Letters(dict):
+    """The text of each letter, made when it is first printed."""
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = f"X{i}"
+        return text
 
 
 def poly_to_text(f: NcPoly) -> str:
@@ -282,7 +302,7 @@ def poly_to_text(f: NcPoly) -> str:
         return "0"
     pieces = []
     den, num = f.integer_form()
-    letter = {i: f"X{i}" for i in f.variables()}.__getitem__
+    letter = _Letters().__getitem__
     for word in sorted(num, key=lambda w: (len(w), w)):
         coeff = num[word]
         # The first term's sign stays in its coefficient ("-1*X1"); later
@@ -300,7 +320,7 @@ def poly_to_text(f: NcPoly) -> str:
     return "".join(pieces)
 
 
-_ENTRY_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_ENTRY_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_matrix(text: str) -> MatrixQ:

@@ -6,11 +6,12 @@ import functools
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
-from typing import NamedTuple
+from operator import add, mul
+from typing import Callable, NamedTuple
 
 from ncspan import (
     Classification,
@@ -30,7 +31,16 @@ from ncspan import (
 )
 from ncspan.cli import _doc, _exclusion_flags
 from ncspan.linalg import EchelonModP
-from ncspan.text import _TOKEN_RE, ParseError
+from ncspan.text import (
+    _MAX_DEGREE,
+    _MAX_EXPONENT,
+    _MAX_LETTERS,
+    _MAX_NESTING,
+    _MAX_TERMS,
+    _MAX_VARIABLE,
+    ExponentNegative,
+    ParseError,
+)
 
 
 def random_word(rng: random.Random, nvars: int, max_len: int, min_len: int = 0):
@@ -304,6 +314,10 @@ def reference_commutator_obstruction(f: NcPoly):
     return min(offending, key=lambda w: (len(w), w)) if offending else None
 
 
+# The token pattern of the reference parser, its own copy: digits are 0-9.
+REFERENCE_TOKEN_RE = re.compile(r"X([0-9]+)|([0-9]+)|([+\-*/^()\[\],])|(\s+)|(.)")
+
+
 class ReferenceToken(NamedTuple):
     kind: str
     value: object
@@ -312,11 +326,11 @@ class ReferenceToken(NamedTuple):
 
 
 def reference_tokenize(text: str) -> list[ReferenceToken]:
-    """The tokenizer that kept a running line and column, which text._tokenize
-    replaced with offsets: each token's position is counted as it is met."""
+    """The tokenizer that kept a running line and column, which offsets
+    replaced: each token's position is counted as it is met."""
     tokens = []
     line, col = 1, 1
-    for m in _TOKEN_RE.finditer(text):
+    for m in REFERENCE_TOKEN_RE.finditer(text):
         var, num, op, ws, bad = m.groups()
         if bad is not None:
             raise ParseError(f"unexpected character {bad!r}", line, col)
@@ -339,6 +353,182 @@ def reference_tokenize(text: str) -> list[ReferenceToken]:
             col += len(chunk)
     tokens.append(ReferenceToken("end", None, line, col))
     return tokens
+
+
+# The recursive-descent parser that text.parse_poly's one scan and one
+# expansion pass replaced: a NamedTuple per token, a closure per operator,
+# and NcPoly arithmetic to expand (a sum is a running sum here).  Same
+# grammar, limits and refusals; its errors read reference_tokenize's lines
+# and columns.
+
+
+class _ReferenceExpansion(NamedTuple):
+    terms: int
+    degree: int
+    build: Callable[[], NcPoly]
+
+
+def _reference_built(poly: NcPoly) -> _ReferenceExpansion:
+    return _ReferenceExpansion(len(poly), poly.degree() or 0, lambda: poly)
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise self._error(f"expected {kind!r}, found {self._describe(tok)}", tok)
+        return self.advance()
+
+    @staticmethod
+    def _describe(tok) -> str:
+        if tok.kind == "end":
+            return "end of input"
+        if tok.kind == "var":
+            return f"'X{tok.value}'"
+        return repr(str(tok.value))
+
+    def _error(self, message: str, tok, error=ParseError) -> ParseError:
+        return error(message, tok.line, tok.col)
+
+    def _checked(self, op, terms: int, degree: int) -> tuple[int, int]:
+        if not degree:
+            terms = min(terms, 1)
+        if terms > _MAX_TERMS:
+            raise self._error(f"expansion has more than {_MAX_TERMS} terms", op)
+        if degree > _MAX_DEGREE:
+            raise self._error(f"expansion has degree above {_MAX_DEGREE}", op)
+        if terms * degree > _MAX_LETTERS:
+            raise self._error(f"expansion has more than {_MAX_LETTERS} letters", op)
+        return terms, degree
+
+    def parse(self) -> NcPoly:
+        expansion = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise self._error(f"unexpected trailing {self._describe(tok)}", tok)
+        return expansion.build()
+
+    def expr(self) -> _ReferenceExpansion:
+        parts = [self.term()]
+        negated = [False]
+        terms, degree = parts[0].terms, parts[0].degree
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            negated.append(op.kind == "-")
+            rhs = self.term()
+            parts.append(rhs)
+            terms, degree = self._checked(op, terms + rhs.terms, max(degree, rhs.degree))
+        if len(parts) == 1:
+            return parts[0]
+        return _ReferenceExpansion(
+            terms,
+            degree,
+            lambda: functools.reduce(add, (-p.build() if neg else p.build() for p, neg in zip(parts, negated))),
+        )
+
+    def term(self) -> _ReferenceExpansion:
+        factors = [self.factor()]
+        terms, degree = factors[0].terms, factors[0].degree
+        while self.peek().kind == "*":
+            op = self.advance()
+            rhs = self.factor()
+            factors.append(rhs)
+            terms, degree = self._checked(op, terms * rhs.terms, degree + rhs.degree)
+        if len(factors) == 1:
+            return factors[0]
+        return _ReferenceExpansion(
+            terms, degree, lambda: functools.reduce(mul, (f.build() for f in factors))
+        )
+
+    def factor(self) -> _ReferenceExpansion:
+        base = self.atom()
+        if self.peek().kind == "^":
+            caret = self.advance()
+            tok = self.peek()
+            if tok.kind == "-":
+                raise self._error("exponent must be a nonnegative integer", tok, ExponentNegative)
+            if tok.kind != "int":
+                found = self._describe(tok)
+                raise self._error(f"expected exponent after '^', found {found}", caret)
+            self.advance()
+            k = tok.value
+            if k > _MAX_EXPONENT:
+                raise self._error(f"exponent above {_MAX_EXPONENT}", caret)
+            terms, degree = self._checked(caret, base.terms**k, base.degree * k)
+            return _ReferenceExpansion(terms, degree, lambda: base.build() ** k)
+        return base
+
+    def atom(self) -> _ReferenceExpansion:
+        tok = self.peek()
+        if tok.kind == "-" or tok.kind == "int":
+            return _reference_built(NcPoly.constant(self.rational()))
+        if tok.kind == "var":
+            self.advance()
+            if tok.value < 1:
+                raise self._error("variable index must be >= 1", tok)
+            if tok.value > _MAX_VARIABLE:
+                raise self._error(f"variable index above {_MAX_VARIABLE}", tok)
+            return _reference_built(NcPoly.variable(tok.value))
+        if tok.kind in ("(", "["):
+            if self.depth == _MAX_NESTING:
+                raise self._error(f"nesting deeper than {_MAX_NESTING}", tok)
+            self.depth += 1
+            self.advance()
+            left = self.expr()
+            if tok.kind == "(":
+                self.expect(")")
+                self.depth -= 1
+                return left
+            self.expect(",")
+            right = self.expr()
+            self.expect("]")
+            self.depth -= 1
+            terms, degree = self._checked(tok, left.terms * right.terms, left.degree + right.degree)
+
+            def build() -> NcPoly:
+                a, b = left.build(), right.build()
+                return a * b - b * a
+
+            return _ReferenceExpansion(2 * terms, degree, build)
+        found = self._describe(tok)
+        raise self._error(f"expected a number, variable, '(' or '[', found {found}", tok)
+
+    def rational(self):
+        sign = 1
+        tok = self.peek()
+        if tok.kind == "-":
+            self.advance()
+            tok = self.peek()
+            sign = -1
+            if tok.kind != "int":
+                raise self._error(f"expected a number after '-', found {self._describe(tok)}", tok)
+        num = self.expect("int").value
+        if self.peek().kind == "/":
+            self.advance()
+            den_tok = self.expect("int")
+            if den_tok.value == 0:
+                raise self._error("zero denominator", den_tok)
+            return Fraction(sign * num, den_tok.value)
+        return sign * num
+
+
+def reference_parse_poly(text: str) -> NcPoly:
+    """text.parse_poly as it was before one scan and one expansion pass,
+    with digits 0-9: the same polynomial, or the same ParseError."""
+    return _ReferenceParser(text).parse()
 
 
 def reference_packed_evaluator(terms, d: int, bound: int):

@@ -284,6 +284,14 @@ class TestCommtest:
         assert doc["witness_class"] == "1"
 
 
+    def test_non_ascii_digit(self, capsys):
+        # X and the Arabic-Indic one: no variable, since digits are 0-9.
+        code = main(["commtest", "--poly", "X\u0661"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "ncspan: unexpected character 'X' (line 1, column 1)\n"
+
 class TestRunawayExpansion:
     @pytest.mark.parametrize(
         "text",
@@ -414,6 +422,11 @@ class TestDecompose:
         assert captured.err == (
             f"ncspan: bad --target literal: zero denominator in matrix entry '{entry}'\n"
         )
+
+    def test_non_ascii_digit_target(self, capsys):
+        code = main(["decompose", "--poly", "[X1,X2]", "--dim", "2", "--target", "\u0661,0;0,1"])
+        assert code == 2
+        assert capsys.readouterr().err == "ncspan: bad --target literal: bad matrix entry '\u0661'\n"
 
     def test_target_dim_mismatch(self, capsys):
         code = main(

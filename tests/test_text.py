@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_poly, reference_tokenize
+from helpers import random_poly, random_word, reference_parse_poly, reference_tokenize
 from ncspan import (
     DimensionMismatch,
     ExponentNegative,
@@ -17,7 +17,7 @@ from ncspan import (
     parse_poly,
     poly_to_text,
 )
-from ncspan.text import _tokenize
+from ncspan.text import _offset, _tokenize
 
 X1 = NcPoly.variable(1)
 X2 = NcPoly.variable(2)
@@ -84,6 +84,24 @@ class TestParse:
             assert parse_poly(text) == expected, text
 
 
+class TestLongInputs:
+    """Each sum and product combines once, so long ones parse in linear time."""
+
+    def test_long_flat_sum(self):
+        rng = random.Random(59)
+        terms = [(random_word(rng, 3, 4), rng.randint(-9, 9) or 1) for _ in range(2000)]
+        text = " + ".join(f"{c}*" + "*".join(f"X{i}" for i in w) if w else str(c) for w, c in terms)
+        start = time.perf_counter()
+        f = parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert f == NcPoly(terms)
+
+    def test_long_product_of_letters(self):
+        rng = random.Random(61)
+        word = random_word(rng, 5, 256, min_len=256)
+        assert parse_poly("*".join(f"X{i}" for i in word)) == NcPoly.monomial(word)
+
+
 class TestParseErrors:
     def test_reports_position(self):
         with pytest.raises(ParseError) as exc:
@@ -138,6 +156,17 @@ class TestParseErrors:
         assert exc.value.message == "number too long (5000 digits)"
         assert (exc.value.line, exc.value.col) == (line, col)
 
+    @pytest.mark.parametrize(
+        "text, found, col",
+        [("X\u0661", "X", 1), ("X\uff11", "X", 1), ("\u0662*X1", "\u0662", 1), ("X1 + X2^\u0663", "\u0663", 9)],
+        ids=["arabic-indic-index", "fullwidth-index", "arabic-indic-coefficient", "arabic-indic-exponent"],
+    )
+    def test_only_ascii_digits_are_digits(self, text, found, col):
+        # An 'X' without a digit 0-9 after it starts no token.
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (f"unexpected character {found!r}", 1, col)
+
     def test_unary_minus_on_variable_rejected(self):
         # the grammar only allows a sign on numeric literals
         with pytest.raises(ParseError):
@@ -163,6 +192,24 @@ def _position(text, offset):
     return err.line, err.col
 
 
+def _token_view(text):
+    """(kind, value, line, col) of each token _tokenize reads, its end
+    included: the reference tokenizer's fields, the position counted from
+    the token's offset."""
+    view = []
+    for k, tok in enumerate(_tokenize(text)):
+        if not tok:
+            kind, value = "end", None
+        elif tok[0] == "X":
+            kind, value = "var", int(tok[1:])
+        elif tok.isdigit():
+            kind, value = "int", int(tok)
+        else:
+            kind, value = tok, tok
+        view.append((kind, value, *_position(text, _offset(text, k))))
+    return view
+
+
 def _outcome(tokenize, text):
     """The tokens, or the (message, line, col) of the error tokenizing raised."""
     try:
@@ -172,24 +219,21 @@ def _outcome(tokenize, text):
 
 
 class TestTokenPositions:
-    """Tokens keep offsets; their lines and columns, counted only when an
+    """Each token's line and column, counted from its offset only when an
     error is raised, match the running count of the reference tokenizer."""
 
     ALPHABET = list("X019+-*/^()[],@") + [" ", "\t", "\n"]
 
     def assert_matches_reference(self, text):
-        got, want = _outcome(_tokenize, text), _outcome(reference_tokenize, text)
+        got, want = _outcome(_token_view, text), _outcome(reference_tokenize, text)
+        assert got == want, repr(text)
         if isinstance(want, tuple):
-            assert got == want, repr(text)
             return
-        assert [(t.kind, t.value) for t in got] == [(t.kind, t.value) for t in want], repr(text)
-        positions = [_position(text, t.offset) for t in got]
-        assert positions == [(t.line, t.col) for t in want], repr(text)
         # Every parse error past the tokens names one of them.
         try:
             parse_poly(text)
         except ParseError as exc:
-            assert (exc.line, exc.col) in positions, repr(text)
+            assert (exc.line, exc.col) in [(t.line, t.col) for t in want], repr(text)
 
     def test_random_strings(self):
         rng = random.Random(31)
@@ -252,6 +296,71 @@ class TestExpansionLimits:
         with pytest.raises(ParseError) as exc:
             parse_poly("(X1+X2)^16 )")
         assert exc.value.message == "unexpected trailing ')'"
+
+
+LIMIT_EDGES = [
+    "(X1+X2)^16",
+    "(X1^16)^16",
+    "X1^256",
+    "(1+2)^256",
+    "(" * 100 + "X1" + ")" * 100,
+    "(X1^4+X2^4)^16",
+    "(X1+X2)^16 )",
+]
+
+
+def _parse_outcome(parse, text):
+    """The polynomial, or the class, message, line and column of the error."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.line, exc.col
+
+
+def _wrapped(rng, depth):
+    """Random text: a random polynomial's print, inside brackets, powers,
+    rational factors and parentheses, nested to depth."""
+    if not depth:
+        return poly_to_text(random_poly(rng, nvars=3, max_degree=3, max_terms=4))
+    a, b = _wrapped(rng, depth - 1), _wrapped(rng, depth - 1)
+    rational = f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}"
+    return rng.choice([
+        f"[{a},{b}]",
+        f"({a})^{rng.randint(0, 2)}",
+        f"{rational}*({a}) - ({b})",
+        f"(({a}))*{rational}*({b})",
+        f"[({a}), {rational}] + {b}",
+    ])
+
+
+class TestReferenceParser:
+    """parse_poly gives the reference parser's polynomial, or the same
+    error class, message, line and column."""
+
+    def assert_matches_reference(self, text):
+        got = _parse_outcome(parse_poly, text)
+        assert got == _parse_outcome(reference_parse_poly, text), repr(text)
+        return got
+
+    def test_wrapped_random_polys(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            text = _wrapped(rng, rng.randint(0, 2))
+            assert isinstance(self.assert_matches_reference(text), NcPoly), text
+
+    def test_random_strings(self):
+        rng = random.Random(53)
+        alphabet = TestTokenPositions.ALPHABET
+        for _ in range(3000):
+            self.assert_matches_reference("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))))
+
+    @pytest.mark.parametrize("text", ["X\u0661", "\u0662*X1", "X1 + X2^\u0663"])
+    def test_non_ascii_digits(self, text):
+        self.assert_matches_reference(text)
+
+    @pytest.mark.parametrize("text", [t for t, _ in RUNAWAY] + LIMIT_EDGES)
+    def test_limits(self, text):
+        self.assert_matches_reference(text)
 
 
 class TestPrint:
@@ -348,6 +457,11 @@ class TestMatrixLiterals:
             parse_matrix("1,x;0,1")
         with pytest.raises(ValueError):
             parse_matrix("1.5,0;0,1")
+
+    @pytest.mark.parametrize("entry", ("\u0661", "1/\u0662", "\uff11"))
+    def test_only_ascii_digits_are_digits(self, entry):
+        with pytest.raises(ValueError, match=f"bad matrix entry '{entry}'"):
+            parse_matrix(f"{entry},0;0,1")
 
     @pytest.mark.parametrize("entry", ("1/0", "0/0", "-3/00"))
     def test_zero_denominator(self, entry):
