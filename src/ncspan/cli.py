@@ -20,11 +20,13 @@ slots are laid out by hand (_grid), and _emit splices them in.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan, check_dimension
@@ -71,8 +73,8 @@ def _config(args) -> SampleConfig:
     raw = os.environ.get("NCSPAN_SEED")
     if args.seed is None and raw is not None:
         try:
-            given["seed"] = int(raw)
-        except ValueError:
+            given["seed"] = _int(raw)
+        except argparse.ArgumentTypeError:
             raise _UsageError(f"NCSPAN_SEED must be an integer, got {raw!r}") from None
     return SampleConfig(**{k: v for k, v in given.items() if v is not None})
 
@@ -119,11 +121,7 @@ def _exclusion_flags(f: NcPoly, d: int, cls: Classification, commutator_sum: boo
     return True, cls is (Classification.TRACE_ZERO if commutator_sum else Classification.FULL)
 
 
-# The lie_ideal flag is true in closed form: each canonical space V is a
-# Lie ideal of M_d, [V, M_d] inside V.  [0, b] = 0, [c*I, b] = 0, and every
-# [a, b] has trace tr(ab) - tr(ba) = 0, so it lies in sl_d, which
-# TRACE_ZERO and FULL both contain.
-_LIE_IDEAL = True
+_LIE_IDEAL = True  # every canonical space is a Lie ideal: see span.lie_ideal_check
 
 
 # The break before the value of a top-level field of a document.
@@ -391,10 +389,20 @@ def _cmd_suite(args) -> int:
     return EXIT_NEGATIVE if violations else EXIT_OK
 
 
+def _int(text: str) -> int:
+    """Every integer on the command line: -?[0-9]+, where int() alone also
+    reads other scripts' digits, "_", "+" and surrounding blanks."""
+    if re.fullmatch("-?[0-9]+", text):
+        with contextlib.suppress(ValueError):  # past int()'s digit limit
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _positive_int(text: str) -> int:
+    # A "-" passes _int and then fails check_dimension, so this reads [0-9]+.
     try:
-        return check_dimension(int(text))
-    except ValueError:
+        return check_dimension(_int(text))
+    except (argparse.ArgumentTypeError, ValueError):
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
 
 
@@ -402,7 +410,7 @@ def _positive_int(text: str) -> int:
 _POLY = ("--poly", {"required": True})
 _DIM = ("--dim", {"type": _positive_int, "required": True})
 _SAMPLING = (
-    ("--seed", {"type": int, "help": "RNG seed (default: $NCSPAN_SEED or 0)"}),
+    ("--seed", {"type": _int, "help": "RNG seed (default: $NCSPAN_SEED or 0)"}),
     ("--max-samples", {"type": _positive_int, "help": "sampling budget (default: 64*d^2)"}),
     ("--coeff-bound", {"type": _positive_int, "help": "entry bound B for random matrices"}),
 )

@@ -88,8 +88,8 @@ class Classification(Enum):
     A span of values is {0}, the scalar matrices, the trace-zero matrices,
     or all of M_d.
 
-    rank, lies_in and contains answer in closed form what
-    SpanBasis.canonical's rank, is_subspace_of and contains would:
+    rank, lies_in and contains answer in closed form for the spaces that
+    SpanBasis.canonical builds: their dimension, containment and membership.
     - rank: {0}, the scalars Q * I, sl_d (cut out of M_d by one nonzero
       functional, the trace) and M_d have dimension 0, 1, d^2 - 1 and d^2.
     - contains: a vector lies in {0} iff it is zero, in Q * I iff it is its
@@ -113,7 +113,7 @@ class Classification(Enum):
         return {"ZERO": 0, "SCALARS": 1, "TRACE_ZERO": n - 1, "FULL": n}[self.value]
 
     def lies_in(self, other: Classification, d: int) -> bool:
-        """Whether this class's space in M_d lies in other's."""
+        """Whether this class's space in M_d lies in other's: the one containment test."""
         low, high = self.rank(d), other.rank(d)
         return self is other or low == 0 or high == d * d
 
@@ -187,9 +187,6 @@ class MatrixQ:
         return MatrixQ([vec[i * d : (i + 1) * d] for i in range(d)])
 
     # -- queries ------------------------------------------------------------
-
-    def __getitem__(self, rc: tuple[int, int]) -> Num:
-        return self.rows[rc[0]][rc[1]]
 
     def flatten(self) -> Vector:
         """Row-major length-d^2 vector."""
@@ -347,7 +344,8 @@ class SpanBasis:
         rebuilt by from_matrices; grew is True iff the rank increased."""
         if self.contains(m):
             return self, False
-        return SpanBasis.from_matrices(self.dim, [*self.row_matrices(), m]), True
+        rows = (MatrixQ.unflatten(row, self.dim) for row in self.rows)
+        return SpanBasis.from_matrices(self.dim, [*rows, m]), True
 
     def contains(self, m: MatrixQ) -> bool:
         """Exact membership by one dense reduction of m, flattened, by the rows.
@@ -359,14 +357,6 @@ class SpanBasis:
         v, pivots = m.flatten(), set(self.pivots)
         parts = [(v[p], row) for row, p in zip(self.rows, self.pivots) if v[p]]
         return all(x == sum(c * row[j] for c, row in parts) for j, x in enumerate(v) if j not in pivots)
-
-    def is_subspace_of(self, other: SpanBasis) -> bool:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
-        return all(other.contains(r) for r in self.row_matrices())
-
-    def row_matrices(self) -> list[MatrixQ]:
-        return [MatrixQ.unflatten(row, self.dim) for row in self.rows]
 
     def __repr__(self) -> str:
         return f"SpanBasis(dim={self.dim}, rank={self.rank})"

@@ -23,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .linalg import _cleared, check_exact
 
@@ -142,9 +142,6 @@ class NcPoly:
 
     def __len__(self) -> int:
         return len(self._num)
-
-    def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self.terms.items())
 
     def __bool__(self) -> bool:
         return bool(self._num)

@@ -796,10 +796,14 @@ def lie_ideal_check(basis: SpanBasis) -> bool:
     bracket and the Jacobi identity (see _chevalley_units) this certifies
     exactly that the span is a Lie ideal of the full matrix algebra, with
     rank * 2(d - 1) membership tests: each bracket is read off the row by
-    unit_commutator and tested by SpanBasis.contains, row by row.
+    unit_commutator and tested by SpanBasis.contains.  Every canonical
+    space passes, so cli._LIE_IDEAL is true in closed form: [0, b] = 0,
+    [c*I, b] = 0, and every [a, b] has trace tr(ab) - tr(ba) = 0, so it
+    lies in sl_d, inside TRACE_ZERO and FULL.
     """
     units = _chevalley_units(basis.dim)
-    return all(basis.contains(unit_commutator(r, j, k)) for r in basis.row_matrices() for j, k in units)
+    rows = (MatrixQ.unflatten(row, basis.dim) for row in basis.rows)
+    return all(basis.contains(unit_commutator(r, j, k)) for r in rows for j, k in units)
 
 
 def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:

@@ -1004,8 +1004,12 @@ def reference_insert(basis: SpanBasis, m: MatrixQ) -> tuple[SpanBasis, bool]:
     return SpanBasis(basis.dim, tuple(rows), tuple(pivots)), grew
 
 
+def row_matrices(basis: SpanBasis) -> list[MatrixQ]:
+    return [MatrixQ.unflatten(row, basis.dim) for row in basis.rows]
+
+
 def reference_is_subspace_of(basis: SpanBasis, other: SpanBasis) -> bool:
-    return all(reference_contains(other, m) for m in basis.row_matrices())
+    return all(reference_contains(other, m) for m in row_matrices(basis))
 
 
 def _all_units(d: int):
@@ -1017,7 +1021,7 @@ def reference_lie_ideal_check(basis: SpanBasis) -> bool:
     units = _all_units(basis.dim)
     return all(
         basis.contains(commutator(row, unit))
-        for row in basis.row_matrices()
+        for row in row_matrices(basis)
         for unit in units
     )
 
@@ -1030,7 +1034,7 @@ def reference_herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
     basis, changed = SpanBasis(d).insert(seed)
     while changed:
         changed = False
-        mats = basis.row_matrices()
+        mats = row_matrices(basis)
         for m in [commutator(r, u) for r in mats for u in units] + [a * b for a in mats for b in mats]:
             basis, grew = basis.insert(m)
             changed |= grew

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +176,46 @@ class TestClassify:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "ncspan: NCSPAN_SEED must be an integer, got 'abc'\n"
+
+    # int() reads each of these; the command line reads only -?[0-9]+.
+    @pytest.mark.parametrize("text", ["\u0661", "\u0661_0", "1_0", "+1", " 1", "1 ", "\uff11"])
+    def test_env_seed_is_ascii_digits(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("NCSPAN_SEED", text)
+        assert main(["classify", "--poly", "X1", "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ncspan: NCSPAN_SEED must be an integer, got {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["x", "\u0667", "1_0", "+1", " 1", "1 ", "\uff17"])
+    def test_seed_option_is_ascii_digits(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--poly", "X1", "--dim", "2", "--seed", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"ncspan classify: error: argument --seed: invalid int value: {text!r}\n")
+
+    def test_seed_past_int_digit_limit(self, capsys, monkeypatch):
+        # Digits past int()'s limit (Python 3.10.7 on) are no seed either.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python reads ints of any length")
+        old, text = sys.get_int_max_str_digits(), "1" * 641
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", "--poly", "X1", "--dim", "2", "--seed", text])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"argument --seed: invalid int value: {text!r}\n")
+            monkeypatch.setenv("NCSPAN_SEED", text)
+            assert main(["classify", "--poly", "X1", "--dim", "2"]) == 2
+            assert capsys.readouterr().err == f"ncspan: NCSPAN_SEED must be an integer, got {text!r}\n"
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_negative_seed(self, capsys, monkeypatch):
+        # A seed alone may carry a leading "-", from the option or the environment.
+        _, via_flag = run_cli(capsys, "classify", "--poly", "[X1,X2]", "--dim", "2", "--seed", "-3")
+        monkeypatch.setenv("NCSPAN_SEED", "-3")
+        _, via_env = run_cli(capsys, "classify", "--poly", "[X1,X2]", "--dim", "2")
+        assert via_env == via_flag and json.loads(via_flag)["seed"] == -3
 
     def test_parse_error_exit(self, capsys):
         code = main(["classify", "--poly", "X1 +", "--dim", "2"])
@@ -586,6 +627,13 @@ class TestSuite:
         assert main(["suite", "--corpus", str(corpus), "--dim", "2"]) == 2
         assert capsys.readouterr().err == f"ncspan: {corpus}:2: not valid UTF-8 (byte 0xce at column 6)\n"
 
+    def test_corpus_path_with_nul(self, capsys):
+        # open() refuses the path with ValueError, not OSError.
+        assert main(["suite", "--corpus", "corpus\0.txt", "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ncspan: ") and captured.err.count("\n") == 1
+
     def test_corpus_parse_error(self, capsys, tmp_path):
         corpus = tmp_path / "bad.txt"
         corpus.write_text("X1 +\n")
@@ -709,7 +757,10 @@ POSITIVE_INT_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("text", ["x", "1.5", ""])
+# After "x", "1.5" and "": spellings int() reads but the command line does
+# not, which is [0-9]+ then check_dimension: other scripts' digits (an
+# Arabic-Indic and a fullwidth 2), "_", "+" and surrounding blanks.
+@pytest.mark.parametrize("text", ["x", "1.5", "", "\u0662", "\uff12", "1_0", "+2", " 2", "2 ", "2\n"])
 @pytest.mark.parametrize("command,option,rest", POSITIVE_INT_OPTIONS, ids=lambda v: v if isinstance(v, str) else None)
 def test_non_integer_is_usage_error(capsys, command, option, rest, text):
     with pytest.raises(SystemExit) as exc:
@@ -1022,6 +1073,21 @@ class TestBrokenPipe:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (141, b"")
+
+    def test_in_process(self, capsys, monkeypatch):
+        # The write fails, and cli's os.dup2 is recorded, not run, so
+        # pytest's stdout stays as it is: main returns 141, stderr empty.
+        def closed_pipe(doc):
+            raise BrokenPipeError
+
+        dups = []
+        fake_os = types.SimpleNamespace(**vars(os))
+        fake_os.dup2 = lambda fd, to: dups.append(to) or os.close(fd)
+        monkeypatch.setattr(ncspan.cli, "_emit", closed_pipe)
+        monkeypatch.setattr(ncspan.cli, "os", fake_os)
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(fileno=lambda: 99))
+        assert main(["commtest", "--poly", "X1"]) == 141
+        assert dups == [99] and capsys.readouterr().err == ""
 
     def test_reader_to_the_end_exits_0(self):
         proc = self._start()

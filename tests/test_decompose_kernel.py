@@ -25,6 +25,7 @@ from helpers import (
     reference_classify_span,
     reference_inverse,
     reference_rref_insert,
+    row_matrices,
 )
 from ncspan import (
     Classification,
@@ -80,7 +81,7 @@ def targets(rng, report, count):
     """Rational combinations of the basis rows, a random integer matrix, and 0."""
     d = report.dim
     out = [MatrixQ.zero(d), random_matrix_int(rng, d)]
-    rows = report.basis.row_matrices()
+    rows = row_matrices(report.basis)
     for _ in range(count):
         acc = MatrixQ.zero(d)
         for row in rows:

@@ -10,6 +10,7 @@ from helpers import (
     random_trace_zero,
     reference_commutator_decomposition,
     reference_inverse,
+    row_matrices,
 )
 from ncspan import linalg
 from ncspan import (
@@ -168,7 +169,7 @@ class TestSpanBasisValidation:
         third = Fraction(1, 3)
         basis = SpanBasis(2, [[1, third, 0, 2], [0, 0, 1, -1]], [0, 2])
         assert basis.rows == ((1, third, 0, 2), (0, 0, 1, -1)) and basis.pivots == (0, 2)
-        assert SpanBasis.from_matrices(2, basis.row_matrices()) == basis
+        assert SpanBasis.from_matrices(2, row_matrices(basis)) == basis
         for d in (1, 2, 3):
             for which in Classification:
                 canonical = SpanBasis.canonical(d, which)
@@ -224,14 +225,16 @@ class TestSpanBasis:
         b2 = SpanBasis.from_matrices(2, list(reversed(mats)))
         assert b1 == b2
 
+    def test_repr(self):
+        assert repr(SpanBasis.canonical(2, Classification.TRACE_ZERO)) == "SpanBasis(dim=2, rank=3)"
+        assert repr(SpanBasis(3)) == "SpanBasis(dim=3, rank=0)"
+
     def test_zero_subspace_of_anything(self):
-        zero = SpanBasis(2)
-        assert zero == SpanBasis.canonical(2, Classification.ZERO)
-        rng = random.Random(7)
-        other = SpanBasis.from_matrices(
-            2, [random_matrix_int(rng, 2) for _ in range(3)]
-        )
-        assert zero.is_subspace_of(other)
+        # Containment is Classification.lies_in: {0} lies in every class.
+        assert SpanBasis(2) == SpanBasis.canonical(2, Classification.ZERO)
+        for d in (1, 2, 3):
+            for other in Classification:
+                assert Classification.ZERO.lies_in(other, d)
 
     def test_trace_zero_canonical(self):
         basis = SpanBasis.from_matrices(
@@ -239,7 +242,7 @@ class TestSpanBasis:
         )
         assert basis.rank == 3
         assert basis == SpanBasis.canonical(2, Classification.TRACE_ZERO)
-        for row in basis.row_matrices():
+        for row in row_matrices(basis):
             assert row.trace() == 0
         assert basis != SpanBasis.canonical(2, Classification.FULL)
 

@@ -229,6 +229,18 @@ class TestReduce:
         with pytest.raises(OracleFailed):
             reduce_to_multilinear(X1, lambda f: False)
 
+    def test_no_candidate_passes(self):
+        # An oracle true on f alone: neither part of the strip of X2 passes.
+        f = X1 + X1 * X2
+        with pytest.raises(OracleFailed, match="no candidate passed the oracle during strip of X2"):
+            reduce_to_multilinear(f, lambda p: p == f)
+
+    def test_polarization_fails_oracle(self):
+        # An oracle true on X1^2 alone: its polarization X1*X2 + X2*X1 fails.
+        f = X1 * X1
+        with pytest.raises(OracleFailed, match="polarization of X1 produced an oracle-false polynomial"):
+            reduce_to_multilinear(f, lambda p: p == f)
+
     def test_gap_variables_are_renumbered(self):
         f = X1 * X3  # X2 never occurs
         red = reduce_to_multilinear(f, nonzero_oracle)
@@ -272,6 +284,6 @@ class TestReduce:
             assert red.output.is_multilinear()
             assert oracle(red.output)
             for step in red.steps:
-                after = classify_span(step.after, 2, cfg).basis
-                before = classify_span(step.before, 2, cfg).basis
-                assert after.is_subspace_of(before)
+                after = classify_span(step.after, 2, cfg).classification
+                before = classify_span(step.before, 2, cfg).classification
+                assert after.lies_in(before, 2)

@@ -83,6 +83,18 @@ class TestArithmetic:
         assert 3 * X1 == X1.scale(3)
         assert Fraction(1, 2) * (2 * X1) == X1
 
+    def test_scalar_minus_poly(self):
+        assert 1 - X1 == NcPoly.one() - X1
+        assert Fraction(1, 2) - X1 == NcPoly.constant(Fraction(1, 2)) + (-X1)
+
+    def test_other_operands_are_not_implemented(self):
+        # Each operator returns NotImplemented for a str, so Python raises
+        # TypeError, and == falls back to identity.
+        for op in (lambda f: f + "a", lambda f: "a" + f, lambda f: f - "a", lambda f: f * "a", lambda f: "a" * f):
+            with pytest.raises(TypeError):
+                op(X1)
+        assert (X1 == "a") is False and (X1 != "a") is True
+
     def test_pow(self):
         assert X1 ** 0 == NcPoly.one()
         assert X1 ** 3 == NcPoly.monomial((1, 1, 1))

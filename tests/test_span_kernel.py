@@ -51,6 +51,7 @@ from helpers import (
     reference_report_doc,
     reference_rref_insert,
     reference_shear_closure,
+    row_matrices,
     standard_polynomial,
 )
 from ncspan import (
@@ -1109,7 +1110,7 @@ class TestSampledSpan:
         f = parse_poly(text)
         for d in (1, 2, 3):
             report = classify_span(f, d, SampleConfig(seed=7))
-            members = report.basis.row_matrices()
+            members = row_matrices(report.basis)
             target = sum(members[1:], members[0]) if members else MatrixQ.zero(d)
             terms = decompose_target(report, target)
             assert built == ["_matrices"] * len(report.grown), (text, d)
