@@ -18,7 +18,10 @@ solves all run through one routine, fraction_free_rref, over integer rows.
 It runs forward Bareiss elimination below each pivot, then builds det * RREF
 by exact back substitution from the last pivot row up; every quotient is a
 minor of the input, so no division leaves a remainder and no Fraction is
-formed.
+formed.  Rows reach it through _cleared, which scales them by the lcm of
+their entries' denominators; rows of ints alone (sampled values, a span
+report's grown rows, integer targets) enter as they stand, copied, with
+scale 1.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
@@ -36,6 +39,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 Num = Union[int, Fraction]
@@ -330,7 +334,12 @@ class SpanBasis:
         mats = list(mats)
         if any(m.dim != dim for m in mats):
             raise DimensionMismatch(f"matrices must be {dim}x{dim}")
-        rows = _cleared(m.flatten() for m in mats)[1]
+        return SpanBasis._reduced(dim, [m.flatten() for m in mats])
+
+    @staticmethod
+    def _reduced(dim: int, vectors: list[Sequence[Num]]) -> SpanBasis:
+        """The reduced basis of the span of flattened vectors of M_dim."""
+        rows = _cleared(vectors)[1]
         pivots, det = fraction_free_rref(rows)
         rows = tuple(tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])
         return SpanBasis(dim, rows, tuple(pivots))
@@ -341,11 +350,10 @@ class SpanBasis:
 
     def insert(self, m: MatrixQ) -> tuple[SpanBasis, bool]:
         """(basis, grew): self if m is inside, else the span of the rows and m
-        rebuilt by from_matrices; grew is True iff the rank increased."""
+        rebuilt as from_matrices builds one; grew is True iff the rank increased."""
         if self.contains(m):
             return self, False
-        rows = (MatrixQ.unflatten(row, self.dim) for row in self.rows)
-        return SpanBasis.from_matrices(self.dim, [*rows, m]), True
+        return SpanBasis._reduced(self.dim, [*self.rows, m.flatten()]), True
 
     def contains(self, m: MatrixQ) -> bool:
         """Exact membership by one dense reduction of m, flattened, by the rows.
@@ -468,8 +476,13 @@ class EchelonModP:
 # ---------------------------------------------------------------------------
 
 def _cleared(rows: Iterable[Sequence[Num]]) -> tuple[int, list[list[int]]]:
-    """(L, L * rows) for L the lcm of the entries' denominators."""
+    """(L, L * rows) as new lists, for L the lcm of the entries' denominators.
+    The integer rule: rows whose entries are all ints (one type scan at C
+    level) are copied with L = 1 and no lcm pass; a Fraction (or a bool)
+    anywhere takes the lcm pass.  The input rows are never modified."""
     rows = [list(row) for row in rows]
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return 1, rows
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
@@ -538,10 +551,11 @@ def express_in_terms(
     """Solve sum_j lam_j * vectors[j] = target exactly.
 
     Returns one solution (free coordinates set to zero), or None when the
-    target is outside the span of the vectors.
+    target is outside the span of the vectors.  The vectors and the target
+    must have one length (ValueError otherwise).
     """
     k = len(vectors)
-    _, aug = _cleared([*(v[r] for v in vectors), target[r]] for r in range(len(target)))
+    _, aug = _cleared(zip(*vectors, target, strict=True))
     pivots, det = fraction_free_rref(aug)
     if k in pivots:
         return None
@@ -578,7 +592,7 @@ def vandermonde_extract(
         raise DimensionMismatch("value matrices have differing dimensions")
     # Row j is [1, lam_j, ..., lam_j^(k-1) | values[j]]; it reduces to [e_j | c_j].
     _, rows = _cleared(
-        [Fraction(lam) ** i for i in range(k)] + list(v.flatten())
+        [lam**i for i in range(k)] + list(v.flatten())
         for lam, v in zip(lambdas, values)
     )
     _, det = fraction_free_rref(rows)

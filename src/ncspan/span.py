@@ -837,11 +837,13 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     solve (express_in_terms) of the d^2 x (k + 1) system [grown rows
     L * f(t_j) | target], in integers until the solution mu: forward
     Bareiss elimination, then back substitution on the free columns only
-    (the target's and those of dependent witnesses).  Scaling every column
-    by L moves no pivot, so lam_j = L * mu_j.  The solve succeeds when the
-    grown values span the class (the shear closure reaches its rank); a
-    budget can cut the rows short of a class the degree decides, and then
-    a target the witnesses do not span raises NotInSpan, naming the budget.
+    (the target's and those of dependent witnesses).  The grown rows are
+    ints, so an integer target enters as it stands, with no clearing pass.
+    Scaling every column by L moves no pivot, so lam_j = L * mu_j, a
+    product formed only when L != 1.  The solve succeeds when the grown
+    values span the class (the shear closure reaches its rank); a budget
+    can cut the rows short of a class the degree decides, and then a
+    target the witnesses do not span raises NotInSpan, naming the budget.
     """
     d = report.dim
     if target.dim != d:
@@ -866,4 +868,6 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
             f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
             f" before the witnesses spanned the target ({len(report.grown)} witnesses for rank {report.rank})"
         )
-    return [(lam * report.scale, args) for lam, args in zip(sol, report._inputs) if lam]
+    if report.scale != 1:
+        sol = [lam * report.scale for lam in sol]
+    return [(lam, args) for lam, args in zip(sol, report._inputs) if lam]

@@ -327,20 +327,35 @@ class TestKernel:
         assert express_in_terms(vecs, (0, 0, 0, 1)) is None
 
     def test_express_in_terms_against_reference(self):
-        rng = random.Random(80)
-        for _ in range(300):
-            k, n = rng.randint(0, 5), rng.randint(0, 7)
-            vecs = [
-                [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) * rng.randint(0, 1)
-                 for _ in range(n)]
-                for _ in range(k)
-            ]
-            if vecs and rng.random() < 0.7:
-                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in vecs]
-                target = [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)]
-            else:
-                target = [rng.randint(-2, 2) for _ in range(n)]
-            assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target)
+        # Four kinds of input: Fraction entries throughout; plain ints with
+        # an int target, which _cleared takes by its integer rule; int
+        # vectors with a Fraction target; one Fraction column among int ones.
+        def frac(low, high, denominators):
+            return Fraction(rng.randint(low, high), rng.choice(denominators))
+
+        for kind in ("fraction", "int", "fraction-target", "fraction-column"):
+            rng = random.Random(80)
+            for _ in range(300):
+                k, n = rng.randint(0, 5), rng.randint(0, 7)
+                if kind == "fraction":
+                    vecs = [[frac(-4, 4, (1, 2, 3)) * rng.randint(0, 1) for _ in range(n)] for _ in range(k)]
+                else:
+                    vecs = [[rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(n)] for _ in range(k)]
+                if kind == "fraction-column" and vecs:
+                    vecs[rng.randrange(k)] = [frac(-4, 4, (1, 2, 3)) for _ in range(n)]
+                if vecs and rng.random() < 0.7:
+                    if kind == "int":
+                        coeffs = [rng.randint(-3, 3) for _ in vecs]
+                    else:
+                        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in vecs]
+                    target = [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)]
+                else:
+                    target = [rng.randint(-2, 2) for _ in range(n)]
+                if kind == "fraction-target":
+                    target = [frac(-2, 2, (1, 2, 3)) for _ in range(n)] if rng.random() < 0.3 else list(map(Fraction, target))
+                if kind == "int":
+                    assert {type(x) for v in [*vecs, target] for x in v} <= {int}
+                assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target), kind
 
     def test_reference_solves_all_targets_as_one_at_a_time(self):
         # The old one-target Gauss-Jordan, kept here: the shared solve

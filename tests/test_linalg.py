@@ -522,3 +522,29 @@ class TestExpressInTerms:
     def test_inconsistent_system(self):
         vecs = [E(0, 0).flatten()]
         assert express_in_terms(vecs, E(1, 1).flatten()) is None
+
+    @pytest.mark.parametrize("vecs", [[(1, 2)], [(1, 2, 3, 4)], [(1, 2, 3), (1, 2)]], ids=["short", "long", "ragged"])
+    def test_length_mismatch(self, vecs):
+        # Each row of the system is one entry of every vector and the target.
+        with pytest.raises(ValueError):
+            express_in_terms(vecs, (1, 2, 3))
+
+
+@pytest.mark.parametrize("entry", [int, lambda x: Fraction(x, 3)], ids=["int", "fraction"])
+def test_solvers_leave_list_inputs_unmodified(entry):
+    # fraction_free_rref reduces its rows in place, so _cleared hands it
+    # copies: on the integer rule as on the lcm pass.
+    rng = random.Random(22)
+    vecs = [[entry(rng.randint(-5, 5)) for _ in range(4)] for _ in range(3)]
+    target = [sum(v[i] for v in vecs) for i in range(4)]
+    mats = [MatrixQ.unflatten(v, 2) for v in vecs]
+    nodes = [entry(lam) for lam in (0, 1, 2)]
+    inputs = (vecs, target, mats, nodes)
+    before = copy.deepcopy(inputs)
+    assert express_in_terms(vecs, target) is not None
+    SpanBasis.from_matrices(2, mats)
+    vandermonde_extract(nodes, mats)
+    assert inputs == before
+    scale, rows = linalg._cleared(vecs)
+    assert (scale, rows) == ((1, vecs) if entry is int else (3, [[3 * x for x in v] for v in vecs]))
+    assert not any(row is v for row, v in zip(rows, vecs))
