@@ -31,7 +31,8 @@ that the rows' traces and trace-free parts share are divided out (see
 _shear_closure).  suite reads the class alone (_class_of): by the
 degree where it decides it, else from classify_span, and prints no
 witness; classify writes each one as text straight from the integer rows,
-and decompose solves on the integer rows and returns the witness tuples.
+and decompose solves on the integer rows, less one unit column and one
+equation per kept pair of opposite shears, and returns the witness tuples.
 
 Every sampled verdict reads one seeded stream of integer entries, the
 values randint(-B, B) gives one by one (see _samples): the classifier
@@ -153,6 +154,7 @@ class StopReason(Enum):
 
 
 Row = tuple[tuple[int, ...], tuple[int, ...]]
+Label = tuple[int, int, int, int] | None
 
 
 @dataclass(frozen=True)
@@ -163,9 +165,12 @@ class SpanReport:
     rows (entries, L * f(t)), the one or two samples that raised the class,
     come from the sampling loop run by classify_span.  grown holds the
     rows' shear closure, whose values span the class unless a budget cut
-    the rows short of it, and witness k is t_k and grown[k][1] / L.  The
-    report holds no basis: the class answers rank and membership in closed
-    form, and basis, grown and the witnesses are built when first read.
+    the rows short of it, and witness k is t_k and grown[k][1] / L.  Beside
+    it, _closure keeps each grown row's label: None for a seed, and
+    (parent, i, j, s) for the conjugate of grown[parent] by I + s * E_ij
+    (see _walk).  The report holds no basis: the class answers rank and
+    membership in closed form, and basis, grown, the labels and the
+    witnesses are built when first read.
     """
 
     poly: NcPoly
@@ -189,9 +194,14 @@ class SpanReport:
         return self.classification.rank(self.dim)
 
     @functools.cached_property
-    def grown(self) -> tuple[Row, ...]:
-        """The shear closure of the rows (see _shear_closure), built once, when first read."""
+    def _closure(self) -> tuple[tuple[Row, ...], tuple[Label, ...]]:
+        """The shear closure of the rows and their labels (see _shear_closure), built once, when first read."""
         return _shear_closure(self.rows, self.dim, self.rank)
+
+    @property
+    def grown(self) -> tuple[Row, ...]:
+        """The rows of the shear closure."""
+        return self._closure[0]
 
     @functools.cached_property
     def _inputs(self) -> tuple[tuple[MatrixQ, ...], ...]:
@@ -666,9 +676,13 @@ def classify_span(
     return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, f.integer_form()[0], tuple(rows))
 
 
-def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, ...]], bool]) -> list[Row]:
+def _walk(
+    seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, ...]], bool]
+) -> tuple[list[Row], list[Label]]:
     """Rows kept breadth-first: each seed, then each shear conjugate of each
-    kept row in turn, kept when grows(its value) says so, until rank are.
+    kept row in turn, kept when grows(its value) says so, until rank are;
+    and each kept row's label, None for a seed and (parent, i, j, s) for
+    the conjugate of kept row number parent by I + s * E_ij.
 
     The conjugate of (entries, L * f(t)) by T = I + s * E_ij, s = +-1, is
     the tuple T^-1 t T, whose value is T^-1 L f(t) T: _conjugate on each
@@ -680,7 +694,8 @@ def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, .
     for row in seeds:
         if len(kept) < rank and grows(row[1]):
             kept.append(row)
-    for entries, vec in kept:  # kept grows as it is walked: breadth first
+    labels: list[Label] = [None] * len(kept)
+    for parent, (entries, vec) in enumerate(kept):  # kept grows as it is walked: breadth first
         if len(kept) == rank:
             break
         mats = [[list(v[k : k + d]) for k in range(m, m + n, d)] for v in (vec, entries) for m in range(0, len(v), n)]
@@ -691,17 +706,19 @@ def _walk(seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, .
             new = tuple(itertools.chain.from_iterable(value))
             if grows(new):
                 kept.append((tuple(itertools.chain(*itertools.chain(*tup))), new))
+                labels.append((parent, i, j, s))
             for m in mats:
                 _conjugate(m, i, j, -s)
             if len(kept) == rank:
                 break
-    return kept
+    return kept, labels
 
 
-def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
+def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[tuple[Row, ...], tuple[Label, ...]]:
     """rank rows (entries, L * f(t)) whose values span the class of rank
-    rank, grown from the rows that raised it by shear conjugation: no
-    evaluation of f, an O(d^2) integer update per candidate.
+    rank, grown from the rows that raised it by shear conjugation, and
+    their labels (see _walk): no evaluation of f, an O(d^2) integer update
+    per candidate.
 
     Why it ends at the rank: let W be the span of the kept values once
     every kept row's conjugates lie in it.  For T = I + s * E_ij the
@@ -749,7 +766,7 @@ def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[Row, ...]:
             psi[:: d + 1] = [(d * x - t) // h + t // g for x in vec[:: d + 1]]
             return insert(psi)
 
-    return tuple(_walk(seeds, d, rank, grows))
+    return tuple(map(tuple, _walk(seeds, d, rank, grows)))
 
 
 def find_witness_dimension(
@@ -833,17 +850,22 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     invertible case f = c * X_i, where the preimage tuple is written down
     outright.  Raises NotInSpan when the target lies outside the class, by
     the closed-form membership test (see Classification), before any solve
-    and with no basis built.  Otherwise each call is one fraction-free
-    solve (express_in_terms) of the d^2 x (k + 1) system [grown rows
-    L * f(t_j) | target], in integers until the solution mu: forward
-    Bareiss elimination, then back substitution on the free columns only
-    (the target's and those of dependent witnesses).  The grown rows are
-    ints, so an integer target enters as it stands, with no clearing pass.
-    Scaling every column by L moves no pivot, so lam_j = L * mu_j, a
-    product formed only when L != 1.  The solve succeeds when the grown
-    values span the class (the shear closure reaches its rank); a budget
-    can cut the rows short of a class the degree decides, and then a
-    target the witnesses do not span raises NotInSpan, naming the budget.
+    and with no basis built.  Otherwise the columns are the grown rows
+    L * f(t_j), and two consecutive ones labelled (p, i, j, +-1), the
+    conjugates c+ and c- of column p by I +- E_ij, become c+ - c- and
+    2 * c_p - c+ - c- = 2 * (c_p)_ji * E_ij (see _conjugate): a unit
+    column, whose unknown and equation (i, j) leave the system with no
+    fill-in.  The rest, about d^2 / 2 rows, is one fraction-free solve
+    (express_in_terms); each unit unknown is read off its own equation, and
+    lam+ = mu_A - mu_B, lam- = -mu_A - mu_B, lam_p += 2 * mu_B map the
+    solution back, on integer numerators over one denominator, times L.
+    lam is unchanged: every grown row grew an echelon mod p, which
+    certifies growth over Q (see EchelonModP), so the grown values, and the
+    changed columns, are independent, and lam is unique; the reduced system
+    is consistent exactly when the whole one is.  It is when the grown
+    values span the class; a budget can cut the rows short of a class the
+    degree decides, and then a target they do not span raises NotInSpan,
+    naming the budget.
     """
     d = report.dim
     if target.dim != d:
@@ -862,12 +884,27 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     vec = target.flatten()
     if not report.classification.contains(vec, d):
         raise NotInSpan("target is outside the sampled span")
-    sol = express_in_terms([row for _, row in report.grown], vec)
-    if sol is None:
+    (rows, labels), (scale, (t,)) = report._closure, _cleared([vec])
+    pairs = [(b, *lb) for b, lb in enumerate(labels) if lb and lb[3] < 0 and labels[b - 1] == (*lb[:3], 1)]
+    cols, units = [v for _, v in rows], {}  # units: pair column b -> (its equation, its entry there)
+    for b, p, i, j, _ in pairs:
+        cols[b - 1] = [x - y for x, y in zip(rows[b - 1][1], rows[b][1])]
+        units[b] = (i * d + j, 2 * rows[p][1][j * d + i])
+    drop = {r for r, _ in units.values()}
+    free, eqs = [k for k in range(len(cols)) if k not in units], [r for r in range(d * d) if r not in drop]
+    mu = express_in_terms([[cols[k][r] for r in eqs] for k in free], [t[r] for r in eqs])
+    if mu is None:
         raise NotInSpan(
             f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
-            f" before the witnesses spanned the target ({len(report.grown)} witnesses for rank {report.rank})"
+            f" before the witnesses spanned the target ({len(rows)} witnesses for rank {report.rank})"
         )
-    if report.scale != 1:
-        sol = [lam * report.scale for lam in sol]
-    return [(lam, args) for lam, args in zip(sol, report._inputs) if lam]
+    # Integer numerators over den, which clears every mu and every unit entry e.
+    den, lam = math.lcm(*(m.denominator for m in mu)) * math.lcm(*(e for _, e in units.values())), [0] * len(cols)
+    for k, m in zip(free, mu):
+        lam[k] = m.numerator * (den // m.denominator)
+    for b, (r, e) in units.items():
+        lam[b] = (t[r] * den - sum(lam[k] * cols[k][r] for k in free)) // e
+    for b, p, *_ in pairs:
+        lam[p] += 2 * lam[b]
+        lam[b - 1], lam[b] = lam[b - 1] - lam[b], -lam[b - 1] - lam[b]
+    return [(Fraction(report.scale * x, den * scale), args) for x, args in zip(lam, report._inputs) if x]

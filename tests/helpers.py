@@ -19,6 +19,7 @@ from ncspan import (
     MatrixQ,
     MissingAssignment,
     NcPoly,
+    NotInSpan,
     SampleConfig,
     SpanBasis,
     StopReason,
@@ -30,7 +31,7 @@ from ncspan import (
     zero_diagonal_conjugate,
 )
 from ncspan.cli import _doc, _exclusion_flags
-from ncspan.linalg import EchelonModP
+from ncspan.linalg import EchelonModP, express_in_terms
 from ncspan.text import (
     _MAX_DEGREE,
     _MAX_EXPONENT,
@@ -723,7 +724,7 @@ class EagerReport:
 
     @functools.cached_property
     def grown(self) -> tuple:
-        return span._shear_closure(self.rows, self.dim, self.classification.rank(self.dim))
+        return span._shear_closure(self.rows, self.dim, self.classification.rank(self.dim))[0]
 
 
 def reference_eager_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> EagerReport:
@@ -976,8 +977,40 @@ class EchelonQ:
 
 
 def reference_shear_closure(seeds, d: int, rank: int) -> tuple:
-    """span._shear_closure's walk with every growth decided exactly over Q."""
-    return tuple(span._walk(seeds, d, rank, EchelonQ().insert))
+    """span._shear_closure's walk with every growth decided exactly over Q:
+    (kept rows, their labels)."""
+    return tuple(map(tuple, span._walk(seeds, d, rank, EchelonQ().insert)))
+
+
+def unit_pairs(report) -> list[int]:
+    """The indices b of the grown rows labelled (p, i, j, -1) right after a
+    row labelled (p, i, j, +1): the unit columns decompose_target removes."""
+    labels = report._closure[1]
+    return [b for b, lb in enumerate(labels) if lb and lb[3] < 0 and labels[b - 1] == (*lb[:3], 1)]
+
+
+def reference_decompose(report, target: MatrixQ) -> list:
+    """decompose_target as one solve of the whole d^2 x (k + 1) system
+    [grown rows L * f(t_j) | target], then lambda = L * mu: the path the
+    pair reduction replaced, with its NotInSpan verdicts and messages."""
+    d, f = report.dim, report.poly
+    if target.dim != d:
+        raise DimensionMismatch(f"target is {target.dim}x{target.dim}, expected {d}")
+    if len(f) == 1:
+        ((word, coeff),) = f.terms.items()
+        if len(word) == 1:
+            scaled = target.scale(Fraction(1) / coeff)
+            return [(Fraction(1), tuple(scaled if v == word[0] else MatrixQ.zero(d) for v in range(1, f.nvars + 1)))]
+    vec = target.flatten()
+    if not report.classification.contains(vec, d):
+        raise NotInSpan("target is outside the sampled span")
+    sol = express_in_terms([row for _, row in report.grown], vec)
+    if sol is None:
+        raise NotInSpan(
+            f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
+            f" before the witnesses spanned the target ({len(report.grown)} witnesses for rank {report.rank})"
+        )
+    return [(lam * report.scale, args) for lam, args in zip(sol, report._inputs) if lam]
 
 
 def reference_residual(basis: SpanBasis, m: MatrixQ) -> list:

@@ -1,9 +1,11 @@
 """Decomposition through the fraction-free elimination kernel.
 
 decompose_target solves each target with the fraction-free
-express_in_terms; these tests require the same lambda lists, element by
-element, as the Fraction Gauss-Jordan solve kept in helpers, and the same
-NotInSpan verdicts.  The kernel units pin fraction_free_rref (also on
+express_in_terms, on the system left once each kept shear pair is a unit
+column; these tests require the same lambda lists, element by element, as
+the Fraction Gauss-Jordan solve kept in helpers and as the whole-system
+solve it replaced (helpers.reference_decompose), and the same NotInSpan
+verdicts.  The kernel units pin fraction_free_rref (also on
 [m | I], cleared of denominators, against a Fraction inverse) and
 express_in_terms against their Fraction references, and
 the two-phase fraction_free_rref against the one-sweep Gauss-Jordan it
@@ -11,6 +13,7 @@ replaced (identical pivots, det and rows).
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,8 +27,10 @@ from helpers import (
     reference_fraction_free_rref,
     reference_classify_span,
     reference_inverse,
+    reference_decompose,
     reference_rref_insert,
     row_matrices,
+    unit_pairs,
 )
 from ncspan import (
     Classification,
@@ -210,8 +215,81 @@ class TestHandBuiltReports:
             for target in (e11, e12, eye.scale(Fraction(5, 3))):
                 got = outcome(decompose_target, report, target)
                 assert got == reference_outcomes(report, [target])[0]
+                assert exact_outcome(decompose_target, report, target) == exact_outcome(reference_decompose, report, target)
             got = outcome(decompose_target, report, e11)
             assert type(got) is want or got[0] == want
+
+
+def exact_outcome(decompose, report, target):
+    """decompose(report, target), or the class and message of its NotInSpan."""
+    try:
+        return decompose(report, target)
+    except NotInSpan as exc:
+        return (type(exc), str(exc))
+
+
+def assert_as_whole_system(report, chosen):
+    """decompose_target's lambda lists, element by element, and NotInSpan
+    verdicts against the one solve of the whole system (reference_decompose);
+    returns how many targets were decomposed."""
+    solved = 0
+    for target in chosen:
+        got = exact_outcome(decompose_target, report, target)
+        assert got == exact_outcome(reference_decompose, report, target), (report.poly, report.dim, target)
+        if isinstance(got, list):
+            assert all(type(lam) is Fraction for lam, _ in got)
+            solved += 1
+    return solved
+
+
+class TestPairReduction:
+    """The reduced system (each kept shear pair a unit column) against the
+    whole system it replaced, on reports with many pairs and with none."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_battery(self, d):
+        rng = random.Random(5050 + d)
+        units = 0
+        for k in range(12 if d < 5 else 5):
+            report = classify_span(battery_poly(rng), d, SampleConfig(seed=k))
+            units += len(unit_pairs(report))
+            assert_as_whole_system(report, targets(rng, report, 2))
+        assert units > 0
+
+    def test_rational_polynomials(self):
+        rng = random.Random(5057)
+        scales = set()
+        for d in (2, 3, 4, 5):
+            for k in range(6):
+                f = battery_poly(rng).scale(Fraction(rng.choice((1, -2, 5)), rng.choice((3, 4, 7))))
+                report = classify_span(f, d, SampleConfig(seed=k))
+                scales.add(report.scale)
+                assert assert_as_whole_system(report, targets(rng, report, 2)) >= 2
+        assert {3, 4, 7} <= scales
+
+    @pytest.mark.parametrize("text, d", (("P*[X1,X2]", 8), ("[X1,X2] + P", 6), ("P*X1 + 1", 6)))
+    def test_multiples_of_p(self, text, d):
+        # Values whose parts carry powers of p: the walk grows them mod p
+        # through psi (see span._shear_closure), and the pairs stay exact.
+        report = classify_span(parse_poly(text.replace("P", "2147483647")), d, SampleConfig(seed=0))
+        assert len(report.grown) == report.rank and unit_pairs(report)
+        assert assert_as_whole_system(report, targets(random.Random(d), report, 1)) >= 2
+
+    def test_budget_cut_reports(self):
+        # A class the degree decides, with fewer grown rows than its rank:
+        # the reduced system is consistent exactly when the whole one is.
+        rng = random.Random(5058)
+        cut = solved = refused = 0
+        for f, d, seed in itertools.product(map(parse_poly, ("X1*X1", "X1*X2", "X1*X2*X1", "[X1,X2]*X1")), (2, 3, 4), range(8)):
+            report = classify_span(f, d, SampleConfig(seed=seed, max_samples=1, coeff_bound=1))
+            if len(report.grown) >= report.rank:
+                continue
+            cut += 1
+            chosen = targets(rng, report, 2)
+            n = assert_as_whole_system(report, chosen)
+            solved += n
+            refused += sum(report.basis.contains(t) for t in chosen) - n
+        assert cut > 5 and solved > 0 and refused > 0
 
 
 def bareiss_inverse(rows):
@@ -488,10 +566,13 @@ class TestTwoPhaseAgainstGaussJordan:
         # Each system decompose_target hands to the kernel is also reduced
         # by the Gauss-Jordan reference; in-span targets go through
         # decompose_target, nonzero-trace ones straight to express_in_terms.
-        solves = []
+        # A decompose solve drops one row and one column per unit column
+        # (see decompose_target), counted from the report's labels; the
+        # direct express_in_terms calls solve the whole system.
+        solves, want = [], []
 
         def checked(rows):
-            solves.append(len(rows))
+            solves.append((len(rows), len(rows[0])))
             same_as_gauss_jordan(rows)
             return fraction_free_rref(rows)
 
@@ -501,6 +582,9 @@ class TestTwoPhaseAgainstGaussJordan:
             report = classify_span(parse_poly(text), d, SampleConfig(seed=7919))
             vectors = [value.flatten() for _, value in report.witnesses]
             trace_zero = report.classification is Classification.TRACE_ZERO
+            u, k = len(unit_pairs(report)), len(report.grown)
+            assert u > 0
+            want += [(d * d - u, k - u + 1), (d * d, k + 1)] * 3
             for k in range(3):
                 target = MatrixQ.zero(d)
                 for _, value in report.witnesses:
@@ -508,4 +592,4 @@ class TestTwoPhaseAgainstGaussJordan:
                 assert decompose_target(report, target)
                 off = MatrixQ.diagonal([k + 1] + [0] * (d - 1))
                 assert (express_in_terms(vectors, (target + off).flatten()) is None) == trace_zero
-        assert solves == [d * d] * 18
+        assert len(solves) == 18 and solves == want

@@ -331,7 +331,8 @@ class TestLieIdealStop:
         f = parse_poly(text)
         report = classify_span(f, d, SampleConfig(seed=seed))
         canonical = SpanBasis.canonical(d, report.classification)
-        assert len(span._walk(report.rows, d, canonical.rank, EchelonModP().insert)) == kept_mod_p < canonical.rank
+        kept, labels = span._walk(report.rows, d, canonical.rank, EchelonModP().insert)
+        assert len(kept) == len(labels) == kept_mod_p < canonical.rank
         assert len(report.grown) == canonical.rank
         for args, value in report.witnesses:
             assert reference_evaluate(f, args, d) == value
@@ -348,8 +349,40 @@ class TestLieIdealStop:
                     report = classify_span(f, d, SampleConfig(seed=seed))
                     rank = SpanBasis.canonical(d, report.classification).rank
                     where = f"{text} at d={d}, seed {seed}"
-                    assert report.grown == reference_shear_closure(report.rows, d, rank), where
+                    assert report._closure == reference_shear_closure(report.rows, d, rank), where
                     assert len(report.grown) == rank, where
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_labels_replay_the_walk(self, d):
+        # Each kept row labelled (p, i, j, s) is _conjugate by (i, j, s) of
+        # row p's input matrices and value, p an earlier row; seeds, the
+        # rows that raised the class, are labelled None.  Entries in
+        # {-1, 0, 1} give sparse values, whose walks go past the first row.
+        rng = random.Random(4040 + d)
+        cases = [(battery_poly(rng), SampleConfig(seed=k)) for k in range(8 if d < 7 else 3)]
+        cases += [(parse_poly("X1*X1"), SampleConfig(seed=k, coeff_bound=1)) for k in range(6)]
+        texts = ("P*[X1,X2]", "[X1,X2] + P", "P*X1 + 1", "P*X1*X2")
+        cases += [(parse_poly(t.replace("P", str(PRIME))), SampleConfig(seed=0)) for t in texts]
+        paired = deepest = 0
+        for f, cfg in cases:
+            report = classify_span(f, d, cfg)
+            (rows, labels), n = report._closure, d * d
+            where = f"{poly_to_text(f)} at d={d}, {cfg}"
+            assert len(labels) == len(rows) == report.rank, where
+            for b, ((entries, vec), label) in enumerate(zip(rows, labels)):
+                if label is None:
+                    assert (entries, vec) in report.rows, where
+                    continue
+                p, i, j, s = label
+                assert 0 <= p < b and s in (1, -1) and i != j, where
+                deepest = max(deepest, p)
+                mats = [[list(v[k : k + d]) for k in range(m, m + n, d)] for v in rows[p][::-1] for m in range(0, len(v), n)]
+                for m in mats:
+                    span._conjugate(m, i, j, s)
+                flat = [tuple(x for r in m for x in r) for m in mats]
+                assert (tuple(itertools.chain(*flat[1:])), flat[0]) == (entries, vec), where
+            paired += len(helpers.unit_pairs(report))
+        assert paired > 0 and (deepest > 0 or d > 5)
 
 
 class TestProofStop:

@@ -70,3 +70,28 @@ def test_lie_ideal_check_shows_contains(tracer_module):
         assert ncspan.lie_ideal_check(ncspan.SpanBasis.canonical(3, ncspan.Classification.TRACE_ZERO))
     assert tracer.calls["span.lie_ideal_check"] == 1
     assert tracer.calls["linalg.SpanBasis.contains"] == 32
+
+
+def test_decompose_solves_once_per_target(tracer_module):
+    # decompose_target hands each in-span target's system to express_in_terms,
+    # once, so the benchmark's linalg.express_in_terms layer reads every solve;
+    # a target outside the class and the c * X_i preimage solve nothing.
+    cfg = ncspan.SampleConfig(seed=0)
+    tracer = tracer_module.Tracer()
+    calls = outside = 0
+    with tracer.installed():
+        for text, d in (("[X1,X2]", 2), ("[X1,X2]", 5), ("X1*X2", 4), ("3/2*X1*X1*X2 + [X2,X1]", 3)):
+            report = ncspan.classify_span(ncspan.parse_poly(text), d, cfg)
+            for _, value in report.witnesses:
+                assert ncspan.decompose_target(report, value.scale(3))
+                calls += 1
+                assert tracer.calls["linalg.express_in_terms"] == calls
+            if report.classification is ncspan.Classification.TRACE_ZERO:
+                with pytest.raises(ncspan.NotInSpan):
+                    ncspan.decompose_target(report, ncspan.MatrixQ.identity(d))
+                outside += 1
+        report = ncspan.classify_span(ncspan.parse_poly("3*X2"), 2, cfg)
+        assert ncspan.decompose_target(report, ncspan.MatrixQ.identity(2))
+    assert outside == 2 and calls == 3 + 24 + 16 + 9
+    assert tracer.calls["span.decompose_target"] == calls + outside + 1
+    assert tracer.calls["linalg.express_in_terms"] == calls
