@@ -24,12 +24,13 @@ report's grown rows, integer targets) enter as they stand, copied, with
 scale 1.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
-fixed Mersenne prime p = 2^31 - 1, with each row packed into one int.  That
-rank is a lower bound on the rank over Q, so a growth it reports is exact;
-the span classifier uses it only to keep independent shear conjugates as
-the witnesses of a class (see span._shear_closure), on values first
-divided by the powers of p that their trace-free parts and traces share,
-so that the walk mod p reaches the class's rank.
+fixed Mersenne prime p = 2^31 - 1, with each row packed into one int and
+unit vectors kept as a mask of slots.  That rank is a lower bound on the
+rank over Q, so a growth it reports is exact; the span classifier uses it
+only to keep independent shear conjugates as the witnesses of a class
+(see span._shear_closure), on values first divided by the powers of p
+that their trace-free parts and traces share, so that the walk mod p
+reaches the class's rank.
 """
 
 from __future__ import annotations
@@ -172,17 +173,13 @@ class MatrixQ:
     @staticmethod
     def diagonal(entries: Sequence[Num]) -> MatrixQ:
         d = len(entries)
-        return MatrixQ(
-            [[entries[i] if i == j else 0 for j in range(d)] for i in range(d)]
-        )
+        return MatrixQ([[entries[i] if i == j else 0 for j in range(d)] for i in range(d)])
 
     @staticmethod
     def unit(d: int, j: int, k: int) -> MatrixQ:
         """Matrix unit E_jk: 1 in row j, column k (0-based), 0 elsewhere."""
         _check_unit(check_dimension(d), j, k)
-        return MatrixQ(
-            [[1 if (r, c) == (j, k) else 0 for c in range(d)] for r in range(d)]
-        )
+        return MatrixQ([[1 if (r, c) == (j, k) else 0 for c in range(d)] for r in range(d)])
 
     @staticmethod
     def unflatten(vec: Sequence[Num], d: int) -> MatrixQ:
@@ -221,12 +218,7 @@ class MatrixQ:
 
     def __add__(self, other: MatrixQ) -> MatrixQ:
         self._check_dim(other)
-        return MatrixQ(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return MatrixQ([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: MatrixQ) -> MatrixQ:
         self._check_dim(other)
@@ -238,12 +230,7 @@ class MatrixQ:
     def __mul__(self, other: MatrixQ) -> MatrixQ:
         self._check_dim(other)
         cols = tuple(zip(*other.rows))
-        return MatrixQ(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
-            ]
-        )
+        return MatrixQ([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
 
     def scale(self, c: Num) -> MatrixQ:
         return MatrixQ([[c * x for x in row] for row in self.rows])
@@ -293,12 +280,7 @@ class SpanBasis:
     rows: tuple[Vector, ...]
     pivots: tuple[int, ...]
 
-    def __init__(
-        self,
-        dim: int,
-        rows: tuple[Vector, ...] = (),
-        pivots: tuple[int, ...] = (),
-    ):
+    def __init__(self, dim: int, rows: tuple[Vector, ...] = (), pivots: tuple[int, ...] = ()):
         """rows must be the reduced echelon form that pivots names:
         ValueError unless every row has d^2 entries, the pivots are ints
         that increase strictly in range(d^2), and each row is 0 left of
@@ -402,10 +384,12 @@ class EchelonModP:
     coprime coefficients, which stays a nontrivial relation mod p.  So the
     rank here never exceeds the rank over Q of the same vectors, and every
     growth mod p certifies a growth over Q.  The rank mod p of a set of
-    vectors does not depend on how they are eliminated.  The converse fails
-    only when p divides the minors a new vector forms with the rows
-    (span._shear_closure divides out the powers of p that would make its
-    walk meet one).
+    vectors does not depend on how they are eliminated, so each row
+    pivots on its highest nonzero slot: reading a pivot shifts out only the
+    slots above it, and a row with a low pivot is a short int.  The
+    converse fails only when p divides the minors a new vector forms with
+    the rows (span._shear_closure divides out the powers of p that would
+    make its walk meet one).
 
     Vectors and rows are packed: entry k is the k-th fixed-width slot of one
     int.  Reducing by a row reads one slot and does one big-int
@@ -415,22 +399,31 @@ class EchelonModP:
     slots are sized for p + n * p^2 when the first vector arrives, 72 bits
     for n <= 256.  Every slot is taken mod p at once by folding, since
     2^31 = 1 mod p (see _fold).
+
+    Unit vectors e_k adjoined by insert_unit are no rows but a mask of
+    slots, which a vector reduced by the rows drops in one AND: that is
+    its reduction by the units too, since a row is masked before its pivot
+    is chosen and a unit is adjoined only at a slot that is no pivot, so
+    no unit slot is ever a row's pivot.  For the same reason e_k, when
+    slot k is no pivot, is 0 at every pivot, reduces to itself and grows
+    the rank; only a pivot slot takes the ordinary reduction.
     """
 
-    __slots__ = ("rows", "pivots", "_bits", "_packer", "_ones")
+    __slots__ = ("rows", "pivots", "_units", "_bits", "_packer", "_ones", "_free")
 
     def __init__(self):
         # Row k has its pivot entry scaled to -1 (that is, p - 1) and is
-        # zero at the pivots of rows 0..k-1.  Reducing in insertion order
-        # therefore never refills an earlier pivot, and slots need reducing
-        # mod p only when read.
+        # zero at the pivots of rows 0..k-1 and at the unit slots before
+        # it.  Reducing in insertion order therefore never refills an
+        # earlier pivot, and slots need reducing mod p only when read.
         self.rows: list[int] = []
         self.pivots: list[int] = []
+        self._units = 0
         self._bits = 0
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.rows) + self._units
 
     def _fold(self, v: int) -> int:
         """v with every slot reduced into [0, p).
@@ -454,19 +447,33 @@ class EchelonModP:
             # Each residue, below 2^31, packs as an unsigned 4-byte "I".
             self._packer = struct.Struct("<" + f"I{width - 4}x" * n)
             self._ones = sum(1 << (self._bits * k) for k in range(n))
+            self._free = (1 << (self._bits * n)) - 1
+        return self._adjoin(int.from_bytes(self._packer.pack(*map(PRIME.__rmod__, vec)), "little"))
+
+    def insert_unit(self, k: int, c: int) -> bool:
+        """Adjoin c * e_k, after a first insert has fixed the length; True
+        iff the rank mod p increased."""
+        slot = ((1 << self._bits) - 1) << (self._bits * k)
+        if not c % PRIME or not self._free & slot:
+            return False
+        if k in self.pivots:
+            return self._adjoin(1 << (self._bits * k))
+        self._free ^= slot
+        self._units += 1
+        return True
+
+    def _adjoin(self, v: int) -> bool:
         bits = self._bits
         mask = (1 << bits) - 1
-        v = int.from_bytes(self._packer.pack(*map(PRIME.__rmod__, vec)), "little")
         for row, p in zip(self.rows, self.pivots):
             c = (v >> (bits * p) & mask) % PRIME
             if c:
                 v += c * row
-        v = self._fold(v)
+        v = self._fold(v & self._free)
         if not v:
             return False
-        p = ((v & -v).bit_length() - 1) // bits
-        scale = PRIME - pow(v >> (bits * p) & PRIME, -1, PRIME)
-        self.rows.append(self._fold(v * scale))
+        p = (v.bit_length() - 1) // bits
+        self.rows.append(self._fold(v * (PRIME - pow(v >> (bits * p), -1, PRIME))))
         self.pivots.append(p)
         return True
 
@@ -603,18 +610,20 @@ def vandermonde_extract(
 # Commutator decompositions
 # ---------------------------------------------------------------------------
 
-def _conjugate(rows: list[list[Num]], i: int, j: int, t: Num) -> None:
-    """rows <- T^-1 rows T in place for the shear T = I + t * E_ij, whose
-    inverse is I - t * E_ij: add t * (column i) to column j, then subtract
-    t * (row j) from row i.  Conjugating by -t undoes it."""
-    for row in rows:
-        row[j] += t * row[i]
-    rows[i] = [x - t * y for x, y in zip(rows[i], rows[j])]
+def _conjugate(m: list[Num], d: int, i: int, j: int, t: Num) -> None:
+    """m <- T^-1 m T in place for each d x d matrix stacked row-major in the
+    flat list m, a (len(m) / d) x d matrix, and the shear T = I + t * E_ij,
+    whose inverse is I - t * E_ij: add t * (column i) to column j of the
+    whole stack, then subtract t * (row j) from row i of each matrix."""
+    m[j::d] = [x + t * y for x, y in zip(m[j::d], m[i::d])]
+    for a in range(i * d, len(m), d * d):
+        b = a + (j - i) * d
+        m[a : a + d] = [x - t * y for x, y in zip(m[a : a + d], m[b : b + d])]
 
 
-def _zero_diagonal_shears(m: MatrixQ) -> tuple[list[tuple[int, int, Num]], list[list[Num]]]:
-    """(shears, rows of N): N = P^-1 m P has an all-zero diagonal, for P the
-    product in order of the shears I + t * E_ij, listed as (i, j, t).
+def _zero_diagonal_shears(m: MatrixQ) -> tuple[list[tuple[int, int, Num]], list[Num]]:
+    """(shears, N flattened): N = P^-1 m P has an all-zero diagonal, for P
+    the product in order of the shears I + t * E_ij, listed as (i, j, t).
     Conjugating by one (see _conjugate) moves t * n_ji from n_ii to n_jj
     and leaves the rest of the diagonal alone.
 
@@ -630,22 +639,22 @@ def _zero_diagonal_shears(m: MatrixQ) -> tuple[list[tuple[int, int, Num]], list[
     if m.trace():
         raise NonzeroTrace(f"trace is {m.trace()}, expected 0")
     d = m.dim
-    n = [list(row) for row in m.rows]
+    n = list(m.flatten())
     shears: list[tuple[int, int, Num]] = []
     for i in range(d - 1):
-        if not n[i][i]:
+        if not n[i * d + i]:
             continue
-        j = next((j for j in range(i + 1, d) if n[j][i]), None)
+        j = next((j for j in range(i + 1, d) if n[j * d + i]), None)
         if j is None:
             j, s = next(
                 (j, s) for j in range(i + 1, d) for s in (1, 2)
-                if s * (n[j][j] - n[i][i]) - s * s * n[i][j]
+                if s * (n[j * d + j] - n[i * d + i]) - s * s * n[i * d + j]
             )
             shears.append((j, i, s))
-            _conjugate(n, j, i, s)
-        t = Fraction(n[i][i]) / n[j][i]
+            _conjugate(n, d, j, i, s)
+        t = Fraction(n[i * d + i]) / n[j * d + i]
         shears.append((i, j, t))
-        _conjugate(n, i, j, t)
+        _conjugate(n, d, i, j, t)
     return shears, n
 
 
@@ -657,7 +666,7 @@ def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
     for i, j, t in shears:
         for row in p:
             row[j] += t * row[i]
-    return MatrixQ(p), MatrixQ(n)
+    return MatrixQ(p), MatrixQ.unflatten(n, m.dim)
 
 
 def commutator_decomposition(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
@@ -671,9 +680,8 @@ def commutator_decomposition(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
     if m.is_zero():
         return MatrixQ.zero(d), MatrixQ.zero(d)
     shears, n = _zero_diagonal_shears(m)
-    a = [[j + 1 if j == k else 0 for k in range(d)] for j in range(d)]
-    b = [[n[j][k] / Fraction(j - k) if j != k else 0 for k in range(d)] for j in range(d)]
+    ab = [j + 1 if j == k else 0 for j in range(d) for k in range(d)]
+    ab += [n[j * d + k] / Fraction(j - k) if j != k else 0 for j in range(d) for k in range(d)]
     for i, j, t in reversed(shears):
-        _conjugate(a, i, j, -t)
-        _conjugate(b, i, j, -t)
-    return MatrixQ(a), MatrixQ(b)
+        _conjugate(ab, d, i, j, -t)
+    return MatrixQ.unflatten(ab[: d * d], d), MatrixQ.unflatten(ab[d * d :], d)

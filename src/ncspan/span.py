@@ -323,9 +323,7 @@ def _compile(terms: Collection[tuple[Word, int]], d: int) -> tuple:
     return node(*path[0]), steps, sums, nvars
 
 
-def _packed_evaluator(
-    terms: Collection[tuple[Word, int]], d: int, bound: int
-) -> Callable[[Sequence[int]], list[int]]:
+def _packed_evaluator(terms: Collection[tuple[Word, int]], d: int, bound: int) -> Callable[[Sequence[int]], list[int]]:
     """ev(entries) = sum c * w(args) over (w, c) in terms, row-major.
 
     entries are the integer entries of args, row-major, X1 first; none may
@@ -387,10 +385,7 @@ def _packed_evaluator(
         data = ((total + offset) ^ offset).to_bytes(n * width, "little")
         if unpack:
             return list(unpack(data))
-        return [
-            int.from_bytes(data[k : k + width], "little", signed=True)
-            for k in range(0, n * width, width)
-        ]
+        return [int.from_bytes(data[k : k + width], "little", signed=True) for k in range(0, n * width, width)]
 
     return ev
 
@@ -418,9 +413,7 @@ def _matrices(entries: Sequence[int], d: int) -> tuple[MatrixQ, ...]:
     return tuple(map(MatrixQ, zip(*[rows] * d)))
 
 
-def evaluate(
-    f: NcPoly, args: Sequence[MatrixQ], dim: int | None = None
-) -> MatrixQ:
+def evaluate(f: NcPoly, args: Sequence[MatrixQ], dim: int | None = None) -> MatrixQ:
     """Evaluate f at a tuple of matrices (args[i-1] is the value of X_i).
 
     The constant term contributes a scalar multiple of the identity.  For a
@@ -435,9 +428,7 @@ def evaluate(
     if dim is not None:
         check_dimension(dim)
     if len(args) < f.nvars:
-        raise ArityMismatch(
-            f"polynomial uses X1..X{f.nvars} but only {len(args)} matrices given"
-        )
+        raise ArityMismatch(f"polynomial uses X1..X{f.nvars} but only {len(args)} matrices given")
     if args:
         d = args[0].dim
         for a in args:
@@ -544,9 +535,7 @@ def is_identity(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> bool:
     return not _degree_decides(f, d) and not any(map(any, _values(f, d, cfg)))
 
 
-def vanishing_rate(
-    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
-) -> tuple[Fraction, int]:
+def vanishing_rate(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> tuple[Fraction, int]:
     """(p, n): a randomized identity or central verdict errs with probability <= p ** n.
 
     Standard polynomial-vanishing estimate: a nonzero polynomial of total
@@ -584,9 +573,7 @@ def is_central(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> bool:
     return _verdicts(f, d, cfg)[1]
 
 
-def nontriviality_oracle(
-    d: int, cfg: SampleConfig = SampleConfig()
-) -> Callable[[NcPoly], bool]:
+def nontriviality_oracle(d: int, cfg: SampleConfig = SampleConfig()) -> Callable[[NcPoly], bool]:
     """Oracle for the reduction pipeline: neither identity nor central on M_d."""
     return lambda f: not any(_verdicts(f, d, cfg))
 
@@ -611,9 +598,7 @@ def _class_of(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[Classification, boo
     return report.classification, report.sum_of_commutators
 
 
-def classify_span(
-    f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()
-) -> SpanReport:
+def classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> SpanReport:
     """Sample values of f on M_d, in this call, and classify their linear span.
 
     The loop's class is the least canonical space that holds every sample:
@@ -677,16 +662,23 @@ def classify_span(
 
 
 def _walk(
-    seeds: Sequence[Row], d: int, rank: int, grows: Callable[[tuple[int, ...]], bool]
+    seeds: Sequence[Row], d: int, rank: int,
+    grows: Callable[[Sequence[int]], bool], unit: Callable[[int, int], bool],
 ) -> tuple[list[Row], list[Label]]:
     """Rows kept breadth-first: each seed, then each shear conjugate of each
-    kept row in turn, kept when grows(its value) says so, until rank are;
-    and each kept row's label, None for a seed and (parent, i, j, s) for
-    the conjugate of kept row number parent by I + s * E_ij.
+    kept row in turn, kept when it grows the span, until rank are; and each
+    kept row's label, None for a seed and (parent, i, j, s) for the
+    conjugate of kept row number parent by I + s * E_ij.
 
     The conjugate of (entries, L * f(t)) by T = I + s * E_ij, s = +-1, is
-    the tuple T^-1 t T, whose value is T^-1 L f(t) T: _conjugate on each
-    matrix, and conjugating by -s undoes it.
+    the tuple T^-1 t T, whose value is T^-1 L f(t) T: _conjugate on a copy
+    of the stack [value | X1 | X2 ...].  grows decides c+ on its value, and
+    unit decides c- with no value built: the pair changes basis to (c+, c+
+    + c- - 2p), where c+ + c- - 2p = -2 * p_ji * E_ij for the parent value
+    p (see _conjugate).  p lies in the span of what was kept, and so does
+    c+ once grows has tested it, kept or not, so c- grows exactly when
+    -2 * p_ji * E_ij does: unit(i * d + j, -2 * p_ji).  c- is built only
+    when kept.
     """
     n = d * d
     shears = [(i, j, s) for i in range(d) for j in range(d) if i != j for s in (1, -1)]
@@ -698,19 +690,17 @@ def _walk(
     for parent, (entries, vec) in enumerate(kept):  # kept grows as it is walked: breadth first
         if len(kept) == rank:
             break
-        mats = [[list(v[k : k + d]) for k in range(m, m + n, d)] for v in (vec, entries) for m in range(0, len(v), n)]
-        value, tup = mats[0], mats[1:]
+        stack = [*vec, *entries]
         for i, j, s in shears:
-            for m in mats:
-                _conjugate(m, i, j, s)
-            new = tuple(itertools.chain.from_iterable(value))
-            if grows(new):
-                kept.append((tuple(itertools.chain(*itertools.chain(*tup))), new))
+            if s < 0 and not unit(i * d + j, -2 * vec[j * d + i]):
+                continue
+            c = stack.copy()
+            _conjugate(c, d, i, j, s)
+            if s < 0 or grows(c[:n]):
+                kept.append((tuple(c[n:]), tuple(c[:n])))
                 labels.append((parent, i, j, s))
-            for m in mats:
-                _conjugate(m, i, j, -s)
-            if len(kept) == rank:
-                break
+                if len(kept) == rank:
+                    break
     return kept, labels
 
 
@@ -746,6 +736,9 @@ def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[tuple[Row, 
     reaches its rank.  Whole values divided by their p-content would not
     do: the two parts of [X1,X2] + p carry different powers of p.  When h
     = g = 1, psi is d times the identity, which changes no decision mod p.
+    The pair's unit c * E_ij (see _walk) has trace 0, so psi maps it to
+    d * c / h * E_ij, an integer since h divides d * p_ji, and the walk
+    adjoins it as EchelonModP's unit e_ij, with no reduction.
     """
 
     def p_part(xs: list[int]) -> int:
@@ -757,21 +750,23 @@ def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[tuple[Row, 
     traces = [sum(vec[:: d + 1]) for _, vec in seeds]
     h = p_part([d * x - t * (k % (d + 1) == 0) for (_, vec), t in zip(seeds, traces) for k, x in enumerate(vec)])
     g = p_part(traces)
-    grows = insert = EchelonModP().insert
+    echelon = EchelonModP()
+    grows, unit = echelon.insert, echelon.insert_unit
     if h != 1 or g != 1:
 
-        def grows(vec: tuple[int, ...]) -> bool:
+        def grows(vec: Sequence[int]) -> bool:
             t = sum(vec[:: d + 1])
             psi = [d * x // h for x in vec]
             psi[:: d + 1] = [(d * x - t) // h + t // g for x in vec[:: d + 1]]
-            return insert(psi)
+            return echelon.insert(psi)
 
-    return tuple(map(tuple, _walk(seeds, d, rank, grows)))
+        def unit(k: int, c: int) -> bool:
+            return echelon.insert_unit(k, d * c // h)
+
+    return tuple(map(tuple, _walk(seeds, d, rank, grows, unit)))
 
 
-def find_witness_dimension(
-    f: NcPoly, d_max: int, cfg: SampleConfig = SampleConfig()
-) -> int | None:
+def find_witness_dimension(f: NcPoly, d_max: int, cfg: SampleConfig = SampleConfig()) -> int | None:
     """Smallest d <= d_max where f is neither an identity nor central.
 
     Such a d exists for every nonconstant polynomial once d_max is large
@@ -876,10 +871,7 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
         if len(word) == 1:
             i = word[0]
             scaled = target.scale(Fraction(1) / coeff)
-            args = tuple(
-                scaled if v == i else MatrixQ.zero(d)
-                for v in range(1, f.nvars + 1)
-            )
+            args = tuple(scaled if v == i else MatrixQ.zero(d) for v in range(1, f.nvars + 1))
             return [(Fraction(1), args)]
     vec = target.flatten()
     if not report.classification.contains(vec, d):

@@ -976,10 +976,64 @@ class EchelonQ:
         return grew
 
 
+def reference_conjugate(rows, i: int, j: int, t) -> None:
+    """rows <- T^-1 rows T in place for the shear T = I + t * E_ij, on a
+    matrix kept as a list of rows: add t * (column i) to column j, then
+    subtract t * (row j) from row i.  Conjugating by -t undoes it."""
+    for row in rows:
+        row[j] += t * row[i]
+    rows[i] = [x - t * y for x, y in zip(rows[i], rows[j])]
+
+
+def reference_walk(seeds, d: int, rank: int, grows) -> tuple[list, list]:
+    """span._walk one candidate at a time, each c- tested on its full value:
+    each seed, then each shear conjugate of each kept row in turn, kept when
+    grows(its value) says so, until rank are; (kept rows, their labels),
+    None for a seed and (parent, i, j, s) for the conjugate of kept row
+    number parent by I + s * E_ij.  Each candidate is conjugated in place
+    and undone by -s."""
+    n = d * d
+    shears = [(i, j, s) for i in range(d) for j in range(d) if i != j for s in (1, -1)]
+    kept = []
+    for row in seeds:
+        if len(kept) < rank and grows(row[1]):
+            kept.append(row)
+    labels = [None] * len(kept)
+    for parent, (entries, vec) in enumerate(kept):
+        if len(kept) == rank:
+            break
+        mats = [[list(v[k : k + d]) for k in range(m, m + n, d)] for v in (vec, entries) for m in range(0, len(v), n)]
+        value, tup = mats[0], mats[1:]
+        for i, j, s in shears:
+            for m in mats:
+                reference_conjugate(m, i, j, s)
+            new = tuple(itertools.chain.from_iterable(value))
+            if grows(new):
+                kept.append((tuple(itertools.chain(*itertools.chain(*tup))), new))
+                labels.append((parent, i, j, s))
+            for m in mats:
+                reference_conjugate(m, i, j, -s)
+            if len(kept) == rank:
+                break
+    return kept, labels
+
+
 def reference_shear_closure(seeds, d: int, rank: int) -> tuple:
     """span._shear_closure's walk with every growth decided exactly over Q:
     (kept rows, their labels)."""
-    return tuple(map(tuple, span._walk(seeds, d, rank, EchelonQ().insert)))
+    return tuple(map(tuple, reference_walk(seeds, d, rank, EchelonQ().insert)))
+
+
+def reference_closure_mod_p(seeds, d: int, rank: int) -> tuple:
+    """span._shear_closure with its walk swapped for reference_walk: each
+    candidate, c- included, decided on its full value by the same psi and
+    EchelonModP; (kept rows, their labels)."""
+    real = span._walk
+    span._walk = lambda seeds, d, rank, grows, unit: reference_walk(seeds, d, rank, grows)
+    try:
+        return span._shear_closure(seeds, d, rank)
+    finally:
+        span._walk = real
 
 
 def unit_pairs(report) -> list[int]:

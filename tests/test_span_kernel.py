@@ -42,6 +42,7 @@ from helpers import (
     random_multilinear,
     random_poly,
     reference_classify_span,
+    reference_closure_mod_p,
     reference_eager_classify_span,
     reference_is_identity,
     reference_evaluate,
@@ -296,23 +297,31 @@ class TestLieIdealStop:
     @pytest.mark.parametrize("miss", (0, 1, 2))
     @pytest.mark.parametrize("text, d", (("[X1,X2]", 2), ("X1*X2", 3), ("3/2*X1*X1*X2 + [X2,X1]", 3), ("[X1,X2]", 4)))
     def test_closure_never_returns_short(self, text, d, miss, monkeypatch):
-        # The miss-th insert of the walk looks dependent mod p and is not
-        # kept, and the walk must still reach the rank.  The proving row
-        # always grows mod p (see span._shear_closure), so a miss on it
-        # cannot happen: at miss = 0 every insert is real, and the first grows.
+        # The miss-th growth decision of the walk, an insert or a unit,
+        # looks dependent mod p and is not kept, and the walk must still
+        # reach the rank.  The proving row always grows mod p (see
+        # span._shear_closure), so a miss on it cannot happen: at miss = 0
+        # every decision is real, and the first grows.  The walk decides
+        # the seed, then c+ and c- of its first shear: miss = 1 drops a c+
+        # whose c- is then decided by its unit, and miss = 2 drops that unit.
         f = parse_poly(text)
         report = classify_span(f, d, SampleConfig(seed=3))
         assert report.stop_reason is StopReason.LIE_IDEAL and len(report.rows) == 1
-        flags = []
-        real = EchelonModP.insert
+        flags, kinds = [], []
 
-        def insert(self, vec):
-            flags.append(False if miss and len(flags) == miss else real(self, vec))
-            return flags[-1]
+        def decide(real):
+            def wrapped(self, *args):
+                flags.append(False if miss and len(flags) == miss else real(self, *args))
+                kinds.append(real.__name__)
+                return flags[-1]
 
-        monkeypatch.setattr(EchelonModP, "insert", insert)
+            return wrapped
+
+        for name in ("insert", "insert_unit"):
+            monkeypatch.setattr(EchelonModP, name, decide(getattr(EchelonModP, name)))
         grown = report.grown
         assert len(flags) > miss and flags[0]
+        assert kinds[: miss + 1] == ["insert", "insert", "insert_unit"][: miss + 1]
         assert len(grown) == report.basis.rank
         for args, value in report.witnesses:
             assert reference_evaluate(f, args, d) == value
@@ -331,7 +340,8 @@ class TestLieIdealStop:
         f = parse_poly(text)
         report = classify_span(f, d, SampleConfig(seed=seed))
         canonical = SpanBasis.canonical(d, report.classification)
-        kept, labels = span._walk(report.rows, d, canonical.rank, EchelonModP().insert)
+        echelon = EchelonModP()
+        kept, labels = span._walk(report.rows, d, canonical.rank, echelon.insert, echelon.insert_unit)
         assert len(kept) == len(labels) == kept_mod_p < canonical.rank
         assert len(report.grown) == canonical.rank
         for args, value in report.witnesses:
@@ -354,10 +364,11 @@ class TestLieIdealStop:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_labels_replay_the_walk(self, d):
-        # Each kept row labelled (p, i, j, s) is _conjugate by (i, j, s) of
-        # row p's input matrices and value, p an earlier row; seeds, the
-        # rows that raised the class, are labelled None.  Entries in
-        # {-1, 0, 1} give sparse values, whose walks go past the first row.
+        # Each kept row labelled (p, i, j, s) is the conjugate by I + s *
+        # E_ij (reference_conjugate) of row p's input matrices and value, p
+        # an earlier row; seeds, the rows that raised the class, are
+        # labelled None.  Entries in {-1, 0, 1} give sparse values, whose
+        # walks go past the first row.
         rng = random.Random(4040 + d)
         cases = [(battery_poly(rng), SampleConfig(seed=k)) for k in range(8 if d < 7 else 3)]
         cases += [(parse_poly("X1*X1"), SampleConfig(seed=k, coeff_bound=1)) for k in range(6)]
@@ -378,11 +389,70 @@ class TestLieIdealStop:
                 deepest = max(deepest, p)
                 mats = [[list(v[k : k + d]) for k in range(m, m + n, d)] for v in rows[p][::-1] for m in range(0, len(v), n)]
                 for m in mats:
-                    span._conjugate(m, i, j, s)
+                    helpers.reference_conjugate(m, i, j, s)
                 flat = [tuple(x for r in m for x in r) for m in mats]
                 assert (tuple(itertools.chain(*flat[1:])), flat[0]) == (entries, vec), where
             paired += len(helpers.unit_pairs(report))
         assert paired > 0 and (deepest > 0 or d > 5)
+
+
+class TestUnitWalk:
+    """span._shear_closure, whose walk decides each c- by its unit, against
+    the walk it replaced (helpers.reference_walk), which tests every
+    candidate on its full value: both mod p through the same psi, with the
+    same kept rows, in the same order, with the same labels."""
+
+    @pytest.fixture
+    def branches(self, monkeypatch):
+        # Which rule decided each unit: a scalar 0 mod p, a unit already
+        # adjoined, a slot that is no pivot, or the ordinary reduction.
+        seen = set()
+        real = EchelonModP.insert_unit
+
+        def insert_unit(self, k, c):
+            slot = ((1 << self._bits) - 1) << (self._bits * k)
+            seen.add("zero" if not c % PRIME else "unit" if not self._free & slot else "pivot" if k in self.pivots else "free")
+            return real(self, k, c)
+
+        monkeypatch.setattr(EchelonModP, "insert_unit", insert_unit)
+        return seen
+
+    @staticmethod
+    def assert_same_walk(f, d, cfg):
+        report = classify_span(f, d, cfg)
+        want = reference_closure_mod_p(report.rows, d, report.rank)
+        assert span._shear_closure(report.rows, d, report.rank) == want, f"{poly_to_text(f)} at d={d}, {cfg}"
+        assert len(want[0]) == report.rank
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_batteries(self, d, branches):
+        rng = random.Random(4900 + d)
+        for k in range(12 if d < 6 else 4):
+            self.assert_same_walk(battery_poly(rng), d, SampleConfig(seed=k))
+        # At d = 2 the rank is at most 4, and no unit meets a pivot.
+        assert "free" in branches and ("pivot" in branches or d == 2)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_coeff_bound_1(self, d, branches):
+        # Entries in {-1, 0, 1}: a parent entry p_ji is often 0, and then
+        # so is the unit's scalar, and c- does not grow.
+        rng = random.Random(4950 + d)
+        polys = [battery_poly(rng) for _ in range(6 if d < 6 else 2)]
+        polys += [parse_poly(text) for text in ("X1*X1", "[X1,X2]", "X1")]
+        for f in polys:
+            for k in range(3):
+                self.assert_same_walk(f, d, SampleConfig(seed=k, coeff_bound=1))
+        assert "zero" in branches
+
+    @pytest.mark.parametrize("text, d", (("P*[X1,X2]", 8), ("[X1,X2] + P", 6), ("P*X1 + 1", 6)))
+    def test_multiples_of_p(self, text, d):
+        # h or g is a power of p, so psi scales each unit by d / h.
+        for seed in (0, 7919):
+            self.assert_same_walk(parse_poly(text.replace("P", str(PRIME))), d, SampleConfig(seed=seed))
+
+    @pytest.mark.parametrize("text", ("[X1,X2]", "X1*X2"))
+    def test_d16(self, text):
+        self.assert_same_walk(parse_poly(text), 16, SampleConfig(seed=0))
 
 
 class TestProofStop:
@@ -648,20 +718,45 @@ class TestEchelonModP:
                 assert echelon.insert(vec) == grew_q
             assert echelon.rank == len(rows) <= 3
 
+    def test_units_agree_with_exact_rank(self):
+        # insert_unit(k, c) adjoins c * e_k: each of its rules (c = 0 mod p,
+        # a unit already adjoined, a slot that is no pivot, a pivot slot)
+        # against the exact rank, with vectors inserted between the units.
+        rng = random.Random(63)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            echelon = EchelonModP()
+            rows, pivots = (), ()
+            for step in range(2 * n):
+                if step and rng.random() < 0.5:
+                    k, c = rng.randrange(n), rng.choice((1, -2, 7, PRIME, -3 * PRIME, 2 * PRIME + 5))
+                    grew = echelon.insert_unit(k, c)
+                    if c % PRIME == 0:
+                        assert not grew
+                        continue
+                    vec = [c * (r == k) for r in range(n)]
+                else:
+                    vec = [rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(n)]
+                    grew = echelon.insert(vec)
+                rows, pivots, grew_q = reference_rref_insert(rows, pivots, vec)
+                assert grew == grew_q
+            assert echelon.rank == len(rows)
+
     @pytest.mark.parametrize("n", (64, 256))
     def test_slots_reach_the_width_bound(self, n, monkeypatch):
-        # v_k is -1 mod p at 0..k and -(k + 1) at n - 1, zero between, so
-        # row k is -(e_k + e_(n-1)) mod p: each later vector is reduced by
-        # every row with multiplier p - 1, and the last slot gains (p - 1)^2
-        # from each, up to the p + n * p^2 the slots are sized for.
-        # Multiples of p, and now and then an integer combination of two
-        # vectors, go in between; neither may grow the rank.
+        # Rows pivot on their highest nonzero slot.  v_k is -1 mod p at
+        # n - 1 - k..n - 1 and -(k + 1) at 0, zero between, so row k is
+        # -(e_(n-1-k) + e_0) mod p: each later vector is reduced by every
+        # row with multiplier p - 1, and slot 0 gains (p - 1)^2 from each,
+        # up to the p + n * p^2 the slots are sized for.  Multiples of p,
+        # and now and then an integer combination of two vectors, go in
+        # between; neither may grow the rank.
         rng = random.Random(n)
         peak = []
         real_fold = EchelonModP._fold
 
         def fold(self, v):
-            peak.append(v >> (self._bits * (n - 1)))
+            peak.append(v & ((1 << self._bits) - 1))
             return real_fold(self, v)
 
         monkeypatch.setattr(EchelonModP, "_fold", fold)
@@ -669,7 +764,7 @@ class TestEchelonModP:
         rows, pivots, grown = (), (), []
         for k in range(n - 1):
             vec = [rng.choice((-1, PRIME - 1, 2 * PRIME - 1, -PRIME - 1)) for _ in range(k)]
-            vec += [-1] + [0] * (n - k - 2) + [-(k + 1) + PRIME * rng.randint(-9, 9)]
+            vec = [-(k + 1) + PRIME * rng.randint(-9, 9)] + [0] * (n - k - 2) + [-1] + vec
             candidates = [vec, [PRIME * rng.randint(-(2**40), 2**40) for _ in range(n)]]
             if grown and k % 4 == 0:
                 a, b = rng.randint(-9, 9), PRIME * rng.randint(1, 9) - 1
@@ -693,6 +788,11 @@ class TestGrowthDecisions:
     EchelonModP is swapped, in reference_classify_span and in span, for one
     that repeats each insert on an exact forward echelon
     (reference_forward_insert); the flags must agree insert for insert.
+    The walk decides each c- by its unit (see span._walk), which the replay
+    repeats on c-'s full value: the c+ inserted just before, conjugated by
+    (I + E_ij)^-1 (I - E_ij) = I - 2 * E_ij.  It also checks the unit's
+    scalar c exactly: (c+ + c- - c * e_ij) / 2 is the parent's value, so it
+    is even and lies in the exact span.
     """
 
     @pytest.fixture
@@ -704,11 +804,24 @@ class TestGrowthDecisions:
                 super().__init__()
                 self.exact = ()
 
-            def insert(self, vec):
-                grew = super().insert(vec)
+            def replay(self, grew, vec):
                 self.exact, grew_q = reference_forward_insert(self.exact, vec)
                 log.append((grew, grew_q))
                 return grew
+
+            def insert(self, vec):
+                self.plus = list(vec)
+                return self.replay(super().insert(vec), vec)
+
+            def insert_unit(self, k, c):
+                d = math.isqrt(len(self.plus))
+                rows = [self.plus[r : r + d] for r in range(0, d * d, d)]
+                helpers.reference_conjugate(rows, *divmod(k, d), -2)
+                minus = [x for row in rows for x in row]
+                twice = [x + y - c * (r == k) for r, (x, y) in enumerate(zip(self.plus, minus))]
+                assert not any(x % 2 for x in twice)
+                assert not reference_forward_insert(self.exact, [x // 2 for x in twice])[1]
+                return self.replay(super().insert_unit(k, c), minus)
 
         monkeypatch.setattr(helpers, "EchelonModP", Replayed)
         monkeypatch.setattr(span, "EchelonModP", Replayed)
