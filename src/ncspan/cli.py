@@ -8,11 +8,12 @@ identical seeds and flags give byte-identical output.
 
 classify and decompose read span.classify_span's report, which names one
 of the four canonical spaces, by theorem below degree 2d, and builds its
-basis and its witness matrices only when they are read: classify's JSON
-prints the basis, decompose reads the witnesses, and classify prints its
-witnesses straight from the report's integer rows, in one format call.
-suite builds no report: it reads each class alone (span._class_of), with
-no sample below degree 2d, and compares classes in closed form.  Every
+witness matrices only when they are read: decompose reads them, classify
+prints its witnesses straight from the report's integer rows, in one
+format call, and its basis from the class (Classification.basis), and no
+command builds a SpanBasis.  suite builds no report: it reads each class
+alone (span._class_of), with no sample below degree 2d, and compares
+classes in closed form.  Every
 document is json.dumps(doc, indent=2); only classify's matrices of "%s"
 slots are laid out by hand (_grid), and _emit splices them in.
 """
@@ -113,12 +114,12 @@ def _doc(f: NcPoly, **fields) -> dict:
 
 def _exclusion_flags(f: NcPoly, d: int, cls: Classification, commutator_sum: bool) -> tuple[bool, bool | None]:
     """(applicable, consistent-or-None) for the degree exclusion of f's
-    class cls on M_d: for 1 <= deg f < 2d it is TRACE_ZERO if f is a sum of
-    commutators and FULL otherwise (span._degree_decides).  A self-check, and
-    at d = 1 (deg f = 1, SCALARS = FULL) the only check of a budget-cut class."""
+    class cls on M_d: for 1 <= deg f < 2d it is Classification.bound
+    (span._degree_decides).  A self-check, and at d = 1 (deg f = 1, never
+    a sum of commutators; SCALARS = FULL) the only check of a budget-cut class."""
     if not 1 <= (f.degree() or 0) < 2 * d:
         return False, None
-    return True, cls is (Classification.TRACE_ZERO if commutator_sum else Classification.FULL)
+    return True, cls is Classification.bound(d, commutator_sum)
 
 
 _LIE_IDEAL = True  # every canonical space is a Lie ideal: see span.lie_ideal_check
@@ -159,7 +160,7 @@ def _cmd_classify(args) -> int:
         print(f"stop reason:    {s.stop_reason.value}")
         print(f"seed:           {cfg.seed}")
     else:
-        rows = s.basis.rows
+        rows = s.classification.basis(s.dim)
         basis = _grid(len(rows), s.dim**2, _FIELD) % tuple(itertools.chain(*rows))
         applicable, consistent = _exclusion_flags(f, s.dim, s.classification, s.sum_of_commutators)
         _emit(

@@ -11,7 +11,7 @@ vectors, maintained in reduced row echelon form.  Echelon canonicality makes
 subspace equality a plain row-list comparison and membership one dense
 reduction by the rows, each row's coefficient read off at its pivot and the
 remainder checked at the free columns.  The four canonical subspaces have
-their reduced bases written down in closed form.
+their reduced bases written down in closed form (Classification.basis).
 
 Bases built from a list of matrices, a matrix inserted into a basis, and
 solves all run through one routine, fraction_free_rref, over integer rows.
@@ -93,8 +93,9 @@ class Classification(Enum):
     A span of values is {0}, the scalar matrices, the trace-zero matrices,
     or all of M_d.
 
-    rank, lies_in and contains answer in closed form for the spaces that
-    SpanBasis.canonical builds: their dimension, containment and membership.
+    rank, lies_in, contains and basis answer in closed form for each space:
+    its dimension, containment, membership and reduced basis (which
+    SpanBasis.canonical wraps).  bound names the class proved with no sample.
     - rank: {0}, the scalars Q * I, sl_d (cut out of M_d by one nonzero
       functional, the trace) and M_d have dimension 0, 1, d^2 - 1 and d^2.
     - contains: a vector lies in {0} iff it is zero, in Q * I iff it is its
@@ -136,6 +137,31 @@ class Classification(Enum):
         if self is Classification.TRACE_ZERO:
             return sum(vec[:: d + 1]) == 0
         return True
+
+    def basis(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """This class's reduced basis of M_d, integer rows flattened row-major:
+        I for the scalars, else a unit row at each of the first rank coordinates,
+        E_ii - E_(d-1)(d-1) on the diagonal for sl_d.  Each row's first nonzero, a 1, is its pivot."""
+        n = check_dimension(d) ** 2
+        if self is Classification.SCALARS:
+            return (MatrixQ.identity(d).flatten(),)
+        rows = []
+        for p in range(self.rank(d)):
+            row = [0] * n
+            row[p] = 1
+            if self is Classification.TRACE_ZERO and p % (d + 1) == 0:
+                row[n - 1] = -1
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @staticmethod
+    def bound(d: int, commutator_sum: bool) -> Classification:
+        """The least class proved, with no sample, to hold every value of a
+        polynomial on M_d: sl_d for a sum of commutators (commutator_sum),
+        since tr[a, b] = 0, which is {0} at d = 1; M_d otherwise."""
+        if check_dimension(d) == 1 and commutator_sum:
+            return Classification.ZERO
+        return Classification.TRACE_ZERO if commutator_sum else Classification.FULL
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -353,24 +379,9 @@ class SpanBasis:
 
     @staticmethod
     def canonical(dim: int, which: Classification) -> SpanBasis:
-        """The reduced basis of one of the four canonical subspaces of M_d.
-
-        Built in closed form with integer entries.  The trace-zero space has
-        a pivot at every coordinate but the last diagonal one: unit rows off
-        the diagonal, and E_ii - E_(d-1)(d-1) on it.
-        """
-        n = check_dimension(dim) ** 2
-        if which is Classification.SCALARS:
-            return SpanBasis(dim, (MatrixQ.identity(dim).flatten(),), (0,))
-        pivots = tuple(range(which.rank(dim)))
-        rows = []
-        for p in pivots:
-            row = [0] * n
-            row[p] = 1
-            if which is Classification.TRACE_ZERO and p % (dim + 1) == 0:
-                row[n - 1] = -1
-            rows.append(tuple(row))
-        return SpanBasis(dim, tuple(rows), pivots)
+        """The reduced basis of which's space in M_d: Classification.basis, each row with its pivot."""
+        rows = which.basis(dim)
+        return SpanBasis(dim, rows, tuple(row.index(1) for row in rows))
 
 
 _EXPONENT = 31
@@ -396,9 +407,9 @@ class EchelonModP:
     multiply-add by a residue below 2^31, two CPython digits.  Slots stay
     nonnegative, so they never borrow: an entry starts in [0, p) and gains
     less than p^2 per row, so with at most n rows for length-n vectors the
-    slots are sized for p + n * p^2 when the first vector arrives, 72 bits
-    for n <= 256.  Every slot is taken mod p at once by folding, since
-    2^31 = 1 mod p (see _fold).
+    slots are sized for p + n * p^2 when the echelon is built, 72 bits for
+    n <= 256.  Every slot is taken mod p at once by folding, since 2^31 = 1
+    mod p (see _fold).
 
     Unit vectors e_k adjoined by insert_unit are no rows but a mask of
     slots, which a vector reduced by the rows drops in one AND: that is
@@ -411,7 +422,7 @@ class EchelonModP:
 
     __slots__ = ("rows", "pivots", "_units", "_bits", "_packer", "_ones", "_free")
 
-    def __init__(self):
+    def __init__(self, n: int):
         # Row k has its pivot entry scaled to -1 (that is, p - 1) and is
         # zero at the pivots of rows 0..k-1 and at the unit slots before
         # it.  Reducing in insertion order therefore never refills an
@@ -419,7 +430,12 @@ class EchelonModP:
         self.rows: list[int] = []
         self.pivots: list[int] = []
         self._units = 0
-        self._bits = 0
+        width = (((PRIME - 1) * (1 + n * (PRIME - 1))).bit_length() + 7) // 8
+        self._bits = 8 * width
+        # Each residue, below 2^31, packs as an unsigned 4-byte "I".
+        self._packer = struct.Struct("<" + f"I{width - 4}x" * n)
+        self._ones = sum(1 << (self._bits * k) for k in range(n))
+        self._free = (1 << (self._bits * n)) - 1
 
     @property
     def rank(self) -> int:
@@ -439,20 +455,11 @@ class EchelonModP:
         return (v + ((v + ones) >> _EXPONENT & ones)) & low
 
     def insert(self, vec: Sequence[int]) -> bool:
-        """Adjoin an integer vector; True iff the rank mod p increased."""
-        if not self._bits:
-            n = len(vec)
-            width = (((PRIME - 1) * (1 + n * (PRIME - 1))).bit_length() + 7) // 8
-            self._bits = 8 * width
-            # Each residue, below 2^31, packs as an unsigned 4-byte "I".
-            self._packer = struct.Struct("<" + f"I{width - 4}x" * n)
-            self._ones = sum(1 << (self._bits * k) for k in range(n))
-            self._free = (1 << (self._bits * n)) - 1
+        """Adjoin an integer vector of length n; True iff the rank mod p increased."""
         return self._adjoin(int.from_bytes(self._packer.pack(*map(PRIME.__rmod__, vec)), "little"))
 
     def insert_unit(self, k: int, c: int) -> bool:
-        """Adjoin c * e_k, after a first insert has fixed the length; True
-        iff the rank mod p increased."""
+        """Adjoin c * e_k, k in range(n); True iff the rank mod p increased."""
         slot = ((1 << self._bits) - 1) << (self._bits * k)
         if not c % PRIME or not self._free & slot:
             return False

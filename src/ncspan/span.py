@@ -5,9 +5,9 @@ always one of four canonical subspaces: zero, the scalars, the trace-zero
 matrices, or everything.  The span is closed under conjugation, so it is a
 Lie ideal of M_d, and one non-scalar value puts the trace-zero matrices
 inside it (see classify_span).  For d >= 2 and 1 <= deg f < 2d that fixes
-the class before any sample: sl_d for a sum of commutators, M_d otherwise,
-and f is neither an identity nor central (see _degree_decides and
-_degree_class).  Elsewhere this module samples random integer matrix
+the class before any sample: sl_d for a sum of commutators, M_d otherwise
+(Classification.bound), and f is neither an identity nor central (see
+_degree_decides).  Elsewhere this module samples random integer matrix
 tuples, evaluates L * f on them in plain integers (L clears f's
 denominators), and names the least canonical space that holds every
 sampled value.  That space is a proved lower bound on the span, and the
@@ -185,7 +185,7 @@ class SpanReport:
 
     @functools.cached_property
     def basis(self) -> SpanBasis:
-        """The class's reduced basis, built once, when first read, in closed form."""
+        """The class's reduced basis (see Classification.basis), built once, when first read."""
         return SpanBasis.canonical(self.dim, self.classification)
 
     @property
@@ -493,8 +493,8 @@ def _values(f: NcPoly, d: int, cfg: SampleConfig) -> Iterator[list[int]]:
 def _degree_decides(f: NcPoly, d: int) -> bool:
     """Whether d >= 2 and 1 <= deg f < 2d, d checked first (see
     check_dimension).  There the degree decides f on M_d: f is neither an
-    identity nor central, and the span V of its values is sl_d (TRACE_ZERO)
-    if f is a sum of commutators, M_d (FULL) otherwise.
+    identity nor central, and the span V of its values is
+    Classification.bound: sl_d if f is a sum of commutators, M_d otherwise.
 
     V holds sl_d.  Over Q the values of each multihomogeneous component of
     f lie in V (scale the variables), and so do those of its full
@@ -578,22 +578,13 @@ def nontriviality_oracle(d: int, cfg: SampleConfig = SampleConfig()) -> Callable
     return lambda f: not any(_verdicts(f, d, cfg))
 
 
-def _degree_class(f: NcPoly, d: int, commutator_sum: bool) -> Classification | None:
-    """The class the degree decides (see _degree_decides), with no sample:
-    TRACE_ZERO for a sum of commutators (commutator_sum), FULL otherwise;
-    None where the degree does not decide it."""
-    if not _degree_decides(f, d):
-        return None
-    return Classification.TRACE_ZERO if commutator_sum else Classification.FULL
-
-
 def _class_of(f: NcPoly, d: int, cfg: SampleConfig) -> tuple[Classification, bool]:
-    """f's class on M_d and whether f is a sum of commutators: by the
-    degree where it decides the class (_degree_class), with no evaluator
-    and no sample, else by classify_span."""
+    """f's class on M_d and whether f is a sum of commutators: where the
+    degree decides the class (_degree_decides), Classification.bound, with
+    no evaluator and no sample, else by classify_span."""
     if _degree_decides(f, d):
         commutator_sum = f.is_sum_of_commutators()
-        return _degree_class(f, d, commutator_sum), commutator_sum
+        return Classification.bound(d, commutator_sum), commutator_sum
     report = classify_span(f, d, cfg)
     return report.classification, report.sum_of_commutators
 
@@ -612,16 +603,16 @@ def classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> Span
     _shear_closure).  A Lie ideal that holds one non-scalar matrix contains
     the trace-zero matrices sl_d (Herstein, Topics in Ring Theory, 1969),
     and a nonzero scalar value spans the scalars, so V holds the class.
-    At d >= 2 the class is V once it is FULL, and once it is TRACE_ZERO
-    when f is a sum of commutators, whose values all have trace 0 since
-    tr[a, b] = 0.  At d = 1 a sum of commutators is ZERO (sl_1 = 0).
-    Sampling stops there (LIE_IDEAL).  Otherwise only the upper bound is
-    sampled, and sampling stops once 50 samples in a row did not raise the
-    class (STABILITY_WINDOW), or when the budget runs out.
+    The class is V once it is FULL, or Classification.bound, which holds
+    every value of f: for a sum of commutators, TRACE_ZERO at d >= 2 and
+    ZERO at d = 1.  Sampling stops there (LIE_IDEAL).  Otherwise only the
+    upper bound is sampled, and sampling stops once 50 samples in a row
+    did not raise the class (STABILITY_WINDOW), or when the budget runs out.
 
-    Where the degree decides the class (see _degree_class), the report
-    names the theorem's, and the loop only searches for rows: a budget
-    that cuts it short leaves the class, and fewer witnesses than its rank.
+    Where the degree decides the class (see _degree_decides), the report
+    names the theorem's, Classification.bound, and the loop only searches
+    for rows: a budget that cuts it short leaves the class, and fewer
+    witnesses than its rank.
 
     The report keeps the samples that raised the loop's class as integer
     rows (entries, L * f(t)), one or two; no basis, witness or Fraction is
@@ -632,9 +623,7 @@ def classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> Span
     """
     ev = _evaluator(f, d, cfg.coeff_bound)
     commutator_sum = f.is_sum_of_commutators()
-    proved = {Classification.FULL}
-    if commutator_sum:
-        proved.add(Classification.ZERO if d == 1 else Classification.TRACE_ZERO)
+    proved = {Classification.FULL, Classification.bound(d, commutator_sum)}
     cls = Classification.ZERO
     rows: list[Row] = []
     stall = samples_used = 0
@@ -657,7 +646,8 @@ def classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> Span
         if stall >= _STABILITY_WINDOW:
             stop_reason = StopReason.STABILITY_WINDOW
             break
-    cls = _degree_class(f, d, commutator_sum) or cls
+    if _degree_decides(f, d):
+        cls = Classification.bound(d, commutator_sum)
     return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, f.integer_form()[0], tuple(rows))
 
 
@@ -750,7 +740,7 @@ def _shear_closure(seeds: Sequence[Row], d: int, rank: int) -> tuple[tuple[Row, 
     traces = [sum(vec[:: d + 1]) for _, vec in seeds]
     h = p_part([d * x - t * (k % (d + 1) == 0) for (_, vec), t in zip(seeds, traces) for k, x in enumerate(vec)])
     g = p_part(traces)
-    echelon = EchelonModP()
+    echelon = EchelonModP(d * d)
     grows, unit = echelon.insert, echelon.insert_unit
     if h != 1 or g != 1:
 

@@ -660,7 +660,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
     """
     ev = span._evaluator(f, d, cfg.coeff_bound)
     scale = reference_integer_terms(f)[0]
-    echelon = EchelonModP()
+    echelon = EchelonModP(d * d)
     grown = []
     full_rank = d * d
     commutator_sum = f.is_sum_of_commutators()
@@ -861,6 +861,14 @@ def reference_fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]
     if sign < 0:
         rows[:] = [[-x for x in row] for row in rows]
     return pivots, sign * prev
+
+
+def reference_reduced_rows(mats) -> tuple:
+    """The reduced row echelon basis of the span of integer matrices,
+    flattened row-major, by the Bareiss reference: rows / det, zero rows dropped."""
+    rows = [list(m.flatten()) for m in mats]
+    pivots, det = reference_fraction_free_rref(rows)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])
 
 
 def reference_express_in_terms(vectors, target):

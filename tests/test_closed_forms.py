@@ -4,12 +4,17 @@ Classification.rank, lies_in and contains answer for the four canonical
 spaces what their SpanBasis.canonical bases answer by elimination: rank
 and contains from the basis, and containment from the reduction in
 helpers (reference_is_subspace_of), since SpanBasis keeps no subspace
-test.  For every class and pair of classes at d = 1..5, on random and
-in-class matrices, and on the reports of the seeded batteries.  A report of classify_span builds no basis until it is read.
+test.  Classification.basis is the Bareiss-reduced span of an explicit
+spanning set, and Classification.bound the span of brackets or of
+units.  For every class and pair of classes at d = 1..6, on random and
+in-class matrices, and on the reports of the seeded batteries.  A report
+of classify_span builds no basis until it is read, and no command of the
+CLI builds one.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from helpers import (
     random_noncentral,
     random_trace_zero,
     reference_is_subspace_of,
+    reference_reduced_rows,
     standard_polynomial,
 )
 from ncspan import (
@@ -29,9 +35,11 @@ from ncspan import (
     SampleConfig,
     SpanBasis,
     classify_span,
+    commutator,
     decompose_target,
     parse_poly,
 )
+from ncspan.cli import main
 from ncspan.span import lie_ideal_check
 
 CLASSES = list(Classification)
@@ -62,7 +70,7 @@ def test_random_noncentral_refuses_d1():
     assert not random_noncentral(rng, 2).is_scalar()
 
 
-@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 7))
 class TestAgainstCanonicalBases:
     def test_rank(self, d):
         for cls in CLASSES:
@@ -86,6 +94,31 @@ class TestAgainstCanonicalBases:
             # Every space but M_d misses some matrix; at d = 1 the scalars are M_1.
             assert seen == ({True} if cls.rank(d) == d * d else {True, False})
 
+    def test_basis(self, d):
+        # Each closed form against the reduced span of its spanning set, listed in a shuffled order.
+        rng = random.Random(2800 + d)
+        off = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d) if j != k]
+        diagonal = [MatrixQ.unit(d, i, i) - MatrixQ.unit(d, d - 1, d - 1) for i in range(d - 1)]
+        spanning = {ZERO: [], SCALARS: [MatrixQ.identity(d)], TRACE_ZERO: off + diagonal}
+        spanning[FULL] = spanning[TRACE_ZERO] + spanning[SCALARS]
+        for cls, mats in spanning.items():
+            rng.shuffle(mats)
+            rows = cls.basis(d)
+            assert rows == reference_reduced_rows(mats), cls
+            assert {type(x) for row in rows for x in row} <= {int}
+            assert SpanBasis.canonical(d, cls).rows == rows
+
+    def test_bound(self, d):
+        # A sum of commutators takes values in the span of brackets, whose
+        # [E_ij, E_jk] span sl_d; X1 takes every value, spanned by the units.
+        units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
+        brackets = [commutator(MatrixQ.unit(d, i, j), MatrixQ.unit(d, j, k)) for i in range(d) for j in range(d) for k in range(d)]
+        assert Classification.bound(d, True).basis(d) == reference_reduced_rows(brackets)
+        assert Classification.bound(d, False).basis(d) == reference_reduced_rows(units)
+        for text in ("[X1,X2]", "X1*X2"):
+            f = parse_poly(text)
+            assert classify_span(f, d).classification is Classification.bound(d, f.is_sum_of_commutators())
+
 
 def test_degenerate_d1():
     # At d = 1 the scalars are all of M_1, and sl_1 is {0}.
@@ -93,6 +126,7 @@ def test_degenerate_d1():
     assert SCALARS.lies_in(FULL, 1) and FULL.lies_in(SCALARS, 1)
     assert TRACE_ZERO.lies_in(ZERO, 1) and ZERO.lies_in(TRACE_ZERO, 1)
     assert not FULL.lies_in(TRACE_ZERO, 1) and not SCALARS.lies_in(ZERO, 1)
+    assert Classification.bound(1, True) is ZERO and Classification.bound(1, False) is FULL
     for vec, inside in (((0,), (True, True, True, True)), ((Fraction(5, 2),), (False, True, False, True))):
         assert tuple(cls.contains(vec, 1) for cls in CLASSES) == inside
 
@@ -142,6 +176,32 @@ class TestLazyBasis:
         assert builds == {"canonical": 1, "from_matrices": 0}
         assert report.basis is report.basis
         assert builds == {"canonical": 1, "from_matrices": 0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--poly", "[X1,X2]", "--dim", "3", "--seed", "0"],
+            ["classify", "--poly", "[X1,X2]", "--dim", "3", "--seed", "0", "--format", "text"],
+            ["decompose", "--poly", "[X1,X2]", "--dim", "3", "--seed", "0", "--target", "1,2,0;0,0,1;3,0,-1"],
+            ["suite", "--corpus", str(Path(__file__).parent / "golden" / "corpus.txt"), "--dim", "3", "--seed", "0"],
+            ["witness", "--poly", "[X1,X2]^2", "--dmax", "3", "--seed", "0"],
+            ["linearize", "--poly", "X1^3", "--dim", "2", "--seed", "0"],
+            ["commtest", "--poly", "[X1,X2]"],
+        ],
+        ids=["classify-json", "classify-text", "decompose", "suite", "witness", "linearize", "commtest"],
+    )
+    def test_no_command_builds_a_basis(self, builds, argv, monkeypatch, capsys):
+        # classify prints its basis from Classification.basis; no SpanBasis is constructed at all.
+        inits, real = [], SpanBasis.__init__
+
+        def init(self, *args, **kwargs):
+            inits.append((args, kwargs))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpanBasis, "__init__", init)
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert builds == {"canonical": 0, "from_matrices": 0} and inits == []
 
     def test_budget_cut_report_builds_its_basis_when_read(self, builds):
         # Trace zero on M_2 but no sum of commutators: its class is sampled,

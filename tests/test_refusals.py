@@ -131,6 +131,8 @@ SIGNATURES = {
     "Classification.rank": ("classification", "number"),
     "Classification.contains": ("classification", "numbers", "number"),
     "Classification.lies_in": ("classification", "classification", "number"),
+    "Classification.basis": ("classification", "number"),
+    "Classification.bound": ("number", "number"),
 }
 
 # A callable with at most this many argument tuples is called on all of

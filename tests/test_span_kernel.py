@@ -283,7 +283,7 @@ class TestLieIdealStop:
         assert got.basis == canonical
         # Rank-many values of f at their inputs, independent mod p and so
         # over Q, inside the class: they span it.
-        echelon = EchelonModP()
+        echelon = EchelonModP(d * d)
         assert len(got.grown) == canonical.rank
         for entries, vec in got.grown:
             args = span._matrices(entries, d)
@@ -340,7 +340,7 @@ class TestLieIdealStop:
         f = parse_poly(text)
         report = classify_span(f, d, SampleConfig(seed=seed))
         canonical = SpanBasis.canonical(d, report.classification)
-        echelon = EchelonModP()
+        echelon = EchelonModP(d * d)
         kept, labels = span._walk(report.rows, d, canonical.rank, echelon.insert, echelon.insert_unit)
         assert len(kept) == len(labels) == kept_mod_p < canonical.rank
         assert len(report.grown) == canonical.rank
@@ -682,7 +682,7 @@ class TestEchelonModP:
             n = rng.randint(1, 9)
             # few distinct rows, so dependencies are common
             pool = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(3)]
-            echelon = EchelonModP()
+            echelon = EchelonModP(9)
             exact = SpanBasis(3)
             for _ in range(rng.randint(1, 8)):
                 a, b = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -695,7 +695,7 @@ class TestEchelonModP:
 
     def test_rank_is_a_lower_bound(self):
         # Nonzero over Q but zero mod p: no growth is claimed.
-        echelon = EchelonModP()
+        echelon = EchelonModP(2)
         assert not echelon.insert([PRIME, -3 * PRIME])
         assert echelon.insert([1, 2])
         assert not echelon.insert([1 + PRIME, 2])
@@ -708,7 +708,7 @@ class TestEchelonModP:
             # Dependent vectors: integer combinations of a few huge ones.
             pool = [[rng.randint(-(2**140), 2**140) for _ in range(n)] for _ in range(3)]
             pool.append([x * (2**131 + 1) for x in pool[0]])
-            echelon = EchelonModP()
+            echelon = EchelonModP(n)
             rows, pivots = (), ()
             for _ in range(8):
                 coeffs = [rng.randint(-9, 9) for _ in pool]
@@ -725,7 +725,7 @@ class TestEchelonModP:
         rng = random.Random(63)
         for _ in range(40):
             n = rng.randint(2, 12)
-            echelon = EchelonModP()
+            echelon = EchelonModP(n)
             rows, pivots = (), ()
             for step in range(2 * n):
                 if step and rng.random() < 0.5:
@@ -760,7 +760,7 @@ class TestEchelonModP:
             return real_fold(self, v)
 
         monkeypatch.setattr(EchelonModP, "_fold", fold)
-        echelon = EchelonModP()
+        echelon = EchelonModP(n)
         rows, pivots, grown = (), (), []
         for k in range(n - 1):
             vec = [rng.choice((-1, PRIME - 1, 2 * PRIME - 1, -PRIME - 1)) for _ in range(k)]
@@ -800,8 +800,8 @@ class TestGrowthDecisions:
         log = []
 
         class Replayed(EchelonModP):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, n):
+                super().__init__(n)
                 self.exact = ()
 
             def replay(self, grew, vec):
