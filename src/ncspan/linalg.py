@@ -665,17 +665,6 @@ def _zero_diagonal_shears(m: MatrixQ) -> tuple[list[tuple[int, int, Num]], list[
     return shears, n
 
 
-def zero_diagonal_conjugate(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
-    """Find invertible P with N = P^-1 m P having an all-zero diagonal: the
-    shears' column operations applied to I, which leave P = I for a zero one."""
-    shears, n = _zero_diagonal_shears(m)
-    p = [[int(r == c) for c in range(m.dim)] for r in range(m.dim)]
-    for i, j, t in shears:
-        for row in p:
-            row[j] += t * row[i]
-    return MatrixQ(p), MatrixQ.unflatten(n, m.dim)
-
-
 def commutator_decomposition(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
     """Write a trace-zero matrix as a single commutator [a, b] = m, exactly.
 

@@ -343,7 +343,7 @@ class NcPoly:
         polynomial passes.
         """
         offending = _clean_terms(
-            (cyclic_representative(word), n) for word, n in self._num.items()
+            (_least_rotation(word), n) for word, n in self._num.items()
         )
         if not offending:
             return None
@@ -406,15 +406,19 @@ def _coerce(value: NcPoly | Scalar) -> NcPoly:
     return NotImplemented
 
 
-def cyclic_representative(word: Word) -> Word:
-    """Lexicographically least rotation of a word (canonical class label).
+def cyclic_representative(word: Iterable[int]) -> Word:
+    """Lexicographically least rotation of a word (canonical class label),
+    a tuple; the word is read like every public word argument (_letters)."""
+    return _least_rotation(_letters(word))
 
-    Duval's Lyndon factorisation of word + word (J. Algorithms 4, 1983), in
-    O(|w|) letter comparisons.  Each pass reads the longest stretch from i
-    that is a power of a Lyndon word of period j - k, plus a prefix of it;
-    the whole periods are equal factors, and the next pass starts after
-    them.  The least rotation begins at the last pass that starts inside
-    the first copy.
+
+def _least_rotation(word: Word) -> Word:
+    """cyclic_representative of a checked word: Duval's Lyndon factorisation
+    of word + word (J. Algorithms 4, 1983), in O(|w|) letter comparisons.
+    Each pass reads the longest stretch from i that is a power of a Lyndon
+    word of period j - k, plus a prefix of it; the whole periods are equal
+    factors, and the next pass starts after them.  The least rotation
+    begins at the last pass that starts inside the first copy.
     """
     n = len(word)
     s = word + word

@@ -28,10 +28,9 @@ from ncspan import (
     is_identity,
     lie_ideal_check,
     span,
-    zero_diagonal_conjugate,
 )
 from ncspan.cli import _doc, _exclusion_flags
-from ncspan.linalg import EchelonModP, express_in_terms
+from ncspan.linalg import EchelonModP, _zero_diagonal_shears, express_in_terms
 from ncspan.text import (
     _MAX_DEGREE,
     _MAX_EXPONENT,
@@ -124,19 +123,13 @@ def standard_polynomial(n: int) -> NcPoly:
     return out
 
 
-def random_matrix(rng: random.Random, d: int, bound: int) -> MatrixQ:
+def random_matrix_int(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:
     """d x d matrix with integer entries uniform in [-bound, bound], by randint.
 
     Draws entry by entry with randint itself, so the references sample
     independently of ncspan.span._samples, which reads the same values by
     randint's rule without calling it.
     """
-    return MatrixQ(
-        [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
-    )
-
-
-def random_matrix_int(rng: random.Random, d: int, bound: int = 9) -> MatrixQ:
     return MatrixQ(
         [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
     )
@@ -584,7 +577,7 @@ def reference_is_identity(f: NcPoly, d: int, cfg: SampleConfig) -> bool:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.samples_for(d)):
         args = tuple(
-            random_matrix(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
+            random_matrix_int(rng, d, cfg.coeff_bound) for _ in range(f.nvars)
         )
         if not reference_evaluate(f, args, d).is_zero():
             return False
@@ -816,17 +809,24 @@ def reference_inverse(m: MatrixQ) -> MatrixQ:
     return MatrixQ([row[d:] for row in aug])
 
 
+def shear_product(shears, d: int) -> MatrixQ:
+    """P = (I + t1 * E_i1j1)(I + t2 * E_i2j2)... for shears listed as (i, j, t)."""
+    identity = MatrixQ.identity(d)
+    return functools.reduce(lambda p, s: p * (identity + MatrixQ.unit(d, s[0], s[1]).scale(s[2])), shears, identity)
+
+
 def reference_commutator_decomposition(m: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
-    """commutator_decomposition by dense products: conjugate m to zero
-    diagonal N = P^-1 m P, solve [diag(1..d), b'] = N there, and return
-    (P a' P^-1, P b' P^-1) with P inverted by Fraction Gauss-Jordan."""
+    """commutator_decomposition by dense products: with P the product of
+    _zero_diagonal_shears(m) and N = P^-1 m P, solve [diag(1..d), b'] = N
+    and return (P a' P^-1, P b' P^-1), P inverted by Fraction Gauss-Jordan."""
     d = m.dim
     if m.is_zero():
         return MatrixQ.zero(d), MatrixQ.zero(d)
-    p, n = zero_diagonal_conjugate(m)
+    shears, n = _zero_diagonal_shears(m)
+    p = shear_product(shears, d)
     a0 = MatrixQ.diagonal(list(range(1, d + 1)))
     b0 = MatrixQ(
-        [[n.rows[j][k] / Fraction(j - k) if j != k else 0 for k in range(d)] for j in range(d)]
+        [[n[j * d + k] / Fraction(j - k) if j != k else 0 for k in range(d)] for j in range(d)]
     )
     p_inv = reference_inverse(p)
     return p * a0 * p_inv, p * b0 * p_inv

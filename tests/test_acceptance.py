@@ -45,6 +45,7 @@ from ncspan import (
     parse_poly,
     poly_to_text,
     reduce_to_multilinear,
+    resubstitute_check,
     vandermonde_extract,
 )
 from ncspan.cli import main as cli_main
@@ -202,8 +203,9 @@ def test_criterion_06_resubstitution_identity():
                 continue
             checked += 1
             m = f.nvars + 1
-            resub = delta(f, 1, m).substitute_one(m, X1)
-            assert resub == f.scale(2 ** k - 2)
+            fprime = delta(f, 1, m)
+            assert fprime.substitute_one(m, X1) == f.scale(2 ** k - 2)
+            assert resubstitute_check(f, fprime, 1, m)
 
 
 def test_criterion_07_reduction_corpus():

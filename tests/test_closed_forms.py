@@ -20,7 +20,6 @@ import pytest
 
 from helpers import (
     battery_poly,
-    random_matrix,
     random_matrix_int,
     random_noncentral,
     random_trace_zero,
@@ -55,7 +54,7 @@ def members(rng, d):
     """Random integer and rational matrices, and matrices inside each class."""
     out = [MatrixQ.zero(d), MatrixQ.identity(d), MatrixQ.identity(d).scale(Fraction(-7, 3))]
     out += [random_matrix_int(rng, d) for _ in range(6)]
-    out += [random_matrix(rng, d, 5) for _ in range(3)]
+    out += [random_matrix_int(rng, d, 5) for _ in range(3)]
     out += [random_trace_zero(rng, d) for _ in range(4)]
     out += [random_noncentral(rng, d) for _ in range(2 if d > 1 else 0)]  # M_1 has none
     out += [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]

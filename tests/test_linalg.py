@@ -11,6 +11,7 @@ from helpers import (
     reference_commutator_decomposition,
     reference_inverse,
     row_matrices,
+    shear_product,
 )
 from ncspan import linalg
 from ncspan import (
@@ -24,9 +25,8 @@ from ncspan import (
     commutator_decomposition,
     parse_matrix,
     vandermonde_extract,
-    zero_diagonal_conjugate,
 )
-from ncspan.linalg import express_in_terms
+from ncspan.linalg import _zero_diagonal_shears, express_in_terms
 
 
 def E(j, k, d=2):
@@ -361,57 +361,64 @@ class TestVandermonde:
 
 
 class TestZeroDiagonalConjugate:
-    def test_diag_plus_minus_one(self):
-        m = MatrixQ.diagonal([1, -1])
-        p, n = zero_diagonal_conjugate(m)
+    """linalg._zero_diagonal_shears, the conjugation to zero diagonal
+    inside commutator_decomposition."""
+
+    @staticmethod
+    def _shears(m):
+        """(shears, P, N) for m: the shears, applied to a copy of m through
+        _conjugate, give N, which has a zero diagonal and is P^-1 m P."""
+        d = m.dim
+        shears, n = _zero_diagonal_shears(m)
+        flat = list(m.flatten())
+        for i, j, t in shears:
+            linalg._conjugate(flat, d, i, j, t)
+        assert flat == n
+        p, n = shear_product(shears, d), MatrixQ.unflatten(n, d)
         assert reference_inverse(p) * m * p == n
-        assert all(n.rows[i][i] == 0 for i in range(2))
+        assert all(n.rows[i][i] == 0 for i in range(d))
+        return shears, p, n
+
+    def test_diag_plus_minus_one(self):
+        self._shears(MatrixQ.diagonal([1, -1]))
 
     def test_already_zero_diagonal(self):
         m = E(0, 1) - E(1, 0)
-        p, n = zero_diagonal_conjugate(m)
+        shears, p, n = self._shears(m)
+        assert shears == []
         assert p == MatrixQ.identity(2)
         assert n == m
 
     def test_zero_matrix(self):
-        p, n = zero_diagonal_conjugate(MatrixQ.zero(3))
+        shears, p, n = self._shears(MatrixQ.zero(3))
+        assert shears == []
         assert p == MatrixQ.identity(3)
         assert n.is_zero()
 
     def test_nonzero_trace_rejected(self):
         with pytest.raises(NonzeroTrace):
-            zero_diagonal_conjugate(MatrixQ.identity(2))
+            _zero_diagonal_shears(MatrixQ.identity(2))
 
     def test_random_trace_zero(self):
         rng = random.Random(11)
         for d in (2, 3, 4, 5):
             for _ in range(10):
-                m = random_trace_zero(rng, d)
-                p, n = zero_diagonal_conjugate(m)
-                assert reference_inverse(p) * m * p == n
-                assert all(n.rows[i][i] == 0 for i in range(d))
-
-    @staticmethod
-    def _conjugate(rows):
-        m = MatrixQ(rows)
-        p, n = zero_diagonal_conjugate(m)
-        assert reference_inverse(p) * m * p == n
-        assert all(n.rows[i][i] == 0 for i in range(m.dim))
-        return p
+                self._shears(random_trace_zero(rng, d))
 
     def test_shear_through_entry_below(self):
         # n_10 = 1 carries n_00 onto n_11 directly: P = I + E_01.
-        assert self._conjugate([[1, 0], [1, -1]]) == MatrixQ([[1, 1], [0, 1]])
+        _, p, _ = self._shears(MatrixQ([[1, 0], [1, -1]]))
+        assert p == MatrixQ([[1, 1], [0, 1]])
 
     def test_preparatory_shear_needs_s2(self):
         # Column 0 is zero below the diagonal, and s = 1 gives
         # n_10 = (2 - 1) - 1 = 0, so the shear by E_10 takes s = 2.
-        p = self._conjugate([[1, 1, 0], [0, 2, 0], [0, 0, -3]])
+        _, p, _ = self._shears(MatrixQ([[1, 1, 0], [0, 2, 0], [0, 0, -3]]))
         assert p.rows[1][0] == 2
 
     @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0], [0, 0, -2]], [[0]]])
     def test_repeated_diagonal_and_dimension_one(self, rows):
-        self._conjugate(rows)
+        self._shears(MatrixQ(rows))
 
     def test_upper_triangular_battery(self):
         # Columns start zero below the diagonal, so preparatory shears run
@@ -425,7 +432,7 @@ class TestZeroDiagonalConjugate:
                 ]
                 rows[d - 1][d - 1] = -sum(rows[i][i] for i in range(d - 1))
                 m = MatrixQ(rows)
-                self._conjugate(rows)
+                self._shears(m)
                 a, b = commutator_decomposition(m)
                 assert commutator(a, b) == m
 
@@ -444,7 +451,7 @@ class TestZeroDiagonalConjugate:
         monkeypatch.setattr(linalg, "fraction_free_rref", counted)
         monkeypatch.setattr(MatrixQ, "__mul__", counted_product)
         m = random_trace_zero(random.Random(7), 5)
-        zero_diagonal_conjugate(m)
+        _zero_diagonal_shears(m)
         assert calls == []
         # commutator_decomposition conjugates back through the shears.
         a, b = commutator_decomposition(m)

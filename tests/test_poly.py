@@ -466,6 +466,32 @@ class TestLeastRotation:
             assert f.commutator_obstruction() == reference_commutator_obstruction(f), f
 
 
+class TestCyclicRepresentativeReadsItsWord:
+    """cyclic_representative reads its word like NcPoly.monomial and every
+    other public word argument: as a tuple of int letters, each >= 1."""
+
+    def test_list_gives_tuple(self):
+        got = cyclic_representative([2, 1])
+        assert type(got) is tuple and got == (1, 2)
+
+    @pytest.mark.parametrize("word", [(True, 2), ("b", "a"), (2.0, 1), "ba"], ids=repr)
+    def test_non_int_letter_refused(self, word):
+        with pytest.raises(TypeError, match="not an int"):
+            cyclic_representative(word)
+
+    def test_letter_below_one_refused(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            cyclic_representative((0, 1))
+
+    def test_obstruction_labels_its_words_unchecked(self, monkeypatch):
+        # The polynomial's words were checked when it was built.
+        f = parse_poly("X1*X2*X1 + 2*X2*X1*X1 - [X2,X3]^2 + X3*X3*X2")
+        calls = []
+        monkeypatch.setattr(ncspan.poly, "_letters", lambda word: calls.append(word) or tuple(word))
+        assert f.commutator_obstruction() == reference_commutator_obstruction(f)
+        assert calls == []
+
+
 def test_equality_is_canonical():
     f = NcPoly({(1,): Fraction(2, 4)})
     g = NcPoly.monomial((1,), Fraction(1, 2))

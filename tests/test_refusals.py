@@ -115,7 +115,6 @@ SIGNATURES = {
     "unit_commutator": ("matrix", "number", "number"),
     "vandermonde_extract": ("numbers", "matrices"),
     "vanishing_rate": ("poly", "number", "cfg"),
-    "zero_diagonal_conjugate": ("matrix",),
     # The constructors and closed-form queries of the public classes, self
     # first where the method takes one.
     "MatrixQ.zero": ("number",),

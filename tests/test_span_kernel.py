@@ -38,7 +38,7 @@ import helpers
 from helpers import (
     EchelonQ,
     battery_poly,
-    random_matrix,
+    random_matrix_int,
     random_multilinear,
     random_poly,
     reference_classify_span,
@@ -884,7 +884,7 @@ class TestSampleStream:
         for d in (1, 3):
             ref = random.Random(cfg.seed)
             for entries in span._samples(f, d, cfg):
-                want = tuple(random_matrix(ref, d, bound) for _ in range(3))
+                want = tuple(random_matrix_int(ref, d, bound) for _ in range(3))
                 assert span._matrices(entries, d) == want
             # A constant has no variables, so every sample is empty.
             assert list(span._samples(parse_poly("5"), d, cfg)) == [[]] * 40
@@ -902,7 +902,7 @@ class TestPackedEvaluation:
         rng = random.Random(12)
         f = parse_poly("123456789012345678901234567890*X1*X2 - 98765432109876543210*X2*X1*X1 + 7")
         for d in (1, 2, 4):
-            args = [random_matrix(rng, d, 10**6) for _ in range(2)]
+            args = [random_matrix_int(rng, d, 10**6) for _ in range(2)]
             got = evaluate(f, args)
             assert got == reference_evaluate(f, args, d)
             assert max(abs(x) for x in got.flatten()) > 2**64
@@ -924,7 +924,7 @@ class TestPackedEvaluation:
         f = parse_poly("X1*X2 - 3*X2*X1*X2 + X1 - 2")
         for bound in (1, 10, 1000, 10**6, 10**12):
             for d in (1, 2, 3):
-                args = [random_matrix(rng, d, bound) for _ in range(2)]
+                args = [random_matrix_int(rng, d, bound) for _ in range(2)]
                 assert evaluate(f, args) == reference_evaluate(f, args, d)
 
     @pytest.mark.parametrize("width", (1, 2, 4, 8, 16))
