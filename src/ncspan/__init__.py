@@ -1,102 +1,11 @@
 """Exact engine for linear spans of noncommutative polynomial values on M_d(Q)."""
 
-from .linalg import (
-    Classification,
-    DimensionMismatch,
-    DuplicateNodes,
-    MatrixQ,
-    NonzeroTrace,
-    NotInSpan,
-    SpanBasis,
-    commutator,
-    commutator_decomposition,
-    unit_commutator,
-    vandermonde_extract,
-)
-from .linearize import (
-    MultilinearReduction,
-    NotReducible,
-    OracleFailed,
-    ReductionStep,
-    StepKind,
-    VariableCollision,
-    delta,
-    reduce_to_multilinear,
-    resubstitute_check,
-)
-from .poly import MissingAssignment, NcPoly, Word, cyclic_representative
-from .span import (
-    ArityMismatch,
-    ConstantInput,
-    SampleConfig,
-    SpanReport,
-    StopReason,
-    classify_span,
-    decompose_target,
-    evaluate,
-    find_witness_dimension,
-    herstein_closure,
-    is_central,
-    is_identity,
-    lie_ideal_check,
-    nontriviality_oracle,
-    vanishing_rate,
-)
-from .text import (
-    ExponentNegative,
-    ParseError,
-    matrix_to_text,
-    parse_matrix,
-    parse_poly,
-    poly_to_text,
-)
+from .linalg import *
+from .linearize import *
+from .poly import *
+from .span import *
+from .text import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityMismatch",
-    "Classification",
-    "ConstantInput",
-    "DimensionMismatch",
-    "DuplicateNodes",
-    "ExponentNegative",
-    "MatrixQ",
-    "MissingAssignment",
-    "MultilinearReduction",
-    "NcPoly",
-    "NonzeroTrace",
-    "NotInSpan",
-    "NotReducible",
-    "OracleFailed",
-    "ParseError",
-    "ReductionStep",
-    "SampleConfig",
-    "SpanBasis",
-    "SpanReport",
-    "StopReason",
-    "StepKind",
-    "VariableCollision",
-    "Word",
-    "classify_span",
-    "commutator",
-    "commutator_decomposition",
-    "cyclic_representative",
-    "decompose_target",
-    "delta",
-    "evaluate",
-    "find_witness_dimension",
-    "herstein_closure",
-    "is_central",
-    "is_identity",
-    "lie_ideal_check",
-    "matrix_to_text",
-    "nontriviality_oracle",
-    "parse_matrix",
-    "parse_poly",
-    "poly_to_text",
-    "reduce_to_multilinear",
-    "resubstitute_check",
-    "unit_commutator",
-    "vandermonde_extract",
-    "vanishing_rate",
-]
+__all__ = linalg.__all__ + linearize.__all__ + poly.__all__ + span.__all__ + text.__all__

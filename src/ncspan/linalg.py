@@ -43,6 +43,20 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence, Union
 
+__all__ = [
+    "Classification",
+    "DimensionMismatch",
+    "DuplicateNodes",
+    "MatrixQ",
+    "NonzeroTrace",
+    "NotInSpan",
+    "SpanBasis",
+    "commutator",
+    "commutator_decomposition",
+    "unit_commutator",
+    "vandermonde_extract",
+]
+
 Num = Union[int, Fraction]
 Vector = tuple[Num, ...]
 

@@ -28,6 +28,18 @@ from typing import Callable, Sequence
 
 from .poly import NcPoly, Word, _letters
 
+__all__ = [
+    "MultilinearReduction",
+    "NotReducible",
+    "OracleFailed",
+    "ReductionStep",
+    "StepKind",
+    "VariableCollision",
+    "delta",
+    "reduce_to_multilinear",
+    "resubstitute_check",
+]
+
 
 class VariableCollision(Exception):
     """The fresh variable for a polarization step already occurs."""

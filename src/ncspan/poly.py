@@ -27,6 +27,13 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .linalg import _cleared, check_exact
 
+__all__ = [
+    "MissingAssignment",
+    "NcPoly",
+    "Word",
+    "cyclic_representative",
+]
+
 Word = tuple[int, ...]
 Scalar = Union[int, Fraction]
 

@@ -91,6 +91,24 @@ from .linalg import (
 )
 from .poly import NcPoly, Word
 
+__all__ = [
+    "ArityMismatch",
+    "ConstantInput",
+    "SampleConfig",
+    "SpanReport",
+    "StopReason",
+    "classify_span",
+    "decompose_target",
+    "evaluate",
+    "find_witness_dimension",
+    "herstein_closure",
+    "is_central",
+    "is_identity",
+    "lie_ideal_check",
+    "nontriviality_oracle",
+    "vanishing_rate",
+]
+
 
 class ArityMismatch(Exception):
     """Fewer argument matrices than the polynomial has variables."""

@@ -35,6 +35,15 @@ from fractions import Fraction
 from .linalg import DimensionMismatch, MatrixQ
 from .poly import NcPoly, _clean_terms, _raw, _scaled, _sum
 
+__all__ = [
+    "ExponentNegative",
+    "ParseError",
+    "matrix_to_text",
+    "parse_matrix",
+    "parse_poly",
+    "poly_to_text",
+]
+
 
 class ParseError(Exception):
     """Syntax error with 1-based line/column position."""
