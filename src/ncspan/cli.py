@@ -285,13 +285,15 @@ def _cmd_decompose(args) -> int:
 def _read_corpus(path: str) -> list[tuple[int, NcPoly]]:
     """(line number, polynomial) of each line with one, comments cut.
 
+    A UTF-8 byte order mark at the start of the file is skipped
+    (utf-8-sig); one anywhere else is an unexpected character.
     Undecodable bytes are read as lone surrogates (surrogateescape), which
     valid UTF-8 never yields, so the first one is refused, naming its line
     and column, before any line is parsed.
     """
     texts = []
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8")
@@ -448,7 +450,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, func, options in _COMMANDS:
         if every or name == command:
-            p = sub.add_parser(name, help=help_text)
+            # One spelling per option: an abbreviation such as --pol would
+            # pass _attach_literals by, so a literal starting with "-" fails.
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
             p.set_defaults(func=func)

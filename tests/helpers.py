@@ -788,24 +788,68 @@ def reference_report_doc(report) -> dict:
     )
 
 
-def reference_inverse(m: MatrixQ) -> MatrixQ:
-    """Exact inverse by Fraction Gauss-Jordan; raises ValueError if singular."""
-    d = m.dim
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-        for i, row in enumerate(m.rows)
-    ]
-    for col in range(d):
-        sel = next((r for r in range(col, d) if aug[r][col]), None)
+# The exact eliminations of the references, three in all:
+# - fraction_gauss_jordan over Fraction, read by every batch reference: the
+#   RREF (reference_rref, so reference_insert and the closed-form bases),
+#   the solves (reference_express_all and reference_express_in_terms, for
+#   express_in_terms and decompose_target), the inverse as a solve against
+#   I (reference_inverse, for fraction_free_rref on [m | I] and
+#   commutator_decomposition), and the determinant, its signed pivot product;
+# - reference_fraction_free_rref, the one-sweep Bareiss that pins
+#   fraction_free_rref's in-place contract: its pivots, det and det * RREF;
+# - reference_forward_insert and EchelonQ, a forward echelon over Q for
+#   streamed rank decisions (EchelonModP, the growth replays and the
+#   reference walk), where an RREF per insert is about four times slower.
+
+
+def fraction_gauss_jordan(rows, k: int | None = None) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan over Fraction on a copy of rows, with pivots searched
+    in the first k columns only (every column by default): (reduced rows,
+    pivot columns, det).  Each pivot row is scaled to a leading 1 and
+    cleared from every other row in all columns, so a column past k ends
+    as in a solve of its own.  det is the signed product of the pivots:
+    the determinant when rows is square and invertible."""
+    aug = [[Fraction(x) for x in row] for row in rows]
+    n = len(aug)
+    if k is None:
+        k = len(aug[0]) if aug else 0
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(k):
+        row = len(pivots)
+        sel = next((r for r in range(row, n) if aug[r][col]), None)
         if sel is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+            continue
+        if sel != row:
+            aug[row], aug[sel] = aug[sel], aug[row]
+            det = -det
+        pv = aug[row][col]
+        det *= pv
+        if pv != 1:
+            aug[row] = [x / pv for x in aug[row]]
+        top = aug[row]
+        for r in range(n):
+            c = aug[r][col]
+            if c and r != row:
+                aug[r] = [x - c * y if y else x for x, y in zip(aug[r], top)]
+        pivots.append(col)
+    return aug, pivots, det
+
+
+def reference_rref(vectors) -> tuple[tuple, tuple[int, ...]]:
+    """The reduced row echelon rows of the span of vectors, zero rows
+    dropped, and their pivots, by fraction_gauss_jordan."""
+    aug, pivots, _ = fraction_gauss_jordan(vectors)
+    return tuple(map(tuple, aug[: len(pivots)])), tuple(pivots)
+
+
+def reference_inverse(m: MatrixQ) -> MatrixQ:
+    """Exact inverse as a solve against I, by fraction_gauss_jordan on
+    [m | I]; raises ValueError if singular."""
+    d = m.dim
+    aug, pivots, _ = fraction_gauss_jordan([(*a, *b) for a, b in zip(m.rows, MatrixQ.identity(d).rows)], d)
+    if len(pivots) < d:
+        raise ValueError("matrix is singular")
     return MatrixQ([row[d:] for row in aug])
 
 
@@ -863,14 +907,6 @@ def reference_fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]
     return pivots, sign * prev
 
 
-def reference_reduced_rows(mats) -> tuple:
-    """The reduced row echelon basis of the span of integer matrices,
-    flattened row-major, by the Bareiss reference: rows / det, zero rows dropped."""
-    rows = [list(m.flatten()) for m in mats]
-    pivots, det = reference_fraction_free_rref(rows)
-    return tuple(tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])
-
-
 def reference_express_in_terms(vectors, target):
     """Solve sum_j lam_j * vectors[j] = target by Fraction Gauss-Jordan.
 
@@ -882,67 +918,25 @@ def reference_express_in_terms(vectors, target):
 
 def reference_express_all(vectors, targets):
     """reference_express_in_terms(vectors, t) for each t in targets, by one
-    Fraction Gauss-Jordan on [vectors | targets].  Pivots are chosen and
-    rows scaled on the vectors' columns alone, so each target's column ends
-    as it would in a solve of its own.
+    fraction_gauss_jordan on [vectors | targets] that pivots on the
+    vectors' columns alone, so each target's column ends as it would in a
+    solve of its own.
     """
     k = len(vectors)
     n = len(targets[0]) if targets else 0
-    aug = [
-        [Fraction(vectors[j][r]) for j in range(k)] + [Fraction(t[r]) for t in targets]
-        for r in range(n)
-    ]
-    pivot_cols = []
-    row = 0
-    for col in range(k):
-        sel = next((r for r in range(row, n) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == n:
-            break
+    aug, pivots, _ = fraction_gauss_jordan(
+        [[v[r] for v in vectors] + [t[r] for t in targets] for r in range(n)], k
+    )
     sols = []
     for i in range(k, k + len(targets)):
-        if any(aug[r][i] for r in range(row, n)):
+        if any(row[i] for row in aug[len(pivots) :]):
             sols.append(None)
             continue
         sol = [Fraction(0)] * k
-        for r, col in enumerate(pivot_cols):
-            sol[col] = aug[r][i]
+        for row, col in zip(aug, pivots):
+            sol[col] = row[i]
         sols.append(sol)
     return sols
-
-
-def reference_rref_insert(rows, pivots, vec):
-    """Insert vec into Fraction RREF rows; returns (rows, pivots, grew)."""
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            v = [a - c * b if b else a for a, b in zip(v, row)]
-    p = next((i for i, x in enumerate(v) if x), None)
-    if p is None:
-        return rows, pivots, False
-    pv = Fraction(v[p])
-    new_row = tuple(x / pv for x in v)
-    adjusted = []
-    for row in rows:
-        c = row[p]
-        if c:
-            row = tuple(a - c * b if b else a for a, b in zip(row, new_row))
-        adjusted.append(row)
-    pos = next((k for k, q in enumerate(pivots) if q > p), len(pivots))
-    out_rows = tuple(adjusted[:pos]) + (new_row,) + tuple(adjusted[pos:])
-    out_pivots = pivots[:pos] + (p,) + pivots[pos:]
-    return out_rows, out_pivots, True
 
 
 def reference_forward_insert(rows, vec):
@@ -950,11 +944,11 @@ def reference_forward_insert(rows, vec):
 
     rows is a tuple of (pivot, row) in insertion order, each row a
     primitive integer vector that is 0 at the pivots of the rows before
-    it, as in EchelonModP.  vec, cleared of denominators, is reduced by
-    the rows in that order, v <- row[p] * v - v[p] * row with the content
-    divided out, which zeroes every pivot for good; vec grows the rank iff
-    something is left.  No earlier row is touched, unlike
-    reference_rref_insert.
+    it and pivots on its highest nonzero slot, as in EchelonModP.  vec,
+    cleared of denominators, is reduced by the rows in that order, v <-
+    row[p] * v - v[p] * row with the content divided out, which zeroes
+    every pivot for good; vec grows the rank iff something is left.  No
+    earlier row is touched, unlike an RREF.
     """
     den = math.lcm(*(Fraction(x).denominator for x in vec))
     v = [int(x * den) for x in vec]
@@ -965,7 +959,7 @@ def reference_forward_insert(rows, vec):
             v = [a * x - c * y for x, y in zip(v, row)]
             g = math.gcd(*v) or 1
             v = [x // g for x in v]
-    p = next((i for i, x in enumerate(v) if x), None)
+    p = next((i for i in reversed(range(len(v))) if v[i]), None)
     if p is None:
         return rows, False
     return rows + ((p, tuple(v)),), True
@@ -1092,11 +1086,9 @@ def reference_contains(basis: SpanBasis, m: MatrixQ) -> bool:
 
 
 def reference_insert(basis: SpanBasis, m: MatrixQ) -> tuple[SpanBasis, bool]:
-    """The rank-one update on the dense residual: (new basis, grew).  The
-    reduction inside reference_rref_insert leaves a residual as it is."""
-    v = reference_residual(basis, m)
-    rows, pivots, grew = reference_rref_insert(basis.rows, basis.pivots, v)
-    return SpanBasis(basis.dim, tuple(rows), tuple(pivots)), grew
+    """The RREF of the basis rows and m (reference_rref): (new basis, grew)."""
+    rows, pivots = reference_rref([*basis.rows, m.flatten()])
+    return SpanBasis(basis.dim, rows, pivots), len(rows) > basis.rank
 
 
 def row_matrices(basis: SpanBasis) -> list[MatrixQ]:

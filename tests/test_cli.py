@@ -1,5 +1,7 @@
 import argparse
+import codecs
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -627,6 +629,24 @@ class TestSuite:
         assert main(["suite", "--corpus", str(corpus), "--dim", "2"]) == 2
         assert capsys.readouterr().err == f"ncspan: {corpus}:2: not valid UTF-8 (byte 0xce at column 6)\n"
 
+    def test_corpus_with_byte_order_mark(self, capsys, tmp_path):
+        # A UTF-8 byte order mark that opens the file is skipped.
+        plain = GOLDEN / "corpus.txt"
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        docs = []
+        for path in (plain, corpus):
+            code, doc = run_json(capsys, "suite", "--corpus", str(path), "--dim", "2", "--seed", "0")
+            assert code == 0
+            docs.append((doc["entries"], doc["summary"]))
+        assert docs[0] == docs[1]
+        # Anywhere else it is an unexpected character, at its column.
+        corpus.write_bytes(b"X1" + codecs.BOM_UTF8 + b"*X2\n")
+        assert main(["suite", "--corpus", str(corpus), "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ncspan: {corpus}:1: unexpected character '\\ufeff' (column 3)\n"
+
     def test_corpus_path_with_nul(self, capsys):
         # open() refuses the path with ValueError, not OSError.
         assert main(["suite", "--corpus", "corpus\0.txt", "--dim", "2"]) == 2
@@ -850,6 +870,28 @@ class TestParserPerCommand:
             assert "required" not in err
         else:
             assert got == _outcome(capsys, _with_every_subcommand, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--pol", "X1", "--dim", "2"],
+            ["classify", "--pol", "-1*X1", "--dim", "2"],
+            ["classify", "--poly", "X1", "--di", "2"],
+            ["decompose", "--poly", "X1", "--dim", "2", "--targ", "-1,0;0,1"],
+            ["classify", "--he"],
+        ],
+        ids=repr,
+    )
+    def test_abbreviations_refused(self, capsys, argv):
+        # Each option has one spelling: an abbreviated literal option would
+        # pass _attach_literals by, and a literal starting with "-" fail.
+        code, out, _ = _outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+
+    def test_literal_starting_with_minus(self, capsys):
+        code, out, err = _outcome(capsys, main, ["classify", "--poly", "-1*X1", "--dim", "2", "--seed", "0"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == "03d0b7a84e7ba348b34365dbc351a031410093e722a0e3fcd29801974e6916fe"
 
     @pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if c != "commtest"])
     def test_no_stability_window_option(self, capsys, command):

@@ -4,8 +4,8 @@ Classification.rank, lies_in and contains answer for the four canonical
 spaces what their SpanBasis.canonical bases answer by elimination: rank
 and contains from the basis, and containment from the reduction in
 helpers (reference_is_subspace_of), since SpanBasis keeps no subspace
-test.  Classification.basis is the Bareiss-reduced span of an explicit
-spanning set, and Classification.bound the span of brackets or of
+test.  Classification.basis is the reduced row echelon span of an
+explicit spanning set (reference_rref), and Classification.bound the span of brackets or of
 units.  For every class and pair of classes at d = 1..6, on random and
 in-class matrices, and on the reports of the seeded batteries.  A report
 of classify_span builds no basis until it is read, and no command of the
@@ -24,7 +24,7 @@ from helpers import (
     random_noncentral,
     random_trace_zero,
     reference_is_subspace_of,
-    reference_reduced_rows,
+    reference_rref,
     standard_polynomial,
 )
 from ncspan import (
@@ -103,7 +103,7 @@ class TestAgainstCanonicalBases:
         for cls, mats in spanning.items():
             rng.shuffle(mats)
             rows = cls.basis(d)
-            assert rows == reference_reduced_rows(mats), cls
+            assert rows == reference_rref(m.flatten() for m in mats)[0], cls
             assert {type(x) for row in rows for x in row} <= {int}
             assert SpanBasis.canonical(d, cls).rows == rows
 
@@ -112,8 +112,8 @@ class TestAgainstCanonicalBases:
         # [E_ij, E_jk] span sl_d; X1 takes every value, spanned by the units.
         units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
         brackets = [commutator(MatrixQ.unit(d, i, j), MatrixQ.unit(d, j, k)) for i in range(d) for j in range(d) for k in range(d)]
-        assert Classification.bound(d, True).basis(d) == reference_reduced_rows(brackets)
-        assert Classification.bound(d, False).basis(d) == reference_reduced_rows(units)
+        assert Classification.bound(d, True).basis(d) == reference_rref(m.flatten() for m in brackets)[0]
+        assert Classification.bound(d, False).basis(d) == reference_rref(m.flatten() for m in units)[0]
         for text in ("[X1,X2]", "X1*X2"):
             f = parse_poly(text)
             assert classify_span(f, d).classification is Classification.bound(d, f.is_sum_of_commutators())

@@ -21,6 +21,7 @@ import pytest
 
 from helpers import (
     battery_poly,
+    fraction_gauss_jordan,
     random_matrix_int,
     reference_express_all,
     reference_express_in_terms,
@@ -28,7 +29,7 @@ from helpers import (
     reference_classify_span,
     reference_inverse,
     reference_decompose,
-    reference_rref_insert,
+    reference_rref,
     row_matrices,
     unit_pairs,
 )
@@ -302,14 +303,6 @@ def bareiss_inverse(rows):
     return pivots, det, [row[d:] for row in aug]
 
 
-def fraction_rref(rows):
-    """Reduced row echelon rows and pivots by the incremental Fraction routine."""
-    out, pivots = (), ()
-    for row in rows:
-        out, pivots, _ = reference_rref_insert(out, pivots, row)
-    return out, pivots
-
-
 class TestKernel:
     def test_rref_matches_fraction_rref(self):
         rng = random.Random(77)
@@ -320,7 +313,7 @@ class TestKernel:
                 [sum(rng.randint(-3, 3) * b[j] for b in base) for j in range(m)]
                 for _ in range(n)
             ]
-            want_rows, want_pivots = fraction_rref(rows)
+            want_rows, want_pivots = reference_rref(rows)
             work = [list(r) for r in rows]
             pivots, det = fraction_free_rref(work)
             assert tuple(pivots) == want_pivots
@@ -344,7 +337,7 @@ class TestKernel:
                 for m in mats:
                     basis, _ = basis.insert(m)
                 assert basis == SpanBasis.from_matrices(d, mats)
-                assert (basis.rows, basis.pivots) == fraction_rref(m.flatten() for m in mats)
+                assert (basis.rows, basis.pivots) == reference_rref([m.flatten() for m in mats])
 
     def test_adjugate_against_fraction_inverse(self):
         rng = random.Random(78)
@@ -360,8 +353,8 @@ class TestKernel:
                 pivots, det, adj = bareiss_inverse(m.rows)
                 assert pivots == list(range(d))
                 assert MatrixQ(adj) == inv.scale(det)
-                # det is the determinant: the product of Fraction pivots.
-                assert det == fraction_determinant(m)
+                # det is the determinant: the signed product of Fraction pivots.
+                assert det == fraction_gauss_jordan(m.rows)[2]
 
     def test_rational_inverse(self):
         rng = random.Random(79)
@@ -436,31 +429,7 @@ class TestKernel:
                 assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target), kind
 
     def test_reference_solves_all_targets_as_one_at_a_time(self):
-        # The old one-target Gauss-Jordan, kept here: the shared solve
-        # must give each target exactly its answer.
-        def alone(vectors, target):
-            k, n = len(vectors), len(target)
-            aug = [[Fraction(v[r]) for v in vectors] + [Fraction(target[r])] for r in range(n)]
-            pivot_cols, row = [], 0
-            for col in range(k):
-                sel = next((r for r in range(row, n) if aug[r][col]), None)
-                if sel is None:
-                    continue
-                aug[row], aug[sel] = aug[sel], aug[row]
-                aug[row] = [x / aug[row][col] for x in aug[row]]
-                for r in range(n):
-                    if r != row and aug[r][col]:
-                        c = aug[r][col]
-                        aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
-                pivot_cols.append(col)
-                row += 1
-            if any(aug[r][k] for r in range(row, n)):
-                return None
-            sol = [Fraction(0)] * k
-            for r, col in enumerate(pivot_cols):
-                sol[col] = aug[r][k]
-            return sol
-
+        # The shared solve must give each target exactly its own answer.
         rng = random.Random(82)
         seen = set()
         for _ in range(200):
@@ -471,25 +440,10 @@ class TestKernel:
                  for i in range(n)]
                 for coeffs in ([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in vecs] for _ in range(4))
             ]
-            want = [alone(vecs, t) for t in targets]
+            want = [reference_express_in_terms(vecs, t) for t in targets]
             assert reference_express_all(vecs, targets) == want
             seen.update(sol is None for sol in want)
         assert seen == {True, False}
-
-
-def fraction_determinant(m: MatrixQ) -> Fraction:
-    rows = [[Fraction(x) for x in row] for row in m.rows]
-    det = Fraction(1)
-    for c in range(m.dim):
-        sel = next(r for r in range(c, m.dim) if rows[r][c])
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for r in range(c + 1, m.dim):
-            factor = rows[r][c] / rows[c][c]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-    return det
 
 
 def same_as_gauss_jordan(rows):

@@ -50,7 +50,7 @@ from helpers import (
     reference_integer_terms,
     reference_packed_evaluator,
     reference_report_doc,
-    reference_rref_insert,
+    reference_rref,
     reference_shear_closure,
     row_matrices,
     standard_polynomial,
@@ -444,6 +444,27 @@ class TestUnitWalk:
                 self.assert_same_walk(f, d, SampleConfig(seed=k, coeff_bound=1))
         assert "zero" in branches
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_psi_shortcut(self, d):
+        # When h = g = 1, _shear_closure hands the walk EchelonModP's own
+        # insert and insert_unit; psi's closures at h = g = 1 insert d * v
+        # and adjoin d * c, and must keep the same rows with the same labels.
+        rng = random.Random(4980 + d)
+        for f in [battery_poly(rng) for _ in range(8)]:
+            for seed in (0, 1, 7919):
+                report = classify_span(f, d, SampleConfig(seed=seed))
+                traces = [sum(vec[:: d + 1]) for _, vec in report.rows]
+                parts = [d * x - t * (k % (d + 1) == 0) for (_, vec), t in zip(report.rows, traces) for k, x in enumerate(vec)]
+                assert all(math.gcd(*xs) % PRIME or not any(xs) for xs in (parts, traces))
+                echelon = EchelonModP(d * d)
+                want = span._walk(
+                    report.rows, d, report.rank,
+                    lambda vec: echelon.insert([d * x for x in vec]),
+                    lambda k, c: echelon.insert_unit(k, d * c),
+                )
+                where = f"{poly_to_text(f)} at d={d}, seed {seed}"
+                assert span._shear_closure(report.rows, d, report.rank) == tuple(map(tuple, want)), where
+
     @pytest.mark.parametrize("text, d", (("P*[X1,X2]", 8), ("[X1,X2] + P", 6), ("P*X1 + 1", 6)))
     def test_multiples_of_p(self, text, d):
         # h or g is a power of p, so psi scales each unit by d / h.
@@ -708,15 +729,13 @@ class TestEchelonModP:
             # Dependent vectors: integer combinations of a few huge ones.
             pool = [[rng.randint(-(2**140), 2**140) for _ in range(n)] for _ in range(3)]
             pool.append([x * (2**131 + 1) for x in pool[0]])
-            echelon = EchelonModP(n)
-            rows, pivots = (), ()
+            echelon, exact = EchelonModP(n), EchelonQ()
             for _ in range(8):
                 coeffs = [rng.randint(-9, 9) for _ in pool]
                 vec = [sum(c * v[k] for c, v in zip(coeffs, pool)) for k in range(n)]
                 assert any(abs(x) > 2**130 for x in vec)
-                rows, pivots, grew_q = reference_rref_insert(rows, pivots, vec)
-                assert echelon.insert(vec) == grew_q
-            assert echelon.rank == len(rows) <= 3
+                assert echelon.insert(vec) == exact.insert(vec)
+            assert echelon.rank == len(exact.rows) <= 3
 
     def test_units_agree_with_exact_rank(self):
         # insert_unit(k, c) adjoins c * e_k: each of its rules (c = 0 mod p,
@@ -725,8 +744,7 @@ class TestEchelonModP:
         rng = random.Random(63)
         for _ in range(40):
             n = rng.randint(2, 12)
-            echelon = EchelonModP(n)
-            rows, pivots = (), ()
+            echelon, exact = EchelonModP(n), EchelonQ()
             for step in range(2 * n):
                 if step and rng.random() < 0.5:
                     k, c = rng.randrange(n), rng.choice((1, -2, 7, PRIME, -3 * PRIME, 2 * PRIME + 5))
@@ -738,9 +756,8 @@ class TestEchelonModP:
                 else:
                     vec = [rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(n)]
                     grew = echelon.insert(vec)
-                rows, pivots, grew_q = reference_rref_insert(rows, pivots, vec)
-                assert grew == grew_q
-            assert echelon.rank == len(rows)
+                assert grew == exact.insert(vec)
+            assert echelon.rank == len(exact.rows)
 
     @pytest.mark.parametrize("n", (64, 256))
     def test_slots_reach_the_width_bound(self, n, monkeypatch):
@@ -760,8 +777,7 @@ class TestEchelonModP:
             return real_fold(self, v)
 
         monkeypatch.setattr(EchelonModP, "_fold", fold)
-        echelon = EchelonModP(n)
-        rows, pivots, grown = (), (), []
+        echelon, exact, grown = EchelonModP(n), EchelonQ(), []
         for k in range(n - 1):
             vec = [rng.choice((-1, PRIME - 1, 2 * PRIME - 1, -PRIME - 1)) for _ in range(k)]
             vec = [-(k + 1) + PRIME * rng.randint(-9, 9)] + [0] * (n - k - 2) + [-1] + vec
@@ -774,10 +790,9 @@ class TestEchelonModP:
                 if all(x % PRIME == 0 for x in w):
                     assert not grew
                     continue
-                rows, pivots, grew_q = reference_rref_insert(rows, pivots, w)
-                assert grew == grew_q, k
+                assert grew == exact.insert(w), k
             grown.append(vec)
-        assert echelon.rank == len(rows) == n - 1
+        assert echelon.rank == len(exact.rows) == n - 1
         bound = (PRIME - 1) * (1 + n * (PRIME - 1))
         assert (n - 2) * (PRIME - 1) ** 2 <= max(peak) <= bound < 1 << echelon._bits
 
@@ -861,15 +876,15 @@ class TestGrowthDecisions:
         for _ in range(60):
             n = rng.randint(1, 16)
             pool = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, n))]
-            forward, rows, pivots = (), (), ()
-            exact = EchelonQ()
+            forward, rows, exact = (), (), EchelonQ()
             for _ in range(rng.randint(1, 2 * n)):
                 coeffs = [rng.choice((0, 0, 1, -2, 3)) for _ in pool]
                 vec = [sum(c * v[k] for c, v in zip(coeffs, pool)) for k in range(n)]
                 vec = [Fraction(x, 3) for x in vec] if rng.random() < 0.5 else vec
                 forward, grew = reference_forward_insert(forward, vec)
-                rows, pivots, grew_q = reference_rref_insert(rows, pivots, vec)
-                assert grew == grew_q == exact.insert([int(3 * x) for x in vec])
+                rref = reference_rref([*rows, vec])[0]
+                assert grew == (len(rref) > len(rows)) == exact.insert([int(3 * x) for x in vec])
+                rows = rref
                 flags.add(grew)
             assert len(forward) == len(rows) == len(exact.rows)
         assert flags == {True, False}
