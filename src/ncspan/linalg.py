@@ -7,21 +7,22 @@ anything else.  Both are exact rationals and mix freely in arithmetic and
 comparisons.
 
 A SpanBasis holds a subspace of M_d flattened row-major to length-d^2
-vectors, maintained in reduced row echelon form.  Echelon canonicality makes
-subspace equality a plain row-list comparison and membership one dense
-reduction by the rows, each row's coefficient read off at its pivot and the
-remainder checked at the free columns.  The four canonical subspaces have
-their reduced bases written down in closed form (Classification.basis).
+vectors, maintained in reduced row echelon form; each row's pivot is its
+first nonzero entry.  Echelon canonicality makes subspace equality a plain
+row-list comparison and membership one dense reduction by the rows, each
+row's coefficient read off at its pivot and the remainder checked at the
+free columns.  The four canonical subspaces have their reduced bases
+written down in closed form (Classification.basis).  A basis of given
+matrices is a fold of insert, starting from SpanBasis(d).
 
-Bases built from a list of matrices, a matrix inserted into a basis, and
-solves all run through one routine, fraction_free_rref, over integer rows.
-It runs forward Bareiss elimination below each pivot, then builds det * RREF
-by exact back substitution from the last pivot row up; every quotient is a
-minor of the input, so no division leaves a remainder and no Fraction is
-formed.  Rows reach it through _cleared, which scales them by the lcm of
-their entries' denominators; rows of ints alone (sampled values, a span
-report's grown rows, integer targets) enter as they stand, copied, with
-scale 1.
+A matrix inserted into a basis, and solves, run through one routine,
+fraction_free_rref, over integer rows.  It runs forward Bareiss elimination
+below each pivot, then builds det * RREF by exact back substitution from
+the last pivot row up; every quotient is a minor of the input, so no
+division leaves a remainder and no Fraction is formed.  Rows reach it
+through _cleared, which scales them by the lcm of their entries'
+denominators; rows of ints alone (sampled values, a span report's grown
+rows, integer targets) enter as they stand, copied, with scale 1.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed Mersenne prime p = 2^31 - 1, with each row packed into one int and
@@ -320,51 +321,31 @@ class SpanBasis:
     rows: tuple[Vector, ...]
     pivots: tuple[int, ...]
 
-    def __init__(self, dim: int, rows: tuple[Vector, ...] = (), pivots: tuple[int, ...] = ()):
-        """rows must be the reduced echelon form that pivots names:
-        ValueError unless every row has d^2 entries, the pivots are ints
-        that increase strictly in range(d^2), and each row is 0 left of
-        its pivot, 1 at it and 0 at every other pivot; TypeError for an
-        inexact entry (see check_exact)."""
+    def __init__(self, dim: int, rows: tuple[Vector, ...] = ()):
+        """rows must be a reduced echelon form, each row's pivot its first
+        nonzero entry: ValueError unless every row has d^2 entries and is
+        nonzero, the pivots increase strictly, and each row is 1 at its
+        pivot and 0 at every other; TypeError for an inexact entry (see
+        check_exact)."""
         n = check_dimension(dim) ** 2
-        rows, pivots = tuple(map(tuple, rows)), tuple(pivots)
-        if len(rows) != len(pivots):
-            raise ValueError(f"{len(rows)} rows but {len(pivots)} pivots")
-        if (
-            set(map(type, pivots)) - {int}
-            or list(pivots) != sorted(set(pivots))
-            or any(p not in range(n) for p in pivots[:1] + pivots[-1:])
-        ):
-            raise ValueError(f"pivots {pivots} are not ints increasing strictly in range({n})")
-        for row, p in zip(rows, pivots):
-            if len(row) != n:
-                raise ValueError(f"a row of a basis of M_{dim} has {n} entries, not {len(row)}")
+        rows = tuple(map(tuple, rows))
+        for row in rows:
             check_exact(row, "basis entry")
+            if len(row) != n or not any(row):
+                raise ValueError(f"a row of a basis of M_{dim} must be nonzero with {n} entries, not {row}")
+        pivots = tuple(row.index(next(filter(None, row))) for row in rows)
+        if list(pivots) != sorted(set(pivots)):
+            raise ValueError(f"the rows' pivots {pivots} do not increase strictly")
+        for row, p in zip(rows, pivots):
             at = [row[q] for q in pivots]
-            if any(row[:p]) or row[p] != 1 or at.count(0) != len(at) - 1:
-                raise ValueError(f"the row with pivot {p} is not 0 before it, 1 at it and 0 at every other pivot")
+            if row[p] != 1 or at.count(0) != len(at) - 1:
+                raise ValueError(f"the row with pivot {p} is not 1 at it and 0 at every other pivot")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
 
     def __reduce__(self):
-        return SpanBasis, (self.dim, self.rows, self.pivots)
-
-    @staticmethod
-    def from_matrices(dim: int, mats: Iterable[MatrixQ]) -> SpanBasis:
-        """The reduced basis of the span of mats, by one fraction-free pass."""
-        mats = list(mats)
-        if any(m.dim != dim for m in mats):
-            raise DimensionMismatch(f"matrices must be {dim}x{dim}")
-        return SpanBasis._reduced(dim, [m.flatten() for m in mats])
-
-    @staticmethod
-    def _reduced(dim: int, vectors: list[Sequence[Num]]) -> SpanBasis:
-        """The reduced basis of the span of flattened vectors of M_dim."""
-        rows = _cleared(vectors)[1]
-        pivots, det = fraction_free_rref(rows)
-        rows = tuple(tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])
-        return SpanBasis(dim, rows, tuple(pivots))
+        return SpanBasis, (self.dim, self.rows)
 
     @property
     def rank(self) -> int:
@@ -372,10 +353,12 @@ class SpanBasis:
 
     def insert(self, m: MatrixQ) -> tuple[SpanBasis, bool]:
         """(basis, grew): self if m is inside, else the span of the rows and m
-        rebuilt as from_matrices builds one; grew is True iff the rank increased."""
+        reduced by one fraction-free pass; grew is True iff the rank increased."""
         if self.contains(m):
             return self, False
-        return SpanBasis._reduced(self.dim, [*self.rows, m.flatten()]), True
+        rows = _cleared([*self.rows, m.flatten()])[1]
+        pivots, det = fraction_free_rref(rows)
+        return SpanBasis(self.dim, (tuple(Fraction(x, det) for x in row) for row in rows[: len(pivots)])), True
 
     def contains(self, m: MatrixQ) -> bool:
         """Exact membership by one dense reduction of m, flattened, by the rows.
@@ -393,9 +376,8 @@ class SpanBasis:
 
     @staticmethod
     def canonical(dim: int, which: Classification) -> SpanBasis:
-        """The reduced basis of which's space in M_d: Classification.basis, each row with its pivot."""
-        rows = which.basis(dim)
-        return SpanBasis(dim, rows, tuple(row.index(1) for row in rows))
+        """The reduced basis of which's space in M_d, Classification.basis."""
+        return SpanBasis(dim, which.basis(dim))
 
 
 _EXPONENT = 31

@@ -161,10 +161,13 @@ class NcPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # For an integer polynomial this is hash(frozenset(self.terms.items())).
+        # A constant hashes as the scalar it equals (0 included), any other polynomial by its terms.
         if self._hash is None:
-            key = frozenset(self._num.items())
-            self._hash = hash(key if self._den == 1 else (key, self._den))
+            if self.is_constant():
+                self._hash = hash(Fraction(self._num.get((), 0), self._den))
+            else:
+                key = frozenset(self._num.items())
+                self._hash = hash(key if self._den == 1 else (key, self._den))
         return self._hash
 
     def __reduce__(self):

@@ -611,8 +611,9 @@ class ReferenceReport:
 
     classification is None where the rank loop matched no canonical space
     (the budget ran out first); rows are the samples that grew the rank,
-    and they are its grown rows too.  basis reduces their values, which
-    span the class wherever one is matched.
+    and they are its grown rows too.  Their values span the class wherever
+    one is matched, so basis is the class's; otherwise it reduces them
+    (reference_rref).
     """
 
     poly: NcPoly
@@ -631,8 +632,9 @@ class ReferenceReport:
 
     @functools.cached_property
     def basis(self) -> SpanBasis:
-        d = self.dim
-        return SpanBasis.from_matrices(d, [MatrixQ.unflatten(vec, d) for _, vec in self.rows])
+        if self.classification is not None:
+            return SpanBasis.canonical(self.dim, self.classification)
+        return SpanBasis(self.dim, reference_rref([vec for _, vec in self.rows])[0])
 
     @functools.cached_property
     def witnesses(self) -> tuple:
@@ -790,7 +792,8 @@ def reference_report_doc(report) -> dict:
 
 # The exact eliminations of the references, three in all:
 # - fraction_gauss_jordan over Fraction, read by every batch reference: the
-#   RREF (reference_rref, so reference_insert and the closed-form bases),
+#   RREF (reference_rref, so reference_insert, the closed-form bases and
+#   the general bases of the Lie-ideal tests),
 #   the solves (reference_express_all and reference_express_in_terms, for
 #   express_in_terms and decompose_target), the inverse as a solve against
 #   I (reference_inverse, for fraction_free_rref on [m | I] and
@@ -799,7 +802,8 @@ def reference_report_doc(report) -> dict:
 #   fraction_free_rref's in-place contract: its pivots, det and det * RREF;
 # - reference_forward_insert and EchelonQ, a forward echelon over Q for
 #   streamed rank decisions (EchelonModP, the growth replays and the
-#   reference walk), where an RREF per insert is about four times slower.
+#   reference walk) and for the rank of spans_class, where an RREF per
+#   insert is about four times slower.
 
 
 def fraction_gauss_jordan(rows, k: int | None = None) -> tuple[list[list[Fraction]], list[int], Fraction]:
@@ -978,6 +982,14 @@ class EchelonQ:
         return grew
 
 
+def spans_class(mats, cls: Classification, d: int) -> bool:
+    """Whether mats span cls's space in M_d: each lies in it, and their
+    rank over Q (EchelonQ) is its rank."""
+    vecs = [m.flatten() for m in mats]
+    echelon = EchelonQ()
+    return all(cls.contains(v, d) for v in vecs) and sum(map(echelon.insert, vecs)) == cls.rank(d)
+
+
 def reference_conjugate(rows, i: int, j: int, t) -> None:
     """rows <- T^-1 rows T in place for the shear T = I + t * E_ij, on a
     matrix kept as a list of rows: add t * (column i) to column j, then
@@ -1087,12 +1099,17 @@ def reference_contains(basis: SpanBasis, m: MatrixQ) -> bool:
 
 def reference_insert(basis: SpanBasis, m: MatrixQ) -> tuple[SpanBasis, bool]:
     """The RREF of the basis rows and m (reference_rref): (new basis, grew)."""
-    rows, pivots = reference_rref([*basis.rows, m.flatten()])
-    return SpanBasis(basis.dim, rows, pivots), len(rows) > basis.rank
+    rows, _ = reference_rref([*basis.rows, m.flatten()])
+    return SpanBasis(basis.dim, rows), len(rows) > basis.rank
 
 
 def row_matrices(basis: SpanBasis) -> list[MatrixQ]:
     return [MatrixQ.unflatten(row, basis.dim) for row in basis.rows]
+
+
+def inserted(d: int, mats) -> SpanBasis:
+    """The basis of the span of mats, each inserted in turn into SpanBasis(d)."""
+    return functools.reduce(lambda basis, m: basis.insert(m)[0], mats, SpanBasis(d))
 
 
 def reference_is_subspace_of(basis: SpanBasis, other: SpanBasis) -> bool:

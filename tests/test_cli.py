@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import ncspan.cli
-from helpers import reference_classify_span, reference_suite_violations, standard_polynomial
+from helpers import reference_classify_span, reference_suite_violations, spans_class, standard_polynomial
 from ncspan.cli import main
-from ncspan.linalg import Classification, MatrixQ, SpanBasis
+from ncspan.linalg import Classification, MatrixQ
 from ncspan.linearize import OracleFailed
 from ncspan.span import SampleConfig, classify_span, decompose_target, evaluate
 from ncspan.text import matrix_to_text, parse_poly, poly_to_text
@@ -121,7 +121,7 @@ class TestClassify:
             assert value.trace() == 0
             values.append(value)
         assert len(values) == 3
-        assert SpanBasis.from_matrices(2, values) == SpanBasis.canonical(2, Classification.TRACE_ZERO)
+        assert spans_class(values, Classification.TRACE_ZERO, 2)
         # A trace-zero target decomposes over them, and the sum checks out.
         code, doc = run_json(
             capsys,

@@ -148,16 +148,15 @@ def test_battery_reports(d):
 class TestLazyBasis:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Calls of SpanBasis.canonical and SpanBasis.from_matrices so far."""
-        calls = {"canonical": 0, "from_matrices": 0}
-        for name in calls:
-            real = getattr(SpanBasis, name)
+        """The arguments of every SpanBasis.__init__ call so far: each
+        builder, canonical and insert alike, constructs through it."""
+        calls, real = [], SpanBasis.__init__
 
-            def spy(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def init(self, *args, **kwargs):
+            calls.append((args, kwargs))
+            real(self, *args, **kwargs)
 
-            monkeypatch.setattr(SpanBasis, name, staticmethod(spy))
+        monkeypatch.setattr(SpanBasis, "__init__", init)
         return calls
 
     @pytest.mark.parametrize("text, d", [("[X1,X2]", 3), ("X1*X2", 3), ("[X1,X2]^2", 2), ("[X1,X2]", 1)])
@@ -170,11 +169,11 @@ class TestLazyBasis:
             if not cls.contains(outside.flatten(), d):
                 with pytest.raises(NotInSpan):
                     decompose_target(report, outside)
-        assert builds == {"canonical": 0, "from_matrices": 0}
+        assert builds == []
         assert report.basis.rank == report.rank
-        assert builds == {"canonical": 1, "from_matrices": 0}
+        assert builds == [((d, cls.basis(d)), {})]
         assert report.basis is report.basis
-        assert builds == {"canonical": 1, "from_matrices": 0}
+        assert len(builds) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -189,18 +188,11 @@ class TestLazyBasis:
         ],
         ids=["classify-json", "classify-text", "decompose", "suite", "witness", "linearize", "commtest"],
     )
-    def test_no_command_builds_a_basis(self, builds, argv, monkeypatch, capsys):
+    def test_no_command_builds_a_basis(self, builds, argv, capsys):
         # classify prints its basis from Classification.basis; no SpanBasis is constructed at all.
-        inits, real = [], SpanBasis.__init__
-
-        def init(self, *args, **kwargs):
-            inits.append((args, kwargs))
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(SpanBasis, "__init__", init)
         assert main(argv) == 0
         assert capsys.readouterr().out
-        assert builds == {"canonical": 0, "from_matrices": 0} and inits == []
+        assert builds == []
 
     def test_budget_cut_report_builds_its_basis_when_read(self, builds):
         # Trace zero on M_2 but no sum of commutators: its class is sampled,
@@ -208,6 +200,6 @@ class TestLazyBasis:
         f = parse_poly("[X1,X2]") + standard_polynomial(4) * parse_poly("X5")
         report = classify_span(f, 2, SampleConfig(max_samples=2))
         assert report.classification is TRACE_ZERO and report.rank == 3
-        assert builds == {"canonical": 0, "from_matrices": 0}
+        assert builds == []
         assert report.basis is report.basis
-        assert builds == {"canonical": 1, "from_matrices": 0}
+        assert builds == [((2, TRACE_ZERO.basis(2)), {})]

@@ -27,6 +27,7 @@ from helpers import (
     reference_insert,
     reference_classify_span,
     reference_lie_ideal_check,
+    reference_rref,
     row_matrices,
 )
 from ncspan import (
@@ -58,8 +59,9 @@ def random_rational_matrix(rng, d):
 
 
 def random_basis(rng, d):
-    """A from_matrices basis: a Lie ideal when enough generic matrices of
-    one kind are drawn, and usually not otherwise."""
+    """The reduced basis (reference_rref) of drawn matrices: a Lie ideal
+    when enough generic matrices of one kind are drawn, and usually not
+    otherwise."""
     n = d * d
     kind = rng.choice(("units", "scalars", "trace_zero", "full", "mixed"))
     if kind == "units":
@@ -76,7 +78,7 @@ def random_basis(rng, d):
         mats = [MatrixQ.identity(d)]
         mats += [random_trace_zero(rng, d) for _ in range(rng.randint(max(n - 3, 1), n))]
     mats = [m.scale(Fraction(1, rng.randint(1, 5))) for m in mats]
-    return SpanBasis.from_matrices(d, mats)
+    return SpanBasis(d, reference_rref([m.flatten() for m in mats])[0])
 
 
 class TestUnitCommutator:

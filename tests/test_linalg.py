@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    inserted,
     random_matrix_int,
     random_trace_zero,
     reference_commutator_decomposition,
@@ -139,41 +140,53 @@ class TestExactRule:
 
 
 class TestSpanBasisValidation:
-    """SpanBasis(dim, rows, pivots) refuses rows that are not the reduced
-    echelon form its pivots name."""
+    """SpanBasis(dim, rows) reads each row's pivot off the row, its first
+    nonzero entry, and refuses rows that are not a reduced echelon form."""
 
-    @pytest.mark.parametrize(
-        "rows, pivots",
-        [
-            (((1, 2, 3, 4),), (1,)),  # not 0 left of its pivot, nor 1 at it
-            (((1, 1, 0, 0),), (1,)),  # not 0 left of its pivot
-            (((1, 2, 3),), (0,)),  # not d^2 entries
-            (((0, 2, 3, 4),), (1,)),  # not 1 at its pivot
-            (((1, 1, 0, 0), (0, 1, 0, 0)), (0, 1)),  # not 0 at another pivot
-            (((0, 1, 0, 0), (1, 0, 0, 0)), (1, 0)),  # pivots decreasing
-            (((1, 0, 0, 0), (1, 0, 0, 0)), (0, 0)),  # pivots repeated
-            (((1, 0, 0, 0),), (0, 1)),  # more pivots than rows
-            (((1, 0, 0, 0),), (True,)),  # a bool pivot
-            (((0, 0, 0, 0, 1),), (4,)),  # a pivot past d^2
-        ],
-    )
-    def test_refused(self, rows, pivots):
-        with pytest.raises(ValueError):
-            SpanBasis(2, rows, pivots)
+    # Each case with the refusal it meets: a row's length or zero row, the
+    # pivots' order, or a row's entries at the pivots.
+    SIZE, ORDER, PIVOT = "must be nonzero with 4 entries", "do not increase strictly", "is not 1 at it and 0"
+    REFUSED = [
+        (((0, 0, 0, 0),), SIZE),  # a zero row
+        (((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), ORDER),  # pivots out of order after the first row
+        (((1, 2, 3),), SIZE),  # not d^2 entries
+        (((0, 2, 3, 4),), PIVOT),  # not 1 at its pivot
+        (((1, 1, 0, 0), (0, 1, 0, 0)), PIVOT),  # not 0 at another pivot
+        (((0, 1, 0, 0), (1, 0, 0, 0)), ORDER),  # pivots decreasing
+        (((1, 0, 0, 0), (1, 0, 0, 0)), ORDER),  # pivots repeated
+        (((1, 0, 0, 0), (0, 0, 0, 0)), SIZE),  # a zero row after a reduced one
+        (((0, Fraction(1, 2), 0, 0),), PIVOT),  # a Fraction other than 1 at its pivot
+        (((0, 0, 0, 0, 1),), SIZE),  # a pivot past d^2
+    ]
+
+    @pytest.mark.parametrize("rows, fault", REFUSED, ids=[f"rows{i}-pivots{i}" for i in range(len(REFUSED))])
+    def test_refused(self, rows, fault):
+        with pytest.raises(ValueError, match=fault):
+            SpanBasis(2, rows)
 
     def test_inexact_entry_refused(self):
-        with pytest.raises(TypeError, match="not an int or a Fraction"):
-            SpanBasis(2, ((1, 0.5, 0, 0),), (0,))
+        for rows in (((1, 0.5, 0, 0),), ((True, 0, 0, 0),)):
+            with pytest.raises(TypeError, match="not an int or a Fraction"):
+                SpanBasis(2, rows)
 
     def test_reduced_rows_build(self):
         third = Fraction(1, 3)
-        basis = SpanBasis(2, [[1, third, 0, 2], [0, 0, 1, -1]], [0, 2])
+        basis = SpanBasis(2, [[1, third, 0, 2], [0, 0, 1, -1]])
         assert basis.rows == ((1, third, 0, 2), (0, 0, 1, -1)) and basis.pivots == (0, 2)
-        assert SpanBasis.from_matrices(2, row_matrices(basis)) == basis
-        for d in (1, 2, 3):
-            for which in Classification:
-                canonical = SpanBasis.canonical(d, which)
-                assert SpanBasis(d, canonical.rows, canonical.pivots) == canonical
+        assert inserted(2, row_matrices(basis)) == basis
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_canonical_reads_its_pivots(self, d):
+        n = d * d
+        want = {
+            Classification.ZERO: (),
+            Classification.SCALARS: (0,),
+            Classification.TRACE_ZERO: tuple(range(n - 1)),
+            Classification.FULL: tuple(range(n)),
+        }
+        for which, pivots in want.items():
+            basis = SpanBasis(d, which.basis(d))
+            assert SpanBasis.canonical(d, which) == basis and basis.pivots == pivots
 
 
 class TestSpanBasis:
@@ -186,9 +199,7 @@ class TestSpanBasis:
         assert basis2 == basis
 
     def test_full_matrix_units(self):
-        basis = SpanBasis.from_matrices(
-            2, [E(0, 0), E(0, 1), E(1, 0), E(1, 1)]
-        )
+        basis = inserted(2, [E(0, 0), E(0, 1), E(1, 0), E(1, 1)])
         assert basis.rank == 4
         assert basis == SpanBasis.canonical(2, Classification.FULL)
 
@@ -221,8 +232,8 @@ class TestSpanBasis:
     def test_order_independent_result(self):
         rng = random.Random(6)
         mats = [random_matrix_int(rng, 2) for _ in range(6)]
-        b1 = SpanBasis.from_matrices(2, mats)
-        b2 = SpanBasis.from_matrices(2, list(reversed(mats)))
+        b1 = inserted(2, mats)
+        b2 = inserted(2, list(reversed(mats)))
         assert b1 == b2
 
     def test_repr(self):
@@ -237,9 +248,7 @@ class TestSpanBasis:
                 assert Classification.ZERO.lies_in(other, d)
 
     def test_trace_zero_canonical(self):
-        basis = SpanBasis.from_matrices(
-            2, [E(0, 1), E(1, 0), E(0, 0) - E(1, 1)]
-        )
+        basis = inserted(2, [E(0, 1), E(1, 0), E(0, 0) - E(1, 1)])
         assert basis.rank == 3
         assert basis == SpanBasis.canonical(2, Classification.TRACE_ZERO)
         for row in row_matrices(basis):
@@ -285,8 +294,9 @@ def test_immutable(make, field, change):
     [
         lambda: MatrixQ([[Fraction(1, 3), 2], [0, Fraction(-5, 2)]]),
         *(lambda which=which: SpanBasis.canonical(3, which) for which in Classification),
+        lambda: SpanBasis(2, [[1, Fraction(-2, 3), 0, Fraction(5, 7)], [0, 0, 1, Fraction(1, 2)]]),
     ],
-    ids=["MatrixQ", *(f"SpanBasis-{which.value}" for which in Classification)],
+    ids=["MatrixQ", *(f"SpanBasis-{which.value}" for which in Classification), "SpanBasis-fractions"],
 )
 @pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy])
 def test_round_trip(make, round_trip):
@@ -549,7 +559,7 @@ def test_solvers_leave_list_inputs_unmodified(entry):
     inputs = (vecs, target, mats, nodes)
     before = copy.deepcopy(inputs)
     assert express_in_terms(vecs, target) is not None
-    SpanBasis.from_matrices(2, mats)
+    inserted(2, mats)
     vandermonde_extract(nodes, mats)
     assert inputs == before
     scale, rows = linalg._cleared(vecs)

@@ -209,6 +209,15 @@ class TestHash:
         assert len(table) == 1
         assert all(table[p] == len(first) - 1 for p in self.builds())
 
+    @pytest.mark.parametrize("c", [3, 0, Fraction(1, 2), Fraction(-7, 3)])
+    def test_constant_hashes_as_its_scalar(self, c):
+        # A constant equals its scalar, so sets and dicts find either by the other.
+        p = NcPoly.constant(c)
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+        assert {p: "poly"}[c] == "poly" and {c: "scalar"}[p] == "scalar"
+        assert NcPoly.zero() in {0} and 0 in {NcPoly.zero()}
+
     @given(polys, polys)
     def test_sum_and_product_orders(self, p, q):
         assert hash(p + q) == hash(q + p)

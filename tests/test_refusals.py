@@ -1,5 +1,5 @@
-"""Every callable in ncspan.__all__, and the constructors and closed-form
-queries of its classes, called on small wrong values.
+"""Every callable in ncspan.__all__, and the constructors, closed-form
+queries and SpanBasis's insert and contains, called on small wrong values.
 
 A seeded fuzz: each position takes a few valid values of its kind, or one
 of SMALL, the values that a caller may pass by mistake, or, where a
@@ -89,7 +89,7 @@ SIGNATURES = {
     "MatrixQ": ("rows",),
     "NcPoly": ("tuples",),
     "SampleConfig": ("number", "number", "number"),
-    "SpanBasis": ("number", "rows", "numbers"),
+    "SpanBasis": ("number", "rows"),
     "SpanReport": ("poly", "number", "classification", "number", "text", "cfg", "number", "number", "tuples"),
     "MultilinearReduction": ("poly", "poly", "tuples"),
     "ReductionStep": ("step_kind", "number", "number", "poly", "poly"),
@@ -115,8 +115,9 @@ SIGNATURES = {
     "unit_commutator": ("matrix", "number", "number"),
     "vandermonde_extract": ("numbers", "matrices"),
     "vanishing_rate": ("poly", "number", "cfg"),
-    # The constructors and closed-form queries of the public classes, self
-    # first where the method takes one.
+    # The constructors and closed-form queries of the public classes, and
+    # SpanBasis's builder and membership test, self first where the method
+    # takes one.
     "MatrixQ.zero": ("number",),
     "MatrixQ.identity": ("number",),
     "MatrixQ.diagonal": ("numbers",),
@@ -126,7 +127,8 @@ SIGNATURES = {
     "NcPoly.variable": ("number",),
     "NcPoly.monomial": ("word", "number"),
     "SpanBasis.canonical": ("number", "classification"),
-    "SpanBasis.from_matrices": ("number", "matrices"),
+    "SpanBasis.insert": ("basis", "matrix"),
+    "SpanBasis.contains": ("basis", "matrix"),
     "Classification.rank": ("classification", "number"),
     "Classification.contains": ("classification", "numbers", "number"),
     "Classification.lies_in": ("classification", "classification", "number"),

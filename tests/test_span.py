@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     battery_poly,
+    inserted,
     random_matrix_int,
     random_multilinear,
     random_noncentral,
@@ -325,9 +326,7 @@ class TestWitnessDimension:
 
 class TestLieIdeal:
     def test_trace_zero_is_lie_ideal(self):
-        basis = SpanBasis.from_matrices(
-            2, [E(0, 1), E(1, 0), E(0, 0) - E(1, 1)]
-        )
+        basis = inserted(2, [E(0, 1), E(1, 0), E(0, 0) - E(1, 1)])
         assert lie_ideal_check(basis)
 
     def test_single_unit_is_not(self):

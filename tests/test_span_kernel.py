@@ -53,6 +53,7 @@ from helpers import (
     reference_rref,
     reference_shear_closure,
     row_matrices,
+    spans_class,
     standard_polynomial,
 )
 from ncspan import (
@@ -99,7 +100,7 @@ def assert_grown(report):
     for args, value in report.witnesses:
         assert reference_evaluate(f, args, d) == value, where
         assert report.classification.contains(value.flatten(), d), where
-    assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == canonical, where
+    assert spans_class([value for _, value in report.witnesses], report.classification, d), where
 
 
 def assert_proved(report):
@@ -325,7 +326,7 @@ class TestLieIdealStop:
         assert len(grown) == report.basis.rank
         for args, value in report.witnesses:
             assert reference_evaluate(f, args, d) == value
-        assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == report.basis
+        assert spans_class([value for _, value in report.witnesses], report.classification, d)
 
     @pytest.mark.parametrize("seed", (0, 7919))
     @pytest.mark.parametrize("d", (2, 3))
@@ -346,7 +347,7 @@ class TestLieIdealStop:
         assert len(report.grown) == canonical.rank
         for args, value in report.witnesses:
             assert reference_evaluate(f, args, d) == value
-        assert SpanBasis.from_matrices(d, [value for _, value in report.witnesses]) == canonical
+        assert spans_class([value for _, value in report.witnesses], report.classification, d)
 
     def test_multiples_of_p_keep_the_exact_walks_rows(self):
         # Traces and trace-free parts with their own powers of p, and none:
@@ -682,16 +683,16 @@ class TestCanonicalBasis:
     def test_trace_zero_matches_reduction(self, d):
         units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d) if j != k]
         units += [MatrixQ.unit(d, i, i) - MatrixQ.unit(d, d - 1, d - 1) for i in range(d - 1)]
-        want = SpanBasis.from_matrices(d, units)
+        rows, pivots = reference_rref([m.flatten() for m in units])
         got = SpanBasis.canonical(d, Classification.TRACE_ZERO)
-        assert got == want
-        assert got.pivots == want.pivots
+        assert got == SpanBasis(d, rows)
+        assert got.pivots == pivots
 
     @pytest.mark.parametrize("d", range(1, 5))
     def test_full_scalars_zero(self, d):
         units = [MatrixQ.unit(d, j, k) for j in range(d) for k in range(d)]
-        assert SpanBasis.canonical(d, Classification.FULL) == SpanBasis.from_matrices(d, units)
-        scalars = SpanBasis.from_matrices(d, [MatrixQ.identity(d).scale(7)])
+        assert SpanBasis.canonical(d, Classification.FULL) == SpanBasis(d, reference_rref([m.flatten() for m in units])[0])
+        scalars = SpanBasis(d, reference_rref([MatrixQ.identity(d).scale(7).flatten()])[0])
         assert SpanBasis.canonical(d, Classification.SCALARS) == scalars
         assert SpanBasis.canonical(d, Classification.ZERO) == SpanBasis(d)
 
@@ -859,12 +860,13 @@ class TestGrowthDecisions:
     def test_highdim_panel(self, text, d, seed, flags):
         report = reference_classify_span(parse_poly(text), d, SampleConfig(seed=seed))
         assert flags == [(True, True)] * len(report.grown)
-        assert len(report.grown) == report.basis.rank
+        # Every row grew over Q too, so their rank is their count: the class's.
+        assert len(report.grown) == report.classification.rank(d)
         # The closure keeps only the candidates that grow.
         flags.clear()
         grown = classify_span(parse_poly(text), d, SampleConfig(seed=seed)).grown
         assert all(grew == grew_q for grew, grew_q in flags)
-        assert sum(grew for grew, _ in flags) == len(grown) == report.basis.rank
+        assert sum(grew for grew, _ in flags) == len(grown) == report.classification.rank(d)
 
     def test_forward_reference_agrees_with_rref(self):
         # The forward echelon against the full RREF it replaced in the
