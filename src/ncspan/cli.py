@@ -30,7 +30,7 @@ import os
 import re
 import sys
 
-from .linalg import Classification, DimensionMismatch, MatrixQ, NotInSpan, check_dimension
+from .linalg import Classification, DimensionMismatch, NotInSpan, _cleared, check_dimension
 from .linearize import (
     NotReducible,
     OracleFailed,
@@ -140,7 +140,7 @@ def _witnesses(s: SpanReport) -> _Json:
     inputs, value = _grid(d, d, item + "    "), _grid(d, d, item + "  ")
     frame = frame.replace('"\\u0000"', inputs).replace('"\\u0001"', value)
     template = json.dumps(["\0"] * len(s.grown), indent=2).replace("\n", _FIELD).replace('"\\u0000"', frame)
-    scale, gcd = s.scale, math.gcd
+    scale, gcd = s.poly.integer_form()[0], math.gcd
     cells = [(*entries, *(vec if scale == 1 else [
         x // g if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in vec
     ])) for entries, vec in s.grown]
@@ -262,9 +262,10 @@ def _cmd_decompose(args) -> int:
             )
         )
         return EXIT_NEGATIVE
-    # The check re-evaluates f at every tuple and sums the terms exactly.
-    values = (evaluate(f, tup, dim=args.dim).scale(lam) for lam, tup in terms)
-    verified = sum(values, MatrixQ.zero(args.dim)) == target
+    # The check re-evaluates f at each tuple: sum lam * f(t) - target, cleared into integers, is 0.
+    _, vecs = _cleared([*(evaluate(f, tup, dim=args.dim).flatten() for _, tup in terms), target.flatten()])
+    _, (lams,) = _cleared([[*(lam for lam, _ in terms), -1]])
+    verified = not any(map(sum, zip(*(map(k.__mul__, vec) for k, vec in zip(lams, vecs)))))
     _emit(
         _doc(
             f,

@@ -407,16 +407,16 @@ class EchelonModP:
     n <= 256.  Every slot is taken mod p at once by folding, since 2^31 = 1
     mod p (see _fold).
 
-    Unit vectors e_k adjoined by insert_unit are no rows but a mask of
-    slots, which a vector reduced by the rows drops in one AND: that is
-    its reduction by the units too, since a row is masked before its pivot
-    is chosen and a unit is adjoined only at a slot that is no pivot, so
-    no unit slot is ever a row's pivot.  For the same reason e_k, when
-    slot k is no pivot, is 0 at every pivot, reduces to itself and grows
-    the rank; only a pivot slot takes the ordinary reduction.
+    Unit vectors e_k adjoined by insert_unit are no rows but slots cleared
+    from a mask, which rank counts and a vector reduced by the rows drops in
+    one AND: that is its reduction by the units too, since a row is masked
+    before its pivot is chosen and a unit is adjoined only at a slot that is
+    no pivot, so no unit slot is ever a row's pivot.  For the same reason
+    e_k, when slot k is no pivot, is 0 at every pivot, reduces to itself and
+    grows the rank; only a pivot slot takes the ordinary reduction.
     """
 
-    __slots__ = ("rows", "pivots", "_units", "_bits", "_packer", "_ones", "_free")
+    __slots__ = ("rows", "pivots", "_bits", "_packer", "_ones", "_free")
 
     def __init__(self, n: int):
         # Row k has its pivot entry scaled to -1 (that is, p - 1) and is
@@ -425,7 +425,6 @@ class EchelonModP:
         # earlier pivot, and slots need reducing mod p only when read.
         self.rows: list[int] = []
         self.pivots: list[int] = []
-        self._units = 0
         width = (((PRIME - 1) * (1 + n * (PRIME - 1))).bit_length() + 7) // 8
         self._bits = 8 * width
         # Each residue, below 2^31, packs as an unsigned 4-byte "I".
@@ -435,7 +434,7 @@ class EchelonModP:
 
     @property
     def rank(self) -> int:
-        return len(self.rows) + self._units
+        return len(self.rows) + (self._ones & ~self._free).bit_count()
 
     def _fold(self, v: int) -> int:
         """v with every slot reduced into [0, p).
@@ -462,7 +461,6 @@ class EchelonModP:
         if k in self.pivots:
             return self._adjoin(1 << (self._bits * k))
         self._free ^= slot
-        self._units += 1
         return True
 
     def _adjoin(self, v: int) -> bool:

@@ -122,7 +122,8 @@ class ConstantInput(Exception):
 class SampleConfig:
     """Deterministic sampling policy, and the one owner of its defaults.
 
-    Every random draw flows from seed.  Entries are integers uniform in
+    Every random draw flows from seed, and -seed draws the same samples:
+    random.Random seeds with |seed|.  Entries are integers uniform in
     [-coeff_bound, coeff_bound].  When max_samples is None the budget
     defaults to 64 * d^2 for dimension d.  A proof of the class usually
     takes one sample and rarely more than two; the budget binds only a
@@ -179,16 +180,16 @@ Label = tuple[int, int, int, int] | None
 class SpanReport:
     """The class of the span of a polynomial's values on M_d, and its samples.
 
-    samples_used, stop_reason, scale (L, which clears f's denominators) and
-    rows (entries, L * f(t)), the one or two samples that raised the class,
-    come from the sampling loop run by classify_span.  grown holds the
-    rows' shear closure, whose values span the class unless a budget cut
-    the rows short of it, and witness k is t_k and grown[k][1] / L.  Beside
-    it, _closure keeps each grown row's label: None for a seed, and
-    (parent, i, j, s) for the conjugate of grown[parent] by I + s * E_ij
-    (see _walk).  The report holds no basis: the class answers rank and
-    membership in closed form, and basis, grown, the labels and the
-    witnesses are built when first read.
+    samples_used, stop_reason and rows (entries, L * f(t)), the one or two
+    samples that raised the class, come from the sampling loop run by
+    classify_span, for L f's own denominator, poly.integer_form()[0] (see
+    classify_span).  grown holds the rows' shear closure, whose values span
+    the class unless a budget cut the rows short of it, and witness k is
+    t_k and grown[k][1] / L.  Beside it, _closure keeps each grown row's
+    label: None for a seed, and (parent, i, j, s) for the conjugate of
+    grown[parent] by I + s * E_ij (see _walk).  The report holds no basis:
+    the class answers rank and membership in closed form, and basis,
+    grown, the labels and the witnesses are built when first read.
     """
 
     poly: NcPoly
@@ -198,7 +199,6 @@ class SpanReport:
     stop_reason: StopReason
     config: SampleConfig
     sum_of_commutators: bool
-    scale: int
     rows: tuple[Row, ...]
 
     @functools.cached_property
@@ -229,7 +229,7 @@ class SpanReport:
     @functools.cached_property
     def witnesses(self) -> tuple[Witness, ...]:
         """(t_k, f(t_k)) for each grown row, built once, when first read."""
-        d, scale = self.dim, self.scale
+        d, scale = self.dim, self.poly.integer_form()[0]
         return tuple((args, _unscaled(vec, d, scale)) for args, (_, vec) in zip(self._inputs, self.grown))
 
 
@@ -666,7 +666,7 @@ def classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> Span
             break
     if _degree_decides(f, d):
         cls = Classification.bound(d, commutator_sum)
-    return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, f.integer_form()[0], tuple(rows))
+    return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, tuple(rows))
 
 
 def _walk(
@@ -907,4 +907,4 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     for b, p, *_ in pairs:
         lam[p] += 2 * lam[b]
         lam[b - 1], lam[b] = lam[b - 1] - lam[b], -lam[b - 1] - lam[b]
-    return [(Fraction(report.scale * x, den * scale), args) for x, args in zip(lam, report._inputs) if x]
+    return [(Fraction(f.integer_form()[0] * x, den * scale), args) for x, args in zip(lam, report._inputs) if x]

@@ -228,7 +228,7 @@ def reference_components(f: NcPoly, i: int) -> list[tuple[int, dict]]:
 def reference_integer_terms(f: NcPoly) -> tuple[int, list]:
     """(L, terms of L * f) for L the lcm of the denominators of f.terms, in
     lowest terms: f's own denominator and numerators, which span._evaluator
-    reads and classify_span reports as its scale."""
+    reads, and a report reads L off its polynomial."""
     terms = f.terms
     scale = math.lcm(*(c.denominator for c in terms.values()))
     return scale, [(w, c.numerator * (scale // c.denominator)) for w, c in terms.items()]
@@ -623,7 +623,6 @@ class ReferenceReport:
     stop_reason: ReferenceStop
     config: SampleConfig
     sum_of_commutators: bool
-    scale: int
     rows: tuple
 
     @property
@@ -638,7 +637,7 @@ class ReferenceReport:
 
     @functools.cached_property
     def witnesses(self) -> tuple:
-        d, scale = self.dim, self.scale
+        d, scale = self.dim, reference_integer_terms(self.poly)[0]
         return tuple((span._matrices(entries, d), span._unscaled(vec, d, scale)) for entries, vec in self.rows)
 
 
@@ -654,7 +653,6 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
     rank.
     """
     ev = span._evaluator(f, d, cfg.coeff_bound)
-    scale = reference_integer_terms(f)[0]
     echelon = EchelonModP(d * d)
     grown = []
     full_rank = d * d
@@ -699,7 +697,7 @@ def reference_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig(
         else:
             continue
         break
-    return ReferenceReport(f, d, match, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(grown))
+    return ReferenceReport(f, d, match, samples_used, stop_reason, cfg, commutator_sum, tuple(grown))
 
 
 @dataclass(frozen=True)
@@ -714,7 +712,6 @@ class EagerReport:
     stop_reason: StopReason
     config: SampleConfig
     sum_of_commutators: bool
-    scale: int
     rows: tuple
 
     @functools.cached_property
@@ -730,7 +727,6 @@ def reference_eager_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleC
     runs out (BUDGET_EXHAUSTED).  Its rows are the samples that raised the
     class."""
     ev = span._evaluator(f, d, cfg.coeff_bound)
-    scale = reference_integer_terms(f)[0]
     commutator_sum = f.is_sum_of_commutators()
     proved = {Classification.FULL}
     if commutator_sum:
@@ -756,7 +752,7 @@ def reference_eager_classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleC
         if stall >= 50:
             stop_reason = StopReason.STABILITY_WINDOW
             break
-    return EagerReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, scale, tuple(rows))
+    return EagerReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, tuple(rows))
 
 
 def reference_report_doc(report) -> dict:
@@ -1078,7 +1074,7 @@ def reference_decompose(report, target: MatrixQ) -> list:
             f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
             f" before the witnesses spanned the target ({len(report.grown)} witnesses for rank {report.rank})"
         )
-    return [(lam * report.scale, args) for lam, args in zip(sol, report._inputs) if lam]
+    return [(lam * reference_integer_terms(f)[0], args) for lam, args in zip(sol, report._inputs) if lam]
 
 
 def reference_residual(basis: SpanBasis, m: MatrixQ) -> list:

@@ -133,7 +133,7 @@ class TestAgainstReference:
         ]
         for f, d in cases:
             report = classify_span(f, d, SampleConfig(seed=0))
-            scales.add(report.scale)
+            scales.add(f.integer_form()[0])
             assert_same_decompositions(report, rng, count=2)
         assert {3, 4, 7, 12} <= scales
 
@@ -192,9 +192,9 @@ class TestVerdicts:
 
 class TestHandBuiltReports:
     def test_witness_values_that_are_not_a_basis(self):
-        # Integer rows (entries, f(t)) with scale 1 whose values repeat: the
-        # shear walk keeps only the rows that grow, up to the class's rank,
-        # and decompose solves on those.
+        # Integer rows (entries, f(t)), for f = X1*X2 with L = 1, whose
+        # values repeat: the shear walk keeps only the rows that grow, up to
+        # the class's rank, and decompose solves on those.
         cfg = SampleConfig()
         eye, e11, e12 = MatrixQ.identity(2), MatrixQ.unit(2, 0, 0), MatrixQ.unit(2, 0, 1)
         f = parse_poly("X1*X2")
@@ -208,7 +208,7 @@ class TestHandBuiltReports:
             (Classification.TRACE_ZERO, (nilpotent, nilpotent), "NotInSpan"),
             (Classification.FULL, (nilpotent, nilpotent, scalar), list),
         ):
-            report = SpanReport(f, 2, cls, 3, StopReason.BUDGET_EXHAUSTED, cfg, False, 1, rows)
+            report = SpanReport(f, 2, cls, 3, StopReason.BUDGET_EXHAUSTED, cfg, False, rows)
             assert report.rows is rows and report.samples_used == 3
             assert report.grown[0] == rows[0] and len(report.grown) == cls.rank(2)
             assert spans_class([value for _, value in report.witnesses], cls, 2)
@@ -265,7 +265,7 @@ class TestPairReduction:
             for k in range(6):
                 f = battery_poly(rng).scale(Fraction(rng.choice((1, -2, 5)), rng.choice((3, 4, 7))))
                 report = classify_span(f, d, SampleConfig(seed=k))
-                scales.add(report.scale)
+                scales.add(f.integer_form()[0])
                 assert assert_as_whole_system(report, targets(rng, report, 2)) >= 2
         assert {3, 4, 7} <= scales
 

@@ -63,6 +63,7 @@ from ncspan import (
     NotInSpan,
     SampleConfig,
     SpanBasis,
+    SpanReport,
     StopReason,
     classify_span,
     decompose_target,
@@ -502,7 +503,7 @@ class TestProofStop:
             decided = span._degree_decides(f, d)
             if got.stop_reason is not StopReason.LIE_IDEAL or got.classification is Classification.FULL:
                 # Only the commutator-sum fact, which is denied, differs.
-                run = ("samples_used", "stop_reason", "scale", "rows")
+                run = ("samples_used", "stop_reason", "rows")
                 assert [getattr(got, k) for k in run] == [getattr(want, k) for k in run], where
                 assert decided or replace(got, sum_of_commutators=False) == want, where
                 continue
@@ -544,7 +545,7 @@ class TestDegreeDecides:
             for f, d, cfg in battery_degrees(d):
                 got, want = classify_span(f, d, cfg), reference_eager_classify_span(f, d, cfg)
                 where = f"{poly_to_text(f)} at d={d}, {cfg}"
-                fields = ("samples_used", "stop_reason", "scale", "rows", "grown", "sum_of_commutators")
+                fields = ("samples_used", "stop_reason", "rows", "grown", "sum_of_commutators")
                 assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields], where
                 if not span._degree_decides(f, d):
                     assert got.classification is want.classification, where
@@ -698,6 +699,23 @@ class TestCanonicalBasis:
 
 
 class TestEchelonModP:
+    @pytest.fixture(autouse=True)
+    def rank_counts_growth(self, monkeypatch):
+        """After each case, every echelon's rank is the number of its insert
+        and insert_unit calls that returned True: no counter keeps it."""
+        assert "_units" not in EchelonModP.__slots__
+        grew = {}
+        for name in ("insert", "insert_unit"):
+
+            def counted(self, *args, real=getattr(EchelonModP, name)):
+                out = real(self, *args)
+                grew[self] = grew.get(self, 0) + out
+                return out
+
+            monkeypatch.setattr(EchelonModP, name, counted)
+        yield
+        assert grew and all(echelon.rank == n for echelon, n in grew.items())
+
     def test_rank_agrees_with_exact_rank(self):
         rng = random.Random(61)
         for _ in range(30):
@@ -1218,15 +1236,19 @@ class TestSampledSpan:
     grown and the witnesses unbuilt until read."""
 
     def test_scale_is_read_from_the_polynomial(self):
-        """The report's L, read from f in each call, is the lcm of f's
-        coefficient denominators on the seeded batteries: rational
-        coefficients, constants, and the zero polynomial, whose L is 1."""
+        """A report stores no L: it reads its polynomial's denominator, the
+        lcm of f's coefficient denominators on the seeded batteries (rational
+        coefficients, constants, and the zero polynomial, whose L is 1), and
+        its witness values are its grown rows L * f(t) divided by that L."""
+        assert "scale" not in SpanReport.__dataclass_fields__
         cases = [case for name in ("constants", "d3-rational", "budget-3") for case in DOCUMENT_BATTERIES[name]()]
         assert any(f.is_zero() for f, _, _ in cases) and any(f.degree() == 0 for f, _, _ in cases)
         scales = set()
         for f, d, cfg in cases:
-            want = reference_integer_terms(f)[0]
-            assert classify_span(f, d, cfg).scale == want, (poly_to_text(f), d, cfg)
+            want, report = reference_integer_terms(f)[0], classify_span(f, d, cfg)
+            assert report.poly.integer_form()[0] == want, (poly_to_text(f), d, cfg)
+            values = [value.scale(want).flatten() for _, value in report.witnesses]
+            assert values == [vec for _, vec in report.grown], (poly_to_text(f), d, cfg)
             scales.add(want)
         assert len(scales) > 3
 
@@ -1237,14 +1259,15 @@ class TestSampledSpan:
         for f, d, cfg in cases:
             got = classify_span(f, d, cfg)
             where = f"{poly_to_text(f)} at d={d}, {cfg}"
-            # scale is L, the lcm of f's denominators, and each kept and
-            # grown row is (entries of t, L * f(t)) in plain integers.
-            assert got.scale == math.lcm(*(Fraction(c).denominator for c in f.terms.values())), where
+            # L, f's denominator, is the lcm of f's coefficient denominators,
+            # and each kept and grown row is (entries of t, L * f(t)) in plain integers.
+            scale = got.poly.integer_form()[0]
+            assert scale == math.lcm(*(Fraction(c).denominator for c in f.terms.values())), where
             assert len(got.grown) == got.basis.rank, where
             for entries, vec in {*got.rows, *got.grown}:
                 assert all(type(x) is int for x in entries + vec), where
                 value = reference_evaluate(f, span._matrices(entries, d), d)
-                assert vec == tuple(got.scale * x for x in value.flatten()), where
+                assert vec == tuple(scale * x for x in value.flatten()), where
             seen.add((got.classification, got.stop_reason))
         # The walk grows a sampled class too: the trace-zero non-sum, cut by the budget or not.
         assert battery != "small-dims" or {
@@ -1294,7 +1317,7 @@ class TestSampledSpan:
                 # its value nor its hash, and equal reports read equal runs.
                 assert len(a.witnesses) == len(a.grown)
                 assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (text, d)
-                assert (a.samples_used, a.stop_reason, a.scale, a.rows) == (b.samples_used, b.stop_reason, b.scale, b.rows)
+                assert (a.samples_used, a.stop_reason, a.rows) == (b.samples_used, b.stop_reason, b.rows)
                 assert a.grown == b.grown
                 # A report is its fields: replacing one keeps the samples.
                 other = replace(a, sum_of_commutators=not a.sum_of_commutators)
@@ -1304,6 +1327,22 @@ class TestSampledSpan:
         assert classify_span(parse_poly("[X1,X2]"), 3, SampleConfig(seed=1)) != classify_span(
             parse_poly("[X1,X2]"), 3, SampleConfig(seed=2)
         )
+
+    def test_a_seed_and_its_negative_draw_the_same_samples(self, capsys):
+        """random.Random seeds with |seed|, so seed and -seed draw the same
+        samples and rows, and classify prints the same bytes but the seed."""
+        for text in ("X1*X2", "[X1,X2]", "X1*X1 + X2", "5"):
+            f = parse_poly(text)
+            for d, seed in ((1, 3), (2, 5), (3, 7919), (2, 2**70 + 1)):
+                cfg, neg = SampleConfig(seed=seed, max_samples=20), SampleConfig(seed=-seed, max_samples=20)
+                assert list(span._samples(f, d, cfg)) == list(span._samples(f, d, neg)), (text, d, seed)
+                got, want = classify_span(f, d, neg), classify_span(f, d, cfg)
+                assert (got.samples_used, got.stop_reason, got.rows) == (want.samples_used, want.stop_reason, want.rows)
+        printed = []
+        for seed in ("5", "-5"):
+            assert main(["classify", "--poly", "X1*X2", "--dim", "2", "--seed", seed]) == 0
+            printed.append(capsys.readouterr().out.replace(f'"seed": {seed},', '"seed": SEED,'))
+        assert printed[0] == printed[1] and '"seed": SEED,' in printed[0]
 
     def test_suite_builds_no_witness(self, witness_builds, capsys):
         built = witness_builds
