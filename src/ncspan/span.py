@@ -873,7 +873,7 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     d = report.dim
     if target.dim != d:
         raise DimensionMismatch(f"target is {target.dim}x{target.dim}, expected {d}")
-    f = report.poly
+    f, L = report.poly, report.poly.integer_form()[0]
     if len(f) == 1:
         ((word, coeff),) = f.terms.items()
         if len(word) == 1:
@@ -907,4 +907,4 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     for b, p, *_ in pairs:
         lam[p] += 2 * lam[b]
         lam[b - 1], lam[b] = lam[b - 1] - lam[b], -lam[b - 1] - lam[b]
-    return [(Fraction(f.integer_form()[0] * x, den * scale), args) for x, args in zip(lam, report._inputs) if x]
+    return [(Fraction(L * x, den * scale), args) for x, args in zip(lam, report._inputs) if x]

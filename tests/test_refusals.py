@@ -13,6 +13,7 @@ quick.
 """
 
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -90,7 +91,7 @@ SIGNATURES = {
     "NcPoly": ("tuples",),
     "SampleConfig": ("number", "number", "number"),
     "SpanBasis": ("number", "rows"),
-    "SpanReport": ("poly", "number", "classification", "number", "text", "cfg", "number", "number", "tuples"),
+    "SpanReport": ("poly", "number", "classification", "number", "text", "cfg", "number", "tuples"),
     "MultilinearReduction": ("poly", "poly", "tuples"),
     "ReductionStep": ("step_kind", "number", "number", "poly", "poly"),
     "classify_span": ("poly", "number", "cfg"),
@@ -144,6 +145,21 @@ EXHAUSTIVE, DRAWS = 2000, 300
 def test_every_callable_has_a_signature():
     top_level = [name for name in SIGNATURES if "." not in name]
     assert sorted(top_level) == sorted(name for name in ncspan.__all__ if callable(getattr(ncspan, name)))
+    # Each signature lists no fewer positions than its callable requires
+    # and no more than it accepts, so a field or parameter added or removed
+    # cannot leave every fuzzed call failing on its arity alone.
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    misfits = []
+    for name, kinds in SIGNATURES.items():
+        func = functools.reduce(getattr, name.split("."), ncspan)
+        try:
+            params = [p for p in inspect.signature(func).parameters.values() if p.kind in positional]
+        except (TypeError, ValueError):  # the alias Word, and the exceptions that take *args
+            assert name == "Word" or issubclass(func, Exception), name
+            continue
+        if not sum(p.default is p.empty for p in params) <= len(kinds) <= len(params):
+            misfits.append(name)
+    assert misfits == []
 
 
 def _allowed(error: Exception, kinds: tuple, args: tuple) -> bool:
