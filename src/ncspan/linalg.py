@@ -274,6 +274,7 @@ class MatrixQ:
         return MatrixQ([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
 
     def scale(self, c: Num) -> MatrixQ:
+        check_exact((c,), "scalar")
         return MatrixQ([[c * x for x in row] for row in self.rows])
 
     __rmul__ = scale

@@ -47,11 +47,10 @@ The sampling kernel does a whole row's work per Python-level step:
 
 - each sampled call compiles its polynomial for its dimension and bound
   (see _evaluator), through the minimal DAG of its words (see _compile): a
-  subterm that many words share is computed once per sample, and the
-  arguments of letters that lead to the same subterm are summed before
-  one product, so (X1+X2)^5 costs 4 matrix products, not 128; the root
-  closes by the same rule as every node, into one step, or none for a
-  constant, and the value is its rows packed once, times one factor;
+  subterm that many words share is computed once per sample, so
+  (X1+X2)^5 costs 8 matrix products, not 128; the root closes by the same
+  rule as every node, into one step, or none for a constant, and the value
+  is its rows packed once, times one factor;
 - each matrix row is one int with the row's entries in fixed-width
   slots, sized from a proved bound on every entry of the value (see
   _packed_evaluator), so no value is ever wrong, only wider, and the
@@ -72,7 +71,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add, lshift, mul
+from operator import lshift, mul
 from typing import Callable, Collection, Iterator, Sequence
 
 from .linalg import (
@@ -238,12 +237,11 @@ _SIGNED_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _compile(terms: Collection[tuple[Word, int]], d: int) -> tuple:
-    """((g, v), steps, sums, nvars): sum c * w over terms as a program on
-    packed rows, compiled through the minimal DAG of its words.
+    """((g, v), steps): sum c * w over terms as a program on packed rows,
+    compiled through the minimal DAG of its words.
 
-    Per sample, rows holds the d rows of each of X1..X_nvars (X_x's first
-    is row (x - 1) * d), then those of each sum of letters in sums, given
-    by the offsets of the letters' entries.  vals[0] is I, and steps[i]
+    Per sample, rows holds the d rows of each letter's argument and no
+    other row: X_x's first is row (x - 1) * d.  vals[0] is I, and steps[i]
     appends vals[i + 1]: a step (k, v, None) is rows k..k+d-1 times
     vals[v], and a step (c, None, parts) is c * I plus g * (rows k..) *
     vals[v] for each (g, k, v) in parts.  The sum is g * vals[v].
@@ -260,20 +258,15 @@ def _compile(terms: Collection[tuple[Word, int]], d: int) -> tuple:
     program plus one word.
 
     Every node, the root too, closes by one rule into g * vals[v]: a leaf
-    is c * I, the letters that lead to one child value are summed before
-    the one product, so a leaf child's product only packs rows, and each
-    step is divided by the gcd of its scalars, so that values equal up to
-    an integer factor share it, and a chain of single letters carries its
-    coefficient to the root, as when each word was multiplied out.  So a
-    constant is (c, 0) with no step, and a root of several parts is one
-    step.
+    is c * I, each edge is one product (into a leaf child, it only packs
+    rows), and each step is divided by the gcd of its scalars, so that
+    values equal up to an integer factor share it, and a chain of single
+    letters carries its coefficient to the root, as when each word was
+    multiplied out.  So a constant is (c, 0) with no step, and a root of
+    several parts is one step.
     """
-    n = d * d
-    nvars = max((max(w) for w, _ in terms if w), default=0)
     steps: list[tuple] = []
     index: dict[tuple, int] = {}
-    sums: list[list[int]] = []
-    first_row: dict[tuple[int, ...], int] = {}
 
     def step(key: tuple) -> int:
         v = index.get(key)
@@ -282,24 +275,6 @@ def _compile(terms: Collection[tuple[Word, int]], d: int) -> tuple:
             v = index[key] = len(steps)
         return v
 
-    def parts(edges: list) -> list[tuple[int, int, int]]:
-        """The sum of x * g * vals[v] over edges (x, (g, v)), as (g, k, v):
-        g times rows k..k+d-1 times vals[v], the letters of one (g, v) summed."""
-        letters: dict[tuple[int, int], list[int]] = {}
-        for x, value in edges:
-            letters.setdefault(value, []).append(x)
-        out = []
-        for (g, v), xs in letters.items():
-            if len(xs) == 1:
-                k = (xs[0] - 1) * d
-            else:
-                if tuple(xs) not in first_row:
-                    first_row[tuple(xs)] = (nvars + len(sums)) * d
-                    sums.append([(x - 1) * n for x in xs])
-                k = first_row[tuple(xs)]
-            out.append((g, k, v))
-        return out
-
     def node(c: int, edges: list) -> tuple[int, int]:
         """(g, v) with g * vals[v] the value of the node c + sum x * child."""
         if not edges:
@@ -307,15 +282,12 @@ def _compile(terms: Collection[tuple[Word, int]], d: int) -> tuple:
         if len(edges) == 1 and not c:
             (x, (g, v)), = edges
             return g, step(((x - 1) * d, v, None))
-        ps = parts(edges)
-        g = math.gcd(c, *(h for h, _, _ in ps))
-        g = -g if (c or ps[0][0]) < 0 else g
-        if len(ps) == 1 and not c:
-            _, k, v = ps[0]
-            return g, step((k, v, None))
+        parts = [(g, (x - 1) * d, v) for x, (g, v) in edges]
+        g = math.gcd(c, *(h for h, _, _ in parts))
+        g = -g if (c or parts[0][0]) < 0 else g
         if g != 1:
-            c, ps = c // g, [(h // g, k, v) for h, k, v in ps]
-        return g, step((c, None, tuple(ps)))
+            c, parts = c // g, [(h // g, k, v) for h, k, v in parts]
+        return g, step((c, None, tuple(parts)))
 
     def close(depth: int) -> None:
         """Close the open nodes below depth into (letter, (g, v)) edges of their parents."""
@@ -338,7 +310,7 @@ def _compile(terms: Collection[tuple[Word, int]], d: int) -> tuple:
         path[-1][0] = c
         prev = word
     close(0)
-    return node(*path[0]), steps, sums, nvars
+    return node(*path[0]), steps
 
 
 def _packed_evaluator(terms: Collection[tuple[Word, int]], d: int, bound: int) -> Callable[[Sequence[int]], list[int]]:
@@ -347,23 +319,22 @@ def _packed_evaluator(terms: Collection[tuple[Word, int]], d: int, bound: int) -
     entries are the integer entries of args, row-major, X1 first; none may
     exceed bound in absolute value.  The terms are compiled once (see
     _compile) into a program that computes, children first, each DAG
-    node's V = c * I + sum over its children of (sum of A_x) * V(child),
-    the letters x that lead to one child summed before the product.  It
-    runs on packed rows: a row is one int holding its d entries in
-    fixed-width slots, so a product A * P is d C-level sums of A's entries
-    times P's rows.  The root's d rows are packed into one int of d^2
-    slots by shifts, row i by i * d slots, times its factor, and decoded
-    once, by one little-endian struct for 1-, 2-, 4- and 8-byte slots, else
-    slot by slot.  The slot layout is built here, once per compile.
+    node's V = c * I + sum of A_x * V(child) over its (letter x, child)
+    edges, one product per edge.  It runs on packed rows: a row is one int
+    holding its d entries in fixed-width slots, so a product A * P is d
+    C-level sums of A's entries times P's rows.  The root's d rows are
+    packed into one int of d^2 slots by shifts, row i by i * d slots, times
+    its factor, and decoded once, by one little-endian struct for 1-, 2-,
+    4- and 8-byte slots, else slot by slot.  The slot layout is built here,
+    once per compile.
 
-    Why merged nodes and summed letters stay exact: packing is a ring map
-    Z[t] -> Z, t -> 2^s, and both are the distributive law, so every step
-    is exact integer arithmetic whatever its slots hold in between, and
-    the root is the packing of f(args).  Decoding needs only each final
-    entry to fit its slot.  A final entry does not depend on how f was
-    evaluated, and it is at most sum |c| * d^(|w| - 1) * bound^|w|, so the
-    slots are sized from that bound, as when each word was multiplied out
-    on its own.
+    Why merged nodes stay exact: packing is a ring map Z[t] -> Z,
+    t -> 2^s, and merging is the distributive law, so every step is exact
+    integer arithmetic whatever its slots hold in between, and the root is
+    the packing of f(args).  Decoding needs only each final entry to fit
+    its slot.  A final entry does not depend on how f was evaluated, and
+    it is at most sum |c| * d^(|w| - 1) * bound^|w|, so the slots are sized
+    from that bound, as when each word was multiplied out on its own.
     """
     n = d * d
     top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
@@ -377,17 +348,11 @@ def _packed_evaluator(terms: Collection[tuple[Word, int]], d: int, bound: int) -
     offset = int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
     code = _SIGNED_SLOTS.get(width)
     unpack = struct.Struct(f"<{n}{code}").unpack if code else None
-    (factor, root), steps, sums, nvars = _compile(terms, d)
-    size = nvars * n
+    (factor, root), steps = _compile(terms, d)
     row_shifts = range(0, n * bits, d * bits)
 
     def ev(entries: Sequence[int]) -> list[int]:
-        rows = list(zip(*[iter(entries[:size])] * d))
-        for combo in sums:
-            flat = [0] * n
-            for a in combo:
-                flat = list(map(add, flat, entries[a : a + n]))
-            rows += [flat[k : k + d] for k in range(0, n, d)]
+        rows = list(zip(*[iter(entries)] * d))
         vals = [cols]
         for k, v, parts in steps:
             if parts is None:

@@ -85,8 +85,15 @@ class TestExactEntries:
             lambda: 2.5 * MatrixQ([[1, 2], [3, 4]]),
             lambda: MatrixQ.diagonal([1, 2.0]),
             lambda: MatrixQ.unflatten((1, 2, 3, False), 2),
+            # True * x is an int, so the entries alone cannot tell a bool scalar.
+            lambda: MatrixQ([[1, 2], [3, 4]]).scale(True),
+            lambda: MatrixQ([[1, 2], [3, 4]]).scale(False),
+            lambda: True * MatrixQ([[1, 2], [3, 4]]),
         ],
-        ids=["float", "bool", "str", "None", "scale-float", "rmul-float", "diagonal-float", "unflatten-bool"],
+        ids=[
+            "float", "bool", "str", "None", "scale-float", "rmul-float", "diagonal-float", "unflatten-bool",
+            "scale-true", "scale-false", "rmul-true",
+        ],
     )
     def test_inexact_entries_refused(self, make):
         with pytest.raises(TypeError, match="not an int or a Fraction"):
@@ -104,6 +111,7 @@ class TestExactEntries:
             assert {type(x) for row in b.rows for x in row} <= {int, Fraction}
         assert Fraction(1, 3) * m == m.scale(Fraction(1, 3)) == MatrixQ([[Fraction(1, 3), Fraction(2, 3)], [1, Fraction(4, 3)]])
         assert 2 * m == m + m
+        assert m.scale(-3) == -3 * m == -m - m - m and -m == MatrixQ([[-1, -2], [-3, -4]])
 
 
 class TestExactRule:

@@ -1,12 +1,14 @@
 """Every callable in ncspan.__all__, and the constructors, closed-form
-queries and SpanBasis's insert and contains, called on small wrong values.
+queries, MatrixQ.scale and SpanBasis's insert and contains, called on small
+wrong values.
 
 A seeded fuzz: each position takes a few valid values of its kind, or one
 of SMALL, the values that a caller may pass by mistake, or, where a
 sequence is expected, one that is empty, too short or too long.  Every
 call must return, or raise TypeError, ValueError or one of ncspan's own
-exceptions.  AttributeError is allowed only where a position that should
-hold a MatrixQ (or a sequence of them), a SpanBasis, a SpanReport or a
+exceptions, and at least one call of each callable must return.
+AttributeError is allowed only where a position that should hold a
+MatrixQ (or a sequence of them), a SpanBasis, a SpanReport or a
 Classification got something else: those positions are duck-typed, as
 the README says.  No dimension above 3 is ever passed, so every call is
 quick.
@@ -116,14 +118,15 @@ SIGNATURES = {
     "unit_commutator": ("matrix", "number", "number"),
     "vandermonde_extract": ("numbers", "matrices"),
     "vanishing_rate": ("poly", "number", "cfg"),
-    # The constructors and closed-form queries of the public classes, and
-    # SpanBasis's builder and membership test, self first where the method
-    # takes one.
+    # The constructors and closed-form queries of the public classes,
+    # MatrixQ's scaling, and SpanBasis's builder and membership test, self
+    # first where the method takes one.
     "MatrixQ.zero": ("number",),
     "MatrixQ.identity": ("number",),
     "MatrixQ.diagonal": ("numbers",),
     "MatrixQ.unit": ("number", "number", "number"),
     "MatrixQ.unflatten": ("numbers", "number"),
+    "MatrixQ.scale": ("matrix", "number"),
     "NcPoly.constant": ("number",),
     "NcPoly.variable": ("number",),
     "NcPoly.monomial": ("word", "number"),
@@ -179,8 +182,14 @@ def test_refusals(name):
     else:
         rng = random.Random(name)
         calls = (tuple(map(rng.choice, pools)) for _ in range(DRAWS))
+    returned = 0
     for args in calls:
         try:
             func(*args)
         except Exception as error:
             assert _allowed(error, kinds, args), f"{name}{args!r} raised {error!r}"
+        else:
+            returned += 1
+    # A callable that refuses every call is fuzzed on nothing it accepts:
+    # a stale signature or an empty VALID pool, not a robust callable.
+    assert returned, f"{name} refused every fuzzed call"

@@ -85,6 +85,30 @@ HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]")
 # value of nonzero trace ever proves FULL, so at d = 2 its TRACE_ZERO stays sampled.
 TRACE_ZERO_NON_SUM = parse_poly("[X1,X2]") + standard_polynomial(4) * NcPoly.variable(5)
 CORPUS = str(Path(__file__).parent / "golden" / "corpus.txt")
+# S_4(X1 + X6, X3, X4, X5): an identity of M_2 whose words X3*X4*X5*X1 and
+# X3*X4*X5*X6 end in one leaf, like every two letters of (X1+X2)^k.
+DENSE_S4 = (
+    "[X1+X6,X3]*[X4,X5] + [X4,X5]*[X1+X6,X3] - [X1+X6,X4]*[X3,X5] - [X3,X5]*[X1+X6,X4]"
+    " + [X1+X6,X5]*[X3,X4] + [X3,X4]*[X1+X6,X5]"
+)
+DENSE = tuple(f"(X1+X2)^{k}" for k in range(1, 7)) + ("(X1+X2+X3)^3", DENSE_S4)
+
+
+def slot_width(terms, d, bound):
+    """The bytes per slot that a packed evaluation of terms at bound uses."""
+    top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
+    return 1 << ((top.bit_length() + 8) // 8 - 1).bit_length()
+
+
+def largest_bound(terms, d, width):
+    """The largest entry bound whose slots take at most width bytes, or 0."""
+    lo, hi = 0, 1
+    while slot_width(terms, d, hi) <= width:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if slot_width(terms, d, mid) <= width else (lo, mid)
+    return lo
 
 
 def assert_grown(report):
@@ -1062,15 +1086,13 @@ class TestPackedEvaluation:
             for d in (1, 2, 3):
                 for f in polys:
                     self.assert_matches_reference(f, d, bound, rng, draws=2)
-                    _, terms = reference_integer_terms(f)
-                    top = sum(abs(c) * d ** max(len(w) - 1, 0) * bound ** len(w) for w, c in terms)
-                    widths.add(1 << ((top.bit_length() + 8) // 8 - 1).bit_length())
+                    widths.add(slot_width(reference_integer_terms(f)[1], d, bound))
         assert widths == {1, 2, 4, 8, 16}
 
     def test_shared_structure_is_computed_once(self):
         def compiled(f, d):
             _, terms = reference_integer_terms(parse_poly(f) if isinstance(f, str) else f)
-            root, steps, _, _ = span._compile(terms, d)
+            root, steps = span._compile(terms, d)
             return root, len(steps)
 
         def steps(f, d):
@@ -1078,7 +1100,8 @@ class TestPackedEvaluation:
 
         # The root closes like any node: its parts are one step that sums
         # them, or no step when it is a constant (g * vals[0] = g * I).
-        # (X1+X2)^k: one pack and k - 1 products, not 2^k (k - 1) products.
+        # (X1+X2)^k: one step of two packs, then k - 1 steps of two products
+        # each, not 2^k (k - 1) products.
         for k in range(1, 9):
             assert steps(f"(X1+X2)^{k}", 3) == k
         # X1*X2 + 2*X3*X2: X2 is packed once for both words, and the root
@@ -1094,6 +1117,37 @@ class TestPackedEvaluation:
         # A constant is the root's factor, and zero is the factor 0.
         assert compiled("5", 2) == ((5, 0), 0)
         assert compiled("0", 2) == ((0, 0), 0)
+
+    def test_steps_read_only_letter_rows(self):
+        # Every product reads rows k..k+d-1 for k = (x - 1) * d, x a letter
+        # of f: the program has no input rows but the arguments' own, so
+        # k < nvars * d, also where two letters lead into one subterm.
+        rng = random.Random(400)
+        polys = [random_poly(rng, nvars=3, max_degree=5, max_terms=8) for _ in range(40)]
+        polys += [parse_poly(text) for text in DENSE]
+        for f in polys:
+            _, terms = reference_integer_terms(f)
+            letters = {x for w, _ in terms for x in w}
+            for d in (1, 2, 3):
+                for k, _, parts in span._compile(terms, d)[1]:
+                    for j in [k] if parts is None else [j for _, j, _ in parts]:
+                        assert j % d == 0 and j // d + 1 in letters, (poly_to_text(f), d, j)
+
+    def test_dense_matches_reference_every_slot_width(self):
+        # Each slot width of 1, 2, 4, 8 and 16 bytes that some bound gives,
+        # at the largest such bound, so entries at +-bound fill the slots.
+        rng = random.Random(401)
+        widths = set()
+        for f in map(parse_poly, DENSE):
+            terms = reference_integer_terms(f)[1]
+            for d in range(1, 5):
+                for width in (1, 2, 4, 8, 16):
+                    bound = largest_bound(terms, d, width)
+                    if not bound or slot_width(terms, d, bound) != width:
+                        continue
+                    widths.add(width)
+                    self.assert_matches_reference(f, d, bound, rng, draws=2)
+        assert widths == {1, 2, 4, 8, 16}
 
 
 @pytest.fixture
