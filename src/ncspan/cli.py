@@ -434,6 +434,10 @@ _COMMANDS = (
 )
 
 
+# Help and usage errors at 78 columns, what argparse derives from 80, whatever the terminal.
+_LAYOUT = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ncspan parser.  If command names a subcommand, only that one is
     built, under the metavar that lists all six, so its usage line and
@@ -443,6 +447,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncspan",
         description="Classify linear spans of noncommutative polynomial values on M_d(Q).",
+        formatter_class=_LAYOUT,
     )
     names = [name for name, *_ in _COMMANDS]
     every = command not in names
@@ -453,7 +458,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if every or name == command:
             # One spelling per option: an abbreviation such as --pol would
             # pass _attach_literals by, so a literal starting with "-" fails.
-            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False, formatter_class=_LAYOUT)
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
             p.set_defaults(func=func)

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -911,6 +912,29 @@ class TestParserPerCommand:
     def test_usage_names_every_subcommand(self, command):
         usage = ncspan.cli.build_parser(command).format_usage()
         assert usage == ncspan.cli.build_parser().format_usage() and usage.startswith(TOP_USAGE)
+
+
+class TestFixedLayout:
+    """Help and usage errors are laid out at one width: they read neither
+    COLUMNS nor the terminal."""
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["classify", "--help"], ["classify", "--poly", "X1", "--dim", "0"]], ids=repr
+    )
+    def test_same_bytes_at_any_width(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = _outcome(capsys, main, argv)
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert _outcome(capsys, main, argv) == want, f"COLUMNS={columns}"
+
+    def test_no_terminal_query(self, capsys, monkeypatch):
+        def no_terminal(*args, **kwargs):
+            raise AssertionError("the terminal was queried")
+
+        monkeypatch.setattr(shutil, "get_terminal_size", no_terminal)
+        code, _, err = _outcome(capsys, main, ["classify", "--poly", "[X1,X2]", "--dim", "3", "--seed", "0"])
+        assert (code, err) == (0, "")
 
 
 class TestExactReportEntries:

@@ -58,11 +58,8 @@ def digest(record: tuple[int, str, str]) -> str:
 
 
 def at_root(monkeypatch) -> None:
-    """Run as from the repository root, with no seed from the environment
-    and argparse's usage lines wrapped at 80 columns."""
+    """Run as from the repository root."""
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("NCSPAN_SEED", raising=False)
-    monkeypatch.setenv("COLUMNS", "80")
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +95,7 @@ def test_json_is_laid_out_by_json_dumps(runs):
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as monkeypatch:
         at_root(monkeypatch)
+        monkeypatch.delenv("NCSPAN_SEED", raising=False)  # as conftest.py does under pytest
         lines = [f"{digest(run(command))}  {command}" for command in commands()]
     (PARITY / "digests.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(lines)} digests", file=sys.stderr)
