@@ -15,12 +15,13 @@ free columns.  The four canonical subspaces have their reduced bases
 written down in closed form (Classification.basis).  A basis of given
 matrices is a fold of insert, starting from SpanBasis(d).
 
-A matrix inserted into a basis, and solves, run through one routine,
-fraction_free_rref, over integer rows.  It runs forward Bareiss elimination
-below each pivot, then builds det * RREF by exact back substitution from
-the last pivot row up; every quotient is a minor of the input, so no
-division leaves a remainder and no Fraction is formed.  Rows reach it
-through _cleared, which scales them by the lcm of their entries'
+SpanBasis.insert and express_in_terms run through one routine,
+fraction_free_rref, over integer rows; vandermonde_extract does not (it
+reads the Lagrange basis in integers).  The routine runs forward Bareiss
+elimination below each pivot, then builds det * RREF by exact back
+substitution from the last pivot row up; every quotient is a minor of the
+input, so no division leaves a remainder and no Fraction is formed.  Rows
+reach it through _cleared, which scales them by the lcm of their entries'
 denominators; rows of ints alone (sampled values, a span report's grown
 rows, integer targets) enter as they stand, copied, with scale 1.
 
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -584,9 +586,13 @@ def vandermonde_extract(
     """Recover matrices c_0..c_m from values[j] = sum_i lambdas[j]^i * c_i.
 
     The nodes must be exact, each an int or a Fraction (TypeError
-    otherwise, bools included), and pairwise distinct; the system is
-    solved exactly by one fraction-free reduction of the Vandermonde
-    matrix augmented with the value matrices.
+    otherwise, bools included), and pairwise distinct.  The c_i are read
+    off the Lagrange basis in monomial form (Traub, SIAM Review 8, 1966),
+    in integers, with no elimination: for nodes a_j / s and values V_j / L
+    (see _cleared), the j-th Lagrange polynomial is q_j(t) / w_j, where
+    q_j(t) = prod_{i != j} (s * t - a_i) and w_j = prod_{i != j} (a_j - a_i),
+    which is 0 for equal nodes.  So with W = lcm(w_j),
+    c_m = sum_j (W / w_j) * q_j[m] * V_j / (W * L).
     """
     check_exact(lambdas, "node")
     k = len(lambdas)
@@ -594,18 +600,24 @@ def vandermonde_extract(
         raise ValueError(f"{k} nodes but {len(values)} values")
     if k == 0:
         return []
-    if len(set(Fraction(lam) for lam in lambdas)) != k:
+    s, (a,) = _cleared([lambdas])
+    w = [math.prod(x - y for i, y in enumerate(a) if i != j) for j, x in enumerate(a)]
+    if 0 in w:
         raise DuplicateNodes("interpolation nodes must be pairwise distinct")
     d = values[0].dim
     if any(v.dim != d for v in values):
         raise DimensionMismatch("value matrices have differing dimensions")
-    # Row j is [1, lam_j, ..., lam_j^(k-1) | values[j]]; it reduces to [e_j | c_j].
-    _, rows = _cleared(
-        [lam**i for i in range(k)] + list(v.flatten())
-        for lam, v in zip(lambdas, values)
-    )
-    _, det = fraction_free_rref(rows)
-    return [MatrixQ.unflatten([Fraction(x, det) for x in row[k:]], d) for row in rows]
+    scale, vecs = _cleared(v.flatten() for v in values)
+    lcm = math.lcm(*w)
+    cols = []
+    for j, wj in enumerate(w):
+        # Column j: (lcm / w_j) * q_j, lowest degree first, one factor s * t - a_i at a time.
+        q = [lcm // wj]
+        for y in a[:j] + a[j + 1 :]:
+            q = [s * u - y * v for u, v in zip([0, *q], [*q, 0])]
+        cols.append(q)
+    entries, den = list(zip(*vecs)), lcm * scale
+    return [MatrixQ.unflatten([Fraction(sum(map(mul, row, e)), den) for e in entries], d) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    fraction_gauss_jordan,
     inserted,
     random_matrix_int,
     random_trace_zero,
@@ -376,6 +377,46 @@ class TestVandermonde:
         # 0.1 used to be read as its binary expansion, and True as 1.
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             vandermonde_extract(nodes, [MatrixQ([[1]]), MatrixQ([[3]])])
+
+    def test_refusal_order(self):
+        # Equal nodes are refused before the value matrices' dimensions are
+        # read, and an inexact node before the count of values.
+        with pytest.raises(DuplicateNodes):
+            vandermonde_extract([Fraction(1, 2), Fraction(2, 4)], [MatrixQ.zero(2), MatrixQ.zero(3)])
+        with pytest.raises(TypeError):
+            vandermonde_extract([True], [])
+
+    def test_matches_gauss_jordan(self):
+        # The augmented rows [1, lam, ..., lam^(k-1) | values[j]] reduce to
+        # [I | c_0 .. c_(k-1)], row i holding c_i, flattened.  Integer nodes,
+        # then rational ones over 2, 3 and 5, with 0 and negatives among
+        # them, and the entries over the same denominators.
+        rng = random.Random(58)
+
+        def exact(n, q):
+            return n if q == 1 else Fraction(n, q)
+
+        for k in range(1, 9):
+            for d in range(1, 6):
+                for dens in ((1,), (1, 2, 3, 5)):
+                    nodes = rng.sample(sorted({exact(n, q) for n in range(-9, 10) for q in dens}), k)
+                    values = [MatrixQ([[exact(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)] for _ in range(d)]) for _ in range(k)]
+                    aug, pivots, _ = fraction_gauss_jordan([[lam**i for i in range(k)] + list(v.flatten()) for lam, v in zip(nodes, values)], k)
+                    assert pivots == list(range(k))
+                    assert vandermonde_extract(nodes, values) == [MatrixQ.unflatten(row[k:], d) for row in aug]
+
+    def test_runs_no_elimination(self, monkeypatch):
+        # Acceptance 8's systems, solved with the general elimination gone.
+        def refuse(rows):
+            raise AssertionError("vandermonde_extract called fraction_free_rref")
+
+        monkeypatch.setattr(linalg, "fraction_free_rref", refuse)
+        rng = random.Random(808)
+        for m in range(1, 7):
+            for _ in range(5):
+                cs = [MatrixQ([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)] for _ in range(3)]) for _ in range(m + 1)]
+                values = [sum((c.scale(Fraction(lam) ** i) for i, c in enumerate(cs)), MatrixQ.zero(3)) for lam in range(m + 1)]
+                assert vandermonde_extract(list(range(m + 1)), values) == cs
 
 
 class TestZeroDiagonalConjugate:
