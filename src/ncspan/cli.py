@@ -9,13 +9,14 @@ identical seeds and flags give byte-identical output.
 classify and decompose read span.classify_span's report, which names one
 of the four canonical spaces, by theorem below degree 2d, and builds its
 witness matrices only when they are read: decompose reads them, classify
-prints its witnesses straight from the report's integer rows, in one
-format call, and its basis from the class (Classification.basis), and no
-command builds a SpanBasis.  suite builds no report: it reads each class
-alone (span._class_of), with no sample below degree 2d, and compares
-classes in closed form.  Every
-document is json.dumps(doc, indent=2); only classify's matrices of "%s"
-slots are laid out by hand (_grid), and _emit splices them in.
+prints its witnesses straight from the report's integer rows and its
+basis from the class (Classification.basis), and no command builds a
+SpanBasis.  suite builds no report: it reads each class alone
+(span._class_of), with no sample below degree 2d, and compares classes
+in closed form.  Every document is json.dumps(doc, indent=2).
+classify's is one skeleton: that dump with its basis and witnesses
+replaced by matrices of "%s" slots laid out by hand (_grid), all filled
+by one format call.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def _config(args) -> SampleConfig:
     return SampleConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-class _Json(str):
-    """JSON text already laid out as json.dumps(indent=2) lays it out at a
-    top-level field of the document; _emit splices it in unchanged."""
-
-
 def _grid(rows: int, cols: int, indent: str) -> str:
     """json.dumps([["%s"] * cols] * rows, indent=2), cols >= 1, with each
     line break written as indent: one format call fills a matrix into it."""
@@ -94,17 +90,7 @@ def _grid(rows: int, cols: int, indent: str) -> str:
 
 
 def _emit(doc: dict) -> None:
-    """Print json.dumps(doc, indent=2) with each _Json field's text as its
-    value.  json lays the field out as a string, a NUL and its key, which
-    must then occur exactly once."""
-    laid = {key: value for key, value in doc.items() if type(value) is _Json}
-    text = json.dumps({**doc, **{key: "\0" + key for key in laid}}, indent=2)
-    for key, value in laid.items():
-        parts = text.split(json.dumps("\0" + key))
-        if len(parts) != 2:
-            raise ValueError(f"the placeholder of {key!r} occurs {len(parts) - 1} times")
-        text = value.join(parts)
-    print(text)
+    print(json.dumps(doc, indent=2))
 
 
 def _doc(f: NcPoly, **fields) -> dict:
@@ -129,12 +115,12 @@ _LIE_IDEAL = True  # every canonical space is a Lie ideal: see span.lie_ideal_ch
 _FIELD = "\n  "
 
 
-def _witnesses(s: SpanReport) -> _Json:
-    """The witnesses field of classify's document, written from the grown
-    rows (t_k, L * f(t_k)) in one format call.  json.dumps lays out the
-    list and one witness's frame, and _grid each of its d x d matrices,
-    as "%s" slots for the entries: an input entry is an int, a value entry
-    x/L in lowest terms, as str(Fraction(x, L)) prints it."""
+def _witnesses(s: SpanReport) -> tuple[str, list[tuple]]:
+    """The witnesses field of classify's document as "%s" slots, and the
+    cells that fill them, a tuple per witness read off the grown rows
+    (t_k, L * f(t_k)).  json.dumps lays out the list and one witness's
+    frame, and _grid each of its d x d matrices: an input entry is an int,
+    a value entry x/L in lowest terms, as str(Fraction(x, L)) prints it."""
     item, d = _FIELD + "  ", s.dim  # the break before each witness
     frame = json.dumps({"inputs": ["\0"] * s.poly.nvars, "value": "\1"}, indent=2).replace("\n", item)
     inputs, value = _grid(d, d, item + "    "), _grid(d, d, item + "  ")
@@ -144,7 +130,7 @@ def _witnesses(s: SpanReport) -> _Json:
     cells = [(*entries, *(vec if scale == 1 else [
         x // g if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in vec
     ])) for entries, vec in s.grown]
-    return _Json(template % tuple(itertools.chain.from_iterable(cells)))
+    return template, cells
 
 
 def _cmd_classify(args) -> int:
@@ -161,27 +147,30 @@ def _cmd_classify(args) -> int:
         print(f"seed:           {cfg.seed}")
     else:
         rows = s.classification.basis(s.dim)
-        basis = _grid(len(rows), s.dim**2, _FIELD) % tuple(itertools.chain(*rows))
+        witnesses, cells = _witnesses(s)
         applicable, consistent = _exclusion_flags(f, s.dim, s.classification, s.sum_of_commutators)
-        _emit(
-            _doc(
-                f,
-                dim=s.dim,
-                seed=cfg.seed,
-                classification=s.classification.value,
-                rank=s.rank,
-                basis=_Json(basis),
-                witnesses=_witnesses(s),
-                samples_used=s.samples_used,
-                consistency_flags={
-                    "lie_ideal": _LIE_IDEAL,
-                    "sum_of_commutators": s.sum_of_commutators,
-                    "degree_exclusion_applicable": applicable,
-                    "degree_exclusion_consistent": consistent,
-                    "stop_reason": s.stop_reason.value,
-                },
-            )
+        # The basis and witnesses are dumped as "\0" and "\1", then laid out as "%s"
+        # slots: poly_to_text prints no NUL, \1 or %, so no other text matches.
+        doc = _doc(
+            f,
+            dim=s.dim,
+            seed=cfg.seed,
+            classification=s.classification.value,
+            rank=s.rank,
+            basis="\0",
+            witnesses="\1",
+            samples_used=s.samples_used,
+            consistency_flags={
+                "lie_ideal": _LIE_IDEAL,
+                "sum_of_commutators": s.sum_of_commutators,
+                "degree_exclusion_applicable": applicable,
+                "degree_exclusion_consistent": consistent,
+                "stop_reason": s.stop_reason.value,
+            },
         )
+        basis = _grid(len(rows), s.dim**2, _FIELD)
+        skeleton = json.dumps(doc, indent=2).replace('"\\u0000"', basis).replace('"\\u0001"', witnesses)
+        print(skeleton % tuple(itertools.chain(*rows, *cells)))
     return EXIT_OK
 
 

@@ -115,6 +115,13 @@ class TestParseErrors:
         assert exc.value.line == 2
         assert exc.value.col == 3
 
+    @pytest.mark.parametrize("text, char, col", [("X1 + \0", "\0", 6), ("X1 % X2", "%", 4)], ids=["nul", "percent"])
+    def test_skeleton_characters_refused(self, text, char, col):
+        # classify's JSON skeleton holds a NUL placeholder and "%s" slots: no polynomial brings either.
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert (exc.value.message, exc.value.line, exc.value.col) == (f"unexpected character {char!r}", 1, col)
+
     def test_negative_exponent(self):
         with pytest.raises(ExponentNegative):
             parse_poly("X1^-2")
