@@ -20,10 +20,10 @@ fraction_free_rref, over integer rows; vandermonde_extract does not (it
 reads the Lagrange basis in integers).  The routine runs forward Bareiss
 elimination below each pivot, then builds det * RREF by exact back
 substitution from the last pivot row up; every quotient is a minor of the
-input, so no division leaves a remainder and no Fraction is formed.  Rows
-reach it through _cleared, which scales them by the lcm of their entries'
-denominators; rows of ints alone (sampled values, a span report's grown
-rows, integer targets) enter as they stand, copied, with scale 1.
+input, so no division leaves a remainder, and express_in_terms returns its
+solution in those integers over det: no Fraction is formed.  Rows reach it
+through _cleared, which clears their denominators by one lcm; all-int rows
+(sampled values, grown rows, integer targets) enter as they stand, copied.
 
 EchelonModP tracks only the rank of a stream of integer vectors, modulo the
 fixed Mersenne prime p = 2^31 - 1, with each row packed into one int and
@@ -558,22 +558,24 @@ def fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]:
 
 def express_in_terms(
     vectors: Sequence[Sequence[Num]], target: Sequence[Num]
-) -> list[Fraction] | None:
+) -> tuple[list[int], int] | None:
     """Solve sum_j lam_j * vectors[j] = target exactly.
 
-    Returns one solution (free coordinates set to zero), or None when the
-    target is outside the span of the vectors.  The vectors and the target
-    must have one length (ValueError otherwise).
+    Returns one solution (free coordinates set to zero) as integers over
+    one nonzero det, (numerators, det) with lam_j = numerators[j] / det:
+    the target column of fraction_free_rref's det * RREF, with no Fraction
+    formed.  None when the target is outside the span of the vectors.  The
+    vectors and the target must have one length (ValueError otherwise).
     """
     k = len(vectors)
     _, aug = _cleared(zip(*vectors, target, strict=True))
     pivots, det = fraction_free_rref(aug)
     if k in pivots:
         return None
-    sol = [Fraction(0)] * k
+    sol = [0] * k
     for row, col in zip(aug, pivots):
-        sol[col] = Fraction(row[k], det)
-    return sol
+        sol[col] = row[k]
+    return sol, det
 
 
 # ---------------------------------------------------------------------------

@@ -823,10 +823,10 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     conjugates c+ and c- of column p by I +- E_ij, become c+ - c- and
     2 * c_p - c+ - c- = 2 * (c_p)_ji * E_ij (see _conjugate): a unit
     column, whose unknown and equation (i, j) leave the system with no
-    fill-in.  The rest, about d^2 / 2 rows, is one fraction-free solve
-    (express_in_terms); each unit unknown is read off its own equation, and
-    lam+ = mu_A - mu_B, lam- = -mu_A - mu_B, lam_p += 2 * mu_B map the
-    solution back, on integer numerators over one denominator, times L.
+    fill-in.  The rest, about d^2 / 2 rows, is one solve, integers over its
+    det (express_in_terms); each unit unknown is read off its own equation,
+    and lam+ = mu_A - mu_B, lam- = -mu_A - mu_B, lam_p += 2 * mu_B map it
+    back, over det * lcm(unit entries) and times L, one Fraction per term.
     lam is unchanged: every grown row grew an echelon mod p, which
     certifies growth over Q (see EchelonModP), so the grown values, and the
     changed columns, are independent, and lam is unique; the reduced system
@@ -855,7 +855,7 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     for b, p, i, j, _ in pairs:
         cols[b - 1] = [x - y for x, y in zip(rows[b - 1][1], rows[b][1])]
         units[b] = (i * d + j, 2 * rows[p][1][j * d + i])
-    drop = {r for r, _ in units.values()}
+    drop, u = {r for r, _ in units.values()}, math.lcm(*(e for _, e in units.values()))  # u clears every unit entry e
     free, eqs = [k for k in range(len(cols)) if k not in units], [r for r in range(d * d) if r not in drop]
     mu = express_in_terms([[cols[k][r] for r in eqs] for k in free], [t[r] for r in eqs])
     if mu is None:
@@ -863,10 +863,10 @@ def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
             f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
             f" before the witnesses spanned the target ({len(rows)} witnesses for rank {report.rank})"
         )
-    # Integer numerators over den, which clears every mu and every unit entry e.
-    den, lam = math.lcm(*(m.denominator for m in mu)) * math.lcm(*(e for _, e in units.values())), [0] * len(cols)
-    for k, m in zip(free, mu):
-        lam[k] = m.numerator * (den // m.denominator)
+    # mu is (numerators, det); lam holds integer numerators over den = det * u.
+    den, lam = mu[1] * u, [0] * len(cols)
+    for k, n in zip(free, mu[0]):
+        lam[k] = n * u
     for b, (r, e) in units.items():
         lam[b] = (t[r] * den - sum(lam[k] * cols[k][r] for k in free)) // e
     for b, p, *_ in pairs:

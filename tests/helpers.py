@@ -907,6 +907,16 @@ def reference_fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], int]
     return pivots, sign * prev
 
 
+def solution_fractions(solution):
+    """express_in_terms's (numerators, det) as the list of Fractions
+    numerators[j] / det that reference_express_in_terms returns; None stays
+    None."""
+    if solution is None:
+        return None
+    numerators, det = solution
+    return [Fraction(n, det) for n in numerators]
+
+
 def reference_express_in_terms(vectors, target):
     """Solve sum_j lam_j * vectors[j] = target by Fraction Gauss-Jordan.
 
@@ -1068,7 +1078,7 @@ def reference_decompose(report, target: MatrixQ) -> list:
     vec = target.flatten()
     if not report.classification.contains(vec, d):
         raise NotInSpan("target is outside the sampled span")
-    sol = express_in_terms([row for _, row in report.grown], vec)
+    sol = solution_fractions(express_in_terms([row for _, row in report.grown], vec))
     if sol is None:
         raise NotInSpan(
             f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"

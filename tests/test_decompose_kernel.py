@@ -31,6 +31,7 @@ from helpers import (
     reference_decompose,
     reference_rref,
     row_matrices,
+    solution_fractions,
     spans_class,
     unit_pairs,
 )
@@ -159,7 +160,8 @@ class TestAgainstReference:
                     undetermined += partial.classification is None
                     rows = [vec for _, vec in partial.rows]
                     chosen = [t.flatten() for t in targets(rng, partial, 3)]
-                    assert [express_in_terms(rows, t) for t in chosen] == reference_express_all(rows, chosen)
+                    got = [solution_fractions(express_in_terms(rows, t)) for t in chosen]
+                    assert got == reference_express_all(rows, chosen)
         assert undetermined > 0
 
 
@@ -393,8 +395,8 @@ class TestKernel:
         v2 = tuple(2 * x for x in v1)
         target = [a + b for a, b in zip(v1, v3)]
         vecs = [v1, v2, v3]
-        assert express_in_terms(vecs, target) == [1, 0, 1]
-        assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target)
+        assert solution_fractions(express_in_terms(vecs, target)) == [1, 0, 1]
+        assert solution_fractions(express_in_terms(vecs, target)) == reference_express_in_terms(vecs, target)
         assert express_in_terms(vecs, (0, 0, 0, 1)) is None
 
     def test_express_in_terms_against_reference(self):
@@ -426,7 +428,40 @@ class TestKernel:
                     target = [frac(-2, 2, (1, 2, 3)) for _ in range(n)] if rng.random() < 0.3 else list(map(Fraction, target))
                 if kind == "int":
                     assert {type(x) for v in [*vecs, target] for x in v} <= {int}
-                assert express_in_terms(vecs, target) == reference_express_in_terms(vecs, target), kind
+                assert solution_fractions(express_in_terms(vecs, target)) == reference_express_in_terms(vecs, target), kind
+
+    @pytest.mark.parametrize("entry", ("int", "fraction"))
+    def test_express_in_terms_returns_integers_over_det(self, entry):
+        # The solve's contract: integer numerators over one nonzero integer
+        # det, lam_j = numerators[j] / det, on square and tall systems; None
+        # for a target outside the span.
+        rng = random.Random(83)
+
+        def draw():
+            x = rng.randint(-4, 4)
+            return x if entry == "int" else Fraction(x, rng.randint(1, 4))
+
+        shapes, outside = set(), 0
+        for _ in range(200):
+            k = rng.randint(1, 5)
+            n = rng.choice((k, k + rng.randint(1, 3)))
+            vecs = [[draw() for _ in range(n)] for _ in range(k)]
+            if rng.random() < 0.7:
+                coeffs = [draw() for _ in vecs]
+                target = [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)]
+            else:
+                target = [draw() for _ in range(n)]
+            want, got = reference_express_in_terms(vecs, target), express_in_terms(vecs, target)
+            if want is None:
+                assert got is None
+                outside += 1
+                continue
+            numerators, det = got
+            assert type(det) is int and det != 0
+            assert len(numerators) == k and {type(x) for x in numerators} == {int}
+            assert [Fraction(x, det) for x in numerators] == want
+            shapes.add("square" if n == k else "tall")
+        assert shapes == {"square", "tall"} and outside > 0
 
     def test_reference_solves_all_targets_as_one_at_a_time(self):
         # The shared solve must give each target exactly its own answer.

@@ -580,8 +580,9 @@ class TestExpressInTerms:
         ]
         sol = express_in_terms(vecs, target)
         assert sol is not None
+        numerators, det = sol
         rebuilt = [
-            sum(c * v[i] for c, v in zip(sol, vecs)) for i in range(4)
+            sum(Fraction(n, det) * v[i] for n, v in zip(numerators, vecs)) for i in range(4)
         ]
         assert rebuilt == target
 
