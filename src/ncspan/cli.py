@@ -8,8 +8,8 @@ identical seeds and flags give byte-identical output.
 
 classify and decompose read span.classify_span's report, which names one
 of the four canonical spaces, by theorem below degree 2d, and builds its
-witness matrices only when they are read: decompose reads them, classify
-prints its witnesses straight from the report's integer rows and its
+matrices only when they are read: decompose reads its certificate's
+inputs, classify prints its witnesses straight from the integer rows and its
 basis from the class (Classification.basis), and no command builds a
 SpanBasis.  suite builds no report: it reads each class alone
 (span._class_of), with no sample below degree 2d, and compares classes
@@ -57,7 +57,7 @@ from .text import (
     poly_to_text,
 )
 
-SCHEMA = "ncspan/6"
+SCHEMA = "ncspan/7"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

@@ -24,15 +24,15 @@ by its stop reason.  Exactness comes from two places:
 
 classify_span samples in the call, whatever names the class, and its
 report keeps integer rows: the one or two samples that raised its class.
-Its rank-many witness rows (grown) and witness matrices are built only
-when read, as shear conjugates of those rows, with no evaluation of f,
-each kept when it grows an echelon mod p = 2^31 - 1 once the powers of p
-that the rows' traces and trace-free parts share are divided out (see
-_shear_closure).  suite reads the class alone (_class_of): by the
-degree where it decides it, else from classify_span, and prints no
-witness; classify writes each one as text straight from the integer rows,
-and decompose solves on the integer rows, less one unit column and one
-equation per kept pair of opposite shears, and returns the witness tuples.
+What is read from them is built only when read, by conjugation, with no
+evaluation of f: classify's rank-many witness rows (grown), shear
+conjugates each kept when it grows an echelon mod p = 2^31 - 1 once the
+powers of p that the rows' traces and trace-free parts share are divided
+out (see _shear_closure), written as text straight from the integer rows;
+and decompose's certificate, off which each target's coefficients are
+read in closed form (see _Certificate).  suite reads the class alone
+(_class_of): by the degree where it decides it, else from classify_span,
+and prints no witness.
 
 Every sampled verdict reads one seeded stream of integer entries, the
 values randint(-B, B) gives one by one (see _samples): the classifier
@@ -85,7 +85,6 @@ from .linalg import (
     _cleared,
     _conjugate,
     check_dimension,
-    express_in_terms,
     unit_commutator,
 )
 from .poly import NcPoly, Word
@@ -186,9 +185,9 @@ class SpanReport:
     the class unless a budget cut the rows short of it, and witness k is
     t_k and grown[k][1] / L.  Beside it, _closure keeps each grown row's
     label: None for a seed, and (parent, i, j, s) for the conjugate of
-    grown[parent] by I + s * E_ij (see _walk).  The report holds no basis:
-    the class answers rank and membership in closed form, and basis,
-    grown, the labels and the witnesses are built when first read.
+    grown[parent] by I + s * E_ij (see _walk); decompose_target reads
+    _certificate (see _Certificate).  The report holds no basis: the class
+    answers rank and membership in closed form; the rest is built when read.
     """
 
     poly: NcPoly
@@ -221,15 +220,15 @@ class SpanReport:
         return self._closure[0]
 
     @functools.cached_property
-    def _inputs(self) -> tuple[tuple[MatrixQ, ...], ...]:
-        """t_k for each grown row, built once, when first read."""
-        return tuple(_matrices(entries, self.dim) for entries, _ in self.grown)
+    def _certificate(self) -> _Certificate:
+        """The rows' shear certificate (see _Certificate), built once, when first read."""
+        return _Certificate(self.rows, self.dim)
 
     @functools.cached_property
     def witnesses(self) -> tuple[Witness, ...]:
         """(t_k, f(t_k)) for each grown row, built once, when first read."""
         d, scale = self.dim, self.poly.integer_form()[0]
-        return tuple((args, _unscaled(vec, d, scale)) for args, (_, vec) in zip(self._inputs, self.grown))
+        return tuple((_matrices(entries, d), _unscaled(vec, d, scale)) for entries, vec in self.grown)
 
 
 # struct codes of the signed slot widths that have one.
@@ -617,10 +616,7 @@ def classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> Span
         if cls.contains(vec, d):
             stall += 1
         else:
-            # ZERO rises to the least space holding vec, any other class to FULL.
-            from_zero = cls is Classification.ZERO and d > 1
-            least = (Classification.SCALARS, Classification.TRACE_ZERO) if from_zero else ()
-            cls = next((c for c in least if c.contains(vec, d)), Classification.FULL)
+            cls = _raised(cls, vec, d)
             rows.append((tuple(entries), tuple(vec)))
             stall = 0
         if cls in proved:
@@ -632,6 +628,15 @@ def classify_span(f: NcPoly, d: int, cfg: SampleConfig = SampleConfig()) -> Span
     if _degree_decides(f, d):
         cls = Classification.bound(d, commutator_sum)
     return SpanReport(f, d, cls, samples_used, stop_reason, cfg, commutator_sum, tuple(rows))
+
+
+def _raised(cls: Classification, vec: Sequence[int], d: int) -> Classification:
+    """The least class holding cls's space and vec: cls if it holds vec, else
+    from ZERO at d > 1 SCALARS or TRACE_ZERO if one holds vec, else FULL."""
+    if cls.contains(vec, d):
+        return cls
+    least = (Classification.SCALARS, Classification.TRACE_ZERO) if cls is Classification.ZERO and d > 1 else ()
+    return next((c for c in least if c.contains(vec, d)), Classification.FULL)
 
 
 def _walk(
@@ -810,66 +815,111 @@ def herstein_closure(seed: MatrixQ, d: int) -> SpanBasis:
 Decomposition = list[tuple[Fraction, tuple[MatrixQ, ...]]]
 
 
+class _Certificate:
+    """Integer stacks [L * f(u) | u] whose values span the rows' own class,
+    cls, by fixed combinations, built from the rows with no evaluation of f:
+    the base w, the first non-scalar row, conjugated by I + E_ab first if
+    it is diagonal (gaining (w_aa - w_bb) * E_ab); the trace row, the first
+    nonzero scalar row or else row with nonzero trace; and for each k != l,
+    row-major, the conjugates c+- by I +- E_kl of a center c with c_lk != 0,
+    the first stack so far with one, else a new one, P^-1 w P for a
+    permutation matrix P moving a nonzero off-diagonal entry of w to (l, k).
+
+    Each value is L * f at its stack's inputs, and by _conjugate
+    2c - c+ - c- = 2 * c_lk * E_kl and c+ - c- = 2 * [c, E_kl], whose
+    diagonal is 2 * c_lk * (E_ll - E_kk): read takes any target in cls off
+    2d(d - 1) + 2 stacks, plus the permuted copies.  A conjugate by
+    I + E_k'k has w_lk' at (l, k), so only a base with few nonzero
+    entries, such as a shifted diagonal one, needs a copy.
+    """
+
+    def __init__(self, rows: Sequence[Row], d: int):
+        n, scalar = d * d, functools.partial(Classification.SCALARS.contains, d=d)
+        self.cls = functools.reduce(lambda cls, row: _raised(cls, row[1], d), rows, Classification.ZERO)
+        base = next((r for r in rows if not scalar(r[1])), None)
+        traced = min((r for r in rows if sum(r[1][:: d + 1])), key=lambda r: not scalar(r[1]), default=None)
+        kept = list(dict.fromkeys(r for r in (base, traced) if r))
+        self.dim, self.stacks = d, [[*vec, *entries] for entries, vec in kept]
+        self.trace = kept.index(traced) if traced else None
+        # pairs: (k, l) -> (center, index of c+ with c- after it, c_lk); _inputs: j -> u
+        self.pairs, self._inputs = {}, {}
+        if not base:
+            return
+        w = self.stacks[0]
+        if not any(w[k] for k in range(n) if k % (d + 1)):
+            _conjugate(w, d, *next((a, b) for a in range(d) for b in range(d) if w[a * (d + 1)] != w[b * (d + 1)]), 1)
+        p, q = divmod(next(k for k in range(n) if k % (d + 1) and w[k]), d)
+        for k, l in itertools.permutations(range(d), 2):
+            c = next((c for c, stack in enumerate(self.stacks) if stack[l * d + k]), len(self.stacks))
+            if c == len(self.stacks):
+                rest = iter([x for x in range(d) if x not in (p, q)])
+                perm = [p if a == l else q if a == k else next(rest) for a in range(d)]  # l -> p, k -> q
+                order = [perm[a] * d + perm[b] for a in range(d) for b in range(d)]
+                self.stacks.append([w[o + i] for o in range(0, len(w), n) for i in order])
+            self.pairs[k, l] = (c, len(self.stacks), self.stacks[c][l * d + k])
+            for s in (1, -1):
+                self.stacks.append(self.stacks[c].copy())
+                _conjugate(self.stacks[-1], d, k, l, s)
+
+    def inputs(self, j: int) -> tuple[MatrixQ, ...]:
+        """The input tuple u of stack j, built once, when first read."""
+        return self._inputs.get(j) or self._inputs.setdefault(j, _matrices(self.stacks[j][self.dim**2 :], self.dim))
+
+    def read(self, t: Sequence[int]) -> tuple[list[int], int]:
+        """Integers (lam, den), sum lam[j] * value_j = den * t, for integer t in
+        cls: the trace row z takes tr t / tr z, then r_ll / (2 * c_l0) times
+        c+ - c- of pair (0, l) each r_ll, and r_kl / (2 * c_lk) times
+        2c - c+ - c- of pair (k, l) each r_kl left, r doubled, each step
+        scaled by the lcm of the c_lk it divides by."""
+        d, lam, den, r = self.dim, [0] * len(self.stacks), 1, list(t)
+        tr = sum(t[:: d + 1])
+        if tr:
+            z = self.stacks[self.trace]
+            den, lam[self.trace] = sum(z[: d * d : d + 1]), tr
+            r = [den * x - tr * y for x, y in zip(t, z)]
+        diagonal = [(l, self.pairs[0, l]) for l in range(1, d) if r[l * (d + 1)]]
+        m = 2 * math.lcm(*(c_lk for _, (_, _, c_lk) in diagonal))
+        r, lam, den = [m * x for x in r], [m * x for x in lam], m * den
+        for l, (c, plus, c_lk) in diagonal:
+            nu, w = r[l * (d + 1)] // (2 * c_lk), self.stacks[c]  # r less nu * (c+ - c-) = 2 * nu * [w, E_0l]
+            lam[plus], lam[plus + 1] = lam[plus] + nu, lam[plus + 1] - nu
+            r[l : d * d : d] = [x - 2 * nu * y for x, y in zip(r[l::d], w[: d * d : d])]
+            r[:d] = [x + 2 * nu * y for x, y in zip(r, w[l * d : l * d + d])]
+        off = [(r[k * d + l] // 2, pair) for (k, l), pair in self.pairs.items() if r[k * d + l]]  # r is even
+        m = math.lcm(*(c_lk for _, (_, _, c_lk) in off))
+        lam, den = [m * x for x in lam], m * den
+        for x, (c, plus, c_lk) in off:
+            mu = x * (m // c_lk)
+            lam[c], lam[plus], lam[plus + 1] = lam[c] + 2 * mu, lam[plus] - mu, lam[plus + 1] - mu
+        return lam, den
+
+
 def decompose_target(report: SpanReport, target: MatrixQ) -> Decomposition:
     """Express target as an exact combination sum lam_j * f(t_j).
 
-    The t_j are the report's witness inputs (whose values span the
-    report's class; no value is built as a matrix), except in the directly
-    invertible case f = c * X_i, where the preimage tuple is written down
-    outright.  Raises NotInSpan when the target lies outside the class, by
-    the closed-form membership test (see Classification), before any solve
-    and with no basis built.  Otherwise the columns are the grown rows
-    L * f(t_j), and two consecutive ones labelled (p, i, j, +-1), the
-    conjugates c+ and c- of column p by I +- E_ij, become c+ - c- and
-    2 * c_p - c+ - c- = 2 * (c_p)_ji * E_ij (see _conjugate): a unit
-    column, whose unknown and equation (i, j) leave the system with no
-    fill-in.  The rest, about d^2 / 2 rows, is one solve, integers over its
-    det (express_in_terms); each unit unknown is read off its own equation,
-    and lam+ = mu_A - mu_B, lam- = -mu_A - mu_B, lam_p += 2 * mu_B map it
-    back, over det * lcm(unit entries) and times L, one Fraction per term.
-    lam is unchanged: every grown row grew an echelon mod p, which
-    certifies growth over Q (see EchelonModP), so the grown values, and the
-    changed columns, are independent, and lam is unique; the reduced system
-    is consistent exactly when the whole one is.  It is when the grown
-    values span the class; a budget can cut the rows short of a class the
-    degree decides, and then a target they do not span raises NotInSpan,
-    naming the budget.
+    NotInSpan first for a target outside the report's class, by its
+    closed-form test; then for f = c * X_i the preimage is written down.
+    Else the t_j are inputs of the report's certificate (see _Certificate),
+    and a budget that cut the rows short of a class the degree decides
+    raises NotInSpan, naming it, for a target outside the rows' class.  lam
+    is read off in integers, times L, one Fraction per term: at most
+    2d(d - 1) + 2 but for permuted copies, fewer on a sparse target.
     """
     d = report.dim
     if target.dim != d:
         raise DimensionMismatch(f"target is {target.dim}x{target.dim}, expected {d}")
-    f, L = report.poly, report.poly.integer_form()[0]
-    if len(f) == 1:
-        ((word, coeff),) = f.terms.items()
-        if len(word) == 1:
-            i = word[0]
-            scaled = target.scale(Fraction(1) / coeff)
-            args = tuple(scaled if v == i else MatrixQ.zero(d) for v in range(1, f.nvars + 1))
-            return [(Fraction(1), args)]
-    vec = target.flatten()
+    f, L, vec = report.poly, report.poly.integer_form()[0], target.flatten()
     if not report.classification.contains(vec, d):
         raise NotInSpan("target is outside the sampled span")
-    (rows, labels), (scale, (t,)) = report._closure, _cleared([vec])
-    pairs = [(b, *lb) for b, lb in enumerate(labels) if lb and lb[3] < 0 and labels[b - 1] == (*lb[:3], 1)]
-    cols, units = [v for _, v in rows], {}  # units: pair column b -> (its equation, its entry there)
-    for b, p, i, j, _ in pairs:
-        cols[b - 1] = [x - y for x, y in zip(rows[b - 1][1], rows[b][1])]
-        units[b] = (i * d + j, 2 * rows[p][1][j * d + i])
-    drop, u = {r for r, _ in units.values()}, math.lcm(*(e for _, e in units.values()))  # u clears every unit entry e
-    free, eqs = [k for k in range(len(cols)) if k not in units], [r for r in range(d * d) if r not in drop]
-    mu = express_in_terms([[cols[k][r] for r in eqs] for k in free], [t[r] for r in eqs])
-    if mu is None:
+    if len(f) == 1 and len(word := next(iter(f.terms))) == 1:
+        scaled = target.scale(Fraction(1) / f.terms[word])
+        return [(Fraction(1), tuple(scaled if v == word[0] else MatrixQ.zero(d) for v in range(1, f.nvars + 1)))]
+    certificate = report._certificate
+    if not certificate.cls.contains(vec, d):
         raise NotInSpan(
-            f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
-            f" before the witnesses spanned the target ({len(rows)} witnesses for rank {report.rank})"
+            f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples):"
+            f" rows of class {certificate.cls.value} do not hold the target, in {report.classification.value}"
         )
-    # mu is (numerators, det); lam holds integer numerators over den = det * u.
-    den, lam = mu[1] * u, [0] * len(cols)
-    for k, n in zip(free, mu[0]):
-        lam[k] = n * u
-    for b, (r, e) in units.items():
-        lam[b] = (t[r] * den - sum(lam[k] * cols[k][r] for k in free)) // e
-    for b, p, *_ in pairs:
-        lam[p] += 2 * lam[b]
-        lam[b - 1], lam[b] = lam[b - 1] - lam[b], -lam[b - 1] - lam[b]
-    return [(Fraction(L * x, den * scale), args) for x, args in zip(lam, report._inputs) if x]
+    scale, (t,) = _cleared([vec])
+    lam, den = certificate.read(t)
+    return [(Fraction(L * x, den * scale), certificate.inputs(j)) for j, x in enumerate(lam) if x]

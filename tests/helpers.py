@@ -1058,33 +1058,45 @@ def reference_closure_mod_p(seeds, d: int, rank: int) -> tuple:
 
 def unit_pairs(report) -> list[int]:
     """The indices b of the grown rows labelled (p, i, j, -1) right after a
-    row labelled (p, i, j, +1): the unit columns decompose_target removes."""
+    row labelled (p, i, j, +1): the pairs of shear conjugates the walk keeps
+    both of."""
     labels = report._closure[1]
     return [b for b, lb in enumerate(labels) if lb and lb[3] < 0 and labels[b - 1] == (*lb[:3], 1)]
 
 
 def reference_decompose(report, target: MatrixQ) -> list:
-    """decompose_target as one solve of the whole d^2 x (k + 1) system
-    [grown rows L * f(t_j) | target], then lambda = L * mu: the path the
-    pair reduction replaced, with its NotInSpan verdicts and messages."""
+    """decompose_target's NotInSpan verdicts and messages, decided as the
+    solve it replaced decided them: membership in the report's class
+    first, then the c * X_i preimage, then one solve of the whole
+    d^2 x (k + 1) system [grown rows L * f(t_j) | target] over the shear
+    walk's rows, whose rank names the rows' own class at d >= 2.  On a
+    target inside, lambda = L * mu over those rows."""
     d, f = report.dim, report.poly
     if target.dim != d:
         raise DimensionMismatch(f"target is {target.dim}x{target.dim}, expected {d}")
+    vec = target.flatten()
+    if not report.classification.contains(vec, d):
+        raise NotInSpan("target is outside the sampled span")
     if len(f) == 1:
         ((word, coeff),) = f.terms.items()
         if len(word) == 1:
             scaled = target.scale(Fraction(1) / coeff)
             return [(Fraction(1), tuple(scaled if v == word[0] else MatrixQ.zero(d) for v in range(1, f.nvars + 1)))]
-    vec = target.flatten()
-    if not report.classification.contains(vec, d):
-        raise NotInSpan("target is outside the sampled span")
     sol = solution_fractions(express_in_terms([row for _, row in report.grown], vec))
     if sol is None:
+        rows = {0: "ZERO", 1: "SCALARS", d * d - 1: "TRACE_ZERO", d * d: "FULL"}[len(report.grown)]
         raise NotInSpan(
-            f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples)"
-            f" before the witnesses spanned the target ({len(report.grown)} witnesses for rank {report.rank})"
+            f"the sampling budget ran out ({report.stop_reason.value} after {report.samples_used} samples):"
+            f" rows of class {rows} do not hold the target, in {report.classification.value}"
         )
-    return [(lam * reference_integer_terms(f)[0], args) for lam, args in zip(sol, report._inputs) if lam]
+    inputs = [args for args, _ in report.witnesses]
+    return [(lam * reference_integer_terms(f)[0], args) for lam, args in zip(sol, inputs) if lam]
+
+
+def certificate_inputs(report) -> list:
+    """The input tuples that report's certificate has built so far, each
+    once, when first read (see span._Certificate.inputs)."""
+    return list(report._certificate._inputs.values())
 
 
 def reference_residual(basis: SpanBasis, m: MatrixQ) -> list:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ncspan.cli
-from helpers import reference_classify_span, reference_suite_violations, spans_class, standard_polynomial
+from helpers import certificate_inputs, reference_classify_span, reference_suite_violations, spans_class, standard_polynomial
 from ncspan.cli import main
 from ncspan.linalg import Classification, MatrixQ
 from ncspan.linearize import OracleFailed
@@ -46,7 +46,7 @@ class TestClassify:
             capsys, "classify", "--poly", "X1*X2 - X2*X1", "--dim", "2"
         )
         assert code == 0
-        assert doc["schema"] == "ncspan/6"
+        assert doc["schema"] == "ncspan/7"
         assert doc["classification"] == "TRACE_ZERO"
         assert doc["rank"] == 3
         assert doc["polynomial"] == "X1*X2 - X2*X1"
@@ -439,6 +439,18 @@ class TestDecompose:
         code, doc = run_json(capsys, *argv)
         assert code == 0
         assert doc["verified"] is (not doc["terms"])
+
+    @pytest.mark.parametrize("poly", ("2*X1", "2*X1 + X1*X1"))
+    def test_membership_before_the_preimage(self, capsys, poly):
+        # One sample at d = 1 with seed 7 is the zero matrix, so the class is
+        # ZERO and 3 lies outside it: c * X_i is refused like any other
+        # polynomial, not written down as a preimage beside a ZERO class.
+        argv = ("decompose", "--poly", poly, "--dim", "1", "--seed", "7", "--max-samples", "1", "--target", "3")
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and "terms" not in doc
+        assert (doc["classification"], doc["error"], doc["message"]) == (
+            "ZERO", "NotInSpan", "target is outside the sampled span"
+        )
 
     def test_not_in_span(self, capsys):
         code, doc = run_json(
@@ -892,7 +904,10 @@ class TestParserPerCommand:
     def test_literal_starting_with_minus(self, capsys):
         code, out, err = _outcome(capsys, main, ["classify", "--poly", "-1*X1", "--dim", "2", "--seed", "0"])
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == "03d0b7a84e7ba348b34365dbc351a031410093e722a0e3fcd29801974e6916fe"
+        assert hashlib.sha256(out.encode()).hexdigest() == "f1a23bd5fbe9966de2091aa441c998e53123d09789470d0f24bce7ea2d437701"
+        # Only the schema line changed at ncspan/7: set back, the bytes are the ncspan/6 pin.
+        old = out.replace('"schema": "ncspan/7"', '"schema": "ncspan/6"')
+        assert hashlib.sha256(old.encode()).hexdigest() == "03d0b7a84e7ba348b34365dbc351a031410093e722a0e3fcd29801974e6916fe"
 
     @pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if c != "commtest"])
     def test_no_stability_window_option(self, capsys, command):
@@ -939,7 +954,8 @@ class TestFixedLayout:
 
 class TestExactReportEntries:
     """Every matrix entry a report holds is an int or a Fraction, and
-    decompose prints its inputs as str of the report's _inputs entries."""
+    decompose prints its inputs as str of the inputs its report's
+    certificate built."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_battery(self, capsys, d):
@@ -964,7 +980,7 @@ class TestExactReportEntries:
                         code, doc = run_json(capsys, *argv, *budget)
                         terms = decompose_target(report, report.witnesses[0][1])
                         assert code == 0 and doc["verified"] and terms
-                        assert all(any(args is t for t in report._inputs) for _, args in terms)
+                        assert all(any(args is t for t in certificate_inputs(report)) for _, args in terms)
                         assert [t["inputs"] for t in doc["terms"]] == [
                             [[[str(x) for x in row] for row in a.rows] for a in args] for _, args in terms
                         ]

@@ -1,15 +1,15 @@
-"""Decomposition through the fraction-free elimination kernel.
+"""Decomposition through the shear certificate, and the elimination kernel.
 
-decompose_target solves each target with the fraction-free
-express_in_terms, on the system left once each kept shear pair is a unit
-column; these tests require the same lambda lists, element by element, as
-the Fraction Gauss-Jordan solve kept in helpers and as the whole-system
-solve it replaced (helpers.reference_decompose), and the same NotInSpan
-verdicts.  The kernel units pin fraction_free_rref (also on
-[m | I], cleared of denominators, against a Fraction inverse) and
-express_in_terms against their Fraction references, and
-the two-phase fraction_free_rref against the one-sweep Gauss-Jordan it
-replaced (identical pivots, det and rows).
+decompose_target reads each lambda off the target through the report's
+shear certificate, with no elimination; these tests require the same
+NotInSpan verdicts and messages as the whole-system solve it replaced
+(helpers.reference_decompose) and the Fraction Gauss-Jordan solve on the
+witness values, and a sum of lambda * f(t) equal to the target exactly,
+with f evaluated afresh at every returned tuple.  The kernel units pin
+fraction_free_rref (also on [m | I], cleared of denominators, against a
+Fraction inverse) and express_in_terms against their Fraction
+references, and the two-phase fraction_free_rref against the one-sweep
+Gauss-Jordan it replaced (identical pivots, det and rows).
 """
 
 import functools
@@ -21,6 +21,7 @@ import pytest
 
 from helpers import (
     battery_poly,
+    certificate_inputs,
     fraction_gauss_jordan,
     random_matrix_int,
     reference_express_all,
@@ -33,7 +34,6 @@ from helpers import (
     row_matrices,
     solution_fractions,
     spans_class,
-    unit_pairs,
 )
 from ncspan import (
     Classification,
@@ -49,6 +49,7 @@ from ncspan import (
     parse_poly,
 )
 import ncspan.linalg
+import ncspan.span
 from ncspan.linalg import (
     _cleared,
     express_in_terms,
@@ -59,9 +60,9 @@ HEADLINE = ("[X1,X2]", "X1*X2", "3/2*X1*X1*X2 + [X2,X1]", "[X1,X2]^2")
 
 
 def reference_outcomes(report, targets):
-    """outcome(decompose_target, report, t) for each target, with every solve
-    by Fraction Gauss-Jordan: one on the witness values and the targets
-    inside the basis (see reference_express_all)."""
+    """For each target, NotInSpan's message if the Fraction Gauss-Jordan
+    solve on the witness values and the targets inside the basis (see
+    reference_express_all) refuses it, else the reference's lambda list."""
     inside = [t for t in targets if report.basis.contains(t)]
     sols = reference_express_all(
         [value.flatten() for _, value in report.witnesses], [t.flatten() for t in inside]
@@ -98,23 +99,32 @@ def targets(rng, report, count):
     return out
 
 
+def assert_sums_to(report, terms, target, value_at=None):
+    """terms is a list of (Fraction, tuple) whose sum of lam * f(t), f
+    evaluated afresh at each tuple, is target exactly."""
+    value_at = value_at or (lambda args: evaluate(report.poly, args, dim=report.dim))
+    assert all(type(lam) is Fraction and lam for lam, _ in terms)
+    total = MatrixQ.zero(report.dim)
+    for lam, args in terms:
+        total = total + value_at(args).scale(lam)
+    assert total == target, (report.poly, report.dim, target)
+
+
 def assert_same_decompositions(report, rng, count=3):
     f = report.poly
     if len(f.terms) == 1 and len(next(iter(f.terms))) == 1:
         return  # c * X_i: decompose_target writes the preimage down outright
-    # f at each witness tuple, evaluated afresh once per report: the tuples
+    # f at each returned tuple, evaluated afresh once per report: the tuples
     # recur across its targets.
     value_at = functools.cache(lambda args: evaluate(f, args, dim=report.dim))
     chosen = targets(rng, report, count)
     for target, want in zip(chosen, reference_outcomes(report, chosen)):
         got = outcome(decompose_target, report, target)
-        assert got == want, (report.poly, report.dim, target)
+        assert isinstance(got, list) == isinstance(want, list), (report.poly, report.dim, target)
         if isinstance(got, list):
-            assert all(type(lam) is Fraction for lam, _ in got)
-            total = MatrixQ.zero(report.dim)
-            for lam, args in got:
-                total = total + value_at(args).scale(lam)
-            assert total == target
+            assert_sums_to(report, got, target, value_at)
+        else:
+            assert got == want
 
 
 class TestAgainstReference:
@@ -123,8 +133,8 @@ class TestAgainstReference:
         for _ in range(200):
             report = classify_span(battery_poly(rng), 3, SampleConfig(seed=0))
             assert_same_decompositions(report, rng, count=2)
-        # The rational battery: lambda = L * mu on the grown rows, for L over
-        # many denominators, and L = 12 at d = 2..4.
+        # The rational battery: lambda = L * mu, for L over many
+        # denominators, and L = 12 at d = 2..4.
         rng = random.Random(3031)
         scales = set()
         cases = [(parse_poly("1/4*X1*X2 - 5/6*X2*X1"), d) for d in (2, 3, 4)]
@@ -181,12 +191,14 @@ class TestVerdicts:
             decompose_target(report, MatrixQ.identity(1))
 
     def test_scalar_class(self):
+        # A scalar target is read off the one scalar row: one term, at the
+        # witness's own inputs.
         f = parse_poly("[X1,X2]^2")
         report = classify_span(f, 2)
         assert report.classification is Classification.SCALARS
         ((lam, args),) = decompose_target(report, MatrixQ.identity(2).scale(Fraction(5, 3)))
-        ((_, value),) = report.witnesses
-        assert args is report.witnesses[0][0]
+        ((witness, value),) = report.witnesses
+        assert args == witness and args is report._certificate.inputs(0)
         assert value.scale(lam) == MatrixQ.identity(2).scale(Fraction(5, 3))
         with pytest.raises(NotInSpan):
             decompose_target(report, MatrixQ.unit(2, 0, 1))
@@ -196,7 +208,8 @@ class TestHandBuiltReports:
     def test_witness_values_that_are_not_a_basis(self):
         # Integer rows (entries, f(t)), for f = X1*X2 with L = 1, whose
         # values repeat: the shear walk keeps only the rows that grow, up to
-        # the class's rank, and decompose solves on those.
+        # the class's rank, and the certificate reads the first non-scalar
+        # row and the scalar one.
         cfg = SampleConfig()
         eye, e11, e12 = MatrixQ.identity(2), MatrixQ.unit(2, 0, 0), MatrixQ.unit(2, 0, 1)
         f = parse_poly("X1*X2")
@@ -214,12 +227,15 @@ class TestHandBuiltReports:
             assert report.rows is rows and report.samples_used == 3
             assert report.grown[0] == rows[0] and len(report.grown) == cls.rank(2)
             assert spans_class([value for _, value in report.witnesses], cls, 2)
+            assert report._certificate.cls is cls
             for args, value in report.witnesses:
                 assert evaluate(f, args) == value
             for target in (e11, e12, eye.scale(Fraction(5, 3))):
-                got = outcome(decompose_target, report, target)
-                assert got == reference_outcomes(report, [target])[0]
-                assert exact_outcome(decompose_target, report, target) == exact_outcome(reference_decompose, report, target)
+                got, want_outcome = outcome(decompose_target, report, target), reference_outcomes(report, [target])[0]
+                assert isinstance(got, list) == isinstance(want_outcome, list)
+                assert assert_as_whole_system(report, [target]) == isinstance(got, list)
+                if not isinstance(got, list):
+                    assert got == want_outcome
             got = outcome(decompose_target, report, e11)
             assert type(got) is want or got[0] == want
 
@@ -233,32 +249,35 @@ def exact_outcome(decompose, report, target):
 
 
 def assert_as_whole_system(report, chosen):
-    """decompose_target's lambda lists, element by element, and NotInSpan
-    verdicts against the one solve of the whole system (reference_decompose);
-    returns how many targets were decomposed."""
+    """decompose_target's NotInSpan verdicts and messages against the one
+    solve of the whole system (reference_decompose), and each of its
+    decompositions summed exactly; returns how many targets were
+    decomposed."""
     solved = 0
     for target in chosen:
-        got = exact_outcome(decompose_target, report, target)
-        assert got == exact_outcome(reference_decompose, report, target), (report.poly, report.dim, target)
+        got, want = exact_outcome(decompose_target, report, target), exact_outcome(reference_decompose, report, target)
+        assert isinstance(got, list) == isinstance(want, list), (report.poly, report.dim, target)
         if isinstance(got, list):
-            assert all(type(lam) is Fraction for lam, _ in got)
+            assert_sums_to(report, got, target)
             solved += 1
+        else:
+            assert got == want, (report.poly, report.dim, target)
     return solved
 
 
 class TestPairReduction:
-    """The reduced system (each kept shear pair a unit column) against the
-    whole system it replaced, on reports with many pairs and with none."""
+    """The certificate's reading against the whole system it replaced, on
+    reports whose pairs read many entries and none."""
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_battery(self, d):
         rng = random.Random(5050 + d)
-        units = 0
+        pairs = 0
         for k in range(12 if d < 5 else 5):
             report = classify_span(battery_poly(rng), d, SampleConfig(seed=k))
-            units += len(unit_pairs(report))
+            pairs += len(report._certificate.pairs)
             assert_as_whole_system(report, targets(rng, report, 2))
-        assert units > 0
+        assert pairs > 0
 
     def test_rational_polynomials(self):
         rng = random.Random(5057)
@@ -273,15 +292,16 @@ class TestPairReduction:
 
     @pytest.mark.parametrize("text, d", (("P*[X1,X2]", 8), ("[X1,X2] + P", 6), ("P*X1 + 1", 6)))
     def test_multiples_of_p(self, text, d):
-        # Values whose parts carry powers of p: the walk grows them mod p
-        # through psi (see span._shear_closure), and the pairs stay exact.
+        # Values whose parts carry powers of p = 2^31 - 1: the certificate
+        # divides by their entries exactly, whatever powers of p they carry.
         report = classify_span(parse_poly(text.replace("P", "2147483647")), d, SampleConfig(seed=0))
-        assert len(report.grown) == report.rank and unit_pairs(report)
+        assert len(report._certificate.pairs) == d * (d - 1)
         assert assert_as_whole_system(report, targets(random.Random(d), report, 1)) >= 2
 
     def test_budget_cut_reports(self):
-        # A class the degree decides, with fewer grown rows than its rank:
-        # the reduced system is consistent exactly when the whole one is.
+        # A class the degree decides, with rows that fall short of it: the
+        # certificate refuses, naming the budget, exactly where the whole
+        # system over the walk's rows is inconsistent.
         rng = random.Random(5058)
         cut = solved = refused = 0
         for f, d, seed in itertools.product(map(parse_poly, ("X1*X1", "X1*X2", "X1*X2*X1", "[X1,X2]*X1")), (2, 3, 4), range(8)):
@@ -289,11 +309,144 @@ class TestPairReduction:
             if len(report.grown) >= report.rank:
                 continue
             cut += 1
+            assert report._certificate.cls.rank(d) == len(report.grown)
             chosen = targets(rng, report, 2)
             n = assert_as_whole_system(report, chosen)
             solved += n
             refused += sum(report.basis.contains(t) for t in chosen) - n
         assert cut > 5 and solved > 0 and refused > 0
+
+
+def _refuse(*_, **__):
+    raise AssertionError("decompose_target reached an elimination or the shear walk")
+
+
+class TestCertificate:
+    """decompose_target with every elimination and the walk patched to
+    raise: fresh reports, read through the certificate alone."""
+
+    @pytest.fixture
+    def no_elimination(self, monkeypatch):
+        for module, name in (
+            (ncspan.linalg, "fraction_free_rref"),
+            (ncspan.linalg, "express_in_terms"),
+            (ncspan.linalg, "EchelonModP"),
+            (ncspan.span, "EchelonModP"),
+            (ncspan.span, "_shear_closure"),
+        ):
+            monkeypatch.setattr(module, name, _refuse)
+
+    def decomposes(self, report, rng, count):
+        """Exact decompositions of count combinations of the class's basis,
+        a unit and the zero matrix; each stack's value is L * f at its inputs."""
+        d, L = report.dim, report.poly.integer_form()[0]
+        certificate = report._certificate
+        assert certificate.cls is report.classification
+        chosen = [t for t in targets(rng, report, count) if report.basis.contains(t)]
+        if d > 1 and report.basis.contains(MatrixQ.unit(d, d - 1, 0)):
+            chosen.append(MatrixQ.unit(d, d - 1, 0))
+        for target in chosen:
+            terms = decompose_target(report, target)
+            assert_sums_to(report, terms, target)
+            assert len(terms) <= len(certificate.stacks)
+        for j, stack in enumerate(certificate.stacks):
+            value = evaluate(report.poly, certificate.inputs(j), dim=d).scale(L)
+            assert list(value.flatten()) == stack[: d * d]
+        return certificate
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_headline(self, d, no_elimination):
+        rng = random.Random(6060 + d)
+        for text in (*HEADLINE, "3/2*X1*X1*X2 + [X2,X1]"):
+            for seed in (0, 7919):
+                report = classify_span(parse_poly(text), d, SampleConfig(seed=seed))
+                certificate = self.decomposes(report, rng, 2 if d < 6 else 1)
+                # One base, a pair per ordered (k, l) and the trace row when
+                # it is not the base: no sample here needs a permuted copy.
+                bound = 2 * d * (d - 1) + 2 if d > 1 else 1
+                assert len(certificate.stacks) <= bound, (text, d, seed)
+
+    def test_rational_polynomial_terms(self, no_elimination):
+        f = parse_poly("3/2*X1*X1*X2 + [X2,X1]")
+        report = classify_span(f, 3, SampleConfig(seed=0))
+        target = MatrixQ([[1, 2, 0], [0, 0, 1], [3, 0, -1]])
+        terms = decompose_target(report, target)
+        assert_sums_to(report, terms, target)
+        assert any(lam.denominator > 1 for lam, _ in terms)
+
+    def test_multiple_of_p_at_d8(self, no_elimination):
+        report = classify_span(parse_poly("2147483647*[X1,X2]"), 8, SampleConfig(seed=0))
+        rng = random.Random(8)
+        self.decomposes(report, rng, 1)
+        target = random_matrix_int(rng, 8)
+        target = target - MatrixQ.unit(8, 7, 7).scale(target.trace())
+        assert_sums_to(report, decompose_target(report, target), target)
+
+    def test_sparse_target_reads_only_its_pairs(self, no_elimination):
+        # The shift matrix at d = 10 is the base and the nine pairs (i, i + 1).
+        d = 10
+        report = classify_span(parse_poly("[X1,X2]"), d, SampleConfig(seed=0))
+        shift = MatrixQ([[int(j == i + 1) for j in range(d)] for i in range(d)])
+        terms = decompose_target(report, shift)
+        assert len(terms) == 19 and len(certificate_inputs(report)) == 19
+        assert_sums_to(report, terms, shift)
+
+    def test_diagonal_seed_is_shifted(self, no_elimination):
+        # X1*X2 at (E_00, diag(1, 2, 3)): the value E_00 is diagonal, and
+        # the base is its conjugate by I + E_01.
+        d, f = 3, parse_poly("X1*X2")
+        a, b = MatrixQ.unit(d, 0, 0), MatrixQ.diagonal([1, 2, 3])
+        rows = ((a.flatten() + b.flatten(), (a * b).flatten()),)
+        report = SpanReport(f, d, Classification.FULL, 1, StopReason.LIE_IDEAL, SampleConfig(), False, rows)
+        certificate = report._certificate
+        assert certificate.cls is Classification.FULL and certificate.trace == 0
+        base = certificate.stacks[0][: d * d]
+        assert base != list(rows[0][1]) and base[1] and sum(base[:: d + 1]) == 1
+        rng = random.Random(3)
+        for target in (random_matrix_int(rng, d), MatrixQ.identity(d), MatrixQ.unit(d, 2, 1)):
+            assert_sums_to(report, decompose_target(report, target), target)
+        self.decomposes(report, rng, 2)
+
+    def test_zero_entries_read_a_permuted_base(self, no_elimination):
+        # X1*X2 at (I, E_01): the value is 0 at (1, 0), and no stack has a
+        # nonzero entry there when pair (0, 1) is read, so its center is a
+        # permuted copy of the base, which later pairs share.
+        d, f = 3, parse_poly("X1*X2")
+        a, b = MatrixQ.identity(d), MatrixQ.unit(d, 0, 1)
+        rows = ((a.flatten() + b.flatten(), b.flatten()),)
+        report = SpanReport(f, d, Classification.TRACE_ZERO, 1, StopReason.LIE_IDEAL, SampleConfig(), False, rows)
+        certificate = report._certificate
+        assert certificate.cls is Classification.TRACE_ZERO and certificate.trace is None
+        assert certificate.pairs[0, 1][0] == 1 and certificate.stacks[1][d] == 1
+        copies = len(certificate.stacks) - 2 * d * (d - 1) - 1
+        assert copies >= 1
+        for (k, l), (c, _, c_lk) in certificate.pairs.items():
+            assert c_lk == certificate.stacks[c][l * d + k] != 0
+        rng = random.Random(4)
+        for target in (MatrixQ.unit(d, 2, 0), MatrixQ.unit(d, 1, 0), MatrixQ.diagonal([1, -3, 2])):
+            assert_sums_to(report, decompose_target(report, target), target)
+        self.decomposes(report, rng, 3)
+
+    def test_sparse_entries_read_other_conjugates(self, no_elimination):
+        # X1*X2 at (I, b): b is 0 at (0, 2) and (1, 2), which pairs (2, 0)
+        # and (2, 1) read through the conjugates of earlier pairs by
+        # I + E_12 and I + E_02, with no permuted copy.
+        d, f = 3, parse_poly("X1*X2")
+        a, b = MatrixQ.identity(d), MatrixQ([[1, 1, 0], [2, 0, 0], [3, 4, 1]])
+        rows = ((a.flatten() + b.flatten(), b.flatten()),)
+        report = SpanReport(f, d, Classification.FULL, 1, StopReason.LIE_IDEAL, SampleConfig(), False, rows)
+        certificate = report._certificate
+        assert len(certificate.stacks) == 2 * d * (d - 1) + 1
+        assert {c for c, _, _ in certificate.pairs.values()} != {0}
+        rng = random.Random(5)
+        for target in (MatrixQ.unit(d, 0, 1), MatrixQ.unit(d, 1, 2), MatrixQ.unit(d, 2, 0), MatrixQ.identity(d)):
+            assert_sums_to(report, decompose_target(report, target), target)
+        self.decomposes(report, rng, 3)
+
+    def test_scalar_rows_use_no_base(self, no_elimination):
+        report = classify_span(parse_poly("[X1,X2]^2"), 2, SampleConfig(seed=0))
+        certificate = self.decomposes(report, random.Random(2), 2)
+        assert certificate.cls is Classification.SCALARS and len(certificate.stacks) == 1
 
 
 def bareiss_inverse(rows):
@@ -552,12 +705,11 @@ class TestTwoPhaseAgainstGaussJordan:
 
     @pytest.mark.parametrize("d", (4, 5))
     def test_decompose_systems(self, d, monkeypatch):
-        # Each system decompose_target hands to the kernel is also reduced
-        # by the Gauss-Jordan reference; in-span targets go through
-        # decompose_target, nonzero-trace ones straight to express_in_terms.
-        # A decompose solve drops one row and one column per unit column
-        # (see decompose_target), counted from the report's labels; the
-        # direct express_in_terms calls solve the whole system.
+        # Each system handed to the kernel is also reduced by the
+        # Gauss-Jordan reference.  decompose_target hands it none: its
+        # in-span targets are read through the certificate; the
+        # nonzero-trace ones go straight to express_in_terms, which solves
+        # the whole system over the witness values.
         solves, want = [], []
 
         def checked(rows):
@@ -571,14 +723,12 @@ class TestTwoPhaseAgainstGaussJordan:
             report = classify_span(parse_poly(text), d, SampleConfig(seed=7919))
             vectors = [value.flatten() for _, value in report.witnesses]
             trace_zero = report.classification is Classification.TRACE_ZERO
-            u, k = len(unit_pairs(report)), len(report.grown)
-            assert u > 0
-            want += [(d * d - u, k - u + 1), (d * d, k + 1)] * 3
+            want += [(d * d, len(report.grown) + 1)] * 3
             for k in range(3):
                 target = MatrixQ.zero(d)
                 for _, value in report.witnesses:
                     target = target + value.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-                assert decompose_target(report, target)
+                assert_sums_to(report, decompose_target(report, target), target)
                 off = MatrixQ.diagonal([k + 1] + [0] * (d - 1))
                 assert (express_in_terms(vectors, (target + off).flatten()) is None) == trace_zero
-        assert len(solves) == 18 and solves == want
+        assert len(solves) == 9 and solves == want

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import standard_polynomial
+from helpers import certificate_inputs, standard_polynomial
 import ncspan.cli
 from ncspan.cli import _config, build_parser, main
 from ncspan.span import classify_span, decompose_target
@@ -139,7 +139,7 @@ def test_ser_rows_agrees_with_format_scalar(name, monkeypatch):
     """Every matrix a golden run prints is the str of a report's exact
     entries, each an int or a Fraction: classify's basis and witnesses,
     written from the sampling loop's integer rows, and decompose's inputs,
-    which are the report's _inputs entries."""
+    which its report's certificate built."""
     monkeypatch.chdir(GOLDEN)
     out = _stdout(CASES[name])
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
@@ -159,7 +159,7 @@ def test_ser_rows_agrees_with_format_scalar(name, monkeypatch):
         # Outside the span decompose prints no terms.
         assert ("terms" in doc) == ("trace" not in name)
         terms = decompose_target(report, parse_matrix(args.target)) if "terms" in doc else []
-        assert all(any(tup is t for t in report._inputs) for _, tup in terms)
+        assert all(any(tup is t for t in certificate_inputs(report)) for _, tup in terms)
         assert doc.get("terms", []) == [
             {"coefficient": str(lam), "inputs": [text(a.rows) for a in tup]} for lam, tup in terms
         ]

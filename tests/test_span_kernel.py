@@ -38,6 +38,7 @@ import helpers
 from helpers import (
     EchelonQ,
     battery_poly,
+    certificate_inputs,
     random_matrix_int,
     random_multilinear,
     random_poly,
@@ -1353,12 +1354,17 @@ class TestSampledSpan:
             members = row_matrices(report.basis)
             target = sum(members[1:], members[0]) if members else MatrixQ.zero(d)
             terms = decompose_target(report, target)
-            assert built == ["_matrices"] * len(report.grown), (text, d)
-            assert decompose_target(report, target) == terms and len(built) == len(report.grown)
-            # The witnesses pair the same input tuples with their values.
+            # One input tuple for each certificate stack a term reads, built
+            # once, and no value.
+            assert built == ["_matrices"] * len(terms), (text, d)
+            assert decompose_target(report, target) == terms and len(built) == len(terms)
+            assert all(any(args is t for t in certificate_inputs(report)) for _, args in terms)
+            # The witnesses build their own input tuples, from the walk's
+            # rows, and pair each with its value.
+            built.clear()
             witnesses = report.witnesses
-            assert built.count("_unscaled") == len(report.grown)
-            assert all(args is inputs for (args, _), inputs in zip(witnesses, report._inputs, strict=True))
+            assert built.count("_unscaled") == len(report.grown) == len(witnesses)
+            assert built.count("_matrices") == 2 * len(report.grown)
             built.clear()
 
     def test_equal_seeds_give_equal_reports(self):
@@ -1405,8 +1411,8 @@ class TestSampledSpan:
                 argv = ["suite", "--corpus", CORPUS, "--dim", str(d), "--seed", "7919", *extra]
                 assert main(argv) in (0, 1)
                 assert built == [], argv
-        # decompose solves on the report's witness inputs and verifies through
-        # evaluate, which builds each value by _unscaled: the counters see both.
+        # decompose builds the inputs of its certificate's stacks and verifies
+        # through evaluate, which builds each value by _unscaled: the counters see both.
         main(["decompose", "--poly", "[X1,X2]", "--dim", "2", "--seed", "0", "--target", "0,1;0,0"])
         capsys.readouterr()
         assert set(built) == {"_matrices", "_unscaled"}

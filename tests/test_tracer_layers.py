@@ -73,9 +73,10 @@ def test_lie_ideal_check_shows_contains(tracer_module):
 
 
 def test_decompose_solves_once_per_target(tracer_module):
-    # decompose_target hands each in-span target's system to express_in_terms,
-    # once, so the benchmark's linalg.express_in_terms layer reads every solve;
-    # a target outside the class and the c * X_i preimage solve nothing.
+    # decompose_target reads every in-span target through the report's
+    # certificate and hands no system to express_in_terms, so the
+    # benchmark's linalg.express_in_terms layer reads 0 calls, as it does on
+    # a target outside the class and on the c * X_i preimage.
     cfg = ncspan.SampleConfig(seed=0)
     tracer = tracer_module.Tracer()
     calls = outside = 0
@@ -85,7 +86,6 @@ def test_decompose_solves_once_per_target(tracer_module):
             for _, value in report.witnesses:
                 assert ncspan.decompose_target(report, value.scale(3))
                 calls += 1
-                assert tracer.calls["linalg.express_in_terms"] == calls
             if report.classification is ncspan.Classification.TRACE_ZERO:
                 with pytest.raises(ncspan.NotInSpan):
                     ncspan.decompose_target(report, ncspan.MatrixQ.identity(d))
@@ -94,4 +94,4 @@ def test_decompose_solves_once_per_target(tracer_module):
         assert ncspan.decompose_target(report, ncspan.MatrixQ.identity(2))
     assert outside == 2 and calls == 3 + 24 + 16 + 9
     assert tracer.calls["span.decompose_target"] == calls + outside + 1
-    assert tracer.calls["linalg.express_in_terms"] == calls
+    assert tracer.calls["linalg.express_in_terms"] == 0
